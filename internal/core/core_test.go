@@ -179,6 +179,94 @@ func TestLargeTransferChunksIntoRecords(t *testing.T) {
 	}
 }
 
+// TestOutgoingDrainsEveryChunk: a driver that calls Outgoing once per
+// connection gets everything queued, however many output chunks it
+// filled, as one slice that counts as one in the chunk books and, under
+// write stamping, as one batch; NextChunk hands the same bytes over a
+// chunk at a time without the joining copy.
+func TestOutgoingDrainsEveryChunk(t *testing.T) {
+	p := newPair(t, Config{EnableFailover: true})
+	p.client.SetWriteStamping(true)
+	sid, _ := p.client.CreateStream(0)
+	p.pump()
+	p.client.NoteWritten(0, p.now) // the ATTACH chunk the pump carried
+	msg := bytes.Repeat([]byte{0x3C}, 3*outChunkBytes)
+	for i, drain := range []func(uint32) ([]byte, error){p.client.Outgoing, p.client.NextChunk} {
+		before := p.client.PoolStats()
+		if _, err := p.client.Write(sid, msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		for p.client.HasOutgoing(0) {
+			out, err := drain(0)
+			if err != nil || len(out) == 0 {
+				t.Fatalf("drain: %d bytes, err %v", len(out), err)
+			}
+			calls++
+			if err := p.server.Receive(0, out, p.now); err != nil {
+				t.Fatal(err)
+			}
+			p.client.NoteWritten(0, p.now)
+			p.client.RecycleOutgoing(out)
+		}
+		if got := readAll(t, p.server, sid); !bytes.Equal(got, msg) {
+			t.Fatalf("delivered %d bytes, want %d", len(got), len(msg))
+		}
+		if pending := p.client.PendingWriteBatches(); pending != 0 {
+			t.Fatalf("%d write batches left after one NoteWritten per slice handed out", pending)
+		}
+		st := p.client.PoolStats()
+		if gets, puts := st.ChunkGets-before.ChunkGets, st.ChunkPuts-before.ChunkPuts; gets != puts {
+			t.Fatalf("chunk books: %d gets, %d puts", gets, puts)
+		}
+		if joined := i == 0; joined != (calls == 1) || calls == 2 {
+			t.Fatalf("drain %d took %d calls: want 1 from Outgoing, 3 or more from NextChunk", i, calls)
+		}
+		p.pump() // acks back, so the next round starts below the retransmit budget
+	}
+}
+
+// TestWriteSealsWholeRecordsFromCallerSlice: with nothing queued ahead,
+// Write seals every whole record straight out of the caller's slice —
+// sealed bytes are waiting before any Flush — and queues only the
+// sub-record tail. The caller may scribble over its slice the moment
+// Write returns; a second Write behind a queued tail takes the queue.
+func TestWriteSealsWholeRecordsFromCallerSlice(t *testing.T) {
+	p := newPair(t, Config{})
+	sid, _ := p.client.CreateStream(0)
+	p.pump()
+	max := Config{}.maxPayload()
+	first := bytes.Repeat([]byte{0xA1}, 3*max+100)
+	second := bytes.Repeat([]byte{0xB2}, 2*max)
+	want := append(append([]byte(nil), first...), second...)
+
+	before := p.client.Stats().RecordsSent
+	p.client.Write(sid, first)
+	if got := p.client.Stats().RecordsSent - before; got != 3 {
+		t.Fatalf("%d records sealed inside Write, want the 3 whole ones", got)
+	}
+	if got := p.client.StreamInfos()[0].PendingBytes; got != 100 {
+		t.Fatalf("%d bytes queued, want only the 100-byte tail", got)
+	}
+	p.client.Write(sid, second)
+	if got := p.client.Stats().RecordsSent - before; got != 3 {
+		t.Fatalf("a Write behind a queued tail sealed ahead of it (%d records out)", got)
+	}
+	for i := range first {
+		first[i] = 0xEE
+	}
+	for i := range second {
+		second[i] = 0xEE
+	}
+	p.pump()
+	if got := readAll(t, p.server, sid); !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want %d, equal %v", len(got), len(want), bytes.Equal(got, want))
+	}
+}
+
 func TestMultiplexedStreamsKeepDataSeparate(t *testing.T) {
 	p := newPair(t, Config{})
 	s1, _ := p.client.CreateStream(0)

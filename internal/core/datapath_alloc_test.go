@@ -82,6 +82,27 @@ func TestDatapathRecvZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDatapathRecvLaggingReaderZeroAlloc is the receive queue's gate: a
+// reader that takes 192 KiB for every 256 KiB the socket delivers lets
+// the queue run several MiB deep before it catches up. Once the segment
+// pool has seen one such swing, the next ones must not allocate — the
+// contiguous queue this replaced re-grew its array on every swing.
+func TestDatapathRecvLaggingReaderZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items; alloc counts are nondeterministic")
+	}
+	l := newLaggingReader(t)
+	for i := 0; i < 3; i++ {
+		l.cycle()
+	}
+	if avg := testing.AllocsPerRun(5, l.cycle); avg != 0 {
+		t.Fatalf("lagging reader: %.2f allocs per fill/drain cycle, want 0", avg)
+	}
+	if st := l.recv.PoolStats(); st.PayloadGets != st.PayloadPuts {
+		t.Fatalf("drained queue holds segments: %d gets, %d puts", st.PayloadGets, st.PayloadPuts)
+	}
+}
+
 // TestDatapathPoolBalance asserts the arena's books close: after the
 // session releases its retransmit buffers, every payload Buf the pool
 // handed out has come back (gets == puts), and likewise for the chunk
@@ -89,12 +110,27 @@ func TestDatapathRecvZeroAlloc(t *testing.T) {
 // escaped the refcount protocol.
 func TestDatapathPoolBalance(t *testing.T) {
 	p, id := newDatapathPair(t, Config{EnableFailover: true})
+	// Buffered delivery: the receive queue's segments come from the same
+	// arena as the retransmit copies, and count in the same books.
+	p.receiver.DeliverData = nil
 	payload := make([]byte, datapathBenchBytes)
+	sink := make([]byte, datapathBenchBytes*3/4) // the reader lags the writer
 	for i := 0; i < 64; i++ {
 		if _, err := p.sender.Write(id, payload); err != nil {
 			t.Fatal(err)
 		}
 		p.shuttle(t)
+		if _, err := p.receiver.Read(id, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.receiver.PoolStats(); st.PayloadGets == st.PayloadPuts {
+		t.Fatal("a 1 MiB backlog holds no pooled segment: the test no longer counts the receive queue")
+	}
+	for p.receiver.Readable(id) > 0 {
+		if _, err := p.receiver.Read(id, sink); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p.sender.ReleaseBuffers()
 	p.receiver.ReleaseBuffers()

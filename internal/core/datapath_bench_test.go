@@ -57,7 +57,7 @@ func (p *datapathPair) shuttle(b testing.TB) {
 			if err := dir.from.Flush(); err != nil && err != ErrNotCoupled {
 				b.Fatal(err)
 			}
-			out, err := dir.from.Outgoing(0)
+			out, err := dir.from.NextChunk(0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -164,5 +164,78 @@ func BenchmarkDatapathRecv(b *testing.B) {
 	b.StopTimer()
 	if got := int(receiver.Stats().RecordsReceived); got < recs*b.N {
 		b.Fatalf("receiver opened %d records, want >= %d", got, recs*b.N)
+	}
+}
+
+// laggingReader replays one pre-sealed ~256 KiB read into a receiver
+// that buffers for Read, with a reader that takes 192 KiB per read: the
+// shape of a sink that cannot keep up with the socket.
+type laggingReader struct {
+	tb       testing.TB
+	recv     *Session
+	id       uint32
+	startSeq uint64
+	batch    []byte // the sealed records, pristine
+	wire     []byte // what Receive decrypts in place
+	sink     []byte
+	events   []Event
+}
+
+const (
+	laggingRead  = 16 * 16368 // sixteen full records, ~256 KiB: one output chunk, one socket read
+	laggingDepth = 4 << 20    // queue depth at which the reader catches up
+)
+
+func newLaggingReader(tb testing.TB) *laggingReader {
+	p, id := newDatapathPair(tb, Config{})
+	p.receiver.DeliverData = nil
+	if _, err := p.sender.Write(id, make([]byte, laggingRead)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.sender.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	batch, err := p.sender.NextChunk(0)
+	if err != nil || p.sender.HasOutgoing(0) {
+		tb.Fatalf("one read's worth of records did not fit one chunk (err %v)", err)
+	}
+	return &laggingReader{
+		tb: tb, recv: p.receiver, id: id, startSeq: p.receiver.streams[id].recvCtx.Seq(),
+		batch: batch, wire: make([]byte, len(batch)), sink: make([]byte, laggingRead),
+	}
+}
+
+// cycle is one swing of the queue: Receive 256 KiB / Read 192 KiB until
+// it is laggingDepth deep, then drain it.
+func (l *laggingReader) cycle() {
+	st := l.recv.streams[l.id]
+	for l.recv.Readable(l.id) < laggingDepth {
+		// In-place decrypt destroys wire; replay from the pristine batch
+		// and rewind the context plus the duplicate filter.
+		copy(l.wire, l.batch)
+		st.recvCtx.SetSeq(l.startSeq)
+		st.nextDeliverSeq = l.startSeq
+		if err := l.recv.Receive(0, l.wire, time.Unix(1000, 0)); err != nil {
+			l.tb.Fatal(err)
+		}
+		l.events = l.recv.AppendEvents(l.events[:0])
+		l.recv.Read(l.id, l.sink[:laggingRead*3/4])
+	}
+	for l.recv.Readable(l.id) > 0 {
+		l.recv.Read(l.id, l.sink)
+	}
+}
+
+// BenchmarkDatapathRecvLagging is the buffered receive path under a
+// lagging reader: deframe, open, one copy into the segment queue, one
+// copy out, with the queue swinging between empty and 4 MiB.
+func BenchmarkDatapathRecvLagging(b *testing.B) {
+	l := newLaggingReader(b)
+	l.cycle()
+	b.SetBytes(laggingDepth / (laggingRead / 4) * laggingRead)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.cycle()
 	}
 }

@@ -266,7 +266,6 @@ type streamReplay struct {
 // replay itself is replayMerged's job.
 func (s *Session) failoverStreamPrep(st *stream, target *conn) error {
 	st.conn = target.id
-	target.attached[st.id] = true
 	if err := s.sendCtl(target, appendStreamAttach(nil, st.id)); err != nil {
 		return err
 	}
@@ -341,6 +340,7 @@ func (s *Session) replayRecord(st *stream, r *sentRecord, fromID uint32, target 
 		trailer[0] = byte(typeStreamData)
 		tlen = 1
 	}
+	target.room()
 	out, err := st.sendCtx.SealSeqV(target.out, r.seq, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, r.payload, trailer[:tlen])
 	if err != nil {
 		return err

@@ -78,6 +78,53 @@ func TestHandleSyncBeforeStreamAttach(t *testing.T) {
 	}
 }
 
+// TestStaleAttachOnFailedConnIgnored: the client opens a stream on conn 0
+// and fails over before the server has read any of it, so the server
+// first learns of the stream from the ATTACH on conn 1. When conn 0's
+// leftover bytes then surface — the original ATTACH among them — the
+// server must not re-home the stream onto the dead connection: that
+// left the stream's delivery bookkeeping on a context nothing would
+// ever advance, and a reader waiting for EOF forever.
+func TestStaleAttachOnFailedConnIgnored(t *testing.T) {
+	p := newPair(t, Config{EnableFailover: true})
+	p.addConn(1)
+	p.pump()
+	sid, err := p.client.CreateStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte{0xCD}, 40000)
+	if _, err := p.client.Write(sid, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := p.client.Outgoing(0) // ATTACH and the records: in flight, held back
+	if err != nil || len(stale) == 0 || p.client.HasOutgoing(0) {
+		t.Fatalf("conn 0's flight: %d bytes, err %v", len(stale), err)
+	}
+	if err := p.client.FailoverTo(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.client.FinishStream(sid); err != nil {
+		t.Fatal(err)
+	}
+	p.pump()
+	if err := p.server.Receive(0, stale, p.now); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.server.StreamConn(sid); got != 1 {
+		t.Fatalf("stale ATTACH re-homed the stream onto failed conn %d", got)
+	}
+	if got := readAll(t, p.server, sid); !bytes.Equal(got, msg) {
+		t.Fatalf("delivered %d bytes, want %d", len(got), len(msg))
+	}
+	if !p.server.PeerFinished(sid) {
+		t.Fatal("stream fully delivered and FIN received, yet not finished")
+	}
+}
+
 // TestDoubleFailoverSameConn: failing the same connection over twice must
 // return ErrConnFailed from the second call and leave the first
 // failover's stream state intact.

@@ -121,6 +121,58 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 	}
 }
 
+// TestParkedRecordsPinWhatTheyCount: coupled records parked ahead of a
+// gap hold a pooled Buf only when they fill most of one, so the memory
+// the heap pins stays within twice the bytes the reorder caps count; and
+// ReleaseBuffers hands the parked Bufs back, since the gap of a session
+// torn down never fills.
+func TestParkedRecordsPinWhatTheyCount(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		payload    int
+		wantPooled bool
+	}{{"small", 512, false}, {"full", 0, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, Config{MaxRecordPayload: tc.payload})
+			p.addConn(1)
+			s0, _ := p.client.CreateStream(0)
+			s1, _ := p.client.CreateStream(1)
+			p.client.SetCoupled(s0, true)
+			p.client.SetCoupled(s1, true)
+			p.pump()
+			recs := 2 * 8
+			if _, err := p.client.WriteCoupled(make([]byte, recs*p.client.cfg.maxPayload())); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.client.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Conn 0 carries aggregation sequence 0: with it held back,
+			// everything conn 1 delivers is ahead of its turn.
+			ahead, err := p.client.Outgoing(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.server.Receive(1, ahead, p.now); err != nil {
+				t.Fatal(err)
+			}
+			depth := p.server.ReorderDepth()
+			if depth == 0 || p.server.CoupledReadable() != 0 {
+				t.Fatalf("%d records parked, %d bytes readable: want all parked", depth, p.server.CoupledReadable())
+			}
+			st := p.server.PoolStats()
+			if held := int(st.PayloadGets - st.PayloadPuts); tc.wantPooled && held != depth || !tc.wantPooled && held != 0 {
+				t.Fatalf("%d pooled Bufs held for %d parked %d-byte records", held, depth, p.client.cfg.maxPayload())
+			}
+			p.server.ReleaseBuffers()
+			if st := p.server.PoolStats(); st.PayloadGets != st.PayloadPuts || p.server.ReorderDepth() != 0 {
+				t.Fatalf("after ReleaseBuffers: %d gets, %d puts, %d records still parked",
+					st.PayloadGets, st.PayloadPuts, p.server.ReorderDepth())
+			}
+		})
+	}
+}
+
 // TestRecvBufferBackpressure fills an unread stream's receive buffer:
 // at the cap the engine reports RecvPaused (the wrapper's signal to
 // stop socket reads), at twice the cap Receive returns the typed
@@ -276,6 +328,36 @@ func TestRetransmitBudgetParksAndErrors(t *testing.T) {
 	}
 	if _, err := p.client.Write(sid, []byte{0}); !errors.Is(err, ErrRetransmitBudget) {
 		t.Fatalf("Write past pending cap: err = %v, want ErrRetransmitBudget", err)
+	}
+}
+
+// TestFinWaitsBehindParkedData: a stream finished while bytes are parked
+// at the retransmit budget must not announce its FIN yet — the final
+// sequence it carries would fall short of the data still to be sealed.
+func TestFinWaitsBehindParkedData(t *testing.T) {
+	cfg := Config{EnableFailover: true, MaxRecordPayload: 256, MaxRetransmitBytes: 2048}
+	p := newPair(t, cfg)
+	sid, _ := p.client.CreateStream(0)
+	p.pump()
+	msg := bytes.Repeat([]byte{7}, 8192)
+	if _, err := p.client.Write(sid, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.client.FinishStream(sid); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if si := p.client.StreamInfos()[0]; si.PendingBytes == 0 || si.FinSent {
+		t.Fatalf("parked with %d bytes pending, FinSent = %v: want bytes pending and no FIN", si.PendingBytes, si.FinSent)
+	}
+	p.pump() // acks trim the buffer, the rest follows, then the FIN
+	if got := readAll(t, p.server, sid); !bytes.Equal(got, msg) {
+		t.Fatalf("delivered %d of %d bytes", len(got), len(msg))
+	}
+	if !p.client.StreamInfos()[0].FinSent || !p.server.PeerFinished(sid) {
+		t.Fatal("stream never finished once the parked data drained")
 	}
 }
 

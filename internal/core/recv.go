@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tcpls/internal/record"
@@ -143,14 +144,20 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 	if f.typ == typeStreamDataCoupled {
 		st.coupled = true // receiver learns coupling from the records
 		// Coupled delivery: order across the group by aggregation
-		// sequence number through the reordering heap (§4.3). In the
-		// in-order fast path the record buffer is delivered as is; only
-		// out-of-order records are copied for the heap to hold.
+		// sequence number through the reordering heap (§4.3). A record
+		// at or behind its turn is delivered (or dropped) straight from
+		// the record buffer; one ahead of its turn is copied — into a
+		// pooled Buf, or a copy of its own size when it would leave most
+		// of one empty: the caps count payload bytes, not Bufs pinned.
 		var delivered [][]byte
-		if f.aggSeq == s.coupled.buf.Next() && s.coupled.buf.Pending() == 0 {
+		switch {
+		case f.aggSeq <= s.coupled.buf.Next():
 			delivered = s.coupled.buf.Offer(f.aggSeq, f.payload)
-		} else {
-			delivered = s.coupled.buf.Offer(f.aggSeq, append([]byte(nil), f.payload...))
+		case len(f.payload) >= record.MaxPlaintextLen/2:
+			b := s.bufs.Copy(f.payload)
+			s.coupled.buf.Park(f.aggSeq, b.Bytes(), b)
+		default:
+			s.coupled.buf.Park(f.aggSeq, slices.Clone(f.payload), nil)
 		}
 		s.noteReorderBytes()
 		if s.tel != nil {
@@ -161,14 +168,15 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 			s.lastReorderDepth = depth
 		}
 		s.checkReorderCap(c, streamID)
-		if s.DeliverCoupled != nil {
-			for _, d := range delivered {
+		for _, d := range delivered {
+			if s.DeliverCoupled != nil {
 				s.DeliverCoupled(d)
-			}
-		} else {
-			for _, d := range delivered {
+			} else {
 				s.coupled.recvQ.Append(d)
 			}
+		}
+		s.coupled.buf.Recycle()
+		if s.DeliverCoupled == nil {
 			if len(delivered) > 0 {
 				s.emit(Event{Kind: EventCoupledData, Stream: streamID, Conn: c.id})
 			}
@@ -445,6 +453,12 @@ func (s *Session) handleAck(f *frame) error {
 // existing stream's receive context onto this connection (failover).
 func (s *Session) handleStreamAttach(c *conn, f *frame) error {
 	if st, ok := s.streams[f.id]; ok {
+		if c.failed || c.closed {
+			// A stale ATTACH, still in flight when this connection was
+			// declared dead and the stream moved on: adopting it would
+			// re-home the stream onto a connection nothing travels on.
+			return nil
+		}
 		// Existing stream moving here (failover path). Attach the recv
 		// context to this conn's demux; detach from the old conn only if
 		// that conn is dead. A live old conn can still have records for
@@ -485,23 +499,18 @@ func (s *Session) handleStreamAttach(c *conn, f *frame) error {
 		st.conn = c.id
 		return nil
 	}
-	st, err := s.installStream(f.id, c.id)
-	if err != nil {
+	if _, err := s.installStream(f.id, c.id); err != nil {
 		return err
 	}
-	_ = st
 	s.trace("stream_attached", c.id, f.id, 0, 0)
 	s.emit(Event{Kind: EventStreamOpen, Stream: f.id, Conn: c.id})
 	return nil
 }
 
 func (s *Session) handleStreamDetach(c *conn, f *frame) error {
-	st, ok := s.streams[f.id]
-	if !ok {
-		return nil
+	if _, ok := s.streams[f.id]; ok {
+		c.demux.Detach(f.id)
 	}
-	c.demux.Detach(f.id)
-	_ = st
 	return nil
 }
 

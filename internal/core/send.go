@@ -17,11 +17,6 @@ import (
 // SetPathScheduler; closures are adapted via sched.Func.
 type Scheduler func(recordIdx uint64, streams []uint32) int
 
-// RoundRobin is the default coupled-stream scheduler (§5.1 uses it).
-func RoundRobin(recordIdx uint64, streams []uint32) int {
-	return int(recordIdx % uint64(len(streams)))
-}
-
 // SetScheduler replaces the coupled-stream scheduler with a legacy
 // closure (adapted onto the stateful scheduler interface).
 //
@@ -60,16 +55,12 @@ func (s *Session) scheduler() sched.Scheduler {
 // Flush frames all queued application data into encrypted records on
 // their connections' output buffers. Call before draining Outgoing.
 //
-// Flush is the two-phase datapath (DESIGN.md §16): a framing pass walks
-// each queue and cuts it into sealJobs — record-sized views into the
-// queue's backing array, no copies — then one sealBatch pass drives all
-// of them through the AEAD back to back. Only after a job seals is its
-// span of the queue consumed, so an error leaves unsealed bytes queued.
+// Each queue is cut into record-sized views of its backing array — no
+// copies — and every view sealed straight into its connection's output
+// chunk (DESIGN.md §16). Only a sealed record's span of the queue is
+// consumed, so an error leaves unsealed bytes queued.
 func (s *Session) Flush() error {
-	if s.tracer != nil {
-		// Send-path trace events happen now, not at the last receive.
-		s.lastNow = s.now()
-	}
+	s.stampSendTrace()
 	// Coupled group first: distribute records across coupled streams.
 	if err := s.flushCoupled(); err != nil {
 		return err
@@ -84,6 +75,14 @@ func (s *Session) Flush() error {
 	return nil
 }
 
+// stampSendTrace dates the send-path trace events that follow: they
+// happen now, not at the last receive.
+func (s *Session) stampSendTrace() {
+	if s.tracer != nil {
+		s.lastNow = s.now()
+	}
+}
+
 func (s *Session) sortedStreamIDs() []uint32 {
 	if len(s.idCache) != len(s.streams) {
 		s.idCache = s.idCache[:0]
@@ -95,59 +94,22 @@ func (s *Session) sortedStreamIDs() []uint32 {
 	return s.idCache
 }
 
-// sealJob is one framed-but-unsealed record. payload is a view into the
-// owning queue's backing array (valid through the seal pass — nothing
-// appends to the queue mid-flush); consume is how many queue bytes this
-// job retires when sealed (0 for all but the last replica of a PickAll
-// set, which share one queue span). shared, when non-nil, carries one
-// pre-retained reference to the replica set's pooled retransmit copy.
+// sealJob is one record about to be sealed. payload views the owning
+// queue's array or the caller's Write slice; shared, when non-nil, is one
+// pre-retained reference to a PickAll replica set's pooled retransmit copy.
 type sealJob struct {
 	st      *stream
 	payload []byte
-	consume int
 	coupled bool
 	aggSeq  uint64
 	enqAt   time.Time
 	shared  *record.Buf
 }
 
-// sealer drains a batch of framed records through the AEAD in one pass.
-// The interface isolates the crypto loop from the framing logic: the
-// serial implementation runs inline on the engine's goroutine, and this
-// seam is where per-conn seal workers can parallelize the pass later.
-//
-// Contract: sealBatch returns how many leading jobs sealed; after it
-// returns, no unsealed job may still hold a buffer reference (the
-// implementation releases them on the error path).
-type sealer interface {
-	sealBatch(jobs []sealJob) (sealed int, err error)
-}
-
-// serialSealer seals the batch inline, in order.
-type serialSealer struct{ s *Session }
-
-func (w serialSealer) sealBatch(jobs []sealJob) (int, error) {
-	for i := range jobs {
-		if err := w.s.sealOne(&jobs[i]); err != nil {
-			releaseJobs(jobs[i+1:])
-			return i, err
-		}
-	}
-	return len(jobs), nil
-}
-
-// releaseJobs drops the buffer references of jobs that will never seal.
-func releaseJobs(jobs []sealJob) {
-	for i := range jobs {
-		jobs[i].shared.Release()
-		jobs[i].shared = nil
-	}
-}
-
-// sealOne seals one framed record onto its stream's connection and,
-// when failover is enabled, retains the payload in a pooled buffer for
+// sealOne seals one record onto its stream's connection and, when
+// failover is enabled, retains the payload in a pooled buffer for
 // replay. A job that fails releases its own shared reference.
-func (s *Session) sealOne(j *sealJob) error {
+func (s *Session) sealOne(j sealJob) error {
 	st := j.st
 	c, err := s.getConn(st.conn)
 	if err != nil {
@@ -172,6 +134,7 @@ func (s *Session) sealOne(j *sealJob) error {
 		trailer[0] = byte(typeStreamData)
 	}
 	seq := st.sendCtx.Seq()
+	c.room()
 	out, err := st.sendCtx.SealV(c.out, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, j.payload, trailer[:tlen])
 	if err != nil {
 		j.shared.Release()
@@ -251,24 +214,16 @@ func (s *Session) solicitAck(st *stream) {
 }
 
 // retransmitParked reports whether st's retransmit buffer is at its
-// budget, so sealing must park until ACKs trim it. Bytes framed but not
-// yet sealed in the current flush (framedBytes) count against the
-// budget — the framing pass must stop exactly where the per-record seal
-// loop used to. On the at-cap edge it emits one flowctl_limit trace per
-// excursion.
-//
-// It does NOT solicit an acknowledgment: framing runs before the batch
-// seals, and an AckRequest sealed mid-framing would precede this
-// flush's data records on the wire — the peer would ack a stale
-// high-water and never clear the solicitation. Callers solicit via
-// solicitIfParked once the sealed records are on the connection buffer.
+// budget, so sealing must park until ACKs trim it. On the at-cap edge
+// it emits one flowctl_limit trace per excursion. Callers solicit the
+// acknowledgment, via solicitIfParked, after what they have sealed.
 func (s *Session) retransmitParked(st *stream, budget int) bool {
-	if budget <= 0 || st.retransmitBytes+st.framedBytes < budget {
+	if budget <= 0 || st.retransmitBytes < budget {
 		return false
 	}
 	if !st.budgetTripped {
 		st.budgetTripped = true
-		s.trace("flowctl_limit", st.conn, st.id, flowctlRetransmit, st.retransmitBytes+st.framedBytes)
+		s.trace("flowctl_limit", st.conn, st.id, flowctlRetransmit, st.retransmitBytes)
 		if s.tel != nil {
 			s.tel.FlowctlLimits.Inc()
 		}
@@ -277,59 +232,48 @@ func (s *Session) retransmitParked(st *stream, budget int) bool {
 }
 
 // solicitIfParked re-solicits an ack for a stream still at its budget.
-// Safe only when every sealed record of the stream already precedes the
-// request on the connection buffer (i.e. after sealBatch, or before any
-// framing happened this flush).
 func (s *Session) solicitIfParked(st *stream, budget int) {
 	if budget > 0 && st.retransmitBytes >= budget {
 		s.solicitAck(st)
 	}
 }
 
-// flushStream frames one stream's pending bytes and seals them in one
-// batch. A stream whose connection has failed is parked, not an error:
-// its pending bytes stay queued until failover or the recovery
-// supervisor re-homes it. The same applies at the retransmit budget:
-// remaining bytes park (with an ACK solicitation) until acknowledgments
-// trim the buffer, rather than growing it without bound.
-func (s *Session) flushStream(st *stream) error {
+// sealStream cuts q — the stream's pending queue, or whole records of
+// a Write still in the caller's slice — into records, seals them and
+// returns how many leading bytes of q went out. A stream on a failed
+// connection is parked, not an error, until failover or the recovery
+// supervisor re-homes it; one at its retransmit budget parks the rest
+// (with an ACK solicitation) until acknowledgments trim the buffer.
+func (s *Session) sealStream(st *stream, q []byte) (int, error) {
 	if c, ok := s.conns[st.conn]; ok && (c.failed || c.closed) {
-		return nil
+		return 0, nil
 	}
+	max := s.cfg.maxPayload()
+	budget := s.cfg.maxRetransmitBytes()
+	off := 0
+	for off < len(q) && !s.retransmitParked(st, budget) {
+		n := min(len(q)-off, max)
+		if err := s.sealOne(sealJob{st: st, payload: q[off : off+n], enqAt: st.pendingSince}); err != nil {
+			return off, err
+		}
+		off += n
+	}
+	s.solicitIfParked(st, budget)
+	return off, nil
+}
+
+// flushStream seals one stream's pending bytes, then its FIN once
+// nothing is left ahead of it.
+func (s *Session) flushStream(st *stream) error {
 	if st.pendingQ.Len() > 0 {
-		max := s.cfg.maxPayload()
-		budget := s.cfg.maxRetransmitBytes()
-		q := st.pendingQ.Bytes()
-		jobs := s.sealQ[:0]
-		for off := 0; off < len(q); {
-			if s.retransmitParked(st, budget) {
-				break
-			}
-			n := len(q) - off
-			if n > max {
-				n = max
-			}
-			jobs = append(jobs, sealJob{
-				st:      st,
-				payload: q[off : off+n],
-				consume: n,
-				enqAt:   st.pendingSince,
-			})
-			st.framedBytes += n
-			off += n
-		}
-		sealed, err := s.sealWorker.sealBatch(jobs)
-		consumed := 0
-		for i := 0; i < sealed; i++ {
-			consumed += jobs[i].consume
-		}
+		consumed, err := s.sealStream(st, st.pendingQ.Bytes())
 		st.pendingQ.Advance(consumed)
-		st.framedBytes = 0
-		s.sealQ = jobs[:0]
 		if err != nil {
 			return err
 		}
-		s.solicitIfParked(st, budget)
+	}
+	if c, ok := s.conns[st.conn]; ok && (c.failed || c.closed) || st.pendingQ.Len() > 0 {
+		return nil // dead connection, or parked at the budget: the FIN waits behind the data
 	}
 	// A coupled stream's unsealed bytes live in the shared coupled
 	// queue, not st.pendingQ: its FIN must wait for the whole group to
@@ -353,18 +297,26 @@ func (s *Session) flushStream(st *stream) error {
 	return nil
 }
 
-// flushCoupled distributes the coupled group's pending bytes across the
-// coupled streams, one record at a time, via the path scheduler, then
-// seals the whole schedule in one batch. The scheduler sees one
-// PathView per coupled stream, refreshed from the metrics store once
-// per flush (metrics move on ack/kernel timescales, not per record).
+// flushCoupled seals the coupled group's pending bytes.
 func (s *Session) flushCoupled() error {
 	if s.coupled.pendingQ.Len() == 0 {
 		return nil
 	}
+	consumed, err := s.sealCoupled(s.coupled.pendingQ.Bytes())
+	s.coupled.pendingQ.Advance(consumed)
+	return err
+}
+
+// sealCoupled distributes q — the group's pending queue, or whole
+// records of a WriteCoupled still in the caller's slice — across the
+// coupled streams, a record at a time, via the path scheduler, and
+// returns how many leading bytes went out. The scheduler sees one
+// PathView per stream, refreshed once per call (metrics move on
+// ack/kernel timescales, not per record).
+func (s *Session) sealCoupled(q []byte) (int, error) {
 	cs := s.coupledStreams()
 	if len(cs) == 0 {
-		return ErrNotCoupled
+		return 0, ErrNotCoupled
 	}
 	// Schedule only over streams whose connections are alive and whose
 	// retransmit buffers have budget left; with no live path the group's
@@ -385,7 +337,7 @@ func (s *Session) flushCoupled() error {
 	}
 	cs = live
 	if len(cs) == 0 {
-		return nil
+		return 0, nil
 	}
 	views := make([]sched.PathView, len(cs))
 	for i, st := range cs {
@@ -396,15 +348,11 @@ func (s *Session) flushCoupled() error {
 	}
 	max := s.cfg.maxPayload()
 	ps := s.scheduler()
-	q := s.coupled.pendingQ.Bytes()
-	jobs := s.sealQ[:0]
+	off := 0
 framing:
-	for off := 0; off < len(q); {
-		n := len(q) - off
-		if n > max {
-			n = max
-		}
-		chunk := q[off : off+n]
+	for off < len(q) {
+		n := min(len(q)-off, max)
+		job := sealJob{payload: q[off : off+n], coupled: true, aggSeq: s.coupled.sendSeq, enqAt: s.coupled.pendingSince}
 		idx := ps.Pick(s.coupled.sendSeq, views)
 		if idx == sched.PickAll {
 			// Redundant scheduling: the same aggregation sequence goes
@@ -423,31 +371,23 @@ framing:
 			if len(open) == 0 {
 				break framing
 			}
-			aggSeq := s.coupled.sendSeq
 			s.coupled.sendSeq++
-			var shared *record.Buf
 			if s.cfg.EnableFailover {
-				shared = s.bufs.Copy(chunk)
+				job.shared = s.bufs.Copy(job.payload)
 				for i := 1; i < len(open); i++ {
-					shared.Retain()
+					job.shared.Retain()
 				}
 			}
 			for i, st := range open {
-				s.trace("sched_pick", st.conn, st.id, aggSeq, n)
+				s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
 				s.telPicks.Inc()
-				j := sealJob{
-					st:      st,
-					payload: chunk,
-					coupled: true,
-					aggSeq:  aggSeq,
-					enqAt:   s.coupled.pendingSince,
-					shared:  shared,
+				job.st = st
+				if err := s.sealOne(job); err != nil {
+					for range open[i+1:] {
+						job.shared.Release() // the replicas that will never seal
+					}
+					return off, err
 				}
-				if i == len(open)-1 {
-					j.consume = n // the replica set retires one queue span
-				}
-				jobs = append(jobs, j)
-				st.framedBytes += n
 			}
 		} else {
 			if idx < 0 || idx >= len(cs) {
@@ -468,39 +408,20 @@ framing:
 				// re-filters the candidate set.
 				break framing
 			}
-			aggSeq := s.coupled.sendSeq
 			s.coupled.sendSeq++
-			s.trace("sched_pick", st.conn, st.id, aggSeq, n)
+			s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
 			s.telPicks.Inc()
-			jobs = append(jobs, sealJob{
-				st:      st,
-				payload: chunk,
-				consume: n,
-				coupled: true,
-				aggSeq:  aggSeq,
-				enqAt:   s.coupled.pendingSince,
-			})
-			st.framedBytes += n
+			job.st = st
+			if err := s.sealOne(job); err != nil {
+				return off, err
+			}
 		}
 		off += n
-	}
-	sealed, err := s.sealWorker.sealBatch(jobs)
-	consumed := 0
-	for i := 0; i < sealed; i++ {
-		consumed += jobs[i].consume
-	}
-	s.coupled.pendingQ.Advance(consumed)
-	for _, st := range cs {
-		st.framedBytes = 0
-	}
-	s.sealQ = jobs[:0]
-	if err != nil {
-		return err
 	}
 	for _, st := range cs {
 		s.solicitIfParked(st, budget)
 	}
-	return nil
+	return off, nil
 }
 
 // SendTCPOption ships an encrypted TCP option on connID's control stream

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"tcpls/internal/handshake"
@@ -277,22 +279,16 @@ type Session struct {
 	bpfTotal   int
 	bpfProgLen uint32
 
-	// outPool recycles drained connection output buffers (see
-	// RecycleOutgoing); chunkGets/chunkPuts count chunk ownership
-	// transfers out of (Outgoing) and back into (RecycleOutgoing) the
-	// engine so tests can assert the I/O wrapper returns every chunk.
-	outPool   [][]byte
+	// chunkGets/chunkPuts count output slices handed out (NextChunk,
+	// Outgoing) and returned (RecycleOutgoing): every one must come back.
 	chunkGets uint64
 	chunkPuts uint64
 
 	// bufs is the pooled-payload arena backing failover retransmit
-	// copies (DESIGN.md §16); sealQ and ctlScratch are the reused
-	// framing and control-record scratch buffers of the batched send
-	// path; sealWorker drains framed batches through the AEAD.
+	// copies and the receive queues' segments (DESIGN.md §16);
+	// ctlScratch is the reused control-record scratch buffer.
 	bufs       *record.BufferPool
-	sealQ      []sealJob
 	ctlScratch []byte
-	sealWorker sealer
 
 	// frameScratch is the receive path's reused frame struct; idCache
 	// memoizes sortedStreamIDs (streams are only ever added, so a length
@@ -350,11 +346,10 @@ type Stats struct {
 // prototype couples all coupled-flagged streams together).
 type coupledState struct {
 	sendSeq      uint64
-	rr           int       // round-robin cursor over coupled streams
 	pendingQ     byteQueue // group bytes not yet sealed
 	pendingSince time.Time // enqueue stamp of the oldest unflushed bytes
 	buf          *reorder.Buffer
-	recvQ        byteQueue
+	recvQ        segQueue
 	// recvBlocked: recvQ hit the receive-buffer cap; reported through
 	// RecvPaused until ReadCoupled drains below half the cap.
 	recvBlocked bool
@@ -386,7 +381,7 @@ func NewSession(role Role, secrets handshake.Secrets, cfg Config) *Session {
 	}
 	s.coupled.buf = reorder.New(0)
 	s.bufs = record.NewBufferPool()
-	s.sealWorker = serialSealer{s}
+	s.coupled.recvQ.pool = s.bufs
 	return s
 }
 
@@ -461,11 +456,16 @@ func (s *Session) now() time.Time {
 	return time.Now()
 }
 
-// Events drains and returns pending events.
-func (s *Session) Events() []Event {
-	ev := s.events
-	s.events = nil
-	return ev
+// Events drains and returns pending events; the slice is the caller's.
+func (s *Session) Events() []Event { return s.AppendEvents(nil) }
+
+// AppendEvents drains pending events onto dst: the form that allocates
+// nothing for a caller that keeps dst from one call to the next.
+func (s *Session) AppendEvents(dst []Event) []Event {
+	dst = append(dst, s.events...)
+	clear(s.events)
+	s.events = s.events[:0]
+	return dst
 }
 
 func (s *Session) emit(ev Event) { s.events = append(s.events, ev) }
@@ -483,7 +483,7 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 	if _, ok := s.conns[id]; ok {
 		return ErrDuplicateConn
 	}
-	c := &conn{id: id, lastRecv: now, attached: make(map[uint32]bool)}
+	c := &conn{id: id, lastRecv: now}
 	c.tel = s.tel.Conn(id) // nil-safe: nil SessionMetrics yields nil handles
 	ctlID := ctlStreamID(id)
 	var err error
@@ -530,8 +530,10 @@ type conn struct {
 	demux    record.Demux
 	deframer record.Deframer
 	ctlSend  *record.StreamContext
+	// out is the output chunk being sealed into; outQ holds the full
+	// ones ahead of it, oldest first, until NextChunk hands them over.
 	out      []byte
-	attached map[uint32]bool // send-side data-stream attachment
+	outQ     []outChunk
 	lastRecv time.Time
 	failed   bool
 	// failedOver marks that FailoverTo already moved this connection's
@@ -552,10 +554,40 @@ type conn struct {
 	tel *telemetry.ConnMetrics
 }
 
+// outChunkBytes is the capacity of every output chunk: sixteen full
+// records, about one 256 KiB read on the far side. One size for all, so
+// a recycled chunk always fits the next fill and sealing never grows one.
+const outChunkBytes = 16 * record.MaxRecordLen
+
+// outChunks recycles output chunks across all sessions, so a short
+// session's first flush finds a warm buffer too.
+var outChunks = sync.Pool{New: func() any { return new([outChunkBytes]byte) }}
+
+// outChunk is one filled output chunk and, under write stamping, the
+// data records sealed into it.
+type outChunk struct {
+	data  []byte
+	spans []spanKey
+}
+
+// room makes sure c.out can take one more record of any size without
+// growing, starting a fresh chunk when the current one is nearly full.
+func (c *conn) room() {
+	if c.out != nil && cap(c.out)-len(c.out) >= record.MaxRecordLen {
+		return
+	}
+	if len(c.out) > 0 {
+		c.outQ = append(c.outQ, outChunk{c.out, c.unwritten})
+		c.unwritten = nil
+	}
+	c.out = outChunks.Get().(*[outChunkBytes]byte)[:0]
+}
+
 // sendCtl seals a control record onto the connection immediately,
 // preserving control/data ordering on the byte stream.
 func (s *Session) sendCtl(c *conn, content []byte) error {
 	seq := c.ctlSend.Seq()
+	c.room()
 	out, err := c.ctlSend.Seal(c.out, record.ContentTypeApplicationData, content, s.cfg.PadRecordsTo)
 	if err != nil {
 		return err
@@ -585,34 +617,56 @@ func (s *Session) getStream(id uint32) (*stream, error) {
 	return st, nil
 }
 
-// Outgoing drains the bytes queued for transmission on conn. Ownership
-// of the returned slice passes to the caller; returning it later with
-// RecycleOutgoing avoids reallocating record buffers on every flush.
-func (s *Session) Outgoing(connID uint32) ([]byte, error) {
+// NextChunk hands over the oldest chunk of bytes queued for transmission
+// on conn, nil when nothing is queued. Bulk drivers drain a connection by
+// calling it until then, and return each chunk with RecycleOutgoing.
+func (s *Session) NextChunk(connID uint32) ([]byte, error) {
 	c, err := s.getConn(connID)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.out) == 0 {
-		// Nothing queued: keep the (possibly warm) buffer in place
-		// instead of handing out an empty chunk the caller would strand.
+	var ch outChunk
+	switch {
+	case len(c.outQ) > 0:
+		ch = c.outQ[0]
+		c.outQ = slices.Delete(c.outQ, 0, 1) // a handful of entries at most
+	case len(c.out) > 0:
+		ch = outChunk{c.out, c.unwritten}
+		c.out, c.unwritten = nil, nil
+	default:
 		return nil, nil
-	}
-	out := c.out
-	if n := len(s.outPool); n > 0 {
-		c.out = s.outPool[n-1]
-		s.outPool = s.outPool[:n-1]
-	} else {
-		c.out = nil
 	}
 	s.chunkGets++
 	if s.stampWrites {
-		// One batch per non-empty chunk, even when the chunk carried only
-		// control records (nil batch): NoteWritten pops in chunk order.
-		c.writeBatches = append(c.writeBatches, c.unwritten)
-		c.unwritten = nil
+		// One batch per chunk, even when the chunk carried only control
+		// records (nil batch): NoteWritten pops in chunk order.
+		c.writeBatches = append(c.writeBatches, ch.spans)
 	}
-	return out, nil
+	return ch.data, nil
+}
+
+// Outgoing drains everything queued for transmission on conn as one
+// slice, to be returned with RecycleOutgoing. A single chunk is handed
+// over as it is; several are joined by a copy, which NextChunk avoids.
+func (s *Session) Outgoing(connID uint32) ([]byte, error) {
+	out, err := s.NextChunk(connID)
+	if err != nil || !s.HasOutgoing(connID) {
+		return out, err
+	}
+	c := s.conns[connID]
+	first := len(c.writeBatches) - 1
+	var all []byte
+	for ; out != nil; out, _ = s.NextChunk(connID) {
+		all = append(all, out...)
+		s.RecycleOutgoing(out)
+	}
+	s.chunkGets++
+	if s.stampWrites {
+		// The joined slice is written (or dropped) as one: one batch.
+		c.writeBatches[first] = slices.Concat(c.writeBatches[first:]...)
+		c.writeBatches = c.writeBatches[:first+1]
+	}
+	return all, nil
 }
 
 // spanKey names one retained record for write-time stamping: the stream
@@ -640,16 +694,7 @@ func (s *Session) SetWriteStamping(on bool) {
 // was written to the socket at now; the records it carried get their
 // span's write leg stamped.
 func (s *Session) NoteWritten(connID uint32, now time.Time) {
-	c, ok := s.conns[connID]
-	if !ok || len(c.writeBatches) == 0 {
-		return
-	}
-	batch := c.writeBatches[0]
-	c.writeBatches = c.writeBatches[1:]
-	if len(c.writeBatches) == 0 {
-		c.writeBatches = nil
-	}
-	for _, k := range batch {
+	for _, k := range s.popWriteBatch(connID) {
 		if st, ok := s.streams[k.stream]; ok {
 			st.stampWritten(k.seq, now)
 		}
@@ -660,15 +705,20 @@ func (s *Session) NoteWritten(connID uint32, now time.Time) {
 // conn was discarded without reaching the socket (failed-conn drain):
 // its records keep a zero write stamp until a failover replay rewrites
 // them on another connection.
-func (s *Session) NoteWriteDropped(connID uint32) {
+func (s *Session) NoteWriteDropped(connID uint32) { s.popWriteBatch(connID) }
+
+// popWriteBatch retires conn's oldest unresolved Outgoing chunk and
+// returns the data records it carried.
+func (s *Session) popWriteBatch(connID uint32) []spanKey {
 	c, ok := s.conns[connID]
 	if !ok || len(c.writeBatches) == 0 {
-		return
+		return nil
 	}
-	c.writeBatches = c.writeBatches[1:]
-	if len(c.writeBatches) == 0 {
+	batch := c.writeBatches[0]
+	if c.writeBatches = c.writeBatches[1:]; len(c.writeBatches) == 0 {
 		c.writeBatches = nil
 	}
+	return batch
 }
 
 // PendingWriteBatches counts Outgoing chunks handed out under write
@@ -684,26 +734,27 @@ func (s *Session) PendingWriteBatches() int {
 	return n
 }
 
-// RecycleOutgoing returns a buffer obtained from Outgoing once the
-// caller has finished writing it to the transport. Every non-empty
-// Outgoing chunk must come back exactly once — written, dropped, or
-// discarded at close — or the chunk accounting (PoolStats) diverges.
+// RecycleOutgoing returns a slice obtained from NextChunk or Outgoing
+// once the caller is done with it. Every one must come back exactly once
+// — written, dropped, or discarded at close — or the chunk accounting
+// (PoolStats) diverges. All are counted; one that is not a whole chunk
+// (a joined Outgoing drain, a tail re-slice) is left to the collector.
 func (s *Session) RecycleOutgoing(buf []byte) {
 	if cap(buf) == 0 {
 		return
 	}
 	s.chunkPuts++
-	if len(s.outPool) >= 8 {
-		return
+	if cap(buf) == outChunkBytes {
+		outChunks.Put((*[outChunkBytes]byte)(buf[:outChunkBytes]))
 	}
-	s.outPool = append(s.outPool, buf[:0])
 }
 
 // PoolStats is the datapath buffer accounting: payload counters from
-// the pooled retransmit arena and chunk counters for the Outgoing /
-// RecycleOutgoing ownership handoff. Both pairs balanced at session
-// close (after ReleaseBuffers and the wrapper's final recycles) proves
-// no pooled buffer leaked and none was returned twice.
+// the pooled arena (retransmit copies, receive segments, parked coupled
+// records) and chunk counters for the NextChunk / Outgoing →
+// RecycleOutgoing handoff. Both pairs balanced at session close (after
+// ReleaseBuffers, the wrapper's final recycles and the last Read)
+// proves no pooled buffer leaked and none was returned twice.
 type PoolStats struct {
 	PayloadGets uint64
 	PayloadPuts uint64
@@ -722,27 +773,26 @@ func (s *Session) PoolStats() PoolStats {
 	}
 }
 
-// ReleaseBuffers returns every pooled payload buffer the engine still
-// holds — the failover retransmit copies — to the arena. Call exactly
-// once, at session teardown; the engine must not seal or replay
-// afterwards. Together with the wrapper recycling its drained chunks
-// this makes PoolStats balance at close.
+// ReleaseBuffers returns to the arena the pooled buffers nothing can use
+// after teardown: the failover retransmit copies, and the coupled
+// records parked behind a gap that will never fill. Call exactly once,
+// at teardown; the engine must not seal, replay or receive afterwards.
+// Delivered bytes stay readable — a receive queue's segments go back as
+// Read drains them — so PoolStats balances once they have been read.
 func (s *Session) ReleaseBuffers() {
 	for _, st := range s.streams {
 		for i := range st.retransmit {
-			r := &st.retransmit[i]
-			r.buf.Release()
-			r.buf = nil
-			r.payload = nil
+			st.retransmit[i].buf.Release()
 		}
 		st.retransmit = nil
 	}
+	s.coupled.buf.Reset(s.coupled.buf.Next())
 }
 
 // HasOutgoing reports whether conn has bytes waiting without draining.
 func (s *Session) HasOutgoing(connID uint32) bool {
 	c, ok := s.conns[connID]
-	return ok && len(c.out) > 0
+	return ok && (len(c.outQ) > 0 || len(c.out) > 0)
 }
 
 // ConnInfo is a point-in-time snapshot of one connection's engine state
@@ -788,7 +838,7 @@ func (s *Session) ConnInfos() []ConnInfo {
 	for id := range s.conns {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	out := make([]ConnInfo, 0, len(ids))
 	for _, id := range ids {
 		c := s.conns[id]
@@ -800,12 +850,15 @@ func (s *Session) ConnInfos() []ConnInfo {
 			LastRecv:    c.lastRecv,
 			RecvPaused:  s.RecvPaused(id),
 		}
+		for _, ch := range c.outQ {
+			ci.QueuedBytes += len(ch.data)
+		}
 		for stID, st := range s.streams {
 			if st.conn == id {
 				ci.Streams = append(ci.Streams, stID)
 			}
 		}
-		sortIDs(ci.Streams)
+		slices.Sort(ci.Streams)
 		if s.metrics != nil {
 			if ps, ok := s.metrics.Snapshot(id); ok {
 				ci.SRTT, ci.RTTVar = ps.SRTT, ps.RTTVar
@@ -821,7 +874,7 @@ func (s *Session) ConnInfos() []ConnInfo {
 // StreamInfos snapshots every stream, in ascending ID order.
 func (s *Session) StreamInfos() []StreamInfo {
 	ids := s.Streams()
-	sortIDs(ids)
+	slices.Sort(ids)
 	out := make([]StreamInfo, 0, len(ids))
 	for _, id := range ids {
 		st := s.streams[id]
@@ -994,15 +1047,5 @@ func (s *Session) noteReorderBytes() {
 	}
 	if s.tel != nil {
 		s.tel.ReorderBytes.Set(int64(n))
-	}
-}
-
-// sortIDs sorts a small ID slice in place (insertion sort; topology
-// snapshots are tiny and this avoids an import).
-func sortIDs(ids []uint32) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }

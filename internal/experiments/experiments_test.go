@@ -16,7 +16,11 @@ func TestFig7Shape(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("throughput ratios are meaningless under the race detector")
 	}
-	rows, err := Fig7(1500, 64<<20)
+	// 256 MiB per stack, a fifth of a second each: at 64 MiB (40 ms) one
+	// run in ten had multipath or failover within noise of the base
+	// engine, now that a coupled record costs no reorder copy (PR 15:
+	// multipath/base 0.57–0.72 before, 0.83–0.96 now).
+	rows, err := Fig7(1500, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

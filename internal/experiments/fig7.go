@@ -226,29 +226,23 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool, opts pipelin
 		if err := sender.Flush(); err != nil && err != core.ErrNotCoupled {
 			return err
 		}
-		for _, id := range conns {
-			out, err := sender.Outgoing(id)
-			if err != nil {
-				return err
-			}
-			if len(out) == 0 {
-				continue
-			}
-			if err := receiver.Receive(id, out, now); err != nil {
-				return err
-			}
-			sender.RecycleOutgoing(out)
-			// Acks flow back.
-			back, err := receiver.Outgoing(id)
-			if err != nil {
-				return err
-			}
-			if len(back) > 0 {
-				if err := sender.Receive(id, back, now); err != nil {
-					return err
+		// Data one way, then the acks it provoked the other way.
+		for _, dir := range []struct{ from, to *core.Session }{{sender, receiver}, {receiver, sender}} {
+			for _, id := range conns {
+				for {
+					out, err := dir.from.NextChunk(id)
+					if err != nil {
+						return err
+					}
+					if len(out) == 0 {
+						break
+					}
+					if err := dir.to.Receive(id, out, now); err != nil {
+						return err
+					}
+					dir.from.RecycleOutgoing(out)
 				}
 			}
-			receiver.RecycleOutgoing(back)
 		}
 		return nil
 	}

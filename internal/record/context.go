@@ -4,6 +4,7 @@ import (
 	"crypto/cipher"
 	"errors"
 	"fmt"
+	"slices"
 
 	"tcpls/internal/hkdf"
 	"tcpls/internal/wire"
@@ -163,18 +164,7 @@ func (c *StreamContext) SealV(dst []byte, contentType uint8, padTo int, parts ..
 	// in-place result).
 	base := len(dst)
 	total := HeaderLen + ctLen
-	if cap(dst)-base < total {
-		// Geometric growth: sessions seal thousands of records into one
-		// output buffer, so growing by exactly one record at a time
-		// would copy the whole buffer per record (quadratic).
-		newCap := 2 * cap(dst)
-		if newCap < base+total {
-			newCap = base + total
-		}
-		grown := make([]byte, base, newCap)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, total) // amortized, like append
 	dst = append(dst, hdr[:]...)
 	for _, p := range parts {
 		dst = append(dst, p...)
@@ -247,16 +237,6 @@ func (c *StreamContext) OpenInto(rec, scratch []byte) (contentType uint8, conten
 	return splitInner(inner)
 }
 
-// Probe attempts authentication of rec under this context's next sequence
-// number without consuming it. Trial decryption (paper §3.3.1) uses this
-// to discover the implicit stream ID of an incoming record.
-func (c *StreamContext) Probe(rec []byte) bool {
-	// AEAD decryption is not in-place here: a failed in-place open would
-	// corrupt the buffer for the next candidate stream.
-	_, _, err := c.openCopy(rec, c.seq)
-	return err == nil
-}
-
 func (c *StreamContext) openAt(rec []byte, seq uint64) (uint8, []byte, error) {
 	ct, err := c.checkRecord(rec)
 	if err != nil {
@@ -264,19 +244,6 @@ func (c *StreamContext) openAt(rec []byte, seq uint64) (uint8, []byte, error) {
 	}
 	nonce := c.nonce(seq)
 	inner, err := c.aead.Open(ct[:0], nonce, ct, rec[:HeaderLen])
-	if err != nil {
-		return 0, nil, ErrDecrypt
-	}
-	return splitInner(inner)
-}
-
-func (c *StreamContext) openCopy(rec []byte, seq uint64) (uint8, []byte, error) {
-	ct, err := c.checkRecord(rec)
-	if err != nil {
-		return 0, nil, err
-	}
-	nonce := c.nonce(seq)
-	inner, err := c.aead.Open(nil, nonce, ct, rec[:HeaderLen])
 	if err != nil {
 		return 0, nil, ErrDecrypt
 	}

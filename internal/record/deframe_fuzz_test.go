@@ -39,6 +39,19 @@ func FuzzDeframerAliasing(f *testing.F) {
 		want = append(want, rec)
 	}
 
+	// A read boundary at every offset of the stream, so each record is
+	// split at each of its bytes once: reads of 255 up to the offset, the
+	// odd one that lands on it, then 255s again. The read after the split
+	// completes that one record from the deframer's own buffer and views
+	// the records behind it in place.
+	for k := 1; k < len(stream); k++ {
+		script := bytes.Repeat([]byte{255}, k/255)
+		if k%255 != 0 {
+			script = append(script, byte(k%255))
+		}
+		f.Add(append(script, bytes.Repeat([]byte{255}, len(stream)/255+1)...))
+	}
+
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var d Deframer
 		readBuf := make([]byte, 600) // smaller than the largest record: forces buffered-path splits

@@ -343,3 +343,42 @@ func TestDeframerViewZeroCopy(t *testing.T) {
 		t.Error("Next copied despite the zero-copy fast path")
 	}
 }
+
+func TestDeframerCompletesOneRecordOnly(t *testing.T) {
+	// A read that starts inside a record: only the bytes that complete
+	// that record may be copied; every later record in the read must be
+	// returned as a view of the fed buffer. Tried at every split point
+	// of the first record, header included.
+	send := newTestContext(t, 0)
+	var recs [][]byte
+	var wire []byte
+	for i := 0; i < 3; i++ {
+		rec, _ := send.Seal(nil, ContentTypeApplicationData, bytes.Repeat([]byte{byte(i + 1)}, 100+i), 0)
+		recs = append(recs, rec)
+		wire = append(wire, rec...)
+	}
+	for split := 1; split < len(recs[0]); split++ {
+		var d Deframer
+		d.Feed(append([]byte(nil), wire[:split]...))
+		if _, ok, err := d.Next(); ok || err != nil {
+			t.Fatalf("split %d: partial record returned (ok %v, err %v)", split, ok, err)
+		}
+		d.Compact()
+		rest := append([]byte(nil), wire[split:]...)
+		d.Feed(rest)
+		start := -split // where the next record begins within rest
+		for i, want := range recs {
+			got, ok, err := d.Next()
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("split %d: record %d: ok %v, err %v, equal %v", split, i, ok, err, bytes.Equal(got, want))
+			}
+			if i > 0 && &got[0] != &rest[start] {
+				t.Fatalf("split %d: record %d was copied, not viewed in place", split, i)
+			}
+			start += len(want)
+		}
+		if d.Buffered() != 0 {
+			t.Fatalf("split %d: %d stray bytes", split, d.Buffered())
+		}
+	}
+}

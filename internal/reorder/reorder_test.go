@@ -210,3 +210,37 @@ func BenchmarkTwoPathInterleave(b *testing.B) {
 		buf.Offer(seq, data)
 	}
 }
+
+type countedOwner struct{ released *int }
+
+func (o countedOwner) Release() { *o.released++ }
+
+// TestParkedOwnersReleasedExactlyOnce: every owner handed to Park is
+// released once and only by Recycle (or Reset) — whether its item was
+// delivered, discarded as a parked duplicate, or still parked at Reset —
+// and never while the data Offer returned may still be read.
+func TestParkedOwnersReleasedExactlyOnce(t *testing.T) {
+	b := New(0)
+	released := 0
+	own := countedOwner{&released}
+	b.Park(1, []byte{1}, own)
+	b.Park(1, []byte{1}, own) // duplicate: parks too, dropped when it surfaces
+	b.Park(2, []byte{2}, own)
+	b.Park(5, []byte{5}, own) // stays parked
+	out := b.Offer(0, []byte{0})
+	if len(out) != 3 || released != 0 {
+		t.Fatalf("delivered %d items with %d owners already released, want 3 and 0", len(out), released)
+	}
+	if out[1][0] != 1 || out[2][0] != 2 {
+		t.Fatalf("delivered %v", out)
+	}
+	b.Recycle()
+	if released != 3 {
+		t.Fatalf("%d owners released after Recycle, want 3 (two delivered, one duplicate)", released)
+	}
+	b.Recycle()
+	b.Reset(0)
+	if released != 4 || b.Pending() != 0 {
+		t.Fatalf("%d owners released after Reset with %d parked, want 4 and 0", released, b.Pending())
+	}
+}

@@ -225,10 +225,10 @@ func (e *Endpoint) flush() {
 		if err != nil || len(out) == 0 {
 			continue
 		}
-		if c.Failed() || e.Sess.ConnFailed(id) {
-			continue // dropped with the connection
+		if !c.Failed() && !e.Sess.ConnFailed(id) {
+			c.Write(out) // copies; a failed connection's bytes drop with it
 		}
-		c.Write(out)
+		e.Sess.RecycleOutgoing(out)
 	}
 }
 

@@ -33,18 +33,22 @@ type FlightEvent struct {
 // ~112-byte FlightEvent plus the slice header.
 const DefaultFlightCapacity = 8192
 
-// Flight is the always-on flight recorder: a fixed-size in-memory ring
-// of the most recent trace events for one session. Append is mutex-
-// guarded, allocation-free, and cheap enough to leave enabled on the
-// hot path; when something dies, Dump (or the session's auto-dump on
-// SessionDeadError) reconstructs the last seconds of protocol history.
+// Flight is the always-on flight recorder: a bounded in-memory ring of
+// the most recent trace events for one session. It starts small and
+// doubles up to its capacity: a short session never zeroes the megabyte
+// a long one fills. Append is mutex-guarded, allocation-free at capacity
+// and cheap enough for the hot path; when something dies, Dump (or the
+// auto-dump on SessionDeadError) reconstructs the last seconds.
 type Flight struct {
-	mu      sync.Mutex
-	buf     []FlightEvent // len == cap, preallocated once
-	next    int           // ring cursor: index of the oldest entry once wrapped
-	total   uint64        // events ever appended (so Dump can report loss)
-	wrapped bool
+	mu    sync.Mutex
+	buf   []FlightEvent // the events held; grows to limit, then wraps
+	limit int
+	next  int    // ring cursor: index of the oldest entry once at limit
+	total uint64 // events ever appended (so Dump can report loss)
 }
+
+// flightFirstStep is the ring's initial capacity in events.
+const flightFirstStep = 256
 
 // NewFlight builds a recorder holding the last capacity events
 // (DefaultFlightCapacity when capacity <= 0).
@@ -52,18 +56,25 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &Flight{buf: make([]FlightEvent, capacity)}
+	return &Flight{limit: capacity, buf: make([]FlightEvent, 0, min(capacity, flightFirstStep))}
 }
 
 // Append records one event, overwriting the oldest once the ring is
-// full. 0 allocs/op (benchmark-asserted).
+// full. 0 allocs/op at capacity (benchmark-asserted).
 func (f *Flight) Append(ev FlightEvent) {
 	f.mu.Lock()
-	f.buf[f.next] = ev
-	f.next++
-	if f.next == len(f.buf) {
-		f.next = 0
-		f.wrapped = true
+	if len(f.buf) == f.limit {
+		f.buf[f.next] = ev
+		if f.next++; f.next == f.limit {
+			f.next = 0
+		}
+	} else {
+		if len(f.buf) == cap(f.buf) {
+			grown := make([]FlightEvent, len(f.buf), min(2*cap(f.buf), f.limit))
+			copy(grown, f.buf)
+			f.buf = grown
+		}
+		f.buf = append(f.buf, ev)
 	}
 	f.total++
 	f.mu.Unlock()
@@ -73,10 +84,7 @@ func (f *Flight) Append(ev FlightEvent) {
 func (f *Flight) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.wrapped {
-		return len(f.buf)
-	}
-	return f.next
+	return len(f.buf)
 }
 
 // Total returns the number of events ever appended; Total() - Len() is
@@ -91,13 +99,9 @@ func (f *Flight) Total() uint64 {
 func (f *Flight) Snapshot() []FlightEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.wrapped {
-		return append([]FlightEvent(nil), f.buf[:f.next]...)
-	}
 	out := make([]FlightEvent, 0, len(f.buf))
-	out = append(out, f.buf[f.next:]...)
-	out = append(out, f.buf[:f.next]...)
-	return out
+	out = append(out, f.buf[f.next:]...) // next stays 0 until the ring wraps
+	return append(out, f.buf[:f.next]...)
 }
 
 // Dump writes the held events to w in the same qlog-lines framing the

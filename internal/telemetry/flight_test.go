@@ -29,18 +29,39 @@ func TestFlightRingWrap(t *testing.T) {
 	}
 }
 
-func TestFlightDefaultCapacity(t *testing.T) {
+// TestFlightGrowsToDefaultCapacity: the ring starts at a fraction of
+// its capacity (a short session must not pay for the full megabyte),
+// keeps every event while it grows, and stops growing at the capacity.
+func TestFlightGrowsToDefaultCapacity(t *testing.T) {
 	f := NewFlight(0)
+	if got := cap(f.buf); got >= DefaultFlightCapacity {
+		t.Fatalf("fresh ring already holds %d events", got)
+	}
+	for i := 0; i < DefaultFlightCapacity+10; i++ {
+		f.Append(FlightEvent{Seq: uint64(i)})
+		if want := min(i+1, DefaultFlightCapacity); f.Len() != want {
+			t.Fatalf("after %d appends the ring holds %d, want %d", i+1, f.Len(), want)
+		}
+	}
 	if got := cap(f.buf); got != DefaultFlightCapacity {
-		t.Fatalf("default capacity %d, want %d", got, DefaultFlightCapacity)
+		t.Fatalf("grown capacity %d, want %d", got, DefaultFlightCapacity)
+	}
+	snap := f.Snapshot()
+	for i, ev := range snap {
+		if ev.Seq != uint64(i+10) {
+			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest-first)", i, ev.Seq, i+10)
+		}
 	}
 }
 
 // TestFlightAppendZeroAlloc is the hot-path gate: the always-on
 // recorder must not allocate per event.
 func TestFlightAppendZeroAlloc(t *testing.T) {
-	f := NewFlight(64)
+	f := NewFlight(1024)
 	ev := FlightEvent{TimeUS: 1, Name: "record_sent", Conn: 1, Stream: 2, Seq: 3, Bytes: 100}
+	for i := 0; i < 1024; i++ {
+		f.Append(ev) // the ring grows in steps; the gate is for a full one
+	}
 	if n := testing.AllocsPerRun(1000, func() { f.Append(ev) }); n != 0 {
 		t.Fatalf("Append allocates %v per op, want 0", n)
 	}
@@ -74,6 +95,9 @@ func TestFlightDumpQlogFraming(t *testing.T) {
 func BenchmarkFlightAppend(b *testing.B) {
 	f := NewFlight(DefaultFlightCapacity)
 	ev := FlightEvent{TimeUS: 1, Name: "record_sent", Conn: 1, Stream: 2, Seq: 3, Bytes: 16368}
+	for i := 0; i < DefaultFlightCapacity; i++ {
+		f.Append(ev)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

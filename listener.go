@@ -437,6 +437,18 @@ func (l *Listener) handleConn(nc net.Conn) {
 		ss.sess = sess
 		close(ss.ready)
 		l.mu.Unlock()
+		// The entry only serves joins to a live session: when the session
+		// ends (it may already have) it goes, cookies and all.
+		forget := func() {
+			l.mu.Lock()
+			delete(l.sessions, res.SessID)
+			l.mu.Unlock()
+		}
+		sess.mu.Lock()
+		if sess.doneHook = forget; sess.closed {
+			forget()
+		}
+		sess.mu.Unlock()
 		// Replenish trigger: when the session mints more cookies later
 		// (IssueCookies), the listener learns the new cookie set.
 		sess.onNewServerCookies = func(cookies []Cookie) {

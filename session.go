@@ -38,10 +38,12 @@ type Session struct {
 	tcpOpts  []TCPOption
 	bpfProgs [][]byte
 	echoCh   map[uint64]chan struct{}
+	engineEv []core.Event // processEventsLocked's drain buffer, kept across calls
 
 	closed             bool
 	closeErr           error
 	doneCh             chan struct{} // closed when the session closes
+	doneHook           func()        // run once, under s.mu, as doneCh closes; must not call back in
 	onNewServerCookies func([]Cookie)
 
 	// Recovery supervisor state (reconnect.go): remembered redial
@@ -185,16 +187,16 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	for _, a := range res.PeerAddrs {
 		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: a.AsSlice()})
 	}
-	s.engine.AddConnection(0, time.Now())
 	var pending []outChunk
-	s.mu.Lock()
+	s.mu.Lock() // initTelemetry published the session: scrapes may already read the engine
+	s.engine.AddConnection(0, time.Now())
 	if isClient {
 		if ra := nc.RemoteAddr(); ra != nil {
 			s.dialNetwork = ra.Network()
 			s.rememberAddrLocked(ra.String())
 		}
 	}
-	pc := s.addConnLocked(0, nc)
+	s.addConnLocked(0, nc)
 	if isClient {
 		s.earlyAccepted = res.EarlyDataAccepted
 	}
@@ -215,7 +217,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		s.processEventsLocked()
 		pending = s.collectOutgoingLocked()
 	}
-	_ = pc
 	if cfg.Scheduler != "" {
 		// Validated by Dial/Client/Listen; ByName cannot fail here.
 		if ps, ok := sched.ByName(cfg.Scheduler); ok {
@@ -314,57 +315,39 @@ func (s *Session) writeLoop(pc *pathConn) {
 // told (the old split sections let collectOutgoingLocked drain a conn
 // whose drop hadn't been stamped yet, corrupting span reconstruction).
 func (s *Session) writeBatch(pc *pathConn, chunks [][]byte, iov *net.Buffers) {
-	if pc.failed.Load() {
-		// Drain and discard, but still recycle: the engine handed these
-		// chunks out and counts them against the pool.
-		pc.pending.Add(int64(-len(chunks)))
-		s.mu.Lock()
-		for _, c := range chunks {
-			s.engine.NoteWriteDropped(pc.id)
-			s.engine.RecycleOutgoing(c)
-		}
-		s.mu.Unlock()
-		return
+	var written int64 // stays 0 on a conn already failed: its chunks drain as dropped
+	var err error
+	if !pc.failed.Load() {
+		// net.Buffers.WriteTo consumes the slice it is called on (that is
+		// how it tracks writev progress), so build the iovec from a reused
+		// scratch and keep chunks for the accounting below.
+		*iov = append((*iov)[:0], chunks...)
+		written, err = iov.WriteTo(pc.nc)
 	}
-	// net.Buffers.WriteTo consumes the slice it is called on (that is how
-	// it tracks writev progress), so build the iovec from a reused scratch
-	// and keep chunks for the accounting below.
-	*iov = append((*iov)[:0], chunks...)
-	n, err := iov.WriteTo(pc.nc)
 	now := time.Now()
 	pc.pending.Add(int64(-len(chunks)))
-	if err == nil {
-		s.mu.Lock()
-		for _, c := range chunks {
-			// Stamp the socket-write leg of the records each chunk
-			// carried (lifecycle spans), one batch per chunk in FIFO
-			// order, then return the buffer to the chunk pool.
-			s.engine.NoteWritten(pc.id, now)
-			s.engine.RecycleOutgoing(c)
-		}
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Lock()
-	rem := n
 	for _, c := range chunks {
-		if rem >= int64(len(c)) {
-			// This chunk was fully flushed before the error hit.
-			rem -= int64(len(c))
+		if written >= int64(len(c)) {
+			// Fully flushed: stamp the socket-write leg of the records the
+			// chunk carried (lifecycle spans), one batch per chunk, FIFO.
+			written -= int64(len(c))
 			s.engine.NoteWritten(pc.id, now)
 		} else {
 			// Partially written or never reached: the conn is dead either
 			// way, so the records count as dropped and failover replays
 			// them byte-identically on the new path.
-			rem = 0
+			written = 0
 			s.engine.NoteWriteDropped(pc.id)
 		}
-		s.engine.RecycleOutgoing(c)
+		s.engine.RecycleOutgoing(c) // handed out by the engine, counted against its pool
 	}
-	pc.failed.Store(true)
-	s.engine.ReportConnFailed(pc.id)
-	s.processEventsLocked()
-	s.cond.Broadcast()
+	if err != nil {
+		pc.failed.Store(true)
+		s.engine.ReportConnFailed(pc.id)
+		s.processEventsLocked()
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
 }
 
@@ -430,10 +413,16 @@ func (s *Session) Connections() []uint32 {
 // a writev-sized burst that is deframed and decrypted in place.
 const readBufLen = 256 << 10
 
+// readBufs recycles read buffers: zeroing one per connection was 6 % of connect_churn.
+var readBufs = sync.Pool{New: func() any { return new([readBufLen]byte) }}
+
 // readLoop pumps bytes from one TCP connection into the engine.
 func (s *Session) readLoop(pc *pathConn) {
 	defer s.wg.Done()
-	buf := make([]byte, readBufLen)
+	// The engine keeps no view into buf between Receive calls.
+	arr := readBufs.Get().(*[readBufLen]byte)
+	defer readBufs.Put(arr)
+	buf := arr[:]
 	for {
 		n, err := pc.nc.Read(buf)
 		if n > 0 {
@@ -518,26 +507,21 @@ func (s *Session) collectOutgoingLocked() []outChunk {
 	}
 	var out []outChunk
 	for id, pc := range s.conns {
-		if pc.failed.Load() {
-			// Drain and drop: the engine may still frame onto a conn it
-			// does not know has failed yet. The dropped chunk's records
-			// keep a zero write stamp until failover replays them. The
-			// drained buffer goes back to the chunk pool — dropping it on
-			// the floor leaked one warm buffer per failover — and an empty
-			// drain must NOT stamp a drop: no chunk was handed out, so a
-			// drop stamp here would close some *other* chunk's span batch.
-			data, err := s.engine.Outgoing(id)
-			if err == nil && len(data) > 0 {
+		for {
+			data, err := s.engine.NextChunk(id)
+			if err != nil || len(data) == 0 {
+				break
+			}
+			if pc.failed.Load() {
+				// Drain and drop: the engine may still frame onto a conn
+				// it does not know has failed yet. The records keep a zero
+				// write stamp until failover replays them.
 				s.engine.NoteWriteDropped(id)
 				s.engine.RecycleOutgoing(data)
+				continue
 			}
-			continue
+			out = append(out, outChunk{pc, data})
 		}
-		data, err := s.engine.Outgoing(id)
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		out = append(out, outChunk{pc, data})
 	}
 	return out
 }
@@ -580,7 +564,8 @@ func (s *Session) flushAndWrite() {
 // processEventsLocked turns engine events into API state.
 func (s *Session) processEventsLocked() {
 	var failovers []uint32
-	for _, ev := range s.engine.Events() {
+	s.engineEv = s.engine.AppendEvents(s.engineEv[:0])
+	for _, ev := range s.engineEv {
 		switch ev.Kind {
 		case core.EventStreamOpen:
 			st := &Stream{sess: s, id: ev.Stream}
@@ -826,22 +811,31 @@ func (s *Session) Ping(conn uint32, timeout time.Duration) (time.Duration, error
 }
 
 // waitLocked blocks on the session condition variable, honouring ctx.
-// The caller holds s.mu.
+// The caller holds s.mu. A context that can never end costs nothing;
+// another's end wakes the waiters under the lock, so after Wait parked.
 func (s *Session) waitLocked(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
 			s.cond.Broadcast()
-		case <-done:
-		}
-	}()
+			s.mu.Unlock()
+		})
+		defer stop()
+	}
 	s.cond.Wait()
-	close(done)
 	return ctx.Err()
+}
+
+// markDoneLocked closes doneCh and runs the listener's hook; callers
+// have just set s.closed.
+func (s *Session) markDoneLocked() {
+	close(s.doneCh)
+	if s.doneHook != nil {
+		s.doneHook()
+	}
 }
 
 // failSession tears the session down with an error.
@@ -858,7 +852,7 @@ func (s *Session) failSessionLocked(err error) {
 	if !s.closed {
 		s.closed = true
 		s.closeErr = err
-		close(s.doneCh)
+		s.markDoneLocked()
 		// Postmortem: a session dying with an error (SessionDeadError,
 		// protocol failure) dumps its flight recorder automatically when
 		// a destination is configured. Off the lock path — the ring has
@@ -888,7 +882,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	close(s.doneCh)
+	s.markDoneLocked()
 	s.closeTelemetryLocked()
 	for id := range s.conns {
 		s.engine.CloseConnection(id)

@@ -2,7 +2,6 @@ package tcpls
 
 import (
 	"context"
-	"errors"
 	"io"
 )
 
@@ -37,11 +36,8 @@ func (st *Stream) Write(p []byte) (int, error) {
 	n, err := s.engine.Write(st.id, p)
 	out := s.collectOutgoingLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	s.writeAll(out)
-	return n, nil
+	s.writeAll(out) // on an error too: what was collected has left the engine
+	return n, err
 }
 
 // Read blocks until stream data is available, the peer finishes the
@@ -152,11 +148,8 @@ func (s *Session) WriteCoupled(p []byte) (int, error) {
 	n, err := s.engine.WriteCoupled(p)
 	out := s.collectOutgoingLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	s.writeAll(out)
-	return n, nil
+	s.writeAll(out) // on an error too: what was collected has left the engine
+	return n, err
 }
 
 // ReadCoupled blocks until coupled-group data is deliverable in order.
@@ -202,6 +195,3 @@ func (s *Session) SetScheduler(fn func(recordIdx uint64, streams []uint32) int) 
 	defer s.mu.Unlock()
 	s.engine.SetScheduler(fn)
 }
-
-// errReadClosed mirrors net.ErrClosed semantics for finished streams.
-var errReadClosed = errors.New("tcpls: stream closed")
