@@ -9,24 +9,24 @@ import (
 	"time"
 )
 
-// Regression tests for the write-path races fixed alongside the writev
-// datapath (meaningful under -race, which CI uses for this package):
+// Regression tests for the write path's bookkeeping (meaningful under
+// -race, which CI uses for this package). Every send path ends in
+// flushLocked, which seals and signals; each connection's writeLoop is
+// the only caller of NextChunk for it and settles every chunk it pulled
+// (settleLocked) in one critical section:
 //
-//  1. writeLoop's failure bookkeeping used to happen in two critical
-//     sections — the drop stamp and recycle in one, the failed flag and
-//     ReportConnFailed in another. A flush racing into the gap could
-//     drain a conn the engine did not yet know was dead and mis-stamp
-//     its spans. TestRaceFailoverDuringConcurrentFlush hammers that
-//     window: bulk traffic, concurrent flushers, and a mid-transfer
-//     path kill.
+//  1. The failure bookkeeping — drop stamps and recycles, the failed
+//     flag, ReportConnFailed and the events — must be one critical
+//     section. Split in two, a flush racing into the gap saw a conn the
+//     engine did not yet know was dead and mis-stamped its spans.
+//     TestRaceFailoverDuringConcurrentFlush hammers that window: bulk
+//     traffic, concurrent flushers, and a mid-transfer path kill.
 //
-//  2. collectOutgoingLocked dropped drained failed-conn chunks on the
-//     floor (chunk-pool leak) and stamped a drop even when the drain
-//     was empty (popping some other chunk's span batch), and writeAll's
-//     shutdown abort left already-enqueued chunks unresolved.
-//     TestWriteAccountingClosure asserts the books now close: chunk
-//     gets == puts, payload gets == puts, and zero pending span batches
-//     once the session is down.
+//  2. A failed conn's chunks are pulled and dropped by its writer and
+//     nowhere else, and a closing session's writers run the engine dry
+//     before they exit. TestWriteAccountingClosure asserts the books
+//     close: chunk gets == puts, payload gets == puts, and zero pending
+//     span batches once Close has returned.
 
 func TestRaceFailoverDuringConcurrentFlush(t *testing.T) {
 	ln := startServer(t, &Config{EnableFailover: true}, echoHandler)
@@ -69,9 +69,9 @@ func TestRaceFailoverDuringConcurrentFlush(t *testing.T) {
 			}
 		}
 	}()
-	// Concurrent flusher: Ping runs collectOutgoing + writeAll from a
-	// third goroutine, racing the writer's flushes against the failure
-	// bookkeeping in writeBatch and readLoop.
+	// Concurrent flusher: Ping flushes from a third goroutine, racing the
+	// writer's flushes against the failure bookkeeping in settleLocked
+	// and readLoop.
 	stopPing := make(chan struct{})
 	go func() {
 		defer wg.Done()
@@ -125,8 +125,7 @@ func TestWriteAccountingClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill one path mid-session so the failed-conn drain path in
-	// collectOutgoingLocked and writeBatch's discard path both run, then
+	// Kill one path mid-session so its writer's drop path runs, then
 	// finish the echo on the survivor and close.
 	sess.mu.Lock()
 	pc0 := sess.conns[0]

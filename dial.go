@@ -102,23 +102,18 @@ func Client(nc net.Conn, cfg *Config) (*Session, error) {
 		// session still works, without TCPLS transport services.
 		cfg.DisableTCPLS = true
 	}
-	sess := newSession(true, cfg, res, nc, tr.Leftover())
+	// The early-data stream opens inside newSession, before the server's
+	// first bytes reach the engine: on acceptance its bytes are already
+	// home, on rejection (or an offer clamped away entirely) it carries the
+	// lossless 1-RTT resend. A failure to open it is a failure to deliver
+	// cfg.EarlyData at all — surface it rather than drop the bytes.
+	sess := newSession(true, cfg, res, nc, tr.Leftover(), wantEarly)
 	if wantEarly {
-		// The first client stream gets the same ID (2) the server's
-		// injection used, so on acceptance the bytes are already home and
-		// only the STREAM_ATTACH goes out; on rejection (or an offer
-		// clamped away entirely) this stream carries the lossless 1-RTT
-		// resend. A failure to open it is a failure to deliver
-		// cfg.EarlyData at all — surface it rather than drop the bytes.
-		st, serr := sess.OpenStream()
-		if serr != nil {
+		st, ok := sess.EarlyStream()
+		if !ok {
 			sess.Close()
-			return nil, fmt.Errorf("tcpls: early-data stream: %w", serr)
+			return nil, errors.New("tcpls: early-data stream could not be opened")
 		}
-		sess.mu.Lock()
-		sess.earlyStreamID = st.id
-		sess.hasEarlyStream = true
-		sess.mu.Unlock()
 		if !res.EarlyDataAccepted {
 			if offerEarly {
 				sess.noteTrace("early_data_rejected", 0, 0, len(cfg.EarlyData))
@@ -186,21 +181,12 @@ func (s *Session) JoinPath(network, addr string) (uint32, error) {
 		nc.Close()
 		return 0, err
 	}
-	s.addConnLocked(connID, nc)
-	s.engine.Note("join_accepted", connID, 0, 0, 0)
+	s.startJoinedConnLocked(connID, nc, tr.Leftover())
 	if s.dialNetwork == "" {
 		s.dialNetwork = network
 	}
 	s.rememberAddrLocked(addr)
-	var pending []outChunk
-	if leftover := tr.Leftover(); len(leftover) > 0 {
-		s.engine.Receive(connID, leftover, time.Now())
-		s.processEventsLocked()
-		pending = s.collectOutgoingLocked()
-	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.writeAll(pending)
 	return connID, nil
 }
 
@@ -343,21 +329,12 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		nc.Close()
 		return 0, st, ErrSessionClosed
 	}
-	s.addConnLocked(connID, nc)
-	s.engine.Note("join_accepted", connID, 0, 0, 0)
+	s.startJoinedConnLocked(connID, nc, tr.Leftover())
 	if s.dialNetwork == "" {
 		s.dialNetwork = network
 	}
 	s.rememberAddrLocked(addr)
-	var pending []outChunk
-	if leftover := tr.Leftover(); len(leftover) > 0 {
-		s.engine.Receive(connID, leftover, time.Now())
-		s.processEventsLocked()
-		pending = s.collectOutgoingLocked()
-	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.writeAll(pending)
 	return connID, st, nil
 }
 
@@ -365,12 +342,8 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 // its optimistic records replay through the normal failover machinery.
 func (s *Session) reportFastJoinFailed(connID uint32) {
 	s.mu.Lock()
-	s.engine.ReportConnFailed(connID)
-	s.processEventsLocked()
-	out := s.collectOutgoingLocked()
-	s.cond.Broadcast()
+	s.reportConnFailedLocked(connID)
 	s.mu.Unlock()
-	s.writeAll(out)
 }
 
 // JoinConn joins an already-established TCP connection (dialed by the
@@ -419,14 +392,6 @@ func (s *Session) JoinConn(nc net.Conn) (uint32, error) {
 		nc.Close()
 		return 0, err
 	}
-	s.addConnLocked(connID, nc)
-	s.engine.Note("join_accepted", connID, 0, 0, 0)
-	if leftover := tr.Leftover(); len(leftover) > 0 {
-		s.engine.Receive(connID, leftover, time.Now())
-		s.processEventsLocked()
-		pending := s.collectOutgoingLocked()
-		defer s.writeAll(pending)
-	}
-	s.cond.Broadcast()
+	s.startJoinedConnLocked(connID, nc, tr.Leftover())
 	return connID, nil
 }

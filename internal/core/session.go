@@ -715,9 +715,9 @@ func (s *Session) popWriteBatch(connID uint32) []spanKey {
 		return nil
 	}
 	batch := c.writeBatches[0]
-	if c.writeBatches = c.writeBatches[1:]; len(c.writeBatches) == 0 {
-		c.writeBatches = nil
-	}
+	// Shift down, not re-slice: the backing array stays, so a steady
+	// stream of chunks allocates nothing here (a handful of entries at most).
+	c.writeBatches = slices.Delete(c.writeBatches, 0, 1)
 	return batch
 }
 
@@ -795,6 +795,33 @@ func (s *Session) HasOutgoing(connID uint32) bool {
 	return ok && (len(c.outQ) > 0 || len(c.out) > 0)
 }
 
+// QueuedBytes reports how many sealed bytes wait for NextChunk on conn:
+// what a driver that bounds its output queues checks before it takes a
+// write.
+func (s *Session) QueuedBytes(connID uint32) int {
+	c, ok := s.conns[connID]
+	if !ok {
+		return 0
+	}
+	n := len(c.out)
+	for _, ch := range c.outQ { // a handful of entries at most
+		n += len(ch.data)
+	}
+	return n
+}
+
+// CoupledQueuedBytes is QueuedBytes for WriteCoupled: the deepest queue
+// among the connections a coupled record can be scheduled onto.
+func (s *Session) CoupledQueuedBytes() int {
+	deepest := 0
+	for _, st := range s.streams {
+		if st.coupled && !st.finSent {
+			deepest = max(deepest, s.QueuedBytes(st.conn))
+		}
+	}
+	return deepest
+}
+
 // ConnInfo is a point-in-time snapshot of one connection's engine state
 // for live introspection (/debug/tcpls).
 type ConnInfo struct {
@@ -846,12 +873,9 @@ func (s *Session) ConnInfos() []ConnInfo {
 			ID:          id,
 			Failed:      c.failed,
 			Closed:      c.closed,
-			QueuedBytes: len(c.out),
+			QueuedBytes: s.QueuedBytes(id),
 			LastRecv:    c.lastRecv,
 			RecvPaused:  s.RecvPaused(id),
-		}
-		for _, ch := range c.outQ {
-			ci.QueuedBytes += len(ch.data)
 		}
 		for stID, st := range s.streams {
 			if st.conn == id {

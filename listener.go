@@ -379,7 +379,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 		}
 	}
 
-	sess := newSession(false, l.cfg, res, nc, tr.Leftover())
+	sess := newSession(false, l.cfg, res, nc, tr.Leftover(), false)
 
 	// Resumption disposition: metrics plus trace marks on the session's
 	// own timeline.
@@ -490,7 +490,7 @@ func (s *Session) IssueCookies(conn uint32, n int) error {
 	cb := s.onNewServerCookies
 	s.engine.Note("cookie_issued", conn, 0, 0, n)
 	err := s.engine.SendNewCookies(conn, cookies)
-	out := s.collectOutgoingLocked()
+	s.flushLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -498,7 +498,6 @@ func (s *Session) IssueCookies(conn uint32, n int) error {
 	if cb != nil {
 		cb(plain)
 	}
-	s.writeAll(out)
 	return nil
 }
 
@@ -515,15 +514,6 @@ func (s *Session) adoptJoinedConn(connID uint32, nc net.Conn, leftover []byte) {
 		nc.Close()
 		return
 	}
-	s.addConnLocked(connID, nc)
-	s.engine.Note("join_accepted", connID, 0, 0, 0)
-	var pending []outChunk
-	if len(leftover) > 0 {
-		s.engine.Receive(connID, leftover, time.Now())
-		s.processEventsLocked()
-		pending = s.collectOutgoingLocked()
-	}
-	s.cond.Broadcast()
+	s.startJoinedConnLocked(connID, nc, leftover)
 	s.mu.Unlock()
-	s.writeAll(pending)
 }

@@ -366,8 +366,8 @@ func (s *Session) recoveryLoop(rc ReconnectConfig) {
 		if live := s.engine.Connections(); len(live) > 0 {
 			// A path came back behind our back (JoinPath, peer rejoin).
 			s.finishRecoveryLocked(live[0], attempt)
+			s.flushLocked()
 			s.mu.Unlock()
-			s.flushAndWrite()
 			return
 		}
 		redialNow := canRedial && len(s.cookies) > 0 &&
@@ -396,8 +396,8 @@ func (s *Session) recoveryLoop(rc ReconnectConfig) {
 					s.mu.Lock()
 					s.engine.Note("reconnect_ok", id, 0, uint64(attempt), 0)
 					s.finishRecoveryLocked(id, attempt)
+					s.flushLocked()
 					s.mu.Unlock()
-					s.flushAndWrite()
 					return
 				}
 				lastErr = err
@@ -557,17 +557,8 @@ func (s *Session) redial(addr string, deadline time.Time) (uint32, error) {
 		nc.Close()
 		return 0, err
 	}
-	s.addConnLocked(connID, nc)
-	s.engine.Note("join_accepted", connID, 0, 0, 0)
+	s.startJoinedConnLocked(connID, nc, tr.Leftover())
 	s.rememberAddrLocked(addr)
-	var pending []outChunk
-	if leftover := tr.Leftover(); len(leftover) > 0 {
-		s.engine.Receive(connID, leftover, time.Now())
-		s.processEventsLocked()
-		pending = s.collectOutgoingLocked()
-	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.writeAll(pending)
 	return connID, nil
 }

@@ -20,10 +20,14 @@ import (
 // Session is one TCPLS session: one or more TCP connections carrying
 // multiplexed encrypted streams. All methods are safe for concurrent use.
 type Session struct {
-	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on readable data / events / close
-	engine *core.Session
-	cfg    *Config
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast on readable data / events / close
+	// sendRoom wakes Write / WriteCoupled callers held back by a full
+	// output queue (awaitSendRoomLocked). Its own cond, so that a writer
+	// pulling its chunks does not rouse every reader on cond.
+	sendRoom *sync.Cond
+	engine   *core.Session
+	cfg      *Config
 
 	isClient  bool
 	sessID    SessID
@@ -141,16 +145,17 @@ var (
 // bytes onto all paths concurrently — serializing socket writes would
 // cap aggregation at a single path's rate.
 type pathConn struct {
-	id      uint32
-	nc      net.Conn
-	writeCh chan []byte
-	// pending counts chunks enqueued on writeCh but not yet written to
-	// the socket. Close drains on this rather than len(writeCh): a chunk
-	// the writer has dequeued but is still pushing into a backpressured
-	// socket is in flight too, and closing the socket under it would
-	// drop a record and leave the receiver's reorder heap with a
-	// permanent gap.
-	pending atomic.Int64
+	id uint32
+	nc net.Conn
+	// writable wakes the conn's writer (writeLoop): signalled under s.mu
+	// by whoever leaves output for this conn in the engine, and by close.
+	writable *sync.Cond
+	// drained is closed by the writer as it exits: the session has closed,
+	// the engine holds nothing more for this conn and the last writev has
+	// returned. Close waits on it before the socket shuts, so a record
+	// still on its way into a backpressured socket is never cut off and
+	// the receiver's reorder heap is not left with a permanent gap.
+	drained chan struct{}
 	// failed flips once, possibly from a reader or writer goroutine
 	// while others look at it outside the session lock.
 	failed atomic.Bool
@@ -159,7 +164,12 @@ type pathConn struct {
 	peerClosed bool
 }
 
-func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, leftover []byte) *Session {
+// newSession builds the session around its first connection. earlyStream
+// (client side) opens the stream that carries Config.EarlyData before any
+// byte of the server reaches the engine: the reply to an accepted 0-RTT
+// flight may already sit in leftover, and without the stream's context it
+// would be dropped as a failed decrypt.
+func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, leftover []byte, earlyStream bool) *Session {
 	role := core.RoleServer
 	if isClient {
 		role = core.RoleClient
@@ -178,6 +188,7 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		doneCh:     make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.sendRoom = sync.NewCond(&s.mu)
 	s.suite = res.Secrets.Suite
 	s.resumption = res.Secrets.Resumption
 	s.resumed = res.Resumed
@@ -187,7 +198,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	for _, a := range res.PeerAddrs {
 		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: a.AsSlice()})
 	}
-	var pending []outChunk
 	s.mu.Lock() // initTelemetry published the session: scrapes may already read the engine
 	s.engine.AddConnection(0, time.Now())
 	if isClient {
@@ -199,6 +209,16 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	s.addConnLocked(0, nc)
 	if isClient {
 		s.earlyAccepted = res.EarlyDataAccepted
+	}
+	if earlyStream {
+		// The first client stream gets the same ID (2) the server's
+		// injection used, so on acceptance the bytes are already home and
+		// only the STREAM_ATTACH goes out.
+		if id, err := s.engine.CreateStream(0); err == nil {
+			s.streams[id] = &Stream{sess: s, id: id}
+			s.earlyStreamID = id
+			s.hasEarlyStream = true
+		}
 	}
 	if !isClient && res.EarlyDataAccepted {
 		// Deliver the accepted 0-RTT flight before any leftover engine
@@ -215,8 +235,8 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	if len(leftover) > 0 {
 		s.engine.Receive(0, leftover, time.Now())
 		s.processEventsLocked()
-		pending = s.collectOutgoingLocked()
 	}
+	s.flushLocked()
 	if cfg.Scheduler != "" {
 		// Validated by Dial/Client/Listen; ByName cannot fail here.
 		if ps, ok := sched.ByName(cfg.Scheduler); ok {
@@ -225,7 +245,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		}
 	}
 	s.mu.Unlock()
-	s.writeAll(pending)
 	if cfg.UserTimeout > 0 {
 		s.wg.Add(1)
 		go s.timerLoop()
@@ -240,7 +259,7 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 
 // addConnLocked registers nc under id and starts its reader and writer.
 func (s *Session) addConnLocked(id uint32, nc net.Conn) *pathConn {
-	pc := &pathConn{id: id, nc: nc, writeCh: make(chan []byte, 8)}
+	pc := &pathConn{id: id, nc: nc, writable: sync.NewCond(&s.mu), drained: make(chan struct{})}
 	s.conns[id] = pc
 	s.wg.Add(2)
 	go s.readLoop(pc)
@@ -248,85 +267,131 @@ func (s *Session) addConnLocked(id uint32, nc net.Conn) *pathConn {
 	return pc
 }
 
+// startJoinedConnLocked starts the loops of a joined connection the engine
+// already knows, and hands the engine what the handshake transport read
+// past the handshake's own messages.
+func (s *Session) startJoinedConnLocked(id uint32, nc net.Conn, leftover []byte) {
+	s.addConnLocked(id, nc)
+	s.engine.Note("join_accepted", id, 0, 0, 0)
+	if len(leftover) > 0 {
+		s.engine.Receive(id, leftover, time.Now())
+		s.processEventsLocked()
+		s.flushLocked()
+	}
+	s.cond.Broadcast()
+}
+
 // writeBatchMax bounds how many queued chunks one vectored write gathers.
 // It matches Linux's UIO_FASTIOV (the iovec count writev handles without
-// an extra kernel allocation) and comfortably exceeds writeCh's capacity.
+// an extra kernel allocation).
 const writeBatchMax = 16
 
-// writeGatherBytes stops the gather once a batch holds one good write's
-// worth of data. Gathering frees writeCh slots, which deepens the
-// per-connection pipeline beyond the channel's capacity — and writeAll
-// blocking on a full writeCh is the only backpressure that paces the
-// scheduler to each path's real rate. Unbounded gathering let a slow
-// path hoard a multi-megabyte backlog that drained in a long tail after
-// the fast path went idle. A byte cap keeps the batching win where it
-// matters (many small ack/control chunks → one syscall) without
-// meaningfully deepening the pipeline for bulk data.
-const writeGatherBytes = 64 << 10
+// sendQueueBytes is how many sealed bytes may wait in the engine for one
+// connection before Write and WriteCoupled hold back — or one write of
+// the caller's own size, when that is more — the send-side backpressure
+// that paces application writes, and through them the scheduler, to each
+// path's real rate. The queue a sender keeps filled is then as deep as
+// its own writes: the writer has work while the sender seals the next
+// one (1 MiB blocks held to 64 KiB lost 6 % on two coupled paths), and a
+// small-record sender cannot hoard more than this on a slow path beyond
+// its socket buffer (8 KiB writes allowed 1 MiB taught a rate-aware
+// scheduler nothing over a 20 + 2 Mbps pair: 3.9 Mbps, 9.8 at 64 KiB).
+// It also bounds what one pull can gather, so a writer needs no byte cap
+// of its own: many small ack/control chunks still leave in one syscall.
+const sendQueueBytes = 64 << 10
 
-// writeLoop drains one connection's outgoing queue onto its socket.
-// Queued chunks are gathered and pushed with a single vectored write
-// (writev via net.Buffers) so a burst of engine flushes costs one
-// syscall, not one per chunk.
-func (s *Session) writeLoop(pc *pathConn) {
-	defer s.wg.Done()
-	chunks := make([][]byte, 0, writeBatchMax)
-	var iov net.Buffers
-	for {
-		select {
-		case data := <-pc.writeCh:
-			chunks = append(chunks[:0], data)
-		gather:
-			for total := len(data); len(chunks) < writeBatchMax && total < writeGatherBytes; {
-				select {
-				case more := <-pc.writeCh:
-					chunks = append(chunks, more)
-					total += len(more)
-				default:
-					break gather
-				}
-			}
-			s.writeBatch(pc, chunks, &iov)
-		case <-s.timerStop:
-			// Session shutdown: return queued-but-unwritten chunks so the
-			// chunk pool's books close and their records' spans record the
-			// drop instead of dangling unstamped.
-			for {
-				select {
-				case data := <-pc.writeCh:
-					pc.pending.Add(-1)
-					s.mu.Lock()
-					s.engine.NoteWriteDropped(pc.id)
-					s.engine.RecycleOutgoing(data)
-					s.mu.Unlock()
-				default:
-					return
-				}
-			}
+// awaitSendRoomLocked holds back a sender of n bytes to st — to the
+// coupled group when st is nil — while the bytes queued where its own
+// would land are at that bound. False when the session closed meanwhile.
+func (s *Session) awaitSendRoomLocked(st *Stream, n int) bool {
+	for limit := max(sendQueueBytes, n); !s.closed && s.sendBacklogLocked(st) >= limit; {
+		s.sendRoom.Wait()
+	}
+	return !s.closed
+}
+
+// sendBacklogLocked is looked up on every turn: a failover moves streams.
+func (s *Session) sendBacklogLocked(st *Stream) int {
+	if st == nil {
+		return s.engine.CoupledQueuedBytes()
+	}
+	conn, err := s.engine.StreamConn(st.id)
+	if err != nil {
+		return 0 // Write reports the unknown stream
+	}
+	return s.engine.QueuedBytes(conn)
+}
+
+// flushLocked frames what the engine has queued and wakes the writer of
+// every connection that now has bytes to send. It never blocks: writers
+// pull from the engine (writeLoop), nothing is pushed at them.
+func (s *Session) flushLocked() {
+	if err := s.engine.Flush(); err != nil && err != core.ErrNotCoupled {
+		s.closeErr = err
+	}
+	for id, pc := range s.conns {
+		if s.engine.HasOutgoing(id) {
+			pc.writable.Signal()
 		}
 	}
 }
 
-// writeBatch pushes one gathered batch onto the socket and settles its
-// bookkeeping. All failure-path state transitions — per-chunk
-// written/dropped stamps, the failed flag, ReportConnFailed, and the
-// resulting events — happen inside ONE s.mu critical section, so no
-// concurrent flush can observe the conn failed but the engine not yet
-// told (the old split sections let collectOutgoingLocked drain a conn
-// whose drop hadn't been stamped yet, corrupting span reconstruction).
-func (s *Session) writeBatch(pc *pathConn, chunks [][]byte, iov *net.Buffers) {
-	var written int64 // stays 0 on a conn already failed: its chunks drain as dropped
-	var err error
-	if !pc.failed.Load() {
-		// net.Buffers.WriteTo consumes the slice it is called on (that is
-		// how it tracks writev progress), so build the iovec from a reused
-		// scratch and keep chunks for the accounting below.
-		*iov = append((*iov)[:0], chunks...)
-		written, err = iov.WriteTo(pc.nc)
+// writeLoop is the only caller of NextChunk for its connection, so bytes
+// reach the socket in the order the engine sealed them whoever flushed.
+// Each round, under one hold of s.mu, it settles the batch it has just
+// written and pulls the next; the vectored write (writev via net.Buffers)
+// runs outside the lock. A failed connection's chunks are pulled all the
+// same and dropped here, nowhere else. The loop ends once the session has
+// closed and the engine is empty for this conn.
+func (s *Session) writeLoop(pc *pathConn) {
+	defer s.wg.Done()
+	defer close(pc.drained)
+	chunks := make([][]byte, 0, writeBatchMax)
+	// net.Buffers.WriteTo consumes the slice it is called on (that is how
+	// it tracks writev progress), so each write gets a fresh view of one
+	// scratch array and chunks is kept for the accounting.
+	scratch := make(net.Buffers, 0, writeBatchMax)
+	var iov net.Buffers
+	var written int64 // stays 0 on a conn already failed: its chunks settle as dropped
+	var werr error
+	var wroteAt time.Time
+	for {
+		s.mu.Lock()
+		s.settleLocked(pc, chunks, written, werr, wroteAt)
+		chunks = chunks[:0]
+		for {
+			for len(chunks) < writeBatchMax {
+				data, err := s.engine.NextChunk(pc.id)
+				if err != nil || len(data) == 0 {
+					break
+				}
+				chunks = append(chunks, data)
+			}
+			if len(chunks) > 0 || s.closed {
+				break
+			}
+			pc.writable.Wait()
+		}
+		s.mu.Unlock()
+		if len(chunks) == 0 {
+			return
+		}
+		s.sendRoom.Broadcast() // the pull emptied this conn's queue, or nearly
+		written, werr = 0, nil
+		if !pc.failed.Load() {
+			iov = append(scratch[:0], chunks...)
+			written, werr = iov.WriteTo(pc.nc)
+		}
+		wroteAt = time.Now()
 	}
-	now := time.Now()
-	pc.pending.Add(int64(-len(chunks)))
-	s.mu.Lock()
+}
+
+// settleLocked closes the books on the batch the writer has just pushed:
+// per-chunk written/dropped stamps, the recycle, and on a write error the
+// failed flag, ReportConnFailed and the resulting events — all inside the
+// caller's ONE s.mu critical section, so no concurrent flush can observe
+// the conn failed but the engine not yet told.
+func (s *Session) settleLocked(pc *pathConn, chunks [][]byte, written int64, err error, now time.Time) {
 	for _, c := range chunks {
 		if written >= int64(len(c)) {
 			// Fully flushed: stamp the socket-write leg of the records the
@@ -344,11 +409,20 @@ func (s *Session) writeBatch(pc *pathConn, chunks [][]byte, iov *net.Buffers) {
 	}
 	if err != nil {
 		pc.failed.Store(true)
-		s.engine.ReportConnFailed(pc.id)
-		s.processEventsLocked()
-		s.cond.Broadcast()
+		if !s.closed { // else the sockets are shutting under a closed session: not an outage
+			s.reportConnFailedLocked(pc.id)
+		}
 	}
-	s.mu.Unlock()
+}
+
+// reportConnFailedLocked tells the engine a connection is gone and acts
+// on what follows: the failover, and the flush that puts its replays on
+// the target connection.
+func (s *Session) reportConnFailedLocked(id uint32) {
+	s.engine.ReportConnFailed(id)
+	s.processEventsLocked()
+	s.flushLocked()
+	s.cond.Broadcast()
 }
 
 // ID returns the server-assigned TCPLS session identifier.
@@ -425,11 +499,11 @@ func (s *Session) readLoop(pc *pathConn) {
 	buf := arr[:]
 	for {
 		n, err := pc.nc.Read(buf)
-		if n > 0 {
-			s.mu.Lock()
+		s.mu.Lock()
+		if n > 0 && !s.closed {
 			rerr := s.engine.Receive(pc.id, buf[:n], time.Now())
 			s.processEventsLocked()
-			out := s.collectOutgoingLocked()
+			s.flushLocked()
 			s.cond.Broadcast()
 			// Receive-buffer backpressure: while the engine reports a
 			// full buffer fed by this connection, park instead of
@@ -439,28 +513,23 @@ func (s *Session) readLoop(pc *pathConn) {
 			for rerr == nil && !s.closed && !pc.failed.Load() && s.engine.RecvPaused(pc.id) {
 				s.cond.Wait()
 			}
-			s.mu.Unlock()
-			s.writeAll(out)
 			if rerr != nil {
-				s.failSession(rerr)
-				return
+				s.failSessionLocked(rerr)
 			}
 		}
-		if err != nil {
-			// TCP-level failure or close: report to the engine. An
-			// orderly session close swallows this.
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
+		if err != nil && !s.closed {
+			// TCP-level failure or close: report to the engine.
 			pc.failed.Store(true)
-			s.engine.ReportConnFailed(pc.id)
-			s.processEventsLocked()
-			out := s.collectOutgoingLocked()
-			s.cond.Broadcast()
+			s.reportConnFailedLocked(pc.id)
 			s.mu.Unlock()
-			s.writeAll(out)
+			return
+		}
+		s.mu.Unlock()
+		// On a closed session the engine takes no more input: what still
+		// arrives is read and dropped, until the peer's EOF (or the deadline
+		// Close set) lets the socket close with nothing unread.
+		if err != nil {
+			pc.nc.Close()
 			return
 		}
 	}
@@ -487,78 +556,10 @@ func (s *Session) timerLoop() {
 			}
 			s.engine.Advance(time.Now())
 			s.processEventsLocked()
-			out := s.collectOutgoingLocked()
+			s.flushLocked()
 			s.mu.Unlock()
-			s.writeAll(out)
 		}
 	}
-}
-
-// outChunk is bytes destined for one connection.
-type outChunk struct {
-	pc   *pathConn
-	data []byte
-}
-
-// collectOutgoingLocked flushes the engine and gathers all pending bytes.
-func (s *Session) collectOutgoingLocked() []outChunk {
-	if err := s.engine.Flush(); err != nil && err != core.ErrNotCoupled {
-		s.closeErr = err
-	}
-	var out []outChunk
-	for id, pc := range s.conns {
-		for {
-			data, err := s.engine.NextChunk(id)
-			if err != nil || len(data) == 0 {
-				break
-			}
-			if pc.failed.Load() {
-				// Drain and drop: the engine may still frame onto a conn
-				// it does not know has failed yet. The records keep a zero
-				// write stamp until failover replays them.
-				s.engine.NoteWriteDropped(id)
-				s.engine.RecycleOutgoing(data)
-				continue
-			}
-			out = append(out, outChunk{pc, data})
-		}
-	}
-	return out
-}
-
-// writeAll hands chunks to the per-connection writer goroutines outside
-// the session lock. Order per connection is preserved (one queue per
-// connection); distinct connections transmit concurrently. A full queue
-// blocks the caller — that is the send-side backpressure that paces
-// application writes to the aggregate network rate.
-func (s *Session) writeAll(chunks []outChunk) {
-	for i, ch := range chunks {
-		ch.pc.pending.Add(1)
-		select {
-		case ch.pc.writeCh <- ch.data:
-		case <-s.timerStop:
-			ch.pc.pending.Add(-1)
-			// Session shutting down: the remaining chunks (this one
-			// included) will never reach a writer. Stamp them dropped so
-			// span reconstruction stays exact — every handed-out chunk
-			// must resolve to written or dropped — and recycle them.
-			s.mu.Lock()
-			for _, rest := range chunks[i:] {
-				s.engine.NoteWriteDropped(rest.pc.id)
-				s.engine.RecycleOutgoing(rest.data)
-			}
-			s.mu.Unlock()
-			return
-		}
-	}
-}
-
-// flushAndWrite is the common send path for API calls.
-func (s *Session) flushAndWrite() {
-	s.mu.Lock()
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	s.writeAll(out)
 }
 
 // processEventsLocked turns engine events into API state.
@@ -721,27 +722,19 @@ func (s *Session) pickFailoverTargetLocked(tried map[uint32]bool) (uint32, bool)
 // Failover explicitly moves the streams of failedConn onto targetConn.
 func (s *Session) Failover(failedConn, targetConn uint32) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.engine.FailoverTo(failedConn, targetConn)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.writeAll(out)
-	return nil
+	s.flushLocked()
+	return err
 }
 
 // SendTCPOption ships an encrypted TCP option to the peer.
 func (s *Session) SendTCPOption(conn uint32, kind uint8, value []byte) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.engine.SendTCPOption(conn, kind, value)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.writeAll(out)
-	return nil
+	s.flushLocked()
+	return err
 }
 
 // TCPOptions drains received encrypted TCP options.
@@ -757,14 +750,10 @@ func (s *Session) TCPOptions() []TCPOption {
 // (§4.4). The receiver retrieves it with ReceiveBPFCC.
 func (s *Session) SendBPFCC(conn uint32, program []byte) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.engine.SendBPFCC(conn, program)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.writeAll(out)
-	return nil
+	s.flushLocked()
+	return err
 }
 
 // ReceiveBPFCC blocks until a complete eBPF program arrives.
@@ -792,12 +781,11 @@ func (s *Session) Ping(conn uint32, timeout time.Duration) (time.Duration, error
 	s.mu.Lock()
 	s.echoCh[token] = ch
 	err := s.engine.SendEcho(conn, token)
-	out := s.collectOutgoingLocked()
+	s.flushLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	s.writeAll(out)
 	start := time.Now()
 	select {
 	case <-ch:
@@ -845,6 +833,17 @@ func (s *Session) failSession(err error) {
 	s.mu.Unlock()
 }
 
+// wakeAllLocked rouses everything that waits on session state: readers
+// and event waiters, held-back senders, and every connection's writer.
+// The close paths call it once s.closed is set.
+func (s *Session) wakeAllLocked() {
+	s.cond.Broadcast()
+	s.sendRoom.Broadcast()
+	for _, pc := range s.conns {
+		pc.writable.Signal()
+	}
+}
+
 // failSessionLocked is failSession for callers already holding s.mu. A
 // nil err closes the session as if by Close (blocked calls report
 // ErrSessionClosed).
@@ -862,6 +861,8 @@ func (s *Session) failSessionLocked(err error) {
 		}
 		s.closeTelemetryLocked()
 		close(s.timerStop)
+		// The writers find their sockets shut, drop what the engine still
+		// holds for them and exit.
 		for _, pc := range s.conns {
 			pc.nc.Close()
 		}
@@ -869,12 +870,12 @@ func (s *Session) failSessionLocked(err error) {
 		// retransmit payloads.
 		s.engine.ReleaseBuffers()
 	}
-	s.cond.Broadcast()
+	s.wakeAllLocked()
 }
 
-// Close shuts the session down: remaining output (including the close
-// notification) is flushed, the per-connection writers drain, and the
-// TCP connections close.
+// Close shuts the session down: the close notification is queued behind
+// whatever the engine still holds, each connection's writer drains its
+// share onto the socket, and the TCP connections close.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -884,31 +885,35 @@ func (s *Session) Close() error {
 	s.closed = true
 	s.markDoneLocked()
 	s.closeTelemetryLocked()
-	for id := range s.conns {
-		s.engine.CloseConnection(id)
-	}
-	out := s.collectOutgoingLocked()
 	conns := make([]*pathConn, 0, len(s.conns))
-	for _, pc := range s.conns {
+	for id, pc := range s.conns {
+		s.engine.CloseConnection(id)
 		conns = append(conns, pc)
 	}
-	s.cond.Broadcast()
+	s.flushLocked()
+	s.wakeAllLocked()
 	s.mu.Unlock()
 
-	s.writeAll(out)
-	// Drain the writer queues so queued records reach the kernel before
-	// the sockets close (bounded: a dead peer cannot stall Close
-	// forever).
+	// Every writer reports when the engine is empty for its conn and its
+	// last writev has returned, so queued records reach the kernel before
+	// the sockets close (bounded: a dead peer cannot stall Close forever).
 	deadline := time.Now().Add(10 * time.Second)
+	expired := time.NewTimer(time.Until(deadline))
+	defer expired.Stop()
+	timedOut := false
 	for _, pc := range conns {
-		for pc.pending.Load() > 0 && time.Now().Before(deadline) && !pc.failed.Load() {
-			time.Sleep(time.Millisecond)
+		if !timedOut {
+			select {
+			case <-pc.drained:
+			case <-expired.C:
+				timedOut = true
+			}
+		}
+		if timedOut || pc.failed.Load() || !lingeringClose(pc.nc, deadline) {
+			pc.nc.Close()
 		}
 	}
 	close(s.timerStop)
-	for _, pc := range conns {
-		pc.nc.Close()
-	}
 	// The writers have drained (or timed out); no failover replay can
 	// happen on a closed session, so the pooled retransmit payloads held
 	// for it go back to the arena.
@@ -916,6 +921,17 @@ func (s *Session) Close() error {
 	s.engine.ReleaseBuffers()
 	s.mu.Unlock()
 	return nil
+}
+
+// lingeringClose ends nc's write side, so the peer reads the goodbye and
+// then EOF, and leaves the socket to the connection's reader, which
+// closes it at the peer's EOF or at deadline. Closing a socket that has
+// unread bytes — and the peer's acks are always on their way — resets the
+// connection, and the reset discards what the kernel has not sent yet,
+// goodbye included. False when nc cannot half-close.
+func lingeringClose(nc net.Conn, deadline time.Time) bool {
+	hc, ok := nc.(interface{ CloseWrite() error })
+	return ok && hc.CloseWrite() == nil && nc.SetReadDeadline(deadline) == nil
 }
 
 // Stats returns engine counters.

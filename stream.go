@@ -28,15 +28,12 @@ func (st *Stream) Conn() (uint32, error) {
 func (st *Stream) Write(p []byte) (int, error) {
 	s := st.sess
 	s.mu.Lock()
-	if s.closed {
-		err := s.closedErrLocked()
-		s.mu.Unlock()
-		return 0, err
+	defer s.mu.Unlock()
+	if !s.awaitSendRoomLocked(st, len(p)) {
+		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.Write(st.id, p)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	s.writeAll(out) // on an error too: what was collected has left the engine
+	s.flushLocked() // on an error too: what was sealed before it must go out
 	return n, err
 }
 
@@ -69,14 +66,10 @@ func (st *Stream) Read(p []byte) (int, error) {
 func (st *Stream) Close() error {
 	s := st.sess
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.engine.FinishStream(st.id)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.writeAll(out)
-	return nil
+	s.flushLocked()
+	return err
 }
 
 // OpenStream opens a stream on the initial connection.
@@ -86,21 +79,17 @@ func (s *Session) OpenStream() (*Stream, error) { return s.OpenStreamOn(0) }
 // stream steering at creation time (§3.3.3).
 func (s *Session) OpenStreamOn(conn uint32) (*Stream, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		err := s.closedErrLocked()
-		s.mu.Unlock()
-		return nil, err
+		return nil, s.closedErrLocked()
 	}
 	id, err := s.engine.CreateStream(conn)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
 	st := &Stream{sess: s, id: id}
 	s.streams[id] = st
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	s.writeAll(out)
+	s.flushLocked()
 	return st, nil
 }
 
@@ -140,15 +129,12 @@ func (s *Session) Couple(streams ...*Stream) error {
 // the coupled streams via the session's scheduler.
 func (s *Session) WriteCoupled(p []byte) (int, error) {
 	s.mu.Lock()
-	if s.closed {
-		err := s.closedErrLocked()
-		s.mu.Unlock()
-		return 0, err
+	defer s.mu.Unlock()
+	if !s.awaitSendRoomLocked(nil, len(p)) {
+		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.WriteCoupled(p)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	s.writeAll(out) // on an error too: what was collected has left the engine
+	s.flushLocked() // on an error too: what was sealed before it must go out
 	return n, err
 }
 

@@ -115,13 +115,9 @@ func (s *Session) issueTicket(conn uint32) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.engine.Note("ticket_issued", conn, 0, 0, len(ticket))
 	err = s.engine.SendSessionTicket(conn, nonce, ticket, s.maxEarlyAdvert)
-	out := s.collectOutgoingLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.writeAll(out)
-	return nil
+	s.flushLocked()
+	return err
 }
