@@ -103,94 +103,64 @@ func (s *Session) onHealthVerdict(v health.Verdict) {
 	s.engine.Note(v.Name, v.Conn, 0, seq, int(v.Value))
 }
 
-// initHealth wires the session's monitor: rings + rules over the
-// telemetry handles, registered on the shared wall-clock engine for
-// its interval and on /debug/tcpls/health under the session's debug
-// key. Called from initTelemetry before the engine sees traffic.
+// initHealth registers the session's monitor on the shared wall-clock
+// engine for its interval and on /debug/tcpls/health, both under the
+// debug key. Rings and tcpls_health_* series (key = the debug key; they
+// live in the session's metrics block) come with the monitor's first
+// tick; until then it is a struct and two map entries. Called from
+// initTelemetry before the engine sees traffic.
 func (s *Session) initHealth() {
 	hc := &s.cfg.Health
 	if hc.Disabled || s.tel == nil || s.debugKey == "" {
 		return
 	}
 	iv := hc.interval()
-	fams := health.NewFamilies(telemetry.Default())
+	key, tel := s.debugKey, s.tel
 	mon := health.NewMonitor(sessionHealthSource{s}, health.Options{
-		Key:       s.debugKey,
+		Key:       key,
 		Interval:  iv,
 		Window:    hc.window(),
 		OnVerdict: s.onHealthVerdict,
-		Metrics:   fams.Entity(sessLabel(s.sessID)),
+		Metrics:   func() *health.Metrics { return healthFams.Entity(key, tel) },
 	})
 	s.healthMon = mon
-	s.healthKey = s.debugKey
-	s.healthIv = iv
-	telemetry.RegisterHealth(s.healthKey, func() any { return mon.Status() })
-	acquireHealthEngine(iv).Register(s.healthKey, mon)
+	s.healthEng = healthEngine(iv)
+	telemetry.RegisterHealth(key, func() any { return mon.Status() })
+	s.healthEng.Register(key, mon)
 	acquireProcessHealth(iv, hc.window())
 }
 
 // closeHealthLocked tears the monitor down. Idempotent; called under
-// s.mu from closeTelemetryLocked. The engine never blocks on an
-// in-flight poll, so this cannot deadlock against a sampler holding
-// nothing and wanting s.mu.
+// s.mu from closeTelemetryLocked, before the debug key is cleared. The
+// engine never blocks on an in-flight poll, so this cannot deadlock
+// against a sampler holding nothing and wanting s.mu.
 func (s *Session) closeHealthLocked() {
 	if s.healthMon == nil {
 		return
 	}
-	telemetry.UnregisterHealth(s.healthKey)
-	if eng := lookupHealthEngine(s.healthIv); eng != nil {
-		eng.Unregister(s.healthKey)
-	}
-	releaseHealthEngine(s.healthIv)
+	telemetry.UnregisterHealth(s.debugKey)
+	s.healthEng.Unregister(s.debugKey)
 	releaseProcessHealth()
 	s.healthMon = nil
-	s.healthKey = ""
 }
 
-// Shared wall-clock health engines, refcounted per interval: sessions
-// with the same tick share one polling goroutine, which exits when the
-// last session closes.
+// Shared wall-clock health engines, one per interval in use: sessions
+// with the same tick share one polling goroutine, which runs only while
+// a monitor is registered. An idle engine is a few words and stays.
 var (
 	healthEngMu   sync.Mutex
-	healthEngines = make(map[time.Duration]*healthEngineEntry)
+	healthEngines = make(map[time.Duration]*health.Engine)
 )
 
-type healthEngineEntry struct {
-	eng  *health.Engine
-	refs int
-}
-
-func acquireHealthEngine(iv time.Duration) *health.Engine {
+func healthEngine(iv time.Duration) *health.Engine {
 	healthEngMu.Lock()
 	defer healthEngMu.Unlock()
 	e, ok := healthEngines[iv]
 	if !ok {
-		e = &healthEngineEntry{eng: health.NewEngine(iv)}
+		e = health.NewEngine(iv)
 		healthEngines[iv] = e
 	}
-	e.refs++
-	return e.eng
-}
-
-func lookupHealthEngine(iv time.Duration) *health.Engine {
-	healthEngMu.Lock()
-	defer healthEngMu.Unlock()
-	if e, ok := healthEngines[iv]; ok {
-		return e.eng
-	}
-	return nil
-}
-
-func releaseHealthEngine(iv time.Duration) {
-	healthEngMu.Lock()
-	defer healthEngMu.Unlock()
-	e, ok := healthEngines[iv]
-	if !ok {
-		return
-	}
-	if e.refs--; e.refs <= 0 {
-		delete(healthEngines, iv)
-	}
+	return e
 }
 
 // The process-level monitor diagnoses what no single session can see:
@@ -200,9 +170,8 @@ func releaseHealthEngine(iv time.Duration) {
 // on /debug/tcpls/health.
 var (
 	procHealthMu   sync.Mutex
-	procHealth     *health.Monitor
+	procHealthEng  *health.Engine // non-nil while the monitor exists
 	procHealthRefs int
-	procHealthIv   time.Duration
 )
 
 // processHealthSource samples the process-wide registry families.
@@ -256,33 +225,28 @@ func acquireProcessHealth(iv time.Duration, window int) {
 	procHealthMu.Lock()
 	defer procHealthMu.Unlock()
 	procHealthRefs++
-	if procHealth != nil {
+	if procHealthEng != nil {
 		return
 	}
-	fams := health.NewFamilies(telemetry.Default())
 	mon := health.NewMonitor(processHealthSource{}, health.Options{
 		Key:      "process",
 		Interval: iv,
 		Window:   window,
 		Process:  true,
-		Metrics:  fams.Entity("process"),
+		Metrics:  func() *health.Metrics { return healthFams.Entity("process", nil) },
 	})
-	procHealth = mon
-	procHealthIv = iv
+	procHealthEng = healthEngine(iv)
 	telemetry.RegisterHealth("process", func() any { return mon.Status() })
-	acquireHealthEngine(iv).Register("process", mon)
+	procHealthEng.Register("process", mon)
 }
 
 func releaseProcessHealth() {
 	procHealthMu.Lock()
 	defer procHealthMu.Unlock()
-	if procHealthRefs--; procHealthRefs > 0 || procHealth == nil {
+	if procHealthRefs--; procHealthRefs > 0 || procHealthEng == nil {
 		return
 	}
 	telemetry.UnregisterHealth("process")
-	if eng := lookupHealthEngine(procHealthIv); eng != nil {
-		eng.Unregister("process")
-	}
-	releaseHealthEngine(procHealthIv)
-	procHealth = nil
+	procHealthEng.Unregister("process")
+	procHealthEng = nil
 }

@@ -233,11 +233,14 @@ var (
 // TCPLS session. It is not safe for concurrent use; wrappers serialize
 // access.
 type Session struct {
-	role       Role
-	cfg        Config
-	suite      *record.Suite
-	sendSecret []byte // this endpoint's application traffic secret
-	recvSecret []byte // the peer's
+	role  Role
+	cfg   Config
+	suite *record.Suite
+	// The record key and base IV of each direction, expanded once from
+	// this endpoint's application traffic secret (send) and the peer's
+	// (recv): every stream context of a direction uses its key with an
+	// IV offset by the stream ID.
+	send, recv trafficKeys
 
 	conns        map[uint32]*conn
 	streams      map[uint32]*stream
@@ -370,15 +373,14 @@ func NewSession(role Role, secrets handshake.Secrets, cfg Config) *Session {
 		conns:   make(map[uint32]*conn),
 		streams: make(map[uint32]*stream),
 	}
-	if role == RoleClient {
-		s.sendSecret = secrets.ClientApp
-		s.recvSecret = secrets.ServerApp
-		s.nextStreamID = firstClientStream
-	} else {
-		s.sendSecret = secrets.ServerApp
-		s.recvSecret = secrets.ClientApp
+	sendSecret, recvSecret := secrets.ClientApp, secrets.ServerApp
+	s.nextStreamID = firstClientStream
+	if role != RoleClient {
+		sendSecret, recvSecret = recvSecret, sendSecret
 		s.nextStreamID = firstServerStream
 	}
+	s.send.key, s.send.iv = record.DeriveTrafficKeys(s.suite, sendSecret)
+	s.recv.key, s.recv.iv = record.DeriveTrafficKeys(s.suite, recvSecret)
 	s.coupled.buf = reorder.New(0)
 	s.bufs = record.NewBufferPool()
 	s.coupled.recvQ.pool = s.bufs
@@ -413,9 +415,6 @@ func (s *Session) SetTelemetry(sm *telemetry.SessionMetrics) {
 	}
 	s.telSyncGauges()
 }
-
-// Telemetry returns the installed metric handle set (nil if none).
-func (s *Session) Telemetry() *telemetry.SessionMetrics { return s.tel }
 
 // telSyncGauges refreshes the live-connection and open-stream gauges.
 // Called on topology changes only (add/fail/close), never per record.
@@ -470,10 +469,12 @@ func (s *Session) AppendEvents(dst []Event) []Event {
 
 func (s *Session) emit(ev Event) { s.events = append(s.events, ev) }
 
-// newContext derives a stream context in one direction.
-func (s *Session) newContext(secret []byte, streamID uint32) (*record.StreamContext, error) {
-	key, iv := record.DeriveTrafficKeys(s.suite, secret)
-	return record.NewStreamContext(s.suite, key, iv, streamID)
+// trafficKeys is one direction's record key and base IV.
+type trafficKeys struct{ key, iv []byte }
+
+// newContext builds a stream context in one direction.
+func (s *Session) newContext(k trafficKeys, streamID uint32) (*record.StreamContext, error) {
+	return record.NewStreamContext(s.suite, k.key, k.iv, streamID)
 }
 
 // AddConnection registers a (just-established or just-joined) TCP
@@ -487,10 +488,10 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 	c.tel = s.tel.Conn(id) // nil-safe: nil SessionMetrics yields nil handles
 	ctlID := ctlStreamID(id)
 	var err error
-	if c.ctlSend, err = s.newContext(s.sendSecret, ctlID); err != nil {
+	if c.ctlSend, err = s.newContext(s.send, ctlID); err != nil {
 		return err
 	}
-	ctlRecv, err := s.newContext(s.recvSecret, ctlID)
+	ctlRecv, err := s.newContext(s.recv, ctlID)
 	if err != nil {
 		return err
 	}

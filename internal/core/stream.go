@@ -155,10 +155,10 @@ func (s *Session) installStream(id, connID uint32) (*stream, error) {
 	}
 	st := &stream{id: id, conn: connID, recvQ: segQueue{pool: s.bufs}}
 	st.tel = s.tel.Stream(id) // nil-safe: nil SessionMetrics yields nil handles
-	if st.sendCtx, err = s.newContext(s.sendSecret, id); err != nil {
+	if st.sendCtx, err = s.newContext(s.send, id); err != nil {
 		return nil, err
 	}
-	if st.recvCtx, err = s.newContext(s.recvSecret, id); err != nil {
+	if st.recvCtx, err = s.newContext(s.recv, id); err != nil {
 		return nil, err
 	}
 	c.demux.Attach(st.recvCtx)

@@ -27,7 +27,9 @@ import (
 type keySchedule struct {
 	suite      *record.Suite
 	transcript hash.Hash
-	secret     []byte // current secret in the cascade
+	// secret is the current secret in the cascade, as the one HMAC keyed
+	// with it: every label of a level derives from that.
+	secret *hkdf.Expander
 }
 
 func newKeySchedule(suite *record.Suite) *keySchedule {
@@ -39,9 +41,9 @@ func newKeySchedule(suite *record.Suite) *keySchedule {
 func newKeySchedulePSK(suite *record.Suite, psk []byte) *keySchedule {
 	ks := &keySchedule{suite: suite, transcript: suite.NewHash()}
 	if psk == nil {
-		psk = make([]byte, suite.NewHash().Size())
+		psk = make([]byte, ks.transcript.Size())
 	}
-	ks.secret = hkdf.Extract(suite.NewHash, psk, nil)
+	ks.secret = hkdf.NewExpander(suite.NewHash, hkdf.Extract(suite.NewHash, psk, nil))
 	return ks
 }
 
@@ -56,11 +58,11 @@ func (ks *keySchedule) transcriptHash() []byte { return ks.transcript.Sum(nil) }
 // (the ECDHE shared secret, or zeros for the master secret).
 func (ks *keySchedule) advance(ikm []byte) {
 	emptyHash := ks.suite.NewHash().Sum(nil)
-	derived := hkdf.DeriveSecret(ks.suite.NewHash, ks.secret, "derived", emptyHash)
+	derived := ks.secret.DeriveSecret("derived", emptyHash)
 	if ikm == nil {
-		ikm = make([]byte, ks.suite.NewHash().Size())
+		ikm = make([]byte, ks.transcript.Size())
 	}
-	ks.secret = hkdf.Extract(ks.suite.NewHash, ikm, derived)
+	ks.secret = hkdf.NewExpander(ks.suite.NewHash, hkdf.Extract(ks.suite.NewHash, ikm, derived))
 }
 
 // earlyTrafficSecret derives the client_early_traffic_secret protecting
@@ -79,13 +81,13 @@ func earlyTrafficSecret(suite *record.Suite, psk, chBytes []byte) []byte {
 // trafficSecret derives a traffic secret at the current cascade level,
 // bound to the current transcript.
 func (ks *keySchedule) trafficSecret(label string) []byte {
-	return hkdf.DeriveSecret(ks.suite.NewHash, ks.secret, label, ks.transcriptHash())
+	return ks.secret.DeriveSecret(label, ks.transcriptHash())
 }
 
 // finishedMAC computes the Finished verify_data for a traffic secret over
 // the current transcript (RFC 8446 §4.4.4).
 func (ks *keySchedule) finishedMAC(trafficSecret []byte) []byte {
-	finishedKey := hkdf.ExpandLabel(ks.suite.NewHash, trafficSecret, "finished", nil, ks.suite.NewHash().Size())
+	finishedKey := hkdf.ExpandLabel(ks.suite.NewHash, trafficSecret, "finished", nil, ks.transcript.Size())
 	mac := hmac.New(ks.suite.NewHash, finishedKey)
 	mac.Write(ks.transcriptHash())
 	return mac.Sum(nil)

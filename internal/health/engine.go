@@ -34,9 +34,6 @@ func NewEngine(interval time.Duration) *Engine {
 	}
 }
 
-// Interval reports the tick period.
-func (e *Engine) Interval() time.Duration { return e.interval }
-
 // Register adds m under key (replacing any previous holder) and starts
 // the polling goroutine if it is not running.
 func (e *Engine) Register(key string, m *Monitor) {

@@ -86,16 +86,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindNames lists every verdict name, Healthy first — the label set the
-// Prometheus families pre-resolve.
-func KindNames() []string {
-	out := make([]string, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		out[k] = k.String()
-	}
-	return out
-}
-
 // KindFromString is the inverse of Kind.String; ok reports whether name
 // is a verdict name (qlog analyzers use it to pick health events out of
 // a mixed stream).

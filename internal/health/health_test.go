@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"tcpls/internal/telemetry"
 )
 
 // fakeSource fills samples from a mutable template, preserving the
@@ -376,6 +378,50 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if len(st.Paths) != 1 || st.Paths[0].Conn != 1 || st.Paths[0].SRTTUS != 1500 {
 		t.Fatalf("paths: %+v", st.Paths)
+	}
+}
+
+// TestMonitorPaysAtFirstPoll: a monitor that is never polled (a session
+// gone within one interval) holds no rings and has resolved no metric
+// handles, and still answers Status; the first Poll builds both, once,
+// and a session's handles then live in its block and leave /metrics
+// with it while the process monitor's stay.
+func TestMonitorPaysAtFirstPoll(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fams := NewFamilies(reg)
+	block := telemetry.TCPLSFamilies(reg).Session("ab", "client")
+	resolved := 0
+	m := NewMonitor(&fakeSource{}, Options{Key: "ab-client-1", Metrics: func() *Metrics {
+		resolved++
+		return fams.Entity("ab-client-1", block)
+	}})
+	proc := NewMonitor(&fakeSource{}, Options{Key: "process", Process: true, Metrics: func() *Metrics {
+		return fams.Entity("process", nil)
+	}})
+	if st := m.Status(); st.Ticks != 0 || !st.Healthy || m.goodTx != nil || resolved != 0 {
+		t.Fatalf("unpolled monitor: status %+v, rings %v, handles resolved %d times", st, m.goodTx != nil, resolved)
+	}
+	src := &fakeSource{}
+	if n := testing.AllocsPerRun(100, func() { NewMonitor(src, Options{}) }); n > 1 {
+		t.Fatalf("NewMonitor makes %v allocations, want the struct alone", n)
+	}
+	var at int64
+	for i := 0; i < 3; i++ {
+		tick(m, &at, int64(1e6))
+		proc.Poll(time.UnixMicro(at))
+	}
+	if resolved != 1 || m.goodTx == nil || m.resumeRej != nil || proc.resumeRej == nil {
+		t.Fatalf("after 3 polls: handles resolved %d times, rings %v, process rings session %v / process %v",
+			resolved, m.goodTx != nil, m.resumeRej != nil, proc.resumeRej != nil)
+	}
+	const sessTicks, procTicks = `tcpls_health_ticks_total{key="ab-client-1"}`, `tcpls_health_ticks_total{key="process"}`
+	if got := reg.Gather(); got[sessTicks] != 3 || got[procTicks] != 3 {
+		t.Fatalf("ticks on the registry: session %v, process %v, want 3 and 3", got[sessTicks], got[procTicks])
+	}
+	block.Detach()
+	got := reg.Gather()
+	if _, ok := got[sessTicks]; ok || got[procTicks] != 3 {
+		t.Fatalf("after Detach: session series present %v, process ticks %v", ok, got[procTicks])
 	}
 }
 

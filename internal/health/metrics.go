@@ -2,9 +2,9 @@ package health
 
 import "tcpls/internal/telemetry"
 
-// Families bundles the tcpls_health_* metric families. Like the
-// transport families, handles are pre-resolved per monitored entity so
-// the sampler's hot path is a few atomic stores.
+// Families bundles the tcpls_health_* metric families. Handles are
+// resolved once per monitored entity, at its first tick, so the
+// sampler's hot path is a few atomic stores.
 type Families struct {
 	ticks    *telemetry.CounterVec
 	verdicts *telemetry.CounterVec
@@ -47,19 +47,22 @@ type Metrics struct {
 	Active            [numKinds]*telemetry.Gauge
 }
 
-// Entity resolves the handle block for key.
-func (f *Families) Entity(key string) *Metrics {
+// Entity resolves the handle block for key. With a nil owner the
+// series are permanent children of the families (the process monitor);
+// with a session's block as owner they live in it and leave /metrics
+// when it detaches.
+func (f *Families) Entity(key string, owner *telemetry.SessionMetrics) *Metrics {
 	m := &Metrics{
-		Ticks:             f.ticks.With(key),
-		GoodputTx:         f.goodput.With(key, "tx"),
-		GoodputRx:         f.goodput.With(key, "rx"),
-		RetxRatioPermille: f.retx.With(key),
-		AckRTTUS:          f.ackRTT.With(key),
-		MemoryBytes:       f.memory.With(key),
+		Ticks:             owner.Counter(f.ticks, key),
+		GoodputTx:         owner.Gauge(f.goodput, key, "tx"),
+		GoodputRx:         owner.Gauge(f.goodput, key, "rx"),
+		RetxRatioPermille: owner.Gauge(f.retx, key),
+		AckRTTUS:          owner.Gauge(f.ackRTT, key),
+		MemoryBytes:       owner.Gauge(f.memory, key),
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		m.Verdicts[k] = f.verdicts.With(key, k.String())
-		m.Active[k] = f.active.With(key, k.String())
+		m.Verdicts[k] = owner.Counter(f.verdicts, key, k.String())
+		m.Active[k] = owner.Gauge(f.active, key, k.String())
 	}
 	return m
 }

@@ -96,9 +96,11 @@ type Options struct {
 	// from Poll with the monitor lock held — keep it bounded. The
 	// session wiring uses it to stamp qlog/flight events.
 	OnVerdict func(Verdict)
-	// Metrics, when set, mirrors ticks, derived gauges, and verdict
-	// state into the tcpls_health_* Prometheus families.
-	Metrics *Metrics
+	// Metrics, when set, resolves the handle block that mirrors ticks,
+	// derived gauges, and verdict state into the tcpls_health_*
+	// Prometheus families. Called once, at the first Poll, with the
+	// monitor lock held.
+	Metrics func() *Metrics
 }
 
 // pathSeries is the per-connection ring set.
@@ -123,7 +125,9 @@ type Monitor struct {
 	havePrev  bool
 	ticks     uint64
 
-	// Derived rings.
+	// Derived rings and metric handles, built by the first Poll: an
+	// entity that is gone within one interval never pays for them.
+	mt        *Metrics
 	goodTx    *Series // bytes/s sent
 	goodRx    *Series // bytes/s received
 	progress  *Series // bytes/s of ack+receive progress (stall evidence)
@@ -155,32 +159,31 @@ func NewMonitor(src Source, opt Options) *Monitor {
 		opt.Interval = time.Second
 	}
 	opt.Rules = opt.Rules.withDefaults()
-	m := &Monitor{
-		src:       src,
-		opt:       opt,
-		goodTx:    NewSeries(opt.Window),
-		goodRx:    NewSeries(opt.Window),
-		progress:  NewSeries(opt.Window),
-		retxRatio: NewSeries(opt.Window),
-		reorder:   NewSeries(opt.Window),
-		mem:       NewSeries(opt.Window),
-		ackRTT:    NewSeries(opt.Window),
-		resumeRej: NewSeries(opt.Window),
-		admitRej:  NewSeries(opt.Window),
-		paths:     make(map[uint32]*pathSeries, 4),
-		recentCap: 32,
-	}
-	return m
+	return &Monitor{src: src, opt: opt, recentCap: 32}
 }
 
-// Key returns the monitor's entity key.
-func (m *Monitor) Key() string { return m.opt.Key }
+// startLocked builds the rings and resolves the metric handles.
+func (m *Monitor) startLocked() {
+	w := m.opt.Window
+	m.goodTx, m.goodRx, m.progress = NewSeries(w), NewSeries(w), NewSeries(w)
+	m.retxRatio, m.reorder, m.mem, m.ackRTT = NewSeries(w), NewSeries(w), NewSeries(w), NewSeries(w)
+	if m.opt.Process {
+		m.resumeRej, m.admitRej = NewSeries(w), NewSeries(w)
+	}
+	m.paths = make(map[uint32]*pathSeries, 4)
+	if m.opt.Metrics != nil {
+		m.mt = m.opt.Metrics()
+	}
+}
 
 // Poll pulls one sample and runs the diagnosis pass. Zero-alloc in
 // steady state (no new paths, no verdict transitions).
 func (m *Monitor) Poll(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.goodTx == nil {
+		m.startLocked()
+	}
 	m.cur.reset()
 	m.cur.AtUS = now.UnixNano() / 1000
 	m.src.HealthSample(&m.cur)
@@ -188,7 +191,7 @@ func (m *Monitor) Poll(now time.Time) {
 	m.diagnoseLocked()
 	m.stashPrevLocked()
 	m.ticks++
-	if mt := m.opt.Metrics; mt != nil {
+	if mt := m.mt; mt != nil {
 		mt.Ticks.Inc()
 	}
 }
@@ -215,7 +218,7 @@ func (m *Monitor) ingestLocked() {
 	dRetx := m.cur.Retransmits - m.prev.Retransmits
 	ratio := 0.0
 	if dSent > 0 || dRetx > 0 {
-		ratio = float64(dRetx) / float64(max64(dSent, 1))
+		ratio = float64(dRetx) / float64(max(dSent, 1))
 	}
 	m.retxRatio.Push(at, ratio)
 	if dc := m.cur.AckRTTCount - m.prev.AckRTTCount; dc > 0 {
@@ -271,7 +274,7 @@ func (m *Monitor) ingestLocked() {
 			}
 		}
 	}
-	if mt := m.opt.Metrics; mt != nil {
+	if mt := m.mt; mt != nil {
 		if v, ok := m.goodTx.Last(); ok {
 			mt.GoodputTx.Set(int64(v.V))
 		}
@@ -317,7 +320,7 @@ func (m *Monitor) diagnoseLocked() {
 		// RetransmitStorm: sustained retransmit-heavy ticks.
 		dRetx := m.cur.Retransmits - m.prev.Retransmits
 		dSent := m.cur.RecordsSent - m.prev.RecordsSent
-		ratio := float64(dRetx) / float64(max64(dSent, 1))
+		ratio := float64(dRetx) / float64(max(dSent, 1))
 		storm := dRetx >= r.StormMinRetx && ratio > r.StormRatio
 		m.runRule(RetransmitStorm, storm, at, r.StormTicks, r.StormClearTicks,
 			0, ratio, m.retxRatio, r.StormTicks)
@@ -457,7 +460,7 @@ func (m *Monitor) emitLocked(v Verdict) {
 		m.recent = m.recent[:len(m.recent)-1]
 	}
 	m.recent = append(m.recent, v)
-	if mt := m.opt.Metrics; mt != nil && v.Kind < numKinds {
+	if mt := m.mt; mt != nil && v.Kind < numKinds {
 		if v.Raised {
 			mt.Verdicts[v.Kind].Inc()
 		}
@@ -528,11 +531,4 @@ func seriesName(kind Kind) string {
 		return "admission_rejects_per_s"
 	}
 	return ""
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,9 +37,6 @@ func (s *Series) Push(atUS int64, v float64) {
 // Len reports the number of held points.
 func (s *Series) Len() int { return s.n }
 
-// Cap reports the ring capacity.
-func (s *Series) Cap() int { return len(s.buf) }
-
 // At returns the i-th point, 0 = oldest. Panics out of range.
 func (s *Series) At(i int) Point {
 	if i < 0 || i >= s.n {

@@ -1,5 +1,7 @@
 package health
 
+import "sort"
+
 // Status is the JSON shape served on /debug/tcpls/health: the latest
 // derived rates, active and recent verdicts, and per-path breakdown.
 // Built on the HTTP path, so it allocates freely.
@@ -60,21 +62,23 @@ func (m *Monitor) Status() Status {
 		st.StreamsOpen = m.prev.StreamsOpen
 		st.MemoryBytes = int64(m.prev.MemoryBytes)
 	}
-	if v, ok := m.goodTx.Last(); ok {
-		st.GoodputTxBps = v.V
-	}
-	if v, ok := m.goodRx.Last(); ok {
-		st.GoodputRxBps = v.V
-	}
-	if v, ok := m.retxRatio.Last(); ok {
-		st.RetransmitRatio = v.V
-	}
-	if v, ok := m.reorder.Last(); ok {
-		st.ReorderDepth = v.V
-	}
-	st.ReorderSlope = m.reorder.Slope(m.reorder.Len())
-	if v, ok := m.ackRTT.Last(); ok {
-		st.AckRTTUS = v.V
+	if m.goodTx != nil { // rings exist from the first Poll on
+		if v, ok := m.goodTx.Last(); ok {
+			st.GoodputTxBps = v.V
+		}
+		if v, ok := m.goodRx.Last(); ok {
+			st.GoodputRxBps = v.V
+		}
+		if v, ok := m.retxRatio.Last(); ok {
+			st.RetransmitRatio = v.V
+		}
+		if v, ok := m.reorder.Last(); ok {
+			st.ReorderDepth = v.V
+		}
+		st.ReorderSlope = m.reorder.Slope(m.reorder.Len())
+		if v, ok := m.ackRTT.Last(); ok {
+			st.AckRTTUS = v.V
+		}
 	}
 	st.Active = make([]Verdict, 0, int(numKinds))
 	for k := Kind(1); k < numKinds; k++ {
@@ -109,7 +113,7 @@ func (m *Monitor) Status() Status {
 		}
 		st.Paths = append(st.Paths, row)
 	}
-	sortPaths(st.Paths)
+	sort.Slice(st.Paths, func(i, j int) bool { return st.Paths[i].Conn < st.Paths[j].Conn })
 	if rs, ok := m.src.(RollupSource); ok {
 		// Release the lock around the rollup call: the source may take
 		// registry locks of its own and needs nothing of ours.
@@ -119,12 +123,4 @@ func (m *Monitor) Status() Status {
 		st.Rollup = rollup
 	}
 	return st
-}
-
-func sortPaths(p []PathStatus) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j-1].Conn > p[j].Conn; j-- {
-			p[j-1], p[j] = p[j], p[j-1]
-		}
-	}
 }

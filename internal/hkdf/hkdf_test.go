@@ -143,3 +143,29 @@ func TestQuickExtractDiffersWithSalt(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExpanderReuseMatchesOneShot: one Expander keyed once and reused
+// across labels, lengths and multi-block outputs derives exactly what a
+// fresh HMAC per derivation does, in any order, RFC 8448's "derived"
+// vector included.
+func TestExpanderReuseMatchesOneShot(t *testing.T) {
+	early := Extract(sha256.New, make([]byte, 32), nil)
+	emptyHash := sha256.Sum256(nil)
+	e := NewExpander(sha256.New, early)
+	for round := 0; round < 2; round++ {
+		for _, label := range []string{"c e traffic", "derived", "key", "iv"} {
+			if got, want := e.DeriveSecret(label, emptyHash[:]), DeriveSecret(sha256.New, early, label, emptyHash[:]); !bytes.Equal(got, want) {
+				t.Fatalf("round %d DeriveSecret(%q): %x, one-shot %x", round, label, got, want)
+			}
+		}
+		for _, n := range []int{12, 16, 32, 33, 100} {
+			if got, want := e.ExpandLabel("key", nil, n), ExpandLabel(sha256.New, early, "key", nil, n); !bytes.Equal(got, want) {
+				t.Fatalf("round %d ExpandLabel(%d): %x, one-shot %x", round, n, got, want)
+			}
+		}
+	}
+	want := mustHex(t, "6f2615a108c702c5678f54fc9dbab69716c076189c48250cebeac3576c3611ba")
+	if got := e.DeriveSecret("derived", emptyHash[:]); !bytes.Equal(got, want) {
+		t.Fatalf("reused Expander, RFC 8448 derived secret:\n got %x\nwant %x", got, want)
+	}
+}

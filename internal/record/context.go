@@ -79,9 +79,8 @@ func NewStreamContext(suite *Suite, key, baseIV []byte, streamID uint32) (*Strea
 // DeriveTrafficKeys expands a traffic secret into the record-protection
 // key and base IV per RFC 8446 §7.3.
 func DeriveTrafficKeys(suite *Suite, trafficSecret []byte) (key, iv []byte) {
-	key = hkdf.ExpandLabel(suite.NewHash, trafficSecret, "key", nil, suite.KeyLen)
-	iv = hkdf.ExpandLabel(suite.NewHash, trafficSecret, "iv", nil, suite.IVLen)
-	return key, iv
+	e := hkdf.NewExpander(suite.NewHash, trafficSecret)
+	return e.ExpandLabel("key", nil, suite.KeyLen), e.ExpandLabel("iv", nil, suite.IVLen)
 }
 
 // StreamID returns the stream this context belongs to.

@@ -278,8 +278,8 @@ func (c *Controller) AdmitConn(remote net.Addr) (func(), error) {
 		}
 	}
 	if c.limits.MaxHandshakesPerIP <= 0 {
-		c.sm.Handshakes.Add(1)
-		return func() { c.sm.Handshakes.Add(-1) }, nil
+		c.noteHandshakes(1)
+		return func() { c.noteHandshakes(-1) }, nil
 	}
 	key := ipKey(remote)
 	c.mu.Lock()
@@ -291,11 +291,11 @@ func (c *Controller) AdmitConn(remote net.Addr) (func(), error) {
 	}
 	st.handshakes++
 	c.mu.Unlock()
-	c.sm.Handshakes.Add(1)
+	c.noteHandshakes(1)
 	var once sync.Once
 	release := func() {
 		once.Do(func() {
-			c.sm.Handshakes.Add(-1)
+			c.noteHandshakes(-1)
 			c.mu.Lock()
 			if st := c.ips[key]; st != nil && st.handshakes > 0 {
 				st.handshakes--
@@ -304,6 +304,14 @@ func (c *Controller) AdmitConn(remote net.Addr) (func(), error) {
 		})
 	}
 	return release, nil
+}
+
+// noteHandshakes moves the in-flight handshake gauge; a controller
+// built without metrics has none.
+func (c *Controller) noteHandshakes(delta int64) {
+	if c.sm != nil {
+		c.sm.Handshakes.Add(delta)
+	}
 }
 
 // AdmitJoin implements tcpls.AdmissionControl: the per-IP join-rate

@@ -219,3 +219,40 @@ func TestRejectErrorMessage(t *testing.T) {
 		t.Fatalf("Error() = %q, want %q", err.Error(), want)
 	}
 }
+
+// TestControllerWithoutRegistryBudgetOrMetrics holds NewController to
+// its comment: nil reg, budget and sm are allowed, and every admission
+// path then works without them, with and without the per-IP cap.
+func TestControllerWithoutRegistryBudgetOrMetrics(t *testing.T) {
+	for _, limits := range []Limits{
+		{},
+		{MaxHandshakesPerIP: 1, MaxSessions: 1, JoinRatePerIP: 1, JoinBurstPerIP: 1, AcceptRate: 1000},
+	} {
+		c := NewController(limits, nil, nil, nil)
+		rel, err := c.AdmitConn(addr("10.0.0.1"))
+		if err != nil {
+			t.Fatalf("limits %+v: AdmitConn: %v", limits, err)
+		}
+		if limits.MaxHandshakesPerIP > 0 {
+			_, err := c.AdmitConn(addr("10.0.0.1"))
+			wantReject(t, err, ReasonIPHandshakes)
+		}
+		rel()
+		if !c.AdmitJoin(addr("10.0.0.1")) {
+			t.Fatalf("limits %+v: first join refused", limits)
+		}
+		if limits.JoinRatePerIP > 0 && c.AdmitJoin(addr("10.0.0.1")) {
+			t.Fatal("join past the per-IP burst admitted")
+		}
+		if err := c.AdmitSession(addr("10.0.0.1")); err != nil {
+			t.Fatalf("limits %+v: AdmitSession: %v", limits, err)
+		}
+		if limits.MaxSessions > 0 {
+			wantReject(t, c.AdmitSession(addr("10.0.0.1")), ReasonMaxSessions)
+		}
+		c.ReleaseSession()
+		c.SetDraining(true)
+		_, err = c.AdmitConn(addr("10.0.0.1"))
+		wantReject(t, err, ReasonDraining)
+	}
+}

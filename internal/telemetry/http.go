@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 )
 
@@ -50,109 +50,70 @@ func Handler(reg *Registry) http.Handler {
 	})
 }
 
-// Debug sources: live per-session state providers rendered as JSON on
-// /debug/tcpls. The provider runs on the HTTP handler's goroutine and
-// must return a json.Marshal-able snapshot; it is responsible for its
-// own locking. Process-wide, like the metrics registry, so every shared
-// telemetry server sees every registered session.
+// sources is a set of live JSON providers behind one debug page. The
+// provider runs on the HTTP handler's goroutine and must return a
+// json.Marshal-able snapshot; it is responsible for its own locking.
+// Process-wide, like the metrics registry, so every shared telemetry
+// server sees every registered session. Keys must be unique per live
+// session; the caller unregisters on teardown.
+type sources struct {
+	field string // the page's top-level JSON field
+	mu    sync.Mutex
+	fns   map[string]func() any
+}
+
 var (
-	debugMu      sync.Mutex
-	debugSources = make(map[string]func() any)
+	// debugSources are the per-session state providers of /debug/tcpls,
+	// healthSources the diagnosis providers of /debug/tcpls/health.
+	debugSources  = sources{field: "sessions", fns: make(map[string]func() any)}
+	healthSources = sources{field: "health", fns: make(map[string]func() any)}
 )
 
-// RegisterDebug installs (or replaces) the live-state provider under
-// key. Keys must be unique per live session; the caller unregisters on
-// teardown.
-func RegisterDebug(key string, fn func() any) {
-	debugMu.Lock()
-	debugSources[key] = fn
-	debugMu.Unlock()
+func (s *sources) register(key string, fn func() any) {
+	s.mu.Lock()
+	s.fns[key] = fn
+	s.mu.Unlock()
 }
 
-// UnregisterDebug removes a provider.
-func UnregisterDebug(key string) {
-	debugMu.Lock()
-	delete(debugSources, key)
-	debugMu.Unlock()
+func (s *sources) unregister(key string) {
+	s.mu.Lock()
+	delete(s.fns, key)
+	s.mu.Unlock()
 }
 
-// DebugHandler returns the /debug/tcpls handler: a JSON object mapping
-// each registered session key to its live state snapshot.
-func DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		debugMu.Lock()
-		keys := make([]string, 0, len(debugSources))
-		fns := make(map[string]func() any, len(debugSources))
-		for k, fn := range debugSources {
-			keys = append(keys, k)
-			fns[k] = fn
-		}
-		debugMu.Unlock()
-		sort.Strings(keys)
-		// Snapshot outside debugMu: providers take their own session
-		// locks and must not hold up concurrent register/unregister.
-		out := struct {
-			Sessions map[string]any `json:"sessions"`
-		}{Sessions: make(map[string]any, len(keys))}
-		for _, k := range keys {
-			out.Sessions[k] = fns[k]()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(&out)
-	})
+// ServeHTTP renders a JSON object mapping each registered key to its
+// snapshot, under the page's field.
+func (s *sources) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	fns := maps.Clone(s.fns)
+	s.mu.Unlock()
+	// Snapshot outside the lock: providers take their own session locks
+	// and must not hold up concurrent register/unregister.
+	page := make(map[string]any, len(fns))
+	for k, fn := range fns {
+		page[k] = fn()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(map[string]any{s.field: page})
 }
 
-// Health sources: live diagnosis providers rendered as JSON on
-// /debug/tcpls/health, same contract and lifecycle as debug sources —
-// process-wide, provider does its own locking, caller unregisters on
-// teardown.
-var (
-	healthMu      sync.Mutex
-	healthSources = make(map[string]func() any)
-)
+// RegisterDebug installs (or replaces) the live-state provider of
+// /debug/tcpls under key; UnregisterDebug removes it.
+func RegisterDebug(key string, fn func() any) { debugSources.register(key, fn) }
+func UnregisterDebug(key string)              { debugSources.unregister(key) }
 
-// RegisterHealth installs (or replaces) the health-status provider
-// under key.
-func RegisterHealth(key string, fn func() any) {
-	healthMu.Lock()
-	healthSources[key] = fn
-	healthMu.Unlock()
-}
+// DebugHandler returns the /debug/tcpls handler.
+func DebugHandler() http.Handler { return &debugSources }
 
-// UnregisterHealth removes a provider.
-func UnregisterHealth(key string) {
-	healthMu.Lock()
-	delete(healthSources, key)
-	healthMu.Unlock()
-}
+// RegisterHealth installs (or replaces) the health-status provider of
+// /debug/tcpls/health under key; UnregisterHealth removes it.
+func RegisterHealth(key string, fn func() any) { healthSources.register(key, fn) }
+func UnregisterHealth(key string)              { healthSources.unregister(key) }
 
-// HealthHandler returns the /debug/tcpls/health handler: a JSON object
-// mapping each registered entity key to its diagnosis snapshot.
-func HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		healthMu.Lock()
-		keys := make([]string, 0, len(healthSources))
-		fns := make(map[string]func() any, len(healthSources))
-		for k, fn := range healthSources {
-			keys = append(keys, k)
-			fns[k] = fn
-		}
-		healthMu.Unlock()
-		sort.Strings(keys)
-		out := struct {
-			Health map[string]any `json:"health"`
-		}{Health: make(map[string]any, len(keys))}
-		for _, k := range keys {
-			out.Health[k] = fns[k]()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(&out)
-	})
-}
+// HealthHandler returns the /debug/tcpls/health handler.
+func HealthHandler() http.Handler { return &healthSources }
 
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }

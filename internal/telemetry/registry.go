@@ -1,12 +1,15 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // metricKind discriminates family types in the registry.
@@ -19,19 +22,13 @@ const (
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
+	return [...]string{"counter", "gauge", "histogram"}[k]
 }
 
-// family is one named metric with a fixed label schema and any number of
-// labelled children. Child resolution takes the family lock; the
-// returned handles are updated lock-free afterwards.
+// family is one named metric with a fixed label schema. Its series are
+// its permanent labelled children (With: the bounded process-level label
+// sets) plus what the attached session blocks hold. Child resolution
+// takes the family lock; the handles are updated lock-free afterwards.
 type family struct {
 	name   string
 	help   string
@@ -39,9 +36,21 @@ type family struct {
 	labels []string
 	bounds []float64 // histograms only
 
+	// perSession: session blocks may hold series of this family, so
+	// SumValues must walk them.
+	perSession atomic.Bool
+
 	mu       sync.Mutex
 	order    []string // child keys in first-seen order, for stable exposition
 	children map[string]any
+}
+
+// sample is one series at exposition time: its label values (in schema
+// order) and the *Counter, *Gauge or *Histogram behind it.
+type sample struct {
+	f      *family
+	values []string
+	metric any
 }
 
 // labelKey joins label values into the child map key. Values are joined
@@ -68,16 +77,30 @@ func (f *family) child(values []string, mk func() any) any {
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Family registration is idempotent: asking for an
 // already-registered name with the same kind and label schema returns
-// the existing family, so several sessions can share one registry.
+// the existing family, so several listeners can share one registry.
+//
+// Lifetime rule: a session is ONE entry here, its SessionMetrics block,
+// attached at set-up and detached at close. Its series are on /metrics
+// exactly while it is live and the registry keeps nothing of a closed
+// one; the block stays with the session, so Session.Metrics still reads.
 type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
 	byName map[string]*family
+
+	sessions  map[*SessionMetrics]struct{} // the attached blocks
+	attachSeq uint64
+
+	tcplsOnce sync.Once
+	tcpls     *Families
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	return &Registry{
+		byName:   make(map[string]*family),
+		sessions: make(map[*SessionMetrics]struct{}),
+	}
 }
 
 var defaultRegistry = NewRegistry()
@@ -154,34 +177,15 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	f := v.f
-	return f.child(values, func() any { return NewHistogram(f.bounds) }).(*Histogram)
+	return f.child(values, func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
-// escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// labelEscaper escapes a label value per the Prometheus text format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// formatLabels renders {k="v",...}; extra appends additional pairs (the
-// histogram "le" label).
-func formatLabels(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
+// formatLabels renders {k="v",...}.
+func formatLabels(names, values []string) string {
+	if len(names) == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -190,22 +194,11 @@ func formatLabels(names, values []string, extraName, extraValue string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		val := ""
-		if i < len(values) {
-			val = values[i]
-		}
 		b.WriteString(n)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(val))
-		b.WriteByte('"')
-	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
+		if i < len(values) {
+			labelEscaper.WriteString(&b, values[i])
 		}
-		b.WriteString(extraName)
-		b.WriteString(`="`)
-		b.WriteString(extraValue)
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -216,41 +209,58 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every family in text exposition format.
-// Families appear in registration order, children in first-seen order —
-// stable output that diffing and tests can rely on.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// series lists every family in registration order with its series:
+// the permanent children in first-seen order, then what the attached
+// sessions hold, in the order they attached — stable output that
+// diffing and tests can rely on.
+func (r *Registry) series() (fams []*family, of map[*family][]sample) {
 	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
+	fams = append(fams, r.fams...)
+	blocks := make([]*SessionMetrics, 0, len(r.sessions))
+	for sm := range r.sessions {
+		blocks = append(blocks, sm)
+	}
 	r.mu.Unlock()
+	of = make(map[*family][]sample, len(fams))
 	for _, f := range fams {
 		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		children := make([]any, len(keys))
-		for i, k := range keys {
-			children[i] = f.children[k]
+		for _, key := range f.order {
+			var values []string
+			if key != "" {
+				values = strings.Split(key, "\xff")
+			}
+			of[f] = append(of[f], sample{f, values, f.children[key]})
 		}
 		f.mu.Unlock()
-		if len(keys) == 0 {
-			continue
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].seq < blocks[j].seq })
+	var held []sample
+	for _, sm := range blocks {
+		held = sm.appendSamples(held[:0])
+		for _, s := range held {
+			of[s.f] = append(of[s.f], s)
 		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
-			return err
+	}
+	return fams, of
+}
+
+// WritePrometheus renders every family that has series in text
+// exposition format.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fams, of := r.series()
+	for _, f := range fams {
+		if len(of[f]) > 0 {
+			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		}
-		for i, key := range keys {
-			values := strings.Split(key, "\xff")
-			if key == "" {
-				values = nil
-			}
-			switch c := children[i].(type) {
+		bucketLabels := append(slices.Clip(f.labels), "le")
+		for _, s := range of[f] {
+			labels := formatLabels(f.labels, s.values)
+			switch c := s.metric.(type) {
 			case *Counter:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(f.labels, values, "", ""), c.Load()); err != nil {
-					return err
-				}
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c.Load())
 			case *Gauge:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(f.labels, values, "", ""), c.Load()); err != nil {
-					return err
-				}
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c.Load())
 			case *Histogram:
 				var cum uint64
 				for bi := range c.counts {
@@ -259,59 +269,53 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					if bi < len(c.bounds) {
 						le = formatFloat(c.bounds[bi])
 					}
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, formatLabels(f.labels, values, "le", le), cum); err != nil {
-						return err
-					}
+					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, formatLabels(bucketLabels, append(slices.Clip(s.values), le)), cum)
 				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, formatLabels(f.labels, values, "", ""), formatFloat(c.Sum())); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, formatLabels(f.labels, values, "", ""), c.Count()); err != nil {
-					return err
-				}
+				fmt.Fprintf(bw, "%s_sum%s %s\n%s_count%s %d\n", f.name, labels, formatFloat(c.Sum()), f.name, labels, c.Count())
 			}
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
-// Gather returns a flat snapshot of every counter and gauge child as
-// name{labels} -> value, for tests and the Session.Metrics API.
-// Histograms contribute name_count and name_sum entries.
+// Gather returns a flat snapshot of every counter and gauge series as
+// name{labels} -> value, for tests and leak checks. Histograms
+// contribute name_count and name_sum entries.
 func (r *Registry) Gather() map[string]float64 {
 	out := make(map[string]float64)
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
+	fams, of := r.series()
 	for _, f := range fams {
-		f.mu.Lock()
-		for key, child := range f.children {
-			values := strings.Split(key, "\xff")
-			if key == "" {
-				values = nil
+		for _, s := range of[f] {
+			id := f.name + formatLabels(f.labels, s.values)
+			if h, ok := s.metric.(*Histogram); ok {
+				out[id+"_count"] = float64(h.Count())
+				id += "_sum"
 			}
-			id := f.name + formatLabels(f.labels, values, "", "")
-			switch c := child.(type) {
-			case *Counter:
-				out[id] = float64(c.Load())
-			case *Gauge:
-				out[id] = float64(c.Load())
-			case *Histogram:
-				out[id+"_count"] = float64(c.Count())
-				out[id+"_sum"] = c.Sum()
-			}
+			out[id] = s.value()
 		}
-		f.mu.Unlock()
 	}
 	return out
 }
 
-// SumValues sums the current values of every child of the named family
-// without copying the registry: counters and gauges add their value,
-// histograms their observation sum. ok is false for an unregistered
-// name. Allocation-free — the health sampler calls this each tick for
-// the process-level families (resumption acceptance, admission
-// rejects, rotate failures).
+// value is the current value of a counter or gauge, and the observation
+// sum of a histogram.
+func (s sample) value() float64 {
+	switch c := s.metric.(type) {
+	case *Counter:
+		return float64(c.Load())
+	case *Gauge:
+		return float64(c.Load())
+	case *Histogram:
+		return c.Sum()
+	}
+	return 0
+}
+
+// SumValues sums value() over every series of the named family. ok is
+// false for an unregistered name. Allocation-free for a family no
+// session block holds — the health sampler calls this each tick for
+// the process-level families (resumption acceptance, admission rejects,
+// rotate failures).
 func (r *Registry) SumValues(name string) (sum float64, ok bool) {
 	r.mu.Lock()
 	f := r.byName[name]
@@ -319,29 +323,17 @@ func (r *Registry) SumValues(name string) (sum float64, ok bool) {
 	if f == nil {
 		return 0, false
 	}
+	if f.perSession.Load() {
+		_, of := r.series()
+		for _, s := range of[f] {
+			sum += s.value()
+		}
+		return sum, true
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, child := range f.children {
-		switch c := child.(type) {
-		case *Counter:
-			sum += float64(c.Load())
-		case *Gauge:
-			sum += float64(c.Load())
-		case *Histogram:
-			sum += c.Sum()
-		}
+		sum += sample{metric: child}.value()
 	}
 	return sum, true
-}
-
-// Families lists registered family names (sorted), mostly for tests.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,266 +1,313 @@
 package telemetry
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
-// Families is the TCPLS metric family set over one registry. Creating
-// it is idempotent (the registry deduplicates by name), so every
-// session against a shared registry sees the same families and
-// exposition aggregates across sessions, separated by the sess label.
+// seriesDef names one family of the TCPLS per-session set and the field
+// of a block (T = SessionMetrics, ConnMetrics or StreamMetrics) that
+// holds a session's series of it.
+type seriesDef[T any] struct {
+	name, help string
+	field      func(*T) any
+}
+
+var sessionSeries = []seriesDef[SessionMetrics]{
+	{"tcpls_conn_failures_total", "TCP connections declared failed (RST, timeout, or peer notice).", func(sm *SessionMetrics) any { return &sm.ConnFailures }},
+	{"tcpls_failovers_total", "Failover resynchronizations performed.", func(sm *SessionMetrics) any { return &sm.Failovers }},
+	{"tcpls_failover_cascades_total", "Failovers whose target had absorbed an earlier failover.", func(sm *SessionMetrics) any { return &sm.FailoverCascades }},
+	{"tcpls_reconnect_attempts_total", "Recovery-supervisor redial rounds started.", func(sm *SessionMetrics) any { return &sm.ReconnectAttempts }},
+	{"tcpls_reconnects_total", "Successful session revivals through the join path.", func(sm *SessionMetrics) any { return &sm.Reconnects }},
+	{"tcpls_recovery_failures_total", "Sessions declared dead after exhausting the recovery budget.", func(sm *SessionMetrics) any { return &sm.RecoveryFailures }},
+	{"tcpls_sched_invalid_total", "Out-of-range scheduler picks that fell back to path 0.", func(sm *SessionMetrics) any { return &sm.SchedInvalid }},
+	{"tcpls_trace_events_total", "Trace events enqueued on the qlog sink.", func(sm *SessionMetrics) any { return &sm.TraceEvents }},
+	{"tcpls_trace_dropped_total", "Trace events dropped because the sink ring was full.", func(sm *SessionMetrics) any { return &sm.TraceDropped }},
+	{"tcpls_flowctl_limit_total", "Configured memory bounds tripped (reorder cap, receive buffer, retransmit budget).", func(sm *SessionMetrics) any { return &sm.FlowctlLimits }},
+	{"tcpls_ack_solicited_total", "ACK solicitations sent under retransmit-budget pressure.", func(sm *SessionMetrics) any { return &sm.AckSolicits }},
+	{"tcpls_ack_rtt_seconds", "Record-level acknowledgment round-trip samples (Karn-filtered).", func(sm *SessionMetrics) any { return &sm.AckRTT }},
+	{"tcpls_record_payload_bytes", "Stream payload size per sealed record.", func(sm *SessionMetrics) any { return &sm.RecordSize }},
+	{"tcpls_reorder_heap_depth", "Out-of-order records held by the coupled reorder heap.", func(sm *SessionMetrics) any { return &sm.ReorderDepth }},
+	{"tcpls_reorder_bytes", "Payload bytes parked in the coupled reorder heap.", func(sm *SessionMetrics) any { return &sm.ReorderBytes }},
+	{"tcpls_retransmit_bytes", "Payload bytes held across all streams' retransmit buffers.", func(sm *SessionMetrics) any { return &sm.RetransmitBytes }},
+	{"tcpls_conns_open", "Live TCP connections in the session.", func(sm *SessionMetrics) any { return &sm.ConnsOpen }},
+	{"tcpls_streams_open", "Open streams in the session.", func(sm *SessionMetrics) any { return &sm.StreamsOpen }},
+}
+
+var connSeries = []seriesDef[ConnMetrics]{
+	{"tcpls_records_sent_total", "TLS records sealed onto a connection (data and control).", func(cm *ConnMetrics) any { return &cm.RecordsSent }},
+	{"tcpls_records_received_total", "TLS records successfully opened from a connection.", func(cm *ConnMetrics) any { return &cm.RecordsReceived }},
+	{"tcpls_bytes_sent_total", "Stream payload bytes sealed onto a connection.", func(cm *ConnMetrics) any { return &cm.BytesSent }},
+	{"tcpls_bytes_received_total", "Stream payload bytes received on a connection.", func(cm *ConnMetrics) any { return &cm.BytesReceived }},
+	{"tcpls_retransmits_total", "Records replayed onto a connection during failover.", func(cm *ConnMetrics) any { return &cm.Retransmits }},
+	{"tcpls_acks_sent_total", "Record-level acknowledgments sent on a connection.", func(cm *ConnMetrics) any { return &cm.AcksSent }},
+	{"tcpls_acks_received_total", "Record-level acknowledgments received for streams homed on a connection.", func(cm *ConnMetrics) any { return &cm.AcksReceived }},
+	{"tcpls_dup_records_dropped_total", "Failover-replay duplicates dropped by the receive filter.", func(cm *ConnMetrics) any { return &cm.DupRecords }},
+	{"tcpls_failed_decrypts_total", "Records that matched no stream context (forgery budget).", func(cm *ConnMetrics) any { return &cm.FailedDecrypts }},
+}
+
+var streamSeries = []seriesDef[StreamMetrics]{
+	{"tcpls_stream_bytes_sent_total", "Payload bytes sealed per stream.", func(stm *StreamMetrics) any { return &stm.BytesSent }},
+	{"tcpls_stream_bytes_received_total", "Payload bytes received per stream.", func(stm *StreamMetrics) any { return &stm.BytesReceived }},
+}
+
+// Families is the TCPLS per-session metric family set over one
+// registry, resolved once per registry. These families have no
+// permanent children: their series are the blocks of the attached
+// sessions, labelled sess and role (the two ends of one session share
+// sess) and, below the session, conn, stream or policy.
 type Families struct {
-	recordsSent     *CounterVec // sess, conn
-	recordsReceived *CounterVec // sess, conn
-	bytesSent       *CounterVec // sess, conn
-	bytesReceived   *CounterVec // sess, conn
-	retransmits     *CounterVec // sess, conn
-	acksSent        *CounterVec // sess, conn
-	acksReceived    *CounterVec // sess, conn
-	dupRecords      *CounterVec // sess, conn
-	failedDecrypts  *CounterVec // sess, conn
-
-	streamBytesSent     *CounterVec // sess, stream
-	streamBytesReceived *CounterVec // sess, stream
-
-	schedPicks   *CounterVec // sess, policy
-	schedInvalid *CounterVec // sess
-
-	connFailures     *CounterVec // sess
-	failovers        *CounterVec // sess
-	failoverCascades *CounterVec // sess
-	reconnAttempts   *CounterVec // sess
-	reconnects       *CounterVec // sess
-	recoveryFailures *CounterVec // sess
-
-	traceEvents  *CounterVec // sess
-	traceDropped *CounterVec // sess
-
-	flowctlLimits *CounterVec // sess
-	ackSolicits   *CounterVec // sess
-
-	ackRTT     *HistogramVec // sess
-	recordSize *HistogramVec // sess
-
-	reorderDepth    *GaugeVec // sess
-	reorderBytes    *GaugeVec // sess
-	retransmitBytes *GaugeVec // sess
-	connsOpen       *GaugeVec // sess
-	streamsOpen     *GaugeVec // sess
+	reg *Registry
+	// Parallel to sessionSeries, connSeries and streamSeries.
+	session, conn, stream []*family
+	schedPicks            *family
 }
 
-// TCPLSFamilies registers (or resolves) the TCPLS metric set on r.
+// TCPLSFamilies returns the TCPLS metric set of r, registering it on
+// first use.
 func TCPLSFamilies(r *Registry) *Families {
-	return &Families{
-		recordsSent:     r.CounterVec("tcpls_records_sent_total", "TLS records sealed onto a connection (data and control).", "sess", "conn"),
-		recordsReceived: r.CounterVec("tcpls_records_received_total", "TLS records successfully opened from a connection.", "sess", "conn"),
-		bytesSent:       r.CounterVec("tcpls_bytes_sent_total", "Stream payload bytes sealed onto a connection.", "sess", "conn"),
-		bytesReceived:   r.CounterVec("tcpls_bytes_received_total", "Stream payload bytes received on a connection.", "sess", "conn"),
-		retransmits:     r.CounterVec("tcpls_retransmits_total", "Records replayed onto a connection during failover.", "sess", "conn"),
-		acksSent:        r.CounterVec("tcpls_acks_sent_total", "Record-level acknowledgments sent on a connection.", "sess", "conn"),
-		acksReceived:    r.CounterVec("tcpls_acks_received_total", "Record-level acknowledgments received for streams homed on a connection.", "sess", "conn"),
-		dupRecords:      r.CounterVec("tcpls_dup_records_dropped_total", "Failover-replay duplicates dropped by the receive filter.", "sess", "conn"),
-		failedDecrypts:  r.CounterVec("tcpls_failed_decrypts_total", "Records that matched no stream context (forgery budget).", "sess", "conn"),
-
-		streamBytesSent:     r.CounterVec("tcpls_stream_bytes_sent_total", "Payload bytes sealed per stream.", "sess", "stream"),
-		streamBytesReceived: r.CounterVec("tcpls_stream_bytes_received_total", "Payload bytes received per stream.", "sess", "stream"),
-
-		schedPicks:   r.CounterVec("tcpls_sched_picks_total", "Coupled records routed by the path scheduler, per policy.", "sess", "policy"),
-		schedInvalid: r.CounterVec("tcpls_sched_invalid_total", "Out-of-range scheduler picks that fell back to path 0.", "sess"),
-
-		connFailures:     r.CounterVec("tcpls_conn_failures_total", "TCP connections declared failed (RST, timeout, or peer notice).", "sess"),
-		failovers:        r.CounterVec("tcpls_failovers_total", "Failover resynchronizations performed.", "sess"),
-		failoverCascades: r.CounterVec("tcpls_failover_cascades_total", "Failovers whose target had absorbed an earlier failover.", "sess"),
-		reconnAttempts:   r.CounterVec("tcpls_reconnect_attempts_total", "Recovery-supervisor redial rounds started.", "sess"),
-		reconnects:       r.CounterVec("tcpls_reconnects_total", "Successful session revivals through the join path.", "sess"),
-		recoveryFailures: r.CounterVec("tcpls_recovery_failures_total", "Sessions declared dead after exhausting the recovery budget.", "sess"),
-
-		traceEvents:  r.CounterVec("tcpls_trace_events_total", "Trace events enqueued on the qlog sink.", "sess"),
-		traceDropped: r.CounterVec("tcpls_trace_dropped_total", "Trace events dropped because the sink ring was full.", "sess"),
-
-		flowctlLimits: r.CounterVec("tcpls_flowctl_limit_total", "Configured memory bounds tripped (reorder cap, receive buffer, retransmit budget).", "sess"),
-		ackSolicits:   r.CounterVec("tcpls_ack_solicited_total", "ACK solicitations sent under retransmit-budget pressure.", "sess"),
-
-		ackRTT:     r.HistogramVec("tcpls_ack_rtt_seconds", "Record-level acknowledgment round-trip samples (Karn-filtered).", RTTBuckets, "sess"),
-		recordSize: r.HistogramVec("tcpls_record_payload_bytes", "Stream payload size per sealed record.", SizeBuckets, "sess"),
-
-		reorderDepth:    r.GaugeVec("tcpls_reorder_heap_depth", "Out-of-order records held by the coupled reorder heap.", "sess"),
-		reorderBytes:    r.GaugeVec("tcpls_reorder_bytes", "Payload bytes parked in the coupled reorder heap.", "sess"),
-		retransmitBytes: r.GaugeVec("tcpls_retransmit_bytes", "Payload bytes held across all streams' retransmit buffers.", "sess"),
-		connsOpen:       r.GaugeVec("tcpls_conns_open", "Live TCP connections in the session.", "sess"),
-		streamsOpen:     r.GaugeVec("tcpls_streams_open", "Open streams in the session.", "sess"),
-	}
+	r.tcplsOnce.Do(func() {
+		perSession := func(name, help string, metric any, labels ...string) *family {
+			kind, bounds := kindCounter, []float64(nil)
+			switch m := metric.(type) {
+			case *Gauge:
+				kind = kindGauge
+			case *Histogram:
+				kind, bounds = kindHistogram, m.bounds
+			}
+			f := r.register(name, help, kind, append([]string{"sess", "role"}, labels...), bounds)
+			f.perSession.Store(true)
+			return f
+		}
+		f, probe := &Families{reg: r}, newSessionMetrics()
+		for _, d := range sessionSeries {
+			f.session = append(f.session, perSession(d.name, d.help, d.field(probe)))
+		}
+		for _, d := range connSeries {
+			f.conn = append(f.conn, perSession(d.name, d.help, new(Counter), "conn"))
+		}
+		for _, d := range streamSeries {
+			f.stream = append(f.stream, perSession(d.name, d.help, new(Counter), "stream"))
+		}
+		f.schedPicks = perSession("tcpls_sched_picks_total", "Coupled records routed by the path scheduler, per policy.", new(Counter), "policy")
+		r.tcpls = f
+	})
+	return r.tcpls
 }
 
-// SessionMetrics is one session's pre-resolved handle set. The engine
-// updates these with single atomic operations; a nil *SessionMetrics
-// disables everything at the cost of one nil-check per emission point.
+// SessionMetrics is one end of one session's metrics: a block holding
+// the session-level values inline, the session's only entry in the
+// registry. The engine updates the fields with single atomic operations;
+// a nil *SessionMetrics costs one nil-check per emission point.
 type SessionMetrics struct {
-	fams *Families
-	sess string
+	fams       *Families
+	sess, role string
+	seq        uint64 // attach order
 
-	ConnFailures      *Counter
-	Failovers         *Counter
-	FailoverCascades  *Counter
-	ReconnectAttempts *Counter
-	Reconnects        *Counter
-	RecoveryFailures  *Counter
-	SchedInvalid      *Counter
-	TraceEvents       *Counter
-	TraceDropped      *Counter
-	FlowctlLimits     *Counter
-	AckSolicits       *Counter
+	ConnFailures      Counter
+	Failovers         Counter
+	FailoverCascades  Counter
+	ReconnectAttempts Counter
+	Reconnects        Counter
+	RecoveryFailures  Counter
+	SchedInvalid      Counter
+	TraceEvents       Counter
+	TraceDropped      Counter
+	FlowctlLimits     Counter
+	AckSolicits       Counter
 
-	AckRTT     *Histogram
-	RecordSize *Histogram
+	AckRTT     Histogram
+	RecordSize Histogram
 
-	ReorderDepth    *Gauge
-	ReorderBytes    *Gauge
-	RetransmitBytes *Gauge
-	ConnsOpen       *Gauge
-	StreamsOpen     *Gauge
+	ReorderDepth    Gauge
+	ReorderBytes    Gauge
+	RetransmitBytes Gauge
+	ConnsOpen       Gauge
+	StreamsOpen     Gauge
+
+	// Bucket storage of the two histograms (len(RTTBuckets)+1 and
+	// len(SizeBuckets)+1).
+	rttCounts  [12]atomic.Uint64
+	sizeCounts [7]atomic.Uint64
 
 	mu      sync.Mutex
 	conns   map[uint32]*ConnMetrics
 	streams map[uint32]*StreamMetrics
 	picks   map[string]*Counter
+	riders  []sample // series of other families that live in this block
 }
 
-// Session resolves the per-session handles for label value sess.
-func (f *Families) Session(sess string) *SessionMetrics {
-	return &SessionMetrics{
-		fams:              f,
-		sess:              sess,
-		ConnFailures:      f.connFailures.With(sess),
-		Failovers:         f.failovers.With(sess),
-		FailoverCascades:  f.failoverCascades.With(sess),
-		ReconnectAttempts: f.reconnAttempts.With(sess),
-		Reconnects:        f.reconnects.With(sess),
-		RecoveryFailures:  f.recoveryFailures.With(sess),
-		SchedInvalid:      f.schedInvalid.With(sess),
-		TraceEvents:       f.traceEvents.With(sess),
-		TraceDropped:      f.traceDropped.With(sess),
-		FlowctlLimits:     f.flowctlLimits.With(sess),
-		AckSolicits:       f.ackSolicits.With(sess),
-		AckRTT:            f.ackRTT.With(sess),
-		RecordSize:        f.recordSize.With(sess),
-		ReorderDepth:      f.reorderDepth.With(sess),
-		ReorderBytes:      f.reorderBytes.With(sess),
-		RetransmitBytes:   f.retransmitBytes.With(sess),
-		ConnsOpen:         f.connsOpen.With(sess),
-		StreamsOpen:       f.streamsOpen.With(sess),
-		conns:             make(map[uint32]*ConnMetrics),
-		streams:           make(map[uint32]*StreamMetrics),
-		picks:             make(map[string]*Counter),
+func newSessionMetrics() *SessionMetrics {
+	sm := &SessionMetrics{
+		conns:   make(map[uint32]*ConnMetrics),
+		streams: make(map[uint32]*StreamMetrics),
+		picks:   make(map[string]*Counter),
+	}
+	sm.AckRTT.bounds, sm.AckRTT.counts = RTTBuckets, sm.rttCounts[:len(RTTBuckets)+1]
+	sm.RecordSize.bounds, sm.RecordSize.counts = SizeBuckets, sm.sizeCounts[:len(SizeBuckets)+1]
+	return sm
+}
+
+// Session builds the block of one end of a session (role "client" or
+// "server") and attaches it to the registry; Detach takes it out again.
+func (f *Families) Session(sess, role string) *SessionMetrics {
+	sm := newSessionMetrics()
+	sm.fams, sm.sess, sm.role = f, sess, role
+	r := f.reg
+	r.mu.Lock()
+	r.attachSeq++
+	sm.seq = r.attachSeq
+	r.sessions[sm] = struct{}{}
+	r.mu.Unlock()
+	return sm
+}
+
+// Detach removes the block from the registry: its series leave /metrics,
+// the values stay readable. Safe on a nil receiver and idempotent.
+func (sm *SessionMetrics) Detach() {
+	if sm != nil {
+		r := sm.fams.reg
+		r.mu.Lock()
+		delete(r.sessions, sm)
+		r.mu.Unlock()
 	}
 }
 
-// ConnMetrics is one connection's pre-resolved counter set.
+// ConnMetrics is one connection's counter set, held by its session's
+// block.
 type ConnMetrics struct {
-	RecordsSent     *Counter
-	RecordsReceived *Counter
-	BytesSent       *Counter
-	BytesReceived   *Counter
-	Retransmits     *Counter
-	AcksSent        *Counter
-	AcksReceived    *Counter
-	DupRecords      *Counter
-	FailedDecrypts  *Counter
+	RecordsSent     Counter
+	RecordsReceived Counter
+	BytesSent       Counter
+	BytesReceived   Counter
+	Retransmits     Counter
+	AcksSent        Counter
+	AcksReceived    Counter
+	DupRecords      Counter
+	FailedDecrypts  Counter
 }
 
-// Conn resolves (once) the per-connection counters for connID. Safe on
-// a nil receiver (returns nil, and all ConnMetrics methods on nil
-// fields are no-ops).
+// StreamMetrics is one stream's counter set, held by its session's
+// block.
+type StreamMetrics struct {
+	BytesSent     Counter
+	BytesReceived Counter
+}
+
+// held returns m[key], one of sm's maps, adding a zero value on first
+// use.
+func held[K comparable, V any](sm *SessionMetrics, m map[K]*V, key K) *V {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	v, ok := m[key]
+	if !ok {
+		v = new(V)
+		m[key] = v
+	}
+	return v
+}
+
+// Conn returns the counters of connID, adding them to the block on
+// first use. Like Stream, safe on a nil receiver (returns nil).
 func (sm *SessionMetrics) Conn(connID uint32) *ConnMetrics {
 	if sm == nil {
 		return nil
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if cm, ok := sm.conns[connID]; ok {
-		return cm
-	}
-	id := strconv.FormatUint(uint64(connID), 10)
-	cm := &ConnMetrics{
-		RecordsSent:     sm.fams.recordsSent.With(sm.sess, id),
-		RecordsReceived: sm.fams.recordsReceived.With(sm.sess, id),
-		BytesSent:       sm.fams.bytesSent.With(sm.sess, id),
-		BytesReceived:   sm.fams.bytesReceived.With(sm.sess, id),
-		Retransmits:     sm.fams.retransmits.With(sm.sess, id),
-		AcksSent:        sm.fams.acksSent.With(sm.sess, id),
-		AcksReceived:    sm.fams.acksReceived.With(sm.sess, id),
-		DupRecords:      sm.fams.dupRecords.With(sm.sess, id),
-		FailedDecrypts:  sm.fams.failedDecrypts.With(sm.sess, id),
-	}
-	sm.conns[connID] = cm
-	return cm
+	return held(sm, sm.conns, connID)
 }
 
-// StreamMetrics is one stream's pre-resolved counter set.
-type StreamMetrics struct {
-	BytesSent     *Counter
-	BytesReceived *Counter
-}
-
-// Stream resolves (once) the per-stream counters for streamID.
+// Stream returns the counters of streamID, adding them to the block on
+// first use.
 func (sm *SessionMetrics) Stream(streamID uint32) *StreamMetrics {
 	if sm == nil {
 		return nil
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if stm, ok := sm.streams[streamID]; ok {
-		return stm
-	}
-	id := strconv.FormatUint(uint64(streamID), 10)
-	stm := &StreamMetrics{
-		BytesSent:     sm.fams.streamBytesSent.With(sm.sess, id),
-		BytesReceived: sm.fams.streamBytesReceived.With(sm.sess, id),
-	}
-	sm.streams[streamID] = stm
-	return stm
+	return held(sm, sm.streams, streamID)
 }
 
-// SchedPicks resolves (once) the pick counter for a scheduler policy.
+// SchedPicks returns the pick counter of a scheduler policy, adding it
+// to the block on first use.
 func (sm *SessionMetrics) SchedPicks(policy string) *Counter {
+	return held(sm, sm.picks, policy)
+}
+
+// Counter returns a new series of another family (v's schema, these
+// label values) that lives in the block and leaves /metrics with it: the
+// health monitor's per-session tcpls_health_* series. A nil block stands
+// for the process: the series is then v's permanent child.
+func (sm *SessionMetrics) Counter(v *CounterVec, values ...string) *Counter {
 	if sm == nil {
-		return nil
+		return v.With(values...)
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if c, ok := sm.picks[policy]; ok {
-		return c
-	}
-	c := sm.fams.schedPicks.With(sm.sess, policy)
-	sm.picks[policy] = c
+	c := new(Counter)
+	sm.addRider(v.f, values, c)
 	return c
 }
 
-// PickCounts snapshots the per-policy pick counters.
-func (sm *SessionMetrics) PickCounts() map[string]uint64 {
+// Gauge is Counter for a gauge family.
+func (sm *SessionMetrics) Gauge(v *GaugeVec, values ...string) *Gauge {
 	if sm == nil {
-		return nil
+		return v.With(values...)
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	out := make(map[string]uint64, len(sm.picks))
-	for policy, c := range sm.picks {
-		out[policy] = c.Load()
-	}
-	return out
+	g := new(Gauge)
+	sm.addRider(v.f, values, g)
+	return g
 }
 
-// ConnIDs returns the connection IDs with resolved counters, for
-// snapshot assembly.
-func (sm *SessionMetrics) ConnIDs() []uint32 {
-	if sm == nil {
-		return nil
+func (sm *SessionMetrics) addRider(f *family, values []string, metric any) {
+	f.perSession.Store(true)
+	sm.mu.Lock()
+	sm.riders = append(sm.riders, sample{f, values, metric})
+	sm.mu.Unlock()
+}
+
+// Held snapshots the connections and scheduler policies that have
+// counters, for Session.Metrics.
+func (sm *SessionMetrics) Held() (conns map[uint32]*ConnMetrics, picks map[string]*Counter) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	return maps.Clone(sm.conns), maps.Clone(sm.picks)
+}
+
+// appendSamples lists every series of the block in a stable order:
+// session level, connections and streams by ID, policies by name, then
+// the riders in the order they were added.
+func (sm *SessionMetrics) appendSamples(dst []sample) []sample {
+	fs := sm.fams
+	base := []string{sm.sess, sm.role}
+	labels := func(last string) []string { return append(base[:2:2], last) }
+	for i, d := range sessionSeries {
+		dst = append(dst, sample{fs.session[i], base, d.field(sm)})
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	out := make([]uint32, 0, len(sm.conns))
-	for id := range sm.conns {
-		out = append(out, id)
+	for _, id := range sortedKeys(sm.conns) {
+		lv := labels(strconv.FormatUint(uint64(id), 10))
+		for i, d := range connSeries {
+			dst = append(dst, sample{fs.conn[i], lv, d.field(sm.conns[id])})
+		}
 	}
-	return out
+	for _, id := range sortedKeys(sm.streams) {
+		lv := labels(strconv.FormatUint(uint64(id), 10))
+		for i, d := range streamSeries {
+			dst = append(dst, sample{fs.stream[i], lv, d.field(sm.streams[id])})
+		}
+	}
+	for _, policy := range sortedKeys(sm.picks) {
+		dst = append(dst, sample{fs.schedPicks, labels(policy), sm.picks[policy]})
+	}
+	return append(dst, sm.riders...)
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

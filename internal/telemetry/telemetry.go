@@ -7,9 +7,9 @@
 //
 // The package is deliberately dependency-free (internal/core imports it,
 // not the other way around). Hot-path updates are single atomic
-// operations on pre-resolved handles: label resolution — the only
-// allocating step — happens once, when a session, connection, or stream
-// is created, never per record.
+// operations on handles held by the caller: a session's live in one
+// block it owns (SessionMetrics), attached to the registry while the
+// session is, and label strings are only built when somebody scrapes.
 package telemetry
 
 import (
@@ -85,9 +85,9 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits
 }
 
-// NewHistogram builds a standalone histogram (registry-less use, e.g.
+// newHistogram builds a standalone histogram (registry-less use, e.g.
 // tests). bounds must be ascending.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),

@@ -47,7 +47,7 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
+	h := newHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -134,17 +134,20 @@ func TestFamiliesSharedAcrossSessions(t *testing.T) {
 	r := NewRegistry()
 	f1 := TCPLSFamilies(r)
 	f2 := TCPLSFamilies(r)
-	f1.Session("s1").Conn(0).RecordsSent.Add(3)
-	f2.Session("s2").Conn(0).RecordsSent.Add(4)
+	if f1 != f2 {
+		t.Fatal("family set resolved twice for one registry")
+	}
+	f1.Session("s1", "client").Conn(0).RecordsSent.Add(3)
+	f2.Session("s2", "client").Conn(0).RecordsSent.Add(4)
 	got := r.Gather()
-	if got[`tcpls_records_sent_total{sess="s1",conn="0"}`] != 3 {
+	if got[`tcpls_records_sent_total{sess="s1",role="client",conn="0"}`] != 3 {
 		t.Fatalf("s1 counter missing: %v", got)
 	}
-	if got[`tcpls_records_sent_total{sess="s2",conn="0"}`] != 4 {
+	if got[`tcpls_records_sent_total{sess="s2",role="client",conn="0"}`] != 4 {
 		t.Fatalf("s2 counter missing: %v", got)
 	}
 	// Handle resolution is cached per session.
-	sm := f1.Session("s3")
+	sm := f1.Session("s3", "server")
 	if sm.Conn(7) != sm.Conn(7) {
 		t.Fatal("Conn handles not cached")
 	}
@@ -156,10 +159,80 @@ func TestFamiliesSharedAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestSessionBlockLifetime pins the lifetime rule: a session is one
+// entry of the registry, its two ends count apart, its series (riders
+// of other families included) are on every read path while it is
+// attached and on none after Detach, and the block still reads then.
+func TestSessionBlockLifetime(t *testing.T) {
+	r := NewRegistry()
+	fams := TCPLSFamilies(r)
+	perm := r.GaugeVec("test_rider", "Rides in a block or stays.", "key")
+	perm.With("process").Set(5)
+	before := len(r.Gather())
+
+	cl := fams.Session("ab", "client")
+	sv := fams.Session("ab", "server")
+	cl.Failovers.Inc()
+	cl.Conn(1).BytesSent.Add(10)
+	cl.Stream(4).BytesReceived.Add(7)
+	cl.SchedPicks("rr").Add(2)
+	cl.AckRTT.Observe(0.002)
+	cl.Gauge(perm, "ab-client-1").Set(3)
+	sv.Failovers.Add(4)
+
+	got := r.Gather()
+	for series, want := range map[string]float64{
+		`tcpls_failovers_total{sess="ab",role="client"}`:                        1,
+		`tcpls_failovers_total{sess="ab",role="server"}`:                        4,
+		`tcpls_bytes_sent_total{sess="ab",role="client",conn="1"}`:              10,
+		`tcpls_stream_bytes_received_total{sess="ab",role="client",stream="4"}`: 7,
+		`tcpls_sched_picks_total{sess="ab",role="client",policy="rr"}`:          2,
+		`tcpls_ack_rtt_seconds{sess="ab",role="client"}_count`:                  1,
+		`test_rider{key="ab-client-1"}`:                                         3,
+		`test_rider{key="process"}`:                                             5,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
+	}
+	if sum, ok := r.SumValues("tcpls_failovers_total"); !ok || sum != 5 {
+		t.Errorf("SumValues over two attached ends = %v, %v; want 5", sum, ok)
+	}
+	if sum, _ := r.SumValues("test_rider"); sum != 8 {
+		t.Errorf("SumValues over a child and a rider = %v, want 8", sum)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`tcpls_failovers_total{sess="ab",role="client"} 1`,
+		`tcpls_ack_rtt_seconds_bucket{sess="ab",role="client",le="0.003"} 1`,
+		`test_rider{key="ab-client-1"} 3`,
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, buf.String())
+		}
+	}
+
+	cl.Detach()
+	sv.Detach()
+	cl.Detach() // idempotent
+	if after := r.Gather(); len(after) != before {
+		t.Fatalf("registry holds %d series after Detach, %d before the sessions: %v", len(after), before, after)
+	}
+	if sum, _ := r.SumValues("tcpls_failovers_total"); sum != 0 {
+		t.Errorf("SumValues still sees a detached session: %v", sum)
+	}
+	if cl.Failovers.Load() != 1 || cl.Conn(1).BytesSent.Load() != 10 {
+		t.Error("a detached block lost its values")
+	}
+}
+
 func TestCounterHotPathAllocs(t *testing.T) {
 	c := new(Counter)
 	g := new(Gauge)
-	h := NewHistogram(RTTBuckets)
+	h := newHistogram(RTTBuckets)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(4096)
@@ -292,7 +365,7 @@ func TestSinkSampling(t *testing.T) {
 func TestSinkStalledWriterDrops(t *testing.T) {
 	r := NewRegistry()
 	fams := TCPLSFamilies(r)
-	sm := fams.Session("de")
+	sm := fams.Session("de", "client")
 
 	release := make(chan struct{})
 	stalled := writerFunc(func(p []byte) (int, error) {
@@ -301,8 +374,8 @@ func TestSinkStalledWriterDrops(t *testing.T) {
 	})
 	s := NewSink(stalled, SinkOptions{
 		Capacity: 8,
-		Events:   sm.TraceEvents,
-		Dropped:  sm.TraceDropped,
+		Events:   &sm.TraceEvents,
+		Dropped:  &sm.TraceDropped,
 	})
 	defer close(release)
 
@@ -333,7 +406,7 @@ func TestSinkStalledWriterDrops(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `tcpls_trace_dropped_total{sess="de"} `+
+	if !strings.Contains(buf.String(), `tcpls_trace_dropped_total{sess="de",role="client"} `+
 		fmt.Sprint(s.Dropped())) {
 		t.Fatalf("exposition missing drop counter:\n%s", buf.String())
 	}

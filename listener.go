@@ -200,6 +200,13 @@ func (l *Listener) ValidateJoin(id SessID, cookie Cookie) bool {
 	return valid
 }
 
+// forgetSession drops a session's entry, cookies and all.
+func (l *Listener) forgetSession(id SessID) {
+	l.mu.Lock()
+	delete(l.sessions, id)
+	l.mu.Unlock()
+}
+
 // noteSessionTrace stamps a listener-level mark (cookie_consumed,
 // join_rejected) onto a session's trace timeline, when the session
 // object already exists.
@@ -276,6 +283,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 	// consulted.
 	var ticketOffered, ticketReissue, earlyGated bool
 	var ticketIssued time.Time
+	var issued *SessID // set once OnSessionIssued has put an entry in l.sessions
 	hcfg := &handshake.Config{
 		Suites:         l.cfg.Suites,
 		Certificate:    l.cfg.Certificate,
@@ -318,6 +326,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 			l.mu.Lock()
 			l.sessions[id] = ss
 			l.mu.Unlock()
+			issued = &id
 		},
 	}
 	tr := handshake.NewTransport(nc)
@@ -326,6 +335,11 @@ func (l *Listener) handleConn(nc net.Conn) {
 		release()
 	}
 	if closed := l.untrackHandshake(nc); err != nil || closed {
+		// The handshake died after its cookie state was minted: no
+		// session will ever own the entry, so it goes here.
+		if issued != nil {
+			l.forgetSession(*issued)
+		}
 		nc.Close()
 		return
 	}
@@ -370,9 +384,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 			// Shed: drop the cookie state minted during the handshake so
 			// the rejected client cannot join its way back in.
 			if res.TCPLSEnabled {
-				l.mu.Lock()
-				delete(l.sessions, res.SessID)
-				l.mu.Unlock()
+				l.forgetSession(res.SessID)
 			}
 			nc.Close()
 			return
@@ -439,11 +451,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 		l.mu.Unlock()
 		// The entry only serves joins to a live session: when the session
 		// ends (it may already have) it goes, cookies and all.
-		forget := func() {
-			l.mu.Lock()
-			delete(l.sessions, res.SessID)
-			l.mu.Unlock()
-		}
+		forget := func() { l.forgetSession(res.SessID) }
 		sess.mu.Lock()
 		if sess.doneHook = forget; sess.closed {
 			forget()

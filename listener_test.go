@@ -2,8 +2,11 @@ package tcpls
 
 import (
 	"io"
+	"net"
 	"testing"
 	"time"
+
+	"tcpls/internal/handshake"
 )
 
 // TestListenerForgetsClosedSessions: the listener's session table holds
@@ -48,5 +51,55 @@ func TestListenerForgetsClosedSessions(t *testing.T) {
 	}
 	if ln.ValidateJoin(id, cookie) {
 		t.Fatal("join with a closed session's unused cookie was accepted")
+	}
+}
+
+// abortAfterServerHello is a client transport that reads the
+// ServerHello and then hangs up.
+type abortAfterServerHello struct {
+	*handshake.Transport
+	nc    net.Conn
+	reads int
+}
+
+func (a *abortAfterServerHello) ReadMessage() ([]byte, error) {
+	if a.reads++; a.reads > 1 {
+		a.nc.Close()
+		return nil, io.ErrUnexpectedEOF
+	}
+	return a.Transport.ReadMessage()
+}
+
+// TestListenerForgetsAbortedHandshake: the server mints a session's
+// cookie state (OnSessionIssued) while it writes its first flight, so a
+// client that hangs up after the ServerHello used to leave that entry in
+// the listener's table for the listener's lifetime.
+func TestListenerForgetsAbortedHandshake(t *testing.T) {
+	ln := startServer(t, &Config{}, echoHandler)
+	for i := 0; i < 20; i++ {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &abortAfterServerHello{Transport: handshake.NewTransport(nc), nc: nc}
+		if _, err := handshake.Client(tr, &handshake.Config{ServerName: "test.server", EnableTCPLS: true}); err == nil {
+			t.Fatal("aborted handshake completed")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ln.mu.Lock()
+		inFlight, entries := len(ln.hsConns), len(ln.sessions)
+		ln.mu.Unlock()
+		if inFlight == 0 {
+			if entries != 0 {
+				t.Fatalf("%d entries left by 20 handshakes that never finished", entries)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d handshakes still in flight", inFlight)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -105,12 +105,11 @@ type Session struct {
 	traceFn  func(core.TraceEvent)
 	debugKey string
 
-	// Continuous self-diagnosis (health.go): the session's monitor on
-	// the shared health engine, its registry key, the engine interval
-	// it holds a reference on, and the reused per-tick sampling buffer.
+	// Continuous self-diagnosis (health.go): the session's monitor, the
+	// shared engine it is registered on under debugKey, and the reused
+	// per-tick sampling buffer.
 	healthMon   *health.Monitor
-	healthKey   string
-	healthIv    time.Duration
+	healthEng   *health.Engine
 	healthConns []core.ConnHealth
 }
 

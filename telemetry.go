@@ -1,14 +1,17 @@
 package tcpls
 
 import (
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/health"
 	"tcpls/internal/telemetry"
 )
 
@@ -141,7 +144,11 @@ func (s *Session) Metrics() MetricsSnapshot {
 	snap.ReconnectAttempts = tel.ReconnectAttempts.Load()
 	snap.Reconnects = tel.Reconnects.Load()
 	snap.RecoveryFailures = tel.RecoveryFailures.Load()
-	snap.SchedPicks = tel.PickCounts()
+	conns, picks := tel.Held()
+	snap.SchedPicks = make(map[string]uint64, len(picks))
+	for policy, c := range picks {
+		snap.SchedPicks[policy] = c.Load()
+	}
 	snap.SchedInvalid = tel.SchedInvalid.Load()
 	snap.TraceEvents = tel.TraceEvents.Load()
 	snap.TraceDropped = tel.TraceDropped.Load()
@@ -152,10 +159,8 @@ func (s *Session) Metrics() MetricsSnapshot {
 	snap.ReorderHeapDepth = int(tel.ReorderDepth.Load())
 	snap.ConnsOpen = int(tel.ConnsOpen.Load())
 	snap.StreamsOpen = int(tel.StreamsOpen.Load())
-	ids := tel.ConnIDs()
-	snap.Conns = make(map[uint32]ConnMetricsSnapshot, len(ids))
-	for _, id := range ids {
-		cm := tel.Conn(id)
+	snap.Conns = make(map[uint32]ConnMetricsSnapshot, len(conns))
+	for id, cm := range conns {
 		snap.Conns[id] = ConnMetricsSnapshot{
 			RecordsSent:     cm.RecordsSent.Load(),
 			RecordsReceived: cm.RecordsReceived.Load(),
@@ -244,25 +249,33 @@ func releaseTelemetryServer(addr string) {
 // enough to tell sessions apart on a dashboard without exploding
 // cardinality.
 func sessLabel(id SessID) string {
-	return fmt.Sprintf("%x", id[:4])
+	return hex.EncodeToString(id[:4])
 }
 
-// debugSeq disambiguates /debug/tcpls keys: the client and server ends
-// of one TCPLS session share a sessLabel, and labels can recur across a
+// debugSeq disambiguates /debug/tcpls keys: labels can recur across a
 // process lifetime.
 var debugSeq atomic.Uint64
 
-// initTelemetry wires the session's metric handles (shared process-wide
-// registry, labelled per session), starts the always-on flight recorder,
-// registers the /debug/tcpls state provider, and acquires the HTTP
-// endpoint if one is configured. Called from newSession before the
-// engine sees traffic (no lock needed yet).
+// healthFams is the tcpls_health_* family set on the process-wide
+// registry, resolved once like TCPLSFamilies.
+var healthFams = health.NewFamilies(telemetry.Default())
+
+// initTelemetry attaches the session's metrics block to the process-wide
+// registry (its one entry there, labelled sess and role: the two ends of
+// a session share a sessLabel and count apart), starts the always-on
+// flight recorder, registers the /debug/tcpls state provider, and
+// acquires the HTTP endpoint if one is configured; closeTelemetryLocked
+// gives all of it back. Called from newSession before the engine sees
+// traffic (no lock needed yet).
 func (s *Session) initTelemetry() {
 	if s.cfg.Telemetry.Disabled {
 		return
 	}
-	fams := telemetry.TCPLSFamilies(telemetry.Default())
-	s.tel = fams.Session(sessLabel(s.sessID))
+	label, role := sessLabel(s.sessID), "server"
+	if s.isClient {
+		role = "client"
+	}
+	s.tel = telemetry.TCPLSFamilies(telemetry.Default()).Session(label, role)
 	s.engine.SetTelemetry(s.tel)
 	if s.cfg.Telemetry.FlightCapacity >= 0 {
 		s.flight = telemetry.NewFlight(s.cfg.Telemetry.FlightCapacity)
@@ -271,11 +284,7 @@ func (s *Session) initTelemetry() {
 		s.engine.SetWriteStamping(true)
 		s.refreshTracerLocked()
 	}
-	role := "server"
-	if s.isClient {
-		role = "client"
-	}
-	s.debugKey = fmt.Sprintf("%s-%s-%d", sessLabel(s.sessID), role, debugSeq.Add(1))
+	s.debugKey = label + "-" + role + "-" + strconv.FormatUint(debugSeq.Add(1), 10)
 	telemetry.RegisterDebug(s.debugKey, s.debugState)
 	if addr := s.cfg.Telemetry.Addr; addr != "" {
 		if err := acquireTelemetryServer(addr); err == nil {
@@ -285,12 +294,14 @@ func (s *Session) initTelemetry() {
 	s.initHealth()
 }
 
-// closeTelemetryLocked releases the session's trace sink, debug
-// registration, and HTTP endpoint reference. Idempotent; called from
-// every teardown path. The flight recorder stays readable after close —
-// DumpFlight on a dead session is the whole point.
+// closeTelemetryLocked detaches the session's metrics block and releases
+// its trace sink, debug registration, and HTTP endpoint reference: the
+// process-wide registries then hold nothing of the session. Idempotent;
+// called from every teardown path. The block and the flight recorder
+// stay readable — Metrics and DumpFlight on a dead session are the point.
 func (s *Session) closeTelemetryLocked() {
 	s.closeHealthLocked()
+	s.tel.Detach()
 	if sink := s.traceSink; sink != nil {
 		s.traceSink = nil
 		// Close flushes; do it off the lock path budget — the sink's

@@ -2,9 +2,11 @@ package tcpls
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -124,7 +126,7 @@ func TestTelemetryMetricsMatchEventsDuringFailover(t *testing.T) {
 	if snap.Failovers != uint64(failovers) || snap.Failovers == 0 {
 		t.Fatalf("snapshot failovers = %d, events saw %d", snap.Failovers, failovers)
 	}
-	if snap.ConnFailures < uint64(downs) || snap.ConnFailures == 0 {
+	if snap.ConnFailures != uint64(downs) || snap.ConnFailures == 0 {
 		t.Fatalf("snapshot conn failures = %d, events saw %d", snap.ConnFailures, downs)
 	}
 	if snap.Stats.RecordsSent == 0 || snap.ConnsOpen != 1 {
@@ -133,16 +135,16 @@ func TestTelemetryMetricsMatchEventsDuringFailover(t *testing.T) {
 
 	label := sessLabel(sess.ID())
 	body := scrapeMetrics(t, telAddr)
-	if got := metricValue(body, fmt.Sprintf("tcpls_failovers_total{sess=%q}", label)); got != snap.Failovers {
+	if got := metricValue(body, fmt.Sprintf("tcpls_failovers_total{sess=%q,role=\"client\"}", label)); got != snap.Failovers {
 		t.Fatalf("/metrics failovers = %d, snapshot %d\n%s", got, snap.Failovers, body)
 	}
-	if got := metricValue(body, fmt.Sprintf("tcpls_conn_failures_total{sess=%q}", label)); got != snap.ConnFailures {
+	if got := metricValue(body, fmt.Sprintf("tcpls_conn_failures_total{sess=%q,role=\"client\"}", label)); got != snap.ConnFailures {
 		t.Fatalf("/metrics conn failures = %d, snapshot %d", got, snap.ConnFailures)
 	}
-	if got := metricValue(body, fmt.Sprintf("tcpls_retransmits_total{sess=%q,conn=\"1\"}", label)); got == 0 {
+	if got := metricValue(body, fmt.Sprintf("tcpls_retransmits_total{sess=%q,role=\"client\",conn=\"1\"}", label)); got == 0 {
 		t.Fatal("/metrics shows no retransmits on the failover target")
 	}
-	if !strings.Contains(body, fmt.Sprintf("tcpls_records_sent_total{sess=%q,conn=\"0\"}", label)) {
+	if !strings.Contains(body, fmt.Sprintf("tcpls_records_sent_total{sess=%q,role=\"client\",conn=\"0\"}", label)) {
 		t.Fatalf("/metrics missing per-conn records counter:\n%s", body)
 	}
 
@@ -350,4 +352,157 @@ func TestTraceJSONThroughSink(t *testing.T) {
 		t.Fatalf("healthy sink dropped %d events", snap.TraceDropped)
 	}
 	pw.Close()
+}
+
+// TestTelemetryEndsCountApart: the two ends of one session share a
+// sessLabel, and in one process they used to share the counters behind
+// it, so Metrics() on one end included what the other end did. Each end
+// owns its block now: against an in-process server that sends as much
+// as it receives, the client's per-connection counters equal its own
+// engine's Stats, and /metrics carries one series per end.
+func TestTelemetryEndsCountApart(t *testing.T) {
+	ln := startServer(t, &Config{}, echoHandler)
+	sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	st, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 64<<10)
+	for i := 0; i < 4; i++ {
+		if _, err := st.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(st, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := sess.Metrics()
+	c0 := snap.Conns[0]
+	if c0.RecordsSent != snap.Stats.RecordsSent || c0.RecordsReceived != snap.Stats.RecordsReceived ||
+		c0.BytesSent != snap.Stats.BytesSent || c0.BytesReceived != snap.Stats.BytesReceived {
+		t.Fatalf("client conn 0 counters %+v include the server's end; the client's engine says %+v", c0, snap.Stats)
+	}
+	got := telemetry.Default().Gather()
+	for _, role := range []string{"client", "server"} {
+		series := fmt.Sprintf("tcpls_records_sent_total{sess=%q,role=%q,conn=\"0\"}", sessLabel(sess.ID()), role)
+		if got[series] == 0 {
+			t.Errorf("registry lacks %s", series)
+		}
+	}
+}
+
+// observabilityHoldings counts what the process-wide observability
+// registries hold: metric series, /debug/tcpls and /debug/tcpls/health
+// sources, process-monitor references, and goroutines (a health engine
+// with a monitor still registered keeps its poller running).
+type observabilityHoldings struct {
+	series, debug, health, procRefs, goroutines int
+}
+
+// within reports whether h holds no more than limit of anything.
+func (h observabilityHoldings) within(limit observabilityHoldings) bool {
+	return h.series <= limit.series && h.debug <= limit.debug && h.health <= limit.health &&
+		h.procRefs <= limit.procRefs && h.goroutines <= limit.goroutines
+}
+
+func countObservability(t *testing.T) observabilityHoldings {
+	t.Helper()
+	sources := func(h http.Handler, field string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		var page map[string]map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatal(err)
+		}
+		return len(page[field])
+	}
+	h := observabilityHoldings{
+		debug:      sources(telemetry.DebugHandler(), "sessions"),
+		health:     sources(telemetry.HealthHandler(), "health"),
+		goroutines: runtime.NumGoroutine(),
+	}
+	// Read last: a closing session detaches its block before it leaves
+	// the debug page, so no source means no block either.
+	h.series = len(telemetry.Default().Gather())
+	procHealthMu.Lock()
+	h.procRefs = procHealthRefs
+	procHealthMu.Unlock()
+	return h
+}
+
+// TestTelemetrySessionChurnLeavesNothing is the leak gate for the
+// lifetime rule (DESIGN §9): 2 000 Dial → 1 KiB echo → Close cycles at
+// the default Config, after which the process-wide registries, the
+// health engines and the goroutine count are back where they started
+// and the heap is within a few MB of it. One session used to leave ~50
+// registry children behind for good.
+func TestTelemetrySessionChurnLeavesNothing(t *testing.T) {
+	ln := startServer(t, &Config{}, echoHandler)
+	msg := make([]byte, 1<<10)
+	cycle := func() {
+		sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		st, err := sess.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(st, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// settled waits for the server ends of closed sessions to wind down:
+	// until the process holds no more than limit (what sessions of
+	// earlier tests still held at the baseline may go meanwhile).
+	settled := func(limit observabilityHoldings, wait time.Duration) observabilityHoldings {
+		deadline := time.Now().Add(wait)
+		for {
+			got := countObservability(t)
+			if got.within(limit) || time.Now().After(deadline) {
+				return got
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	// The process monitor's own series are permanent and appear with its
+	// first tick; resolve them, and warm pools and caches, before the
+	// baseline.
+	healthFams.Entity("process", nil)
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	base := settled(observabilityHoldings{series: 1 << 30, goroutines: 1 << 30}, time.Second)
+	baseHeap := heapInuse()
+
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	base.goroutines += 2 // checkGoroutines' tolerance
+	if after := settled(base, 5*time.Second); !after.within(base) {
+		t.Errorf("2000 sessions later the process holds %+v, before them %+v", after, base)
+	}
+	const slack = 4 << 20
+	heap := heapInuse()
+	t.Logf("HeapInuse %d -> %d KiB over 2000 sessions", baseHeap>>10, heap>>10)
+	if heap > baseHeap+slack {
+		t.Errorf("HeapInuse grew %d KiB over 2000 sessions (%d -> %d KiB), bound %d KiB",
+			(heap-baseHeap)>>10, baseHeap>>10, heap>>10, slack>>10)
+	}
 }

@@ -36,8 +36,8 @@ func (s *Session) TraceJSON(w io.Writer) {
 		var events, dropped *telemetry.Counter
 		s.mu.Lock()
 		if s.tel != nil {
-			events = s.tel.TraceEvents
-			dropped = s.tel.TraceDropped
+			events = &s.tel.TraceEvents
+			dropped = &s.tel.TraceDropped
 		}
 		s.mu.Unlock()
 		// The sink spawns its writer goroutine; build it off the lock.
