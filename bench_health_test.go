@@ -16,9 +16,11 @@ import (
 	"tcpls"
 )
 
-// benchHealthTransfer is benchTelemetryTransfer with telemetry pinned
-// on (the diagnosis engine samples through it) and the health config
-// under test.
+const telemetryBenchBytes = 8 << 20
+
+// benchHealthTransfer pushes telemetryBenchBytes per iteration through
+// a real loopback session with telemetry on (the diagnosis engine
+// samples through it) and the health config under test.
 func benchHealthTransfer(b *testing.B, hc tcpls.HealthConfig) {
 	cert, err := tcpls.NewCertificate("bench.tcpls")
 	if err != nil {

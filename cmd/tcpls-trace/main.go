@@ -1,5 +1,5 @@
 // Command tcpls-trace analyzes TCPLS qlog traces: live TraceJSON
-// output, flight-recorder dumps, or the legacy flat schema.
+// output, flight-recorder dumps and fleet artifacts.
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 // durations (conn_failed to the first record on a surviving path),
 // record-lifecycle span percentiles, and reorder-depth percentiles.
 // With -check it exits 1 when the trace is malformed or violates
-// invariants (inverted span legs, unclosed or over-budget failover
-// gaps) — the chaos-test assertion mode.
+// invariants (negative timestamps, inverted span legs, unclosed or
+// over-budget failover gaps) — the chaos-test assertion mode.
 package main
 
 import (

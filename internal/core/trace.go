@@ -1,51 +1,26 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"tcpls/internal/telemetry"
+)
 
 // TraceEvent is one protocol-level occurrence for offline analysis — the
 // moral equivalent of the paper artifact's QLOG/QVIS support: every
 // record sent and received, every acknowledgment, and every failover
 // action, with enough identifiers to reconstruct per-stream timelines.
-type TraceEvent struct {
-	Time time.Time
-	Name string // record_sent, record_received, ack_sent, ack_received,
-	// dup_dropped, stream_attached, stream_fin, conn_failed, conn_added,
-	// failover_started, sync_sent, sync_received, retransmit, ctl_sent,
-	// ctl_received (Seq = frame type; every decrypted record is exactly
-	// one of record_received, dup_dropped, or ctl_received, so a trace
-	// reconstructs per-conn records-received counters).
-	// Scheduling events: sched_pick (Conn/Stream carried the record,
-	// Seq = aggregation sequence, Bytes = payload), sched_invalid
-	// (scheduler returned an out-of-range index; Seq = aggregation
-	// sequence, Bytes = the bad index), path_metrics (Seq = fused SRTT
-	// in microseconds, Bytes = delivery rate in bytes/s),
-	// reorder_depth (Seq = out-of-order records held by the coupled
-	// reorder heap, Bytes = records just delivered in order).
-	// Flow-control events: flowctl_limit (a configured bound tripped;
-	// Seq = which one, see the flowctl* codes, Bytes = bytes held at
-	// the trip), ack_solicited (retransmit budget pressure sent an
-	// AckRequest; Seq = peer-acked watermark, Bytes = retransmit-buffer
-	// bytes), ack_requested (the peer's solicitation arrived; Seq =
-	// next receive sequence).
-	// Lifecycle events: record_span (below).
-	Conn   uint32
-	Stream uint32
-	Seq    uint64
-	Bytes  int
+// The event names, what Seq and Bytes carry for each, and the span
+// fields of record_span are listed in DESIGN.md §10.
+type TraceEvent = telemetry.Event
 
-	// Record-lifecycle span fields, populated only for record_span
-	// events (one per acknowledged data record when failover is
-	// enabled): the four timestamps of the record's life — application
-	// enqueue, AEAD seal, socket write, and acknowledgment receipt —
-	// plus provenance across failover. Conn above is the connection the
-	// record was last (successfully) carried on; OrigConn is where it
-	// was first sealed; Retx counts failover replays of this record.
-	EnqueuedAt time.Time
-	SealedAt   time.Time
-	WrittenAt  time.Time
-	AckedAt    time.Time
-	OrigConn   uint32
-	Retx       int
+// traceUS is the one place a clock reading becomes a trace timestamp:
+// Unix microseconds, the zero time (a span leg never stamped) staying 0.
+func traceUS(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixMicro()
 }
 
 // flowctl_limit trace codes (the event's Seq field): which configured
@@ -96,7 +71,7 @@ func (s *Session) trace(name string, conn, stream uint32, seq uint64, bytes int)
 		return
 	}
 	s.tracer(TraceEvent{
-		Time:   s.lastNow,
+		TimeUS: traceUS(s.lastNow),
 		Name:   name,
 		Conn:   conn,
 		Stream: stream,
@@ -105,23 +80,26 @@ func (s *Session) trace(name string, conn, stream uint32, seq uint64, bytes int)
 	})
 }
 
-// traceSpan emits the span-complete event for one acknowledged record.
+// traceSpan emits the span-complete event for one acknowledged record:
+// Conn is the connection it was last carried on, OrigConn where it was
+// first sealed, Retx its failover replays.
 func (s *Session) traceSpan(conn, stream uint32, r *sentRecord) {
 	if s.tracer == nil {
 		return
 	}
+	now := traceUS(s.lastNow)
 	s.tracer(TraceEvent{
-		Time:       s.lastNow,
-		Name:       "record_span",
-		Conn:       conn,
-		Stream:     stream,
-		Seq:        r.seq,
-		Bytes:      len(r.payload),
-		EnqueuedAt: r.enqAt,
-		SealedAt:   r.sentAt,
-		WrittenAt:  r.writtenAt,
-		AckedAt:    s.lastNow,
-		OrigConn:   r.origConn,
-		Retx:       int(r.retxCount),
+		TimeUS:    now,
+		Name:      "record_span",
+		Conn:      conn,
+		Stream:    stream,
+		Seq:       r.seq,
+		Bytes:     len(r.payload),
+		EnqUS:     traceUS(r.enqAt),
+		SealedUS:  traceUS(r.sentAt),
+		WrittenUS: traceUS(r.writtenAt),
+		AckedUS:   now,
+		OrigConn:  r.origConn,
+		Retx:      int32(r.retxCount),
 	})
 }

@@ -3,8 +3,6 @@ package fleet
 import (
 	"io"
 
-	"tcpls/internal/core"
-	"tcpls/internal/qlog"
 	"tcpls/internal/telemetry"
 )
 
@@ -20,37 +18,6 @@ func RunTraced(sc Scenario, session int, w io.Writer) (*Result, error) {
 	if session < 0 || session >= sc.Sessions {
 		session = 0
 	}
-	res, raw := run(sc, session)
-	events := make([]qlog.Event, 0, len(raw))
-	for i := range raw {
-		events = append(events, toQlogEvent(&raw[i]))
-	}
-	if err := qlog.WriteTrace(w, events); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// toQlogEvent converts one engine trace event to the qlog schema the
-// telemetry sink writes: virtual time (anchored at the Unix epoch)
-// becomes time_us, the event name maps to its sink category.
-func toQlogEvent(ev *core.TraceEvent) qlog.Event {
-	out := qlog.Event{
-		TimeUS:   ev.Time.UnixMicro(),
-		Category: telemetry.Category(ev.Name),
-		Type:     ev.Name,
-		Conn:     ev.Conn,
-		Stream:   ev.Stream,
-		Seq:      ev.Seq,
-		Bytes:    ev.Bytes,
-	}
-	if ev.Name == "record_span" {
-		out.EnqUS = ev.EnqueuedAt.UnixMicro()
-		out.SealedUS = ev.SealedAt.UnixMicro()
-		out.WrittenUS = ev.WrittenAt.UnixMicro()
-		out.AckedUS = ev.AckedAt.UnixMicro()
-		out.OrigConn = ev.OrigConn
-		out.Retx = ev.Retx
-	}
-	return out
+	res, events := run(sc, session)
+	return res, telemetry.WriteEvents(w, events)
 }

@@ -308,13 +308,31 @@ func TestFleetArtifactAnalyzable(t *testing.T) {
 	if rep == nil {
 		t.Fatal("analyzer returned nothing")
 	}
-	sent := 0
+	sent, spans := 0, 0
 	for _, ev := range events {
-		if ev.Type == "record_sent" {
+		switch ev.Name {
+		case "record_sent":
 			sent++
+		case "record_span":
+			spans++
+			// The sim never reports socket writes, so that leg is "not
+			// stamped" (0); no leg may be a converted zero time.
+			if ev.EnqUS < 0 || ev.SealedUS < 0 || ev.WrittenUS != 0 || ev.AckedUS < 0 {
+				t.Fatalf("line %d: span legs enq %d sealed %d written %d acked %d",
+					ev.Line, ev.EnqUS, ev.SealedUS, ev.WrittenUS, ev.AckedUS)
+			}
 		}
 	}
 	if sent == 0 {
 		t.Fatal("artifact carries no record_sent events — wrong endpoint captured?")
+	}
+	if spans == 0 {
+		t.Fatal("artifact carries no record_span events")
+	}
+	// Negative timestamps are what tcpls-trace -check now refuses.
+	for _, v := range rep.Violations {
+		if strings.Contains(v, "negative") {
+			t.Fatalf("artifact fails -check: %s", v)
+		}
 	}
 }

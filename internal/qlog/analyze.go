@@ -218,6 +218,10 @@ func Analyze(events []Event, opts Options) *Report {
 
 	for i := range events {
 		ev := &events[i]
+		if ev.TimeUS < 0 {
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"line %d: negative time_us %d", ev.Line, ev.TimeUS))
+		}
 		if ev.TimeUS != 0 {
 			if rep.StartUS == 0 || ev.TimeUS < rep.StartUS {
 				rep.StartUS = ev.TimeUS
@@ -226,7 +230,7 @@ func Analyze(events []Event, opts Options) *Report {
 				rep.EndUS = ev.TimeUS
 			}
 		}
-		switch ev.Type {
+		switch ev.Name {
 		case "record_sent":
 			pc := path(ev.Conn)
 			pc.RecordsSent++
@@ -303,9 +307,19 @@ func Analyze(events []Event, opts Options) *Report {
 			if ev.Retx > 0 {
 				rep.Spans.RetxSpans++
 			}
+			for _, leg := range [...]struct {
+				key string
+				us  int64
+			}{{"enq_us", ev.EnqUS}, {"sealed_us", ev.SealedUS},
+				{"written_us", ev.WrittenUS}, {"acked_us", ev.AckedUS}} {
+				if leg.us < 0 {
+					rep.Violations = append(rep.Violations, fmt.Sprintf(
+						"line %d: span %s is negative (%d)", ev.Line, leg.key, leg.us))
+				}
+			}
 			if d, ok := legDelta(ev.EnqUS, ev.SealedUS); ok {
 				queueDs = append(queueDs, d)
-			} else if !ok && ev.EnqUS > 0 && ev.SealedUS > 0 {
+			} else if ev.EnqUS > 0 && ev.SealedUS > 0 {
 				rep.Violations = append(rep.Violations, fmt.Sprintf(
 					"line %d: span enq_us %d after sealed_us %d", ev.Line, ev.EnqUS, ev.SealedUS))
 			}
@@ -328,11 +342,11 @@ func Analyze(events []Event, opts Options) *Report {
 			// Health verdict transitions ride the same stream under
 			// their kind name; they touch no path counters, so -check
 			// reconciliation stays exact with them interleaved.
-			if _, ok := health.KindFromString(ev.Type); ok {
+			if _, ok := health.KindFromString(ev.Name); ok {
 				rep.Health.Events++
 				rep.Health.Timeline = append(rep.Health.Timeline, HealthMark{
 					TimeUS: ev.TimeUS,
-					Kind:   ev.Type,
+					Kind:   ev.Name,
 					Raised: ev.Seq == 1,
 					Conn:   ev.Conn,
 					Value:  ev.Bytes,
@@ -420,7 +434,8 @@ func closeGap(gaps []FailoverGap, open *int, ev *Event, rep *Report) {
 }
 
 // legDelta returns the duration between two stamped span legs; ok is
-// false when either leg is unstamped or the order is inverted.
+// false when either leg is unstamped (0) or invalid (negative, flagged
+// by the caller) or the order is inverted.
 func legDelta(from, to int64) (int64, bool) {
 	if from <= 0 || to <= 0 || to < from {
 		return 0, false

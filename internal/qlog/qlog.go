@@ -1,99 +1,40 @@
-// Package qlog parses and analyzes TCPLS trace output: the qlog-lines
-// NDJSON written by Session.TraceJSON, the legacy flat schema
-// (SinkOptions.Flat), and flight-recorder dumps (Session.DumpFlight),
-// which share the qlog framing. The analyzer reconstructs per-path
-// goodput and RTT timeseries, failover gap durations, and reorder-depth
-// percentiles from the event stream — the offline half of the paper's
-// observability story.
+// Package qlog parses and analyzes TCPLS traces: the qlog lines written
+// by Session.TraceJSON, by flight-recorder dumps (Session.DumpFlight)
+// and by the fleet's failing-seed artifacts, all one schema (DESIGN.md
+// §10). The analyzer reconstructs per-path goodput and RTT timeseries,
+// failover gap durations, and reorder-depth percentiles from the event
+// stream — the offline half of the paper's observability story.
 package qlog
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
+
+	"tcpls/internal/telemetry"
 )
 
-// Event is one parsed trace event, normalized across the qlog-framed
-// and flat schemas.
+// Event is one parsed trace event: the event as it was written, plus
+// where in the input it stood.
 type Event struct {
-	TimeUS   int64
-	Category string // derived for flat input
-	Type     string
-	Conn     uint32
-	Stream   uint32
-	Seq      uint64
-	Bytes    int
-
-	// Record-lifecycle span legs (record_span only); 0 = not stamped.
-	EnqUS     int64
-	SealedUS  int64
-	WrittenUS int64
-	AckedUS   int64
-	OrigConn  uint32
-	Retx      int
-
+	telemetry.Event
 	Line int // 1-based source line, for diagnostics
 }
 
 // header mirrors the qlog NDJSON header line.
 type header struct {
 	QlogVersion string `json:"qlog_version"`
-	QlogFormat  string `json:"qlog_format"`
-	Title       string `json:"title"`
 }
 
-// wireEvent is the union of both serialized schemas. Qlog framing puts
-// identifiers under "data"; the flat schema puts them at the top level
-// with "name" instead of "type".
-type wireEvent struct {
-	TimeUS   int64  `json:"time_us"`
-	Category string `json:"category"`
-	Type     string `json:"type"`
-	Name     string `json:"name"`
-	Data     *wireData
-	wireData // flat schema: fields inline
-}
-
-type wireData struct {
-	Conn      uint32 `json:"conn"`
-	Stream    uint32 `json:"stream"`
-	Seq       uint64 `json:"seq"`
-	Bytes     int    `json:"bytes"`
-	EnqUS     int64  `json:"enq_us"`
-	SealedUS  int64  `json:"sealed_us"`
-	WrittenUS int64  `json:"written_us"`
-	AckedUS   int64  `json:"acked_us"`
-	OrigConn  uint32 `json:"orig_conn"`
-	Retx      int    `json:"retx"`
-}
-
-// UnmarshalJSON decodes either schema: a first pass for the shared
-// top-level fields, a second for the nested data object when present.
-func (w *wireEvent) UnmarshalJSON(b []byte) error {
-	var top struct {
-		TimeUS   int64           `json:"time_us"`
-		Category string          `json:"category"`
-		Type     string          `json:"type"`
-		Name     string          `json:"name"`
-		Data     json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(b, &top); err != nil {
-		return err
-	}
-	w.TimeUS = top.TimeUS
-	w.Category = top.Category
-	w.Type = top.Type
-	w.Name = top.Name
-	if len(top.Data) > 0 {
-		w.Data = new(wireData)
-		if err := json.Unmarshal(top.Data, w.Data); err != nil {
-			return err
-		}
-		return nil
-	}
-	return json.Unmarshal(b, &w.wireData)
+// envelope is the top level of one event line; data decodes straight
+// into the event.
+type envelope struct {
+	TimeUS int64            `json:"time_us"`
+	Type   string           `json:"type"`
+	Data   *telemetry.Event `json:"data"`
 }
 
 // ParseError reports an unparseable or structurally invalid line.
@@ -108,6 +49,11 @@ func (e *ParseError) Error() string {
 }
 
 func (e *ParseError) Unwrap() error { return e.Err }
+
+// errNotEvent rejects a JSON object that is not an event of the one
+// schema — the retired flat dialect ("name" and top-level fields)
+// included.
+var errNotEvent = errors.New(`event needs a "type" and a "data" object`)
 
 // Parse reads a full trace from r. Header lines (qlog framing) are
 // recognized and skipped wherever they appear — concatenating a live
@@ -130,38 +76,16 @@ func Parse(r io.Reader) ([]Event, error) {
 				continue
 			}
 		}
-		var w wireEvent
-		if err := json.Unmarshal([]byte(line), &w); err != nil {
+		var env envelope
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
 			return events, &ParseError{Line: lineNo, Text: line, Err: err}
 		}
-		typ := w.Type
-		if typ == "" {
-			typ = w.Name
+		if env.Type == "" || env.Data == nil {
+			return events, &ParseError{Line: lineNo, Text: line, Err: errNotEvent}
 		}
-		if typ == "" {
-			return events, &ParseError{Line: lineNo, Text: line,
-				Err: fmt.Errorf("event has neither type nor name")}
-		}
-		d := w.Data
-		if d == nil {
-			d = &w.wireData
-		}
-		events = append(events, Event{
-			TimeUS:    w.TimeUS,
-			Category:  w.Category,
-			Type:      typ,
-			Conn:      d.Conn,
-			Stream:    d.Stream,
-			Seq:       d.Seq,
-			Bytes:     d.Bytes,
-			EnqUS:     d.EnqUS,
-			SealedUS:  d.SealedUS,
-			WrittenUS: d.WrittenUS,
-			AckedUS:   d.AckedUS,
-			OrigConn:  d.OrigConn,
-			Retx:      d.Retx,
-			Line:      lineNo,
-		})
+		ev := Event{Event: *env.Data, Line: lineNo}
+		ev.TimeUS, ev.Name = env.TimeUS, env.Type
+		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		// Scanner-level failures (a line past the 16 MiB cap, a reader

@@ -1,10 +1,25 @@
 package qlog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"tcpls/internal/telemetry"
 )
+
+type tev = telemetry.Event
+
+// parsed wraps hand-built events the way Parse returns them, numbering
+// the lines from 1.
+func parsed(evs ...telemetry.Event) []Event {
+	out := make([]Event, len(evs))
+	for i, ev := range evs {
+		out[i] = Event{Event: ev, Line: i + 1}
+	}
+	return out
+}
 
 const qlogSample = `{"qlog_version":"0.3","qlog_format":"NDJSON","title":"tcpls"}
 {"time_us":1000,"category":"transport","type":"record_sent","data":{"conn":0,"stream":2,"seq":0,"bytes":100}}
@@ -15,24 +30,43 @@ const flatSample = `{"time_us":1000,"name":"record_sent","conn":0,"stream":2,"se
 {"time_us":2000,"name":"ack_received","conn":0,"stream":2,"seq":1,"bytes":0}
 `
 
-func TestParseBothSchemas(t *testing.T) {
-	for _, tc := range []struct{ name, in string }{
-		{"qlog", qlogSample},
-		{"flat", flatSample},
+func TestParse(t *testing.T) {
+	events, err := Parse(strings.NewReader(qlogSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 {
+		t.Fatalf("parsed %d events, want 2", len(events))
+	}
+	if events[0].Name != "record_sent" || events[0].Conn != 0 ||
+		events[0].Stream != 2 || events[0].Bytes != 100 || events[0].TimeUS != 1000 {
+		t.Fatalf("event 0 mismatch: %+v", events[0])
+	}
+	if events[1].Name != "ack_received" || events[1].Seq != 1 || events[1].Line != 3 {
+		t.Fatalf("event 1 mismatch: %+v", events[1])
+	}
+}
+
+// TestParseRejectsOtherDialects: there is one schema. The retired flat
+// dialect, and anything else that is JSON but not an event, is a typed
+// reject carrying its line.
+func TestParseRejectsOtherDialects(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		line     int
+	}{
+		{"flat", flatSample, 1},
+		{"flat after qlog", qlogSample + flatSample, 4},
+		{"type without data", `{"time_us":1,"type":"record_sent","conn":1}`, 1},
+		{"data without type", `{"time_us":1,"data":{"conn":1}}`, 1},
 	} {
 		events, err := Parse(strings.NewReader(tc.in))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: got %d events and error %v, want *ParseError", tc.name, len(events), err)
 		}
-		if len(events) != 2 {
-			t.Fatalf("%s: parsed %d events, want 2", tc.name, len(events))
-		}
-		if events[0].Type != "record_sent" || events[0].Conn != 0 ||
-			events[0].Stream != 2 || events[0].Bytes != 100 || events[0].TimeUS != 1000 {
-			t.Fatalf("%s: event 0 mismatch: %+v", tc.name, events[0])
-		}
-		if events[1].Type != "ack_received" || events[1].Seq != 1 {
-			t.Fatalf("%s: event 1 mismatch: %+v", tc.name, events[1])
+		if pe.Line != tc.line {
+			t.Fatalf("%s: error on line %d, want %d", tc.name, pe.Line, tc.line)
 		}
 	}
 }
@@ -60,17 +94,17 @@ func TestParseMalformedLine(t *testing.T) {
 }
 
 func TestAnalyzeCounts(t *testing.T) {
-	events := []Event{
-		{TimeUS: 1000, Type: "record_sent", Conn: 0, Bytes: 100},
-		{TimeUS: 1100, Type: "ctl_sent", Conn: 0, Bytes: 10},
-		{TimeUS: 1200, Type: "record_sent", Conn: 1, Bytes: 200},
-		{TimeUS: 1300, Type: "retransmit", Conn: 1, Bytes: 100},
-		{TimeUS: 1400, Type: "record_received", Conn: 0, Bytes: 50},
-		{TimeUS: 1500, Type: "dup_dropped", Conn: 0, Bytes: 50},
-		{TimeUS: 1600, Type: "ack_sent", Conn: 0},
-		{TimeUS: 1700, Type: "ack_received", Conn: 1},
-		{TimeUS: 1800, Type: "ctl_received", Conn: 0, Seq: 4, Bytes: 9},
-	}
+	events := parsed(
+		tev{TimeUS: 1000, Name: "record_sent", Conn: 0, Bytes: 100},
+		tev{TimeUS: 1100, Name: "ctl_sent", Conn: 0, Bytes: 10},
+		tev{TimeUS: 1200, Name: "record_sent", Conn: 1, Bytes: 200},
+		tev{TimeUS: 1300, Name: "retransmit", Conn: 1, Bytes: 100},
+		tev{TimeUS: 1400, Name: "record_received", Conn: 0, Bytes: 50},
+		tev{TimeUS: 1500, Name: "dup_dropped", Conn: 0, Bytes: 50},
+		tev{TimeUS: 1600, Name: "ack_sent", Conn: 0},
+		tev{TimeUS: 1700, Name: "ack_received", Conn: 1},
+		tev{TimeUS: 1800, Name: "ctl_received", Conn: 0, Seq: 4, Bytes: 9},
+	)
 	rep := Analyze(events, Options{})
 	if len(rep.Paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(rep.Paths))
@@ -91,13 +125,13 @@ func TestAnalyzeCounts(t *testing.T) {
 }
 
 func TestAnalyzeFailoverGap(t *testing.T) {
-	events := []Event{
-		{TimeUS: 1000, Type: "record_sent", Conn: 0, Bytes: 100},
-		{TimeUS: 2000, Type: "conn_failed", Conn: 0},
-		{TimeUS: 2500, Type: "failover_started", Conn: 0},
-		{TimeUS: 3500, Type: "retransmit", Conn: 1, Bytes: 100},
-		{TimeUS: 4000, Type: "record_sent", Conn: 1, Bytes: 100},
-	}
+	events := parsed(
+		tev{TimeUS: 1000, Name: "record_sent", Conn: 0, Bytes: 100},
+		tev{TimeUS: 2000, Name: "conn_failed", Conn: 0},
+		tev{TimeUS: 2500, Name: "failover_started", Conn: 0},
+		tev{TimeUS: 3500, Name: "retransmit", Conn: 1, Bytes: 100},
+		tev{TimeUS: 4000, Name: "record_sent", Conn: 1, Bytes: 100},
+	)
 	rep := Analyze(events, Options{})
 	if len(rep.Failovers) != 1 {
 		t.Fatalf("got %d gaps, want 1", len(rep.Failovers))
@@ -124,10 +158,10 @@ func TestAnalyzeFailoverGap(t *testing.T) {
 }
 
 func TestAnalyzeUnclosedGap(t *testing.T) {
-	events := []Event{
-		{TimeUS: 1000, Type: "conn_failed", Conn: 0},
-		{TimeUS: 2000, Type: "record_sent", Conn: 0, Bytes: 1}, // same conn: not recovery
-	}
+	events := parsed(
+		tev{TimeUS: 1000, Name: "conn_failed", Conn: 0},
+		tev{TimeUS: 2000, Name: "record_sent", Conn: 0, Bytes: 1}, // same conn: not recovery
+	)
 	rep := Analyze(events, Options{})
 	if len(rep.Failovers) != 1 || rep.Failovers[0].Closed {
 		t.Fatalf("gap should stay open: %+v", rep.Failovers)
@@ -138,12 +172,12 @@ func TestAnalyzeUnclosedGap(t *testing.T) {
 }
 
 func TestAnalyzeSpans(t *testing.T) {
-	events := []Event{
-		{TimeUS: 5000, Type: "record_span", Conn: 0,
+	events := parsed(
+		tev{TimeUS: 5000, Name: "record_span", Conn: 0,
 			EnqUS: 1000, SealedUS: 1100, WrittenUS: 1200, AckedUS: 2200},
-		{TimeUS: 6000, Type: "record_span", Conn: 0, Retx: 1,
+		tev{TimeUS: 6000, Name: "record_span", Conn: 0, Retx: 1,
 			EnqUS: 1000, SealedUS: 1100, WrittenUS: 1500, AckedUS: 3500},
-	}
+	)
 	rep := Analyze(events, Options{})
 	if rep.Spans.Count != 2 || rep.Spans.RetxSpans != 1 {
 		t.Fatalf("span counts: %+v", rep.Spans)
@@ -157,21 +191,39 @@ func TestAnalyzeSpans(t *testing.T) {
 	}
 }
 
-func TestAnalyzeInvertedSpanViolation(t *testing.T) {
-	events := []Event{
-		{TimeUS: 5000, Type: "record_span", Conn: 0, Line: 7,
-			EnqUS: 1000, SealedUS: 1100, WrittenUS: 2200, AckedUS: 1200},
-	}
-	rep := Analyze(events, Options{})
-	if len(rep.Violations) != 1 {
-		t.Fatalf("inverted span not flagged: %v", rep.Violations)
+// TestAnalyzeSpanViolations: -check's span rules. 0 means "leg not
+// stamped" and is never a violation; an inverted pair or a negative
+// timestamp is, and names its line.
+func TestAnalyzeSpanViolations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   tev
+		want string // substring of the one violation; "" = none
+	}{
+		{"clean", tev{TimeUS: 5000, Name: "record_span",
+			EnqUS: 1000, SealedUS: 1100, WrittenUS: 1200, AckedUS: 2200}, ""},
+		{"write leg not stamped", tev{TimeUS: 5000, Name: "record_span",
+			EnqUS: 1000, SealedUS: 1100, AckedUS: 2200}, ""},
+		{"inverted wire leg", tev{TimeUS: 5000, Name: "record_span",
+			EnqUS: 1000, SealedUS: 1100, WrittenUS: 2200, AckedUS: 1200}, "line 1: span written_us 2200 after acked_us"},
+		{"negative leg", tev{TimeUS: 5000, Name: "record_span",
+			EnqUS: 1000, SealedUS: 1100, WrittenUS: -62135596800000000, AckedUS: 2200}, "line 1: span written_us is negative"},
+		{"negative time_us", tev{TimeUS: -1, Name: "record_sent"}, "line 1: negative time_us -1"},
+	} {
+		rep := Analyze(parsed(tc.ev), Options{})
+		switch {
+		case tc.want == "" && len(rep.Violations) != 0:
+			t.Errorf("%s: unexpected violations %v", tc.name, rep.Violations)
+		case tc.want != "" && (len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], tc.want)):
+			t.Errorf("%s: violations %v, want one containing %q", tc.name, rep.Violations, tc.want)
+		}
 	}
 }
 
 func TestAnalyzeReorderPercentiles(t *testing.T) {
 	var events []Event
 	for i := 1; i <= 100; i++ {
-		events = append(events, Event{TimeUS: int64(i * 1000), Type: "reorder_depth", Seq: uint64(i)})
+		events = append(events, Event{Event: tev{TimeUS: int64(i * 1000), Name: "reorder_depth", Seq: uint64(i)}})
 	}
 	rep := Analyze(events, Options{})
 	if rep.Reorder.Samples != 100 {
@@ -183,11 +235,11 @@ func TestAnalyzeReorderPercentiles(t *testing.T) {
 }
 
 func TestAnalyzeGoodputSeries(t *testing.T) {
-	events := []Event{
-		{TimeUS: 0, Type: "record_sent", Conn: 0, Bytes: 1000},
-		{TimeUS: 50_000, Type: "record_sent", Conn: 0, Bytes: 1000},
-		{TimeUS: 150_000, Type: "record_sent", Conn: 0, Bytes: 500},
-	}
+	events := parsed(
+		tev{TimeUS: 0, Name: "record_sent", Conn: 0, Bytes: 1000},
+		tev{TimeUS: 50_000, Name: "record_sent", Conn: 0, Bytes: 1000},
+		tev{TimeUS: 150_000, Name: "record_sent", Conn: 0, Bytes: 500},
+	)
 	rep := Analyze(events, Options{Interval: 100 * time.Millisecond})
 	if len(rep.Goodput) != 1 {
 		t.Fatalf("series: %+v", rep.Goodput)

@@ -1,36 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"sync"
 )
 
-// FlightEvent is one entry in the flight recorder's ring: a flattened
-// trace event with every timestamp pre-converted to Unix microseconds.
-// The struct is plain value data — Name points at the engine's constant
-// event-name strings — so appending one copies ~100 bytes and allocates
-// nothing.
-type FlightEvent struct {
-	TimeUS int64
-	Name   string
-	Conn   uint32
-	Stream uint32
-	Seq    uint64
-	Bytes  int
-
-	// Span legs (record_span only); 0 = leg not stamped.
-	EnqUS     int64
-	SealedUS  int64
-	WrittenUS int64
-	AckedUS   int64
-	OrigConn  uint32
-	Retx      int32
-}
-
-// DefaultFlightCapacity bounds the ring at ~1 MiB: 8192 entries of the
-// ~112-byte FlightEvent plus the slice header.
+// DefaultFlightCapacity bounds the ring at ~0.7 MiB: 8192 entries of
+// the 88-byte Event plus the slice header.
 const DefaultFlightCapacity = 8192
 
 // Flight is the always-on flight recorder: a bounded in-memory ring of
@@ -41,7 +17,7 @@ const DefaultFlightCapacity = 8192
 // auto-dump on SessionDeadError) reconstructs the last seconds.
 type Flight struct {
 	mu    sync.Mutex
-	buf   []FlightEvent // the events held; grows to limit, then wraps
+	buf   []Event // the events held; grows to limit, then wraps
 	limit int
 	next  int    // ring cursor: index of the oldest entry once at limit
 	total uint64 // events ever appended (so Dump can report loss)
@@ -56,12 +32,12 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &Flight{limit: capacity, buf: make([]FlightEvent, 0, min(capacity, flightFirstStep))}
+	return &Flight{limit: capacity, buf: make([]Event, 0, min(capacity, flightFirstStep))}
 }
 
 // Append records one event, overwriting the oldest once the ring is
 // full. 0 allocs/op at capacity (benchmark-asserted).
-func (f *Flight) Append(ev FlightEvent) {
+func (f *Flight) Append(ev Event) {
 	f.mu.Lock()
 	if len(f.buf) == f.limit {
 		f.buf[f.next] = ev
@@ -70,7 +46,7 @@ func (f *Flight) Append(ev FlightEvent) {
 		}
 	} else {
 		if len(f.buf) == cap(f.buf) {
-			grown := make([]FlightEvent, len(f.buf), min(2*cap(f.buf), f.limit))
+			grown := make([]Event, len(f.buf), min(2*cap(f.buf), f.limit))
 			copy(grown, f.buf)
 			f.buf = grown
 		}
@@ -96,44 +72,18 @@ func (f *Flight) Total() uint64 {
 }
 
 // Snapshot copies the held events out in append order (oldest first).
-func (f *Flight) Snapshot() []FlightEvent {
+func (f *Flight) Snapshot() []Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, len(f.buf))
+	out := make([]Event, 0, len(f.buf))
 	out = append(out, f.buf[f.next:]...) // next stays 0 until the ring wraps
 	return append(out, f.buf[:f.next]...)
 }
 
-// Dump writes the held events to w in the same qlog-lines framing the
-// live Sink produces (header line first), so tcpls-trace and qvis-style
-// tooling read flight dumps and live traces identically. The snapshot
-// is taken up front; appends during the write are not included.
+// Dump writes the held events to w as a complete trace, the same lines
+// the live Sink produces, so tcpls-trace reads flight dumps and live
+// traces identically. The snapshot is taken up front; appends during
+// the write are not included.
 func (f *Flight) Dump(w io.Writer) error {
-	events := f.Snapshot()
-	bw := bufio.NewWriterSize(w, 32<<10)
-	if _, err := io.WriteString(bw, QlogHeader+"\n"); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(bw)
-	for i := range events {
-		fe := &events[i]
-		ev := Event{
-			TimeUS:    fe.TimeUS,
-			Name:      fe.Name,
-			Conn:      fe.Conn,
-			Stream:    fe.Stream,
-			Seq:       fe.Seq,
-			Bytes:     fe.Bytes,
-			EnqUS:     fe.EnqUS,
-			SealedUS:  fe.SealedUS,
-			WrittenUS: fe.WrittenUS,
-			AckedUS:   fe.AckedUS,
-			OrigConn:  fe.OrigConn,
-			Retx:      int(fe.Retx),
-		}
-		if err := encodeQlog(enc, &ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteEvents(w, f.Snapshot())
 }

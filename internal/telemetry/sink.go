@@ -2,137 +2,11 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Event is one qlog-flavoured trace occurrence, mirroring the engine's
-// TraceEvent (telemetry cannot import internal/core — core imports
-// telemetry). The default wire format is qlog-lines: one JSON header
-// line followed by one JSON event per line,
-//
-//	{"qlog_version":"0.3","qlog_format":"NDJSON","title":"tcpls"}
-//	{"time_us":..., "category":"transport", "type":"record_sent", "data":{"conn":0,"stream":2,"seq":41,"bytes":16368}}
-//
-// SinkOptions.Flat selects the legacy flat schema instead (no header):
-//
-//	{"time_us":..., "name":"record_sent", "conn":0, "stream":2, "seq":41, "bytes":16368}
-type Event struct {
-	Time   time.Time `json:"-"`
-	TimeUS int64     `json:"time_us"`
-	Name   string    `json:"name"`
-	Conn   uint32    `json:"conn"`
-	Stream uint32    `json:"stream"`
-	Seq    uint64    `json:"seq"`
-	Bytes  int       `json:"bytes"`
-
-	// Record-lifecycle span legs (record_span events only); zero time
-	// legs serialize as 0 and mean "leg not stamped" (e.g. a record
-	// whose socket write was never reported).
-	EnqueuedAt time.Time `json:"-"`
-	SealedAt   time.Time `json:"-"`
-	WrittenAt  time.Time `json:"-"`
-	AckedAt    time.Time `json:"-"`
-	EnqUS      int64     `json:"enq_us,omitempty"`
-	SealedUS   int64     `json:"sealed_us,omitempty"`
-	WrittenUS  int64     `json:"written_us,omitempty"`
-	AckedUS    int64     `json:"acked_us,omitempty"`
-	OrigConn   uint32    `json:"orig_conn,omitempty"`
-	Retx       int       `json:"retx,omitempty"`
-}
-
-// stampUS converts the time.Time fields into their serialized
-// microsecond counterparts. Zero times stay 0, not a huge negative
-// UnixMicro.
-func (ev *Event) stampUS() {
-	ev.TimeUS = ev.Time.UnixMicro()
-	us := func(t time.Time) int64 {
-		if t.IsZero() {
-			return 0
-		}
-		return t.UnixMicro()
-	}
-	ev.EnqUS = us(ev.EnqueuedAt)
-	ev.SealedUS = us(ev.SealedAt)
-	ev.WrittenUS = us(ev.WrittenAt)
-	ev.AckedUS = us(ev.AckedAt)
-}
-
-// QlogHeader is the first line of qlog-framed trace output.
-const QlogHeader = `{"qlog_version":"0.3","qlog_format":"NDJSON","title":"tcpls"}`
-
-// qlogEvent is the qlog-framed serialization of an Event: category/type
-// at the top level (so qvis-style tooling can route on them) and the
-// TCPLS identifiers under data.
-type qlogEvent struct {
-	TimeUS   int64    `json:"time_us"`
-	Category string   `json:"category"`
-	Type     string   `json:"type"`
-	Data     qlogData `json:"data"`
-}
-
-type qlogData struct {
-	Conn      uint32 `json:"conn"`
-	Stream    uint32 `json:"stream"`
-	Seq       uint64 `json:"seq"`
-	Bytes     int    `json:"bytes"`
-	EnqUS     int64  `json:"enq_us,omitempty"`
-	SealedUS  int64  `json:"sealed_us,omitempty"`
-	WrittenUS int64  `json:"written_us,omitempty"`
-	AckedUS   int64  `json:"acked_us,omitempty"`
-	OrigConn  uint32 `json:"orig_conn,omitempty"`
-	Retx      int    `json:"retx,omitempty"`
-}
-
-// Category buckets one event type for qlog framing. Unknown types
-// (future events, wrapper Notes) land in "session".
-func Category(name string) string {
-	switch name {
-	case "record_sent", "record_received", "ack_sent", "ack_received",
-		"dup_dropped", "ctl_sent", "ctl_received":
-		return "transport"
-	case "record_span":
-		return "span"
-	case "conn_failed", "failover_started", "failover_cascade", "sync_sent",
-		"sync_received", "retransmit", "reconnect_attempt", "reconnect_ok":
-		return "recovery"
-	case "sched_pick", "sched_invalid", "path_metrics", "reorder_depth":
-		return "scheduling"
-	case "conn_added", "stream_attached", "stream_fin", "cookie_issued",
-		"cookie_consumed", "cookie_received", "join_accepted",
-		"join_rejected", "ticket_issued", "ticket_received":
-		return "connectivity"
-	case "healthy", "stall_suspected", "retransmit_storm", "memory_growth",
-		"path_asymmetry", "resume_failure_spike", "admission_pressure":
-		return "health"
-	default:
-		return "session"
-	}
-}
-
-// encodeQlog writes one event in qlog framing through enc.
-func encodeQlog(enc *json.Encoder, ev *Event) error {
-	return enc.Encode(&qlogEvent{
-		TimeUS:   ev.TimeUS,
-		Category: Category(ev.Name),
-		Type:     ev.Name,
-		Data: qlogData{
-			Conn:      ev.Conn,
-			Stream:    ev.Stream,
-			Seq:       ev.Seq,
-			Bytes:     ev.Bytes,
-			EnqUS:     ev.EnqUS,
-			SealedUS:  ev.SealedUS,
-			WrittenUS: ev.WrittenUS,
-			AckedUS:   ev.AckedUS,
-			OrigConn:  ev.OrigConn,
-			Retx:      ev.Retx,
-		},
-	})
-}
 
 // SinkOptions tunes a Sink.
 type SinkOptions struct {
@@ -142,9 +16,6 @@ type SinkOptions struct {
 	// Sample keeps one event in Sample (0 and 1 mean every event). The
 	// skipped events are neither written nor counted as drops.
 	Sample int
-	// Flat selects the legacy flat JSON schema (one object per line, no
-	// qlog header). Default is qlog framing.
-	Flat bool
 	// Events / Dropped, when set, mirror the sink's internal counters
 	// into registry metrics (tcpls_trace_events_total /
 	// tcpls_trace_dropped_total). Nil is fine.
@@ -154,15 +25,14 @@ type SinkOptions struct {
 
 // Sink is a bounded, non-blocking trace writer: producers enqueue with
 // a lock-free channel send and never wait on I/O; a dedicated goroutine
-// drains the ring and writes JSON lines through a buffered writer,
-// flushing whenever the ring goes idle. A stalled writer (full pipe,
-// dead disk) fills the ring and subsequent events are dropped and
-// counted — the engine's send/recv path is never backpressured by
-// tracing.
+// drains the ring and writes trace lines (DESIGN.md §10) through a
+// buffered writer, flushing whenever the ring goes idle. A stalled
+// writer (full pipe, dead disk) fills the ring and subsequent events are
+// dropped and counted — the engine's send/recv path is never
+// backpressured by tracing.
 type Sink struct {
 	ch      chan Event
 	sample  int
-	flat    bool
 	seq     atomic.Uint64
 	dropped atomic.Uint64
 	emitted atomic.Uint64
@@ -183,7 +53,6 @@ func NewSink(w io.Writer, opts SinkOptions) *Sink {
 	s := &Sink{
 		ch:      make(chan Event, cap),
 		sample:  opts.Sample,
-		flat:    opts.Flat,
 		events:  opts.Events,
 		dropCtr: opts.Dropped,
 		done:    make(chan struct{}),
@@ -215,30 +84,17 @@ func (s *Sink) Dropped() uint64 { return s.dropped.Load() }
 // Emitted returns the number of events accepted into the ring.
 func (s *Sink) Emitted() uint64 { return s.emitted.Load() }
 
-// writeLoop drains the ring onto w. json.Encoder appends the newline
-// separating JSON lines; bufio batches the tiny writes and is flushed
-// whenever the ring goes idle, so a tail -f on the trace file stays
-// live without paying one syscall per event.
+// writeLoop drains the ring onto w. bufio batches the tiny writes and
+// is flushed whenever the ring goes idle, so a tail -f on the trace file
+// stays live without paying one syscall per event.
 func (s *Sink) writeLoop(w io.Writer) {
 	defer s.wg.Done()
 	bw := bufio.NewWriterSize(w, 32<<10)
-	enc := json.NewEncoder(bw)
-	if !s.flat {
-		_, _ = io.WriteString(bw, QlogHeader+"\n")
-	}
+	// Write errors are dropped on purpose: an unwritable w must not stop
+	// the drain, or producers would lose their non-blocking fast path.
+	_, _ = bw.WriteString(QlogHeader + "\n")
 	write := func(ev Event) {
-		ev.stampUS()
-		var err error
-		if s.flat {
-			err = enc.Encode(&ev)
-		} else {
-			err = encodeQlog(enc, &ev)
-		}
-		if err != nil {
-			// Unwritable sink: keep draining so producers keep their
-			// non-blocking fast path; bytes go nowhere.
-			_ = bw.Flush()
-		}
+		_, _ = bw.Write(appendEvent(bw.AvailableBuffer(), &ev))
 	}
 	for {
 		select {

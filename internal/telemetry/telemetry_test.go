@@ -243,6 +243,15 @@ func TestCounterHotPathAllocs(t *testing.T) {
 	}
 }
 
+// sinkLine is a trace line as any JSON reader sees it: the decoder the
+// sink tests check the hand-written encoder against.
+type sinkLine struct {
+	TimeUS   int64  `json:"time_us"`
+	Category string `json:"category"`
+	Type     string `json:"type"`
+	Data     Event  `json:"data"`
+}
+
 func TestSinkWritesJSONLines(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
@@ -251,27 +260,37 @@ func TestSinkWritesJSONLines(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	s := NewSink(w, SinkOptions{Flat: true})
-	ts := time.Unix(12, 345678000)
-	s.Emit(Event{Time: ts, Name: "record_sent", Conn: 1, Stream: 2, Seq: 41, Bytes: 100})
-	s.Emit(Event{Time: ts, Name: "ack_received", Seq: 41})
+	s := NewSink(w, SinkOptions{})
+	ts := time.Unix(12, 345678000).UnixMicro()
+	span := Event{TimeUS: ts, Name: "record_span", Conn: 1, Stream: 2, Seq: 41, Bytes: 100,
+		EnqUS: ts - 40, SealedUS: ts - 30, AckedUS: ts, OrigConn: 3, Retx: 2}
+	s.Emit(span)
+	s.Emit(Event{TimeUS: ts, Name: "note \"quoted\"\n", Seq: 41})
 	s.Close()
 
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	mu.Unlock()
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2: %q", len(lines), lines)
+	if len(lines) != 3 {
+		t.Fatalf("wrote %d lines, want header + 2: %q", len(lines), lines)
 	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("line 0 is not JSON: %v", err)
+	var got sinkLine
+	if err := json.Unmarshal([]byte(lines[1]), &got); err != nil {
+		t.Fatalf("line 1 is not JSON: %v", err)
 	}
-	if ev.Name != "record_sent" || ev.Conn != 1 || ev.Stream != 2 || ev.Seq != 41 || ev.Bytes != 100 {
-		t.Fatalf("round-trip mismatch: %+v", ev)
+	got.Data.TimeUS, got.Data.Name = got.TimeUS, got.Type
+	if got.Data != span || got.Category != "span" {
+		t.Fatalf("round-trip mismatch:\n got %+v (%s)\nwant %+v", got.Data, got.Category, span)
 	}
-	if ev.TimeUS != ts.UnixMicro() {
-		t.Fatalf("time_us = %d, want %d", ev.TimeUS, ts.UnixMicro())
+	// A leg that was never stamped is absent, not 0 and not negative.
+	if strings.Contains(lines[1], "written_us") {
+		t.Fatalf("unstamped leg serialized: %s", lines[1])
+	}
+	if err := json.Unmarshal([]byte(lines[2]), &got); err != nil {
+		t.Fatalf("line 2 is not JSON: %v\n%s", err, lines[2])
+	}
+	if got.Type != "note \"quoted\"\n" || got.Category != "session" {
+		t.Fatalf("escaped name came back as %q (%s)", got.Type, got.Category)
 	}
 	if s.Emitted() != 2 || s.Dropped() != 0 {
 		t.Fatalf("emitted=%d dropped=%d", s.Emitted(), s.Dropped())
@@ -282,9 +301,9 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestSinkQlogFraming: the default (non-flat) sink writes the qlog
-// NDJSON header first, then category/type-framed events with the event
-// fields nested under data.
+// TestSinkQlogFraming: the sink writes the qlog NDJSON header first,
+// then category/type-framed events with the event fields nested under
+// data.
 func TestSinkQlogFraming(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
@@ -294,9 +313,9 @@ func TestSinkQlogFraming(t *testing.T) {
 		return buf.Write(p)
 	})
 	s := NewSink(w, SinkOptions{})
-	ts := time.Unix(12, 345678000)
-	s.Emit(Event{Time: ts, Name: "record_sent", Conn: 1, Stream: 2, Seq: 41, Bytes: 100})
-	s.Emit(Event{Time: ts, Name: "conn_failed", Conn: 1})
+	ts := time.Unix(12, 345678000).UnixMicro()
+	s.Emit(Event{TimeUS: ts, Name: "record_sent", Conn: 1, Stream: 2, Seq: 41, Bytes: 100})
+	s.Emit(Event{TimeUS: ts, Name: "conn_failed", Conn: 1})
 	s.Close()
 
 	mu.Lock()
@@ -308,24 +327,14 @@ func TestSinkQlogFraming(t *testing.T) {
 	if lines[0] != QlogHeader {
 		t.Fatalf("first line = %q, want qlog header %q", lines[0], QlogHeader)
 	}
-	var ev struct {
-		TimeUS   int64  `json:"time_us"`
-		Category string `json:"category"`
-		Type     string `json:"type"`
-		Data     struct {
-			Conn   uint32 `json:"conn"`
-			Stream uint32 `json:"stream"`
-			Seq    uint64 `json:"seq"`
-			Bytes  int    `json:"bytes"`
-		} `json:"data"`
-	}
+	var ev sinkLine
 	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
 		t.Fatalf("event line is not JSON: %v", err)
 	}
 	if ev.Category != "transport" || ev.Type != "record_sent" {
 		t.Fatalf("framing mismatch: category=%q type=%q", ev.Category, ev.Type)
 	}
-	if ev.TimeUS != ts.UnixMicro() || ev.Data.Conn != 1 || ev.Data.Stream != 2 || ev.Data.Seq != 41 || ev.Data.Bytes != 100 {
+	if ev.TimeUS != ts || ev.Data.Conn != 1 || ev.Data.Stream != 2 || ev.Data.Seq != 41 || ev.Data.Bytes != 100 {
 		t.Fatalf("data mismatch: %+v", ev)
 	}
 	if err := json.Unmarshal([]byte(lines[2]), &ev); err != nil {
@@ -344,13 +353,13 @@ func TestSinkSampling(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	s := NewSink(w, SinkOptions{Sample: 10, Flat: true})
+	s := NewSink(w, SinkOptions{Sample: 10})
 	for i := 0; i < 100; i++ {
 		s.Emit(Event{Name: "e"})
 	}
 	s.Close()
 	mu.Lock()
-	n := strings.Count(buf.String(), "\n")
+	n := strings.Count(buf.String(), "\n") - 1 // the header line
 	mu.Unlock()
 	if n != 10 {
 		t.Fatalf("sample=10 wrote %d of 100 events, want 10", n)

@@ -192,11 +192,11 @@ func (l *Listener) ValidateJoin(id SessID, cookie Cookie) bool {
 	// Trace the join decision onto the session's timeline when the
 	// session object already exists (the initial handshake may still be
 	// completing on its own connection).
-	name := "cookie_consumed"
-	if !valid {
-		name = "join_rejected"
+	if valid {
+		l.noteSessionTrace(id, "cookie_consumed")
+	} else {
+		l.noteSessionTrace(id, "join_rejected")
 	}
-	l.noteSessionTrace(id, name)
 	return valid
 }
 

@@ -34,11 +34,8 @@ type TelemetryConfig struct {
 	// Sample thins the qlog trace sink: only one in Sample events is
 	// written (0 and 1 keep every event). Metrics are never sampled.
 	Sample int
-	// FlatTrace keeps TraceJSON on the legacy flat JSON schema (one
-	// object per line, no qlog header) instead of qlog framing.
-	FlatTrace bool
 	// FlightCapacity sizes the always-on flight recorder ring (events
-	// held, ~112 bytes each). 0 means the default 8192 (~1 MiB);
+	// held, 88 bytes each). 0 means the default 8192 (~0.7 MiB);
 	// negative disables the recorder.
 	FlightCapacity int
 	// FlightDump, when set, receives an automatic flight-recorder dump

@@ -3,33 +3,26 @@ package tcpls
 import (
 	"errors"
 	"io"
-	"time"
 
 	"tcpls/internal/core"
 	"tcpls/internal/telemetry"
 )
 
-// TraceEvent re-exports the engine's trace event.
+// TraceEvent re-exports the engine's trace event (schema: DESIGN.md §10).
 type TraceEvent = core.TraceEvent
 
-// TraceJSON streams the session's protocol events to w as qlog lines —
-// the paper artifact ships QLOG/QVIS support for exactly this kind of
-// offline analysis. Call before traffic flows; pass nil to stop tracing.
+// TraceJSON streams the session's protocol events to w as qlog lines
+// (a header line, then one event per line; DESIGN.md §10 has the
+// schema) — the paper artifact ships QLOG/QVIS support for exactly this
+// kind of offline analysis. Call before traffic flows; pass nil to stop
+// tracing.
 //
-// Events are serialized with encoding/json and routed through a bounded
-// ring buffer drained by a dedicated writer goroutine, so a slow or
-// stalled w never backpressures the engine's send/recv path: when the
-// ring fills, events are dropped and counted (tcpls_trace_dropped_total
-// on /metrics, TraceDropped in Session.Metrics). Config.Telemetry.Sample
-// thins the stream for high-rate transfers.
-//
-// The first line is the qlog header, then one event per line:
-//
-//	{"qlog_version":"0.3","qlog_format":"NDJSON","title":"tcpls"}
-//	{"time_us":..., "category":"transport", "type":"record_sent", "data":{"conn":0,"stream":2,"seq":41,"bytes":16368}}
-//
-// Config.Telemetry.FlatTrace restores the legacy flat schema
-// ({"time_us":...,"name":...,...}, no header).
+// Events are routed through a bounded ring buffer drained by a
+// dedicated writer goroutine, so a slow or stalled w never backpressures
+// the engine's send/recv path: when the ring fills, events are dropped
+// and counted (tcpls_trace_dropped_total on /metrics, TraceDropped in
+// Session.Metrics). Config.Telemetry.Sample thins the stream for
+// high-rate transfers.
 func (s *Session) TraceJSON(w io.Writer) {
 	var sink *telemetry.Sink
 	if w != nil {
@@ -43,7 +36,6 @@ func (s *Session) TraceJSON(w io.Writer) {
 		// The sink spawns its writer goroutine; build it off the lock.
 		sink = telemetry.NewSink(w, telemetry.SinkOptions{
 			Sample:  s.cfg.Telemetry.Sample,
-			Flat:    s.cfg.Telemetry.FlatTrace,
 			Events:  events,
 			Dropped: dropped,
 		})
@@ -87,62 +79,15 @@ func (s *Session) refreshTracerLocked() {
 	}
 	s.engine.SetTracer(func(ev TraceEvent) {
 		if flight != nil {
-			flight.Append(toFlightEvent(&ev))
+			flight.Append(ev)
 		}
 		if sink != nil {
-			sink.Emit(toSinkEvent(&ev))
+			sink.Emit(ev)
 		}
 		if fn != nil {
 			fn(ev)
 		}
 	})
-}
-
-// usOrZero converts a span leg to Unix microseconds, keeping the zero
-// time (leg not stamped) at 0.
-func usOrZero(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixMicro()
-}
-
-// toFlightEvent flattens an engine event for the flight ring: all
-// timestamps pre-converted so Append copies plain values and allocates
-// nothing.
-func toFlightEvent(ev *TraceEvent) telemetry.FlightEvent {
-	return telemetry.FlightEvent{
-		TimeUS:    ev.Time.UnixMicro(),
-		Name:      ev.Name,
-		Conn:      ev.Conn,
-		Stream:    ev.Stream,
-		Seq:       ev.Seq,
-		Bytes:     ev.Bytes,
-		EnqUS:     usOrZero(ev.EnqueuedAt),
-		SealedUS:  usOrZero(ev.SealedAt),
-		WrittenUS: usOrZero(ev.WrittenAt),
-		AckedUS:   usOrZero(ev.AckedAt),
-		OrigConn:  ev.OrigConn,
-		Retx:      int32(ev.Retx),
-	}
-}
-
-// toSinkEvent mirrors an engine event into the sink's schema.
-func toSinkEvent(ev *TraceEvent) telemetry.Event {
-	return telemetry.Event{
-		Time:       ev.Time,
-		Name:       ev.Name,
-		Conn:       ev.Conn,
-		Stream:     ev.Stream,
-		Seq:        ev.Seq,
-		Bytes:      ev.Bytes,
-		EnqueuedAt: ev.EnqueuedAt,
-		SealedAt:   ev.SealedAt,
-		WrittenAt:  ev.WrittenAt,
-		AckedAt:    ev.AckedAt,
-		OrigConn:   ev.OrigConn,
-		Retx:       ev.Retx,
-	}
 }
 
 // errNoFlight reports a dump request on a session whose flight recorder
