@@ -4,7 +4,8 @@
 // per-session, per-path table in the terminal — goodput, RTT, reorder
 // depth, retransmit ratio, and the health verdicts the monitor has
 // raised — plus the process-wide rollup row (resumption and 0-RTT
-// counters, ticket-rotation failures, admission pressure).
+// counters, ticket-rotation failures, admission pressure) and one line
+// per server runtime (sessions, memory, budget, draining).
 //
 // Usage:
 //
@@ -33,8 +34,21 @@ var (
 	onceFlag     = flag.Bool("once", false, "print one frame without clearing the screen and exit")
 )
 
+// debugPage is /debug/tcpls: one tcpls.Snapshot per live session, and
+// under each "server:<name>" key the entry of an internal/server runtime.
 type debugPage struct {
-	Sessions map[string]tcpls.DebugSession `json:"sessions"`
+	Sessions map[string]json.RawMessage `json:"sessions"`
+}
+
+const serverKeyPrefix = "server:"
+
+type serverEntry struct {
+	Sessions    int   `json:"sessions"`
+	MemoryBytes int64 `json:"memory_bytes"`
+	BudgetUsed  int64 `json:"budget_used_bytes"`
+	BudgetLimit int64 `json:"budget_limit_bytes"`
+	BudgetHot   bool  `json:"budget_hot"`
+	Draining    bool  `json:"draining"`
 }
 
 type healthPage struct {
@@ -86,30 +100,67 @@ func buildFrame(client *http.Client, addr string) (string, error) {
 		return "", err
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "tcpls-top  %s  %s  sessions: %d\n",
-		addr, time.Now().Format("15:04:05"), len(dbg.Sessions))
-
-	if proc, ok := hp.Health["process"]; ok {
-		writeProcess(&b, proc)
-	}
-
 	keys := make([]string, 0, len(dbg.Sessions))
 	for k := range dbg.Sessions {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var servers []string
+	sessions := keys[:0]
+	for _, k := range keys {
+		if strings.HasPrefix(k, serverKeyPrefix) {
+			servers = append(servers, k)
+		} else {
+			sessions = append(sessions, k)
+		}
+	}
 
-	if len(keys) > 0 {
+	var b strings.Builder
+	fmt.Fprintf(&b, "tcpls-top  %s  %s  sessions: %d\n",
+		addr, time.Now().Format("15:04:05"), len(sessions))
+
+	if proc, ok := hp.Health["process"]; ok {
+		writeProcess(&b, proc)
+	}
+	for _, k := range servers {
+		var e serverEntry
+		if err := json.Unmarshal(dbg.Sessions[k], &e); err != nil {
+			return "", fmt.Errorf("/debug/tcpls %s: %w", k, err)
+		}
+		writeServer(&b, k, e)
+	}
+
+	if len(sessions) > 0 {
 		fmt.Fprintf(&b, "\n%-22s %-6s %-9s %9s %9s %6s %8s %7s %8s %5s %4s\n",
 			"SESSION", "ROLE", "STATE", "TX/s", "RX/s", "RETX%", "RTT", "REORD", "MEM", "CONNS", "STRM")
 	}
-	for _, k := range keys {
-		ds := dbg.Sessions[k]
+	for _, k := range sessions {
+		var snap tcpls.Snapshot
+		if err := json.Unmarshal(dbg.Sessions[k], &snap); err != nil {
+			return "", fmt.Errorf("/debug/tcpls %s: %w", k, err)
+		}
 		hs, haveHealth := hp.Health[k]
-		writeSession(&b, k, ds, hs, haveHealth)
+		writeSession(&b, k, snap, hs, haveHealth)
 	}
 	return b.String(), nil
+}
+
+// writeServer renders one server runtime's line: what it holds against
+// its budget, and whether it is shedding or draining.
+func writeServer(b *strings.Builder, key string, e serverEntry) {
+	limit := "unlimited"
+	if e.BudgetLimit > 0 {
+		limit = fmtBytes(e.BudgetLimit)
+	}
+	fmt.Fprintf(b, "%s  sessions %d  mem %s  budget %s/%s", key, e.Sessions,
+		fmtBytes(e.MemoryBytes), fmtBytes(e.BudgetUsed), limit)
+	if e.BudgetHot {
+		b.WriteString("  HOT")
+	}
+	if e.Draining {
+		b.WriteString("  DRAINING")
+	}
+	fmt.Fprintln(b)
 }
 
 // writeProcess renders the process monitor's row and its operator
@@ -141,7 +192,7 @@ func writeProcess(b *strings.Builder, st health.Status) {
 	fmt.Fprintln(b)
 }
 
-func writeSession(b *strings.Builder, key string, ds tcpls.DebugSession, hs health.Status, haveHealth bool) {
+func writeSession(b *strings.Builder, key string, snap tcpls.Snapshot, hs health.Status, haveHealth bool) {
 	state := "-"
 	var txBps, rxBps, retx, rttUS, reord float64
 	if haveHealth {
@@ -159,10 +210,10 @@ func writeSession(b *strings.Builder, key string, ds tcpls.DebugSession, hs heal
 		reord = hs.ReorderDepth
 	}
 	fmt.Fprintf(b, "%-22s %-6s %-9s %9s %9s %5.1f%% %8s %7.0f %8s %5d %4d\n",
-		key, ds.Role, state,
+		key, snap.Role, state,
 		fmtBps(txBps), fmtBps(rxBps), retx,
-		fmtUS(rttUS), reord, fmtBytes(int64(ds.MemoryBytes)),
-		len(ds.Conns), len(ds.Streams))
+		fmtUS(rttUS), reord, fmtBytes(int64(snap.MemoryBytes)),
+		len(snap.Conns), len(snap.Streams))
 
 	// Per-path subrows: join the debug conn table (scheduler view) with
 	// the health monitor's per-path goodput rings.
@@ -172,7 +223,7 @@ func writeSession(b *strings.Builder, key string, ds tcpls.DebugSession, hs heal
 			pathTx[p.Conn] = p.GoodputTxBps
 		}
 	}
-	for _, c := range ds.Conns {
+	for _, c := range snap.Conns {
 		if c.Closed {
 			continue
 		}

@@ -90,7 +90,7 @@ func main() {
 	// Every session carries a lock-free telemetry registry; the same
 	// numbers are scrapable in Prometheus format when
 	// Config.Telemetry.Addr is set.
-	m := sess.Metrics()
-	fmt.Printf("client: metrics — records sent=%d received=%d bytes sent=%d conns=%d streams=%d\n",
-		m.Stats.RecordsSent, m.Stats.RecordsReceived, m.Stats.BytesSent, m.ConnsOpen, m.StreamsOpen)
+	snap := sess.Snapshot()
+	fmt.Printf("client: snapshot — records sent=%d received=%d bytes sent=%d conns=%d streams=%d\n",
+		snap.RecordsSent, snap.RecordsReceived, snap.BytesSent, snap.ConnsLive, snap.StreamsOpen)
 }

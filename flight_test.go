@@ -19,19 +19,51 @@ import (
 	"tcpls/internal/testutil"
 )
 
-// failoverSession dials a two-path failover session against srv, runs an
-// echo round trip, kills path 0, waits for the failover event, and runs
-// a second round trip over the survivor.
-func failoverSession(t *testing.T, srv *chaosServer, cfg *Config) *Session {
+// twoPathSession dials srv and joins a second path, confirmed by a Ping
+// so the server has adopted it too.
+func twoPathSession(t *testing.T, srv *chaosServer, cfg *Config) (sess *Session, conn2 uint32) {
 	t.Helper()
 	sess, err := Dial("tcp", srv.ln.Addr().String(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.JoinPath("tcp", srv.ln.Addr().String()); err != nil {
+	if conn2, err = sess.JoinPath("tcp", srv.ln.Addr().String()); err == nil {
+		_, err = sess.Ping(conn2, 5*time.Second)
+	}
+	if err != nil {
 		sess.Close()
 		t.Fatal(err)
 	}
+	return sess, conn2
+}
+
+// killPath closes connection id's socket under the session and waits
+// for the failover it forces.
+func killPath(t *testing.T, sess *Session, id uint32) {
+	t.Helper()
+	sess.mu.Lock()
+	pc := sess.conns[id]
+	sess.mu.Unlock()
+	pc.nc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		ev, err := sess.WaitEvent(ctx)
+		if err != nil {
+			t.Fatalf("waiting for failover: %v", err)
+		}
+		if ev.Kind == EventFailover {
+			return
+		}
+	}
+}
+
+// failoverSession dials a two-path failover session against srv, runs an
+// echo round trip, kills path 0, waits for the failover event, and runs
+// a second round trip over the survivor.
+func failoverSession(t *testing.T, srv *chaosServer, cfg *Config) *Session {
+	t.Helper()
+	sess, _ := twoPathSession(t, srv, cfg)
 	st, err := sess.OpenStream()
 	if err != nil {
 		sess.Close()
@@ -44,23 +76,7 @@ func failoverSession(t *testing.T, srv *chaosServer, cfg *Config) *Session {
 	if _, err := io.ReadFull(st, buf); err != nil {
 		t.Fatal(err)
 	}
-
-	sess.mu.Lock()
-	pc0 := sess.conns[0]
-	sess.mu.Unlock()
-	pc0.nc.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for {
-		ev, err := sess.WaitEvent(ctx)
-		if err != nil {
-			t.Fatalf("waiting for failover: %v", err)
-		}
-		if ev.Kind == EventFailover {
-			break
-		}
-	}
+	killPath(t, sess, 0)
 	if _, err := st.Write([]byte("pong")); err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +86,25 @@ func failoverSession(t *testing.T, srv *chaosServer, cfg *Config) *Session {
 	return sess
 }
 
-// quiesce polls until two Metrics snapshots 100ms apart agree on the
-// per-conn counters and the flight total — no trace events in flight.
-func quiesce(t *testing.T, sess *Session) MetricsSnapshot {
+// connStats keys a snapshot's per-connection counters by connection ID.
+func connStats(snap Snapshot) map[uint32]Stats {
+	m := make(map[uint32]Stats, len(snap.Conns))
+	for _, c := range snap.Conns {
+		m[c.ID] = c.Stats
+	}
+	return m
+}
+
+// quiesce polls until two snapshots 100ms apart agree on the per-conn
+// counters and the flight total — no trace events in flight.
+func quiesce(t *testing.T, sess *Session) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	prev := sess.Metrics()
+	prev := sess.Snapshot()
 	for time.Now().Before(deadline) {
 		time.Sleep(100 * time.Millisecond)
-		cur := sess.Metrics()
-		if reflect.DeepEqual(prev.Conns, cur.Conns) && prev.FlightTotal == cur.FlightTotal {
+		cur := sess.Snapshot()
+		if reflect.DeepEqual(connStats(prev), connStats(cur)) && prev.FlightTotal == cur.FlightTotal {
 			return cur
 		}
 		prev = cur
@@ -91,11 +116,11 @@ func quiesce(t *testing.T, sess *Session) MetricsSnapshot {
 // TestFlightDumpMatchesMetricsAcrossFailover is the acceptance test:
 // the analyzer run over a flight-recorder dump must reconstruct the
 // failover gap and per-path record counts that agree exactly with
-// Session.Metrics().
+// Session.Snapshot().
 func TestFlightDumpMatchesMetricsAcrossFailover(t *testing.T) {
 	// The per-conn counters live in the process-wide registry keyed by
 	// session label, which both endpoint halves share — disable the
-	// server half so Metrics() reflects exactly the client's traffic,
+	// server half so Snapshot() reflects exactly the client's traffic,
 	// the same traffic the client's flight recorder saw. AckPeriod 1
 	// acks every record, completing the lifecycle spans.
 	scfg := &Config{EnableFailover: true, AckPeriod: 1, NumCookies: 4,
@@ -107,11 +132,12 @@ func TestFlightDumpMatchesMetricsAcrossFailover(t *testing.T) {
 	defer sess.Close()
 
 	snap := quiesce(t, sess)
+	conns := connStats(snap)
 	var buf bytes.Buffer
 	if err := sess.DumpFlight(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if after := sess.Metrics(); !reflect.DeepEqual(after.Conns, snap.Conns) {
+	if after := sess.Snapshot(); !reflect.DeepEqual(connStats(after), conns) {
 		t.Skip("traffic raced the dump; counters moved")
 	}
 	if snap.FlightTotal != uint64(snap.FlightEvents) {
@@ -129,11 +155,11 @@ func TestFlightDumpMatchesMetricsAcrossFailover(t *testing.T) {
 	}
 
 	// Per-path record counts must match the telemetry counters exactly.
-	if len(rep.Paths) != len(snap.Conns) {
-		t.Fatalf("analyzer saw %d paths, metrics %d", len(rep.Paths), len(snap.Conns))
+	if len(rep.Paths) != len(conns) {
+		t.Fatalf("analyzer saw %d paths, metrics %d", len(rep.Paths), len(conns))
 	}
 	for _, p := range rep.Paths {
-		cm, ok := snap.Conns[p.Conn]
+		cm, ok := conns[p.Conn]
 		if !ok {
 			t.Fatalf("analyzer path %d missing from metrics", p.Conn)
 		}
@@ -152,8 +178,8 @@ func TestFlightDumpMatchesMetricsAcrossFailover(t *testing.T) {
 		if p.AcksReceived != cm.AcksReceived {
 			t.Errorf("conn %d acks received: trace %d, metrics %d", p.Conn, p.AcksReceived, cm.AcksReceived)
 		}
-		if p.DupDropped != cm.DupRecords {
-			t.Errorf("conn %d dups: trace %d, metrics %d", p.Conn, p.DupDropped, cm.DupRecords)
+		if p.DupDropped != cm.DupRecordsDropped {
+			t.Errorf("conn %d dups: trace %d, metrics %d", p.Conn, p.DupDropped, cm.DupRecordsDropped)
 		}
 		if p.BytesSent != cm.BytesSent {
 			t.Errorf("conn %d bytes sent: trace %d, metrics %d", p.Conn, p.BytesSent, cm.BytesSent)
@@ -185,7 +211,7 @@ func TestFlightDumpMatchesMetricsAcrossFailover(t *testing.T) {
 	}
 }
 
-// TestMetricsAndDumpFlightConcurrentWithClose hammers Session.Metrics
+// TestMetricsAndDumpFlightConcurrentWithClose hammers Session.Snapshot
 // and Session.DumpFlight from racing goroutines through a failover and
 // a concurrent Close. Run under -race; nothing may panic or deadlock,
 // and DumpFlight must keep working after Close (postmortem use).
@@ -208,7 +234,7 @@ func TestMetricsAndDumpFlightConcurrentWithClose(t *testing.T) {
 					return
 				default:
 				}
-				snap := sess.Metrics()
+				snap := sess.Snapshot()
 				_ = snap.Conns
 				_ = sess.DumpFlight(io.Discard)
 			}
@@ -500,7 +526,7 @@ func TestFlightDisabledAndAutoDump(t *testing.T) {
 	if err := off.DumpFlight(io.Discard); err == nil {
 		t.Fatal("DumpFlight succeeded with the recorder disabled")
 	}
-	if snap := off.Metrics(); snap.FlightTotal != 0 || snap.FlightEvents != 0 {
+	if snap := off.Snapshot(); snap.FlightTotal != 0 || snap.FlightEvents != 0 {
 		t.Fatalf("disabled recorder reports events: %+v", snap)
 	}
 	off.Close()

@@ -83,7 +83,7 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 	// a bounded buffer — not the whole 4 MiB — and reports it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m := ssess.Metrics()
+		m := ssess.Snapshot()
 		if m.FlowctlLimits >= 1 {
 			break
 		}
@@ -94,7 +94,7 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 	}
 	// The readLoop parks right after the chunk that crossed the cap, so
 	// the buffered high-water mark is cap + one socket read (readBufLen).
-	if buffered := int(ssess.Metrics().Stats.BytesReceived); buffered > recvCap+readBufLen {
+	if buffered := int(ssess.Snapshot().BytesReceived); buffered > recvCap+readBufLen {
 		t.Fatalf("receiver buffered %d bytes against a %d cap", buffered, recvCap)
 	}
 
@@ -301,7 +301,7 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 	srv.mu.Lock()
 	ssess := srv.ss[0]
 	srv.mu.Unlock()
-	sm := ssess.Metrics()
+	sm := ssess.Snapshot()
 	if sm.FlowctlLimits < 1 {
 		t.Fatalf("receiver reorder cap never tripped (peak %d, cap %d)",
 			sm.ReorderBytesPeak, reorderCap)
@@ -316,7 +316,7 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 	if sm.ReorderBytes != 0 {
 		t.Fatalf("reorder heap still holds %d bytes after a complete transfer", sm.ReorderBytes)
 	}
-	cm := sess.Metrics()
+	cm := sess.Snapshot()
 	// Per-stream budget; three coupled streams plus slack for records
 	// acked but not yet processed.
 	if cm.RetransmitBytesPeak > 3*retxBudget {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"tcpls/internal/core"
 	"tcpls/internal/health"
 	"tcpls/internal/telemetry"
 )
@@ -48,44 +47,14 @@ func (hc *HealthConfig) window() int {
 	return hc.Window
 }
 
-// sessionHealthSource adapts a Session to health.Source: one locked
-// pass over the engine per tick, reusing the session's ConnHealth
-// buffer so steady-state sampling allocates nothing.
+// sessionHealthSource is a Session as a health.Source: the tick's one
+// hold of s.mu, filling the monitor's reused snapshot.
 type sessionHealthSource struct{ s *Session }
 
-func (src sessionHealthSource) HealthSample(hs *health.Sample) {
-	s := src.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cs core.HealthStats
-	s.healthConns = s.engine.HealthSnapshot(&cs, s.healthConns[:0])
-	hs.BytesSent = cs.Stats.BytesSent
-	hs.BytesReceived = cs.Stats.BytesReceived
-	hs.RecordsSent = cs.Stats.RecordsSent
-	hs.RecordsReceived = cs.Stats.RecordsReceived
-	hs.AcksReceived = cs.Stats.AcksReceived
-	hs.Retransmits = cs.Stats.Retransmits
-	hs.OutstandingBytes = cs.OutstandingBytes
-	hs.MemoryBytes = cs.BufferedBytes
-	hs.ReorderDepth = cs.ReorderDepth
-	hs.ConnsLive = cs.ConnsLive
-	hs.StreamsOpen = cs.StreamsOpen
-	if tel := s.tel; tel != nil {
-		hs.AckRTTCount = tel.AckRTT.Count()
-		hs.AckRTTSumSec = tel.AckRTT.Sum()
-	}
-	for i := range s.healthConns {
-		c := &s.healthConns[i]
-		hs.Paths = append(hs.Paths, health.PathSample{
-			Conn:          c.ID,
-			Failed:        c.Failed,
-			BytesSent:     c.BytesSent,
-			BytesReceived: c.BytesReceived,
-			Retransmits:   c.Retransmits,
-			SRTTUS:        c.SRTTUS,
-			DeliveryRate:  c.DeliveryRate,
-		})
-	}
+func (src sessionHealthSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
+	src.s.mu.Lock()
+	defer src.s.mu.Unlock()
+	src.s.snapshotLocked(snap)
 }
 
 // onHealthVerdict is the session's verdict sink: every raise/clear is
@@ -177,7 +146,7 @@ var (
 // processHealthSource samples the process-wide registry families.
 type processHealthSource struct{}
 
-func (processHealthSource) HealthSample(hs *health.Sample) {
+func (processHealthSource) HealthSample(snap *telemetry.Snapshot, proc *health.ProcessCounters) {
 	reg := telemetry.Default()
 	sum := func(name string) uint64 {
 		v, _ := reg.SumValues(name)
@@ -186,11 +155,11 @@ func (processHealthSource) HealthSample(hs *health.Sample) {
 		}
 		return uint64(v)
 	}
-	hs.ResumeAccepted = sum("tcpls_resume_accepted_total")
-	hs.ResumeRejected = sum("tcpls_resume_rejected_total")
-	hs.AdmissionRejected = sum("tcpls_server_rejected_total")
+	proc.ResumeAccepted = sum("tcpls_resume_accepted_total")
+	proc.ResumeRejected = sum("tcpls_resume_rejected_total")
+	proc.AdmissionRejected = sum("tcpls_server_rejected_total")
 	mem, _ := reg.SumValues("tcpls_server_memory_bytes")
-	hs.MemoryBytes = int(mem)
+	snap.MemoryBytes = int(mem)
 }
 
 // HealthRollup surfaces the operator counters the /debug/tcpls/health

@@ -448,8 +448,8 @@ func TestHealthMidFailoverSampling(t *testing.T) {
 }
 
 // TestHealthSessionPollAllocFree is the root-level zero-alloc gate: one
-// diagnosis tick over a REAL session — engine HealthSnapshot into the
-// reused conn buffer, ring pushes, rule table — allocates nothing in
+// diagnosis tick over a REAL session — engine Snapshot into the
+// monitor's reused rows, ring pushes, rule table — allocates nothing in
 // steady state. The internal/health test proves the monitor core; this
 // proves the session source feeding it.
 func TestHealthSessionPollAllocFree(t *testing.T) {
@@ -488,7 +488,7 @@ func TestHealthSessionPollAllocFree(t *testing.T) {
 	}
 	// Let the ack tail drain so no rule transitions mid-measurement.
 	deadline := time.Now().Add(2 * time.Second)
-	for sess.Metrics().RetransmitBytes > 0 && time.Now().Before(deadline) {
+	for sess.Snapshot().RetransmitBytes > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 

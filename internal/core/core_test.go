@@ -7,6 +7,8 @@ import (
 
 	"tcpls/internal/handshake"
 	"tcpls/internal/record"
+	"tcpls/internal/sched"
+	"tcpls/internal/telemetry"
 )
 
 // testSecrets builds deterministic handshake secrets for engine tests.
@@ -91,6 +93,13 @@ func (p *pair) pump(dead ...uint32) {
 			}
 		}
 	}
+}
+
+// snapshot takes a fresh Snapshot of s.
+func snapshot(s *Session) telemetry.Snapshot {
+	var snap telemetry.Snapshot
+	s.Snapshot(&snap)
+	return snap
 }
 
 func allConnIDs(s *Session) []uint32 {
@@ -248,7 +257,7 @@ func TestWriteSealsWholeRecordsFromCallerSlice(t *testing.T) {
 	if got := p.client.Stats().RecordsSent - before; got != 3 {
 		t.Fatalf("%d records sealed inside Write, want the 3 whole ones", got)
 	}
-	if got := p.client.StreamInfos()[0].PendingBytes; got != 100 {
+	if got := snapshot(p.client).Streams[0].PendingBytes; got != 100 {
 		t.Fatalf("%d bytes queued, want only the 100-byte tail", got)
 	}
 	p.client.Write(sid, second)
@@ -642,6 +651,64 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if ss.RecordsReceived < 2 {
 		t.Errorf("server RecordsReceived=%d", ss.RecordsReceived)
+	}
+}
+
+// TestSnapshotAllocFree is the engine half of the sampler's zero-alloc
+// gate: a Snapshot into a kept dst — 2 conns, 4 streams, telemetry and
+// path metrics installed — allocates nothing, and its rows come in
+// ascending ID order with the session's totals adding up.
+func TestSnapshotAllocFree(t *testing.T) {
+	p := newPair(t, Config{EnableFailover: true})
+	p.client.SetTelemetry(telemetry.TCPLSFamilies(telemetry.NewRegistry()).Session("snap", "client"))
+	p.client.SetMetrics(sched.NewMetrics())
+	p.client.SetPathScheduler(sched.LowestRTT())
+	p.addConn(1)
+	var coupled [2]uint32
+	for i := range coupled {
+		coupled[i], _ = p.client.CreateStream(uint32(i))
+		if err := p.client.SetCoupled(coupled[i], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sid, _ := p.client.CreateStream(0)
+	p.client.CreateStream(1)
+	p.pump()
+	p.client.Write(sid, make([]byte, 30000))
+	if _, err := p.client.WriteCoupled(make([]byte, 60000)); err != nil {
+		t.Fatal(err)
+	}
+	p.pump()
+
+	var snap telemetry.Snapshot
+	p.client.Snapshot(&snap)
+	if n := testing.AllocsPerRun(100, func() { p.client.Snapshot(&snap) }); n != 0 {
+		t.Fatalf("Snapshot into a kept dst allocates %v per call", n)
+	}
+	if len(snap.Conns) != 2 || snap.Conns[0].ID != 0 || snap.Conns[1].ID != 1 || snap.ConnsLive != 2 {
+		t.Fatalf("conn rows %+v, live %d: want conns 0 and 1, both live", snap.Conns, snap.ConnsLive)
+	}
+	if len(snap.Streams) != 4 || snap.StreamsOpen != 4 {
+		t.Fatalf("%d stream rows, StreamsOpen %d: want 4", len(snap.Streams), snap.StreamsOpen)
+	}
+	var perConn, perStream uint64
+	for i, st := range snap.Streams {
+		if i > 0 && st.ID <= snap.Streams[i-1].ID {
+			t.Fatalf("stream rows out of order: %d after %d", st.ID, snap.Streams[i-1].ID)
+		}
+		perStream += st.BytesSent
+	}
+	for _, c := range snap.Conns {
+		perConn += c.BytesSent
+	}
+	if snap.Stats != p.client.Stats() || snap.BytesSent != 90000 || perConn != 90000 || perStream != 90000 {
+		t.Fatalf("bytes sent: session %d, conns %d, streams %d, want 90000 each", snap.BytesSent, perConn, perStream)
+	}
+	if snap.Scheduler != "lowrtt" || snap.SchedPicks["lowrtt"] == 0 {
+		t.Fatalf("scheduler %q, picks %v", snap.Scheduler, snap.SchedPicks)
+	}
+	if snap.MemoryBytes != p.client.BufferedBytes() {
+		t.Fatalf("MemoryBytes %d, BufferedBytes %d", snap.MemoryBytes, p.client.BufferedBytes())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tcpls/internal/sched"
+	"tcpls/internal/telemetry"
 )
 
 // collectTrace installs a tracer on s and returns the growing event log.
@@ -83,7 +84,7 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 
 	if !p.server.ConnFailed(1) {
 		t.Fatalf("stalled conn 1 not declared suspect (reorder bytes %d, cap %d)",
-			p.server.ReorderBytes(), cfg.MaxReorderBytes)
+			snapshot(p.server).ReorderBytes, cfg.MaxReorderBytes)
 	}
 	if p.server.ConnFailed(0) || p.server.ConnFailed(2) {
 		t.Fatal("a live path was declared suspect")
@@ -100,7 +101,7 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 	if !found {
 		t.Fatal("no EventConnFailed for the suspect path")
 	}
-	if peak := p.server.ReorderPeakBytes(); peak < cfg.MaxReorderBytes {
+	if peak := snapshot(p.server).ReorderBytesPeak; peak < cfg.MaxReorderBytes {
 		t.Fatalf("reorder peak %d never reached the cap %d", peak, cfg.MaxReorderBytes)
 	}
 
@@ -115,9 +116,9 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 	if n != len(data) || !bytes.Equal(got[:n], data) {
 		t.Fatalf("delivered %d bytes after recovery, want %d byte-exact", n, len(data))
 	}
-	if p.server.ReorderBytes() != 0 || p.server.ReorderDepth() != 0 {
+	if snap := snapshot(p.server); snap.ReorderBytes != 0 || snap.ReorderDepth != 0 {
 		t.Fatalf("reorder heap not drained: %d bytes / %d records",
-			p.server.ReorderBytes(), p.server.ReorderDepth())
+			snap.ReorderBytes, snap.ReorderDepth)
 	}
 }
 
@@ -156,7 +157,7 @@ func TestParkedRecordsPinWhatTheyCount(t *testing.T) {
 			if err := p.server.Receive(1, ahead, p.now); err != nil {
 				t.Fatal(err)
 			}
-			depth := p.server.ReorderDepth()
+			depth := snapshot(p.server).ReorderDepth
 			if depth == 0 || p.server.CoupledReadable() != 0 {
 				t.Fatalf("%d records parked, %d bytes readable: want all parked", depth, p.server.CoupledReadable())
 			}
@@ -165,9 +166,9 @@ func TestParkedRecordsPinWhatTheyCount(t *testing.T) {
 				t.Fatalf("%d pooled Bufs held for %d parked %d-byte records", held, depth, p.client.cfg.maxPayload())
 			}
 			p.server.ReleaseBuffers()
-			if st := p.server.PoolStats(); st.PayloadGets != st.PayloadPuts || p.server.ReorderDepth() != 0 {
+			if st := p.server.PoolStats(); st.PayloadGets != st.PayloadPuts || snapshot(p.server).ReorderDepth != 0 {
 				t.Fatalf("after ReleaseBuffers: %d gets, %d puts, %d records still parked",
-					st.PayloadGets, st.PayloadPuts, p.server.ReorderDepth())
+					st.PayloadGets, st.PayloadPuts, snapshot(p.server).ReorderDepth)
 			}
 		})
 	}
@@ -209,13 +210,13 @@ func TestRecvBufferBackpressure(t *testing.T) {
 		t.Fatalf("flowctl_limit events = %d, want 1", traceCount(*trace, "flowctl_limit"))
 	}
 	var blocked bool
-	for _, si := range p.server.StreamInfos() {
+	for _, si := range snapshot(p.server).Streams {
 		if si.ID == sid {
 			blocked = si.RecvBlocked
 		}
 	}
 	if !blocked {
-		t.Fatal("StreamInfo.RecvBlocked not set at the cap")
+		t.Fatal("StreamSnapshot.RecvBlocked not set at the cap")
 	}
 
 	// A caller that ignores the backpressure signal hits the hard error
@@ -298,7 +299,7 @@ func TestRetransmitBudgetParksAndErrors(t *testing.T) {
 	if _, err := p.client.Outgoing(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.client.RetransmitBytes(); got != cfg.MaxRetransmitBytes {
+	if got := snapshot(p.client).RetransmitBytes; got != cfg.MaxRetransmitBytes {
 		t.Fatalf("retransmit buffer %d, want parked exactly at budget %d", got, cfg.MaxRetransmitBytes)
 	}
 	if traceCount(*trace, "flowctl_limit") != 1 {
@@ -308,14 +309,14 @@ func TestRetransmitBudgetParksAndErrors(t *testing.T) {
 		t.Fatalf("ack_solicited events = %d, want 1 (deduplicated while outstanding)",
 			traceCount(*trace, "ack_solicited"))
 	}
-	var si StreamInfo
-	for _, s := range p.client.StreamInfos() {
+	var si telemetry.StreamSnapshot
+	for _, s := range snapshot(p.client).Streams {
 		if s.ID == sid {
 			si = s
 		}
 	}
 	if !si.AckSolicited {
-		t.Fatal("StreamInfo.AckSolicited not set under budget pressure")
+		t.Fatal("StreamSnapshot.AckSolicited not set under budget pressure")
 	}
 	if si.PendingBytes != 4096-cfg.MaxRetransmitBytes {
 		t.Fatalf("pending %d, want %d parked", si.PendingBytes, 4096-cfg.MaxRetransmitBytes)
@@ -349,14 +350,14 @@ func TestFinWaitsBehindParkedData(t *testing.T) {
 	if err := p.client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if si := p.client.StreamInfos()[0]; si.PendingBytes == 0 || si.FinSent {
+	if si := snapshot(p.client).Streams[0]; si.PendingBytes == 0 || si.FinSent {
 		t.Fatalf("parked with %d bytes pending, FinSent = %v: want bytes pending and no FIN", si.PendingBytes, si.FinSent)
 	}
 	p.pump() // acks trim the buffer, the rest follows, then the FIN
 	if got := readAll(t, p.server, sid); !bytes.Equal(got, msg) {
 		t.Fatalf("delivered %d of %d bytes", len(got), len(msg))
 	}
-	if !p.client.StreamInfos()[0].FinSent || !p.server.PeerFinished(sid) {
+	if !snapshot(p.client).Streams[0].FinSent || !p.server.PeerFinished(sid) {
 		t.Fatal("stream never finished once the parked data drained")
 	}
 }
@@ -389,12 +390,13 @@ func TestAckSolicitationUnblocks(t *testing.T) {
 	if p.client.Stats().AcksReceived == 0 {
 		t.Fatal("no acks flowed back despite solicitation")
 	}
-	if p.client.RetransmitBytes() != 0 {
-		t.Fatalf("retransmit buffer %d after full ack drain", p.client.RetransmitBytes())
+	snap := snapshot(p.client)
+	if snap.RetransmitBytes != 0 {
+		t.Fatalf("retransmit buffer %d after full ack drain", snap.RetransmitBytes)
 	}
-	if p.client.RetransmitPeakBytes() > cfg.MaxRetransmitBytes {
+	if snap.RetransmitBytesPeak > cfg.MaxRetransmitBytes {
 		t.Fatalf("retransmit peak %d exceeded budget %d",
-			p.client.RetransmitPeakBytes(), cfg.MaxRetransmitBytes)
+			snap.RetransmitBytesPeak, cfg.MaxRetransmitBytes)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -332,18 +333,9 @@ type Session struct {
 	stats Stats
 }
 
-// Stats exposes engine counters for instrumentation and tests.
-type Stats struct {
-	RecordsSent       uint64
-	RecordsReceived   uint64
-	BytesSent         uint64
-	BytesReceived     uint64
-	AcksSent          uint64
-	AcksReceived      uint64
-	Retransmits       uint64
-	DupRecordsDropped uint64
-	FailedDecrypts    uint64
-}
+// Stats is the engine's counter block, declared beside the Snapshot
+// that carries it.
+type Stats = telemetry.Stats
 
 // coupledState is the session-wide coupled-stream group (§4.3; the
 // prototype couples all coupled-flagged streams together).
@@ -823,211 +815,99 @@ func (s *Session) CoupledQueuedBytes() int {
 	return deepest
 }
 
-// ConnInfo is a point-in-time snapshot of one connection's engine state
-// for live introspection (/debug/tcpls).
-type ConnInfo struct {
-	ID           uint32
-	Failed       bool
-	Closed       bool
-	Streams      []uint32 // data streams currently attached (send side)
-	QueuedBytes  int      // sealed bytes not yet drained by Outgoing
-	LastRecv     time.Time
-	SRTT         time.Duration // zero when no path-metrics store or no sample
-	RTTVar       time.Duration
-	DeliveryRate float64 // bytes per second; zero when unsampled
-	InFlight     uint64
-	Losses       uint64
-	RecvPaused   bool // receive backpressure wants socket reads paused
-}
-
-// StreamInfo is a point-in-time snapshot of one stream's engine state.
-type StreamInfo struct {
-	ID            uint32
-	Conn          uint32
-	Coupled       bool
-	FinQueued     bool
-	FinSent       bool
-	PeerFin       bool
-	PendingBytes  int // application bytes not yet sealed
-	RetransmitQ   int // records buffered for failover replay
-	UnackedBytes  int // payload bytes across the retransmit queue
-	RecvBuffered  int
-	NextSendSeq   uint64
-	PeerAckedSeq  uint64
-	BytesSent     uint64 // from telemetry when installed, else 0
-	BytesReceived uint64
-	RecvBlocked   bool // receive buffer at its cap (backpressure)
-	AckSolicited  bool // an AckRequest is outstanding for this stream
-}
-
-// ConnInfos snapshots every connection, in ascending ID order.
-func (s *Session) ConnInfos() []ConnInfo {
-	ids := make([]uint32, 0, len(s.conns))
-	for id := range s.conns {
-		ids = append(ids, id)
+// Snapshot fills dst with the engine's observable state (DESIGN.md
+// §10.1) in one pass over the connections and one over the streams,
+// rows in ascending ID order. It reuses dst's rows, so a caller that
+// keeps dst from one call to the next allocates nothing; the envelope
+// fields are the wrapper's and are left zero.
+func (s *Session) Snapshot(dst *telemetry.Snapshot) {
+	dst.Reset()
+	dst.Scheduler = "roundrobin"
+	if s.pathSched != nil {
+		dst.Scheduler = s.pathSched.Name()
 	}
-	slices.Sort(ids)
-	out := make([]ConnInfo, 0, len(ids))
-	for _, id := range ids {
-		c := s.conns[id]
-		ci := ConnInfo{
+	dst.StreamsOpen = len(s.streams)
+	dst.ReorderDepth = s.coupled.buf.Pending()
+	dst.ReorderBytes = s.coupled.buf.PendingBytes()
+	dst.ReorderBytesPeak = s.coupled.peakBytes
+	dst.RetransmitBytes = s.retransmitTotal
+	dst.RetransmitBytesPeak = s.retransmitPeak
+	dst.MemoryBytes = dst.ReorderBytes + dst.RetransmitBytes
+	dst.Stats = s.stats
+	s.tel.Snapshot(dst)
+
+	for id, c := range s.conns {
+		live := !c.failed && !c.closed
+		if live {
+			dst.ConnsLive++
+		}
+		row := telemetry.ConnSnapshot{
 			ID:          id,
 			Failed:      c.failed,
 			Closed:      c.closed,
+			RecvPaused:  live && s.coupled.recvBlocked,
 			QueuedBytes: s.QueuedBytes(id),
-			LastRecv:    c.lastRecv,
-			RecvPaused:  s.RecvPaused(id),
+			LastRecvUS:  traceUS(c.lastRecv),
 		}
-		for stID, st := range s.streams {
-			if st.conn == id {
-				ci.Streams = append(ci.Streams, stID)
-			}
-		}
-		slices.Sort(ci.Streams)
 		if s.metrics != nil {
 			if ps, ok := s.metrics.Snapshot(id); ok {
-				ci.SRTT, ci.RTTVar = ps.SRTT, ps.RTTVar
-				ci.DeliveryRate = ps.DeliveryRate
-				ci.InFlight, ci.Losses = ps.InFlight, ps.Losses
+				row.SRTTUS = int64(ps.SRTT / time.Microsecond)
+				row.RTTVarUS = int64(ps.RTTVar / time.Microsecond)
+				row.DeliveryRate = ps.DeliveryRate
+				row.InFlight, row.Losses = ps.InFlight, ps.Losses
 			}
 		}
-		out = append(out, ci)
+		c.tel.Snapshot(&row.Stats)
+		dst.Conns = append(dst.Conns, row)
 	}
-	return out
-}
+	byID := func(c telemetry.ConnSnapshot, id uint32) int { return cmp.Compare(c.ID, id) }
+	slices.SortFunc(dst.Conns, func(a, b telemetry.ConnSnapshot) int { return byID(a, b.ID) })
 
-// StreamInfos snapshots every stream, in ascending ID order.
-func (s *Session) StreamInfos() []StreamInfo {
-	ids := s.Streams()
-	slices.Sort(ids)
-	out := make([]StreamInfo, 0, len(ids))
-	for _, id := range ids {
+	for _, id := range s.sortedStreamIDs() {
 		st := s.streams[id]
-		si := StreamInfo{
+		row := telemetry.StreamSnapshot{
 			ID:           id,
 			Conn:         st.conn,
 			Coupled:      st.coupled,
 			FinQueued:    st.finQueued,
 			FinSent:      st.finSent,
 			PeerFin:      st.peerFin,
+			RecvBlocked:  st.recvBlocked,
+			AckSolicited: st.ackSolicited,
 			PendingBytes: st.pendingQ.Len(),
 			RetransmitQ:  len(st.retransmit),
+			UnackedBytes: st.retransmitBytes,
 			RecvBuffered: st.recvQ.Len(),
 			NextSendSeq:  st.sendCtx.Seq(),
 			PeerAckedSeq: st.peerAcked,
-			UnackedBytes: st.retransmitBytes,
-			RecvBlocked:  st.recvBlocked,
-			AckSolicited: st.ackSolicited,
 		}
-		if st.tel != nil {
-			si.BytesSent = st.tel.BytesSent.Load()
-			si.BytesReceived = st.tel.BytesReceived.Load()
+		st.tel.Snapshot(&row)
+		dst.MemoryBytes += row.RecvBuffered + row.PendingBytes
+		if i, ok := slices.BinarySearchFunc(dst.Conns, st.conn, byID); ok {
+			c := &dst.Conns[i]
+			row.Parked = c.Failed
+			// Same rule as RecvPaused: a full uncoupled stream pauses the
+			// connection its records arrive on.
+			if st.recvBlocked && !st.coupled && !c.Failed && !c.Closed {
+				c.RecvPaused = true
+			}
 		}
-		out = append(out, si)
+		dst.Streams = append(dst.Streams, row)
 	}
-	return out
 }
-
-// SchedulerName reports the active coupled-path scheduler's name
-// ("roundrobin" when none was installed).
-func (s *Session) SchedulerName() string {
-	if s.pathSched == nil {
-		return "roundrobin"
-	}
-	return s.pathSched.Name()
-}
-
-// ReorderDepth reports how many out-of-order coupled records the
-// receive-side reorder heap currently holds.
-func (s *Session) ReorderDepth() int { return s.coupled.buf.Pending() }
-
-// ReorderBytes reports the payload bytes currently parked in the
-// coupled reorder heap; ReorderPeakBytes is its session high-watermark.
-func (s *Session) ReorderBytes() int     { return s.coupled.buf.PendingBytes() }
-func (s *Session) ReorderPeakBytes() int { return s.coupled.peakBytes }
-
-// RetransmitBytes reports the payload bytes held across all streams'
-// retransmit buffers; RetransmitPeakBytes is its session high-watermark.
-func (s *Session) RetransmitBytes() int     { return s.retransmitTotal }
-func (s *Session) RetransmitPeakBytes() int { return s.retransmitPeak }
 
 // BufferedBytes sums every buffer the engine holds on behalf of the
 // peer or the application: the coupled reorder heap, the failover
 // retransmit buffers, and each stream's receive buffer and unsent
-// pending data. This is the per-session figure the server runtime
-// rolls up into its process-wide memory budget, so it walks the
-// streams directly instead of allocating StreamInfo snapshots.
+// pending data (Snapshot's MemoryBytes). This scalar form is what the
+// server runtime rolls up across thousands of sessions into its
+// process-wide memory budget.
 func (s *Session) BufferedBytes() int {
 	total := s.coupled.buf.PendingBytes() + s.retransmitTotal
 	for _, st := range s.streams {
 		total += st.recvQ.Len() + st.pendingQ.Len()
 	}
 	return total
-}
-
-// ConnHealth is one connection's compact health sample: the per-path
-// row the continuous-diagnosis sampler reads every tick. Counter
-// fields come from the connection's pre-resolved telemetry handles and
-// are zero when telemetry is not installed; scheduler fields are zero
-// when no path-metrics engine runs.
-type ConnHealth struct {
-	ID            uint32
-	Failed        bool
-	BytesSent     uint64
-	BytesReceived uint64
-	Retransmits   uint64
-	SRTTUS        int64
-	DeliveryRate  float64
-}
-
-// HealthStats is the session-level half of a health sample.
-type HealthStats struct {
-	Stats Stats
-	// OutstandingBytes is the unacknowledged send data across all
-	// retransmit buffers (the stall rule's "data is waiting" signal).
-	OutstandingBytes int
-	// BufferedBytes is the session's total held memory (see
-	// BufferedBytes).
-	BufferedBytes int
-	ReorderDepth  int
-	ConnsLive     int
-	StreamsOpen   int
-}
-
-// HealthSnapshot fills hs and appends one ConnHealth row per open
-// connection to conns, returning the extended slice. Unlike ConnInfos
-// it allocates nothing when conns has capacity — the health sampler
-// calls it once per tick with a reused buffer. Caller must serialize
-// with the session's other entry points, like every engine method.
-func (s *Session) HealthSnapshot(hs *HealthStats, conns []ConnHealth) []ConnHealth {
-	hs.Stats = s.stats
-	hs.OutstandingBytes = s.retransmitTotal
-	hs.BufferedBytes = s.BufferedBytes()
-	hs.ReorderDepth = s.coupled.buf.Pending()
-	hs.ConnsLive = 0
-	hs.StreamsOpen = len(s.streams)
-	for id, c := range s.conns {
-		if c.closed {
-			continue
-		}
-		if !c.failed {
-			hs.ConnsLive++
-		}
-		ch := ConnHealth{ID: id, Failed: c.failed}
-		if cm := c.tel; cm != nil {
-			ch.BytesSent = cm.BytesSent.Load()
-			ch.BytesReceived = cm.BytesReceived.Load()
-			ch.Retransmits = cm.Retransmits.Load()
-		}
-		if s.metrics != nil {
-			if ps, ok := s.metrics.Snapshot(id); ok {
-				ch.SRTTUS = int64(ps.SRTT / time.Microsecond)
-				ch.DeliveryRate = ps.DeliveryRate
-			}
-		}
-		conns = append(conns, ch)
-	}
-	return conns
 }
 
 // RecvPaused reports whether the receive side wants the I/O wrapper to

@@ -167,15 +167,6 @@ func (s *Session) installStream(id, connID uint32) (*stream, error) {
 	return st, nil
 }
 
-// Streams returns the IDs of all open streams.
-func (s *Session) Streams() []uint32 {
-	out := make([]uint32, 0, len(s.streams))
-	for id := range s.streams {
-		out = append(out, id)
-	}
-	return out
-}
-
 // StreamsOnConn returns the IDs of streams attached to connID.
 func (s *Session) StreamsOnConn(connID uint32) []uint32 {
 	var out []uint32

@@ -16,6 +16,7 @@ import (
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
 	"tcpls/internal/simtcpls"
+	"tcpls/internal/telemetry"
 )
 
 // epoch anchors virtual time onto the wall-clock type the engine uses
@@ -557,41 +558,13 @@ func (c *campaign) installCounters(fs *fleetSession) {
 	fs.sv.Sess.SetTracer(tap(1, capture && !fs.up))
 }
 
-// fleetHealthSource adapts one endpoint's core engine to the health
+// fleetHealthSource hands one endpoint's engine snapshot to the health
 // sampler. The campaign is single-goroutine on the DES, so the engine
-// needs no locking; the snapshot buffers are reused across polls.
-type fleetHealthSource struct {
-	sess  *core.Session
-	hs    core.HealthStats
-	conns []core.ConnHealth
-}
+// needs no locking.
+type fleetHealthSource struct{ sess *core.Session }
 
-func (f *fleetHealthSource) HealthSample(s *health.Sample) {
-	f.conns = f.sess.HealthSnapshot(&f.hs, f.conns[:0])
-	st := f.hs.Stats
-	s.BytesSent = st.BytesSent
-	s.BytesReceived = st.BytesReceived
-	s.RecordsSent = st.RecordsSent
-	s.RecordsReceived = st.RecordsReceived
-	s.AcksReceived = st.AcksReceived
-	s.Retransmits = st.Retransmits
-	s.OutstandingBytes = f.hs.OutstandingBytes
-	s.MemoryBytes = f.hs.BufferedBytes
-	s.ReorderDepth = f.hs.ReorderDepth
-	s.ConnsLive = f.hs.ConnsLive
-	s.StreamsOpen = f.hs.StreamsOpen
-	for i := range f.conns {
-		ch := &f.conns[i]
-		s.Paths = append(s.Paths, health.PathSample{
-			Conn:          ch.ID,
-			Failed:        ch.Failed,
-			BytesSent:     ch.BytesSent,
-			BytesReceived: ch.BytesReceived,
-			Retransmits:   ch.Retransmits,
-			SRTTUS:        ch.SRTTUS,
-			DeliveryRate:  ch.DeliveryRate,
-		})
-	}
+func (f fleetHealthSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
+	f.sess.Snapshot(snap)
 }
 
 // installHealth attaches the session's two diagnosis monitors and the
@@ -601,7 +574,7 @@ func (f *fleetHealthSource) HealthSample(s *health.Sample) {
 func (c *campaign) installHealth(fs *fleetSession) {
 	c.healthRaised[fs.idx] = map[string]int{}
 	mk := func(side string, sess *core.Session) *health.Monitor {
-		return health.NewMonitor(&fleetHealthSource{sess: sess}, health.Options{
+		return health.NewMonitor(fleetHealthSource{sess}, health.Options{
 			Key:      fmt.Sprintf("s%d/%s", fs.idx, side),
 			Interval: healthTick,
 			Window:   healthWindow,
@@ -1012,7 +985,10 @@ func (c *campaign) resetLowestLive(fs *fleetSession) {
 
 // snapshot freezes per-session metrics and checks invariants 1, 2 and 4.
 func (c *campaign) snapshot(res *Result) {
+	var ends [2]telemetry.Snapshot // client, server
 	for _, fs := range c.sessions {
+		fs.cl.Sess.Snapshot(&ends[0])
+		fs.sv.Sess.Snapshot(&ends[1])
 		sr := SessionResult{
 			Index:        fs.idx,
 			Coupled:      fs.coupled,
@@ -1024,8 +1000,8 @@ func (c *campaign) snapshot(res *Result) {
 			Quiesced:     fs.quiesced,
 			ConnFailures: fs.connFailures,
 			WriteErr:     fs.writeErr,
-			ReorderPeak:  [2]int{fs.cl.Sess.ReorderPeakBytes(), fs.sv.Sess.ReorderPeakBytes()},
-			RetxPeak:     [2]int{fs.cl.Sess.RetransmitPeakBytes(), fs.sv.Sess.RetransmitPeakBytes()},
+			ReorderPeak:  [2]int{ends[0].ReorderBytesPeak, ends[1].ReorderBytesPeak},
+			RetxPeak:     [2]int{ends[0].RetransmitBytesPeak, ends[1].RetransmitBytesPeak},
 			Flows:        [2]map[uint32]flowCount{{}, {}},
 			Verdicts:     c.healthRaised[fs.idx],
 		}
@@ -1059,11 +1035,11 @@ func (c *campaign) snapshot(res *Result) {
 		}
 
 		// Invariant 2: bounded memory.
-		for side, sess := range []*core.Session{fs.cl.Sess, fs.sv.Sess} {
-			if p := sess.ReorderPeakBytes(); p > reorderBudget {
+		for side := range ends {
+			if p := ends[side].ReorderBytesPeak; p > reorderBudget {
 				add(VMemReorder, "side %d reorder heap peaked at %d bytes (budget %d)", side, p, reorderBudget)
 			}
-			if p := sess.RetransmitPeakBytes(); p > retransmitBudget {
+			if p := ends[side].RetransmitBytesPeak; p > retransmitBudget {
 				add(VMemRetx, "side %d retransmit buffers peaked at %d bytes (budget %d)", side, p, retransmitBudget)
 			}
 		}

@@ -8,19 +8,18 @@ import (
 	"tcpls/internal/telemetry"
 )
 
-// fakeSource fills samples from a mutable template, preserving the
-// monitor-owned AtUS stamp and Paths backing array.
+// fakeSource fills snapshots from a mutable template, into the rows the
+// monitor hands it.
 type fakeSource struct {
-	s     Sample
-	paths []PathSample
+	s    telemetry.Snapshot
+	proc ProcessCounters
 }
 
-func (f *fakeSource) HealthSample(hs *Sample) {
-	at := hs.AtUS
-	paths := hs.Paths
-	*hs = f.s
-	hs.AtUS = at
-	hs.Paths = append(paths, f.paths...)
+func (f *fakeSource) HealthSample(snap *telemetry.Snapshot, proc *ProcessCounters) {
+	conns := snap.Conns[:0]
+	*snap = f.s
+	snap.Conns = append(conns, f.s.Conns...)
+	*proc = f.proc
 }
 
 func tick(m *Monitor, atUS *int64, ivUS int64) {
@@ -97,7 +96,7 @@ func TestStallRuleHysteresis(t *testing.T) {
 		t.Fatalf("verdicts during healthy traffic: %+v", got)
 	}
 	// Stall: outstanding data, zero progress. Default trip is 3 ticks.
-	src.s.OutstandingBytes = 4096
+	src.s.RetransmitBytes = 4096
 	for i := 0; i < 2; i++ {
 		tick(m, &at, iv)
 	}
@@ -122,7 +121,7 @@ func TestStallRuleHysteresis(t *testing.T) {
 	}
 	// Recovery: progress resumes; default clear is 2 ticks, plus the
 	// all-clear Healthy transition.
-	src.s.OutstandingBytes = 0
+	src.s.RetransmitBytes = 0
 	src.s.AcksReceived += 10
 	tick(m, &at, iv)
 	if len(got) != 1 {
@@ -231,11 +230,11 @@ func TestPathAsymmetry(t *testing.T) {
 	var at int64
 	iv := int64(1e6)
 	src.s.ConnsLive = 2
-	src.paths = []PathSample{{Conn: 1}, {Conn: 2}}
+	src.s.Conns = []telemetry.ConnSnapshot{{ID: 1}, {ID: 2}}
 	// Both paths carry: no verdict.
 	for i := 0; i < 4; i++ {
-		src.paths[0].BytesSent += 1 << 20
-		src.paths[1].BytesSent += 1 << 20
+		src.s.Conns[0].BytesSent += 1 << 20
+		src.s.Conns[1].BytesSent += 1 << 20
 		src.s.BytesSent += 2 << 20
 		src.s.AcksReceived += 10
 		tick(m, &at, iv)
@@ -245,7 +244,7 @@ func TestPathAsymmetry(t *testing.T) {
 	}
 	// Path 2 starves while path 1 keeps pushing.
 	for i := 0; i < 3; i++ {
-		src.paths[0].BytesSent += 1 << 20
+		src.s.Conns[0].BytesSent += 1 << 20
 		src.s.BytesSent += 1 << 20
 		src.s.AcksReceived += 10
 		tick(m, &at, iv)
@@ -266,9 +265,9 @@ func TestPathAsymmetry(t *testing.T) {
 	})
 	at = 0
 	src2.s.ConnsLive = 2
-	src2.paths = []PathSample{{Conn: 1}, {Conn: 2}}
+	src2.s.Conns = []telemetry.ConnSnapshot{{ID: 1}, {ID: 2}}
 	for i := 0; i < 6; i++ {
-		src2.paths[0].BytesSent += 1 << 20
+		src2.s.Conns[0].BytesSent += 1 << 20
 		src2.s.BytesSent += 1 << 20
 		src2.s.AcksReceived += 10
 		tick(m2, &at, iv)
@@ -290,7 +289,7 @@ func TestProcessRules(t *testing.T) {
 	var at int64
 	iv := int64(1e6)
 	for i := 0; i < 3; i++ {
-		src.s.ResumeAccepted += 10
+		src.proc.ResumeAccepted += 10
 		tick(m, &at, iv)
 	}
 	if len(got) != 0 {
@@ -298,8 +297,8 @@ func TestProcessRules(t *testing.T) {
 	}
 	// Spike: most attempts rejected, two ticks.
 	for i := 0; i < 2; i++ {
-		src.s.ResumeRejected += 8
-		src.s.ResumeAccepted += 2
+		src.proc.ResumeRejected += 8
+		src.proc.ResumeAccepted += 2
 		tick(m, &at, iv)
 	}
 	if len(got) != 1 || got[0].Kind != ResumeFailureSpike || !got[0].Raised {
@@ -308,7 +307,7 @@ func TestProcessRules(t *testing.T) {
 	// Admission pressure: rejects on three consecutive ticks.
 	got = got[:0]
 	for i := 0; i < 3; i++ {
-		src.s.AdmissionRejected += 5
+		src.proc.AdmissionRejected += 5
 		tick(m, &at, iv)
 	}
 	found := false
@@ -335,21 +334,22 @@ func TestProcessRules(t *testing.T) {
 func TestPollAllocFree(t *testing.T) {
 	src := &fakeSource{}
 	src.s.ConnsLive = 2
-	src.paths = []PathSample{{Conn: 1, BytesSent: 1 << 20}, {Conn: 2, BytesSent: 1 << 20}}
+	sent := telemetry.Stats{BytesSent: 1 << 20}
+	src.s.Conns = []telemetry.ConnSnapshot{{ID: 1, Stats: sent}, {ID: 2, Stats: sent}}
 	m := NewMonitor(src, Options{Key: "t", Interval: time.Second, Window: 32})
 	var at int64
 	for i := 0; i < 8; i++ {
 		src.s.BytesSent += 4096
 		src.s.AcksReceived += 4
-		src.paths[0].BytesSent += 2048
-		src.paths[1].BytesSent += 2048
+		src.s.Conns[0].BytesSent += 2048
+		src.s.Conns[1].BytesSent += 2048
 		tick(m, &at, int64(1e6))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		src.s.BytesSent += 4096
 		src.s.AcksReceived += 4
-		src.paths[0].BytesSent += 2048
-		src.paths[1].BytesSent += 2048
+		src.s.Conns[0].BytesSent += 2048
+		src.s.Conns[1].BytesSent += 2048
 		tick(m, &at, int64(1e6))
 	})
 	if allocs != 0 {
@@ -360,13 +360,13 @@ func TestPollAllocFree(t *testing.T) {
 func TestStatusSnapshot(t *testing.T) {
 	src := &fakeSource{}
 	src.s.ConnsLive = 1
-	src.paths = []PathSample{{Conn: 1, SRTTUS: 1500}}
+	src.s.Conns = []telemetry.ConnSnapshot{{ID: 1, SRTTUS: 1500}}
 	m := NewMonitor(src, Options{Key: "k", Interval: time.Second, Window: 8})
 	var at int64
 	for i := 0; i < 4; i++ {
 		src.s.BytesSent += 1 << 20
 		src.s.AcksReceived += 10
-		src.paths[0].BytesSent += 1 << 20
+		src.s.Conns[0].BytesSent += 1 << 20
 		tick(m, &at, int64(1e6))
 	}
 	st := m.Status()

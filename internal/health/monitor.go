@@ -4,66 +4,33 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"tcpls/internal/telemetry"
 )
 
-// Sample is one raw observation of the monitored entity. Sources fill
-// the struct in place (counters cumulative, gauges instantaneous) and
-// append per-path rows into Paths, reusing its backing array — the
-// whole pull is allocation-free in steady state.
-type Sample struct {
-	AtUS int64
-
-	// Cumulative transport counters.
-	BytesSent       uint64
-	BytesReceived   uint64
-	RecordsSent     uint64
-	RecordsReceived uint64
-	AcksReceived    uint64
-	Retransmits     uint64
-
-	// Cumulative ACK-RTT histogram aggregate (count + sum in seconds),
-	// for windowed-mean drift tracking.
-	AckRTTCount  uint64
-	AckRTTSumSec float64
-
-	// Instantaneous gauges.
-	OutstandingBytes int // unacknowledged send data (retransmit buffer)
-	MemoryBytes      int // total buffered memory
-	ReorderDepth     int
-	ConnsLive        int
-	StreamsOpen      int
-
-	// Process-monitor counters (cumulative; zero for sessions).
+// ProcessCounters are the cumulative counters only the process monitor
+// reads; a session source leaves them zero.
+type ProcessCounters struct {
 	ResumeAccepted    uint64
 	ResumeRejected    uint64
 	AdmissionRejected uint64
-
-	// Paths holds one row per live connection.
-	Paths []PathSample
 }
 
-// PathSample is one connection's slice of a Sample.
-type PathSample struct {
-	Conn          uint32
-	Failed        bool
-	BytesSent     uint64
-	BytesReceived uint64
-	Retransmits   uint64
-	SRTTUS        int64
-	DeliveryRate  float64 // bytes/s, scheduler's estimate (0 if none)
+// observation is what one Poll saw: the entity's snapshot (DESIGN.md
+// §10.1; the process monitor fills MemoryBytes alone), when, and the
+// process counters beside it.
+type observation struct {
+	atUS int64
+	telemetry.Snapshot
+	proc ProcessCounters
 }
 
-// reset clears s for refilling, keeping the Paths backing array.
-func (s *Sample) reset() {
-	paths := s.Paths[:0]
-	*s = Sample{Paths: paths}
-}
-
-// Source supplies Samples. HealthSample must fill s completely (it is
-// reused between polls) and may take the entity's own locks; it is
-// called from the monitor's polling goroutine only.
+// Source supplies observations. HealthSample must fill snap completely
+// (it is reused between polls, rows and all, so a steady-state pull
+// allocates nothing) and may take the entity's own locks; it is called
+// from the monitor's polling goroutine only.
 type Source interface {
-	HealthSample(s *Sample)
+	HealthSample(snap *telemetry.Snapshot, proc *ProcessCounters)
 }
 
 // RollupSource is an optional Source extension: entities with
@@ -105,10 +72,9 @@ type Options struct {
 
 // pathSeries is the per-connection ring set.
 type pathSeries struct {
-	conn     uint32
 	goodTx   *Series
 	srtt     *Series
-	last     PathSample
+	last     telemetry.ConnSnapshot
 	lastSeen uint64 // tick counter stamp, for staleness sweep
 	everSent bool
 }
@@ -121,7 +87,7 @@ type Monitor struct {
 	src Source
 	opt Options
 
-	cur, prev Sample
+	cur, prev observation
 	havePrev  bool
 	ticks     uint64
 
@@ -184,12 +150,14 @@ func (m *Monitor) Poll(now time.Time) {
 	if m.goodTx == nil {
 		m.startLocked()
 	}
-	m.cur.reset()
-	m.cur.AtUS = now.UnixNano() / 1000
-	m.src.HealthSample(&m.cur)
+	m.cur.atUS = now.UnixNano() / 1000
+	m.src.HealthSample(&m.cur.Snapshot, &m.cur.proc)
 	m.ingestLocked()
 	m.diagnoseLocked()
-	m.stashPrevLocked()
+	// The sample just taken becomes prev; the next fill reuses the rows
+	// of the one before it.
+	m.cur, m.prev = m.prev, m.cur
+	m.havePrev = true
 	m.ticks++
 	if mt := m.mt; mt != nil {
 		mt.Ticks.Inc()
@@ -198,13 +166,13 @@ func (m *Monitor) Poll(now time.Time) {
 
 // ingestLocked pushes the derived series for the current sample.
 func (m *Monitor) ingestLocked() {
-	at := m.cur.AtUS
+	at := m.cur.atUS
 	m.reorder.Push(at, float64(m.cur.ReorderDepth))
 	m.mem.Push(at, float64(m.cur.MemoryBytes))
 	if !m.havePrev {
 		return
 	}
-	dt := float64(at-m.prev.AtUS) / 1e6
+	dt := float64(at-m.prev.atUS) / 1e6
 	if dt <= 0 {
 		dt = m.opt.Interval.Seconds()
 	}
@@ -222,7 +190,7 @@ func (m *Monitor) ingestLocked() {
 	}
 	m.retxRatio.Push(at, ratio)
 	if dc := m.cur.AckRTTCount - m.prev.AckRTTCount; dc > 0 {
-		meanUS := (m.cur.AckRTTSumSec - m.prev.AckRTTSumSec) / float64(dc) * 1e6
+		meanUS := float64(m.cur.AckRTTSumUS-m.prev.AckRTTSumUS) / float64(dc)
 		m.ackRTT.Push(at, meanUS)
 	} else if last, ok := m.ackRTT.Last(); ok {
 		// Carry the last mean so the ring stays time-aligned across
@@ -230,28 +198,32 @@ func (m *Monitor) ingestLocked() {
 		m.ackRTT.Push(at, last.V)
 	}
 	if m.opt.Process {
-		att := (m.cur.ResumeAccepted + m.cur.ResumeRejected) -
-			(m.prev.ResumeAccepted + m.prev.ResumeRejected)
+		att := (m.cur.proc.ResumeAccepted + m.cur.proc.ResumeRejected) -
+			(m.prev.proc.ResumeAccepted + m.prev.proc.ResumeRejected)
 		frac := 0.0
 		if att > 0 {
-			frac = float64(m.cur.ResumeRejected-m.prev.ResumeRejected) / float64(att)
+			frac = float64(m.cur.proc.ResumeRejected-m.prev.proc.ResumeRejected) / float64(att)
 		}
 		m.resumeRej.Push(at, frac)
-		m.admitRej.Push(at, float64(m.cur.AdmissionRejected-m.prev.AdmissionRejected)/dt)
+		m.admitRej.Push(at, float64(m.cur.proc.AdmissionRejected-m.prev.proc.AdmissionRejected)/dt)
 	}
-	// Per-path rings: find the previous row for each current path by
-	// connection ID (paths map), push the tick's goodput and SRTT.
-	for i := range m.cur.Paths {
-		p := &m.cur.Paths[i]
-		ps := m.paths[p.Conn]
+	// Per-path rings: find the previous row for each open connection by
+	// ID (paths map), push the tick's goodput and SRTT.
+	open := 0
+	for i := range m.cur.Conns {
+		p := &m.cur.Conns[i]
+		if p.Closed {
+			continue
+		}
+		open++
+		ps := m.paths[p.ID]
 		if ps == nil {
 			ps = &pathSeries{
-				conn:     p.Conn,
 				goodTx:   NewSeries(m.opt.Window),
 				srtt:     NewSeries(m.opt.Window),
 				lastSeen: ^uint64(0), // fresh: no delta on first sight
 			}
-			m.paths[p.Conn] = ps
+			m.paths[p.ID] = ps
 		}
 		if ps.lastSeen == m.ticks-1 || ps.lastSeen == m.ticks {
 			ps.goodTx.Push(at, float64(p.BytesSent-ps.last.BytesSent)/dt)
@@ -267,7 +239,7 @@ func (m *Monitor) ingestLocked() {
 		}
 	}
 	// Sweep paths gone from the sample (connection closed).
-	if len(m.paths) > len(m.cur.Paths) {
+	if len(m.paths) > open {
 		for id, ps := range m.paths {
 			if ps.lastSeen != m.ticks {
 				delete(m.paths, id)
@@ -289,22 +261,13 @@ func (m *Monitor) ingestLocked() {
 	}
 }
 
-// stashPrevLocked copies the current sample (including paths) into
-// prev, reusing prev's backing array.
-func (m *Monitor) stashPrevLocked() {
-	paths := m.prev.Paths[:0]
-	m.prev = m.cur
-	m.prev.Paths = append(paths, m.cur.Paths...)
-	m.havePrev = true
-}
-
 // diagnoseLocked runs the rule table over the rings and emits verdict
 // transitions.
 func (m *Monitor) diagnoseLocked() {
 	if !m.havePrev {
 		return
 	}
-	at := m.cur.AtUS
+	at := m.cur.atUS
 	r := &m.opt.Rules
 	if !m.opt.Process {
 		// StallSuspected: outstanding data on a live connection, zero
@@ -312,10 +275,10 @@ func (m *Monitor) diagnoseLocked() {
 		dAcks := m.cur.AcksReceived - m.prev.AcksReceived
 		dRx := m.cur.BytesReceived - m.prev.BytesReceived
 		stall := m.cur.ConnsLive > 0 &&
-			m.cur.OutstandingBytes >= r.StallMinOutstanding &&
+			m.cur.RetransmitBytes >= r.StallMinOutstanding &&
 			dAcks == 0 && dRx == 0
 		m.runRule(StallSuspected, stall, at, r.StallTicks, r.StallClearTicks,
-			0, float64(m.cur.OutstandingBytes), m.progress, r.StallTicks)
+			0, float64(m.cur.RetransmitBytes), m.progress, r.StallTicks)
 
 		// RetransmitStorm: sustained retransmit-heavy ticks.
 		dRetx := m.cur.Retransmits - m.prev.Retransmits
@@ -344,7 +307,7 @@ func (m *Monitor) diagnoseLocked() {
 				}
 				if count == 0 || v.V < minRate {
 					minRate = v.V
-					minConn = ps.conn
+					minConn = ps.last.ID
 				}
 				count++
 			}
@@ -370,9 +333,9 @@ func (m *Monitor) diagnoseLocked() {
 		0, last.V, m.mem, r.MemGrowthTicks)
 
 	if m.opt.Process {
-		att := (m.cur.ResumeAccepted + m.cur.ResumeRejected) -
-			(m.prev.ResumeAccepted + m.prev.ResumeRejected)
-		dRej := m.cur.ResumeRejected - m.prev.ResumeRejected
+		att := (m.cur.proc.ResumeAccepted + m.cur.proc.ResumeRejected) -
+			(m.prev.proc.ResumeAccepted + m.prev.proc.ResumeRejected)
+		dRej := m.cur.proc.ResumeRejected - m.prev.proc.ResumeRejected
 		spike := att >= r.ResumeMinAttempts && float64(dRej) >= r.ResumeFailFrac*float64(att)
 		frac := 0.0
 		if att > 0 {
@@ -381,7 +344,7 @@ func (m *Monitor) diagnoseLocked() {
 		m.runRule(ResumeFailureSpike, spike, at, r.ResumeTicks, r.ResumeClearTicks,
 			0, frac, m.resumeRej, r.ResumeTicks)
 
-		pressure := m.cur.AdmissionRejected > m.prev.AdmissionRejected
+		pressure := m.cur.proc.AdmissionRejected > m.prev.proc.AdmissionRejected
 		rate, _ := m.admitRej.Last()
 		m.runRule(AdmissionPressure, pressure, at, r.AdmitTicks, r.AdmitClearTicks,
 			0, rate.V, m.admitRej, r.AdmitTicks)

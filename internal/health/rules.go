@@ -42,10 +42,10 @@ type RuleConfig struct {
 	// ResumeFailFrac is the rejected fraction of resumption attempts
 	// (per tick, given at least ResumeMinAttempts) that counts as a
 	// spike. Process monitors only.
-	ResumeFailFrac   float64
+	ResumeFailFrac    float64
 	ResumeMinAttempts uint64
-	ResumeTicks      int
-	ResumeClearTicks int
+	ResumeTicks       int
+	ResumeClearTicks  int
 
 	// AdmitTicks consecutive ticks with admission rejections raise
 	// AdmissionPressure. Process monitors only.

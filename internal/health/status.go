@@ -57,7 +57,7 @@ func (m *Monitor) Status() Status {
 		Healthy:    m.activeCount == 0,
 	}
 	if m.havePrev {
-		st.AtUS = m.prev.AtUS
+		st.AtUS = m.prev.atUS
 		st.ConnsLive = m.prev.ConnsLive
 		st.StreamsOpen = m.prev.StreamsOpen
 		st.MemoryBytes = int64(m.prev.MemoryBytes)
@@ -102,7 +102,7 @@ func (m *Monitor) Status() Status {
 	st.Recent = append([]Verdict(nil), m.recent...)
 	for _, ps := range m.paths {
 		row := PathStatus{
-			Conn:         ps.conn,
+			Conn:         ps.last.ID,
 			Failed:       ps.last.Failed,
 			SRTTUS:       float64(ps.last.SRTTUS),
 			DeliveryRate: ps.last.DeliveryRate,

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -263,14 +262,6 @@ func (sm *SessionMetrics) addRider(f *family, values []string, metric any) {
 	sm.mu.Lock()
 	sm.riders = append(sm.riders, sample{f, values, metric})
 	sm.mu.Unlock()
-}
-
-// Held snapshots the connections and scheduler policies that have
-// counters, for Session.Metrics.
-func (sm *SessionMetrics) Held() (conns map[uint32]*ConnMetrics, picks map[string]*Counter) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return maps.Clone(sm.conns), maps.Clone(sm.picks)
 }
 
 // appendSamples lists every series of the block in a stable order:

@@ -132,15 +132,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Default histogram bucket sets for the TCPLS metric families.
 var (
 	// RTTBuckets spans 100µs..10s in roughly 3x steps (seconds).

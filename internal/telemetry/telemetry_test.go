@@ -28,7 +28,7 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram recorded a sample")
 	}
 
@@ -63,9 +63,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Sum() != 556.5 {
 		t.Fatalf("sum = %g, want 556.5", h.Sum())
-	}
-	if h.Mean() != 556.5/5 {
-		t.Fatalf("mean = %g", h.Mean())
 	}
 }
 

@@ -17,9 +17,6 @@ type PathScheduler = sched.Scheduler
 // and the EWMA delivery rate.
 type PathView = sched.PathView
 
-// PathStats is an exported snapshot of one path's fused metrics.
-type PathStats = sched.PathStats
-
 // PickAll, returned from PathScheduler.Pick, duplicates the record
 // across every path (the Redundant policy).
 const PickAll = sched.PickAll
@@ -51,16 +48,6 @@ func (s *Session) SetPathScheduler(ps PathScheduler) {
 	if ps != nil {
 		s.startPathMetricsLoopLocked()
 	}
-}
-
-// PathMetrics returns the fused metrics snapshot for one connection —
-// SRTT/RTTVar, bytes in flight, losses, and delivery rate as the
-// scheduler sees them. ok is false until the path has produced any
-// signal.
-func (s *Session) PathMetrics(connID uint32) (PathStats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metrics.Snapshot(connID)
 }
 
 // startPathMetricsLoopLocked launches the kernel refresher once. The

@@ -105,12 +105,10 @@ type Session struct {
 	traceFn  func(core.TraceEvent)
 	debugKey string
 
-	// Continuous self-diagnosis (health.go): the session's monitor, the
-	// shared engine it is registered on under debugKey, and the reused
-	// per-tick sampling buffer.
-	healthMon   *health.Monitor
-	healthEng   *health.Engine
-	healthConns []core.ConnHealth
+	// Continuous self-diagnosis (health.go): the session's monitor and
+	// the shared engine it is registered on under debugKey.
+	healthMon *health.Monitor
+	healthEng *health.Engine
 }
 
 // TCPOption is an encrypted TCP option received from the peer (§3.1).

@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"tcpls/internal/core"
 	"tcpls/internal/health"
 	"tcpls/internal/telemetry"
 )
@@ -22,8 +20,8 @@ import (
 // the whole layer into a nil-check on the hot path.
 type TelemetryConfig struct {
 	// Disabled switches metric collection off entirely. The engine's
-	// emission points reduce to one nil-check each and Session.Metrics
-	// returns only the basic engine Stats.
+	// emission points reduce to one nil-check each and Session.Snapshot
+	// carries engine state only.
 	Disabled bool
 	// Addr, when non-empty, serves the shared metrics registry over
 	// HTTP at this address: Prometheus text format on /metrics and the
@@ -45,132 +43,44 @@ type TelemetryConfig struct {
 	FlightDump io.Writer
 }
 
-// Stats re-exports the engine's raw counter block (see Session.Stats).
-type Stats = core.Stats
+// Stats is the engine's raw counter block (see Session.Stats).
+type Stats = telemetry.Stats
 
-// MetricsSnapshot is a point-in-time copy of a session's aggregated
-// telemetry, returned by Session.Metrics. Counters are cumulative since
-// the session started; gauges are instantaneous.
-type MetricsSnapshot struct {
-	// Stats is the engine's raw counter block (records, bytes, acks,
-	// retransmits), always populated even with telemetry disabled.
-	Stats Stats
+// Snapshot is the observable state of one end of a session at one
+// instant: gauges and cumulative counters, one ConnSnapshot per
+// connection and one StreamSnapshot per stream in ascending ID order.
+// Session.Snapshot returns it, /debug/tcpls serves it as JSON and the
+// health sampler reads it; DESIGN.md §10.1 lists every field.
+type (
+	Snapshot       = telemetry.Snapshot
+	ConnSnapshot   = telemetry.ConnSnapshot
+	StreamSnapshot = telemetry.StreamSnapshot
+)
 
-	// Recovery and failover counters (tcpls_* families on /metrics).
-	ConnFailures      uint64
-	Failovers         uint64
-	FailoverCascades  uint64
-	ReconnectAttempts uint64
-	Reconnects        uint64
-	RecoveryFailures  uint64
-
-	// SchedPicks counts coupled records routed per scheduler policy.
-	SchedPicks   map[string]uint64
-	SchedInvalid uint64
-
-	// Trace sink health: events enqueued and events lost to a full ring.
-	TraceEvents  uint64
-	TraceDropped uint64
-
-	// Flow-control counters: configured memory bounds tripped and ACK
-	// solicitations sent under retransmit-budget pressure.
-	FlowctlLimits uint64
-	AckSolicits   uint64
-
-	// AckRTT summarizes the record-level acknowledgment RTT histogram.
-	AckRTTSamples uint64
-	AckRTTMean    time.Duration
-
-	// Instantaneous gauges. The byte gauges and their session peaks come
-	// straight from the engine, so they are populated even with
-	// Telemetry.Disabled — the chaos tests assert memory bounds through
-	// them.
-	ReorderHeapDepth    int
-	ReorderBytes        int
-	ReorderBytesPeak    int
-	RetransmitBytes     int
-	RetransmitBytesPeak int
-	ConnsOpen           int
-	StreamsOpen         int
-
-	// Conns breaks the record counters down per connection (per path) —
-	// the totals tcpls-trace reconciles a flight dump against.
-	Conns map[uint32]ConnMetricsSnapshot
-
-	// Flight recorder health: events currently held and ever appended.
-	FlightEvents int
-	FlightTotal  uint64
-}
-
-// ConnMetricsSnapshot is one connection's counter block inside a
-// MetricsSnapshot.
-type ConnMetricsSnapshot struct {
-	RecordsSent     uint64
-	RecordsReceived uint64
-	BytesSent       uint64
-	BytesReceived   uint64
-	Retransmits     uint64
-	AcksSent        uint64
-	AcksReceived    uint64
-	DupRecords      uint64
-	FailedDecrypts  uint64
-}
-
-// Metrics returns a snapshot of the session's telemetry. With
-// Telemetry.Disabled only the Stats block is populated.
-func (s *Session) Metrics() MetricsSnapshot {
+// Snapshot returns the session's state now. It stays readable after
+// Close. With Telemetry.Disabled the engine's own state (gauges, Stats,
+// the rows' topology) is still there; what the metrics block counts —
+// failovers, per-connection and per-stream counters — reads zero.
+func (s *Session) Snapshot() Snapshot {
+	var snap Snapshot
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := MetricsSnapshot{Stats: s.engine.Stats()}
-	snap.ReorderBytes = s.engine.ReorderBytes()
-	snap.ReorderBytesPeak = s.engine.ReorderPeakBytes()
-	snap.RetransmitBytes = s.engine.RetransmitBytes()
-	snap.RetransmitBytesPeak = s.engine.RetransmitPeakBytes()
-	if f := s.flight; f != nil {
-		snap.FlightEvents = f.Len()
-		snap.FlightTotal = f.Total()
-	}
-	tel := s.tel
-	if tel == nil {
-		snap.ReorderHeapDepth = s.engine.ReorderDepth()
-		return snap
-	}
-	snap.ConnFailures = tel.ConnFailures.Load()
-	snap.Failovers = tel.Failovers.Load()
-	snap.FailoverCascades = tel.FailoverCascades.Load()
-	snap.ReconnectAttempts = tel.ReconnectAttempts.Load()
-	snap.Reconnects = tel.Reconnects.Load()
-	snap.RecoveryFailures = tel.RecoveryFailures.Load()
-	conns, picks := tel.Held()
-	snap.SchedPicks = make(map[string]uint64, len(picks))
-	for policy, c := range picks {
-		snap.SchedPicks[policy] = c.Load()
-	}
-	snap.SchedInvalid = tel.SchedInvalid.Load()
-	snap.TraceEvents = tel.TraceEvents.Load()
-	snap.TraceDropped = tel.TraceDropped.Load()
-	snap.FlowctlLimits = tel.FlowctlLimits.Load()
-	snap.AckSolicits = tel.AckSolicits.Load()
-	snap.AckRTTSamples = tel.AckRTT.Count()
-	snap.AckRTTMean = time.Duration(tel.AckRTT.Mean() * float64(time.Second))
-	snap.ReorderHeapDepth = int(tel.ReorderDepth.Load())
-	snap.ConnsOpen = int(tel.ConnsOpen.Load())
-	snap.StreamsOpen = int(tel.StreamsOpen.Load())
-	snap.Conns = make(map[uint32]ConnMetricsSnapshot, len(conns))
-	for id, cm := range conns {
-		snap.Conns[id] = ConnMetricsSnapshot{
-			RecordsSent:     cm.RecordsSent.Load(),
-			RecordsReceived: cm.RecordsReceived.Load(),
-			BytesSent:       cm.BytesSent.Load(),
-			BytesReceived:   cm.BytesReceived.Load(),
-			Retransmits:     cm.Retransmits.Load(),
-			AcksSent:        cm.AcksSent.Load(),
-			AcksReceived:    cm.AcksReceived.Load(),
-			DupRecords:      cm.DupRecords.Load(),
-			FailedDecrypts:  cm.FailedDecrypts.Load(),
-		}
-	}
+	s.snapshotLocked(&snap)
 	return snap
+}
+
+// snapshotLocked fills dst — the engine's one pass, then the wrapper's
+// envelope — reusing dst's rows. The caller holds s.mu.
+func (s *Session) snapshotLocked(dst *Snapshot) {
+	s.engine.Snapshot(dst)
+	dst.Role = s.role()
+	dst.Closed = s.closed
+	dst.Recovering = s.recovering
+	dst.CookiesLeft = len(s.cookies)
+	if f := s.flight; f != nil {
+		dst.FlightEvents = f.Len()
+		dst.FlightTotal = f.Total()
+	}
 }
 
 // MetricsHandler returns an http.Handler serving the process-wide
@@ -178,6 +88,13 @@ func (s *Session) Metrics() MetricsSnapshot {
 // already run an HTTP server and want /metrics on their own mux.
 func MetricsHandler() http.Handler {
 	return telemetry.Handler(telemetry.Default())
+}
+
+// DebugHandler returns the /debug/tcpls handler — every live session's
+// Snapshot as JSON — for applications embedding telemetry in their own
+// mux (the Config.Telemetry.Addr server serves it already).
+func DebugHandler() http.Handler {
+	return telemetry.DebugHandler()
 }
 
 // ServeTelemetry starts the shared telemetry server on addr (the same
@@ -242,6 +159,15 @@ func releaseTelemetryServer(addr string) {
 	}
 }
 
+// role names the session's end, as the metrics' role label and the
+// snapshot's Role do.
+func (s *Session) role() string {
+	if s.isClient {
+		return "client"
+	}
+	return "server"
+}
+
 // sessLabel renders the sess metric label: the first four SessID bytes,
 // enough to tell sessions apart on a dashboard without exploding
 // cardinality.
@@ -268,10 +194,7 @@ func (s *Session) initTelemetry() {
 	if s.cfg.Telemetry.Disabled {
 		return
 	}
-	label, role := sessLabel(s.sessID), "server"
-	if s.isClient {
-		role = "client"
-	}
+	label, role := sessLabel(s.sessID), s.role()
 	s.tel = telemetry.TCPLSFamilies(telemetry.Default()).Session(label, role)
 	s.engine.SetTelemetry(s.tel)
 	if s.cfg.Telemetry.FlightCapacity >= 0 {
@@ -282,7 +205,7 @@ func (s *Session) initTelemetry() {
 		s.refreshTracerLocked()
 	}
 	s.debugKey = label + "-" + role + "-" + strconv.FormatUint(debugSeq.Add(1), 10)
-	telemetry.RegisterDebug(s.debugKey, s.debugState)
+	telemetry.RegisterDebug(s.debugKey, func() any { return s.Snapshot() })
 	if addr := s.cfg.Telemetry.Addr; addr != "" {
 		if err := acquireTelemetryServer(addr); err == nil {
 			s.telAddr = addr
@@ -295,7 +218,7 @@ func (s *Session) initTelemetry() {
 // its trace sink, debug registration, and HTTP endpoint reference: the
 // process-wide registries then hold nothing of the session. Idempotent;
 // called from every teardown path. The block and the flight recorder
-// stay readable — Metrics and DumpFlight on a dead session are the point.
+// stay readable — Snapshot and DumpFlight on a dead session are the point.
 func (s *Session) closeTelemetryLocked() {
 	s.closeHealthLocked()
 	s.tel.Detach()

@@ -122,15 +122,15 @@ func TestTelemetryMetricsMatchEventsDuringFailover(t *testing.T) {
 
 	// The snapshot and the scrape must tell the same story as the
 	// event stream.
-	snap := sess.Metrics()
+	snap := sess.Snapshot()
 	if snap.Failovers != uint64(failovers) || snap.Failovers == 0 {
 		t.Fatalf("snapshot failovers = %d, events saw %d", snap.Failovers, failovers)
 	}
 	if snap.ConnFailures != uint64(downs) || snap.ConnFailures == 0 {
 		t.Fatalf("snapshot conn failures = %d, events saw %d", snap.ConnFailures, downs)
 	}
-	if snap.Stats.RecordsSent == 0 || snap.ConnsOpen != 1 {
-		t.Fatalf("snapshot stats=%+v conns=%d", snap.Stats, snap.ConnsOpen)
+	if snap.Stats.RecordsSent == 0 || snap.ConnsLive != 1 {
+		t.Fatalf("snapshot stats=%+v conns=%d", snap.Stats, snap.ConnsLive)
 	}
 
 	label := sessLabel(sess.ID())
@@ -232,7 +232,7 @@ func TestTelemetryReconnectCountersMatchEvents(t *testing.T) {
 	for _, ev := range sess.Events() {
 		tally(ev)
 	}
-	snap := sess.Metrics()
+	snap := sess.Snapshot()
 	if snap.ReconnectAttempts != uint64(attempts) || attempts == 0 {
 		t.Fatalf("snapshot attempts = %d, events saw %d", snap.ReconnectAttempts, attempts)
 	}
@@ -241,8 +241,9 @@ func TestTelemetryReconnectCountersMatchEvents(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabled: with the layer off, Metrics still reports the
-// engine's raw Stats but nothing else, and no registry handles exist.
+// TestTelemetryDisabled: with the layer off, Snapshot still reports the
+// engine's own state but nothing the metrics block counts, and no
+// registry handles exist.
 func TestTelemetryDisabled(t *testing.T) {
 	ln := startServer(t, &Config{}, echoHandler)
 	sess, err := Dial("tcp", ln.Addr().String(), &Config{
@@ -267,11 +268,11 @@ func TestTelemetryDisabled(t *testing.T) {
 	if sess.tel != nil {
 		t.Fatal("Disabled session still resolved telemetry handles")
 	}
-	snap := sess.Metrics()
+	snap := sess.Snapshot()
 	if snap.Stats.RecordsSent == 0 {
 		t.Fatal("Stats block missing with telemetry disabled")
 	}
-	if snap.Failovers != 0 || snap.SchedPicks != nil || snap.ConnsOpen != 0 {
+	if snap.Failovers != 0 || snap.SchedPicks != nil || snap.TraceEvents != 0 || snap.Conns[0].Stats != (Stats{}) {
 		t.Fatalf("disabled snapshot carries registry data: %+v", snap)
 	}
 }
@@ -344,7 +345,7 @@ func TestTraceJSONThroughSink(t *testing.T) {
 	if !strings.HasPrefix(second, `{"time_us":`) || !strings.Contains(second, `"type":`) {
 		t.Fatalf("trace line not in qlog NDJSON schema: %q", second)
 	}
-	snap := sess.Metrics()
+	snap := sess.Snapshot()
 	if snap.TraceEvents == 0 {
 		t.Fatal("tcpls_trace_events_total not fed by TraceJSON")
 	}
@@ -380,7 +381,7 @@ func TestTelemetryEndsCountApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := sess.Metrics()
+	snap := sess.Snapshot()
 	c0 := snap.Conns[0]
 	if c0.RecordsSent != snap.Stats.RecordsSent || c0.RecordsReceived != snap.Stats.RecordsReceived ||
 		c0.BytesSent != snap.Stats.BytesSent || c0.BytesReceived != snap.Stats.BytesReceived {
