@@ -1,6 +1,7 @@
 package tcpls
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -378,6 +379,265 @@ func TestChaosTotalLossWithoutReconnectDies(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 6*time.Second {
 		t.Fatalf("death took %v, deadline was 1s", elapsed)
+	}
+
+	sess.Close()
+	srv.Close()
+	for _, r := range relays {
+		r.Close()
+	}
+	checkGoroutines(t, baseGoroutines)
+}
+
+// TestChaosServerPushOnStalledPath: the server opens a stream on a path
+// that has just stalled, so the client never sees its ATTACH and has
+// nothing of its own there to move. Only the server's user timeout sees
+// the path die. Its notice makes the client pick a target and say so,
+// and the server re-homes the stream there: the push arrives byte-exact.
+func TestChaosServerPushOnStalledPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test needs real time")
+	}
+	baseGoroutines := runtime.NumGoroutine()
+	data := make([]byte, 256<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	push := make(chan struct{})
+	srv := startChaosServer(t, &Config{
+		EnableFailover: true,
+		AckPeriod:      4,
+		UserTimeout:    400 * time.Millisecond,
+		NumCookies:     4,
+	}, func(sess *Session) {
+		select {
+		case <-push:
+		case <-sess.Done():
+			return
+		}
+		st, err := sess.OpenStreamOn(0)
+		if err != nil {
+			return
+		}
+		st.Write(data)
+		st.Close()
+	})
+	prof := netem.Profile{RateBps: 60e6, Delay: 2 * time.Millisecond}
+	relays := make([]*netem.Relay, 2)
+	for i := range relays {
+		r, err := netem.NewRelay(srv.ln.Addr().String(), prof, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays[i] = r
+		defer r.Close()
+	}
+	sess, err := Dial("tcp", relays[0].Addr(), &Config{ServerName: "test.server", EnableFailover: true, AckPeriod: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	conn1, err := sess.JoinPath("tcp", relays[1].Addr())
+	if err == nil {
+		_, err = sess.Ping(conn1, 5*time.Second) // the server has adopted conn 1
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	relays[0].Stall()
+	close(push)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	st, err := sess.AcceptStream(ctx)
+	if err != nil {
+		t.Fatalf("the server's stream never reached the client: %v", err)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(st)
+		got <- b
+	}()
+	select {
+	case b := <-got:
+		if !bytes.Equal(b, data) {
+			t.Fatalf("client received %d of %d bytes pushed onto the stalled path", len(b), len(data))
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("push stuck on the stalled path")
+	}
+
+	sess.Close()
+	srv.Close()
+	for _, r := range relays {
+		r.Close()
+	}
+	checkGoroutines(t, baseGoroutines)
+}
+
+// TestChaosJoinResumesTwoDeadPathsMerged: both paths of a coupled
+// session die with records in flight on each, and a JoinPath resumes
+// them. The client replays both paths' records onto the new connection
+// in one pass ordered by aggregation sequence, so the server's reorder
+// heap never parks one path's replay while it waits for the other's: its
+// peak stays under a cap far smaller than either path's share.
+func TestChaosJoinResumesTwoDeadPathsMerged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test needs real time")
+	}
+	baseGoroutines := runtime.NumGoroutine()
+	const (
+		total      = 2 << 20
+		reorderCap = 64 << 10
+		inFlight   = 256 << 10 // unacked on both paths together when they die
+	)
+	type outcome struct {
+		sum  [32]byte
+		peak int
+	}
+	done := make(chan outcome, 1)
+	srv := startChaosServer(t, &Config{
+		EnableFailover:  true,
+		AckPeriod:       4,
+		NumCookies:      4,
+		MaxReorderBytes: reorderCap,
+	}, func(sess *Session) {
+		for i := 0; i < 2; i++ {
+			st, err := sess.AcceptStream(context.Background())
+			if err != nil {
+				return
+			}
+			if _, err := st.Read(make([]byte, 1)); err != nil {
+				return
+			}
+			if err := sess.Couple(st); err != nil {
+				return
+			}
+		}
+		h := sha256.New()
+		buf := make([]byte, 64<<10)
+		for received := 0; received < total; {
+			n, err := sess.ReadCoupled(buf)
+			if err != nil {
+				return
+			}
+			h.Write(buf[:n])
+			received += n
+		}
+		var o outcome
+		copy(o.sum[:], h.Sum(nil))
+		o.peak = sess.Snapshot().ReorderBytesPeak
+		done <- o
+	})
+	prof := netem.Profile{RateBps: 60e6, Delay: 2 * time.Millisecond}
+	relays := make([]*netem.Relay, 2)
+	for i := range relays {
+		r, err := netem.NewRelay(srv.ln.Addr().String(), prof, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays[i] = r
+		defer r.Close()
+	}
+	sess, err := Dial("tcp", relays[0].Addr(), &Config{
+		ServerName:     "test.server",
+		EnableFailover: true,
+		AckPeriod:      4,
+		Reconnect:      ReconnectConfig{Disabled: true, Deadline: 30 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	conn1, err := sess.JoinPath("tcp", relays[1].Addr())
+	if err == nil {
+		_, err = sess.Ping(conn1, 5*time.Second)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streams []*Stream
+	for i, cid := range []uint32{0, conn1} {
+		st, err := sess.OpenStreamOn(cid)
+		if err == nil {
+			_, err = st.Write([]byte{'A' + byte(i)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, st)
+	}
+	if err := sess.Couple(streams...); err != nil {
+		t.Fatal(err)
+	}
+
+	// Freeze both paths before the first coupled byte, so every coupled
+	// record sealed from here on is in flight on one of them.
+	for _, r := range relays {
+		r.Stall()
+	}
+	want := make(chan [32]byte, 1)
+	writeErr := make(chan error, 1)
+	go func() {
+		h := sha256.New()
+		chunk := make([]byte, 32<<10)
+		for i, sent := 0, 0; sent < total; i++ {
+			for j := range chunk {
+				chunk[j] = byte(i*3 + j)
+			}
+			h.Write(chunk)
+			if _, err := sess.WriteCoupled(chunk); err != nil {
+				writeErr <- err
+				return
+			}
+			sent += len(chunk)
+		}
+		var sum [32]byte
+		copy(sum[:], h.Sum(nil))
+		want <- sum
+		writeErr <- nil
+	}()
+	for deadline := time.Now().Add(10 * time.Second); sess.Snapshot().RetransmitBytes < inFlight; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d bytes in flight on the stalled paths, want %d", sess.Snapshot().RetransmitBytes, inFlight)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Both paths die in one event batch, as when a correlated outage trips
+	// both user timeouts on the same tick. Behind the stalled relays the
+	// server sees nothing, so the client alone resumes.
+	sess.mu.Lock()
+	for id := range sess.conns {
+		sess.engine.ReportConnFailed(id)
+	}
+	sess.processEventsLocked()
+	sess.mu.Unlock()
+	if live := sess.Connections(); len(live) > 0 {
+		t.Fatalf("conns %v still live", live)
+	}
+	if _, err := sess.JoinPath("tcp", srv.ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case err := <-writeErr:
+		if err != nil {
+			t.Fatalf("coupled writer: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("writer stuck after the join")
+	}
+	select {
+	case o := <-done:
+		if o.sum != <-want {
+			t.Fatal("transfer corrupted across the merged resume")
+		}
+		if o.peak > reorderCap {
+			t.Fatalf("server reorder heap peaked at %d bytes, cap %d: the resume interleaved the two paths' replays", o.peak, reorderCap)
+		}
+		t.Logf("server reorder peak %d bytes (cap %d)", o.peak, reorderCap)
+	case <-time.After(30 * time.Second):
+		t.Fatal("server never finished the coupled read")
 	}
 
 	sess.Close()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,25 +33,12 @@ func (s *Session) Advance(now time.Time) []uint32 {
 	var failed []uint32
 	for _, id := range ids {
 		c := s.conns[id]
-		if c.failed || c.closed {
+		if c.failed || c.closed || !s.connActive(id) || now.Sub(c.lastRecv) <= s.cfg.UserTimeout {
 			continue
 		}
-		if !s.connActive(id) {
-			continue
-		}
-		if now.Sub(c.lastRecv) > s.cfg.UserTimeout {
-			c.failed = true
-			failed = append(failed, id)
-			s.lastNow = now
-			s.trace("conn_failed", id, 0, 0, 0)
-			if s.tel != nil {
-				s.tel.ConnFailures.Inc()
-			}
-			s.emit(Event{Kind: EventConnFailed, Conn: id})
-		}
-	}
-	if len(failed) > 0 {
-		s.telSyncGauges()
+		s.lastNow = now
+		s.failConn(c)
+		failed = append(failed, id)
 	}
 	return failed
 }
@@ -76,14 +65,8 @@ func (s *Session) ReportConnFailed(connID uint32) error {
 		return err
 	}
 	if !c.failed {
-		c.failed = true
 		s.lastNow = s.now() // wrapper-reported failure happens in real time
-		s.trace("conn_failed", connID, 0, 0, 0)
-		if s.tel != nil {
-			s.tel.ConnFailures.Inc()
-		}
-		s.telSyncGauges()
-		s.emit(Event{Kind: EventConnFailed, Conn: connID})
+		s.failConn(c)
 	}
 	return nil
 }
@@ -94,62 +77,143 @@ func (s *Session) ConnFailed(connID uint32) bool {
 	return ok && c.failed
 }
 
-// FailedConnsWithStreams returns the failed connections that still own
-// streams — the parked state the recovery supervisor must drain by
-// failing each of them over onto a freshly joined connection. IDs are
-// sorted so the resume order is deterministic.
-func (s *Session) FailedConnsWithStreams() []uint32 {
-	var out []uint32
-	for id, c := range s.conns {
-		if c.failed && len(s.StreamsOnConn(id)) > 0 {
-			out = append(out, id)
+// failConn declares c failed: the conn_failed trace, the counters and
+// EventConnFailed. If c had carried the failover of earlier connections,
+// their notices (and, on the client, their replays) may have died with
+// it: that is a cascade, and they are unsettled again so the next
+// Failover re-homes them along with c.
+func (s *Session) failConn(c *conn) {
+	c.failed = true
+	s.trace("conn_failed", c.id, 0, 0, 0)
+	cascade := false
+	for _, o := range s.conns {
+		if o.failedOver && o.via == c.id && o != c {
+			o.failedOver = false
+			cascade = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if cascade {
+		s.trace("failover_cascade", c.id, 0, 0, 0)
+	}
+	if s.tel != nil {
+		s.tel.ConnFailures.Inc()
+		if cascade {
+			s.tel.FailoverCascades.Inc()
+		}
+	}
+	s.telSyncGauges()
+	s.emit(Event{Kind: EventConnFailed, Conn: c.id})
+}
+
+// Failover applies the failover policy (DESIGN.md §8) to every connection
+// declared failed and not yet settled. Drivers call it after each batch
+// of engine input and after adding a connection; it costs one pass over
+// the connections when there is nothing to do, and does nothing without
+// EnableFailover.
+//
+// Only the client chooses (§4.2, and QUIC's rule for migration): two
+// sides picking targets independently cross their STREAM_ATTACHes. The
+// client moves every parked connection onto the best live one in ONE
+// merged replay, and sends a FAILOVER notice for each even when none of
+// its streams was there, so the server re-homes what only it knows of
+// (handleFailoverNotice). The server notifies the client, once per failed
+// connection, and parks until the client's notice comes back. With no
+// live connection both sides park; the next added connection resumes.
+func (s *Session) Failover() {
+	if !s.cfg.EnableFailover {
+		return
+	}
+	parked := s.parkedConns()
+	if len(parked) == 0 {
+		return
+	}
+	if s.role == RoleServer {
+		for _, c := range parked {
+			s.notifyConnFailed(c)
+		}
+		return
+	}
+	target := s.failoverTarget()
+	if target == nil {
+		return
+	}
+	if err := s.failoverInto(parked, target); err != nil {
+		s.trace("failover_error", target.id, 0, 0, 0)
+	}
+}
+
+// parkedConns lists the failed connections whose failover is not settled,
+// in ID order so the resume replays identically run after run.
+func (s *Session) parkedConns() []*conn {
+	var out []*conn
+	for _, c := range s.conns {
+		if c.failed && !c.failedOver {
+			out = append(out, c)
+		}
+	}
+	slices.SortFunc(out, func(a, b *conn) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
-// NotifyConnFailed propagates a locally detected connection failure to
-// the peer without re-homing any streams — Fig. 4 step 2, the server's
-// half of failover. Target selection belongs to the client (only it can
-// re-dial, and two sides choosing targets independently can cross their
-// STREAM_ATTACHes and re-home the same stream onto different
-// connections); a server that detects a dead path sends this notice on
-// the lowest live connection and waits for the client's ATTACH + SYNC
-// to move the parked streams (handleStreamAttach replays our send side
-// when it arrives). No-op without failover or without a live path.
-func (s *Session) NotifyConnFailed(failedID uint32) error {
-	if !s.cfg.EnableFailover {
-		return nil
-	}
-	var via *conn
+// failoverTarget is the client's choice among live connections: the
+// lowest smoothed RTT in the metrics store; connections without an RTT
+// sample rank after measured ones, and ties go to the lowest ID — so
+// with no store installed it is simply the lowest live ID. nil when no
+// connection is live.
+func (s *Session) failoverTarget() *conn {
+	var best *conn
+	var bestRTT time.Duration
+	bestHas := false
 	for id, c := range s.conns {
-		if id == failedID || c.failed || c.closed {
+		if c.failed || c.closed {
 			continue
 		}
-		if via == nil || id < via.id {
+		var rtt time.Duration
+		has := false
+		if s.metrics != nil {
+			if ps, ok := s.metrics.Snapshot(id); ok && ps.HasRTT {
+				rtt, has = ps.SRTT, true
+			}
+		}
+		if best == nil || has && !bestHas ||
+			has == bestHas && (rtt < bestRTT || rtt == bestRTT && id < best.id) {
+			best, bestRTT, bestHas = c, rtt, has
+		}
+	}
+	return best
+}
+
+// notifyConnFailed tells the client that failed is dead, on the lowest
+// live connection — Fig. 4 step 2, the server's half of failover. With
+// no live connection it stays unsettled for the next Failover.
+func (s *Session) notifyConnFailed(failed *conn) {
+	var via *conn
+	for id, c := range s.conns {
+		if !c.failed && !c.closed && (via == nil || id < via.id) {
 			via = c
 		}
 	}
 	if via == nil {
-		return ErrConnFailed
+		return
 	}
-	s.trace("failover_notified", via.id, 0, uint64(failedID), 0)
-	return s.sendCtl(via, appendFailover(nil, failedID))
+	s.trace("failover_notified", via.id, 0, uint64(failed.id), 0)
+	if s.sendCtl(via, appendFailover(nil, failed.id)) == nil {
+		failed.failedOver, failed.via = true, via.id
+	}
 }
 
 // FailoverTo resynchronizes and retransmits all streams of failedID onto
 // targetID (Fig. 4): it notifies the peer, re-attaches each stream,
 // sends a SYNC with the resume sequence, and replays every
 // unacknowledged record — byte-identical ciphertext, since per-stream
-// contexts make the sequence numbers deterministic.
+// contexts make the sequence numbers deterministic. It is the
+// application's migration call; failures go through Failover.
 //
 // A connection can be failed over at most once: its streams move away
 // and a second call has nothing to resynchronize, so it returns
 // ErrConnFailed rather than re-notifying the peer with stale state.
 // Failing over onto a target that is itself failed or closed also
-// returns ErrConnFailed; the caller picks another target (the cascading
-// case) or parks the streams for the recovery supervisor.
+// returns ErrConnFailed and leaves the streams where they are.
 func (s *Session) FailoverTo(failedID, targetID uint32) error {
 	if !s.cfg.EnableFailover {
 		return fmt.Errorf("core: failover not enabled in config")
@@ -171,64 +235,29 @@ func (s *Session) FailoverTo(failedID, targetID uint32) error {
 	return s.failoverInto([]*conn{failedConn}, target)
 }
 
-// FailoverAllTo drains every failed connection that still owns streams
-// onto targetID in ONE merged replay, and returns how many connections
-// it drained. This is the correct resynchronization primitive when more
-// than one connection died before a replacement joined (a rack outage,
-// an RST storm): re-homing the conns one FailoverTo at a time replays
-// each conn's retransmit buffer back to back, but coupled records'
-// aggregation sequences interleave across the conns — so the receiver's
-// reorder heap must park roughly half of the first conn's replay until
-// the second conn's replay arrives, an O(transfer) spike the reorder cap
-// cannot shed (with a single live conn there is no other conn to declare
-// suspect). Merging the replays in aggregation-sequence order keeps the
-// receiver's heap flat. The fleet harness (internal/fleet) caught this
-// under correlated faults; see its bounded-memory invariant.
-func (s *Session) FailoverAllTo(targetID uint32) (int, error) {
-	if !s.cfg.EnableFailover {
-		return 0, fmt.Errorf("core: failover not enabled in config")
-	}
-	target, err := s.getConn(targetID)
-	if err != nil {
-		return 0, err
-	}
-	if target.failed || target.closed {
-		return 0, ErrConnFailed
-	}
-	var failed []*conn
-	for _, id := range s.FailedConnsWithStreams() {
-		if id == targetID {
-			continue
-		}
-		if fc := s.conns[id]; !fc.failedOver {
-			failed = append(failed, fc)
-		}
-	}
-	if len(failed) == 0 {
-		return 0, nil
-	}
-	return len(failed), s.failoverInto(failed, target)
-}
-
 // failoverInto re-homes the streams of all failed conns onto target:
-// per conn a FAILOVER notice, per stream ATTACH + SYNC, then one merged
-// replay of every unacknowledged record (replayMerged orders coupled
-// records globally by aggregation sequence).
+// per conn a FAILOVER notice, per stream ATTACH + SYNC, then ONE merged
+// replay of every unacknowledged record. Merging matters when several
+// conns died before a replacement joined (a rack outage, an RST storm):
+// replayed conn by conn, coupled records' aggregation sequences
+// interleave across the conns, and the receiver's reorder heap parks
+// about half of the first conn's replay until the second's arrives — an
+// O(transfer) spike the reorder cap cannot shed with one live conn.
+// replayMerged orders the records globally by aggregation sequence and
+// keeps the heap flat. One EventFailoverDone goes out per conn whose
+// streams moved; a conn with none of ours gets the notice alone.
 func (s *Session) failoverInto(failed []*conn, target *conn) error {
 	if s.tracer != nil {
 		s.lastNow = s.now() // sync/retransmit traces happen now
 	}
 	var moves []streamReplay
+	moved := 0
 	for _, fc := range failed {
-		fc.failed = true
-		fc.failedOver = true
-		s.trace("failover_started", fc.id, 0, 0, 0)
-		if s.tel != nil {
-			s.tel.Failovers.Inc()
-		}
+		fc.failed, fc.failedOver, fc.via = true, true, target.id
 		if err := s.sendCtl(target, appendFailover(nil, fc.id)); err != nil {
 			return err
 		}
+		first := len(moves)
 		for _, id := range s.sortedStreamIDs() {
 			st := s.streams[id]
 			if st.conn != fc.id {
@@ -245,12 +274,25 @@ func (s *Session) failoverInto(failed []*conn, target *conn) error {
 			}
 			moves = append(moves, streamReplay{st: st, from: fc.id})
 		}
+		if len(moves) == first {
+			// The notice alone tells the server where to re-home what it
+			// still has there.
+			s.trace("failover_notified", target.id, 0, uint64(fc.id), 0)
+			continue
+		}
+		moved++
+		s.trace("failover_started", fc.id, 0, 0, 0)
+		if s.tel != nil {
+			s.tel.Failovers.Inc()
+		}
 	}
 	s.telSyncGauges()
 	if err := s.replayMerged(moves, target); err != nil {
 		return err
 	}
-	s.emit(Event{Kind: EventFailoverDone, Conn: target.id})
+	for ; moved > 0; moved-- {
+		s.emit(Event{Kind: EventFailoverDone, Conn: target.id})
+	}
 	return nil
 }
 
@@ -409,20 +451,44 @@ func (s *Session) handleSync(c *conn, f *frame) error {
 
 // handleFailoverNotice processes the peer's explicit failure
 // notification for one of our connections (shortens reaction time,
-// Fig. 4 step 2).
+// Fig. 4 step 2). On the server it is also the client's choice of
+// target: whatever is still homed on the failed connection follows onto
+// c, the connection the notice arrived on — including streams whose
+// first records died there, which the client never learned of and so
+// could never ATTACH.
 func (s *Session) handleFailoverNotice(c *conn, f *frame) error {
 	failed, ok := s.conns[f.id]
 	if !ok {
 		return nil
 	}
 	if !failed.failed {
-		failed.failed = true
-		s.trace("conn_failed", f.id, 0, 0, 0)
-		if s.tel != nil {
-			s.tel.ConnFailures.Inc()
-		}
-		s.telSyncGauges()
-		s.emit(Event{Kind: EventConnFailed, Conn: f.id})
+		s.failConn(failed)
 	}
+	if s.role != RoleServer || !s.cfg.EnableFailover || c.failed || c.closed {
+		return nil
+	}
+	failed.failedOver, failed.via = true, c.id
+	for _, id := range s.sortedStreamIDs() {
+		if st := s.streams[id]; st.conn == failed.id {
+			if err := s.follow(st, failed, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// follow re-homes st from the dead connection old onto c, where the
+// client has moved it: the receive side moves (attachRecv), ATTACH + SYNC
+// go out now, and the record replay is deferred to the end of the
+// Receive batch so replays of sibling streams merge in aggregation-
+// sequence order (flushPendingReplay).
+func (s *Session) follow(st *stream, old, c *conn) error {
+	old.demux.Detach(st.id)
+	s.attachRecv(st, c)
+	if err := s.failoverStreamPrep(st, c); err != nil {
+		return err
+	}
+	s.pendingReplay = append(s.pendingReplay, streamReplay{st: st, from: old.id})
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"tcpls/internal/sched"
 )
 
 // readAll drains a stream's readable bytes on s.
@@ -389,8 +391,8 @@ func TestFlushParksStreamsOnFailedConns(t *testing.T) {
 	}
 }
 
-// TestFailedConnsWithStreams reports parked connections in ID order and
-// drops them once their streams move away.
+// TestFailedConnsWithStreams: failed connections are parked, in ID
+// order, until their streams move away.
 func TestFailedConnsWithStreams(t *testing.T) {
 	p := newPair(t, Config{EnableFailover: true})
 	p.addConn(1)
@@ -405,16 +407,116 @@ func TestFailedConnsWithStreams(t *testing.T) {
 	p.pump()
 	p.client.ReportConnFailed(0)
 	p.client.ReportConnFailed(2)
-	got := p.client.FailedConnsWithStreams()
+	parked := func() []uint32 {
+		var ids []uint32
+		for _, c := range p.client.parkedConns() {
+			ids = append(ids, c.id)
+		}
+		return ids
+	}
+	got := parked()
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("FailedConnsWithStreams = %v, want [0 2]", got)
+		t.Fatalf("parked = %v, want [0 2]", got)
 	}
 	if err := p.client.FailoverTo(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	got = p.client.FailedConnsWithStreams()
+	got = parked()
 	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("after failover, FailedConnsWithStreams = %v, want [2]", got)
+		t.Fatalf("after failover, parked = %v, want [2]", got)
 	}
 	_ = sid0
+}
+
+// TestFailoverTargetPrefersLowSRTT: the client's target is the live
+// connection with the lowest smoothed RTT; unmeasured connections rank
+// after measured ones but are still chosen, and with none live there is
+// no target.
+func TestFailoverTargetPrefersLowSRTT(t *testing.T) {
+	p := newPair(t, Config{EnableFailover: true})
+	p.addConn(1)
+	p.addConn(2)
+	m := sched.NewMetrics()
+	p.client.SetMetrics(m)
+	// Conn 1: 50ms SRTT. Conn 2: 10ms. Conn 0: never sampled.
+	m.OnSent(1, 1000)
+	m.OnAcked(1, 1000, 50*time.Millisecond, p.now)
+	m.OnSent(2, 1000)
+	m.OnAcked(2, 1000, 10*time.Millisecond, p.now)
+
+	target := func() (uint32, bool) {
+		c := p.client.failoverTarget()
+		if c == nil {
+			return 0, false
+		}
+		return c.id, true
+	}
+	if id, ok := target(); !ok || id != 2 {
+		t.Fatalf("pick = %d/%v, want lowest-SRTT conn 2", id, ok)
+	}
+	p.client.ReportConnFailed(2)
+	if id, ok := target(); !ok || id != 1 {
+		t.Fatalf("pick excluding 2 = %d/%v, want 1", id, ok)
+	}
+	// Unmeasured paths rank after measured ones but are still usable.
+	p.client.ReportConnFailed(1)
+	if id, ok := target(); !ok || id != 0 {
+		t.Fatalf("pick excluding 1,2 = %d/%v, want 0", id, ok)
+	}
+	p.client.ReportConnFailed(0)
+	if _, ok := target(); ok {
+		t.Fatal("pick with every conn failed must report no target")
+	}
+}
+
+// TestCascadeResendsLostNotice: the server detects a dead path its own
+// stream was pushed onto, and the client's answer dies with the
+// connection that carried it. When that connection fails in turn, the
+// client's settlement of the first reopens (a cascade), its notice goes
+// out again on the next live connection, and the server's stream — one
+// the client never heard of — arrives there intact.
+func TestCascadeResendsLostNotice(t *testing.T) {
+	p := newPair(t, Config{EnableFailover: true, AckPeriod: 1000})
+	p.addConn(1)
+	p.addConn(2)
+	p.pump()
+	var cascades int
+	p.client.SetTracer(func(ev TraceEvent) {
+		if ev.Name == "failover_cascade" && ev.Conn == 1 {
+			cascades++
+		}
+	})
+
+	sid, err := p.server.CreateStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte{0x3A}, 50000)
+	if _, err := p.server.Write(sid, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.server.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.server.Outgoing(0) // the ATTACH and the records die with conn 0
+	p.server.ReportConnFailed(0)
+	p.server.Failover() // notice on conn 1
+	out, _ := p.server.Outgoing(1)
+	if err := p.client.Receive(1, out, p.now); err != nil {
+		t.Fatal(err)
+	}
+	p.client.Failover()  // the client's answer, on conn 1 too ...
+	p.client.Outgoing(1) // ... dies with it
+	p.client.ReportConnFailed(1)
+	if cascades != 1 {
+		t.Fatalf("failover_cascade traced %d times, want 1", cascades)
+	}
+	p.client.Failover()
+	p.pump(0, 1)
+	if got, _ := p.server.StreamConn(sid); got != 2 {
+		t.Fatalf("server stream on conn %d, want 2", got)
+	}
+	if got := readAll(t, p.client, sid); !bytes.Equal(got, msg) {
+		t.Fatalf("client received %d of %d bytes", len(got), len(msg))
+	}
 }

@@ -275,16 +275,9 @@ func (s *Session) checkReorderCap(arrival *conn, streamID uint32) {
 			suspect = c
 		}
 	}
-	if suspect == nil {
-		return
+	if suspect != nil {
+		s.failConn(suspect)
 	}
-	suspect.failed = true
-	s.trace("conn_failed", suspect.id, 0, 0, 0)
-	if s.tel != nil {
-		s.tel.ConnFailures.Inc()
-	}
-	s.telSyncGauges()
-	s.emit(Event{Kind: EventConnFailed, Conn: suspect.id})
 }
 
 // maybeAck applies the §4.2 acknowledgment policy: every AckPeriod
@@ -459,43 +452,24 @@ func (s *Session) handleStreamAttach(c *conn, f *frame) error {
 			// re-home the stream onto a connection nothing travels on.
 			return nil
 		}
-		// Existing stream moving here (failover path). Attach the recv
-		// context to this conn's demux; detach from the old conn only if
-		// that conn is dead. A live old conn can still have records for
-		// this stream in flight (both sides failing over concurrently can
-		// momentarily disagree on the target), and detaching under them
-		// turns each one into a failed decrypt. Trial decryption is
-		// per-conn, so a context attached to two live conns is harmless.
+		// Existing stream moving here (failover path).
 		old, hadOld := s.conns[st.conn]
-		if hadOld && old != c && (old.failed || old.closed) {
-			old.demux.Detach(f.id)
-		}
-		if c.demux.Context(f.id) == nil {
-			// Attach an independent clone rather than the shared context:
-			// the old connection (when live) keeps its own sequence
-			// counter for late in-flight records, while the upcoming SYNC
-			// resets only this connection's clone to the replay's resume
-			// point. A single shared counter would make one side's
-			// arrivals unauthenticatable.
-			nc := st.recvCtx.Clone(st.recvCtx.Seq())
-			c.demux.Attach(nc)
-			st.recvCtx = nc
-		}
 		if hadOld && old != c && old.failed {
 			// The peer moved this stream off a dead connection before we
-			// acted on the failure ourselves (the FAILOVER notice in the
-			// same batch marked it failed). Our send side must follow
+			// acted on the failure ourselves. Our send side must follow
 			// with the same SYNC + replay, or our unacknowledged records
-			// die with the old connection. ATTACH + SYNC go out now; the
-			// record replay is deferred to the end of the Receive batch so
-			// replays for sibling streams merge in aggregation-sequence
-			// order (Receive flushes via flushPendingReplay).
-			if err := s.failoverStreamPrep(st, c); err != nil {
-				return err
-			}
-			s.pendingReplay = append(s.pendingReplay, streamReplay{st: st, from: old.id})
-			return nil
+			// die with the old connection.
+			return s.follow(st, old, c)
 		}
+		// Detach from the old conn only if that conn is gone. A live old
+		// conn can still have records for this stream in flight, and
+		// detaching under them turns each one into a failed decrypt.
+		// Trial decryption is per-conn, so a context attached to two live
+		// conns is harmless.
+		if hadOld && old != c && old.closed {
+			old.demux.Detach(f.id)
+		}
+		s.attachRecv(st, c)
 		st.conn = c.id
 		return nil
 	}
@@ -505,6 +479,20 @@ func (s *Session) handleStreamAttach(c *conn, f *frame) error {
 	s.trace("stream_attached", c.id, f.id, 0, 0)
 	s.emit(Event{Kind: EventStreamOpen, Stream: f.id, Conn: c.id})
 	return nil
+}
+
+// attachRecv gives c's demux a receive context for st, unless it has one.
+// It attaches an independent clone rather than the shared context: the
+// old connection (when live) keeps its own sequence counter for late
+// in-flight records, while the upcoming SYNC resets only this
+// connection's clone to the replay's resume point. A single shared
+// counter would make one side's arrivals unauthenticatable.
+func (s *Session) attachRecv(st *stream, c *conn) {
+	if c.demux.Context(st.id) == nil {
+		nc := st.recvCtx.Clone(st.recvCtx.Seq())
+		c.demux.Attach(nc)
+		st.recvCtx = nc
+	}
 }
 
 func (s *Session) handleStreamDetach(c *conn, f *frame) error {

@@ -431,9 +431,6 @@ func (s *Session) telSyncGauges() {
 // on another goroutine.
 func (s *Session) SetMetrics(m *sched.Metrics) { s.metrics = m }
 
-// Metrics returns the installed path-metrics store (nil if none).
-func (s *Session) Metrics() *sched.Metrics { return s.metrics }
-
 // SetClock overrides the timestamp source used to stamp sent records
 // for ACK-driven RTT sampling. nil restores time.Now. Simulations pass
 // their virtual clock so metrics stay deterministic.
@@ -506,17 +503,6 @@ func (s *Session) Connections() []uint32 {
 	return out
 }
 
-// ConnOutstanding reports whether any stream attached to conn has
-// unacknowledged records (drives the UserTimeout failure heuristic).
-func (s *Session) ConnOutstanding(connID uint32) bool {
-	for _, st := range s.streams {
-		if st.conn == connID && len(st.retransmit) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // conn is per-TCP-connection state.
 type conn struct {
 	id       uint32
@@ -529,10 +515,14 @@ type conn struct {
 	outQ     []outChunk
 	lastRecv time.Time
 	failed   bool
-	// failedOver marks that FailoverTo already moved this connection's
-	// streams away; a second failover of the same connection has nothing
-	// to resynchronize and is rejected.
+	// failedOver marks a failed connection whose failover is settled: the
+	// client has moved its streams and told the server where, or the
+	// server has told the client (or been told). via is the connection
+	// that carried it; if via fails in turn, the settlement reopens
+	// (failConn). A settled connection has nothing left to resynchronize,
+	// so FailoverTo rejects it.
 	failedOver bool
+	via        uint32
 	closed     bool
 	// Write-time span tracking (session.stampWrites): unwritten collects
 	// the data records sealed onto out since the last drain; Outgoing

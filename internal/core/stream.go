@@ -167,17 +167,6 @@ func (s *Session) installStream(id, connID uint32) (*stream, error) {
 	return st, nil
 }
 
-// StreamsOnConn returns the IDs of streams attached to connID.
-func (s *Session) StreamsOnConn(connID uint32) []uint32 {
-	var out []uint32
-	for id, st := range s.streams {
-		if st.conn == connID {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // StreamConn returns the connection a stream is attached to.
 func (s *Session) StreamConn(streamID uint32) (uint32, error) {
 	st, err := s.getStream(streamID)

@@ -52,8 +52,8 @@ func (s *Session) NotePathMetrics(connID uint32) {
 }
 
 // Note lets the I/O wrapper stamp its own lifecycle marks (e.g.
-// reconnect_attempt, reconnect_ok, failover_cascade, cookie_issued,
-// join_accepted) into the same trace stream as the engine's protocol
+// reconnect_attempt, reconnect_ok, cookie_issued, join_accepted) into
+// the same trace stream as the engine's protocol
 // events, so one timeline covers both. Unlike the engine's internal
 // emissions, a Note refreshes the trace clock: wrapper marks happen in
 // real time, not at the last receive.

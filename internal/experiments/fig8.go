@@ -52,7 +52,6 @@ func Fig8(outage string) (*Fig8Result, error) {
 		p1 := newPath(s, fig8Rate, fig8Delay)
 		cfg := core.Config{EnableFailover: true, AckPeriod: 16, UserTimeout: fig8UTO}
 		client, server := simtcpls.Pair(s, cfg)
-		server.AutoFailover = true
 
 		var received uint64
 		failedOnce := false
@@ -70,10 +69,9 @@ func Fig8(outage string) (*Fig8Result, error) {
 				}
 				failedOnce = true
 				// Break-before-make: open and join a connection on the
-				// other path, then resynchronize (Fig. 4).
-				client.TryPath(p1, 1, simtcp.Options{CC: "cubic"}, func() {
-					client.Failover(0, 1)
-				}, nil)
+				// other path; the join resynchronizes the parked stream
+				// (Fig. 4).
+				client.TryPath(p1, 1, simtcp.Options{CC: "cubic"}, nil, nil)
 			}
 		}
 		client.AddPath(p0, 0, simtcp.Options{CC: "cubic"}, func() {

@@ -61,7 +61,6 @@ func Fig9() (*Fig9Result, error) {
 
 		cfg := core.Config{EnableFailover: true, AckPeriod: 16, UserTimeout: fig9UTO}
 		client, server := simtcpls.Pair(s, cfg)
-		server.AutoFailover = true
 
 		var received uint64
 		var done time.Duration
@@ -69,33 +68,20 @@ func Fig9() (*Fig9Result, error) {
 		hunting := false
 
 		// hunt probes every other path in parallel (the Happy-Eyeballs
-		// pattern of §4.6): the first connection to establish wins and
-		// the stranded streams fail over onto it.
+		// pattern of §4.6): the first connection to establish wins, and
+		// its join fails the stranded streams over onto it.
 		var hunt func()
 		hunt = func() {
 			if hunting || done != 0 {
 				return
 			}
 			hunting = true
-			won := false
 			for i := range paths {
 				p := paths[i]
 				id := nextConn
 				nextConn++
 				client.TryPath(p, id, simtcp.Options{CC: "cubic"}, func() {
-					if won {
-						return
-					}
-					won = true
 					hunting = false
-					// Move every stream stranded on a failed conn; the
-					// server follows via the FAILOVER notice (and its
-					// own join-time retry).
-					for cid := uint32(0); cid < nextConn; cid++ {
-						if client.Sess.ConnFailed(cid) && len(client.Sess.StreamsOnConn(cid)) > 0 {
-							client.Failover(cid, id)
-						}
-					}
 				}, func() {
 					// This probe lost the race or timed out: if all
 					// probes fail, rearm the hunt.

@@ -455,15 +455,8 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	clock := func() time.Time { return epoch.Add(c.s.Now()) }
 	fs.cl.Sess.SetClock(clock)
 	fs.sv.Sess.SetClock(clock)
-	// Failover policy: both endpoints resynchronize automatically (the
-	// fig8/fig9 configuration). The server must too — for server-pushed
-	// streams whose very first records died with their connection, the
-	// client never learned the stream exists, so the client-driven ATTACH
-	// the server would otherwise park for never comes (a wedge this
-	// harness found). Both sides pick the lowest live connection, so
-	// their re-homes converge on the same target.
-	fs.cl.AutoFailover = true
-	fs.sv.AutoFailover = true
+	// Failover is the engine's production policy on both ends; the
+	// client's handler only keeps its paths (onConnFailed).
 	fs.cl.OnEvent = func(ev core.Event) {
 		if ev.Kind == core.EventConnFailed {
 			fs.connFailures++
@@ -471,15 +464,8 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		}
 	}
 	fs.sv.OnEvent = func(ev core.Event) {
-		switch ev.Kind {
-		case core.EventConnFailed:
-			if fs.sv.Sess.NotifyConnFailed(ev.Conn) == nil {
-				fs.sv.Flush()
-			}
-		case core.EventStreamOpen:
-			if fs.coupled && fs.up {
-				fs.sv.Sess.SetCoupled(ev.Stream, true)
-			}
+		if ev.Kind == core.EventStreamOpen && fs.coupled && fs.up {
+			fs.sv.Sess.SetCoupled(ev.Stream, true)
 		}
 	}
 	if !fs.up {

@@ -51,9 +51,6 @@ type Endpoint struct {
 
 	// OnEvent observes engine events after the endpoint's own handling.
 	OnEvent func(ev core.Event)
-	// AutoFailover resynchronizes streams of a failed connection onto
-	// the lowest-numbered live connection automatically.
-	AutoFailover bool
 }
 
 // Pair creates a connected client/server endpoint pair with no paths;
@@ -116,10 +113,7 @@ func (e *Endpoint) TryPath(path *sim.Path, connID uint32, opts simtcp.Options, o
 		e.peer.Sess.AddConnection(connID, simNow(e.S))
 		e.wire(cl, connID, e)
 		e.wire(sv, connID, e.peer)
-		e.retryFailover(connID)
-		e.peer.retryFailover(connID)
-		e.flush()
-		e.peer.flush()
+		e.joined()
 		if onReady != nil {
 			onReady()
 		}
@@ -127,6 +121,16 @@ func (e *Endpoint) TryPath(path *sim.Path, connID uint32, opts simtcp.Options, o
 	cl.OnEstablished = func() {
 		e.S.After(handshakeRTT, activate)
 	}
+}
+
+// joined runs both engines' failover policy once a connection is up: a
+// connection can fail before any replacement exists (the Fig. 8
+// blackhole), and the join that arrives later resumes what is parked.
+func (e *Endpoint) joined() {
+	e.pumpEvents()
+	e.peer.pumpEvents()
+	e.flush()
+	e.peer.flush()
 }
 
 // AddPathOn is AddPath over explicit (possibly shared) links — the
@@ -146,36 +150,13 @@ func (e *Endpoint) AddPathOn(toServer, toClient *sim.Link, connID uint32, opts s
 		e.peer.Sess.AddConnection(connID, simNow(e.S))
 		e.wire(cl, connID, e)
 		e.wire(sv, connID, e.peer)
-		e.retryFailover(connID)
-		e.peer.retryFailover(connID)
-		e.flush()
-		e.peer.flush()
+		e.joined()
 		if onReady != nil {
 			onReady()
 		}
 	}
 	cl.OnEstablished = func() {
 		e.S.After(handshakeRTT, activate)
-	}
-}
-
-// retryFailover resynchronizes streams stranded on failed connections
-// onto a freshly joined connection. A connection can fail before any
-// replacement exists (the Fig. 8 blackhole); the join that arrives later
-// must pick those streams up. FailedConnsWithStreams returns IDs sorted,
-// so the resume order is deterministic and rejoined connections with
-// IDs beyond the first few (fleet campaigns churn through dozens per
-// session) are covered.
-func (e *Endpoint) retryFailover(target uint32) {
-	if !e.AutoFailover {
-		return
-	}
-	// One merged call, not FailoverTo per conn: when several conns died
-	// before this join, per-conn replays would interleave coupled
-	// aggregation sequences on the wire and balloon the peer's reorder
-	// heap (see core.FailoverAllTo).
-	if n, err := e.Sess.FailoverAllTo(target); err == nil && n > 0 {
-		e.flush()
 	}
 }
 
@@ -232,51 +213,20 @@ func (e *Endpoint) flush() {
 	}
 }
 
-// pumpEvents handles engine events (auto failover) and forwards them.
+// pumpEvents runs the engine's failover policy and forwards the events;
+// every caller flushes after it.
 func (e *Endpoint) pumpEvents() {
+	e.Sess.Failover()
 	for _, ev := range e.Sess.Events() {
-		if ev.Kind == core.EventConnFailed && e.AutoFailover {
-			e.failover(ev.Conn)
-		}
 		if e.OnEvent != nil {
 			e.OnEvent(ev)
 		}
 	}
 }
 
-// failover moves the streams of every failed connection (the one that
-// just failed, plus any that failed with it — correlated faults kill
-// several in one Advance) to the lowest live connection in one merged
-// replay.
-func (e *Endpoint) failover(failedID uint32) {
-	live := e.Sess.Connections()
-	if len(live) == 0 {
-		return
-	}
-	target := live[0]
-	for _, id := range live {
-		if id < target {
-			target = id
-		}
-	}
-	if n, err := e.Sess.FailoverAllTo(target); err == nil && n > 0 {
-		e.flush()
-	}
-}
-
 // Conn exposes the underlying simulated TCP connection (for tcp_info-
 // style statistics, CC swaps, and fault injection in experiments).
 func (e *Endpoint) Conn(connID uint32) *simtcp.Conn { return e.conns[connID] }
-
-// Failover explicitly resynchronizes streams of failedID onto targetID
-// and transmits the SYNC + replayed records.
-func (e *Endpoint) Failover(failedID, targetID uint32) error {
-	if err := e.Sess.FailoverTo(failedID, targetID); err != nil {
-		return err
-	}
-	e.flush()
-	return nil
-}
 
 // Flush transmits any queued engine output (exported for experiment
 // drivers that interact with the Session directly).

@@ -48,8 +48,6 @@ func TestFailoverAcrossSimulatedPaths(t *testing.T) {
 	s := sim.New()
 	cfg := core.Config{EnableFailover: true, AckPeriod: 8, UserTimeout: 250 * time.Millisecond}
 	client, server := Pair(s, cfg)
-	client.AutoFailover = true
-	server.AutoFailover = true
 	p0 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
 	p1 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
 
@@ -79,6 +77,48 @@ func TestFailoverAcrossSimulatedPaths(t *testing.T) {
 	}
 	if server.Sess.Stats().Retransmits == 0 {
 		t.Error("no TCPLS-level record retransmissions")
+	}
+}
+
+// TestServerPushOnDeadPathReachesClient: the server opens a stream on a
+// path that is already blackholed, so the client never sees its ATTACH
+// and has nothing of its own there to fail over. Only the server's user
+// timeout sees the failure; its notice makes the client choose a target
+// and say so, and the server re-homes the stream there.
+func TestServerPushOnDeadPathReachesClient(t *testing.T) {
+	s := sim.New()
+	cfg := core.Config{EnableFailover: true, UserTimeout: 250 * time.Millisecond}
+	client, server := Pair(s, cfg)
+	p0 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+	p1 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+
+	var got []byte
+	client.OnEvent = func(ev core.Event) {
+		if ev.Kind == core.EventStreamData {
+			buf := make([]byte, 64<<10)
+			for client.Sess.Readable(ev.Stream) > 0 {
+				n, _ := client.Sess.Read(ev.Stream, buf)
+				got = append(got, buf[:n]...)
+			}
+		}
+	}
+	data := make([]byte, 256<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	client.AddPath(p0, 0, simtcp.Options{}, func() {
+		client.AddPath(p1, 1, simtcp.Options{}, func() {
+			p0.SetDown(true)
+			sid, err := server.Sess.CreateStream(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server.Write(sid, data)
+		})
+	})
+	s.RunUntil(10 * time.Second)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("client received %d of %d bytes pushed onto the dead path", len(got), len(data))
 	}
 }
 

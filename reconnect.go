@@ -366,7 +366,6 @@ func (s *Session) recoveryLoop(rc ReconnectConfig) {
 		if live := s.engine.Connections(); len(live) > 0 {
 			// A path came back behind our back (JoinPath, peer rejoin).
 			s.finishRecoveryLocked(live[0], attempt)
-			s.flushLocked()
 			s.mu.Unlock()
 			return
 		}
@@ -396,7 +395,6 @@ func (s *Session) recoveryLoop(rc ReconnectConfig) {
 					s.mu.Lock()
 					s.engine.Note("reconnect_ok", id, 0, uint64(attempt), 0)
 					s.finishRecoveryLocked(id, attempt)
-					s.flushLocked()
 					s.mu.Unlock()
 					return
 				}
@@ -432,38 +430,15 @@ func (s *Session) recoveryLoop(rc ReconnectConfig) {
 	}
 }
 
-// finishRecoveryLocked stands the supervisor down on a revived path:
-// parked streams resynchronize onto target via failover replay.
+// finishRecoveryLocked stands the supervisor down on a revived path. The
+// join itself already resumed the parked streams (startJoinedConnLocked
+// runs the failover policy on every added connection).
 func (s *Session) finishRecoveryLocked(target uint32, attempt int) {
 	s.recovering = false
 	if s.tel != nil {
 		s.tel.Reconnects.Inc()
 	}
-	s.resumeParkedLocked(target)
 	s.emitSessionEventLocked(SessionEvent{Kind: EventReconnected, Conn: target, Attempt: attempt})
-}
-
-// resumeParkedLocked fails every parked (failed-with-streams) connection
-// over onto target. An individual failure is not fatal here: if target
-// just died too, its own failure event re-arms recovery.
-func (s *Session) resumeParkedLocked(target uint32) {
-	for _, failedID := range s.engine.FailedConnsWithStreams() {
-		if failedID == target {
-			continue
-		}
-		if err := s.engine.FailoverTo(failedID, target); err != nil {
-			s.engine.Note("failover_error", failedID, 0, 0, 0)
-			continue
-		}
-		if s.failoverTargets == nil {
-			s.failoverTargets = make(map[uint32]bool)
-		}
-		s.failoverTargets[target] = true
-		if pc, ok := s.conns[failedID]; ok {
-			pc.nc.Close()
-		}
-		s.emitSessionEventLocked(SessionEvent{Kind: EventFailover, Conn: target})
-	}
 }
 
 // declareDead ends recovery: terminal event, then the session fails with

@@ -10,31 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"tcpls/internal/core"
-	"tcpls/internal/handshake"
-	"tcpls/internal/record"
-	"tcpls/internal/sched"
 	"tcpls/internal/testutil"
 )
-
-// newBareEngine builds a core engine with deterministic secrets for
-// white-box tests that never touch a socket.
-func newBareEngine(t *testing.T) *core.Session {
-	t.Helper()
-	suite, err := record.SuiteByID(record.TLSAES128GCMSHA256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(tag byte) []byte {
-		b := make([]byte, 32)
-		for i := range b {
-			b[i] = tag
-		}
-		return b
-	}
-	sec := handshake.Secrets{Suite: suite, ClientApp: mk(0xc1), ServerApp: mk(0x51)}
-	return core.NewSession(core.RoleClient, sec, core.Config{})
-}
 
 func TestReconnectDelayBounds(t *testing.T) {
 	rc := ReconnectConfig{BaseDelay: 40 * time.Millisecond, MaxDelay: 200 * time.Millisecond}.withDefaults()
@@ -158,39 +135,6 @@ func TestCandidateAddrs(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("candidates = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestPickFailoverTargetPrefersLowSRTT(t *testing.T) {
-	now := time.Now()
-	s := &Session{
-		metrics: sched.NewMetrics(),
-		conns:   make(map[uint32]*pathConn),
-		engine:  newBareEngine(t),
-	}
-	for id := uint32(0); id < 3; id++ {
-		if err := s.engine.AddConnection(id, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Conn 1: 50ms SRTT. Conn 2: 10ms. Conn 0: never sampled.
-	s.metrics.OnSent(1, 1000)
-	s.metrics.OnAcked(1, 1000, 50*time.Millisecond, now)
-	s.metrics.OnSent(2, 1000)
-	s.metrics.OnAcked(2, 1000, 10*time.Millisecond, now)
-
-	if id, ok := s.pickFailoverTargetLocked(map[uint32]bool{}); !ok || id != 2 {
-		t.Fatalf("pick = %d/%v, want lowest-SRTT conn 2", id, ok)
-	}
-	if id, ok := s.pickFailoverTargetLocked(map[uint32]bool{2: true}); !ok || id != 1 {
-		t.Fatalf("pick excluding 2 = %d/%v, want 1", id, ok)
-	}
-	// Unmeasured paths rank after measured ones but are still usable.
-	if id, ok := s.pickFailoverTargetLocked(map[uint32]bool{1: true, 2: true}); !ok || id != 0 {
-		t.Fatalf("pick excluding 1,2 = %d/%v, want 0", id, ok)
-	}
-	if _, ok := s.pickFailoverTargetLocked(map[uint32]bool{0: true, 1: true, 2: true}); ok {
-		t.Fatal("pick with all tried must report no target")
 	}
 }
 

@@ -51,15 +51,12 @@ type Session struct {
 	onNewServerCookies func([]Cookie)
 
 	// Recovery supervisor state (reconnect.go): remembered redial
-	// targets, the lifecycle event queue, and the conns that have
-	// absorbed a failover (so a later death of one is traced as a
-	// cascade).
-	dialNetwork     string
-	remoteAddrs     []string
-	recovering      bool
-	sessEvents      []SessionEvent
-	eventCh         chan SessionEvent
-	failoverTargets map[uint32]bool
+	// targets and the lifecycle event queue.
+	dialNetwork string
+	remoteAddrs []string
+	recovering  bool
+	sessEvents  []SessionEvent
+	eventCh     chan SessionEvent
 
 	// Resumption state (§4.5).
 	suite      *record.Suite
@@ -79,11 +76,6 @@ type Session struct {
 	hasEarlyStream bool
 	wg             sync.WaitGroup
 	timerStop      chan struct{}
-
-	// onConnFailed, when set, is invoked (without the lock) after a
-	// connection is declared failed; the default handler performs
-	// automatic failover to another live connection if one exists.
-	onConnFailed func(connID uint32)
 
 	// metrics is the path-metrics engine shared with the protocol
 	// engine; metricsLoopOn guards the kernel TCP_INFO refresher.
@@ -265,16 +257,17 @@ func (s *Session) addConnLocked(id uint32, nc net.Conn) *pathConn {
 }
 
 // startJoinedConnLocked starts the loops of a joined connection the engine
-// already knows, and hands the engine what the handshake transport read
-// past the handshake's own messages.
+// already knows, hands the engine what the handshake transport read past
+// the handshake's own messages, and lets the failover policy resume
+// whatever is parked.
 func (s *Session) startJoinedConnLocked(id uint32, nc net.Conn, leftover []byte) {
 	s.addConnLocked(id, nc)
 	s.engine.Note("join_accepted", id, 0, 0, 0)
 	if len(leftover) > 0 {
 		s.engine.Receive(id, leftover, time.Now())
-		s.processEventsLocked()
-		s.flushLocked()
 	}
+	s.processEventsLocked()
+	s.flushLocked()
 	s.cond.Broadcast()
 }
 
@@ -559,9 +552,11 @@ func (s *Session) timerLoop() {
 	}
 }
 
-// processEventsLocked turns engine events into API state.
+// processEventsLocked runs the engine's failover policy (DESIGN.md §8)
+// and turns the engine's events into API state.
 func (s *Session) processEventsLocked() {
-	var failovers []uint32
+	s.engine.Failover()
+	lost := false
 	s.engineEv = s.engine.AppendEvents(s.engineEv[:0])
 	for _, ev := range s.engineEv {
 		switch ev.Kind {
@@ -573,7 +568,19 @@ func (s *Session) processEventsLocked() {
 			// Readable state changed; cond broadcast happens at the
 			// call sites.
 		case core.EventConnFailed:
-			failovers = append(failovers, ev.Conn)
+			if pc, ok := s.conns[ev.Conn]; ok {
+				pc.failed.Store(true)
+			}
+			s.emitSessionEventLocked(SessionEvent{Kind: EventConnDown, Conn: ev.Conn})
+			lost = true
+		case core.EventFailoverDone:
+			// The failed connections' streams live on ev.Conn now.
+			for _, pc := range s.conns {
+				if pc.failed.Load() {
+					pc.nc.Close()
+				}
+			}
+			s.emitSessionEventLocked(SessionEvent{Kind: EventFailover, Conn: ev.Conn})
 		case core.EventNewCookies:
 			for _, c := range ev.Cookies {
 				s.cookies = append(s.cookies, Cookie(c))
@@ -604,116 +611,14 @@ func (s *Session) processEventsLocked() {
 			if pc, ok := s.conns[ev.Conn]; ok {
 				pc.peerClosed = true
 			}
-		case core.EventRemoveAddr, core.EventFailoverDone:
+		case core.EventRemoveAddr:
 			// informational
 		}
 	}
-	for _, id := range failovers {
-		if pc, ok := s.conns[id]; ok {
-			pc.failed.Store(true)
-		}
-		s.autoFailoverLocked(id)
-	}
-}
-
-// autoFailoverLocked resynchronizes streams of a failed connection onto
-// the best live connection (§4.2's default behaviour): lowest fused SRTT
-// wins, and if a chosen target has raced into failure the next-best one
-// is tried (the cascade). When no live connection is left the streams
-// park and the recovery supervisor (reconnect.go) takes over.
-func (s *Session) autoFailoverLocked(failedID uint32) {
-	s.emitSessionEventLocked(SessionEvent{Kind: EventConnDown, Conn: failedID})
-	if !s.cfg.EnableFailover {
-		// No failover machinery: nothing to move, but a session with no
-		// path left must still resolve rather than park silently.
+	if lost {
+		// With no path left, the recovery supervisor takes over.
 		s.maybeEnterRecoveryLocked()
-		return
 	}
-	if s.failoverTargets[failedID] {
-		// A connection that previously absorbed a failover died itself;
-		// its replayed streams move again.
-		s.engine.Note("failover_cascade", failedID, 0, 0, 0)
-		if s.tel != nil {
-			s.tel.FailoverCascades.Inc()
-		}
-		delete(s.failoverTargets, failedID)
-	}
-	if !s.isClient {
-		// Failover target selection is the client's (§4.2): a server
-		// picking its own target races the client's pick, and crossed
-		// STREAM_ATTACHes re-home the same stream onto different
-		// connections — each side then sends where the other no longer
-		// listens. Propagate the failure and park; the client's ATTACH +
-		// SYNC re-homes the streams and replays our send side.
-		// The notice rides the outgoing batch every caller of
-		// processEventsLocked collects.
-		s.engine.NotifyConnFailed(failedID)
-		s.maybeEnterRecoveryLocked()
-		return
-	}
-	if len(s.engine.StreamsOnConn(failedID)) > 0 {
-		tried := map[uint32]bool{failedID: true}
-		for {
-			target, ok := s.pickFailoverTargetLocked(tried)
-			if !ok {
-				break
-			}
-			tried[target] = true
-			if err := s.engine.FailoverTo(failedID, target); err != nil {
-				// The target raced into failure between the pick and the
-				// replay; try the next-best path.
-				s.engine.Note("failover_error", failedID, 0, 0, 0)
-				continue
-			}
-			if s.failoverTargets == nil {
-				s.failoverTargets = make(map[uint32]bool)
-			}
-			s.failoverTargets[target] = true
-			if pc, ok := s.conns[failedID]; ok {
-				pc.nc.Close()
-			}
-			s.emitSessionEventLocked(SessionEvent{Kind: EventFailover, Conn: target})
-			return
-		}
-	}
-	// Nothing to move, or nowhere left to move it. If the session has no
-	// path at all, arm the recovery supervisor.
-	s.maybeEnterRecoveryLocked()
-}
-
-// pickFailoverTargetLocked chooses the failover target among live
-// connections not yet tried: lowest smoothed RTT from the path-metrics
-// engine; paths without an RTT sample rank after measured ones and tie-
-// break on the lowest ID (deterministic).
-func (s *Session) pickFailoverTargetLocked(tried map[uint32]bool) (uint32, bool) {
-	var best uint32
-	var bestRTT time.Duration
-	bestHas, found := false, false
-	for _, id := range s.engine.Connections() {
-		if tried[id] {
-			continue
-		}
-		if pc, ok := s.conns[id]; ok && pc.failed.Load() {
-			continue
-		}
-		ps, ok := s.metrics.Snapshot(id)
-		has := ok && ps.HasRTT
-		better := false
-		switch {
-		case !found:
-			better = true
-		case has && !bestHas:
-			better = true
-		case has && bestHas && ps.SRTT < bestRTT:
-			better = true
-		case !has && !bestHas && id < best:
-			better = true
-		}
-		if better {
-			best, bestRTT, bestHas, found = id, ps.SRTT, has, true
-		}
-	}
-	return best, found
 }
 
 // Failover explicitly moves the streams of failedConn onto targetConn.
