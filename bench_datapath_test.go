@@ -1,7 +1,7 @@
 // Loopback datapath benchmark (DESIGN.md §16): goodput of a real TCPLS
 // session over 127.0.0.1, the headline MB/s number of BENCH_datapath.json.
 // One op pushes 8 MiB through Stream.Write → seal → writev → kernel →
-// batched read → in-place open → Stream.Read discard.
+// batched read → open into a pooled buffer → Stream.Read discard.
 //
 //	go test -bench=DatapathLoopback -benchmem
 package tcpls_test

@@ -1,5 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Run with:
+// Benchmarks regenerating the paper's tables and figures, plus the
+// ablations DESIGN.md calls out; Fig. 7's engine bars are bench/'s
+// ladder rungs. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -30,48 +31,7 @@ func BenchmarkTable1Services(b *testing.B) {
 	}
 }
 
-// --- Fig. 7: one bench per bar (64 MiB per iteration) ---
-
-const fig7Bytes = 64 << 20
-
-// benchPipeline measures a single Fig. 7 stack without running the
-// others.
-func benchPipeline(b *testing.B, run func(bytes int) error) {
-	b.SetBytes(fig7Bytes)
-	for i := 0; i < b.N; i++ {
-		if err := run(fig7Bytes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7TLSTCP(b *testing.B) {
-	benchPipeline(b, func(n int) error {
-		_, err := experiments.TLSTCPPipeline(n, 1500)
-		return err
-	})
-}
-
-func BenchmarkFig7TCPLS(b *testing.B) {
-	benchPipeline(b, func(n int) error {
-		_, err := experiments.TCPLSPipeline(n, false, false)
-		return err
-	})
-}
-
-func BenchmarkFig7TCPLSFailover(b *testing.B) {
-	benchPipeline(b, func(n int) error {
-		_, err := experiments.TCPLSPipeline(n, true, false)
-		return err
-	})
-}
-
-func BenchmarkFig7TCPLSMultipath(b *testing.B) {
-	benchPipeline(b, func(n int) error {
-		_, err := experiments.TCPLSPipeline(n, true, true)
-		return err
-	})
-}
+// --- Fig. 7: the QUIC bars (the engine bars are bench/'s ladder) ---
 
 func benchQUIC(b *testing.B, cfg miniquic.Config) {
 	p, err := miniquic.New(cfg)
@@ -171,35 +131,6 @@ func BenchmarkFig12EbpfCC(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// X3: failover throughput vs acknowledgment period (§4.2's "optimal
-// acknowledgment frequency" future work).
-func BenchmarkAckFrequency(b *testing.B) {
-	for _, period := range []int{1, 4, 16, 64} {
-		b.Run(benchName("period", period), func(b *testing.B) {
-			b.SetBytes(fig7Bytes)
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.TCPLSPipelineAck(fig7Bytes, period); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Scheduler ablation: round-robin vs pinned distribution over two conns.
-func BenchmarkSchedulers(b *testing.B) {
-	for _, sched := range []string{"roundrobin", "pinned"} {
-		b.Run(sched, func(b *testing.B) {
-			b.SetBytes(fig7Bytes)
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.TCPLSPipelineSched(fig7Bytes, sched); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Path-scheduler ablation: the metrics-driven schedulers against
 // round-robin over two netem paths with 10x RTT asymmetry (2 ms vs
 // 20 ms one-way at equal 40 Mbps rate). Each iteration is one full
@@ -217,20 +148,6 @@ func BenchmarkPathSchedulers(b *testing.B) {
 				bps = schedTransfer(b, name, total, fast, slow)
 			}
 			b.ReportMetric(bps/1e6, "goodput-Mbps")
-		})
-	}
-}
-
-// Zero-copy delivery vs buffered Read (the §4.1 design claim).
-func BenchmarkZeroCopy(b *testing.B) {
-	for _, mode := range []string{"callback", "buffered"} {
-		b.Run(mode, func(b *testing.B) {
-			b.SetBytes(fig7Bytes)
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.TCPLSPipelineDelivery(fig7Bytes, mode == "callback"); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }
@@ -256,22 +173,4 @@ func BenchmarkCCNativeVsBytecode(b *testing.B) {
 			b.Fatal(p.Err())
 		}
 	})
-}
-
-func benchName(k string, v int) string {
-	return k + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -43,40 +43,51 @@ func (q *byteQueue) Advance(n int) {
 	}
 }
 
-// segQueue is the receive-side byte FIFO: a list of MaxPlaintextLen
-// segments borrowed from the session's BufferPool. Append and ReadInto
-// copy each byte once and never move it again; a drained segment goes
-// back to the pool at once, so an empty queue holds none. (A contiguous
-// array was re-grown by doubling on every swing of a lagging reader.)
+// segQueue is the receive-side byte FIFO: a list of pooled Bufs, each
+// with a live window. Adopt takes the Buf a record was decrypted into by
+// reference; Append copies into the free tail of the newest Buf, then
+// into fresh ones from the session's BufferPool. ReadInto copies each
+// byte out once, and a drained Buf goes back at once, so an empty queue
+// holds none.
 type segQueue struct {
 	pool *record.BufferPool
-	segs []*record.Buf // segs[first:] are live, all full but the last
-	// first indexes the oldest live segment; head and tail are the read
-	// offset within it and the write offset within the newest one.
-	first, head, tail int
-	n                 int
+	segs []seg // segs[first:] are live
+	// first indexes the oldest live segment; n counts unread bytes.
+	first, n int
+}
+
+// seg is one queued Buf; b.Bytes()[lo:hi] is unread.
+type seg struct {
+	b      *record.Buf
+	lo, hi int
 }
 
 // Len reports the number of unread bytes.
 func (q *segQueue) Len() int { return q.n }
 
+// Adopt queues the first n bytes of b, taking over b.
+func (q *segQueue) Adopt(b *record.Buf, n int) {
+	if q.first > 0 && len(q.segs) == cap(q.segs) {
+		// Slide the live segments down before append would re-grow the
+		// slice around a dead prefix.
+		live := copy(q.segs, q.segs[q.first:])
+		clear(q.segs[live:])
+		q.segs, q.first = q.segs[:live], 0
+	}
+	q.segs = append(q.segs, seg{b: b, hi: n})
+	q.n += n
+}
+
 // Append copies p onto the tail.
 func (q *segQueue) Append(p []byte) {
-	q.n += len(p)
 	for len(p) > 0 {
-		if q.first == len(q.segs) || q.tail == record.MaxPlaintextLen {
-			if q.first > 0 && len(q.segs) == cap(q.segs) {
-				// Slide the live pointers down before append would
-				// re-grow the slice around a dead prefix.
-				live := copy(q.segs, q.segs[q.first:])
-				clear(q.segs[live:])
-				q.segs, q.first = q.segs[:live], 0
-			}
-			q.segs = append(q.segs, q.pool.Get(record.MaxPlaintextLen))
-			q.tail = 0
+		if q.first == len(q.segs) || q.segs[len(q.segs)-1].hi == record.MaxRecordLen {
+			q.Adopt(q.pool.Get(record.MaxRecordLen), 0)
 		}
-		c := copy(q.segs[len(q.segs)-1].Bytes()[q.tail:], p)
-		q.tail += c
+		t := &q.segs[len(q.segs)-1]
+		c := copy(t.b.Bytes()[t.hi:], p)
+		t.hi += c
+		q.n += c
 		p = p[c:]
 	}
 }
@@ -86,17 +97,13 @@ func (q *segQueue) Append(p []byte) {
 func (q *segQueue) ReadInto(p []byte) int {
 	read := 0
 	for read < len(p) && q.n > 0 {
-		seg := q.segs[q.first]
-		end := record.MaxPlaintextLen
-		if q.first == len(q.segs)-1 {
-			end = q.tail
-		}
-		c := copy(p[read:], seg.Bytes()[q.head:end])
-		read, q.head, q.n = read+c, q.head+c, q.n-c
-		if q.head == end {
-			seg.Release()
-			q.segs[q.first] = nil
-			q.first, q.head = q.first+1, 0
+		h := &q.segs[q.first]
+		c := copy(p[read:], h.b.Bytes()[h.lo:h.hi])
+		read, h.lo, q.n = read+c, h.lo+c, q.n-c
+		if h.lo == h.hi {
+			h.b.Release()
+			q.segs[q.first] = seg{}
+			q.first++
 		}
 	}
 	if q.n == 0 {

@@ -9,11 +9,12 @@ import (
 )
 
 // TestSegQueueMatchesBytesBuffer drives the segment queue and a
-// bytes.Buffer with the same seeded Append/ReadInto sequence — sizes
-// from nothing to three segments, so every boundary case (a piece that
-// ends exactly on a segment, one that spans two, an empty one) comes up
-// — and requires identical bytes and Len after every step, and every
-// segment back in the pool once the queue is drained.
+// bytes.Buffer with the same seeded Append/Adopt/ReadInto sequence —
+// sizes from nothing to three segments, so every boundary case (a piece
+// that ends exactly on a segment, one that spans two, an empty one, a
+// copy into the free tail of an adopted Buf) comes up — and requires
+// identical bytes and Len after every step, and every segment back in
+// the pool once the queue is drained.
 func TestSegQueueMatchesBytesBuffer(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -25,19 +26,26 @@ func TestSegQueueMatchesBytesBuffer(t *testing.T) {
 			case 0:
 				return rng.Intn(64)
 			case 1: // on a segment boundary or one byte off it
-				return min(max(rng.Intn(4)*record.MaxPlaintextLen+rng.Intn(3)-1, 0), 3*record.MaxPlaintextLen)
+				return min(max(rng.Intn(4)*record.MaxRecordLen+rng.Intn(3)-1, 0), 3*record.MaxRecordLen)
 			default:
-				return rng.Intn(3*record.MaxPlaintextLen + 1)
+				return rng.Intn(3*record.MaxRecordLen + 1)
 			}
 		}
-		got, want := make([]byte, 3*record.MaxPlaintextLen), make([]byte, 3*record.MaxPlaintextLen)
+		got, want := make([]byte, 3*record.MaxRecordLen), make([]byte, 3*record.MaxRecordLen)
 		for step := 0; step < 4000; step++ {
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				p := make([]byte, size())
 				rng.Read(p)
 				q.Append(p)
 				ref.Write(p)
-			} else {
+			case 1:
+				b := pool.Get(record.MaxRecordLen)
+				p := b.Bytes()[:1+rng.Intn(record.MaxRecordLen)]
+				rng.Read(p)
+				q.Adopt(b, len(p))
+				ref.Write(p)
+			default:
 				n := size()
 				gn := q.ReadInto(got[:n])
 				wn, _ := ref.Read(want[:n])
@@ -49,15 +57,14 @@ func TestSegQueueMatchesBytesBuffer(t *testing.T) {
 			if q.Len() != ref.Len() {
 				t.Fatalf("seed %d step %d: Len %d, reference %d", seed, step, q.Len(), ref.Len())
 			}
-			if q.Len() == 0 && !pool.Balanced() {
-				gets, puts := pool.Stats()
+			if gets, puts := pool.Stats(); q.Len() == 0 && gets != puts {
 				t.Fatalf("seed %d step %d: empty queue still holds segments (%d gets, %d puts)", seed, step, gets, puts)
 			}
 		}
 		for q.Len() > 0 {
 			q.ReadInto(got)
 		}
-		if !pool.Balanced() {
+		if gets, puts := pool.Stats(); gets != puts {
 			t.Fatalf("seed %d: drained queue left the pool unbalanced", seed)
 		}
 	}

@@ -84,12 +84,14 @@ func (p *pair) pump(dead ...uint32) {
 					p.t.Fatal(err)
 				}
 				if len(out) == 0 || isDead(id) {
+					dir.from.RecycleOutgoing(out)
 					continue
 				}
 				moved = true
 				if err := dir.to.Receive(id, out, p.now); err != nil {
 					p.t.Fatalf("receive conn %d: %v", id, err)
 				}
+				dir.from.RecycleOutgoing(out)
 			}
 		}
 	}

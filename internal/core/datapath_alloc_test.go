@@ -2,12 +2,13 @@ package core
 
 import (
 	"testing"
-	"time"
 )
 
 // These tests are the datapath pool's acceptance gate (DESIGN.md §16):
 // once the buffer arena, byte queues, and scratch fields are warm, a
-// steady-state 64 KiB send or receive op must not allocate at all. CI
+// steady-state 64 KiB send or receive op must not allocate at all — on
+// one path with failover off or on, and, on receive, over two coupled
+// paths whose records half park in the reorder heap. CI
 // runs them alongside the BenchmarkDatapath* smoke job; a regression
 // here means a buffer escaped the pool or a hot-path struct started
 // heap-escaping again.
@@ -16,20 +17,12 @@ func TestDatapathSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are nondeterministic")
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"failover=off", Config{}},
-		{"failover=on", Config{EnableFailover: true}},
-	} {
+	for _, tc := range datapathVariants[:2] {
 		t.Run(tc.name, func(t *testing.T) {
-			p, id := newDatapathPair(t, tc.cfg)
+			p := newDatapathPair(t, tc.cfg, tc.paths)
 			payload := make([]byte, datapathBenchBytes)
 			op := func() {
-				if _, err := p.sender.Write(id, payload); err != nil {
-					t.Fatal(err)
-				}
+				p.write(t, payload)
 				p.shuttle(t)
 			}
 			// Warm the pools: first ops allocate arena buffers, queue
@@ -48,37 +41,16 @@ func TestDatapathRecvZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are nondeterministic")
 	}
-	p, id := newDatapathPair(t, Config{})
-	now := time.Unix(1000, 0)
-	payload := make([]byte, datapathBenchBytes)
-	if _, err := p.sender.Write(id, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.sender.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := p.sender.Outgoing(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := p.receiver.streams[id].recvCtx
-	startSeq := ctx.Seq()
-	buf := make([]byte, len(batch))
-	op := func() {
-		// In-place decrypt destroys buf; replay from the pristine batch
-		// and rewind the context plus the duplicate filter.
-		copy(buf, batch)
-		ctx.SetSeq(startSeq)
-		p.receiver.streams[id].nextDeliverSeq = startSeq
-		if err := p.receiver.Receive(0, buf, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 32; i++ {
-		op()
-	}
-	if avg := testing.AllocsPerRun(100, op); avg != 0 {
-		t.Fatalf("steady-state receive: %.2f allocs/op, want 0", avg)
+	for _, tc := range datapathVariants {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRecvReplay(t, tc.cfg, tc.paths)
+			for i := 0; i < 32; i++ {
+				r.op()
+			}
+			if avg := testing.AllocsPerRun(100, r.op); avg != 0 {
+				t.Fatalf("steady-state receive: %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -103,49 +75,57 @@ func TestDatapathRecvLaggingReaderZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDatapathPoolBalance asserts the arena's books close: after the
-// session releases its retransmit buffers, every payload Buf the pool
-// handed out has come back (gets == puts), and likewise for the chunk
-// pool behind Outgoing/RecycleOutgoing. A leak here means a record
-// escaped the refcount protocol.
+// TestDatapathPoolBalance asserts the books close: after the sessions
+// release what they retain, every Buf handed out has come back
+// (gets == puts), and likewise for the chunks behind NextChunk /
+// RecycleOutgoing. A leak here means a record escaped the ownership
+// rules: Bufs the receive queues and the reorder heap kept, records
+// retained in chunks or moved into Bufs.
 func TestDatapathPoolBalance(t *testing.T) {
-	p, id := newDatapathPair(t, Config{EnableFailover: true})
-	// Buffered delivery: the receive queue's segments come from the same
-	// arena as the retransmit copies, and count in the same books.
-	p.receiver.DeliverData = nil
-	payload := make([]byte, datapathBenchBytes)
-	sink := make([]byte, datapathBenchBytes*3/4) // the reader lags the writer
-	for i := 0; i < 64; i++ {
-		if _, err := p.sender.Write(id, payload); err != nil {
-			t.Fatal(err)
-		}
-		p.shuttle(t)
-		if _, err := p.receiver.Read(id, sink); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := p.receiver.PoolStats(); st.PayloadGets == st.PayloadPuts {
-		t.Fatal("a 1 MiB backlog holds no pooled segment: the test no longer counts the receive queue")
-	}
-	for p.receiver.Readable(id) > 0 {
-		if _, err := p.receiver.Read(id, sink); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.sender.ReleaseBuffers()
-	p.receiver.ReleaseBuffers()
-	for _, s := range []struct {
-		name string
-		sess *Session
-	}{{"sender", p.sender}, {"receiver", p.receiver}} {
-		st := s.sess.PoolStats()
-		if st.PayloadGets != st.PayloadPuts {
-			t.Errorf("%s payload pool unbalanced: %d gets, %d puts",
-				s.name, st.PayloadGets, st.PayloadPuts)
-		}
-		if st.ChunkGets != st.ChunkPuts {
-			t.Errorf("%s chunk pool unbalanced: %d gets, %d puts",
-				s.name, st.ChunkGets, st.ChunkPuts)
-		}
+	for _, tc := range datapathVariants[1:] {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newDatapathPair(t, tc.cfg, tc.paths)
+			// Buffered delivery: the receive queues keep Bufs, and count
+			// in the same books as the retained records.
+			p.receiver.DeliverData, p.receiver.DeliverCoupled = nil, nil
+			payload := make([]byte, datapathBenchBytes)
+			sink := make([]byte, datapathBenchBytes*3/4) // the reader lags the writer
+			read := func() int {
+				if len(p.streams) > 1 {
+					return p.receiver.ReadCoupled(sink)
+				}
+				n, err := p.receiver.Read(p.streams[0], sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			for i := 0; i < 64; i++ {
+				p.write(t, payload)
+				p.shuttle(t)
+				read()
+			}
+			if st := p.receiver.PoolStats(); st.PayloadGets == st.PayloadPuts {
+				t.Fatal("a 1 MiB backlog holds no pooled Buf: the test no longer counts the receive queue")
+			}
+			for read() > 0 {
+			}
+			p.sender.ReleaseBuffers()
+			p.receiver.ReleaseBuffers()
+			for _, s := range []struct {
+				name string
+				sess *Session
+			}{{"sender", p.sender}, {"receiver", p.receiver}} {
+				st := s.sess.PoolStats()
+				if st.PayloadGets != st.PayloadPuts {
+					t.Errorf("%s Buf books unbalanced: %d gets, %d puts",
+						s.name, st.PayloadGets, st.PayloadPuts)
+				}
+				if st.ChunkGets != st.ChunkPuts {
+					t.Errorf("%s chunk books unbalanced: %d gets, %d puts",
+						s.name, st.ChunkGets, st.ChunkPuts)
+				}
+			}
+		})
 	}
 }

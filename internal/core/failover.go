@@ -6,9 +6,6 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"tcpls/internal/record"
-	"tcpls/internal/wire"
 )
 
 // Advance drives the engine's timers. With a UserTimeout configured
@@ -353,9 +350,7 @@ func (s *Session) replayMerged(moves []streamReplay, target *conn) error {
 	})
 	for _, rf := range refs {
 		mv := &moves[rf.mi]
-		if err := s.replayRecord(mv.st, &mv.st.retransmit[rf.ri], mv.from, target); err != nil {
-			return err
-		}
+		s.replayRecord(mv.st, &mv.st.retransmit[rf.ri], mv.from, target)
 	}
 	// Re-send FIN markers that may have been lost with the connections.
 	for _, mv := range moves {
@@ -368,51 +363,36 @@ func (s *Session) replayMerged(moves []streamReplay, target *conn) error {
 	return nil
 }
 
-// replayRecord re-seals one buffered record onto target — byte-identical
-// ciphertext, since per-stream contexts make sequence numbers
-// deterministic — and books the loss/resend against path metrics.
-func (s *Session) replayRecord(st *stream, r *sentRecord, fromID uint32, target *conn) error {
-	var trailer [9]byte
-	var tlen int
-	if r.typ == typeStreamDataCoupled {
-		wire.PutUint64(trailer[:8], r.aggSeq)
-		trailer[8] = byte(typeStreamDataCoupled)
-		tlen = 9
-	} else {
-		trailer[0] = byte(typeStreamData)
-		tlen = 1
-	}
-	target.room()
-	out, err := st.sendCtx.SealSeqV(target.out, r.seq, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, r.payload, trailer[:tlen])
-	if err != nil {
-		return err
-	}
-	target.out = out
+// replayRecord resends one retained record onto target as it was sealed
+// — per-stream contexts make the sequence number, and so the ciphertext,
+// deterministic — homes it in target's chunk, and books the loss/resend
+// against path metrics.
+func (s *Session) replayRecord(st *stream, r *sentRecord, fromID uint32, target *conn) {
+	ch := target.room()
+	start := len(ch.b)
+	ch.b = append(ch.b, r.wire...)
+	s.drop(r)
+	ch.keep(r, st.id, ch.b[start:])
 	s.stats.Retransmits++
 	s.stats.RecordsSent++
-	s.trace("retransmit", target.id, st.id, r.seq, len(r.payload))
+	s.trace("retransmit", target.id, st.id, r.seq, r.size)
 	if s.tel != nil {
 		target.tel.Retransmits.Inc()
 		target.tel.RecordsSent.Inc()
 	}
 	// Path metrics: the bytes were lost on the failed path and are in
 	// flight again on the target; the replayed copy is barred from RTT
-	// sampling (Karn).
+	// sampling (Karn). Its write stamp, from the target's chunk,
+	// overwrites the failed original's.
 	r.retxCount++
-	if s.stampWrites {
-		// The replay travels on the target's next drained chunk; its
-		// write stamp overwrites the failed original's.
-		target.unwritten = append(target.unwritten, spanKey{stream: st.id, seq: r.seq})
-	}
 	if s.metrics != nil {
-		s.metrics.OnLost(fromID, len(r.payload))
-		s.metrics.OnSent(target.id, len(r.payload))
+		s.metrics.OnLost(fromID, r.size)
+		s.metrics.OnSent(target.id, r.size)
 	}
 	if s.pathSched != nil {
-		s.pathSched.OnLost(fromID, len(r.payload))
-		s.pathSched.OnSent(target.id, len(r.payload))
+		s.pathSched.OnLost(fromID, r.size)
+		s.pathSched.OnSent(target.id, r.size)
 	}
-	return nil
 }
 
 // handleSync resynchronizes a stream's receive context after the peer's

@@ -400,10 +400,10 @@ func TestAckSolicitationUnblocks(t *testing.T) {
 	}
 }
 
-// TestRedundantSchedulingSharesRetransmitCopy: a PickAll pick must
-// retain ONE payload copy shared across every replica's retransmit
-// entry, not one per path.
-func TestRedundantSchedulingSharesRetransmitCopy(t *testing.T) {
+// TestRedundantReplicasRetainTheirOwnRecords: a PickAll pick copies
+// nothing for replay. Each replica is retained as its own sealed record,
+// in the output chunk of the path it went out on.
+func TestRedundantReplicasRetainTheirOwnRecords(t *testing.T) {
 	cfg := Config{EnableFailover: true, MaxRecordPayload: 1024}
 	p := newPair(t, cfg)
 	p.addConn(1)
@@ -414,19 +414,27 @@ func TestRedundantSchedulingSharesRetransmitCopy(t *testing.T) {
 	p.client.SetPathScheduler(sched.Redundant())
 	p.pump()
 
+	before := p.client.PoolStats()
 	if _, err := p.client.WriteCoupled(bytes.Repeat([]byte{3}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r1 := p.client.streams[s1].retransmit
-	r2 := p.client.streams[s2].retransmit
-	if len(r1) != 1 || len(r2) != 1 {
-		t.Fatalf("retransmit queues %d/%d, want 1/1", len(r1), len(r2))
+	if p.client.PoolStats() != before {
+		t.Fatal("sealing the replicas took a Buf")
 	}
-	if &r1[0].payload[0] != &r2[0].payload[0] {
-		t.Fatal("replicas hold separate payload copies; want one shared immutable copy")
+	for _, sid := range []uint32{s1, s2} {
+		st := p.client.streams[sid]
+		ch := p.client.conns[st.conn].cur
+		if len(st.retransmit) != 1 {
+			t.Fatalf("stream %d retains %d records, want 1", sid, len(st.retransmit))
+		}
+		r := st.retransmit[0]
+		tail := ch.b[len(ch.b)-len(r.wire):]
+		if r.in != ch || &r.wire[0] != &tail[0] {
+			t.Fatalf("stream %d's replica is not retained where it was sealed, at the end of conn %d's chunk", sid, st.conn)
+		}
 	}
 }
 

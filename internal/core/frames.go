@@ -22,7 +22,7 @@ import (
 // recordType identifies the TCPLS meaning of a record. Per the paper's
 // zero-copy design (§3.1), all TCPLS framing lives at the *end* of the
 // TLS inner plaintext: [payload][trailer fields][recordType], so a
-// receiver that decrypted in place just truncates the control trailer.
+// receiver just truncates the control trailer off the decrypted record.
 // On the wire every record still carries TLS content type 23.
 type recordType uint8
 

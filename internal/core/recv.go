@@ -12,6 +12,12 @@ import (
 // Receive feeds raw bytes read from connID's TCP connection into the
 // engine: records are deframed, trial-decrypted to their stream, and
 // dispatched. now stamps connection activity for the UserTimeout timer.
+//
+// Receive never writes into data: each record is decrypted out of place
+// into a pooled Buf borrowed for the batch (s.recvBuf). A receive queue
+// or the reorder heap that keeps a record takes the Buf with it and the
+// next record borrows another; the one left over goes back before
+// Receive returns, so no spare is held between calls.
 func (s *Session) Receive(connID uint32, data []byte, now time.Time) error {
 	c, err := s.getConn(connID)
 	if err != nil {
@@ -20,7 +26,11 @@ func (s *Session) Receive(connID uint32, data []byte, now time.Time) error {
 	c.lastRecv = now
 	s.lastNow = now
 	c.deframer.Feed(data)
-	defer c.deframer.Compact() // data may be a reused read buffer
+	defer func() {
+		c.deframer.Compact() // data may be a reused read buffer
+		s.recvBuf.Release()
+		s.recvBuf = nil
+	}()
 	for {
 		rec, ok, err := c.deframer.Next()
 		if err != nil {
@@ -57,7 +67,10 @@ func (s *Session) flushPendingReplay(c *conn) error {
 
 // handleRecord demultiplexes and dispatches one full TLS record.
 func (s *Session) handleRecord(c *conn, rec []byte) error {
-	streamID, _, content, err := c.demux.Open(rec)
+	if s.recvBuf == nil {
+		s.recvBuf = s.bufs.Get(record.MaxRecordLen)
+	}
+	streamID, _, content, err := c.demux.Open(rec, s.recvBuf.Bytes())
 	if err != nil {
 		if errors.Is(err, record.ErrNoStreamMatch) {
 			// Forgery or desynchronized peer: the paper counts these
@@ -145,20 +158,19 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 		st.coupled = true // receiver learns coupling from the records
 		// Coupled delivery: order across the group by aggregation
 		// sequence number through the reordering heap (§4.3). A record
-		// at or behind its turn is delivered (or dropped) straight from
-		// the record buffer; one ahead of its turn is copied — into a
-		// pooled Buf, or a copy of its own size when it would leave most
-		// of one empty: the caps count payload bytes, not Bufs pinned.
-		var delivered [][]byte
-		switch {
-		case f.aggSeq <= s.coupled.buf.Next():
-			delivered = s.coupled.buf.Offer(f.aggSeq, f.payload)
-		case len(f.payload) >= record.MaxPlaintextLen/2:
-			b := s.bufs.Copy(f.payload)
-			s.coupled.buf.Park(f.aggSeq, b.Bytes(), b)
-		default:
-			s.coupled.buf.Park(f.aggSeq, slices.Clone(f.payload), nil)
+		// at or ahead of its turn that fills at least half its receive
+		// Buf goes on with the Buf, parked and then kept by recvQ, never
+		// copied; a smaller one ahead of its turn parks as a copy of its
+		// own size, since the caps count payload bytes, not Bufs pinned.
+		data, own := f.payload, (*record.Buf)(nil)
+		if next := s.coupled.buf.Next(); f.aggSeq >= next {
+			if len(data) >= record.MaxRecordLen/2 {
+				own, s.recvBuf = s.recvBuf, nil // the next record borrows another
+			} else if f.aggSeq > next {
+				data = slices.Clone(data)
+			}
 		}
+		delivered := s.coupled.buf.OfferOwned(f.aggSeq, data, own)
 		s.noteReorderBytes()
 		if s.tel != nil {
 			s.tel.ReorderDepth.Set(int64(s.coupled.buf.Pending()))
@@ -168,14 +180,17 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 			s.lastReorderDepth = depth
 		}
 		s.checkReorderCap(c, streamID)
-		for _, d := range delivered {
-			if s.DeliverCoupled != nil {
-				s.DeliverCoupled(d)
-			} else {
-				s.coupled.recvQ.Append(d)
+		for _, it := range delivered {
+			switch {
+			case s.DeliverCoupled != nil:
+				s.DeliverCoupled(it.Data)
+				it.Owner.Release()
+			case it.Owner != nil:
+				s.coupled.recvQ.Adopt(it.Owner, len(it.Data))
+			default:
+				s.coupled.recvQ.Append(it.Data)
 			}
 		}
-		s.coupled.buf.Recycle()
 		if s.DeliverCoupled == nil {
 			if len(delivered) > 0 {
 				s.emit(Event{Kind: EventCoupledData, Stream: streamID, Conn: c.id})
@@ -187,7 +202,12 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 	} else if s.DeliverData != nil {
 		s.DeliverData(streamID, f.payload)
 	} else {
-		st.recvQ.Append(f.payload)
+		if len(f.payload) >= record.MaxRecordLen/2 {
+			st.recvQ.Adopt(s.recvBuf, len(f.payload))
+			s.recvBuf = nil
+		} else {
+			st.recvQ.Append(f.payload)
+		}
 		s.emit(Event{Kind: EventStreamData, Stream: streamID, Conn: c.id})
 		if err := s.checkRecvCap(c, streamID, st.recvQ.Len(), &st.recvBlocked); err != nil {
 			return err
@@ -404,22 +424,21 @@ func (s *Session) handleAck(f *frame) error {
 	var rttSample time.Duration
 	for i < len(st.retransmit) && st.retransmit[i].seq < st.peerAcked {
 		r := &st.retransmit[i]
-		ackedBytes += len(r.payload)
+		ackedBytes += r.size
 		if r.retxCount == 0 && !r.sentAt.IsZero() {
 			if d := s.lastNow.Sub(r.sentAt); d > 0 {
 				rttSample = d
 			}
 		}
-		// The acknowledgment completes this record's lifecycle span, and
-		// its pooled payload copy goes back to the arena.
+		// The acknowledgment completes this record's lifecycle span and
+		// ends its retention.
 		s.traceSpan(st.conn, st.id, r)
-		r.buf.Release()
-		r.buf = nil
-		r.payload = nil
+		s.drop(r)
 		i++
 	}
 	if i > 0 {
 		st.retransmit = append(st.retransmit[:0], st.retransmit[i:]...)
+		s.boundPinned() // the chunks still pinned may have gone sparse
 		st.retransmitBytes -= ackedBytes
 		s.noteRetransmitBytes(-ackedBytes)
 		// Progress re-arms the budget machinery: a parked stream whose

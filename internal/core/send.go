@@ -57,8 +57,9 @@ func (s *Session) scheduler() sched.Scheduler {
 //
 // Each queue is cut into record-sized views of its backing array — no
 // copies — and every view sealed straight into its connection's output
-// chunk (DESIGN.md §16). Only a sealed record's span of the queue is
-// consumed, so an error leaves unsealed bytes queued.
+// chunk, where a retained record stays (DESIGN.md §16). Only a sealed
+// record's span of the queue is consumed, so an error leaves unsealed
+// bytes queued.
 func (s *Session) Flush() error {
 	s.stampSendTrace()
 	// Coupled group first: distribute records across coupled streams.
@@ -95,29 +96,25 @@ func (s *Session) sortedStreamIDs() []uint32 {
 }
 
 // sealJob is one record about to be sealed. payload views the owning
-// queue's array or the caller's Write slice; shared, when non-nil, is one
-// pre-retained reference to a PickAll replica set's pooled retransmit copy.
+// queue's array or the caller's Write slice.
 type sealJob struct {
 	st      *stream
 	payload []byte
 	coupled bool
 	aggSeq  uint64
 	enqAt   time.Time
-	shared  *record.Buf
 }
 
 // sealOne seals one record onto its stream's connection and, when
-// failover is enabled, retains the payload in a pooled buffer for
-// replay. A job that fails releases its own shared reference.
+// failover is enabled, retains the sealed record where it lies, in the
+// output chunk, for replay (retain.go).
 func (s *Session) sealOne(j sealJob) error {
 	st := j.st
 	c, err := s.getConn(st.conn)
 	if err != nil {
-		j.shared.Release()
 		return err
 	}
 	if c.failed {
-		j.shared.Release()
 		return ErrConnFailed
 	}
 	// Scatter-gather seal: payload plus the TCPLS trailer go straight
@@ -134,13 +131,13 @@ func (s *Session) sealOne(j sealJob) error {
 		trailer[0] = byte(typeStreamData)
 	}
 	seq := st.sendCtx.Seq()
-	c.room()
-	out, err := st.sendCtx.SealV(c.out, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, j.payload, trailer[:tlen])
+	ch := c.room()
+	start := len(ch.b)
+	out, err := st.sendCtx.SealV(ch.b, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, j.payload, trailer[:tlen])
 	if err != nil {
-		j.shared.Release()
 		return err
 	}
-	c.out = out
+	ch.b = out
 	s.stats.RecordsSent++
 	s.stats.BytesSent += uint64(len(j.payload))
 	s.trace("record_sent", c.id, st.id, seq, len(j.payload))
@@ -154,33 +151,24 @@ func (s *Session) sealOne(j sealJob) error {
 		s.pathSched.OnSent(c.id, len(j.payload))
 	}
 	if !s.cfg.EnableFailover {
-		j.shared.Release() // nil outside failover, but keep the contract total
 		return nil
 	}
-	buf := j.shared
-	if buf == nil {
-		buf = s.bufs.Copy(j.payload)
-	}
-	sr := sentRecord{
+	st.retransmit = append(st.retransmit, sentRecord{
 		seq:      seq,
 		typ:      typ,
-		payload:  buf.Bytes(),
-		buf:      buf,
+		size:     len(j.payload),
 		aggSeq:   j.aggSeq,
 		sentAt:   s.now(), // seal leg + ACK-driven RTT sampling
 		enqAt:    j.enqAt,
 		origConn: c.id,
-	}
+	})
+	ch.keep(&st.retransmit[len(st.retransmit)-1], st.id, out[start:])
 	if s.metrics != nil {
 		// Count the bytes into flight; handleAck reverses this.
 		s.metrics.OnSent(c.id, len(j.payload))
 	}
-	st.retransmit = append(st.retransmit, sr)
 	st.retransmitBytes += len(j.payload)
 	s.noteRetransmitBytes(len(j.payload))
-	if s.stampWrites {
-		c.unwritten = append(c.unwritten, spanKey{stream: st.id, seq: seq})
-	}
 	// Soft watermark: at half the budget, ask the peer for a fresh
 	// cumulative ack before the hard park at the budget.
 	if budget := s.cfg.maxRetransmitBytes(); budget > 0 && st.retransmitBytes*2 >= budget {
@@ -359,9 +347,8 @@ framing:
 			// out on every path; the receiver's reorder buffer keeps
 			// exactly one copy. Replicas that crossed their retransmit
 			// budget mid-flush are skipped; with none open the rest of
-			// the group's bytes park for a later flush. One shared
-			// pooled copy backs every replica's retransmit entry —
-			// copying per path multiplied memory by the path count.
+			// the group's bytes park for a later flush. Each replica is
+			// retained in its own path's chunk, as sealed.
 			var open []*stream
 			for _, st := range cs {
 				if !s.retransmitParked(st, budget) {
@@ -372,20 +359,11 @@ framing:
 				break framing
 			}
 			s.coupled.sendSeq++
-			if s.cfg.EnableFailover {
-				job.shared = s.bufs.Copy(job.payload)
-				for i := 1; i < len(open); i++ {
-					job.shared.Retain()
-				}
-			}
-			for i, st := range open {
+			for _, st := range open {
 				s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
 				s.telPicks.Inc()
 				job.st = st
 				if err := s.sealOne(job); err != nil {
-					for range open[i+1:] {
-						job.shared.Release() // the replicas that will never seal
-					}
 					return off, err
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"tcpls/internal/handshake"
@@ -285,13 +284,21 @@ type Session struct {
 
 	// chunkGets/chunkPuts count output slices handed out (NextChunk,
 	// Outgoing) and returned (RecycleOutgoing): every one must come back.
-	chunkGets uint64
-	chunkPuts uint64
+	// lent holds the chunks handed out and not yet recycled; pinned the
+	// recycled ones that retained records keep from the pool, and
+	// pinnedBytes the wire bytes they retain (retain.go).
+	chunkGets   uint64
+	chunkPuts   uint64
+	lent        []*chunk
+	pinned      []*chunk
+	pinnedBytes int
 
-	// bufs is the pooled-payload arena backing failover retransmit
-	// copies and the receive queues' segments (DESIGN.md §16);
-	// ctlScratch is the reused control-record scratch buffer.
+	// bufs counts this session's Bufs (DESIGN.md §16): records decrypted
+	// into one, and records a sparse chunk moved out. recvBuf is the one
+	// the Receive batch decrypts into, nil between batches. ctlScratch is
+	// the reused control-record scratch buffer.
 	bufs       *record.BufferPool
+	recvBuf    *record.Buf
 	ctlScratch []byte
 
 	// frameScratch is the receive path's reused frame struct; idCache
@@ -509,10 +516,10 @@ type conn struct {
 	demux    record.Demux
 	deframer record.Deframer
 	ctlSend  *record.StreamContext
-	// out is the output chunk being sealed into; outQ holds the full
+	// cur is the output chunk being sealed into; outQ holds the full
 	// ones ahead of it, oldest first, until NextChunk hands them over.
-	out      []byte
-	outQ     []outChunk
+	cur      *chunk
+	outQ     []*chunk
 	lastRecv time.Time
 	failed   bool
 	// failedOver marks a failed connection whose failover is settled: the
@@ -524,58 +531,39 @@ type conn struct {
 	failedOver bool
 	via        uint32
 	closed     bool
-	// Write-time span tracking (session.stampWrites): unwritten collects
-	// the data records sealed onto out since the last drain; Outgoing
-	// moves it onto writeBatches (one entry per drained chunk, possibly
-	// empty for control-only chunks) and NoteWritten / NoteWriteDropped
-	// pops batches in the same FIFO order the writer goroutine consumes
-	// chunks.
-	unwritten    []spanKey
+	// Write-time span tracking (session.stampWrites): NextChunk copies
+	// the data records of each chunk it hands over onto writeBatches (one
+	// entry per chunk, possibly empty for control-only chunks), and
+	// NoteWritten / NoteWriteDropped pop batches in the same FIFO order
+	// the writer goroutine consumes chunks.
 	writeBatches [][]spanKey
 	// tel holds this connection's pre-resolved counters; non-nil exactly
 	// when the session's telemetry is installed.
 	tel *telemetry.ConnMetrics
 }
 
-// outChunkBytes is the capacity of every output chunk: sixteen full
-// records, about one 256 KiB read on the far side. One size for all, so
-// a recycled chunk always fits the next fill and sealing never grows one.
-const outChunkBytes = 16 * record.MaxRecordLen
-
-// outChunks recycles output chunks across all sessions, so a short
-// session's first flush finds a warm buffer too.
-var outChunks = sync.Pool{New: func() any { return new([outChunkBytes]byte) }}
-
-// outChunk is one filled output chunk and, under write stamping, the
-// data records sealed into it.
-type outChunk struct {
-	data  []byte
-	spans []spanKey
-}
-
-// room makes sure c.out can take one more record of any size without
-// growing, starting a fresh chunk when the current one is nearly full.
-func (c *conn) room() {
-	if c.out != nil && cap(c.out)-len(c.out) >= record.MaxRecordLen {
-		return
+// room returns the chunk to seal the next record into, queueing the
+// current one for a fresh one when it could not take a record of any size.
+func (c *conn) room() *chunk {
+	if c.cur == nil || outChunkBytes-len(c.cur.b) < record.MaxRecordLen {
+		if c.cur != nil {
+			c.outQ = append(c.outQ, c.cur)
+		}
+		c.cur = getChunk()
 	}
-	if len(c.out) > 0 {
-		c.outQ = append(c.outQ, outChunk{c.out, c.unwritten})
-		c.unwritten = nil
-	}
-	c.out = outChunks.Get().(*[outChunkBytes]byte)[:0]
+	return c.cur
 }
 
 // sendCtl seals a control record onto the connection immediately,
 // preserving control/data ordering on the byte stream.
 func (s *Session) sendCtl(c *conn, content []byte) error {
 	seq := c.ctlSend.Seq()
-	c.room()
-	out, err := c.ctlSend.Seal(c.out, record.ContentTypeApplicationData, content, s.cfg.PadRecordsTo)
+	ch := c.room()
+	out, err := c.ctlSend.Seal(ch.b, record.ContentTypeApplicationData, content, s.cfg.PadRecordsTo)
 	if err != nil {
 		return err
 	}
-	c.out = out
+	ch.b = out
 	s.stats.RecordsSent++
 	s.trace("ctl_sent", c.id, ctlStreamID(c.id), seq, len(content))
 	if s.tel != nil {
@@ -608,24 +596,24 @@ func (s *Session) NextChunk(connID uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ch outChunk
+	var ch *chunk
 	switch {
 	case len(c.outQ) > 0:
 		ch = c.outQ[0]
 		c.outQ = slices.Delete(c.outQ, 0, 1) // a handful of entries at most
-	case len(c.out) > 0:
-		ch = outChunk{c.out, c.unwritten}
-		c.out, c.unwritten = nil, nil
+	case c.cur != nil && len(c.cur.b) > 0:
+		ch, c.cur = c.cur, nil
 	default:
 		return nil, nil
 	}
 	s.chunkGets++
+	s.lent = append(s.lent, ch)
 	if s.stampWrites {
 		// One batch per chunk, even when the chunk carried only control
-		// records (nil batch): NoteWritten pops in chunk order.
-		c.writeBatches = append(c.writeBatches, ch.spans)
+		// records (empty batch): NoteWritten pops in chunk order.
+		c.writeBatches = append(c.writeBatches, slices.Clone(ch.recs))
 	}
-	return ch.data, nil
+	return ch.b, nil
 }
 
 // Outgoing drains everything queued for transmission on conn as one
@@ -667,7 +655,6 @@ func (s *Session) SetWriteStamping(on bool) {
 	s.stampWrites = on
 	if !on {
 		for _, c := range s.conns {
-			c.unwritten = nil
 			c.writeBatches = nil
 		}
 	}
@@ -720,24 +707,30 @@ func (s *Session) PendingWriteBatches() int {
 // RecycleOutgoing returns a slice obtained from NextChunk or Outgoing
 // once the caller is done with it. Every one must come back exactly once
 // — written, dropped, or discarded at close — or the chunk accounting
-// (PoolStats) diverges. All are counted; one that is not a whole chunk
-// (a joined Outgoing drain, a tail re-slice) is left to the collector.
+// (PoolStats) diverges. All are counted; one that is not a chunk as
+// NextChunk handed it over (a joined Outgoing drain) is left to the
+// collector; a chunk still retaining records for replay stays pinned.
 func (s *Session) RecycleOutgoing(buf []byte) {
 	if cap(buf) == 0 {
 		return
 	}
 	s.chunkPuts++
-	if cap(buf) == outChunkBytes {
-		outChunks.Put((*[outChunkBytes]byte)(buf[:outChunkBytes]))
+	for i, ch := range s.lent { // in hand-over order: usually the first
+		if &ch.data[0] == &buf[:1][0] {
+			s.lent = slices.Delete(s.lent, i, i+1)
+			s.settle(ch)
+			return
+		}
 	}
 }
 
-// PoolStats is the datapath buffer accounting: payload counters from
-// the pooled arena (retransmit copies, receive segments, parked coupled
-// records) and chunk counters for the NextChunk / Outgoing →
-// RecycleOutgoing handoff. Both pairs balanced at session close (after
-// ReleaseBuffers, the wrapper's final recycles and the last Read)
-// proves no pooled buffer leaked and none was returned twice.
+// PoolStats is the datapath buffer accounting: Buf counters from the
+// session's BufferPool (receive buffers, the ones the queues and the
+// reorder heap kept, retained records moved out of sparse chunks) and
+// chunk counters for the NextChunk / Outgoing → RecycleOutgoing
+// handoff. Both pairs balanced at session close (after ReleaseBuffers,
+// the wrapper's final recycles and the last Read) proves no pooled
+// buffer leaked and none was returned twice.
 type PoolStats struct {
 	PayloadGets uint64
 	PayloadPuts uint64
@@ -756,16 +749,17 @@ func (s *Session) PoolStats() PoolStats {
 	}
 }
 
-// ReleaseBuffers returns to the arena the pooled buffers nothing can use
-// after teardown: the failover retransmit copies, and the coupled
-// records parked behind a gap that will never fill. Call exactly once,
-// at teardown; the engine must not seal, replay or receive afterwards.
-// Delivered bytes stay readable — a receive queue's segments go back as
-// Read drains them — so PoolStats balances once they have been read.
+// ReleaseBuffers returns to their pools the buffers nothing can use
+// after teardown: the records retained for failover replay, in chunks
+// and Bufs, and the coupled records parked behind a gap that will never
+// fill. Call exactly once, at teardown; the engine must not seal, replay
+// or receive afterwards. Delivered bytes stay readable — a receive
+// queue's segments go back as Read drains them — so PoolStats balances
+// once they have been read.
 func (s *Session) ReleaseBuffers() {
 	for _, st := range s.streams {
 		for i := range st.retransmit {
-			st.retransmit[i].buf.Release()
+			s.drop(&st.retransmit[i])
 		}
 		st.retransmit = nil
 	}
@@ -775,7 +769,7 @@ func (s *Session) ReleaseBuffers() {
 // HasOutgoing reports whether conn has bytes waiting without draining.
 func (s *Session) HasOutgoing(connID uint32) bool {
 	c, ok := s.conns[connID]
-	return ok && (len(c.outQ) > 0 || len(c.out) > 0)
+	return ok && (len(c.outQ) > 0 || c.cur != nil && len(c.cur.b) > 0)
 }
 
 // QueuedBytes reports how many sealed bytes wait for NextChunk on conn:
@@ -786,9 +780,12 @@ func (s *Session) QueuedBytes(connID uint32) int {
 	if !ok {
 		return 0
 	}
-	n := len(c.out)
+	n := 0
+	if c.cur != nil {
+		n = len(c.cur.b)
+	}
 	for _, ch := range c.outQ { // a handful of entries at most
-		n += len(ch.data)
+		n += len(ch.b)
 	}
 	return n
 }
@@ -822,7 +819,7 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 	dst.ReorderBytesPeak = s.coupled.peakBytes
 	dst.RetransmitBytes = s.retransmitTotal
 	dst.RetransmitBytesPeak = s.retransmitPeak
-	dst.MemoryBytes = dst.ReorderBytes + dst.RetransmitBytes
+	dst.MemoryBytes = s.BufferedBytes()
 	dst.Stats = s.stats
 	s.tel.Snapshot(dst)
 
@@ -872,7 +869,6 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 			PeerAckedSeq: st.peerAcked,
 		}
 		st.tel.Snapshot(&row)
-		dst.MemoryBytes += row.RecvBuffered + row.PendingBytes
 		if i, ok := slices.BinarySearchFunc(dst.Conns, st.conn, byID); ok {
 			c := &dst.Conns[i]
 			row.Parked = c.Failed
@@ -887,13 +883,15 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 }
 
 // BufferedBytes sums every buffer the engine holds on behalf of the
-// peer or the application: the coupled reorder heap, the failover
-// retransmit buffers, and each stream's receive buffer and unsent
-// pending data (Snapshot's MemoryBytes). This scalar form is what the
-// server runtime rolls up across thousands of sessions into its
-// process-wide memory budget.
+// peer or the application (Snapshot's MemoryBytes): the coupled reorder
+// heap; the records retained for failover replay, in chunks and Bufs,
+// counted by payload bytes as the retransmit budget counts them; the
+// coupled group's receive buffer and unsent pending data; and each
+// stream's. This scalar form is what the server runtime rolls up across
+// thousands of sessions into its process-wide memory budget.
 func (s *Session) BufferedBytes() int {
-	total := s.coupled.buf.PendingBytes() + s.retransmitTotal
+	total := s.coupled.buf.PendingBytes() + s.retransmitTotal +
+		s.coupled.recvQ.Len() + s.coupled.pendingQ.Len()
 	for _, st := range s.streams {
 		total += st.recvQ.Len() + st.pendingQ.Len()
 	}

@@ -18,7 +18,7 @@ type stream struct {
 	// Send side.
 	sendCtx    *record.StreamContext
 	pendingQ   byteQueue    // application bytes not yet sealed
-	retransmit []sentRecord // sealed but unacknowledged (failover only)
+	retransmit []sentRecord // sealed but unacknowledged (failover only), in seq order
 	peerAcked  uint64       // next seq the peer has NOT acknowledged
 	coupled    bool
 	finQueued  bool
@@ -37,7 +37,9 @@ type stream struct {
 	pendingSince time.Time
 
 	// Receive side. The receive context lives in the owning conn's
-	// demux; recvCtx duplicates the pointer for direct access.
+	// demux; recvCtx duplicates the pointer for direct access. recvQ
+	// keeps, by reference, the Buf a record was decrypted into when the
+	// payload fills at least half of it, and copies smaller ones (recv.go).
 	recvCtx *record.StreamContext
 	recvQ   segQueue
 	// recvBlocked: recvQ hit Config.MaxRecvBufferBytes; reported
@@ -54,20 +56,24 @@ type stream struct {
 	tel *telemetry.StreamMetrics
 }
 
-// sentRecord is one record buffered for potential failover replay. It
+// sentRecord is one record retained for potential failover replay. It
 // doubles as the record's lifecycle span: enqAt/sentAt/writtenAt are the
 // enqueue, seal, and socket-write legs, and the acknowledgment that
 // trims the record completes the span (trace.go traceSpan).
 type sentRecord struct {
 	seq uint64
 	typ recordType
-	// payload aliases buf's storage when buf is non-nil; buf is the
-	// pooled, refcounted retransmit copy (shared across PickAll
-	// replicas), released when an ack trims the record or the session
-	// tears down (ReleaseBuffers).
-	payload []byte
-	buf     *record.Buf
-	aggSeq  uint64
+	// wire is the record exactly as sealed, header included: a replay
+	// resends it as is. It views the output chunk it was sealed into (in)
+	// until a sparse chunk moves it into a pooled Buf (moved; retain.go).
+	// An ack or ReleaseBuffers drops it.
+	wire  []byte
+	in    *chunk
+	moved *record.Buf
+	// size is the payload bytes: the record's charge against the
+	// retransmit budget.
+	size   int
+	aggSeq uint64
 	// sentAt stamps the seal time for ACK-driven RTT sampling and the
 	// span's seal leg; retxCount counts failover replays — a nonzero
 	// count bars the record from RTT sampling (Karn's algorithm, either

@@ -94,7 +94,7 @@ func (s *Session) traceSpan(conn, stream uint32, r *sentRecord) {
 		Conn:      conn,
 		Stream:    stream,
 		Seq:       r.seq,
-		Bytes:     len(r.payload),
+		Bytes:     r.size,
 		EnqUS:     traceUS(r.enqAt),
 		SealedUS:  traceUS(r.sentAt),
 		WrittenUS: traceUS(r.writtenAt),

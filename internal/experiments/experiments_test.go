@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"tcpls/internal/core"
 )
 
 // These tests assert the figure *shapes* the paper reports — who wins,
@@ -16,10 +20,7 @@ func TestFig7Shape(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("throughput ratios are meaningless under the race detector")
 	}
-	// 256 MiB per stack, a fifth of a second each: at 64 MiB (40 ms) one
-	// run in ten had multipath or failover within noise of the base
-	// engine, now that a coupled record costs no reorder copy (PR 15:
-	// multipath/base 0.57–0.72 before, 0.83–0.96 now).
+	// 256 MiB per stack, a fifth of a second each.
 	rows, err := Fig7(1500, 256<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +31,6 @@ func TestFig7Shape(t *testing.T) {
 	}
 	tls := byStack["tls-tcp"].Gbps
 	tcpls := byStack["tcpls"].Gbps
-	failover := byStack["tcpls-failover"].Gbps
-	multipath := byStack["tcpls-multipath"].Gbps
 	quicly := byStack["quicly"].Gbps
 	msquic := byStack["msquic"].Gbps
 	mvfst := byStack["mvfst"].Gbps
@@ -46,12 +45,17 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("tcpls %.2f far below tls-tcp %.2f", tcpls, tls)
 	}
 	// Failover and multipath cost extra work below the base engine
-	// (Fig. 7: 10.44 -> 9.66 -> 8.8 Gbps).
-	if failover >= tcpls*1.05 {
-		t.Errorf("failover %.2f not below base %.2f", failover, tcpls)
+	// (Fig. 7: 10.44 -> 9.66 -> 8.8 Gbps). Failover replays the sealed
+	// records it keeps, so its extra work is the acks, a few percent:
+	// less than one run's noise here. Each variant is therefore timed
+	// next to the base engine, round after round, and the median of its
+	// ratios to the base is what must stay below it.
+	failover, multipath := ratiosToBase(t, 9, 64<<20)
+	if failover >= 1.05 {
+		t.Errorf("failover at %.2fx the base engine, want below it", failover)
 	}
-	if multipath >= tcpls*1.05 {
-		t.Errorf("multipath %.2f not below base %.2f", multipath, tcpls)
+	if multipath >= 1.05 {
+		t.Errorf("multipath at %.2fx the base engine, want below it", multipath)
 	}
 	// "TCPLS with TSO is twice faster" than the fastest QUIC.
 	if tcpls < 1.5*quicly {
@@ -61,6 +65,32 @@ func TestFig7Shape(t *testing.T) {
 	if !(quicly > msquic && msquic > mvfst) {
 		t.Errorf("QUIC ordering wrong: quicly=%.2f msquic=%.2f mvfst=%.2f", quicly, msquic, mvfst)
 	}
+}
+
+// ratiosToBase times the base engine, failover and multipath back to
+// back for rounds rounds of n bytes each and returns the median, over
+// the rounds, of the failover and multipath throughputs over the base's.
+func ratiosToBase(t *testing.T, rounds, n int) (failover, multipath float64) {
+	fo := core.Config{EnableFailover: true, AckPeriod: 16}
+	var fr, mr []float64
+	for i := 0; i < rounds; i++ {
+		var secs [3]float64
+		for j, v := range []struct {
+			cfg core.Config
+			mp  bool
+		}{{core.Config{}, false}, {fo, false}, {fo, true}} {
+			runtime.GC() // no run pays for the garbage of the one before
+			s, err := tcplsPipeline(n, v.cfg, v.mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs[j] = s
+		}
+		fr, mr = append(fr, secs[0]/secs[1]), append(mr, secs[0]/secs[2])
+	}
+	slices.Sort(fr)
+	slices.Sort(mr)
+	return fr[rounds/2], mr[rounds/2]
 }
 
 func TestFig7JumboShape(t *testing.T) {

@@ -53,7 +53,7 @@ func Fig7(mtu int, totalBytes int) ([]Fig7Row, error) {
 		{"tcpls-failover", core.Config{EnableFailover: true, AckPeriod: 16}, false},
 		{"tcpls-multipath", core.Config{EnableFailover: true, AckPeriod: 16}, true},
 	} {
-		secs, err := tcplsPipeline(totalBytes, v.cfg, v.mp, pipelineOpts{})
+		secs, err := tcplsPipeline(totalBytes, v.cfg, v.mp)
 		if err != nil {
 			return nil, err
 		}
@@ -128,54 +128,11 @@ func tlsTCPPipeline(totalBytes, mtu int) (float64, error) {
 	return time.Since(start).Seconds(), nil
 }
 
-// TLSTCPPipeline exposes the TLS/TCP baseline for benches.
-func TLSTCPPipeline(totalBytes, mtu int) (float64, error) {
-	return tlsTCPPipeline(totalBytes, mtu)
-}
-
-// TCPLSPipeline exposes the engine pipeline for benches.
-func TCPLSPipeline(totalBytes int, failover, multipath bool) (float64, error) {
-	cfg := core.Config{}
-	if failover {
-		cfg.EnableFailover = true
-		cfg.AckPeriod = 16
-	}
-	return tcplsPipeline(totalBytes, cfg, multipath, pipelineOpts{})
-}
-
-// TCPLSPipelineAck runs the failover pipeline with an explicit ack
-// period (ablation X3).
-func TCPLSPipelineAck(totalBytes, ackPeriod int) (float64, error) {
-	return tcplsPipeline(totalBytes, core.Config{EnableFailover: true, AckPeriod: ackPeriod}, false, pipelineOpts{})
-}
-
-// TCPLSPipelineSched runs the multipath pipeline under a named coupled
-// scheduler ("roundrobin" or "pinned").
-func TCPLSPipelineSched(totalBytes int, sched string) (float64, error) {
-	opts := pipelineOpts{}
-	if sched == "pinned" {
-		opts.scheduler = func(recordIdx uint64, streams []uint32) int { return 0 }
-	}
-	return tcplsPipeline(totalBytes, core.Config{}, true, opts)
-}
-
-// TCPLSPipelineDelivery compares the zero-copy delivery callback against
-// the buffered Read path (the §4.1 ablation).
-func TCPLSPipelineDelivery(totalBytes int, callback bool) (float64, error) {
-	return tcplsPipeline(totalBytes, core.Config{}, false, pipelineOpts{bufferedRead: !callback})
-}
-
-// pipelineOpts tunes the engine pipeline variants.
-type pipelineOpts struct {
-	scheduler    core.Scheduler
-	bufferedRead bool
-}
-
 // tcplsPipeline pushes bytes through a real engine pair in memory:
 // framing, per-stream contexts, trial decryption, and — when enabled —
 // acknowledgments and retransmission buffering, or multipath coupling
 // with receiver reordering.
-func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool, opts pipelineOpts) (float64, error) {
+func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, error) {
 	suite, _ := record.SuiteByID(record.TLSAES128GCMSHA256)
 	mk := func(tag byte) []byte {
 		b := make([]byte, 32)
@@ -209,19 +166,9 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool, opts pipelin
 		}
 		streams = append(streams, sid)
 	}
-	if opts.scheduler != nil {
-		sender.SetScheduler(opts.scheduler)
-	}
 	var moved int
-	readBuf := make([]byte, 1<<20)
-	if opts.bufferedRead {
-		// Buffered mode: data accumulates in engine buffers and is
-		// drained with Read/ReadCoupled (one extra copy each way).
-		defer func() {}()
-	} else {
-		receiver.DeliverData = func(streamID uint32, payload []byte) { moved += len(payload) }
-		receiver.DeliverCoupled = func(payload []byte) { moved += len(payload) }
-	}
+	receiver.DeliverData = func(streamID uint32, payload []byte) { moved += len(payload) }
+	receiver.DeliverCoupled = func(payload []byte) { moved += len(payload) }
 	pump := func() error {
 		if err := sender.Flush(); err != nil && err != core.ErrNotCoupled {
 			return err
@@ -272,20 +219,6 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool, opts pipelin
 			return 0, err
 		}
 		receiver.Events()
-		if opts.bufferedRead {
-			for {
-				var n int
-				if multipath {
-					n = receiver.ReadCoupled(readBuf)
-				} else {
-					n, _ = receiver.Read(streams[0], readBuf)
-				}
-				if n == 0 {
-					break
-				}
-				moved += n
-			}
-		}
 	}
 	return time.Since(start).Seconds(), nil
 }

@@ -2,6 +2,7 @@ package handshake
 
 import (
 	"crypto/ed25519"
+	"crypto/rand"
 	"fmt"
 	"io"
 
@@ -21,7 +22,7 @@ import (
 //	S -> C  Finished
 //	C -> S  Finished
 func Client(rw MessageRW, cfg *Config) (*Result, error) {
-	priv, err := generateKeyShare(cfg.rand())
+	priv, err := generateKeyShare()
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +33,7 @@ func Client(rw MessageRW, cfg *Config) (*Result, error) {
 		keyShare:   priv.PublicKey().Bytes(),
 		tcplsHello: cfg.EnableTCPLS || cfg.Join != nil,
 	}
-	if _, err := io.ReadFull(cfg.rand(), ch.random[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, ch.random[:]); err != nil {
 		return nil, err
 	}
 	if cfg.Join != nil {
@@ -270,7 +271,7 @@ func StartFastJoin(rw MessageRW, cfg *Config) error {
 			ConnID: cfg.Join.ConnID,
 		},
 	}
-	if _, err := io.ReadFull(cfg.rand(), ch.random[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, ch.random[:]); err != nil {
 		return err
 	}
 	return rw.WriteMessage(ch.marshal())

@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 
 	"tcpls/internal/record"
@@ -44,8 +43,6 @@ func NewCertificate(name string) (*Certificate, error) {
 type Config struct {
 	// Suites to offer (client) or accept (server); default AES-128-GCM.
 	Suites []record.SuiteID
-	// Rand sources all randomness; defaults to crypto/rand.
-	Rand io.Reader
 
 	// --- client side ---
 	ServerName string
@@ -197,13 +194,6 @@ type earlyDataRW interface {
 	SkipUndecryptable(budget int)
 }
 
-func (c *Config) rand() io.Reader {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	return rand.Reader
-}
-
 func (c *Config) suites() []record.SuiteID {
 	if len(c.Suites) != 0 {
 		return c.Suites
@@ -239,8 +229,8 @@ func signatureInput(transcriptHash []byte) []byte {
 }
 
 // generateKeyShare creates an X25519 key pair.
-func generateKeyShare(rng io.Reader) (*ecdh.PrivateKey, error) {
-	return ecdh.X25519().GenerateKey(rng)
+func generateKeyShare() (*ecdh.PrivateKey, error) {
+	return ecdh.X25519().GenerateKey(rand.Reader)
 }
 
 func sharedSecret(priv *ecdh.PrivateKey, peerPub []byte) ([]byte, error) {

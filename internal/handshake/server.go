@@ -1,6 +1,7 @@
 package handshake
 
 import (
+	"crypto/rand"
 	"io"
 
 	"tcpls/internal/record"
@@ -77,7 +78,7 @@ func Server(rw MessageRW, cfg *Config) (*Result, error) {
 		}
 	}
 
-	priv, err := generateKeyShare(cfg.rand())
+	priv, err := generateKeyShare()
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +88,7 @@ func Server(rw MessageRW, cfg *Config) (*Result, error) {
 		keyShare:    priv.PublicKey().Bytes(),
 		pskAccepted: psk != nil,
 	}
-	if _, err := io.ReadFull(cfg.rand(), sh.random[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, sh.random[:]); err != nil {
 		return nil, err
 	}
 	shBytes := sh.marshal()
@@ -181,14 +182,14 @@ func Server(rw MessageRW, cfg *Config) (*Result, error) {
 		// New TCPLS session: mint the session identifier and the initial
 		// cookie budget (Fig. 3's α and β_1..β_n).
 		var id SessID
-		if _, err := io.ReadFull(cfg.rand(), id[:]); err != nil {
+		if _, err := io.ReadFull(rand.Reader, id[:]); err != nil {
 			return nil, err
 		}
 		ee.sessID = &id
 		res.SessID = id
 		for i := 0; i < cfg.numCookies(); i++ {
 			var c Cookie
-			if _, err := io.ReadFull(cfg.rand(), c[:]); err != nil {
+			if _, err := io.ReadFull(rand.Reader, c[:]); err != nil {
 				return nil, err
 			}
 			ee.cookies = append(ee.cookies, c)

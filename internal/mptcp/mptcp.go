@@ -230,10 +230,10 @@ func (sf *subflow) onBytes(p []byte) {
 }
 
 func (c *Conn) deliver(dss uint64, data []byte) {
-	for _, d := range c.buf.Offer(dss, data) {
-		c.received += uint64(len(d))
+	for _, it := range c.buf.Offer(dss, data) {
+		c.received += uint64(len(it.Data))
 		if c.OnRecv != nil {
-			c.OnRecv(d)
+			c.OnRecv(it.Data)
 		}
 	}
 }

@@ -182,10 +182,10 @@ func (c *StreamContext) SealV(dst []byte, contentType uint8, padTo int, parts ..
 	return dst[:base+total], nil
 }
 
-// SealSeq is Seal with an explicit sequence number and no state update.
-// Failover retransmission (paper §3.3.2) resends lost records under their
-// original sequence numbers so the ciphertext can be replayed as-is; the
-// engine also uses this to re-encrypt buffered content deterministically.
+// SealSeq is Seal with an explicit sequence number and no state update:
+// the record a failover replay (paper §3.3.2) resends under its original
+// sequence number. The engine replays the sealed bytes it kept instead,
+// which are these by construction.
 func (c *StreamContext) SealSeq(dst []byte, seq uint64, contentType uint8, content []byte, padTo int) ([]byte, error) {
 	saved := c.seq
 	c.seq = seq
@@ -194,22 +194,11 @@ func (c *StreamContext) SealSeq(dst []byte, seq uint64, contentType uint8, conte
 	return out, err
 }
 
-// SealSeqV is SealV at an explicit sequence number, without advancing
-// the live counter (failover replay).
-func (c *StreamContext) SealSeqV(dst []byte, seq uint64, contentType uint8, padTo int, parts ...[]byte) ([]byte, error) {
-	saved := c.seq
-	c.seq = seq
-	out, err := c.SealV(dst, contentType, padTo, parts...)
-	c.seq = saved
-	return out, err
-}
-
 // Open authenticates and decrypts one full wire record (header included)
 // using the context's current receive sequence number. The plaintext is
-// decrypted in place inside rec's storage — the zero-copy receive path of
-// paper §4.1 — so the returned content slice aliases rec. It returns the
-// inner TLS content type and the content with type byte and padding
-// stripped. On success the sequence number advances.
+// decrypted in place inside rec's storage, so the returned content slice
+// aliases rec. It returns the inner TLS content type and the content with
+// type byte and padding stripped. On success the sequence number advances.
 func (c *StreamContext) Open(rec []byte) (contentType uint8, content []byte, err error) {
 	contentType, content, err = c.openAt(rec, c.seq)
 	if err == nil {
@@ -218,17 +207,17 @@ func (c *StreamContext) Open(rec []byte) (contentType uint8, content []byte, err
 	return contentType, content, err
 }
 
-// OpenInto is Open decrypting into scratch instead of in place: rec is
-// left untouched, so a failed open cannot corrupt the buffer for other
-// candidate streams (trial decryption's fast path uses this to avoid a
-// defensive copy of every record). The returned content aliases scratch.
-func (c *StreamContext) OpenInto(rec, scratch []byte) (contentType uint8, content []byte, err error) {
+// OpenInto is Open decrypting into dst's storage instead of in place: rec
+// is left untouched, so a failed open cannot corrupt it for the other
+// candidate streams of trial decryption. The returned content aliases
+// dst, which needs the capacity of rec's inner plaintext.
+func (c *StreamContext) OpenInto(rec, dst []byte) (contentType uint8, content []byte, err error) {
 	ct, err := c.checkRecord(rec)
 	if err != nil {
 		return 0, nil, err
 	}
 	nonce := c.nonce(c.seq)
-	inner, err := c.aead.Open(scratch[:0], nonce, ct, rec[:HeaderLen])
+	inner, err := c.aead.Open(dst[:0], nonce, ct, rec[:HeaderLen])
 	if err != nil {
 		return 0, nil, ErrDecrypt
 	}

@@ -12,8 +12,7 @@ package record
 // stream) the first probe hits.
 type Demux struct {
 	contexts []*StreamContext
-	last     int    // index of the last successful context
-	scratch  []byte // ciphertext backup for the in-place fast path
+	last     int // index of the last successful context
 	// Probes counts tag checks performed, including successful ones.
 	// The paper treats each failed check as a forgery attempt against
 	// the AEAD limits; exposing the count lets tests and benchmarks
@@ -51,37 +50,22 @@ func (m *Demux) Context(streamID uint32) *StreamContext {
 }
 
 // Open finds the stream whose context authenticates rec, decrypts the
-// record in place (zero copy) and advances that stream's receive
-// sequence. It returns ErrNoStreamMatch when no attached stream
-// authenticates the record — a forgery, a desynchronized peer, or a
-// record for a stream not attached to this connection.
-func (m *Demux) Open(rec []byte) (streamID uint32, contentType uint8, content []byte, err error) {
+// record into dst's storage and advances that stream's receive sequence.
+// Decryption is out of place: rec is never written, so a failed trial
+// leaves it intact for the next candidate and a caller's read buffer is
+// left as it was; the first candidate to match costs exactly one crypto
+// pass. content aliases dst, which needs the capacity of rec's inner
+// plaintext (a MaxRecordLen Buf fits any record). It returns
+// ErrNoStreamMatch when no attached stream authenticates the record — a
+// forgery, a desynchronized peer, or a record for a stream not attached
+// to this connection.
+func (m *Demux) Open(rec, dst []byte) (streamID uint32, contentType uint8, content []byte, err error) {
 	n := len(m.contexts)
-	if n == 0 {
-		return 0, 0, nil, ErrNoStreamMatch
-	}
-	// Single attached stream: decrypt fully in place (zero copy).
-	if n == 1 {
-		m.Probes++
-		c := m.contexts[0]
-		contentType, content, err = c.Open(rec)
-		if err != nil {
-			return 0, 0, nil, ErrNoStreamMatch
-		}
-		return c.streamID, contentType, content, nil
-	}
-	// Several candidates: decrypt into the reusable scratch buffer so a
-	// failed trial leaves the ciphertext intact for the next candidate.
-	// The AEAD writes its output either way; only the destination
-	// differs, so the fast path still costs exactly one crypto pass.
-	if cap(m.scratch) < len(rec) {
-		m.scratch = make([]byte, 0, MaxRecordLen)
-	}
 	for i := 0; i < n; i++ {
 		idx := (m.last + i) % n
 		c := m.contexts[idx]
 		m.Probes++
-		contentType, content, err = c.OpenInto(rec, m.scratch)
+		contentType, content, err = c.OpenInto(rec, dst)
 		if err != nil {
 			continue
 		}

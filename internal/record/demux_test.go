@@ -19,10 +19,15 @@ func demuxPair(t testing.TB, streamIDs ...uint32) (map[uint32]*StreamContext, *D
 	return senders, demux
 }
 
+// open runs demux.Open into a fresh MaxRecordLen buffer.
+func open(demux *Demux, rec []byte) (uint32, uint8, []byte, error) {
+	return demux.Open(rec, make([]byte, MaxRecordLen))
+}
+
 func TestDemuxSingleStream(t *testing.T) {
 	senders, demux := demuxPair(t, 0)
 	rec, _ := senders[0].Seal(nil, ContentTypeApplicationData, []byte("solo"), 0)
-	id, _, content, err := demux.Open(rec)
+	id, _, content, err := open(demux, rec)
 	if err != nil || id != 0 || string(content) != "solo" {
 		t.Fatalf("id=%d content=%q err=%v", id, content, err)
 	}
@@ -37,7 +42,7 @@ func TestDemuxInterleavedStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, content, err := demux.Open(rec)
+		id, _, content, err := open(demux, rec)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -54,14 +59,14 @@ func TestDemuxLastSuccessfulFirst(t *testing.T) {
 	senders, demux := demuxPair(t, 1, 2, 3, 4)
 	// Warm up on stream 3.
 	rec, _ := senders[3].Seal(nil, ContentTypeApplicationData, []byte("warm"), 0)
-	if _, _, _, err := demux.Open(rec); err != nil {
+	if _, _, _, err := open(demux, rec); err != nil {
 		t.Fatal(err)
 	}
 	before := demux.Probes
 	// 50 more records on stream 3 must each cost exactly one probe.
 	for i := 0; i < 50; i++ {
 		rec, _ := senders[3].Seal(nil, ContentTypeApplicationData, []byte("hot path"), 0)
-		if _, _, _, err := demux.Open(rec); err != nil {
+		if _, _, _, err := open(demux, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +79,7 @@ func TestDemuxUnknownStreamRejected(t *testing.T) {
 	_, demux := demuxPair(t, 1, 2)
 	outsider := newTestContext(t, 99)
 	rec, _ := outsider.Seal(nil, ContentTypeApplicationData, []byte("intruder"), 0)
-	if _, _, _, err := demux.Open(rec); err != ErrNoStreamMatch {
+	if _, _, _, err := open(demux, rec); err != ErrNoStreamMatch {
 		t.Fatalf("err=%v, want ErrNoStreamMatch", err)
 	}
 }
@@ -84,31 +89,60 @@ func TestDemuxForgeryRejected(t *testing.T) {
 	rec, _ := senders[1].Seal(nil, ContentTypeApplicationData, []byte("genuine"), 0)
 	forged := append([]byte(nil), rec...)
 	forged[len(forged)-1] ^= 0xff
-	if _, _, _, err := demux.Open(forged); err != ErrNoStreamMatch {
+	if _, _, _, err := open(demux, forged); err != ErrNoStreamMatch {
 		t.Fatalf("forged record: err=%v, want ErrNoStreamMatch", err)
 	}
 	// The genuine record must still open: failed trials consumed no
 	// sequence numbers and did not corrupt state.
-	if _, _, content, err := demux.Open(rec); err != nil || string(content) != "genuine" {
+	if _, _, content, err := open(demux, rec); err != nil || string(content) != "genuine" {
 		t.Fatalf("genuine record after forgery: content=%q err=%v", content, err)
 	}
 }
 
 func TestDemuxFailedFastPathDoesNotCorruptRecord(t *testing.T) {
 	// Force the fast path (last-successful stream) to fail, then require
-	// the slow path to still authenticate the record: the buffer must
-	// survive the failed in-place open.
+	// the slow path to still authenticate the record: no trial, failed or
+	// not, may write into the record.
 	senders, demux := demuxPair(t, 1, 2)
 	// Warm up stream 1 so it is the fast-path candidate.
 	rec, _ := senders[1].Seal(nil, ContentTypeApplicationData, []byte("warm"), 0)
-	if _, _, _, err := demux.Open(rec); err != nil {
+	if _, _, _, err := open(demux, rec); err != nil {
 		t.Fatal(err)
 	}
 	// Now deliver a stream-2 record.
 	rec2, _ := senders[2].Seal(nil, ContentTypeApplicationData, []byte("switch"), 0)
-	id, _, content, err := demux.Open(rec2)
+	pristine := bytes.Clone(rec2)
+	id, _, content, err := open(demux, rec2)
 	if err != nil || id != 2 || string(content) != "switch" {
 		t.Fatalf("id=%d content=%q err=%v", id, content, err)
+	}
+	if !bytes.Equal(rec2, pristine) {
+		t.Fatal("Open wrote into the record it decrypted")
+	}
+}
+
+// TestMaxCiphertextDecryptsIntoBuf: a record of the largest ciphertext
+// the deframer accepts decrypts into a pooled Buf's own storage — the
+// AEAD never has to reallocate, so a receive queue can keep the Buf.
+func TestMaxCiphertextDecryptsIntoBuf(t *testing.T) {
+	send := newTestContext(t, 1)
+	inner := make([]byte, MaxCiphertextLen-send.aead.Overhead())
+	copy(inner, "content")
+	inner[len("content")] = ContentTypeApplicationData // then zero padding
+	hdr := header(MaxCiphertextLen)
+	rec := send.aead.Seal(hdr[:], send.nonce(0), inner, hdr[:])
+	if len(rec) != MaxRecordLen {
+		t.Fatalf("built a %d-byte record, want %d", len(rec), MaxRecordLen)
+	}
+	demux := &Demux{}
+	demux.Attach(newTestContext(t, 1))
+	pool := NewBufferPool()
+	b := pool.Get(MaxRecordLen)
+	defer b.Release()
+	if _, _, content, err := demux.Open(rec, b.Bytes()); err != nil || string(content) != "content" {
+		t.Fatalf("content %q, err %v", content, err)
+	} else if &content[0] != &b.Bytes()[0] {
+		t.Fatal("the maximum-length record did not decrypt into its Buf")
 	}
 }
 
@@ -119,7 +153,7 @@ func TestDemuxDetach(t *testing.T) {
 		t.Fatalf("Streams() = %d", demux.Streams())
 	}
 	rec, _ := senders[2].Seal(nil, ContentTypeApplicationData, []byte("gone"), 0)
-	if _, _, _, err := demux.Open(rec); err != ErrNoStreamMatch {
+	if _, _, _, err := open(demux, rec); err != ErrNoStreamMatch {
 		t.Fatalf("detached stream still matched: %v", err)
 	}
 	if demux.Context(1) == nil || demux.Context(2) != nil {
@@ -135,7 +169,7 @@ func TestDemuxEmpty(t *testing.T) {
 	demux := &Demux{}
 	send := newTestContext(t, 0)
 	rec, _ := send.Seal(nil, ContentTypeApplicationData, []byte("x"), 0)
-	if _, _, _, err := demux.Open(rec); err != ErrNoStreamMatch {
+	if _, _, _, err := open(demux, rec); err != ErrNoStreamMatch {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -229,10 +263,11 @@ func BenchmarkTrialDecrypt(b *testing.B) {
 				sid := ids[i%n]
 				recs[i], _ = senders[sid].Seal(nil, ContentTypeApplicationData, payload, 0)
 			}
+			dst := make([]byte, MaxRecordLen)
 			b.ResetTimer()
 			b.SetBytes(int64(len(payload)))
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := demux.Open(recs[i]); err != nil {
+				if _, _, _, err := demux.Open(recs[i], dst); err != nil {
 					b.Fatal(err)
 				}
 			}

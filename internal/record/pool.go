@@ -5,77 +5,67 @@ import (
 	"sync/atomic"
 )
 
-// Buf is one pooled, refcounted payload buffer. The datapath retains a
-// copy of every sealed record's payload while failover may replay it;
-// pooling those copies removes the dominant per-record allocation on
-// the send hot path. A Buf starts with one reference; Retain adds one
-// (redundant PickAll scheduling shares a single copy across replicas)
-// and Release drops one, returning the buffer to its pool at zero.
+// Buf is one pooled record buffer, MaxRecordLen bytes: room for a whole
+// sealed record, or for the inner plaintext of any record the deframer
+// accepts, so a record decrypted into a Buf never outgrows it. The
+// engine decrypts every received record into one, and a receive queue or
+// the reorder heap may keep it by reference; a retained sealed record
+// moves into one when its output chunk goes sparse. A Buf has one owner,
+// which Releases it once, returning the buffer to the store.
 //
-// Ownership rule: whoever holds a reference may read Bytes; once the
-// last reference is released the storage may be handed to an unrelated
-// record, so a released Buf must never be read again (DESIGN.md §16).
+// Ownership rule: only the owner may read Bytes; once released the
+// storage may be handed to an unrelated record, so a released Buf must
+// never be read again (DESIGN.md §16).
 type Buf struct {
 	data []byte
-	refs atomic.Int32
-	pool *BufferPool
+	pool *BufferPool // nil while the Buf is in the store
 }
 
-// Bytes returns the buffer's payload. Valid only while the caller holds
-// a reference.
+// Bytes returns the buffer's payload. Valid only until Release.
 func (b *Buf) Bytes() []byte { return b.data }
 
-// Retain adds a reference and returns b for chaining.
-func (b *Buf) Retain() *Buf {
-	b.refs.Add(1)
-	return b
-}
-
-// Release drops one reference; the last release returns the buffer to
-// the pool. nil-safe so callers can release optional buffers blindly.
+// Release returns the buffer to the store. nil-safe so callers can
+// release optional buffers blindly; a second release panics.
 func (b *Buf) Release() {
 	if b == nil {
 		return
 	}
-	switch n := b.refs.Add(-1); {
-	case n == 0:
-		b.pool.put(b)
-	case n < 0:
-		panic("record: Buf released more often than retained")
+	p := b.pool
+	if p == nil {
+		panic("record: Buf released twice")
 	}
+	b.pool = nil
+	p.puts.Add(1)
+	bufStore.Put(b)
 }
 
-// BufferPool is a sync.Pool-backed arena of record-payload buffers
-// (MaxPlaintextLen capacity each, the largest payload a record can
-// carry). It counts logical gets and puts so owners can assert balance:
+// bufStore is the storage behind every BufferPool, shared process-wide
+// so a new session's first record finds a warm buffer.
+var bufStore = sync.Pool{New: func() any { return &Buf{data: make([]byte, 0, MaxRecordLen)} }}
+
+// BufferPool hands out Bufs from the process-wide store and counts the
+// logical gets and puts of one owner, so the owner can assert balance:
 // at session close every buffer handed out must have been released
 // (gets == puts), which is exactly the "no recycled buffer is ever held
 // past its release" invariant the chaos campaigns exercise.
 type BufferPool struct {
-	bufs sync.Pool
 	gets atomic.Uint64
 	puts atomic.Uint64
 }
 
-// NewBufferPool builds an empty arena.
-func NewBufferPool() *BufferPool {
-	p := &BufferPool{}
-	p.bufs.New = func() any {
-		return &Buf{data: make([]byte, 0, MaxPlaintextLen), pool: p}
-	}
-	return p
-}
+// NewBufferPool builds an owner's counters over the shared store.
+func NewBufferPool() *BufferPool { return &BufferPool{} }
 
-// Get returns a buffer of length n holding one reference. Buffers are
-// recycled storage: the contents are arbitrary until written.
+// Get returns a buffer of length n. Buffers are recycled storage: the
+// contents are arbitrary until written.
 func (p *BufferPool) Get(n int) *Buf {
-	b := p.bufs.Get().(*Buf)
+	b := bufStore.Get().(*Buf)
 	if cap(b.data) < n {
 		b.data = make([]byte, n)
 	} else {
 		b.data = b.data[:n]
 	}
-	b.refs.Store(1)
+	b.pool = p
 	p.gets.Add(1)
 	return b
 }
@@ -87,18 +77,7 @@ func (p *BufferPool) Copy(payload []byte) *Buf {
 	return b
 }
 
-func (p *BufferPool) put(b *Buf) {
-	p.puts.Add(1)
-	p.bufs.Put(b)
-}
-
 // Stats reports the pool's logical get/put counters.
 func (p *BufferPool) Stats() (gets, puts uint64) {
 	return p.gets.Load(), p.puts.Load()
-}
-
-// Balanced reports whether every buffer handed out has been released.
-func (p *BufferPool) Balanced() bool {
-	gets, puts := p.Stats()
-	return gets == puts
 }

@@ -11,8 +11,9 @@
 //   - trial decryption, which recovers the implicit Stream ID of a received
 //     record by checking AEAD tags across the streams attached to a
 //     connection (§4.1), trying the last successful stream first;
-//   - a zero-copy open path that decrypts a record in place inside the
-//     receive buffer, so stream data lands in contiguous memory.
+//   - pooled record buffers (Buf): a record is decrypted out of place
+//     into one, which a receive queue may then keep by reference, so the
+//     AEAD pass is the only write of a received payload byte.
 package record
 
 import (

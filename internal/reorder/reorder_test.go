@@ -4,17 +4,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tcpls/internal/record"
 )
 
-func collect(b *Buffer, seq uint64, data []byte) [][]byte {
-	return b.Offer(seq, data)
+// offer hands data to b and returns what became deliverable.
+func offer(b *Buffer, seq uint64, data []byte) [][]byte {
+	var out [][]byte
+	for _, it := range b.Offer(seq, data) {
+		out = append(out, it.Data)
+	}
+	return out
 }
 
 func TestInOrderFastPath(t *testing.T) {
 	b := New(0)
 	for i := uint64(0); i < 100; i++ {
 		data := []byte{byte(i)}
-		out := b.Offer(i, data)
+		out := offer(b, i, data)
 		if len(out) != 1 || &out[0][0] != &data[0] {
 			t.Fatalf("seq %d: in-order item not returned zero-copy", i)
 		}
@@ -26,13 +33,13 @@ func TestInOrderFastPath(t *testing.T) {
 
 func TestSimpleReorder(t *testing.T) {
 	b := New(0)
-	if out := b.Offer(1, []byte{1}); out != nil {
+	if out := offer(b, 1, []byte{1}); out != nil {
 		t.Fatal("out-of-order item delivered early")
 	}
 	if b.Pending() != 1 || b.PendingBytes() != 1 {
 		t.Fatalf("pending=%d bytes=%d", b.Pending(), b.PendingBytes())
 	}
-	out := b.Offer(0, []byte{0})
+	out := offer(b, 0, []byte{0})
 	if len(out) != 2 || out[0][0] != 0 || out[1][0] != 1 {
 		t.Fatalf("got %v", out)
 	}
@@ -43,15 +50,15 @@ func TestSimpleReorder(t *testing.T) {
 
 func TestDuplicatesDiscarded(t *testing.T) {
 	b := New(0)
-	b.Offer(0, []byte{0})
-	if out := b.Offer(0, []byte{0}); out != nil {
+	offer(b, 0, []byte{0})
+	if out := offer(b, 0, []byte{0}); out != nil {
 		t.Fatal("delivered duplicate")
 	}
-	b.Offer(2, []byte{2})
-	if out := b.Offer(2, []byte{2}); out != nil {
+	offer(b, 2, []byte{2})
+	if out := offer(b, 2, []byte{2}); out != nil {
 		t.Fatal("parked duplicate accepted")
 	}
-	out := b.Offer(1, []byte{1})
+	out := offer(b, 1, []byte{1})
 	if len(out) != 2 {
 		t.Fatalf("got %d items, want 2", len(out))
 	}
@@ -61,9 +68,9 @@ func TestStaleParkedDuplicatesDropped(t *testing.T) {
 	// Park 2 and 3, then deliver 1..3 via a retransmission burst that
 	// also includes stale copies.
 	b := New(1)
-	b.Offer(3, []byte{3})
-	b.Offer(2, []byte{2})
-	out := b.Offer(1, []byte{1})
+	offer(b, 3, []byte{3})
+	offer(b, 2, []byte{2})
+	out := offer(b, 1, []byte{1})
 	if len(out) != 3 {
 		t.Fatalf("got %d items", len(out))
 	}
@@ -78,16 +85,16 @@ func TestInterleavedDuplicatesInRun(t *testing.T) {
 	// Parked duplicates (lazy dedup: Offer no longer scans the heap) must
 	// not stall the contiguous run or corrupt the bytes accounting.
 	b := New(1)
-	b.Offer(2, []byte{2})
-	b.Offer(2, []byte{2, 2}) // duplicate parks too, double-counting bytes
-	b.Offer(4, []byte{4})
-	b.Offer(3, []byte{3})
-	b.Offer(3, []byte{3, 3})
+	offer(b, 2, []byte{2})
+	offer(b, 2, []byte{2, 2}) // duplicate parks too, double-counting bytes
+	offer(b, 4, []byte{4})
+	offer(b, 3, []byte{3})
+	offer(b, 3, []byte{3, 3})
 	if b.Pending() != 5 || b.PendingBytes() != 7 {
 		t.Fatalf("parked=%d bytes=%d, want 5/7 (duplicates double-count while parked)",
 			b.Pending(), b.PendingBytes())
 	}
-	out := b.Offer(1, []byte{1})
+	out := offer(b, 1, []byte{1})
 	var got []byte
 	for _, d := range out {
 		got = append(got, d[0])
@@ -104,10 +111,10 @@ func TestDuplicateOfDeliveredSeqDropsAtPop(t *testing.T) {
 	// A duplicate parked behind a not-yet-delivered copy of the same seq
 	// is discarded when it surfaces, never delivered twice.
 	b := New(0)
-	b.Offer(1, []byte{1})
-	b.Offer(1, []byte{1})
-	b.Offer(1, []byte{1})
-	out := b.Offer(0, []byte{0})
+	offer(b, 1, []byte{1})
+	offer(b, 1, []byte{1})
+	offer(b, 1, []byte{1})
+	out := offer(b, 0, []byte{0})
 	if len(out) != 2 || out[0][0] != 0 || out[1][0] != 1 {
 		t.Fatalf("got %v, want [[0] [1]]", out)
 	}
@@ -118,12 +125,12 @@ func TestDuplicateOfDeliveredSeqDropsAtPop(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	b := New(0)
-	b.Offer(5, []byte{5})
+	offer(b, 5, []byte{5})
 	b.Reset(10)
 	if b.Next() != 10 || b.Pending() != 0 {
 		t.Fatal("reset failed")
 	}
-	out := b.Offer(10, []byte{10})
+	out := offer(b, 10, []byte{10})
 	if len(out) != 1 {
 		t.Fatal("offer after reset failed")
 	}
@@ -137,7 +144,7 @@ func TestRandomPermutationsDeliverInOrder(t *testing.T) {
 		b := New(0)
 		var delivered []byte
 		for _, p := range perm {
-			for _, d := range b.Offer(uint64(p), []byte{byte(p)}) {
+			for _, d := range offer(b, uint64(p), []byte{byte(p)}) {
 				delivered = append(delivered, d[0])
 			}
 		}
@@ -158,7 +165,7 @@ func TestQuickNeverDeliversOutOfOrder(t *testing.T) {
 		last := -1
 		for _, s := range seqs {
 			seq := uint64(s % 64)
-			for _, d := range b.Offer(seq, []byte{byte(seq)}) {
+			for _, d := range offer(b, seq, []byte{byte(seq)}) {
 				if int(d[0]) <= last {
 					return false
 				}
@@ -211,36 +218,35 @@ func BenchmarkTwoPathInterleave(b *testing.B) {
 	}
 }
 
-type countedOwner struct{ released *int }
-
-func (o countedOwner) Release() { *o.released++ }
-
-// TestParkedOwnersReleasedExactlyOnce: every owner handed to Park is
-// released once and only by Recycle (or Reset) — whether its item was
-// delivered, discarded as a parked duplicate, or still parked at Reset —
-// and never while the data Offer returned may still be read.
+// TestParkedOwnersReleasedExactlyOnce: every owner handed to OfferOwned is
+// released once — by the caller for an item Offer returned, by the
+// buffer for a duplicate, whether offered late or parked twice, and by
+// Reset for one still parked.
 func TestParkedOwnersReleasedExactlyOnce(t *testing.T) {
+	pool := record.NewBufferPool()
 	b := New(0)
-	released := 0
-	own := countedOwner{&released}
-	b.Park(1, []byte{1}, own)
-	b.Park(1, []byte{1}, own) // duplicate: parks too, dropped when it surfaces
-	b.Park(2, []byte{2}, own)
-	b.Park(5, []byte{5}, own) // stays parked
+	own := func(v byte) ([]byte, *record.Buf) {
+		o := pool.Copy([]byte{v})
+		return o.Bytes(), o
+	}
+	for _, v := range []byte{1, 1, 2, 5} { // the second 1 parks too, dropped when it surfaces
+		data, o := own(v)
+		b.OfferOwned(uint64(v), data, o)
+	}
 	out := b.Offer(0, []byte{0})
-	if len(out) != 3 || released != 0 {
-		t.Fatalf("delivered %d items with %d owners already released, want 3 and 0", len(out), released)
+	if _, puts := pool.Stats(); len(out) != 3 || puts != 1 {
+		t.Fatalf("delivered %d items with %d owners released, want 3 and 1 (the duplicate)", len(out), puts)
 	}
-	if out[1][0] != 1 || out[2][0] != 2 {
-		t.Fatalf("delivered %v", out)
+	for i, it := range out {
+		if it.Data[0] != byte(i) {
+			t.Fatalf("delivered %v", out)
+		}
+		it.Owner.Release()
 	}
-	b.Recycle()
-	if released != 3 {
-		t.Fatalf("%d owners released after Recycle, want 3 (two delivered, one duplicate)", released)
-	}
-	b.Recycle()
+	data, o := own(2)
+	b.OfferOwned(2, data, o) // behind its turn: released at once
 	b.Reset(0)
-	if released != 4 || b.Pending() != 0 {
-		t.Fatalf("%d owners released after Reset with %d parked, want 4 and 0", released, b.Pending())
+	if gets, puts := pool.Stats(); gets != puts || b.Pending() != 0 {
+		t.Fatalf("%d gets, %d puts after Reset with %d parked", gets, puts, b.Pending())
 	}
 }

@@ -474,7 +474,7 @@ func (s *Session) Connections() []uint32 {
 
 // readBufLen sizes each connection's read buffer. 256 KiB holds a full
 // batch of ~16 max-size TLS records, so one kernel read feeds the engine
-// a writev-sized burst that is deframed and decrypted in place.
+// a writev-sized burst that is deframed in place.
 const readBufLen = 256 << 10
 
 // readBufs recycles read buffers: zeroing one per connection was 6 % of connect_churn.
