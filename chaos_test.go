@@ -607,10 +607,10 @@ func TestChaosJoinResumesTwoDeadPathsMerged(t *testing.T) {
 	// both user timeouts on the same tick. Behind the stalled relays the
 	// server sees nothing, so the client alone resumes.
 	sess.mu.Lock()
-	for id := range sess.conns {
-		sess.engine.ReportConnFailed(id)
+	for _, c := range sess.drv.Conns() {
+		sess.engine.ReportConnFailed(c.ID)
 	}
-	sess.processEventsLocked()
+	sess.drv.Step()
 	sess.mu.Unlock()
 	if live := sess.Connections(); len(live) > 0 {
 		t.Fatalf("conns %v still live", live)

@@ -89,7 +89,7 @@ func TestRaceFailoverDuringConcurrentFlush(t *testing.T) {
 	// Mid-transfer, hard-kill the initial connection.
 	time.Sleep(20 * time.Millisecond)
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 
@@ -128,7 +128,7 @@ func TestWriteAccountingClosure(t *testing.T) {
 	// Kill one path mid-session so its writer's drop path runs, then
 	// finish the echo on the survivor and close.
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 

@@ -3,10 +3,11 @@ package tcpls
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
-	"tcpls/internal/core"
+	"tcpls/internal/driver"
 	"tcpls/internal/handshake"
 )
 
@@ -127,67 +128,97 @@ func Client(nc net.Conn, cfg *Config) (*Session, error) {
 	return sess, nil
 }
 
-// JoinPath opens an additional TCP connection to addr and joins it to
-// the session using one of the server's single-use cookies (Fig. 3).
-// It returns the new connection's engine ID, usable with OpenStreamOn,
-// Failover, and the scheduler.
-func (s *Session) JoinPath(network, addr string) (uint32, error) {
+// beginJoin reserves a join: a cookie and a connection ID, with the
+// handshake timeout as its deadline. A non-empty addr is remembered for
+// redials once the join lands.
+func (s *Session) beginJoin(addr string) (*driver.Conn, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrSessionClosed
+		return nil, ErrSessionClosed
 	}
 	if s.cfg.DisableTCPLS {
-		s.mu.Unlock()
-		return 0, ErrNotTCPLS
+		return nil, ErrNotTCPLS
 	}
-	if len(s.cookies) == 0 {
-		s.mu.Unlock()
-		return 0, ErrNoCookies
+	c, err := s.drv.Join(addr)
+	if err == nil && s.cfg.handshakeTimeout() > 0 {
+		c.Deadline = time.Now().Add(s.cfg.handshakeTimeout())
 	}
-	cookie := s.cookies[0]
-	s.cookies = s.cookies[1:]
-	connID := s.nextConnID
-	s.nextConnID++
-	sessID := s.sessID
-	sname := s.cfg.ServerName
-	suites := s.cfg.Suites
-	s.engine.Note("cookie_consumed", connID, 0, 0, len(s.cookies))
-	s.mu.Unlock()
+	return c, err
+}
 
-	nc, err := net.Dial(network, addr)
-	if err != nil {
-		return 0, fmt.Errorf("tcpls: join dial: %w", err)
-	}
-	hcfg := &handshake.Config{
-		Suites:     suites,
-		ServerName: sname,
-		Join:       &handshake.JoinTicket{SessID: sessID, Cookie: cookie, ConnID: connID},
+// join is the one join routine behind JoinPath, JoinConn and the
+// supervisor's redials: the join handshake for c over nc, then the
+// connection starts and join waits until the peer has shown it adopted
+// the connection (an echo answered on it). So a Close right after a join
+// cannot outrun the server's adoption and reach it on the other
+// connections alone. It runs without s.mu; nc's deadline is c.Deadline
+// until the adoption.
+func (s *Session) join(c *driver.Conn, nc net.Conn, network string) error {
+	if !c.Deadline.IsZero() {
+		nc.SetDeadline(c.Deadline)
 	}
 	tr := handshake.NewTransport(nc)
-	if _, err := handshake.Client(tr, hcfg); err != nil {
-		nc.Close()
-		return 0, fmt.Errorf("tcpls: join handshake: %w", err)
-	}
-
+	_, err := handshake.Client(tr, &handshake.Config{
+		Suites:     s.cfg.Suites,
+		ServerName: s.cfg.ServerName,
+		Join:       &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
+	})
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// The ClientHello reached the server, so the single-use cookie
+		// must be assumed spent.
 		nc.Close()
-		return 0, ErrSessionClosed
+		err = fmt.Errorf("tcpls: join handshake: %w", err)
+		s.drv.Abort(c, true, err)
+		return err
 	}
-	if err := s.engine.AddConnection(connID, time.Now()); err != nil {
-		s.mu.Unlock()
+	s.engine.Note("join_accepted", c.ID, 0, 0, 0)
+	if err := s.startConnLocked(c, nc, tr.Leftover(), true); err != nil {
 		nc.Close()
+		return err
+	}
+	for c.State == driver.Joining && !s.drv.Ended() {
+		s.cond.Wait()
+	}
+	switch {
+	case s.drv.Ended():
+		return s.closedErrLocked()
+	case c.State != driver.Live:
+		return fmt.Errorf("tcpls: join of conn %d: not adopted (%v)", c.ID, c.State)
+	}
+	nc.SetDeadline(time.Time{})
+	if c.Addr != "" {
+		s.rememberAddrLocked(c.Addr)
+		if s.dialNetwork == "" {
+			s.dialNetwork = network
+		}
+	}
+	return nil
+}
+
+// JoinPath opens an additional TCP connection to addr and joins it to
+// the session using one of the server's single-use cookies (Fig. 3).
+// It returns once the server has adopted the connection, with the new
+// connection's engine ID, usable with OpenStreamOn, Failover, and the
+// scheduler.
+func (s *Session) JoinPath(network, addr string) (uint32, error) {
+	c, err := s.beginJoin(addr)
+	if err != nil {
 		return 0, err
 	}
-	s.startJoinedConnLocked(connID, nc, tr.Leftover())
-	if s.dialNetwork == "" {
-		s.dialNetwork = network
+	nc, err := net.Dial(network, addr)
+	if err != nil {
+		s.mu.Lock()
+		s.drv.Abort(c, false, err)
+		s.mu.Unlock()
+		return 0, fmt.Errorf("tcpls: join dial: %w", err)
 	}
-	s.rememberAddrLocked(addr)
-	s.mu.Unlock()
-	return connID, nil
+	if err := s.join(c, nc, network); err != nil {
+		return 0, err
+	}
+	return c.ID, nil
 }
 
 // JoinPathFast opens an additional TCP connection and joins it to the
@@ -204,21 +235,7 @@ func (s *Session) JoinPath(network, addr string) (uint32, error) {
 // back internally to the ordinary two-flight join so no bytes can be
 // lost. The returned stream is nil when early is empty.
 func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Stream, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, nil, ErrSessionClosed
-	}
-	if s.cfg.DisableTCPLS {
-		s.mu.Unlock()
-		return 0, nil, ErrNotTCPLS
-	}
-	if len(s.cookies) == 0 {
-		s.mu.Unlock()
-		return 0, nil, ErrNoCookies
-	}
 	if len(early) > 0 && !s.cfg.EnableFailover {
-		s.mu.Unlock()
 		connID, err := s.JoinPath(network, addr)
 		if err != nil {
 			return 0, nil, err
@@ -227,171 +244,103 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		if err != nil {
 			return connID, nil, err
 		}
-		if _, err := st.Write(early); err != nil {
-			return connID, st, err
-		}
-		return connID, st, nil
+		_, err = st.Write(early)
+		return connID, st, err
 	}
-	cookie := s.cookies[0]
-	s.cookies = s.cookies[1:]
-	connID := s.nextConnID
-	s.nextConnID++
-	sessID := s.sessID
-	suites := s.cfg.Suites
-	s.engine.Note("cookie_consumed", connID, 0, 0, len(s.cookies))
-	s.mu.Unlock()
-
+	c, err := s.beginJoin(addr)
+	if err != nil {
+		return 0, nil, err
+	}
 	nc, err := net.Dial(network, addr)
 	if err != nil {
+		s.mu.Lock()
+		s.drv.Abort(c, false, err)
+		s.mu.Unlock()
 		return 0, nil, fmt.Errorf("tcpls: join dial: %w", err)
 	}
 	tr := handshake.NewTransport(nc)
 	hcfg := &handshake.Config{
-		Suites: suites,
-		Join:   &handshake.JoinTicket{SessID: sessID, Cookie: cookie, ConnID: connID},
+		Suites: s.cfg.Suites,
+		Join:   &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
 	}
 	if err := handshake.StartFastJoin(tr, hcfg); err != nil {
 		nc.Close()
+		s.mu.Lock()
+		s.drv.Abort(c, true, err)
+		s.mu.Unlock()
 		return 0, nil, fmt.Errorf("tcpls: fast join: %w", err)
 	}
 
-	// Build the optimistic flight. The connection is registered with the
-	// engine but not yet with the session (no reader/writer loops, not in
-	// s.conns), so concurrent flushes cannot race us for its outgoing
-	// queue and nothing consumes the server's plaintext ack early.
+	// Build the optimistic flight. The connection is started in the driver
+	// but its reader and writer are not, so its output waits for the
+	// flight below and nothing consumes the server's plaintext ack early.
 	var st *Stream
-	var flight []byte
+	var flight [][]byte
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		nc.Close()
-		return 0, nil, ErrSessionClosed
+	pc := s.newPathConn(c, nc)
+	err = s.drv.Start(c, pc, nil, false)
+	if err == nil {
+		s.engine.Note("join_fastpath", c.ID, 0, 0, len(early))
 	}
-	if err := s.engine.AddConnection(connID, time.Now()); err != nil {
-		s.mu.Unlock()
-		nc.Close()
-		return 0, nil, err
-	}
-	s.engine.Note("join_fastpath", connID, 0, 0, len(early))
-	if len(early) > 0 {
-		sid, serr := s.engine.CreateStream(connID)
-		if serr == nil {
+	if err == nil && len(early) > 0 {
+		var sid uint32
+		if sid, err = s.engine.CreateStream(c.ID); err == nil {
 			st = &Stream{sess: s, id: sid}
 			s.streams[sid] = st
-			_, serr = s.engine.Write(sid, early)
+			_, err = s.engine.Write(sid, early)
 		}
-		if serr == nil {
-			if ferr := s.engine.Flush(); ferr != nil && ferr != core.ErrNotCoupled {
-				serr = ferr
-			}
-		}
-		if serr == nil {
-			flight, serr = s.engine.Outgoing(connID)
-		}
-		if serr != nil {
-			s.mu.Unlock()
-			nc.Close()
-			return 0, st, serr
-		}
+		s.drv.Flush()
+		flight = s.drv.Pull(c, nil, math.MaxInt)
 	}
 	s.mu.Unlock()
-
-	if len(flight) > 0 {
-		_, werr := nc.Write(flight)
-		now := time.Now()
-		s.mu.Lock()
-		if werr == nil {
-			s.engine.NoteWritten(connID, now)
-		} else {
-			s.engine.NoteWriteDropped(connID)
-		}
-		s.engine.RecycleOutgoing(flight)
-		s.mu.Unlock()
-		if werr != nil {
-			nc.Close()
-			s.reportFastJoinFailed(connID)
-			return 0, st, fmt.Errorf("tcpls: fast join write: %w", werr)
-		}
+	var written int64
+	if err == nil && len(flight) > 0 {
+		iov := append(net.Buffers(nil), flight...) // WriteTo consumes its view
+		written, err = iov.WriteTo(nc)
+	}
+	s.mu.Lock()
+	s.drv.Settle(c, flight, written, err)
+	s.mu.Unlock()
+	if err != nil {
+		nc.Close()
+		return 0, st, fmt.Errorf("tcpls: fast join: %w", err)
 	}
 
 	if err := handshake.FinishFastJoin(tr); err != nil {
-		// Cookie spent for nothing. Declare the embryonic connection
-		// failed so failover replays the optimistic records onto a
-		// surviving path — the stream's bytes are not lost.
+		// Cookie spent for nothing. The embryonic connection fails, so
+		// failover replays the optimistic records onto a surviving path —
+		// the stream's bytes are not lost.
 		nc.Close()
-		s.reportFastJoinFailed(connID)
+		s.mu.Lock()
+		s.drv.Abort(c, true, err)
+		s.mu.Unlock()
 		return 0, st, fmt.Errorf("tcpls: fast join: %w", err)
 	}
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		nc.Close()
-		return 0, st, ErrSessionClosed
+	defer s.mu.Unlock()
+	s.engine.Note("join_accepted", c.ID, 0, 0, 0)
+	if err := s.drv.Receive(c, tr.Leftover()); err != nil {
+		s.drv.Fail(err)
 	}
-	s.startJoinedConnLocked(connID, nc, tr.Leftover())
+	pc.run()
+	s.rememberAddrLocked(addr)
 	if s.dialNetwork == "" {
 		s.dialNetwork = network
 	}
-	s.rememberAddrLocked(addr)
-	s.mu.Unlock()
-	return connID, st, nil
-}
-
-// reportFastJoinFailed marks an embryonic fast-join connection failed so
-// its optimistic records replay through the normal failover machinery.
-func (s *Session) reportFastJoinFailed(connID uint32) {
-	s.mu.Lock()
-	s.reportConnFailedLocked(connID)
-	s.mu.Unlock()
+	return c.ID, st, nil
 }
 
 // JoinConn joins an already-established TCP connection (dialed by the
-// application, e.g. from a specific source address) to the session.
+// application, e.g. from a specific source address) to the session. It
+// returns once the server has adopted the connection.
 func (s *Session) JoinConn(nc net.Conn) (uint32, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrSessionClosed
-	}
-	if s.cfg.DisableTCPLS {
-		s.mu.Unlock()
-		return 0, ErrNotTCPLS
-	}
-	if len(s.cookies) == 0 {
-		s.mu.Unlock()
-		return 0, ErrNoCookies
-	}
-	cookie := s.cookies[0]
-	s.cookies = s.cookies[1:]
-	connID := s.nextConnID
-	s.nextConnID++
-	sessID := s.sessID
-	sname := s.cfg.ServerName
-	suites := s.cfg.Suites
-	s.engine.Note("cookie_consumed", connID, 0, 0, len(s.cookies))
-	s.mu.Unlock()
-
-	hcfg := &handshake.Config{
-		Suites:     suites,
-		ServerName: sname,
-		Join:       &handshake.JoinTicket{SessID: sessID, Cookie: cookie, ConnID: connID},
-	}
-	tr := handshake.NewTransport(nc)
-	if _, err := handshake.Client(tr, hcfg); err != nil {
-		nc.Close()
-		return 0, fmt.Errorf("tcpls: join handshake: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		nc.Close()
-		return 0, ErrSessionClosed
-	}
-	if err := s.engine.AddConnection(connID, time.Now()); err != nil {
-		nc.Close()
+	c, err := s.beginJoin("")
+	if err != nil {
 		return 0, err
 	}
-	s.startJoinedConnLocked(connID, nc, tr.Leftover())
-	return connID, nil
+	if err := s.join(c, nc, ""); err != nil {
+		return 0, err
+	}
+	return c.ID, nil
 }

@@ -19,18 +19,15 @@ import (
 	"tcpls/internal/testutil"
 )
 
-// twoPathSession dials srv and joins a second path, confirmed by a Ping
-// so the server has adopted it too.
+// twoPathSession dials srv and joins a second path (JoinPath returns once
+// the server has adopted it).
 func twoPathSession(t *testing.T, srv *chaosServer, cfg *Config) (sess *Session, conn2 uint32) {
 	t.Helper()
 	sess, err := Dial("tcp", srv.ln.Addr().String(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conn2, err = sess.JoinPath("tcp", srv.ln.Addr().String()); err == nil {
-		_, err = sess.Ping(conn2, 5*time.Second)
-	}
-	if err != nil {
+	if conn2, err = sess.JoinPath("tcp", srv.ln.Addr().String()); err != nil {
 		sess.Close()
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func twoPathSession(t *testing.T, srv *chaosServer, cfg *Config) (sess *Session,
 func killPath(t *testing.T, sess *Session, id uint32) {
 	t.Helper()
 	sess.mu.Lock()
-	pc := sess.conns[id]
+	pc := sess.pathConnLocked(id)
 	sess.mu.Unlock()
 	pc.nc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -544,7 +541,9 @@ func TestFlightDisabledAndAutoDump(t *testing.T) {
 	st.Write([]byte("doomed"))
 	io.ReadFull(st, make([]byte, 6))
 
-	sess.failSession(errors.New("injected death"))
+	sess.mu.Lock()
+	sess.drv.Fail(errors.New("injected death"))
+	sess.mu.Unlock()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		if events, err := qlog.Parse(strings.NewReader(dump.String())); err == nil && len(events) > 0 {

@@ -35,9 +35,9 @@ type ConnInfo struct {
 // ConnInfo returns statistics for one of the session's connections.
 func (s *Session) ConnInfo(connID uint32) (*ConnInfo, error) {
 	s.mu.Lock()
-	pc, ok := s.conns[connID]
+	pc := s.pathConnLocked(connID)
 	s.mu.Unlock()
-	if !ok {
+	if pc == nil {
 		return nil, fmt.Errorf("tcpls: unknown connection %d", connID)
 	}
 	info := &ConnInfo{

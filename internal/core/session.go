@@ -499,6 +499,17 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 	return nil
 }
 
+// Stranded reports whether a stream homed on connection connID still
+// holds bytes to deliver: with connID broken, they wait for a failover.
+func (s *Session) Stranded(connID uint32) bool {
+	for _, st := range s.streams {
+		if st.conn == connID && (len(st.retransmit) > 0 || st.pendingQ.Len() > 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // Connections returns the IDs of all live (non-failed) connections.
 func (s *Session) Connections() []uint32 {
 	var out []uint32
@@ -619,6 +630,8 @@ func (s *Session) NextChunk(connID uint32) ([]byte, error) {
 // Outgoing drains everything queued for transmission on conn as one
 // slice, to be returned with RecycleOutgoing. A single chunk is handed
 // over as it is; several are joined by a copy, which NextChunk avoids.
+// It stays for bench/ladder.go's engine rung; internal/driver, the one
+// driver of this engine, pulls with NextChunk.
 func (s *Session) Outgoing(connID uint32) ([]byte, error) {
 	out, err := s.NextChunk(connID)
 	if err != nil || !s.HasOutgoing(connID) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/driver"
 	"tcpls/internal/handshake"
 	"tcpls/internal/miniquic"
 	"tcpls/internal/record"
@@ -128,10 +129,10 @@ func tlsTCPPipeline(totalBytes, mtu int) (float64, error) {
 	return time.Since(start).Seconds(), nil
 }
 
-// tcplsPipeline pushes bytes through a real engine pair in memory:
-// framing, per-stream contexts, trial decryption, and — when enabled —
-// acknowledgments and retransmission buffering, or multipath coupling
-// with receiver reordering.
+// tcplsPipeline pushes bytes through a real engine pair in memory, each
+// engine run by internal/driver: framing, per-stream contexts, trial
+// decryption, and — when enabled — acknowledgments and retransmission
+// buffering, or multipath coupling with receiver reordering.
 func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, error) {
 	suite, _ := record.SuiteByID(record.TLSAES128GCMSHA256)
 	mk := func(tag byte) []byte {
@@ -142,19 +143,20 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 		return b
 	}
 	sec := handshake.Secrets{Suite: suite, ClientApp: mk(1), ServerApp: mk(2)}
-	now := time.Unix(0, 0)
 	sender := core.NewSession(core.RoleServer, sec, cfg)
 	receiver := core.NewSession(core.RoleClient, sec, cfg)
+	sd := driver.New(sender, driver.Config{}, memClock{}, memHost{}, 0)
+	rd := driver.New(receiver, driver.Config{Client: true}, memClock{}, memHost{}, 0)
 
 	conns := []uint32{0}
 	if multipath {
 		conns = []uint32{0, 1}
 	}
 	for _, id := range conns {
-		if err := sender.AddConnection(id, now); err != nil {
+		if err := sd.Start(sd.Add(id, ""), memLink{}, nil, false); err != nil {
 			return 0, err
 		}
-		if err := receiver.AddConnection(id, now); err != nil {
+		if err := rd.Start(rd.Add(id, ""), memLink{}, nil, false); err != nil {
 			return 0, err
 		}
 	}
@@ -169,25 +171,21 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 	var moved int
 	receiver.DeliverData = func(streamID uint32, payload []byte) { moved += len(payload) }
 	receiver.DeliverCoupled = func(payload []byte) { moved += len(payload) }
+	batch := make([][]byte, 0, 1)
 	pump := func() error {
-		if err := sender.Flush(); err != nil && err != core.ErrNotCoupled {
-			return err
-		}
 		// Data one way, then the acks it provoked the other way.
-		for _, dir := range []struct{ from, to *core.Session }{{sender, receiver}, {receiver, sender}} {
-			for _, id := range conns {
+		for _, dir := range [2][2]*driver.Driver{{sd, rd}, {rd, sd}} {
+			from, to := dir[0], dir[1]
+			from.Flush()
+			for i, c := range from.Conns() {
 				for {
-					out, err := dir.from.NextChunk(id)
-					if err != nil {
-						return err
-					}
-					if len(out) == 0 {
+					if batch = from.Pull(c, batch[:0], 1); len(batch) == 0 {
 						break
 					}
-					if err := dir.to.Receive(id, out, now); err != nil {
+					if err := to.Receive(to.Conns()[i], batch[0]); err != nil {
 						return err
 					}
-					dir.from.RecycleOutgoing(out)
+					from.Settle(c, batch, int64(len(batch[0])), nil)
 				}
 			}
 		}
@@ -201,7 +199,6 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 	if err := pump(); err != nil { // deliver stream attaches
 		return 0, err
 	}
-	receiver.Events()
 
 	chunk := make([]byte, 1<<20)
 	start := time.Now()
@@ -218,7 +215,31 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 		if err := pump(); err != nil {
 			return 0, err
 		}
-		receiver.Events()
 	}
 	return time.Since(start).Seconds(), nil
 }
+
+// memLink is an in-memory transport: the pipeline's pump moves the bytes
+// itself, so a wake has nothing to do.
+type memLink struct{}
+
+func (memLink) Wake()     {}
+func (memLink) Shut(bool) {}
+
+// memClock stands still: the pipeline measures CPU, not time.
+type memClock struct{}
+
+func (memClock) Now() time.Time                            { return time.Unix(0, 0) }
+func (memClock) After(time.Duration, func()) (stop func()) { return func() {} }
+func (memClock) Int63n(int64) int64                        { return 0 }
+
+// memHost ignores everything: the pipeline counts delivered bytes through
+// the engine's delivery callbacks.
+type memHost struct{}
+
+func (memHost) Event(core.Event)       {}
+func (memHost) Lifecycle(driver.Event) {}
+func (memHost) Candidates() []string   { return nil }
+func (memHost) Dial(*driver.Conn)      {}
+func (memHost) FlushError(error)       {}
+func (memHost) End(error)              {}

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/driver"
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
 	"tcpls/internal/sim"
-	"tcpls/internal/simtcp"
 	"tcpls/internal/simtcpls"
 	"tcpls/internal/telemetry"
 )
@@ -82,6 +82,8 @@ type SessionResult struct {
 	Quiesced     bool
 	DoneAtUS     int64 // virtual µs when the last byte was delivered
 	ConnFailures int   // client-observed EventConnFailed count
+	Redials      int   // client supervisor redial rounds
+	Recoveries   int   // client supervisor recoveries
 	ReorderPeak  [2]int
 	RetxPeak     [2]int
 	Flows        [2]map[uint32]flowCount // per-conn counters: [client, server]
@@ -140,9 +142,9 @@ func (r *Result) Fingerprint() string {
 		r.Resume.ZeroRTT, r.Resume.Replayed, r.Resume.ReplayPeak)
 	for i := range r.Sessions {
 		sr := &r.Sessions[i]
-		w("s%d c=%v u=%v tot=%d wr=%d got=%d mm=%d q=%v done=%d cf=%d rp=%d,%d xp=%d,%d we=%q\n",
+		w("s%d c=%v u=%v tot=%d wr=%d got=%d mm=%d q=%v done=%d cf=%d rd=%d,%d rp=%d,%d xp=%d,%d we=%q\n",
 			sr.Index, sr.Coupled, sr.Up, sr.Total, sr.Written, sr.Got, sr.MismatchAt,
-			sr.Quiesced, sr.DoneAtUS, sr.ConnFailures,
+			sr.Quiesced, sr.DoneAtUS, sr.ConnFailures, sr.Redials, sr.Recoveries,
 			sr.ReorderPeak[0], sr.ReorderPeak[1], sr.RetxPeak[0], sr.RetxPeak[1], sr.WriteErr)
 		for side := 0; side < 2; side++ {
 			ids := make([]uint32, 0, len(sr.Flows[side]))
@@ -172,19 +174,10 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// slot tracks one path's connection lifecycle within a session.
-type slot struct {
-	path     *sim.Path
-	pathIdx  int
-	connID   uint32
-	live     bool
-	pending  bool // TryPath in flight
-	attempts int
-}
-
 // fleetSession is one TCPLS session under campaign control: a
-// client/server endpoint pair, its paths, the path keeper that rejoins
-// after failures, the paced writer, and the inline delivery verifier.
+// client/server endpoint pair, its paths, the paced writer, and the
+// inline delivery verifier. Lost paths come back through the production
+// reconnect supervisor (internal/driver) on the virtual clock.
 type fleetSession struct {
 	idx     int
 	c       *campaign
@@ -193,10 +186,8 @@ type fleetSession struct {
 
 	cl, sv *simtcpls.Endpoint
 	paths  []*sim.Path
-	slots  []*slot
 
-	nextConn uint32
-	streams  []uint32 // writer-created data streams (same IDs both sides)
+	streams []uint32 // writer-created data streams (same IDs both sides)
 
 	total      int
 	written    int
@@ -210,6 +201,8 @@ type fleetSession struct {
 	doneAt     sim.Time
 
 	connFailures int
+	redials      int // supervisor redial rounds (client side)
+	recoveries   int // supervisor recoveries (client side)
 	writeErr     string
 
 	// Resumption state for FaultRestart: the session's PSK, its current
@@ -451,32 +444,39 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		cfg.MaxReorderRecords = -1
 		cfg.MaxRetransmitBytes = -1
 	}
-	fs.cl, fs.sv = simtcpls.Pair(c.s, cfg)
+	// The production supervisor at its defaults, jitter seeded per
+	// session apart from the workload's draws.
+	fs.cl, fs.sv = simtcpls.PairSupervised(c.s, cfg, &driver.ReconnectConfig{}, c.sc.Seed^int64(i+1)*0x5851F42D4C957F2D)
 	clock := func() time.Time { return epoch.Add(c.s.Now()) }
 	fs.cl.Sess.SetClock(clock)
 	fs.sv.Sess.SetClock(clock)
-	// Failover is the engine's production policy on both ends; the
-	// client's handler only keeps its paths (onConnFailed).
+	// Failover is the engine's production policy on both ends, and so is
+	// recovery: the client's driver redials the session's paths once all
+	// are lost, with a join cookie each (the budget a server would mint).
+	for k := 0; k < joinCookies; k++ {
+		fs.cl.D.Cookies = append(fs.cl.D.Cookies, [16]byte{byte(k + 1)})
+	}
+	fs.cl.OnJoined = fs.onConnReady
+	fs.cl.OnLifecycle = func(ev driver.Event) {
+		switch ev.Kind {
+		case driver.Reconnecting:
+			fs.redials++
+		case driver.Reconnected:
+			fs.recoveries++
+		}
+	}
 	fs.cl.OnEvent = func(ev core.Event) {
-		if ev.Kind == core.EventConnFailed {
+		switch {
+		case ev.Kind == core.EventConnFailed:
 			fs.connFailures++
-			fs.onConnFailed(ev.Conn)
+		case ev.Kind == core.EventStreamOpen && fs.coupled && !fs.up:
+			// Down-direction sessions: the client is the reader.
+			fs.cl.Sess.SetCoupled(ev.Stream, true)
 		}
 	}
 	fs.sv.OnEvent = func(ev core.Event) {
 		if ev.Kind == core.EventStreamOpen && fs.coupled && fs.up {
 			fs.sv.Sess.SetCoupled(ev.Stream, true)
-		}
-	}
-	if !fs.up {
-		// Down-direction sessions: the client is the reader; fold the
-		// coupled-marking into its handler too.
-		onFailed := fs.cl.OnEvent
-		fs.cl.OnEvent = func(ev core.Event) {
-			onFailed(ev)
-			if ev.Kind == core.EventStreamOpen && fs.coupled {
-				fs.cl.Sess.SetCoupled(ev.Stream, true)
-			}
 		}
 	}
 
@@ -497,8 +497,8 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		path.BtoA.QueueBytes = linkQueue
 		c.topo.Attach(i%c.sc.Racks, path)
 		fs.paths = append(fs.paths, path)
-		fs.slots = append(fs.slots, &slot{path: path, pathIdx: p})
 	}
+	fs.cl.Paths = fs.paths
 
 	if c.keys != nil {
 		// Session i's resumption identity. Derived outside the session
@@ -510,8 +510,8 @@ func (c *campaign) buildSession(i int) *fleetSession {
 
 	startAt := sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
 	c.s.At(startAt, func() {
-		for _, sl := range fs.slots {
-			fs.connectSlot(sl)
+		for p := range fs.paths {
+			fs.cl.Join(p)
 		}
 	})
 	return fs
@@ -582,59 +582,15 @@ func (c *campaign) installHealth(fs *fleetSession) {
 	c.healthMons = append(c.healthMons, mk("client", fs.cl.Sess), mk("server", fs.sv.Sess))
 }
 
-// connectSlot launches a (re)join attempt on the slot's path. The client
-// always initiates — as in production, where only the client holds join
-// cookies.
-func (fs *fleetSession) connectSlot(sl *slot) {
-	if sl.pending || sl.live || fs.quiesced || fs.nextConn > 60 {
-		return
-	}
-	sl.pending = true
-	id := fs.nextConn
-	fs.nextConn++
-	fs.cl.TryPath(sl.path, id, simtcp.Options{}, func() {
-		sl.pending = false
-		sl.live = true
-		sl.connID = id
-		sl.attempts = 0
-		fs.onSlotReady(id)
-	}, func() {
-		sl.pending = false
-		fs.retrySlot(sl)
-	})
-}
-
-// retrySlot backs off and tries the slot's path again.
-func (fs *fleetSession) retrySlot(sl *slot) {
-	backoff := sim.Time(100*time.Millisecond) << uint(sl.attempts)
-	if backoff > 800*time.Millisecond {
-		backoff = 800 * time.Millisecond
-	}
-	sl.attempts++
-	fs.c.s.After(backoff, func() { fs.connectSlot(sl) })
-}
-
-// onConnFailed marks the failed connection's slot dead and schedules the
-// rejoin — the path keeper loop.
-func (fs *fleetSession) onConnFailed(connID uint32) {
-	for _, sl := range fs.slots {
-		if sl.live && sl.connID == connID {
-			sl.live = false
-			fs.retrySlot(sl)
-			return
-		}
-	}
-}
-
-// onSlotReady starts the writer on the first usable connection and
+// onConnReady starts the writer on the first usable connection and
 // widens coupled sessions to a second stream once a second connection
 // is up.
-func (fs *fleetSession) onSlotReady(connID uint32) {
+func (fs *fleetSession) onConnReady(connID uint32) {
 	w := fs.writerEP()
 	if len(fs.streams) == 0 {
 		id, err := w.Sess.CreateStream(connID)
 		if err != nil {
-			return // conn died in the activation window; keeper retries
+			return // conn died in the activation window; the supervisor rejoins
 		}
 		fs.streams = append(fs.streams, id)
 		if fs.coupled {
@@ -880,18 +836,17 @@ func (fs *fleetSession) sealTicket() {
 // restartSession is FaultRestart: the server process under the session
 // dies and comes back holding only its persisted key file. The ticket
 // resumption runs first (the reconnect's first flight), then every live
-// connection dies at once; the path keeper rejoins and invariant #1
-// proves the transfer survived byte-exact.
+// connection dies at once; the reconnect supervisor rejoins and
+// invariant #1 proves the transfer survived byte-exact.
 func (c *campaign) restartSession(fs *fleetSession) {
 	if c.keys != nil && fs.ticket != nil {
 		c.resumeTicket(fs)
 	}
-	for _, sl := range fs.slots {
-		if !sl.live {
-			continue
-		}
-		if tc := fs.cl.Conn(sl.connID); tc != nil && !tc.Failed() {
-			tc.Reset()
+	for _, dc := range fs.cl.D.Conns() {
+		if dc.State == driver.Live {
+			if tc := fs.cl.Conn(dc.ID); tc != nil && !tc.Failed() {
+				tc.Reset()
+			}
 		}
 	}
 }
@@ -955,17 +910,13 @@ func (c *campaign) resumeTicket(fs *fleetSession) {
 // resetLowestLive injects a RST on the session's lowest-numbered live
 // connection (deterministic victim selection).
 func (c *campaign) resetLowestLive(fs *fleetSession) {
-	var victim *slot
-	for _, sl := range fs.slots {
-		if sl.live && (victim == nil || sl.connID < victim.connID) {
-			victim = sl
+	for _, dc := range fs.cl.D.Conns() {
+		if dc.State == driver.Live {
+			if tc := fs.cl.Conn(dc.ID); tc != nil && !tc.Failed() {
+				tc.Reset()
+			}
+			return
 		}
-	}
-	if victim == nil {
-		return
-	}
-	if tc := fs.cl.Conn(victim.connID); tc != nil && !tc.Failed() {
-		tc.Reset()
 	}
 }
 
@@ -985,6 +936,8 @@ func (c *campaign) snapshot(res *Result) {
 			MismatchAt:   fs.mismatchAt,
 			Quiesced:     fs.quiesced,
 			ConnFailures: fs.connFailures,
+			Redials:      fs.redials,
+			Recoveries:   fs.recoveries,
 			WriteErr:     fs.writeErr,
 			ReorderPeak:  [2]int{ends[0].ReorderBytesPeak, ends[1].ReorderBytesPeak},
 			RetxPeak:     [2]int{ends[0].RetransmitBytesPeak, ends[1].RetransmitBytesPeak},

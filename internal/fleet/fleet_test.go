@@ -76,8 +76,9 @@ func TestFleetCampaign(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := Scenario{Seed: seed, Sessions: sessions}
 			res := Run(sc)
-			t.Logf("seed %d: %d sessions, %d faults, virtual end %v, quiesced=%v, fingerprint %s",
-				seed, sessions, len(res.Scenario.Schedule), res.EndVirtual, res.Quiesced, res.Fingerprint())
+			redials, recoveries := supervisorTotals(res)
+			t.Logf("seed %d: %d sessions, %d faults, virtual end %v, quiesced=%v, supervisor %d redial rounds / %d recoveries, fingerprint %s",
+				seed, sessions, len(res.Scenario.Schedule), res.EndVirtual, res.Quiesced, redials, recoveries, res.Fingerprint())
 			if !res.Failed() {
 				return
 			}
@@ -106,6 +107,30 @@ func TestFleetCampaign(t *testing.T) {
 			}
 			t.Errorf("qlog artifact: %s (analyze with: go run ./cmd/tcpls-trace -check %s)", path, path)
 		})
+	}
+}
+
+// supervisorTotals sums the client supervisors' redial rounds and
+// recoveries over the fleet.
+func supervisorTotals(res *Result) (redials, recoveries int) {
+	for _, sr := range res.Sessions {
+		redials += sr.Redials
+		recoveries += sr.Recoveries
+	}
+	return redials, recoveries
+}
+
+// TestFleetRunsReconnectSupervisor: whole-session outages (rack
+// outages, server restarts) are recovered by the production reconnect
+// supervisor of internal/driver, and every invariant holds across it.
+func TestFleetRunsReconnectSupervisor(t *testing.T) {
+	res := Run(Scenario{Seed: 1, Sessions: 100, FaultMix: FaultMix{RackOutage: 1, Restart: 1}})
+	for _, v := range res.Violations {
+		t.Errorf("%s", v)
+	}
+	redials, recoveries := supervisorTotals(res)
+	if redials == 0 || recoveries == 0 {
+		t.Fatalf("supervisor ran %d redial rounds and %d recoveries, want both above zero", redials, recoveries)
 	}
 }
 

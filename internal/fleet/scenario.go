@@ -179,6 +179,9 @@ const (
 	// while the legitimate peak is bounded by the caps regardless of how
 	// long a connection takes to die.
 	userTimeout = time.Second
+	// joinCookies is each client's join budget: its initial paths plus
+	// every redial the supervisor makes.
+	joinCookies = 60
 	pumpEvery   = 10 * time.Millisecond // writer cadence: 4 KiB / 10 ms = 400 KB/s
 	chunkBytes  = 4096
 	maxPayload  = 4096 // one record per chunk

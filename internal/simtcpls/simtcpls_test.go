@@ -213,7 +213,7 @@ func TestBPFProgramOverSimulatedSession(t *testing.T) {
 	}
 	client.AddPath(p0, 0, simtcp.Options{}, func() {
 		server.Sess.SendBPFCC(0, prog)
-		server.flush()
+		server.Flush()
 	})
 	s.RunUntil(5 * time.Second)
 	if !bytes.Equal(got, prog) {

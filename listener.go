@@ -453,7 +453,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 		// ends (it may already have) it goes, cookies and all.
 		forget := func() { l.forgetSession(res.SessID) }
 		sess.mu.Lock()
-		if sess.doneHook = forget; sess.closed {
+		if sess.doneHook = forget; sess.drv.Ended() {
 			forget()
 		}
 		sess.mu.Unlock()
@@ -498,7 +498,7 @@ func (s *Session) IssueCookies(conn uint32, n int) error {
 	cb := s.onNewServerCookies
 	s.engine.Note("cookie_issued", conn, 0, 0, n)
 	err := s.engine.SendNewCookies(conn, cookies)
-	s.flushLocked()
+	s.drv.Flush()
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -509,19 +509,19 @@ func (s *Session) IssueCookies(conn uint32, n int) error {
 	return nil
 }
 
-// adoptJoinedConn attaches a joined TCP connection to a live session.
+// adoptJoinedConn attaches a joined TCP connection to the session. A
+// draining session still adopts it: its drain lasts until every
+// connection has ended, and a join may be what recovers a path lost on
+// the way.
 func (s *Session) adoptJoinedConn(connID uint32, nc net.Conn, leftover []byte) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.drv.Ended() {
 		nc.Close()
 		return
 	}
-	if err := s.engine.AddConnection(connID, time.Now()); err != nil {
-		s.mu.Unlock()
+	s.engine.Note("join_accepted", connID, 0, 0, 0)
+	if s.startConnLocked(s.drv.Add(connID, ""), nc, leftover, false) != nil {
 		nc.Close()
-		return
 	}
-	s.startJoinedConnLocked(connID, nc, leftover)
-	s.mu.Unlock()
 }

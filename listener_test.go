@@ -34,7 +34,7 @@ func TestListenerForgetsClosedSessions(t *testing.T) {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		sess.mu.Lock()
-		id, cookie = sess.sessID, sess.cookies[0]
+		id, cookie = sess.sessID, Cookie(sess.drv.Cookies[0])
 		sess.mu.Unlock()
 		sess.Close()
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"runtime"
 	"testing"
@@ -12,95 +11,6 @@ import (
 
 	"tcpls/internal/testutil"
 )
-
-func TestReconnectDelayBounds(t *testing.T) {
-	rc := ReconnectConfig{BaseDelay: 40 * time.Millisecond, MaxDelay: 200 * time.Millisecond}.withDefaults()
-	if d := reconnectDelay(rc, 1); d != 0 {
-		t.Fatalf("first attempt delay = %v, want immediate", d)
-	}
-	for attempt := 2; attempt <= 12; attempt++ {
-		want := rc.BaseDelay
-		for i := 2; i < attempt; i++ {
-			want *= 2
-			if want >= rc.MaxDelay {
-				want = rc.MaxDelay
-				break
-			}
-		}
-		for trial := 0; trial < 20; trial++ {
-			d := reconnectDelay(rc, attempt)
-			if d < want/2 || d > want {
-				t.Fatalf("attempt %d delay = %v, want in [%v, %v]", attempt, d, want/2, want)
-			}
-		}
-	}
-}
-
-// TestReconnectDelaySeedReproducible: with a seeded Jitter source the
-// whole backoff sequence replays exactly — the determinism hook the
-// fleet harness threads its scenario seed through — while distinct
-// seeds actually diverge (the jitter is real, not a constant).
-func TestReconnectDelaySeedReproducible(t *testing.T) {
-	mk := func(seed int64) ReconnectConfig {
-		return ReconnectConfig{
-			BaseDelay: 40 * time.Millisecond,
-			MaxDelay:  200 * time.Millisecond,
-			Jitter:    rand.New(rand.NewSource(seed)),
-		}.withDefaults()
-	}
-	seq := func(rc ReconnectConfig) []time.Duration {
-		var out []time.Duration
-		for attempt := 1; attempt <= 10; attempt++ {
-			out = append(out, reconnectDelay(rc, attempt))
-		}
-		return out
-	}
-	a, b := seq(mk(7)), seq(mk(7))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i+1, a[i], b[i])
-		}
-	}
-	c := seq(mk(8))
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter sequences")
-	}
-	// The seeded path honors the same [d/2, d] bounds as the global one.
-	rc := mk(7)
-	for attempt := 2; attempt <= 10; attempt++ {
-		want := rc.BaseDelay
-		for i := 2; i < attempt; i++ {
-			want *= 2
-			if want >= rc.MaxDelay {
-				want = rc.MaxDelay
-				break
-			}
-		}
-		if d := reconnectDelay(rc, attempt); d < want/2 || d > want {
-			t.Fatalf("seeded attempt %d delay = %v, want in [%v, %v]", attempt, d, want/2, want)
-		}
-	}
-}
-
-func TestReconnectConfigDefaults(t *testing.T) {
-	rc := ReconnectConfig{}.withDefaults()
-	if rc.MaxAttempts != defaultReconnectAttempts || rc.BaseDelay != defaultReconnectBase ||
-		rc.MaxDelay != defaultReconnectMax || rc.Deadline != defaultReconnectDeadline {
-		t.Fatalf("zero-value defaults wrong: %+v", rc)
-	}
-	// MaxDelay never undercuts BaseDelay.
-	rc = ReconnectConfig{BaseDelay: time.Second, MaxDelay: time.Millisecond}.withDefaults()
-	if rc.MaxDelay != time.Second {
-		t.Fatalf("MaxDelay not raised to BaseDelay: %v", rc.MaxDelay)
-	}
-}
 
 func TestSessionDeadErrorUnwraps(t *testing.T) {
 	err := error(&SessionDeadError{Attempts: 3, LastErr: io.ErrUnexpectedEOF})
@@ -166,7 +76,7 @@ func TestAutoFailoverEmitsEvents(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 
@@ -227,7 +137,7 @@ func TestReconnectAfterTotalLoss(t *testing.T) {
 
 	// Kill the only path.
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 
@@ -290,7 +200,7 @@ func TestReconnectDisabledDiesWithErrSessionDead(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 
@@ -354,7 +264,7 @@ func TestOnEventCallback(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 

@@ -61,7 +61,6 @@ func (s *Session) startPathMetricsLoopLocked() {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	s.wg.Add(1)
 	go s.pathMetricsLoop(interval)
 }
 
@@ -69,12 +68,11 @@ func (s *Session) startPathMetricsLoopLocked() {
 // live connection into the path-metrics engine (§3.3.3's tcp_info
 // plumbing) and emits path_metrics trace events with the fused view.
 func (s *Session) pathMetricsLoop(interval time.Duration) {
-	defer s.wg.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.timerStop:
+		case <-s.stop:
 			return
 		case <-t.C:
 			s.refreshPathMetrics()
@@ -92,9 +90,9 @@ func (s *Session) refreshPathMetrics() {
 		pc *pathConn
 	}
 	var targets []target
-	for id, pc := range s.conns {
-		if !pc.failed.Load() {
-			targets = append(targets, target{id, pc})
+	for _, c := range s.drv.Conns() {
+		if pc, ok := c.T.(*pathConn); ok && !s.engine.ConnFailed(c.ID) {
+			targets = append(targets, target{c.ID, pc})
 		}
 	}
 	s.mu.Unlock()

@@ -3,13 +3,11 @@ package tcpls
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/driver"
 	"tcpls/internal/handshake"
 	"tcpls/internal/health"
 	"tcpls/internal/record"
@@ -19,6 +17,10 @@ import (
 
 // Session is one TCPLS session: one or more TCP connections carrying
 // multiplexed encrypted streams. All methods are safe for concurrent use.
+//
+// The engine is driven by internal/driver under s.mu: every input, flush
+// and connection change goes through s.drv, which calls back into the
+// session (host, below) and into each connection's pathConn (conn.go).
 type Session struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on readable data / events / close
@@ -27,34 +29,32 @@ type Session struct {
 	// pulling its chunks does not rouse every reader on cond.
 	sendRoom *sync.Cond
 	engine   *core.Session
+	drv      *driver.Driver
 	cfg      *Config
 
 	isClient  bool
 	sessID    SessID
-	cookies   []Cookie
 	peerAddrs []net.Addr
-
-	conns      map[uint32]*pathConn
-	nextConnID uint32
 
 	streams  map[uint32]*Stream
 	acceptQ  []*Stream
 	tcpOpts  []TCPOption
 	bpfProgs [][]byte
 	echoCh   map[uint64]chan struct{}
-	engineEv []core.Event // processEventsLocked's drain buffer, kept across calls
 
+	// closed: Close ran or the session ended; the API refuses new work.
+	// The driver may still be draining (drv.Ended tells).
 	closed             bool
 	closeErr           error
-	doneCh             chan struct{} // closed when the session closes
+	doneCh             chan struct{} // closed when the session ends
 	doneHook           func()        // run once, under s.mu, as doneCh closes; must not call back in
 	onNewServerCookies func([]Cookie)
+	stop               chan struct{} // closed as the session ends: stops the helper goroutines
 
-	// Recovery supervisor state (reconnect.go): remembered redial
-	// targets and the lifecycle event queue.
+	// Recovery state (reconnect.go): remembered redial targets and the
+	// lifecycle event queue.
 	dialNetwork string
 	remoteAddrs []string
-	recovering  bool
 	sessEvents  []SessionEvent
 	eventCh     chan SessionEvent
 
@@ -74,8 +74,6 @@ type Session struct {
 	earlyAccepted  bool
 	earlyStreamID  uint32
 	hasEarlyStream bool
-	wg             sync.WaitGroup
-	timerStop      chan struct{}
 
 	// metrics is the path-metrics engine shared with the protocol
 	// engine; metricsLoopOn guards the kernel TCP_INFO refresher.
@@ -103,20 +101,10 @@ type Session struct {
 	healthEng *health.Engine
 }
 
-// TCPOption is an encrypted TCP option received from the peer (§3.1).
-type TCPOption struct {
-	Conn  uint32
-	Kind  uint8
-	Value []byte
-}
-
-// OptUserTimeout is the TCP User Timeout option kind (RFC 5482).
-const OptUserTimeout = core.OptUserTimeout
-
 // Session errors.
 var (
 	ErrSessionClosed = errors.New("tcpls: session closed")
-	ErrNoCookies     = errors.New("tcpls: no join cookies left")
+	ErrNoCookies     = driver.ErrNoCookies
 	ErrNotTCPLS      = errors.New("tcpls: peer did not negotiate TCPLS")
 	// ErrRecvBufferFull: a receive buffer reached twice its
 	// Config.MaxRecvBufferBytes cap (only possible when the session's
@@ -129,30 +117,6 @@ var (
 	ErrRetransmitBudget = core.ErrRetransmitBudget
 )
 
-// pathConn binds a TCP connection to its engine connection ID. Each
-// connection has its own writer goroutine so multipath sessions push
-// bytes onto all paths concurrently — serializing socket writes would
-// cap aggregation at a single path's rate.
-type pathConn struct {
-	id uint32
-	nc net.Conn
-	// writable wakes the conn's writer (writeLoop): signalled under s.mu
-	// by whoever leaves output for this conn in the engine, and by close.
-	writable *sync.Cond
-	// drained is closed by the writer as it exits: the session has closed,
-	// the engine holds nothing more for this conn and the last writev has
-	// returned. Close waits on it before the socket shuts, so a record
-	// still on its way into a backpressured socket is never cut off and
-	// the receiver's reorder heap is not left with a permanent gap.
-	drained chan struct{}
-	// failed flips once, possibly from a reader or writer goroutine
-	// while others look at it outside the session lock.
-	failed atomic.Bool
-	// peerClosed marks a graceful CONN_CLOSE from the peer (under s.mu):
-	// the later TCP EOF on this conn is an orderly goodbye, not an outage.
-	peerClosed bool
-}
-
 // newSession builds the session around its first connection. earlyStream
 // (client side) opens the stream that carries Config.EarlyData before any
 // byte of the server reaches the engine: the reply to an accepted 0-RTT
@@ -164,17 +128,14 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		role = core.RoleClient
 	}
 	s := &Session{
-		engine:     core.NewSession(role, res.Secrets, cfg.coreConfig()),
-		cfg:        cfg,
-		isClient:   isClient,
-		sessID:     res.SessID,
-		cookies:    res.Cookies,
-		conns:      make(map[uint32]*pathConn),
-		streams:    make(map[uint32]*Stream),
-		echoCh:     make(map[uint64]chan struct{}),
-		nextConnID: 1,
-		timerStop:  make(chan struct{}),
-		doneCh:     make(chan struct{}),
+		engine:   core.NewSession(role, res.Secrets, cfg.coreConfig()),
+		cfg:      cfg,
+		isClient: isClient,
+		sessID:   res.SessID,
+		streams:  make(map[uint32]*Stream),
+		echoCh:   make(map[uint64]chan struct{}),
+		stop:     make(chan struct{}),
+		doneCh:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.sendRoom = sync.NewCond(&s.mu)
@@ -183,20 +144,30 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	s.resumed = res.Resumed
 	s.metrics = sched.NewMetrics()
 	s.engine.SetMetrics(s.metrics)
+	s.drv = driver.New(s.engine, driver.Config{
+		Client:      isClient,
+		Failover:    cfg.EnableFailover && !cfg.DisableTCPLS,
+		UserTimeout: cfg.UserTimeout,
+		Reconnect:   &cfg.Reconnect,
+	}, wallClock{s}, (*host)(s), 1)
+	for _, c := range res.Cookies {
+		s.drv.Cookies = append(s.drv.Cookies, c)
+	}
 	s.initTelemetry()
 	for _, a := range res.PeerAddrs {
 		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: a.AsSlice()})
 	}
 	s.mu.Lock() // initTelemetry published the session: scrapes may already read the engine
-	s.engine.AddConnection(0, time.Now())
+	// The connection's loops start once the early stream exists and the
+	// leftover is in: the leftover precedes whatever they would read.
+	c := s.drv.Add(0, "")
+	pc := s.newPathConn(c, nc)
+	s.drv.Start(c, pc, nil, false)
 	if isClient {
 		if ra := nc.RemoteAddr(); ra != nil {
 			s.dialNetwork = ra.Network()
 			s.rememberAddrLocked(ra.String())
 		}
-	}
-	s.addConnLocked(0, nc)
-	if isClient {
 		s.earlyAccepted = res.EarlyDataAccepted
 	}
 	if earlyStream {
@@ -218,14 +189,14 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 			s.earlyAccepted = true
 			s.earlyStreamID = id
 			s.hasEarlyStream = true
-			s.processEventsLocked()
 		}
 	}
-	if len(leftover) > 0 {
-		s.engine.Receive(0, leftover, time.Now())
-		s.processEventsLocked()
+	if len(leftover) == 0 {
+		s.drv.Step()
+	} else if err := s.drv.Receive(c, leftover); err != nil {
+		s.drv.Fail(err)
 	}
-	s.flushLocked()
+	pc.run()
 	if cfg.Scheduler != "" {
 		// Validated by Dial/Client/Listen; ByName cannot fail here.
 		if ps, ok := sched.ByName(cfg.Scheduler); ok {
@@ -234,41 +205,11 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		}
 	}
 	s.mu.Unlock()
-	if cfg.UserTimeout > 0 {
-		s.wg.Add(1)
-		go s.timerLoop()
-	}
 	if cfg.OnEvent != nil {
 		s.eventCh = make(chan SessionEvent, sessionEventCap)
-		s.wg.Add(1)
 		go s.eventLoop()
 	}
 	return s
-}
-
-// addConnLocked registers nc under id and starts its reader and writer.
-func (s *Session) addConnLocked(id uint32, nc net.Conn) *pathConn {
-	pc := &pathConn{id: id, nc: nc, writable: sync.NewCond(&s.mu), drained: make(chan struct{})}
-	s.conns[id] = pc
-	s.wg.Add(2)
-	go s.readLoop(pc)
-	go s.writeLoop(pc)
-	return pc
-}
-
-// startJoinedConnLocked starts the loops of a joined connection the engine
-// already knows, hands the engine what the handshake transport read past
-// the handshake's own messages, and lets the failover policy resume
-// whatever is parked.
-func (s *Session) startJoinedConnLocked(id uint32, nc net.Conn, leftover []byte) {
-	s.addConnLocked(id, nc)
-	s.engine.Note("join_accepted", id, 0, 0, 0)
-	if len(leftover) > 0 {
-		s.engine.Receive(id, leftover, time.Now())
-	}
-	s.processEventsLocked()
-	s.flushLocked()
-	s.cond.Broadcast()
 }
 
 // writeBatchMax bounds how many queued chunks one vectored write gathers.
@@ -312,107 +253,73 @@ func (s *Session) sendBacklogLocked(st *Stream) int {
 	return s.engine.QueuedBytes(conn)
 }
 
-// flushLocked frames what the engine has queued and wakes the writer of
-// every connection that now has bytes to send. It never blocks: writers
-// pull from the engine (writeLoop), nothing is pushed at them.
-func (s *Session) flushLocked() {
-	if err := s.engine.Flush(); err != nil && err != core.ErrNotCoupled {
-		s.closeErr = err
-	}
-	for id, pc := range s.conns {
-		if s.engine.HasOutgoing(id) {
-			pc.writable.Signal()
+// host is the session as the driver sees it: the API state the engine's
+// events feed, the lifecycle events, the redial dialer and the end.
+type host Session
+
+// Event turns one engine event into API state; the driver has already
+// kept its books (connection states, cookies, failover shutdowns).
+func (h *host) Event(ev core.Event) {
+	s := (*Session)(h)
+	switch ev.Kind {
+	case core.EventStreamOpen:
+		st := &Stream{sess: s, id: ev.Stream}
+		s.streams[ev.Stream] = st
+		s.acceptQ = append(s.acceptQ, st)
+	case core.EventTCPOption:
+		s.tcpOpts = append(s.tcpOpts, TCPOption{Conn: ev.Conn, Kind: ev.OptKind, Value: ev.OptVal})
+	case core.EventBPFCC:
+		s.bpfProgs = append(s.bpfProgs, ev.Data)
+	case core.EventEchoReply:
+		if ch, ok := s.echoCh[ev.Token]; ok {
+			close(ch)
+			delete(s.echoCh, ev.Token)
 		}
+	case core.EventSessionTicket:
+		s.engine.Note("ticket_received", ev.Conn, 0, 0, len(ev.Data))
+		if len(s.resumption) > 0 {
+			s.ticket = &ClientTicket{
+				ServerName:   s.cfg.ServerName,
+				Ticket:       ev.Data,
+				PSK:          derivePSK(s.suite, s.resumption, ev.Nonce),
+				MaxEarlyData: ev.MaxEarly,
+			}
+		}
+	case core.EventAddAddr:
+		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: ev.Addr})
 	}
 }
 
-// writeLoop is the only caller of NextChunk for its connection, so bytes
-// reach the socket in the order the engine sealed them whoever flushed.
-// Each round, under one hold of s.mu, it settles the batch it has just
-// written and pulls the next; the vectored write (writev via net.Buffers)
-// runs outside the lock. A failed connection's chunks are pulled all the
-// same and dropped here, nowhere else. The loop ends once the session has
-// closed and the engine is empty for this conn.
-func (s *Session) writeLoop(pc *pathConn) {
-	defer s.wg.Done()
-	defer close(pc.drained)
-	chunks := make([][]byte, 0, writeBatchMax)
-	// net.Buffers.WriteTo consumes the slice it is called on (that is how
-	// it tracks writev progress), so each write gets a fresh view of one
-	// scratch array and chunks is kept for the accounting.
-	scratch := make(net.Buffers, 0, writeBatchMax)
-	var iov net.Buffers
-	var written int64 // stays 0 on a conn already failed: its chunks settle as dropped
-	var werr error
-	var wroteAt time.Time
-	for {
-		s.mu.Lock()
-		s.settleLocked(pc, chunks, written, werr, wroteAt)
-		chunks = chunks[:0]
-		for {
-			for len(chunks) < writeBatchMax {
-				data, err := s.engine.NextChunk(pc.id)
-				if err != nil || len(data) == 0 {
-					break
-				}
-				chunks = append(chunks, data)
-			}
-			if len(chunks) > 0 || s.closed {
-				break
-			}
-			pc.writable.Wait()
-		}
-		s.mu.Unlock()
-		if len(chunks) == 0 {
-			return
-		}
-		s.sendRoom.Broadcast() // the pull emptied this conn's queue, or nearly
-		written, werr = 0, nil
-		if !pc.failed.Load() {
-			iov = append(scratch[:0], chunks...)
-			written, werr = iov.WriteTo(pc.nc)
-		}
-		wroteAt = time.Now()
-	}
-}
+// FlushError records an engine refusal to frame queued data.
+func (h *host) FlushError(err error) { h.closeErr = err }
 
-// settleLocked closes the books on the batch the writer has just pushed:
-// per-chunk written/dropped stamps, the recycle, and on a write error the
-// failed flag, ReportConnFailed and the resulting events — all inside the
-// caller's ONE s.mu critical section, so no concurrent flush can observe
-// the conn failed but the engine not yet told.
-func (s *Session) settleLocked(pc *pathConn, chunks [][]byte, written int64, err error, now time.Time) {
-	for _, c := range chunks {
-		if written >= int64(len(c)) {
-			// Fully flushed: stamp the socket-write leg of the records the
-			// chunk carried (lifecycle spans), one batch per chunk, FIFO.
-			written -= int64(len(c))
-			s.engine.NoteWritten(pc.id, now)
-		} else {
-			// Partially written or never reached: the conn is dead either
-			// way, so the records count as dropped and failover replays
-			// them byte-identically on the new path.
-			written = 0
-			s.engine.NoteWriteDropped(pc.id)
-		}
-		s.engine.RecycleOutgoing(c) // handed out by the engine, counted against its pool
-	}
+// End tears the session down once the driver is done with it: the
+// listener forgets it, the helpers stop, and every waiter wakes. The
+// driver has shut the connections; a drained one closes at the peer's
+// end of stream.
+func (h *host) End(err error) {
+	s := (*Session)(h)
+	s.closed = true
 	if err != nil {
-		pc.failed.Store(true)
-		if !s.closed { // else the sockets are shutting under a closed session: not an outage
-			s.reportConnFailedLocked(pc.id)
+		s.closeErr = err
+		// Postmortem: a session dying with an error (SessionDeadError,
+		// protocol failure) dumps its flight recorder automatically when
+		// a destination is configured. Off the lock path — the ring has
+		// its own lock and the writer may be slow.
+		if s.flight != nil && s.cfg.Telemetry.FlightDump != nil {
+			go s.flight.Dump(s.cfg.Telemetry.FlightDump)
 		}
 	}
-}
-
-// reportConnFailedLocked tells the engine a connection is gone and acts
-// on what follows: the failover, and the flush that puts its replays on
-// the target connection.
-func (s *Session) reportConnFailedLocked(id uint32) {
-	s.engine.ReportConnFailed(id)
-	s.processEventsLocked()
-	s.flushLocked()
-	s.cond.Broadcast()
+	close(s.doneCh)
+	if s.doneHook != nil {
+		s.doneHook()
+	}
+	s.closeTelemetryLocked()
+	close(s.stop)
+	// No failover replay can happen after this: return the pooled
+	// retransmit payloads.
+	s.engine.ReleaseBuffers()
+	s.wakeAllLocked()
 }
 
 // ID returns the server-assigned TCPLS session identifier.
@@ -455,7 +362,7 @@ func (s *Session) EarlyStream() (*Stream, bool) {
 func (s *Session) Cookies() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cookies)
+	return len(s.drv.Cookies)
 }
 
 // PeerAddrs returns the addresses the server advertised for joining.
@@ -472,232 +379,13 @@ func (s *Session) Connections() []uint32 {
 	return s.engine.Connections()
 }
 
-// readBufLen sizes each connection's read buffer. 256 KiB holds a full
-// batch of ~16 max-size TLS records, so one kernel read feeds the engine
-// a writev-sized burst that is deframed in place.
-const readBufLen = 256 << 10
-
-// readBufs recycles read buffers: zeroing one per connection was 6 % of connect_churn.
-var readBufs = sync.Pool{New: func() any { return new([readBufLen]byte) }}
-
-// readLoop pumps bytes from one TCP connection into the engine.
-func (s *Session) readLoop(pc *pathConn) {
-	defer s.wg.Done()
-	// The engine keeps no view into buf between Receive calls.
-	arr := readBufs.Get().(*[readBufLen]byte)
-	defer readBufs.Put(arr)
-	buf := arr[:]
-	for {
-		n, err := pc.nc.Read(buf)
-		s.mu.Lock()
-		if n > 0 && !s.closed {
-			rerr := s.engine.Receive(pc.id, buf[:n], time.Now())
-			s.processEventsLocked()
-			s.flushLocked()
-			s.cond.Broadcast()
-			// Receive-buffer backpressure: while the engine reports a
-			// full buffer fed by this connection, park instead of
-			// reading more — the kernel buffer fills, TCP's receive
-			// window closes, and the peer stalls. Stream.Read drains the
-			// buffer and broadcasts to resume.
-			for rerr == nil && !s.closed && !pc.failed.Load() && s.engine.RecvPaused(pc.id) {
-				s.cond.Wait()
-			}
-			if rerr != nil {
-				s.failSessionLocked(rerr)
-			}
-		}
-		if err != nil && !s.closed {
-			// TCP-level failure or close: report to the engine.
-			pc.failed.Store(true)
-			s.reportConnFailedLocked(pc.id)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		// On a closed session the engine takes no more input: what still
-		// arrives is read and dropped, until the peer's EOF (or the deadline
-		// Close set) lets the socket close with nothing unread.
-		if err != nil {
-			pc.nc.Close()
-			return
-		}
-	}
-}
-
-// timerLoop drives UserTimeout-based failure detection.
-func (s *Session) timerLoop() {
-	defer s.wg.Done()
-	period := s.cfg.UserTimeout / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.timerStop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			s.engine.Advance(time.Now())
-			s.processEventsLocked()
-			s.flushLocked()
-			s.mu.Unlock()
-		}
-	}
-}
-
-// processEventsLocked runs the engine's failover policy (DESIGN.md §8)
-// and turns the engine's events into API state.
-func (s *Session) processEventsLocked() {
-	s.engine.Failover()
-	lost := false
-	s.engineEv = s.engine.AppendEvents(s.engineEv[:0])
-	for _, ev := range s.engineEv {
-		switch ev.Kind {
-		case core.EventStreamOpen:
-			st := &Stream{sess: s, id: ev.Stream}
-			s.streams[ev.Stream] = st
-			s.acceptQ = append(s.acceptQ, st)
-		case core.EventStreamData, core.EventCoupledData, core.EventStreamFin:
-			// Readable state changed; cond broadcast happens at the
-			// call sites.
-		case core.EventConnFailed:
-			if pc, ok := s.conns[ev.Conn]; ok {
-				pc.failed.Store(true)
-			}
-			s.emitSessionEventLocked(SessionEvent{Kind: EventConnDown, Conn: ev.Conn})
-			lost = true
-		case core.EventFailoverDone:
-			// The failed connections' streams live on ev.Conn now.
-			for _, pc := range s.conns {
-				if pc.failed.Load() {
-					pc.nc.Close()
-				}
-			}
-			s.emitSessionEventLocked(SessionEvent{Kind: EventFailover, Conn: ev.Conn})
-		case core.EventNewCookies:
-			for _, c := range ev.Cookies {
-				s.cookies = append(s.cookies, Cookie(c))
-			}
-			s.engine.Note("cookie_received", ev.Conn, 0, 0, len(ev.Cookies))
-		case core.EventTCPOption:
-			s.tcpOpts = append(s.tcpOpts, TCPOption{Conn: ev.Conn, Kind: ev.OptKind, Value: ev.OptVal})
-		case core.EventBPFCC:
-			s.bpfProgs = append(s.bpfProgs, ev.Data)
-		case core.EventEchoReply:
-			if ch, ok := s.echoCh[ev.Token]; ok {
-				close(ch)
-				delete(s.echoCh, ev.Token)
-			}
-		case core.EventSessionTicket:
-			s.engine.Note("ticket_received", ev.Conn, 0, 0, len(ev.Data))
-			if len(s.resumption) > 0 {
-				s.ticket = &ClientTicket{
-					ServerName:   s.cfg.ServerName,
-					Ticket:       ev.Data,
-					PSK:          derivePSK(s.suite, s.resumption, ev.Nonce),
-					MaxEarlyData: ev.MaxEarly,
-				}
-			}
-		case core.EventAddAddr:
-			s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: ev.Addr})
-		case core.EventConnClosed:
-			if pc, ok := s.conns[ev.Conn]; ok {
-				pc.peerClosed = true
-			}
-		case core.EventRemoveAddr:
-			// informational
-		}
-	}
-	if lost {
-		// With no path left, the recovery supervisor takes over.
-		s.maybeEnterRecoveryLocked()
-	}
-}
-
 // Failover explicitly moves the streams of failedConn onto targetConn.
 func (s *Session) Failover(failedConn, targetConn uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.engine.FailoverTo(failedConn, targetConn)
-	s.flushLocked()
+	s.drv.Step()
 	return err
-}
-
-// SendTCPOption ships an encrypted TCP option to the peer.
-func (s *Session) SendTCPOption(conn uint32, kind uint8, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.engine.SendTCPOption(conn, kind, value)
-	s.flushLocked()
-	return err
-}
-
-// TCPOptions drains received encrypted TCP options.
-func (s *Session) TCPOptions() []TCPOption {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	opts := s.tcpOpts
-	s.tcpOpts = nil
-	return opts
-}
-
-// SendBPFCC ships an eBPF congestion-controller program to the peer
-// (§4.4). The receiver retrieves it with ReceiveBPFCC.
-func (s *Session) SendBPFCC(conn uint32, program []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.engine.SendBPFCC(conn, program)
-	s.flushLocked()
-	return err
-}
-
-// ReceiveBPFCC blocks until a complete eBPF program arrives.
-func (s *Session) ReceiveBPFCC(ctx context.Context) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.bpfProgs) == 0 && !s.closed {
-		if err := s.waitLocked(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if len(s.bpfProgs) == 0 {
-		return nil, ErrSessionClosed
-	}
-	prog := s.bpfProgs[0]
-	s.bpfProgs = s.bpfProgs[1:]
-	return prog, nil
-}
-
-// Ping measures the round-trip time of one connection using an encrypted
-// echo record (§3.3.3's active probing).
-func (s *Session) Ping(conn uint32, timeout time.Duration) (time.Duration, error) {
-	token := uint64(time.Now().UnixNano())
-	ch := make(chan struct{})
-	s.mu.Lock()
-	s.echoCh[token] = ch
-	err := s.engine.SendEcho(conn, token)
-	s.flushLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	select {
-	case <-ch:
-		return time.Since(start), nil
-	case <-time.After(timeout):
-		s.mu.Lock()
-		delete(s.echoCh, token)
-		s.mu.Unlock()
-		return 0, fmt.Errorf("tcpls: ping on conn %d timed out", conn)
-	}
 }
 
 // waitLocked blocks on the session condition variable, honouring ctx.
@@ -719,121 +407,38 @@ func (s *Session) waitLocked(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// markDoneLocked closes doneCh and runs the listener's hook; callers
-// have just set s.closed.
-func (s *Session) markDoneLocked() {
-	close(s.doneCh)
-	if s.doneHook != nil {
-		s.doneHook()
-	}
-}
-
-// failSession tears the session down with an error.
-func (s *Session) failSession(err error) {
-	s.mu.Lock()
-	s.failSessionLocked(err)
-	s.mu.Unlock()
-}
-
 // wakeAllLocked rouses everything that waits on session state: readers
 // and event waiters, held-back senders, and every connection's writer.
-// The close paths call it once s.closed is set.
 func (s *Session) wakeAllLocked() {
 	s.cond.Broadcast()
 	s.sendRoom.Broadcast()
-	for _, pc := range s.conns {
-		pc.writable.Signal()
+	for _, c := range s.drv.Conns() {
+		if pc, ok := c.T.(*pathConn); ok {
+			pc.writable.Signal()
+		}
 	}
 }
 
-// failSessionLocked is failSession for callers already holding s.mu. A
-// nil err closes the session as if by Close (blocked calls report
-// ErrSessionClosed).
-func (s *Session) failSessionLocked(err error) {
-	if !s.closed {
-		s.closed = true
-		s.closeErr = err
-		s.markDoneLocked()
-		// Postmortem: a session dying with an error (SessionDeadError,
-		// protocol failure) dumps its flight recorder automatically when
-		// a destination is configured. Off the lock path — the ring has
-		// its own lock and the writer may be slow.
-		if err != nil && s.flight != nil && s.cfg.Telemetry.FlightDump != nil {
-			go s.flight.Dump(s.cfg.Telemetry.FlightDump)
-		}
-		s.closeTelemetryLocked()
-		close(s.timerStop)
-		// The writers find their sockets shut, drop what the engine still
-		// holds for them and exit.
-		for _, pc := range s.conns {
-			pc.nc.Close()
-		}
-		// No failover replay can happen after this: return the pooled
-		// retransmit payloads.
-		s.engine.ReleaseBuffers()
-	}
-	s.wakeAllLocked()
-}
-
-// Close shuts the session down: the close notification is queued behind
-// whatever the engine still holds, each connection's writer drains its
-// share onto the socket, and the TCP connections close.
+// Close shuts the session down in order: each connection's writer puts
+// what the engine still holds for it on the socket, then a goodbye, and
+// half-closes. Close returns once the goodbyes are out (at most
+// driver.DrainTimeout). The session stays joinable until every
+// connection has ended, so a client can still join a draining session;
+// Done closes then.
 func (s *Session) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.markDoneLocked()
 	s.closeTelemetryLocked()
-	conns := make([]*pathConn, 0, len(s.conns))
-	for id, pc := range s.conns {
-		s.engine.CloseConnection(id)
-		conns = append(conns, pc)
-	}
-	s.flushLocked()
+	s.drv.Drain(driver.DrainTimeout)
 	s.wakeAllLocked()
-	s.mu.Unlock()
-
-	// Every writer reports when the engine is empty for its conn and its
-	// last writev has returned, so queued records reach the kernel before
-	// the sockets close (bounded: a dead peer cannot stall Close forever).
-	deadline := time.Now().Add(10 * time.Second)
-	expired := time.NewTimer(time.Until(deadline))
-	defer expired.Stop()
-	timedOut := false
-	for _, pc := range conns {
-		if !timedOut {
-			select {
-			case <-pc.drained:
-			case <-expired.C:
-				timedOut = true
-			}
-		}
-		if timedOut || pc.failed.Load() || !lingeringClose(pc.nc, deadline) {
-			pc.nc.Close()
-		}
+	for !s.drv.Quiet() {
+		s.cond.Wait()
 	}
-	close(s.timerStop)
-	// The writers have drained (or timed out); no failover replay can
-	// happen on a closed session, so the pooled retransmit payloads held
-	// for it go back to the arena.
-	s.mu.Lock()
-	s.engine.ReleaseBuffers()
-	s.mu.Unlock()
 	return nil
-}
-
-// lingeringClose ends nc's write side, so the peer reads the goodbye and
-// then EOF, and leaves the socket to the connection's reader, which
-// closes it at the peer's EOF or at deadline. Closing a socket that has
-// unread bytes — and the peer's acks are always on their way — resets the
-// connection, and the reset discards what the kernel has not sent yet,
-// goodbye included. False when nc cannot half-close.
-func lingeringClose(nc net.Conn, deadline time.Time) bool {
-	hc, ok := nc.(interface{ CloseWrite() error })
-	return ok && hc.CloseWrite() == nil && nc.SetReadDeadline(deadline) == nil
 }
 
 // Stats returns engine counters.
@@ -843,10 +448,10 @@ func (s *Session) Stats() core.Stats {
 	return s.engine.Stats()
 }
 
-// Done returns a channel closed once the session has closed — by
-// Close, by the peer's orderly goodbye, or by a terminal failure. Err
-// reports which, after Done is closed. The server runtime's drain
-// sequence waits on this.
+// Done returns a channel closed once the session has ended — by Close
+// and its drain, by the peer's orderly goodbye, or by a terminal
+// failure. Err reports which, after Done is closed. The server runtime's
+// drain sequence waits on this.
 func (s *Session) Done() <-chan struct{} { return s.doneCh }
 
 // Err returns the session's terminal error: nil while the session is
@@ -864,16 +469,12 @@ func (s *Session) Err() error {
 func (s *Session) RemoteAddr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var best *pathConn
-	for _, pc := range s.conns {
-		if best == nil || pc.id < best.id {
-			best = pc
+	for _, c := range s.drv.Conns() {
+		if pc, ok := c.T.(*pathConn); ok {
+			return pc.nc.RemoteAddr()
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	return best.nc.RemoteAddr()
+	return nil
 }
 
 // MemoryFootprint reports the session's current buffered memory in

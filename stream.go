@@ -33,7 +33,7 @@ func (st *Stream) Write(p []byte) (int, error) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.Write(st.id, p)
-	s.flushLocked() // on an error too: what was sealed before it must go out
+	s.drv.Flush() // on an error too: what was sealed before it must go out
 	return n, err
 }
 
@@ -68,7 +68,7 @@ func (st *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.engine.FinishStream(st.id)
-	s.flushLocked()
+	s.drv.Flush()
 	return err
 }
 
@@ -89,7 +89,7 @@ func (s *Session) OpenStreamOn(conn uint32) (*Stream, error) {
 	}
 	st := &Stream{sess: s, id: id}
 	s.streams[id] = st
-	s.flushLocked()
+	s.drv.Flush()
 	return st, nil
 }
 
@@ -134,7 +134,7 @@ func (s *Session) WriteCoupled(p []byte) (int, error) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.WriteCoupled(p)
-	s.flushLocked() // on an error too: what was sealed before it must go out
+	s.drv.Flush() // on an error too: what was sealed before it must go out
 	return n, err
 }
 

@@ -409,7 +409,7 @@ func TestFailoverAcrossRealConnections(t *testing.T) {
 	// Hard-kill the initial TCP connection: readLoop reports failure,
 	// auto-failover replays unacked records onto conn2.
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 

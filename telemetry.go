@@ -75,8 +75,8 @@ func (s *Session) snapshotLocked(dst *Snapshot) {
 	s.engine.Snapshot(dst)
 	dst.Role = s.role()
 	dst.Closed = s.closed
-	dst.Recovering = s.recovering
-	dst.CookiesLeft = len(s.cookies)
+	dst.Recovering = s.drv.Recovering()
+	dst.CookiesLeft = len(s.drv.Cookies)
 	if f := s.flight; f != nil {
 		dst.FlightEvents = f.Len()
 		dst.FlightTotal = f.Total()

@@ -87,7 +87,7 @@ func TestTelemetryMetricsMatchEventsDuringFailover(t *testing.T) {
 
 	// Kill path 0; the sibling absorbs the streams.
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 
@@ -206,7 +206,7 @@ func TestTelemetryReconnectCountersMatchEvents(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	pc0 := sess.conns[0]
+	pc0 := sess.pathConnLocked(0)
 	sess.mu.Unlock()
 	pc0.nc.Close()
 

@@ -118,6 +118,6 @@ func (s *Session) issueTicket(conn uint32) error {
 	defer s.mu.Unlock()
 	s.engine.Note("ticket_issued", conn, 0, 0, len(ticket))
 	err = s.engine.SendSessionTicket(conn, nonce, ticket, s.maxEarlyAdvert)
-	s.flushLocked()
+	s.drv.Flush()
 	return err
 }
