@@ -83,8 +83,8 @@ func BenchmarkDatapathLoopback(b *testing.B) {
 	b.Run("failover", func(b *testing.B) {
 		benchDatapathLoopback(b, func(c *tcpls.Config) {
 			c.EnableFailover = true
-			// Unbounded retransmit budget: this measures raw goodput, and a
-			// pipelined writer outruns the ack-paced trim at the default cap.
+			// Window off: this measures raw goodput, not how soon acks
+			// return to a pipelined writer.
 			c.MaxRetransmitBytes = -1
 		})
 	})

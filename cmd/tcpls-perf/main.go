@@ -157,6 +157,10 @@ func runClient(cfg *tcpls.Config) {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Drain what comes back: against an echo server a writer that
+		// never reads fills both receive buffers, and the acks queued
+		// behind the echo never arrive, so its send window never moves.
+		go io.Copy(io.Discard, st)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -89,13 +89,17 @@ type Config struct {
 	// record lengths leak nothing (bandwidth trade-off). Zero disables.
 	PadRecordsTo int
 
-	// MaxReorderBytes and MaxReorderRecords cap the coupled-stream
-	// reorder heap (payload bytes / parked records). Past either cap the
-	// engine declares the quietest other coupled path suspect and fails
-	// it over (EnableFailover required for the failover; the cap itself
-	// always bounds telemetry), rather than buffering a stalled path's
-	// gap forever. Zero means the defaults (16 MiB / 8192 records);
-	// negative disables that cap.
+	// MaxRetransmitBytes is the send window with EnableFailover: the
+	// most a sender keeps between its oldest unacknowledged record and
+	// its newest, per stream and across the coupled group. At the window
+	// Write and WriteCoupled block until acknowledgments move it. Zero
+	// means the default (16 MiB); negative disables the window.
+	MaxRetransmitBytes int
+	// MaxReorderBytes and MaxReorderRecords are the receiver's limit on
+	// the coupled reorder heap with EnableFailover. An honest peer whose
+	// window is no larger keeps the heap below it; a peer that ignores
+	// its window fails the session. Zero means the defaults (16 MiB /
+	// 8192 records); negative disables the limit.
 	MaxReorderBytes   int
 	MaxReorderRecords int
 	// MaxRecvBufferBytes caps each stream's (and the coupled group's)
@@ -104,14 +108,6 @@ type Config struct {
 	// TCP's receive window then pushes back on the peer. Zero means the
 	// default (16 MiB); negative disables the cap.
 	MaxRecvBufferBytes int
-	// MaxRetransmitBytes budgets each stream's failover retransmit
-	// buffer. At half the budget the session solicits a fresh
-	// acknowledgment from the peer; at the budget further sealing for
-	// the stream parks until ACKs trim the buffer, and Write returns
-	// ErrRetransmitBudget once a further budget's worth of bytes queues
-	// behind the stall. Zero means the default (16 MiB); negative
-	// disables the budget.
-	MaxRetransmitBytes int
 
 	// Scheduler names the multipath record scheduler for coupled
 	// streams: "roundrobin" (the default), "lowrtt" (lowest fused

@@ -116,11 +116,11 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 
 // TestChaosStalledPathBoundedMemory is the acceptance test for the
 // memory bounds: a coupled upload spread over three shaped relay paths,
-// one of which freezes mid-record partway in. The receiver's reorder
-// heap must hit its cap and declare the silent path suspect (well before
-// the user-timeout backstop), the resulting failover must keep goodput
-// flowing, and both peers' buffers must stay bounded while the full
-// transfer lands byte-exact.
+// one of which freezes mid-record partway in. The stalled path pins the
+// sender's window, so the writer parks instead of the receiver's reorder
+// heap growing; the UserTimeout fails the silent path alone, and its
+// replay fills the gap. Both peers' buffers stay within one window while
+// the full transfer lands byte-exact.
 func TestChaosStalledPathBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test needs real time")
@@ -128,16 +128,15 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	const (
-		total      = 4 << 20
-		reorderCap = 128 << 10
-		retxBudget = 1 << 20
+		total  = 4 << 20
+		window = 256 << 10
 	)
 	gotHash := make(chan [32]byte, 1)
 	scfg := &Config{
 		EnableFailover:  true,
 		AckPeriod:       4,
-		UserTimeout:     3 * time.Second, // backstop; the reorder cap must fire first
-		MaxReorderBytes: reorderCap,
+		UserTimeout:     time.Second,
+		MaxReorderBytes: window, // the limit an honest sender never reaches
 	}
 	srv := startChaosServer(t, scfg, func(sess *Session) {
 		// Three coupled streams (tagged A/B/C) and one result stream
@@ -193,8 +192,8 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 		ServerName:         "test.server",
 		EnableFailover:     true,
 		AckPeriod:          4,
-		UserTimeout:        3 * time.Second,
-		MaxRetransmitBytes: retxBudget,
+		UserTimeout:        time.Second,
+		MaxRetransmitBytes: window,
 	}
 	sess, err := Dial("tcp", relays[0].Addr(), ccfg)
 	if err != nil {
@@ -294,38 +293,40 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 		t.Fatalf("result stream echoed %x, want %x", echo, want)
 	}
 
-	// Memory bounds, the point of the exercise. The receiver's heap may
-	// overshoot the cap by what the live paths deliver between the trip
-	// and the failover replay filling the gap — a few RTTs of in-flight
-	// data — but nowhere near the multi-megabyte stall window.
+	// Memory bounds, the point of the exercise. The sender parked at its
+	// window: the receiver's heap stayed below one window, its limit
+	// never tripped, and the silent path alone timed out.
 	srv.mu.Lock()
 	ssess := srv.ss[0]
 	srv.mu.Unlock()
 	sm := ssess.Snapshot()
-	if sm.FlowctlLimits < 1 {
-		t.Fatalf("receiver reorder cap never tripped (peak %d, cap %d)",
-			sm.ReorderBytesPeak, reorderCap)
+	cm := sess.Snapshot()
+	if cm.FlowctlLimits < 1 {
+		t.Fatalf("the sender never parked at its window (retransmit peak %d, window %d)",
+			cm.RetransmitBytesPeak, window)
 	}
-	if sm.ReorderBytesPeak < reorderCap {
-		t.Fatalf("reorder peak %d below the %d cap yet the limit tripped", sm.ReorderBytesPeak, reorderCap)
+	if sm.FlowctlLimits != 0 {
+		t.Fatalf("the receiver's reorder limit tripped %d times", sm.FlowctlLimits)
 	}
-	if sm.ReorderBytesPeak > 1<<20 {
-		t.Fatalf("reorder peak %d: stall window was not bounded by the %d cap",
-			sm.ReorderBytesPeak, reorderCap)
+	if sm.ReorderBytesPeak >= window {
+		t.Fatalf("reorder peak %d: not bounded by the %d window", sm.ReorderBytesPeak, window)
 	}
 	if sm.ReorderBytes != 0 {
 		t.Fatalf("reorder heap still holds %d bytes after a complete transfer", sm.ReorderBytes)
 	}
-	cm := sess.Snapshot()
-	// Per-stream budget; three coupled streams plus slack for records
-	// acked but not yet processed.
-	if cm.RetransmitBytesPeak > 3*retxBudget {
-		t.Fatalf("sender retransmit peak %d against a per-stream budget of %d",
-			cm.RetransmitBytesPeak, retxBudget)
+	if cm.RetransmitBytesPeak > window {
+		t.Fatalf("sender retransmit peak %d past its %d window", cm.RetransmitBytesPeak, window)
 	}
-	t.Logf("bounded: reorder peak %d (cap %d), retransmit peak %d (budget %d), flowctl trips %d, solicits %d",
-		sm.ReorderBytesPeak, reorderCap, cm.RetransmitBytesPeak, retxBudget,
-		sm.FlowctlLimits+cm.FlowctlLimits, cm.AckSolicits)
+	if cm.ConnFailures != 1 {
+		t.Fatalf("%d connections failed, want the stalled one alone", cm.ConnFailures)
+	}
+	for _, c := range cm.Conns {
+		if c.Failed != (c.ID == conns[1]) {
+			t.Fatalf("conn %d failed = %v: want only the stalled conn %d failed", c.ID, c.Failed, conns[1])
+		}
+	}
+	t.Logf("bounded: reorder peak %d, retransmit peak %d (window %d), flowctl parks %d, solicits %d",
+		sm.ReorderBytesPeak, cm.RetransmitBytesPeak, window, cm.FlowctlLimits, cm.AckSolicits)
 
 	relays[1].Unstall()
 	sess.Close()

@@ -37,6 +37,16 @@ func (s *Session) Advance(now time.Time) []uint32 {
 		s.failConn(c)
 		failed = append(failed, id)
 	}
+	// A sender parked at its send window sends nothing, so its healthy
+	// paths would fall silent beside the one that holds the window: each
+	// tick, a parked window solicits an ack on every stream it spans, and
+	// only the path that loses them times out.
+	for _, id := range s.sortedStreamIDs() {
+		if st := s.streams[id]; s.parked(st) {
+			st.ackSolicited = false
+			s.solicitAck(st)
+		}
+	}
 	return failed
 }
 
@@ -238,10 +248,9 @@ func (s *Session) FailoverTo(failedID, targetID uint32) error {
 // conns died before a replacement joined (a rack outage, an RST storm):
 // replayed conn by conn, coupled records' aggregation sequences
 // interleave across the conns, and the receiver's reorder heap parks
-// about half of the first conn's replay until the second's arrives — an
-// O(transfer) spike the reorder cap cannot shed with one live conn.
-// replayMerged orders the records globally by aggregation sequence and
-// keeps the heap flat. One EventFailoverDone goes out per conn whose
+// about half of the first conn's replay until the second's arrives, up
+// to a whole window. replayMerged orders the records globally by
+// aggregation sequence and keeps the heap flat. One EventFailoverDone goes out per conn whose
 // streams moved; a conn with none of ours gets the notice alone.
 func (s *Session) failoverInto(failed []*conn, target *conn) error {
 	if s.tracer != nil {

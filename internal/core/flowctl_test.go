@@ -27,16 +27,20 @@ func traceCount(events []TraceEvent, name string) int {
 	return n
 }
 
-// TestReorderCapDeclaresSuspect stalls one of three coupled paths: the
-// receiver's reorder heap grows past the configured cap, the quietest
-// path is declared suspect, and the sender's failover replay fills the
-// gap so the transfer completes with the heap drained.
-func TestReorderCapDeclaresSuspect(t *testing.T) {
+// TestSendWindowHoldsStalledPathGap stalls one of three coupled paths:
+// the sender parks at its window instead of filling the receiver's heap,
+// the receiver declares no path suspect and stays below its limit, the
+// healthy paths stay alive on the parked window's ack solicitations, and
+// the UserTimeout fails the stalled path alone, whose replay fills the
+// gap byte-exact.
+func TestSendWindowHoldsStalledPathGap(t *testing.T) {
 	cfg := Config{
-		EnableFailover:   true,
-		MaxRecordPayload: 512,
-		MaxReorderBytes:  4096,
-		AckPeriod:        4,
+		EnableFailover:     true,
+		MaxRecordPayload:   512,
+		MaxRetransmitBytes: 4096,
+		MaxReorderBytes:    4096,
+		AckPeriod:          4,
+		UserTimeout:        time.Second,
 	}
 	p := newPair(t, cfg)
 	p.addConn(1)
@@ -50,65 +54,61 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 		}
 	}
 	p.pump() // propagate stream attaches while all paths are healthy
-	serverTrace := collectTrace(p.server)
+	clientTrace, serverTrace := collectTrace(p.client), collectTrace(p.server)
 
-	// Conn 1 stalls: its bytes are produced but never delivered. Age the
-	// stall across two batches so the server's lastRecv for conns 0 and 2
-	// genuinely advances past conn 1's.
+	// Conn 1 stalls: its bytes are produced but never delivered, in
+	// either direction. Time moves in ticks of a quarter timeout.
 	data := bytes.Repeat([]byte{0xab}, 16384)
 	if _, err := p.client.WriteCoupled(data); err != nil {
 		t.Fatal(err)
 	}
-	var stalled [][]byte
-	for batch := 0; batch < 2; batch++ {
-		p.now = p.now.Add(100 * time.Millisecond)
-		if err := p.client.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range []uint32{0, 1, 2} {
-			out, err := p.client.Outgoing(id)
-			if err != nil {
+	step := func() {
+		for _, dir := range []struct{ from, to *Session }{{p.client, p.server}, {p.server, p.client}} {
+			dir.from.Advance(p.now)
+			dir.from.Failover()
+			if err := dir.from.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if id == 1 {
-				stalled = append(stalled, out)
-				continue
-			}
-			if len(out) > 0 {
-				if err := p.server.Receive(id, out, p.now); err != nil {
+			for _, id := range []uint32{0, 1, 2} {
+				out, err := dir.from.Outgoing(id)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if len(out) > 0 && id != 1 && !dir.to.ConnFailed(id) {
+					if err := dir.to.Receive(id, out, p.now); err != nil {
+						t.Fatalf("receive conn %d: %v", id, err)
+					}
+				}
+				dir.from.RecycleOutgoing(out)
 			}
 		}
 	}
-
-	if !p.server.ConnFailed(1) {
-		t.Fatalf("stalled conn 1 not declared suspect (reorder bytes %d, cap %d)",
-			snapshot(p.server).ReorderBytes, cfg.MaxReorderBytes)
+	for i := 0; i < 3; i++ {
+		p.now = p.now.Add(cfg.UserTimeout / 4)
+		step()
 	}
-	if p.server.ConnFailed(0) || p.server.ConnFailed(2) {
-		t.Fatal("a live path was declared suspect")
+	if !p.client.Parked() || p.server.CoupledReadable() >= len(data) {
+		t.Fatal("the stalled path's gap did not park the sender")
 	}
-	if traceCount(*serverTrace, "flowctl_limit") == 0 {
-		t.Fatal("no flowctl_limit trace event at the cap")
+	if traceCount(*clientTrace, "flowctl_limit") == 0 {
+		t.Fatal("no flowctl_limit trace event at the sender's park")
 	}
-	found := false
-	for _, ev := range p.server.Events() {
-		if ev.Kind == EventConnFailed && ev.Conn == 1 {
-			found = true
-		}
+	if traceCount(*serverTrace, "flowctl_limit") != 0 || p.server.ConnFailed(1) {
+		t.Fatal("the receiver tripped its limit or declared a path suspect")
 	}
-	if !found {
-		t.Fatal("no EventConnFailed for the suspect path")
-	}
-	if peak := snapshot(p.server).ReorderBytesPeak; peak < cfg.MaxReorderBytes {
-		t.Fatalf("reorder peak %d never reached the cap %d", peak, cfg.MaxReorderBytes)
+	if peak := snapshot(p.server).ReorderBytesPeak; peak >= cfg.MaxRetransmitBytes {
+		t.Fatalf("reorder peak %d reached the %d window", peak, cfg.MaxRetransmitBytes)
 	}
 
-	// Recovery: the sender fails the stalled path over and replays its
-	// unacknowledged records; the gap fills and the heap drains.
-	if err := p.client.FailoverTo(1, 0); err != nil {
-		t.Fatal(err)
+	// Recovery: the stalled path's timeout fails it, and only it; the
+	// replay fills the gap and the heap drains.
+	for i := 0; i < 4 && !p.client.ConnFailed(1); i++ {
+		p.now = p.now.Add(cfg.UserTimeout / 4)
+		step()
+	}
+	if !p.client.ConnFailed(1) || p.client.ConnFailed(0) || p.client.ConnFailed(2) {
+		t.Fatalf("after the timeout: failed 0/1/2 = %v/%v/%v, want the stalled path only",
+			p.client.ConnFailed(0), p.client.ConnFailed(1), p.client.ConnFailed(2))
 	}
 	p.pump(1)
 	got := make([]byte, len(data)+1)
@@ -119,6 +119,120 @@ func TestReorderCapDeclaresSuspect(t *testing.T) {
 	if snap := snapshot(p.server); snap.ReorderBytes != 0 || snap.ReorderDepth != 0 {
 		t.Fatalf("reorder heap not drained: %d bytes / %d records",
 			snap.ReorderBytes, snap.ReorderDepth)
+	}
+}
+
+// TestSendWindowChargesTinyRecords: an honest coupled sender of 100-byte
+// records, one of two paths lagging, at the default window and limits.
+// Each record is charged 2 KiB of the 16 MiB window, so the window holds
+// at most DefaultMaxReorderRecords records and the receiver's heap one
+// fewer: the sender parks, the receiver never reaches its record limit,
+// nothing fails over, and the lagging path's bytes land byte-exact.
+func TestSendWindowChargesTinyRecords(t *testing.T) {
+	cfg := Config{EnableFailover: true, MaxRecordPayload: 100}
+	p := newPair(t, cfg)
+	p.addConn(1)
+	s0, _ := p.client.CreateStream(0)
+	s1, _ := p.client.CreateStream(1)
+	p.client.SetCoupled(s0, true)
+	p.client.SetCoupled(s1, true)
+	p.pump()
+
+	data := make([]byte, 2<<20)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if _, err := p.client.WriteCoupled(data); err != nil {
+		t.Fatal(err)
+	}
+	// Conn 1 lags: what it carries is held back while conn 0 runs until
+	// the sender parks.
+	var lagged [][]byte
+	for progress := true; progress; {
+		progress = false
+		if err := p.client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if out, _ := p.client.Outgoing(1); len(out) > 0 {
+			lagged, progress = append(lagged, out), true
+		}
+		for _, dir := range []struct{ from, to *Session }{{p.client, p.server}, {p.server, p.client}} {
+			dir.from.Flush()
+			out, _ := dir.from.Outgoing(0)
+			if len(out) > 0 {
+				if err := dir.to.Receive(0, out, p.now); err != nil {
+					t.Fatal(err)
+				}
+				progress = true
+			}
+			dir.from.RecycleOutgoing(out)
+		}
+	}
+	if !p.client.Parked() {
+		t.Fatal("the lagging path never parked the sender")
+	}
+	snap := snapshot(p.server)
+	if snap.ReorderDepth >= DefaultMaxReorderRecords || snap.ReorderBytes >= DefaultMaxRetransmitBytes {
+		t.Fatalf("heap holds %d records / %d bytes at the park: the window let in more than the receiver's limit",
+			snap.ReorderDepth, snap.ReorderBytes)
+	}
+	if snap.ReorderDepth < DefaultMaxReorderRecords/4 {
+		t.Fatalf("heap holds only %d records: the lag never filled the window", snap.ReorderDepth)
+	}
+	for _, out := range lagged {
+		if err := p.server.Receive(1, out, p.now); err != nil {
+			t.Fatal(err)
+		}
+		p.client.RecycleOutgoing(out)
+	}
+	p.pump()
+	got := make([]byte, len(data)+1)
+	n := 0
+	for p.server.CoupledReadable() > 0 {
+		n += p.server.ReadCoupled(got[n:])
+		p.pump()
+	}
+	if n != len(data) || !bytes.Equal(got[:n], data) {
+		t.Fatalf("delivered %d of %d bytes", n, len(data))
+	}
+	if st := p.client.Stats(); st.Retransmits != 0 || snapshot(p.server).FlowctlLimits != 0 ||
+		len(drainEvents(p.client, EventConnFailed)) != 0 {
+		t.Fatalf("honest lag caused %d retransmits / a receiver limit / a failover", st.Retransmits)
+	}
+}
+
+// TestReorderLimitFailsOverrunningPeer: a peer that seals past the
+// window it should keep (its own window off) overruns the receiver's
+// reorder limit. Receive fails with the typed error, and the heap pins
+// at most the limit plus the one record that crossed it.
+func TestReorderLimitFailsOverrunningPeer(t *testing.T) {
+	const limit = 8 << 10
+	p := newPair(t, Config{EnableFailover: true, MaxRecordPayload: 1024, MaxReorderBytes: limit})
+	p.client.cfg.MaxRetransmitBytes = -1 // the hostile sender ignores any window
+	p.addConn(1)
+	s0, _ := p.client.CreateStream(0)
+	s1, _ := p.client.CreateStream(1)
+	p.client.SetCoupled(s0, true)
+	p.client.SetCoupled(s1, true)
+	p.pump()
+	trace := collectTrace(p.server)
+	if _, err := p.client.WriteCoupled(make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Conn 0 carries aggregation sequence 0: everything on conn 1 parks.
+	out, _ := p.client.Outgoing(1)
+	err := p.server.Receive(1, out, p.now)
+	if !errors.Is(err, ErrReorderLimit) {
+		t.Fatalf("Receive past the limit: err = %v, want ErrReorderLimit", err)
+	}
+	if held := snapshot(p.server).ReorderBytes; held <= limit || held > limit+1024 {
+		t.Fatalf("heap pins %d bytes, want past the %d limit by at most one record", held, limit)
+	}
+	if traceCount(*trace, "flowctl_limit") != 1 {
+		t.Fatalf("flowctl_limit events = %d, want 1", traceCount(*trace, "flowctl_limit"))
 	}
 }
 
@@ -274,10 +388,11 @@ func TestCoupledRecvBufferBackpressure(t *testing.T) {
 	}
 }
 
-// TestRetransmitBudgetParksAndErrors drops all acknowledgments: the
-// stream seals until its retransmit budget fills, parks the rest, and
-// Write surfaces the typed error once a further budget's worth queues.
-func TestRetransmitBudgetParksAndErrors(t *testing.T) {
+// TestSendWindowParksWithoutError drops all acknowledgments: the stream
+// seals until its send window fills and parks the rest, and Write keeps
+// taking bytes without an error: Backlog tells the writer they wait.
+// Once acknowledgments come, the parked bytes follow.
+func TestSendWindowParksWithoutError(t *testing.T) {
 	cfg := Config{
 		EnableFailover:     true,
 		MaxRecordPayload:   256,
@@ -289,18 +404,20 @@ func TestRetransmitBudgetParksAndErrors(t *testing.T) {
 	sid, _ := p.client.CreateStream(0)
 	p.pump()
 
-	if _, err := p.client.Write(sid, bytes.Repeat([]byte{1}, 4096)); err != nil {
+	msg := bytes.Repeat([]byte{1}, 4096)
+	if _, err := p.client.Write(sid, msg); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Outgoing bytes are dropped: no acks ever come back.
-	if _, err := p.client.Outgoing(0); err != nil {
+	// Outgoing bytes are held back: no acks come yet.
+	held, err := p.client.Outgoing(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := snapshot(p.client).RetransmitBytes; got != cfg.MaxRetransmitBytes {
-		t.Fatalf("retransmit buffer %d, want parked exactly at budget %d", got, cfg.MaxRetransmitBytes)
+		t.Fatalf("retransmit buffer %d, want parked exactly at the %d window", got, cfg.MaxRetransmitBytes)
 	}
 	if traceCount(*trace, "flowctl_limit") != 1 {
 		t.Fatalf("flowctl_limit events = %d, want 1", traceCount(*trace, "flowctl_limit"))
@@ -316,19 +433,31 @@ func TestRetransmitBudgetParksAndErrors(t *testing.T) {
 		}
 	}
 	if !si.AckSolicited {
-		t.Fatal("StreamSnapshot.AckSolicited not set under budget pressure")
+		t.Fatal("StreamSnapshot.AckSolicited not set under window pressure")
 	}
 	if si.PendingBytes != 4096-cfg.MaxRetransmitBytes {
 		t.Fatalf("pending %d, want %d parked", si.PendingBytes, 4096-cfg.MaxRetransmitBytes)
 	}
 
-	// Queueing up to one extra budget is allowed; past it Write errors.
-	room := cfg.MaxRetransmitBytes - si.PendingBytes
-	if _, err := p.client.Write(sid, make([]byte, room)); err != nil {
+	// Writing on at the window is no error: the bytes queue, Backlog
+	// reports them, and the engine stays parked.
+	more := bytes.Repeat([]byte{2}, 2*cfg.MaxRetransmitBytes)
+	if _, err := p.client.Write(sid, more); err != nil {
+		t.Fatalf("Write at the window: %v", err)
+	}
+	if b := p.client.Backlog(sid, false); b != si.PendingBytes+len(more) || !p.client.Parked() {
+		t.Fatalf("backlog %d, parked %v: want %d bytes waiting", b, p.client.Parked(), si.PendingBytes+len(more))
+	}
+	if err := p.server.Receive(0, held, p.now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.client.Write(sid, []byte{0}); !errors.Is(err, ErrRetransmitBudget) {
-		t.Fatalf("Write past pending cap: err = %v, want ErrRetransmitBudget", err)
+	p.client.RecycleOutgoing(held)
+	p.pump() // the solicited ack moves the window; the rest follows
+	if got, want := readAll(t, p.server, sid), append(msg, more...); !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d of %d bytes", len(got), len(want))
+	}
+	if p.client.Parked() || p.client.Backlog(sid, false) != 0 {
+		t.Fatal("still parked after the acknowledgments")
 	}
 }
 

@@ -79,9 +79,9 @@ const (
 	// offer to it; 0 means no 0-RTT with this ticket.
 	typeSessionTicket recordType = 0x10
 	// typeAckRequest: [streamID:4][type]. Solicits an immediate
-	// cumulative ACK for streamID: a sender whose retransmit buffer
-	// approaches its budget re-requests acknowledgment instead of
-	// growing without bound (lost-ACK recovery on the ctl path).
+	// cumulative ACK for streamID: a sender whose send window fills
+	// re-requests acknowledgment instead of waiting out the peer's ack
+	// policy (lost-ACK recovery on the ctl path).
 	typeAckRequest recordType = 0x11
 )
 

@@ -171,15 +171,6 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 			}
 		}
 		delivered := s.coupled.buf.OfferOwned(f.aggSeq, data, own)
-		s.noteReorderBytes()
-		if s.tel != nil {
-			s.tel.ReorderDepth.Set(int64(s.coupled.buf.Pending()))
-		}
-		if depth := s.coupled.buf.Pending(); depth != s.lastReorderDepth {
-			s.trace("reorder_depth", c.id, streamID, uint64(depth), len(delivered))
-			s.lastReorderDepth = depth
-		}
-		s.checkReorderCap(c, streamID)
 		for _, it := range delivered {
 			switch {
 			case s.DeliverCoupled != nil:
@@ -190,6 +181,9 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 			default:
 				s.coupled.recvQ.Append(it.Data)
 			}
+		}
+		if err := s.noteReorder(c, streamID, len(delivered)); err != nil {
+			return err
 		}
 		if s.DeliverCoupled == nil {
 			if len(delivered) > 0 {
@@ -246,58 +240,36 @@ func (s *Session) checkRecvCap(c *conn, streamID uint32, buffered int, blocked *
 	return nil
 }
 
-// checkReorderCap bounds the coupled reorder heap (§4.3): a path that
-// stalls while others keep delivering inflates the heap without bound.
-// Past the configured byte or record cap the quietest *other* live
-// coupled path is declared suspect and failed — handing the stall to
-// the existing failover/replay machinery (the failed path's records
-// replay on a live one, filling the gap) instead of allocating
-// forever. Hysteresis: one declaration per excursion, re-armed when
-// the heap drains below half the cap.
-func (s *Session) checkReorderCap(arrival *conn, streamID uint32) {
+// noteReorder books the coupled reorder heap after a record entered it
+// (its peak, gauges, one reorder_depth trace per depth change) and
+// applies the receiver's limit against a peer that ignores its send
+// window. An honest sender seals no record past its window, and every
+// record below its oldest unacknowledged one has arrived here, so the
+// heap holds less than one window: with failover, a heap past
+// Config.MaxReorderBytes or MaxReorderRecords fails the session with
+// ErrReorderLimit, pinning at most the record that crossed it. Without
+// failover no acknowledgment bounds the sender; a silent path is left to
+// the UserTimeout and RST either way.
+func (s *Session) noteReorder(c *conn, streamID uint32, delivered int) error {
+	bytes, depth := s.coupled.buf.PendingBytes(), s.coupled.buf.Pending()
+	s.coupled.peakBytes = max(s.coupled.peakBytes, bytes)
+	if s.tel != nil {
+		s.tel.ReorderBytes.Set(int64(bytes))
+		s.tel.ReorderDepth.Set(int64(depth))
+	}
+	if depth != s.lastReorderDepth {
+		s.trace("reorder_depth", c.id, streamID, uint64(depth), delivered)
+		s.lastReorderDepth = depth
+	}
 	maxBytes, maxRecs := s.cfg.maxReorderBytes(), s.cfg.maxReorderRecords()
-	bytes, recs := s.coupled.buf.PendingBytes(), s.coupled.buf.Pending()
-	over := (maxBytes > 0 && bytes >= maxBytes) || (maxRecs > 0 && recs >= maxRecs)
-	if !over {
-		if s.coupled.capTripped &&
-			(maxBytes <= 0 || bytes <= maxBytes/2) && (maxRecs <= 0 || recs <= maxRecs/2) {
-			s.coupled.capTripped = false
-		}
-		return
+	if !s.cfg.EnableFailover || (maxBytes <= 0 || bytes <= maxBytes) && (maxRecs <= 0 || depth <= maxRecs) {
+		return nil
 	}
-	if s.coupled.capTripped {
-		return
-	}
-	s.coupled.capTripped = true
-	s.trace("flowctl_limit", arrival.id, streamID, flowctlReorder, bytes)
+	s.trace("flowctl_limit", c.id, streamID, flowctlReorder, bytes)
 	if s.tel != nil {
 		s.tel.FlowctlLimits.Inc()
 	}
-	if !s.cfg.EnableFailover {
-		return
-	}
-	// The suspect is the stream-carrying path that has been quiet
-	// longest — the heap grows because the missing aggregation
-	// sequences travel a path that stopped delivering, and the path
-	// records arrive on is by definition alive. All attached streams
-	// are considered, not just known-coupled ones: the stalled path's
-	// records never arrived, so the receiver never learned its stream
-	// was coupled. Ties break toward the lowest connection ID so the
-	// declaration is deterministic.
-	var suspect *conn
-	for _, st := range s.streams {
-		c, ok := s.conns[st.conn]
-		if !ok || c == arrival || c.failed || c.closed {
-			continue
-		}
-		if suspect == nil || c.lastRecv.Before(suspect.lastRecv) ||
-			(c.lastRecv.Equal(suspect.lastRecv) && c.id < suspect.id) {
-			suspect = c
-		}
-	}
-	if suspect != nil {
-		s.failConn(suspect)
-	}
+	return fmt.Errorf("%d bytes in %d records: %w", bytes, depth, ErrReorderLimit)
 }
 
 // maybeAck applies the §4.2 acknowledgment policy: every AckPeriod
@@ -419,6 +391,9 @@ func (s *Session) handleAck(f *frame) error {
 	if f.seq > st.peerAcked {
 		st.peerAcked = f.seq
 	}
+	// Any ack answers an outstanding solicitation: the peer has told us
+	// all it holds, and a sender still parked may ask again.
+	st.ackSolicited = false
 	i := 0
 	ackedBytes := 0
 	var rttSample time.Duration
@@ -441,13 +416,6 @@ func (s *Session) handleAck(f *frame) error {
 		s.boundPinned() // the chunks still pinned may have gone sparse
 		st.retransmitBytes -= ackedBytes
 		s.noteRetransmitBytes(-ackedBytes)
-		// Progress re-arms the budget machinery: a parked stream whose
-		// buffer dropped back under budget seals again at the next
-		// flush, and a fresh solicitation may go out if it fills again.
-		st.ackSolicited = false
-		if budget := s.cfg.maxRetransmitBytes(); budget <= 0 || st.retransmitBytes < budget {
-			st.budgetTripped = false
-		}
 		if s.tel != nil && rttSample > 0 {
 			s.tel.AckRTT.Observe(rttSample.Seconds())
 		}
@@ -539,9 +507,8 @@ func (s *Session) handleStreamFin(c *conn, f *frame) error {
 }
 
 // handleAckRequest answers a peer's ACK solicitation with an immediate
-// cumulative acknowledgment (lost-ACK recovery: the peer's retransmit
-// buffer is approaching its budget and cannot wait out our batching
-// policy). Without failover no acks flow at all, so the request is
+// cumulative acknowledgment (lost-ACK recovery: the peer's send window
+// is filling and cannot wait out our batching policy). Without failover no acks flow at all, so the request is
 // ignored rather than answered inconsistently.
 func (s *Session) handleAckRequest(c *conn, f *frame) error {
 	st, err := s.getStream(f.id)

@@ -102,6 +102,7 @@ type sealJob struct {
 	payload []byte
 	coupled bool
 	aggSeq  uint64
+	off     uint64 // where the record starts in its send window
 	enqAt   time.Time
 }
 
@@ -157,6 +158,7 @@ func (s *Session) sealOne(j sealJob) error {
 		seq:      seq,
 		typ:      typ,
 		size:     len(j.payload),
+		off:      j.off,
 		aggSeq:   j.aggSeq,
 		sentAt:   s.now(), // seal leg + ACK-driven RTT sampling
 		enqAt:    j.enqAt,
@@ -169,19 +171,14 @@ func (s *Session) sealOne(j sealJob) error {
 	}
 	st.retransmitBytes += len(j.payload)
 	s.noteRetransmitBytes(len(j.payload))
-	// Soft watermark: at half the budget, ask the peer for a fresh
-	// cumulative ack before the hard park at the budget.
-	if budget := s.cfg.maxRetransmitBytes(); budget > 0 && st.retransmitBytes*2 >= budget {
-		s.solicitAck(st)
-	}
 	return nil
 }
 
 // solicitAck sends one AckRequest for st on its connection (§4.2's ctl
-// path): a sender whose retransmit buffer approaches its budget asks
-// for a fresh cumulative ack instead of waiting out the receiver's
-// batching policy (or a lost ack). At most one request is in flight per
-// stream; handleAck re-arms it when an ack trims the buffer.
+// path): a sender whose send window is filling asks for a fresh
+// cumulative ack instead of waiting out the receiver's batching policy
+// (or a lost ack). At most one request is in flight per stream; any ack
+// on the stream answers it and re-arms it.
 func (s *Session) solicitAck(st *stream) {
 	if st.ackSolicited || !s.cfg.EnableFailover {
 		return
@@ -201,27 +198,69 @@ func (s *Session) solicitAck(st *stream) {
 	}
 }
 
-// retransmitParked reports whether st's retransmit buffer is at its
-// budget, so sealing must park until ACKs trim it. On the at-cap edge
-// it emits one flowctl_limit trace per excursion. Callers solicit the
-// acknowledgment, via solicitIfParked, after what they have sealed.
-func (s *Session) retransmitParked(st *stream, budget int) bool {
-	if budget <= 0 || st.retransmitBytes < budget {
+// sendWindow is a send window (Config.MaxRetransmitBytes): a plain
+// stream's, or the coupled group's. off sums the charges sealed into it
+// and each retained record keeps the offset it starts at, so the window
+// holds off minus its oldest unacknowledged record's offset. No wire
+// field carries it. parked marks a seal that found it full: one
+// flowctl_limit trace per excursion.
+type sendWindow struct {
+	off    uint64
+	parked bool
+}
+
+// windowSpan is a window as one sealing pass sees it (acks arrive only
+// between passes): base is the oldest unacknowledged record's offset, or
+// the window's own when it retains none, and pin the stream holding that
+// record, whose acknowledgment moves the window.
+type windowSpan struct {
+	w    *sendWindow
+	base uint64
+	pin  *stream
+}
+
+// include lowers sp's base to st's oldest retained record of type typ
+// (retransmit is in seal order).
+func (sp *windowSpan) include(st *stream, typ recordType) {
+	for i := range st.retransmit {
+		if r := &st.retransmit[i]; r.typ == typ {
+			if r.off < sp.base {
+				sp.base, sp.pin = r.off, st
+			}
+			return
+		}
+	}
+}
+
+// full reports whether a record of n payload bytes would carry the
+// window past Config.MaxRetransmitBytes; an empty window takes any
+// record. At the window sealing parks: a flowctl_limit trace on the way
+// in, and an AckRequest on the stream whose ack moves the window.
+func (s *Session) full(sp *windowSpan, n int) bool {
+	win, used := uint64(s.cfg.window()), sp.w.off-sp.base
+	if win == 0 || used == 0 || used+s.cfg.charge(n) <= win {
+		sp.w.parked = false
 		return false
 	}
-	if !st.budgetTripped {
-		st.budgetTripped = true
-		s.trace("flowctl_limit", st.conn, st.id, flowctlRetransmit, st.retransmitBytes)
+	if !sp.w.parked {
+		sp.w.parked = true
+		s.trace("flowctl_limit", sp.pin.conn, sp.pin.id, flowctlWindow, int(used))
 		if s.tel != nil {
 			s.tel.FlowctlLimits.Inc()
 		}
 	}
+	s.solicitAck(sp.pin)
 	return true
 }
 
-// solicitIfParked re-solicits an ack for a stream still at its budget.
-func (s *Session) solicitIfParked(st *stream, budget int) {
-	if budget > 0 && st.retransmitBytes >= budget {
+// sealed moves the window past a record of n payload bytes just sealed
+// onto st, and from half the window on asks st's peer for an ack.
+func (s *Session) sealed(sp *windowSpan, st *stream, n int) {
+	if sp.pin == nil {
+		sp.pin = st
+	}
+	sp.w.off += s.cfg.charge(n)
+	if win := uint64(s.cfg.window()); win > 0 && 2*(sp.w.off-sp.base) >= win {
 		s.solicitAck(st)
 	}
 }
@@ -230,23 +269,27 @@ func (s *Session) solicitIfParked(st *stream, budget int) {
 // a Write still in the caller's slice — into records, seals them and
 // returns how many leading bytes of q went out. A stream on a failed
 // connection is parked, not an error, until failover or the recovery
-// supervisor re-homes it; one at its retransmit budget parks the rest
-// (with an ACK solicitation) until acknowledgments trim the buffer.
+// supervisor re-homes it; one at its send window parks the rest (with
+// an ACK solicitation) until acknowledgments move the window.
 func (s *Session) sealStream(st *stream, q []byte) (int, error) {
 	if c, ok := s.conns[st.conn]; ok && (c.failed || c.closed) {
 		return 0, nil
 	}
 	max := s.cfg.maxPayload()
-	budget := s.cfg.maxRetransmitBytes()
+	sp := windowSpan{w: &st.win, base: st.win.off}
+	sp.include(st, typeStreamData)
 	off := 0
-	for off < len(q) && !s.retransmitParked(st, budget) {
+	for off < len(q) {
 		n := min(len(q)-off, max)
-		if err := s.sealOne(sealJob{st: st, payload: q[off : off+n], enqAt: st.pendingSince}); err != nil {
+		if s.full(&sp, n) {
+			break
+		}
+		if err := s.sealOne(sealJob{st: st, payload: q[off : off+n], off: sp.w.off, enqAt: st.pendingSince}); err != nil {
 			return off, err
 		}
+		s.sealed(&sp, st, n)
 		off += n
 	}
-	s.solicitIfParked(st, budget)
 	return off, nil
 }
 
@@ -261,7 +304,7 @@ func (s *Session) flushStream(st *stream) error {
 		}
 	}
 	if c, ok := s.conns[st.conn]; ok && (c.failed || c.closed) || st.pendingQ.Len() > 0 {
-		return nil // dead connection, or parked at the budget: the FIN waits behind the data
+		return nil // dead connection, or parked at the window: the FIN waits behind the data
 	}
 	// A coupled stream's unsealed bytes live in the shared coupled
 	// queue, not st.pendingQ: its FIN must wait for the whole group to
@@ -306,20 +349,11 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 	if len(cs) == 0 {
 		return 0, ErrNotCoupled
 	}
-	// Schedule only over streams whose connections are alive and whose
-	// retransmit buffers have budget left; with no live path the group's
-	// bytes park until recovery re-homes a stream (or ACKs trim a
-	// budget-parked buffer).
-	budget := s.cfg.maxRetransmitBytes()
+	// Schedule only over streams whose connections are alive; with no
+	// live path the group's bytes park until recovery re-homes a stream.
 	live := cs[:0]
 	for _, st := range cs {
 		if c, ok := s.conns[st.conn]; ok && !c.failed && !c.closed {
-			if s.retransmitParked(st, budget) {
-				// Nothing framed yet this flush, so the solicitation
-				// lands after all the stream's sealed records.
-				s.solicitIfParked(st, budget)
-				continue
-			}
 			live = append(live, st)
 		}
 	}
@@ -336,38 +370,22 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 	}
 	max := s.cfg.maxPayload()
 	ps := s.scheduler()
+	// The group's oldest record may sit on any stream: a parked one, or
+	// one already finished.
+	sp := windowSpan{w: &s.coupled.win, base: s.coupled.win.off}
+	for _, id := range s.sortedStreamIDs() {
+		sp.include(s.streams[id], typeStreamDataCoupled)
+	}
 	off := 0
-framing:
 	for off < len(q) {
 		n := min(len(q)-off, max)
-		job := sealJob{payload: q[off : off+n], coupled: true, aggSeq: s.coupled.sendSeq, enqAt: s.coupled.pendingSince}
+		if s.full(&sp, n) {
+			break
+		}
+		job := sealJob{payload: q[off : off+n], coupled: true, aggSeq: s.coupled.sendSeq, off: sp.w.off, enqAt: s.coupled.pendingSince}
 		idx := ps.Pick(s.coupled.sendSeq, views)
-		if idx == sched.PickAll {
-			// Redundant scheduling: the same aggregation sequence goes
-			// out on every path; the receiver's reorder buffer keeps
-			// exactly one copy. Replicas that crossed their retransmit
-			// budget mid-flush are skipped; with none open the rest of
-			// the group's bytes park for a later flush. Each replica is
-			// retained in its own path's chunk, as sealed.
-			var open []*stream
-			for _, st := range cs {
-				if !s.retransmitParked(st, budget) {
-					open = append(open, st)
-				}
-			}
-			if len(open) == 0 {
-				break framing
-			}
-			s.coupled.sendSeq++
-			for _, st := range open {
-				s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
-				s.telPicks.Inc()
-				job.st = st
-				if err := s.sealOne(job); err != nil {
-					return off, err
-				}
-			}
-		} else {
+		picked := cs
+		if idx != sched.PickAll {
 			if idx < 0 || idx >= len(cs) {
 				// Out-of-range pick: surface it (Bytes carries the bad
 				// index) instead of clamping silently, then fall back
@@ -379,14 +397,14 @@ framing:
 				}
 				idx = 0
 			}
-			st := cs[idx]
-			if s.retransmitParked(st, budget) {
-				// The picked path crossed its retransmit budget mid-
-				// flush: park the remaining group bytes; the next flush
-				// re-filters the candidate set.
-				break framing
-			}
-			s.coupled.sendSeq++
+			picked = cs[idx : idx+1]
+		}
+		// Redundant scheduling (PickAll) sends the same aggregation
+		// sequence on every path, each replica retained in its own path's
+		// chunk; the receiver's reorder buffer keeps exactly one copy, and
+		// the window counts the sequence once.
+		s.coupled.sendSeq++
+		for _, st := range picked {
 			s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
 			s.telPicks.Inc()
 			job.st = st
@@ -394,10 +412,8 @@ framing:
 				return off, err
 			}
 		}
+		s.sealed(&sp, picked[0], n)
 		off += n
-	}
-	for _, st := range cs {
-		s.solicitIfParked(st, budget)
 	}
 	return off, nil
 }

@@ -68,17 +68,12 @@ type Config struct {
 	// at a bandwidth cost. Zero disables padding.
 	PadRecordsTo int
 
-	// MaxReorderBytes caps the payload bytes the coupled reorder heap
-	// may park (§4.3). When an out-of-order record would push the heap
-	// past the cap and failover is enabled, the engine declares the
-	// quietest other coupled path suspect and fails it — triggering the
-	// existing failover/replay machinery — instead of allocating
-	// forever against a stalled-but-alive path. 0 means the default
-	// (16 MiB); negative disables the cap.
-	MaxReorderBytes int
-	// MaxReorderRecords caps the records the reorder heap may park,
-	// independent of their size. 0 means the default (8192); negative
-	// disables the cap.
+	// MaxReorderBytes and MaxReorderRecords are the receiver's limit on
+	// the coupled reorder heap (§4.3), which an honest sender's window
+	// keeps it below: with failover, a heap past either fails the session
+	// with ErrReorderLimit. 0 means the default (16 MiB, 8192 records);
+	// negative disables it.
+	MaxReorderBytes   int
 	MaxReorderRecords int
 	// MaxRecvBufferBytes caps each stream's (and the coupled group's)
 	// receive buffer when no Deliver callback drains it. At the cap the
@@ -89,13 +84,14 @@ type Config struct {
 	// ErrRecvBufferFull instead of growing without bound. 0 means the
 	// default (16 MiB); negative disables the cap.
 	MaxRecvBufferBytes int
-	// MaxRetransmitBytes budgets each stream's retransmit buffer when
-	// failover is enabled. At half the budget the engine solicits a
-	// fresh cumulative ACK on the ctl path (lost-ACK recovery); at the
-	// budget it parks further sealing for that stream until ACKs trim
-	// the buffer, and Write returns a typed ErrRetransmitBudget once a
-	// further budget's worth of bytes queues behind the stall. 0 means
-	// the default (16 MiB); negative disables the budget.
+	// MaxRetransmitBytes is the send window with failover: the most a
+	// sender keeps between its oldest unacknowledged record and its
+	// newest, per plain stream and across the coupled group in
+	// aggregation order (charge). At half the window the engine solicits
+	// an ACK; at the window sealing parks and Backlog holds the writer.
+	// The receiver acks a coupled record as it enters the reorder heap,
+	// so the heap holds at most one window. 0 means the default (16 MiB);
+	// negative disables it.
 	MaxRetransmitBytes int
 }
 
@@ -128,8 +124,21 @@ func (c Config) maxReorderRecords() int {
 func (c Config) maxRecvBytes() int {
 	return boundOrDefault(c.MaxRecvBufferBytes, DefaultMaxRecvBufferBytes)
 }
-func (c Config) maxRetransmitBytes() int {
+
+// window is the send window in bytes; 0 without failover, where no
+// acknowledgment flows.
+func (c Config) window() int {
+	if !c.EnableFailover {
+		return 0
+	}
 	return boundOrDefault(c.MaxRetransmitBytes, DefaultMaxRetransmitBytes)
+}
+
+// charge is what a record of n payload bytes counts against the window:
+// at least 1/DefaultMaxReorderRecords of it (2 KiB by default), so a
+// window of tiny records holds no more records than the default limit.
+func (c Config) charge(n int) uint64 {
+	return uint64(max(n, c.window()/DefaultMaxReorderRecords))
 }
 
 func (c Config) ackPeriod() int {
@@ -223,10 +232,10 @@ var (
 	// dropped once the sequence advanced) — the caller must drain Read
 	// before feeding more.
 	ErrRecvBufferFull = errors.New("core: receive buffer full")
-	// ErrRetransmitBudget: a stream Write would queue more than a full
-	// extra retransmit budget behind a stream whose retransmit buffer is
-	// already at its cap waiting on ACKs.
-	ErrRetransmitBudget = errors.New("core: retransmit buffer budget exhausted")
+	// ErrReorderLimit: the coupled reorder heap passed the receiver's
+	// limit (Config.MaxReorderBytes / MaxReorderRecords), which an honest
+	// sender's window never reaches. The session fails with it.
+	ErrReorderLimit = errors.New("core: peer overran the coupled reorder limit")
 )
 
 // Session is the sans-IO TCPLS protocol engine for one endpoint of one
@@ -355,10 +364,8 @@ type coupledState struct {
 	// recvBlocked: recvQ hit the receive-buffer cap; reported through
 	// RecvPaused until ReadCoupled drains below half the cap.
 	recvBlocked bool
-	// capTripped arms hysteresis for the reorder-cap suspect declaration:
-	// one failover per excursion above the cap, rearmed when the heap
-	// drains below half.
-	capTripped bool
+	// win is the group's send window, counted in aggregation order.
+	win sendWindow
 	// peakBytes high-watermarks the reorder heap's payload bytes.
 	peakBytes int
 }
@@ -803,16 +810,45 @@ func (s *Session) QueuedBytes(connID uint32) int {
 	return n
 }
 
-// CoupledQueuedBytes is QueuedBytes for WriteCoupled: the deepest queue
-// among the connections a coupled record can be scheduled onto.
-func (s *Session) CoupledQueuedBytes() int {
+// Backlog is what a writer has waiting in the engine, for streamID or,
+// when coupled, for the coupled group: the bytes no record carries yet —
+// held back by a full send window or a failed connection — and the sealed
+// bytes queued where they go (for the group, the deepest queue among its
+// connections). A driver holds its writer while the backlog is full: the
+// send window's back-pressure on the application.
+func (s *Session) Backlog(streamID uint32, coupled bool) int {
+	if !coupled {
+		st, ok := s.streams[streamID]
+		if !ok {
+			return 0
+		}
+		return st.pendingQ.Len() + s.QueuedBytes(st.conn)
+	}
 	deepest := 0
 	for _, st := range s.streams {
 		if st.coupled && !st.finSent {
 			deepest = max(deepest, s.QueuedBytes(st.conn))
 		}
 	}
-	return deepest
+	return s.coupled.pendingQ.Len() + deepest
+}
+
+// Parked reports whether queued bytes wait for acknowledgments to open
+// their send window: an orderly close waits for them too.
+func (s *Session) Parked() bool {
+	for _, st := range s.streams {
+		if s.parked(st) {
+			return true
+		}
+	}
+	return false
+}
+
+// parked reports whether bytes for st, its own or its coupled group's,
+// wait at a full send window.
+func (s *Session) parked(st *stream) bool {
+	return st.win.parked && st.pendingQ.Len() > 0 ||
+		st.coupled && !st.finSent && s.coupled.win.parked && s.coupled.pendingQ.Len() > 0
 }
 
 // Snapshot fills dst with the engine's observable state (DESIGN.md
@@ -898,7 +934,7 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 // BufferedBytes sums every buffer the engine holds on behalf of the
 // peer or the application (Snapshot's MemoryBytes): the coupled reorder
 // heap; the records retained for failover replay, in chunks and Bufs,
-// counted by payload bytes as the retransmit budget counts them; the
+// counted by payload bytes; the
 // coupled group's receive buffer and unsent pending data; and each
 // stream's. This scalar form is what the server runtime rolls up across
 // thousands of sessions into its process-wide memory budget.
@@ -941,17 +977,5 @@ func (s *Session) noteRetransmitBytes(delta int) {
 	}
 	if s.tel != nil {
 		s.tel.RetransmitBytes.Set(int64(s.retransmitTotal))
-	}
-}
-
-// noteReorderBytes refreshes the reorder-heap peak and telemetry gauge
-// after the heap's contents changed.
-func (s *Session) noteReorderBytes() {
-	n := s.coupled.buf.PendingBytes()
-	if n > s.coupled.peakBytes {
-		s.coupled.peakBytes = n
-	}
-	if s.tel != nil {
-		s.tel.ReorderBytes.Set(int64(n))
 	}
 }

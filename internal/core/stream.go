@@ -23,13 +23,12 @@ type stream struct {
 	coupled    bool
 	finQueued  bool
 	finSent    bool
-	// retransmitBytes sums payload bytes across retransmit — the
-	// stream's charge against Config.MaxRetransmitBytes. budgetTripped
-	// marks that sealing is parked at the budget (one flowctl_limit
-	// trace per excursion); ackSolicited marks an AckRequest in flight,
-	// cleared when an ack trims the buffer.
+	// retransmitBytes sums payload bytes across retransmit. win is the
+	// send window of the stream's plain records (coupled ones count in
+	// the group's); ackSolicited marks an AckRequest in flight, cleared
+	// by any ack on the stream.
 	retransmitBytes int
-	budgetTripped   bool
+	win             sendWindow
 	ackSolicited    bool
 	// pendingSince stamps when the oldest unflushed bytes entered
 	// pending — the enqueue leg of the record-lifecycle span. Re-stamped
@@ -70,9 +69,10 @@ type sentRecord struct {
 	wire  []byte
 	in    *chunk
 	moved *record.Buf
-	// size is the payload bytes: the record's charge against the
-	// retransmit budget.
+	// size is the payload bytes; off is where the record starts in its
+	// send window (the stream's, or the coupled group's).
 	size   int
+	off    uint64
 	aggSeq uint64
 	// sentAt stamps the seal time for ACK-driven RTT sampling and the
 	// span's seal leg; retxCount counts failover replays — a nonzero
@@ -185,8 +185,9 @@ func (s *Session) StreamConn(streamID uint32) (uint32, error) {
 // Write takes application bytes for a stream. With nothing queued ahead
 // the whole records among them are sealed at once, straight from data
 // (+11 % on bulk_1s over queueing everything); the sub-record tail, and
-// what a parked stream leaves, waits for the next Flush. On a seal
-// error it returns the bytes already sealed.
+// what a stream parked at its send window leaves, waits for the next
+// Flush: Backlog tells a writer how much waits. On a seal error it
+// returns the bytes already sealed.
 func (s *Session) Write(streamID uint32, data []byte) (int, error) {
 	st, err := s.getStream(streamID)
 	if err != nil {
@@ -194,13 +195,6 @@ func (s *Session) Write(streamID uint32, data []byte) (int, error) {
 	}
 	if st.finQueued {
 		return 0, ErrStreamFinished
-	}
-	// Hard retransmit cap: a stream parked at its budget (waiting on
-	// ACKs) still accepts up to one further budget's worth of pending
-	// bytes, then Write errors instead of queueing without bound.
-	if budget := s.cfg.maxRetransmitBytes(); budget > 0 &&
-		st.retransmitBytes >= budget && st.pendingQ.Len()+len(data) > budget {
-		return 0, fmt.Errorf("stream %d: %w", streamID, ErrRetransmitBudget)
 	}
 	n := len(data)
 	if st.pendingQ.Len() == 0 {
@@ -296,22 +290,6 @@ func (s *Session) WriteCoupled(data []byte) (int, error) {
 	cs := s.coupledStreams()
 	if len(cs) == 0 {
 		return 0, ErrNotCoupled
-	}
-	// Hard retransmit cap for the group: only when EVERY coupled stream
-	// is parked at its budget does further queueing error — while any
-	// path still has budget, Flush can drain onto it.
-	if budget := s.cfg.maxRetransmitBytes(); budget > 0 &&
-		s.coupled.pendingQ.Len()+len(data) > budget {
-		allParked := true
-		for _, st := range cs {
-			if st.retransmitBytes < budget {
-				allParked = false
-				break
-			}
-		}
-		if allParked {
-			return 0, fmt.Errorf("coupled group: %w", ErrRetransmitBudget)
-		}
 	}
 	n := len(data)
 	if s.coupled.pendingQ.Len() == 0 {

@@ -26,9 +26,9 @@ func traceUS(t time.Time) int64 {
 // flowctl_limit trace codes (the event's Seq field): which configured
 // bound tripped.
 const (
-	flowctlReorder    = 1 // reorder-heap byte/record cap (Config.MaxReorder*)
+	flowctlReorder    = 1 // receiver's reorder limit, the session fails (Config.MaxReorder*)
 	flowctlRecvBuffer = 2 // receive-buffer cap (Config.MaxRecvBufferBytes)
-	flowctlRetransmit = 3 // retransmit budget (Config.MaxRetransmitBytes)
+	flowctlWindow     = 3 // send window full, sealing parks (Config.MaxRetransmitBytes)
 )
 
 // SetTracer installs a trace callback. The callback runs synchronously

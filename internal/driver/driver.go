@@ -443,14 +443,15 @@ func (d *Driver) stranded() bool {
 	return false
 }
 
-// busy: some connection still has output to write.
+// busy: some connection still has output to write, or the engine holds
+// bytes back until acknowledgments open their send window.
 func (d *Driver) busy() bool {
 	for _, c := range d.conns {
 		if c.lent > 0 || c.entered && !c.shut && !d.failed(c) && d.Engine.HasOutgoing(c.ID) {
 			return true
 		}
 	}
-	return false
+	return d.Engine.Parked()
 }
 
 // checkDrain moves a drain along: the goodbyes once the output is out,

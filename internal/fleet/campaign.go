@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -46,6 +45,7 @@ const (
 	VResume     = "resume"
 	VMemReplay  = "memory-replay"
 	VHealth     = "health"
+	VProgress   = "progress"
 )
 
 // Health-oracle constants: the self-diagnosis monitors (internal/health)
@@ -199,6 +199,11 @@ type fleetSession struct {
 	finished   bool // writer sent its FINs
 	quiesced   bool
 	doneAt     sim.Time
+	startAt    sim.Time // the paths' first join
+	touched    bool     // a fault perturbed the session, last until faultEnd
+	faultEnd   sim.Time
+	endedAt    sim.Time // a side's session ended with endErr
+	endErr     string
 
 	connFailures int
 	redials      int // supervisor redial rounds (client side)
@@ -254,11 +259,10 @@ type campaign struct {
 	resumeVios []Violation
 
 	// Health oracle (invariant 5): two self-diagnosis monitors per
-	// session (one per endpoint), polled from the virtual clock. touched
-	// marks sessions any fault ever perturbed — a verdict raised on an
-	// untouched session is a spurious diagnosis and fails the campaign.
+	// session (one per endpoint), polled from the virtual clock. A
+	// verdict raised on a session no fault touched is a spurious
+	// diagnosis and fails the campaign.
 	healthMons   []*health.Monitor
-	touched      []bool
 	healthRaised []map[string]int
 	healthVios   []Violation
 
@@ -272,7 +276,7 @@ type campaign struct {
 	traceBuf     []core.TraceEvent
 }
 
-// Run executes one campaign and checks all five invariants.
+// Run executes one campaign and checks all six invariants.
 func Run(sc Scenario) *Result {
 	res, _ := run(sc, -1)
 	return res
@@ -326,7 +330,6 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 		}
 	}
 
-	c.touched = make([]bool, sc.Sessions)
 	c.healthRaised = make([]map[string]int, sc.Sessions)
 	for i := 0; i < sc.Sessions; i++ {
 		c.sessions = append(c.sessions, c.buildSession(i))
@@ -439,10 +442,11 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		MaxReorderRecords:  reorderRecs,
 		MaxRetransmitBytes: retransmitCap,
 	}
-	if c.sc.InjectReorderBug {
-		cfg.MaxReorderBytes = -1
-		cfg.MaxReorderRecords = -1
-		cfg.MaxRetransmitBytes = -1
+	switch {
+	case c.sc.InjectReorderBug:
+		cfg.MaxReorderBytes, cfg.MaxReorderRecords, cfg.MaxRetransmitBytes = -1, -1, -1
+	case c.sc.DefaultCaps:
+		cfg.MaxReorderBytes, cfg.MaxReorderRecords, cfg.MaxRetransmitBytes = 0, 0, 0
 	}
 	// The production supervisor at its defaults, jitter seeded per
 	// session apart from the workload's draws.
@@ -508,8 +512,16 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		fs.sealTicket()
 	}
 
-	startAt := sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
-	c.s.At(startAt, func() {
+	for _, ep := range []*simtcpls.Endpoint{fs.cl, fs.sv} {
+		ep.OnEnd = func(err error) {
+			if err != nil && fs.endErr == "" {
+				fs.endedAt, fs.endErr = c.s.Now(), err.Error()
+			}
+		}
+	}
+
+	fs.startAt = sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
+	c.s.At(fs.startAt, func() {
 		for p := range fs.paths {
 			fs.cl.Join(p)
 		}
@@ -569,7 +581,7 @@ func (c *campaign) installHealth(fs *fleetSession) {
 					return
 				}
 				c.healthRaised[fs.idx][v.Name]++
-				if !c.touched[fs.idx] {
+				if !fs.touched {
 					c.healthVios = append(c.healthVios, Violation{
 						Session: fs.idx, Kind: VHealth,
 						Detail: fmt.Sprintf("spurious %s on %s at virtual %v: %s (no fault ever touched this session)",
@@ -624,23 +636,25 @@ func (fs *fleetSession) pump() {
 	if rem := fs.total - fs.written; n > rem {
 		n = rem
 	}
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = fs.patternByte(fs.written + i)
-	}
-	var err error
-	if fs.coupled {
-		err = fs.writerEP().WriteCoupled(buf)
-	} else {
-		err = fs.writerEP().Write(fs.streams[0], buf)
-	}
-	if err == nil {
-		fs.written += n
-	} else if !errors.Is(err, core.ErrRetransmitBudget) {
-		// ErrRetransmitBudget is designed backpressure — the budget parks
-		// the writer until ACKs trim the buffer — so it is retried, not
-		// recorded. Anything else is a genuine writer failure.
-		fs.writeErr = err.Error()
+	// The pump holds while a chunk still waits in the engine (behind a
+	// full send window, or a failed connection), as a wrapper's writer.
+	w := fs.writerEP()
+	if w.Sess.Backlog(fs.streams[0], fs.coupled) < chunkBytes {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = fs.patternByte(fs.written + i)
+		}
+		var err error
+		if fs.coupled {
+			err = w.WriteCoupled(buf)
+		} else {
+			err = w.Write(fs.streams[0], buf)
+		}
+		if err == nil {
+			fs.written += n
+		} else {
+			fs.writeErr = err.Error()
+		}
 	}
 	if fs.written < fs.total {
 		fs.c.s.After(fs.pumpGap, fs.pump)
@@ -661,6 +675,27 @@ func (fs *fleetSession) finishWriter() {
 		_ = w.Sess.FinishStream(id)
 	}
 	w.Flush()
+}
+
+// idealEnd is when the session's paced writer would have written its
+// last chunk with nothing in its way.
+func (fs *fleetSession) idealEnd() sim.Time {
+	return fs.startAt + sim.Time((fs.total+chunkBytes-1)/chunkBytes)*fs.pumpGap
+}
+
+// progressViolation checks invariant 6: after the last fault that
+// touched it, and once its paced writer could have finished, a session
+// delivers its last byte or ends with a typed error within
+// progressBound. It describes the breach, or returns "".
+func (fs *fleetSession) progressViolation() string {
+	due := max(fs.faultEnd, fs.idealEnd()) + progressBound
+	switch {
+	case fs.quiesced && fs.doneAt > due:
+		return fmt.Sprintf("last byte delivered at %v, past the %v bound (due %v)", fs.doneAt, progressBound, due)
+	case !fs.quiesced && (fs.endErr == "" || fs.endedAt > due):
+		return fmt.Sprintf("neither completed nor ended with a typed error by %v (ended %q at %v)", due, fs.endErr, fs.endedAt)
+	}
+	return ""
 }
 
 // onDeliver verifies delivered bytes against the pattern in O(1) memory.
@@ -749,22 +784,26 @@ func (c *campaign) applyFault(ev FaultEvent) {
 		return
 	}
 	fs := c.sessions[ev.Session%n]
+	touch := func(i int) {
+		ts := c.sessions[i]
+		ts.touched, ts.faultEnd = true, max(ts.faultEnd, ev.At+ev.Dur)
+	}
 	switch ev.Kind {
 	case FaultRST, FaultBlackhole, FaultStall, FaultDegrade, FaultRestart:
-		c.touched[fs.idx] = true
+		touch(fs.idx)
 	case FaultRSTStorm:
 		stride := ev.Stride
 		if stride < 1 {
 			stride = 1
 		}
 		for i := ev.Session % n; i < n; i += stride {
-			c.touched[i] = true
+			touch(i)
 		}
 	case FaultRackOutage:
 		rack := ev.Rack % c.sc.Racks
 		for i := range c.sessions {
 			if i%c.sc.Racks == rack {
-				c.touched[i] = true
+				touch(i)
 			}
 		}
 	}
@@ -920,9 +959,14 @@ func (c *campaign) resetLowestLive(fs *fleetSession) {
 	}
 }
 
-// snapshot freezes per-session metrics and checks invariants 1, 2 and 4.
+// snapshot freezes per-session metrics and checks invariants 1, 2, 4
+// and 6.
 func (c *campaign) snapshot(res *Result) {
 	var ends [2]telemetry.Snapshot // client, server
+	reorderB, retxB := reorderBudget, retransmitBudget
+	if c.sc.DefaultCaps {
+		reorderB, retxB = core.DefaultMaxRetransmitBytes, core.DefaultMaxRetransmitBytes
+	}
 	for _, fs := range c.sessions {
 		fs.cl.Sess.Snapshot(&ends[0])
 		fs.sv.Sess.Snapshot(&ends[1])
@@ -975,12 +1019,17 @@ func (c *campaign) snapshot(res *Result) {
 
 		// Invariant 2: bounded memory.
 		for side := range ends {
-			if p := ends[side].ReorderBytesPeak; p > reorderBudget {
-				add(VMemReorder, "side %d reorder heap peaked at %d bytes (budget %d)", side, p, reorderBudget)
+			if p := ends[side].ReorderBytesPeak; p > reorderB {
+				add(VMemReorder, "side %d reorder heap peaked at %d bytes (budget %d)", side, p, reorderB)
 			}
-			if p := ends[side].RetransmitBytesPeak; p > retransmitBudget {
-				add(VMemRetx, "side %d retransmit buffers peaked at %d bytes (budget %d)", side, p, retransmitBudget)
+			if p := ends[side].RetransmitBytesPeak; p > retxB {
+				add(VMemRetx, "side %d retransmit buffers peaked at %d bytes (budget %d)", side, p, retxB)
 			}
+		}
+
+		// Invariant 6: bounded progress.
+		if d := fs.progressViolation(); d != "" {
+			add(VProgress, "%s", d)
 		}
 
 		// Invariant 4: telemetry count-closure. Only meaningful once the

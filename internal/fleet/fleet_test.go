@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tcpls/internal/qlog"
 )
@@ -66,7 +67,7 @@ func artifactDir(t *testing.T) string {
 }
 
 // TestFleetCampaign is the headline invariant run: a full fleet under
-// the default fault mix, all four invariants checked. On failure it
+// the default fault mix, all six invariants checked. On failure it
 // emits the one-line repro, writes the implicated session's qlog
 // artifact, and verifies the artifact is analyzable.
 func TestFleetCampaign(t *testing.T) {
@@ -159,6 +160,43 @@ func TestFleetSeedReproducible(t *testing.T) {
 	}
 }
 
+// TestFleetCoupledDefaultCaps: the campaign's coupled and plain sessions
+// at the engine's default send window and reorder limit, under the
+// default fault mix, hold every invariant on seeds 1-3.
+func TestFleetCoupledDefaultCaps(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		res := Run(Scenario{Seed: seed, Sessions: 300, DefaultCaps: true})
+		for _, v := range res.Violations {
+			t.Errorf("seed %d: %s", seed, v)
+		}
+	}
+}
+
+// TestFleetProgressInvariantArmed: invariant 6 flags a session that
+// completes past its bound and one that neither completes nor ends with
+// a typed error, and passes one that ends with a typed error in time.
+func TestFleetProgressInvariantArmed(t *testing.T) {
+	base := fleetSession{total: 8 * chunkBytes, pumpGap: pumpEvery, faultEnd: time.Second}
+	due := time.Second + progressBound
+	for _, tc := range []struct {
+		name string
+		mod  func(*fleetSession)
+		want bool
+	}{
+		{"done in time", func(fs *fleetSession) { fs.quiesced, fs.doneAt = true, due }, false},
+		{"done late", func(fs *fleetSession) { fs.quiesced, fs.doneAt = true, due+1 }, true},
+		{"wedged", func(fs *fleetSession) {}, true},
+		{"typed error in time", func(fs *fleetSession) { fs.endErr, fs.endedAt = "core: peer overran the coupled reorder limit", due }, false},
+		{"typed error late", func(fs *fleetSession) { fs.endErr, fs.endedAt = "dead", due+1 }, true},
+	} {
+		fs := base
+		tc.mod(&fs)
+		if got := fs.progressViolation(); (got != "") != tc.want {
+			t.Errorf("%s: violation %q, want one: %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestFleetCatchesInjectedReorderBug is the harness self-test demanded
 // by the acceptance criteria: disable the reorder cap (the PR-5
 // regression), confirm the memory invariant catches it, shrink the
@@ -220,7 +258,7 @@ func TestFleetCatchesInjectedReorderBug(t *testing.T) {
 // connections at once. The campaign's built-in oracle demands byte-exact
 // PSK recovery inside the accept window, reissue under old generations,
 // clean age-out past the window, single-use 0-RTT admission, and a
-// bounded strike register — plus the usual four invariants across the
+// bounded strike register — plus the usual invariants across the
 // mass restarts.
 func TestFleetRestartResume(t *testing.T) {
 	sc := Scenario{

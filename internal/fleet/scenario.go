@@ -2,7 +2,7 @@
 // robustness story: it drives thousands of concurrent TCPLS sessions —
 // real protocol engines (internal/core) over simulated TCP
 // (internal/simtcp) over the DES (internal/sim) — through randomized
-// but seed-reproducible fault schedules, then asserts five fleet-wide
+// but seed-reproducible fault schedules, then asserts six fleet-wide
 // invariants:
 //
 //  1. byte-exactness: every stream delivers exactly the bytes written;
@@ -16,7 +16,10 @@
 //  5. diagnosis fidelity: internal/health monitors run over every
 //     endpoint on the virtual clock and may never raise a verdict on a
 //     session no fault touched (spurious diagnosis) nor leave one
-//     active after the fleet drains and cools down (stuck diagnosis).
+//     active after the fleet drains and cools down (stuck diagnosis);
+//  6. bounded progress: after the last fault that touched it, every
+//     session delivers its last byte or ends with a typed error within
+//     progressBound of virtual time.
 //
 // A failing seed is a complete bug report: Result.ReproLine() is a
 // one-line `go test` invocation, RunTraced writes a qlog artifact
@@ -143,11 +146,15 @@ type Scenario struct {
 	// sessions (default 64 KiB); coupled sessions move coupledMultiplier
 	// times as much to exercise the aggregation reorder heap.
 	TransferBytes int
-	// InjectReorderBug disables the PR-5 buffer caps (reorder heap and
-	// retransmit budget) — the intentional regression the harness must
-	// catch via its memory invariant (the self-test of the acceptance
-	// criteria).
+	// InjectReorderBug turns the send window off, and with it the
+	// reader's reorder limit — the intentional regression the harness
+	// must catch via its memory invariant (the self-test of the
+	// acceptance criteria).
 	InjectReorderBug bool
+	// DefaultCaps runs every session at the engine's default send window
+	// and reorder limit instead of the campaign's small ones; invariant
+	// 2's budgets become those defaults.
+	DefaultCaps bool
 	// KeyRotations schedules this many evenly spaced ticket-key
 	// rotations inside Duration, so FaultRestart resumptions land
 	// against current, previous, and aged-out key generations. Zero
@@ -165,19 +172,13 @@ type Scenario struct {
 const (
 	linkRateBps = 16_000_000 // 2 MB/s per path direction
 	linkDelay   = time.Millisecond
-	// linkQueue bounds each link's drop-tail queue. Kept small on
-	// purpose: the queue is exactly how many bytes a restored path can
-	// dump into the reorder heap before the gap-filling replay lands, so
-	// it sets the legitimate overshoot above reorderCap. 32 KiB keeps
-	// that overshoot well under reorderBudget while the cap-disabled bug
-	// blows through it.
+	// linkQueue bounds each link's drop-tail queue.
 	linkQueue = 32 << 10
-	// userTimeout is also what separates the memory-invariant regimes:
-	// the cap-disabled runaway (InjectReorderBug) grows the reorder heap
-	// at ~half the writer rate for one full user timeout before failover
-	// fills the gap — ~200 KB at this setting, far over reorderBudget —
-	// while the legitimate peak is bounded by the caps regardless of how
-	// long a connection takes to die.
+	// userTimeout recovers a stalled path, and separates the memory
+	// invariant's regimes: with the window off (InjectReorderBug) the
+	// reorder heap grows at ~half the writer rate for one full user
+	// timeout before failover fills the gap — ~200 KB, far over
+	// reorderBudget.
 	userTimeout = time.Second
 	// joinCookies is each client's join budget: its initial paths plus
 	// every redial the supervisor makes.
@@ -185,37 +186,31 @@ const (
 	pumpEvery   = 10 * time.Millisecond // writer cadence: 4 KiB / 10 ms = 400 KB/s
 	chunkBytes  = 4096
 	maxPayload  = 4096 // one record per chunk
-	reorderCap  = 16 << 10
-	reorderRecs = 64
-	// retransmitCap is the per-stream retransmit budget, and it is what
-	// makes the memory invariant provable rather than empirical: a
-	// coupled stream is pinned to its connection, so no connection can
-	// ever hold more than retransmitCap unacknowledged bytes — which is
-	// exactly the most a surviving connection can dump into the peer's
-	// reorder heap behind a gap (correlated outages queue the
-	// gap-filling replay behind that same backlog, where the reorder
-	// cap's suspect-failover cannot shortcut it).
+	// retransmitCap is the send window, which makes the memory invariant
+	// provable: the reader's reorder heap only holds records within it.
+	// The reader's limit, reorderCap and reorderRecs, is at least one
+	// window (24 records of maxPayload): honest sessions never reach it.
 	retransmitCap = 96 << 10
+	reorderCap    = retransmitCap
+	reorderRecs   = 64
 
 	// reorderBudget is invariant #2's bound on the coupled reorder
-	// heap's byte peak. With the caps enabled the heap is hard-bounded
-	// by retransmitCap + reorderCap + one record (~116 KiB): parked
-	// records were unacknowledged at send time, so one connection's
-	// backlog cannot exceed its stream's retransmit budget. With the
-	// caps disabled (InjectReorderBug), nothing parks the writer during
-	// a stall and the live path's deliveries pile up for a full user
-	// timeout — writer_rate/2 x UserTimeout and beyond, empirically
-	// 190-270 KiB. 128 KiB separates the regimes: above the hard bound,
-	// well below the runaway.
+	// heap's byte peak: below one window with the window on, 190-270 KiB
+	// with it off (InjectReorderBug). 128 KiB separates the regimes.
 	reorderBudget = 128 << 10
 	// coupledMultiplier scales coupled sessions' transfers relative to
 	// plain ones: the transfer must comfortably exceed reorderBudget for
-	// the cap-disabled runaway to be visible (see reorderBudget).
+	// the window-off runaway to be visible (see reorderBudget).
 	coupledMultiplier = 6
-	// retransmitBudget bounds the per-engine retransmit-buffer peak: two
-	// coupled streams at retransmitCap each, plus seal-in-progress slop.
-	// Exceeding it means the per-stream budget enforcement broke.
-	retransmitBudget = 2*retransmitCap + (32 << 10)
+	// retransmitBudget bounds the per-engine retransmit-buffer peak: one
+	// window, for one plain stream or the coupled group.
+	retransmitBudget = retransmitCap
+	// progressBound is invariant #6's bound (progressViolation). A
+	// writer held through the longest generated fault (a stall,
+	// userTimeout + 500 ms) resumes a user timeout after it began at the
+	// latest; the rest covers redials and TCP's backoff. Seeds 1-4 and
+	// the restart mix peak at 1.4 s.
+	progressBound = 4 * time.Second
 )
 
 // WithDefaults resolves zero-valued knobs.

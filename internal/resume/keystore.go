@@ -136,13 +136,6 @@ func (ks *KeyStore) SetAcceptWindow(n int) {
 	ks.mu.Unlock()
 }
 
-// setClock is a test hook.
-func (ks *KeyStore) setClock(fn func() time.Time) {
-	ks.mu.Lock()
-	ks.now = fn
-	ks.mu.Unlock()
-}
-
 // addKeyLocked mints a fresh key as generation gen and prepends it.
 func (ks *KeyStore) addKeyLocked(gen uint32) error {
 	var k ticketKey

@@ -254,16 +254,6 @@ func (c *Conn) sackedBytes() int {
 	return total
 }
 
-// pipe estimates bytes actually in the network: in-flight minus what the
-// peer reported as received out of order (RFC 6675's pipe).
-func (c *Conn) pipe() int {
-	p := c.InFlight() - c.sackedBytes()
-	if p < 0 {
-		p = 0
-	}
-	return p
-}
-
 // isSacked reports whether [seq, seq+n) is fully covered by a SACK range.
 func (c *Conn) isSacked(seq uint64, n int) bool {
 	for _, r := range c.sacked {
@@ -623,26 +613,6 @@ func (c *Conn) handleSegment(seg *segment) {
 	if len(seg.payload) > 0 {
 		c.processData(seg)
 	}
-}
-
-// mergeRanges sorts and merges [start, end) ranges.
-func mergeRanges(rs [][2]uint64) [][2]uint64 {
-	if len(rs) <= 1 {
-		return rs
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i][0] < rs[j][0] })
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r[0] <= last[1] {
-			if r[1] > last[1] {
-				last[1] = r[1]
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 func (c *Conn) processAck(seg *segment) {

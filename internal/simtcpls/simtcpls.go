@@ -83,6 +83,9 @@ type Endpoint struct {
 	// OnJoined hears of every connection the supervisor brings up.
 	Paths    []*sim.Path
 	OnJoined func(connID uint32)
+	// OnEnd hears of the session's end: nil after an orderly close, else
+	// the typed error that ended it.
+	OnEnd func(err error)
 }
 
 // Pair creates a connected client/server endpoint pair with no paths;
@@ -185,8 +188,9 @@ func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn) {
 		// Input on a connection the engine declared failed dies here, as
 		// it does at a real socket: records lost with a failed connection
 		// are attributable, records on live connections always arrive.
+		// Input the engine refuses ends the session, as at a real socket.
 		if err := e.D.Receive(c, p); err != nil {
-			panic("simtcpls: engine receive: " + err.Error())
+			e.D.Fail(err)
 		}
 	}
 	tc.OnReset = func() { e.D.Down(c, false) }
@@ -275,7 +279,11 @@ func (h *host) Dial(c *driver.Conn) {
 
 func (h *host) FlushError(err error) { panic("simtcpls: flush: " + err.Error()) }
 
-func (h *host) End(error) {}
+func (h *host) End(err error) {
+	if h.OnEnd != nil {
+		h.OnEnd(err)
+	}
+}
 
 // Conn exposes the underlying simulated TCP connection (for tcp_info-
 // style statistics, CC swaps, and fault injection in experiments).

@@ -111,10 +111,6 @@ var (
 	// own backpressure is bypassed, e.g. by a peer feeding a paused
 	// connection through another path).
 	ErrRecvBufferFull = core.ErrRecvBufferFull
-	// ErrRetransmitBudget: Write would queue more than a full extra
-	// Config.MaxRetransmitBytes behind a stream parked at its
-	// retransmit budget.
-	ErrRetransmitBudget = core.ErrRetransmitBudget
 )
 
 // newSession builds the session around its first connection. earlyStream
@@ -217,8 +213,9 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 // an extra kernel allocation).
 const writeBatchMax = 16
 
-// sendQueueBytes is how many sealed bytes may wait in the engine for one
-// connection before Write and WriteCoupled hold back — or one write of
+// sendQueueBytes is how many bytes may wait in the engine for one
+// connection, sealed or parked at the send window, before Write and
+// WriteCoupled hold back — or one write of
 // the caller's own size, when that is more — the send-side backpressure
 // that paces application writes, and through them the scheduler, to each
 // path's real rate. The queue a sender keeps filled is then as deep as
@@ -231,26 +228,16 @@ const writeBatchMax = 16
 // of its own: many small ack/control chunks still leave in one syscall.
 const sendQueueBytes = 64 << 10
 
-// awaitSendRoomLocked holds back a sender of n bytes to st — to the
-// coupled group when st is nil — while the bytes queued where its own
-// would land are at that bound. False when the session closed meanwhile.
-func (s *Session) awaitSendRoomLocked(st *Stream, n int) bool {
-	for limit := max(sendQueueBytes, n); !s.closed && s.sendBacklogLocked(st) >= limit; {
+// awaitSendRoomLocked holds back a sender of n bytes to stream id, or to
+// the coupled group, while the engine's backlog where its own bytes would
+// land is at that bound: sealed bytes queued on the connection, and bytes
+// parked behind a full send window. False when the session closed
+// meanwhile.
+func (s *Session) awaitSendRoomLocked(id uint32, coupled bool, n int) bool {
+	for limit := max(sendQueueBytes, n); !s.closed && s.engine.Backlog(id, coupled) >= limit; {
 		s.sendRoom.Wait()
 	}
 	return !s.closed
-}
-
-// sendBacklogLocked is looked up on every turn: a failover moves streams.
-func (s *Session) sendBacklogLocked(st *Stream) int {
-	if st == nil {
-		return s.engine.CoupledQueuedBytes()
-	}
-	conn, err := s.engine.StreamConn(st.id)
-	if err != nil {
-		return 0 // Write reports the unknown stream
-	}
-	return s.engine.QueuedBytes(conn)
 }
 
 // host is the session as the driver sees it: the API state the engine's
@@ -479,10 +466,9 @@ func (s *Session) RemoteAddr() net.Addr {
 
 // MemoryFootprint reports the session's current buffered memory in
 // bytes: the reorder heap, retransmit buffers, stream receive buffers,
-// and unsent pending data. The caps of PR 5 (Config.MaxReorderBytes,
-// MaxRecvBufferBytes, MaxRetransmitBytes) bound it per session; the
-// server runtime (internal/server) rolls it up across the registry
-// into the process-wide memory budget.
+// and unsent pending data. The send window and the receive caps bound
+// it per session; the server runtime (internal/server) rolls it up
+// across the registry into the process-wide memory budget.
 func (s *Session) MemoryFootprint() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -24,12 +24,13 @@ func (st *Stream) Conn() (uint32, error) {
 }
 
 // Write queues p on the stream and transmits it. It blocks only on TCP
-// backpressure, never on the peer's application.
+// backpressure and, with failover, the send window; never on the peer's
+// application.
 func (st *Stream) Write(p []byte) (int, error) {
 	s := st.sess
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.awaitSendRoomLocked(st, len(p)) {
+	if !s.awaitSendRoomLocked(st.id, false, len(p)) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.Write(st.id, p)
@@ -130,7 +131,7 @@ func (s *Session) Couple(streams ...*Stream) error {
 func (s *Session) WriteCoupled(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.awaitSendRoomLocked(nil, len(p)) {
+	if !s.awaitSendRoomLocked(0, true, len(p)) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.WriteCoupled(p)
