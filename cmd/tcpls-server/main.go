@@ -6,6 +6,15 @@
 //	tcpls-server -listen :4443 -mode echo
 //	tcpls-server -listen :4443 -mode file -root /srv/files
 //
+// Client mode, against a server in echo mode (the CI smokes' traffic):
+//
+//	tcpls-server -connect host:4443 -bytes 60000000 [-failover]
+//	tcpls-server -connect host:4443 -ticket-file ticket.json
+//
+// The first pushes -bytes through one echo stream and checks the echo
+// byte for byte. The second is the resumption probe: its first run
+// saves a ticket, the next resumes with 0-RTT (see resumeProbe).
+//
 // Observability:
 //
 //	tcpls-server -metrics-addr 127.0.0.1:9090
@@ -57,7 +66,7 @@ var (
 	listenFlag  = flag.String("listen", ":4443", "listen address")
 	modeFlag    = flag.String("mode", "echo", "handler: echo or file")
 	rootFlag    = flag.String("root", ".", "file-serving root (-mode file)")
-	nameFlag    = flag.String("name", "server.tcpls", "server certificate name")
+	nameFlag    = flag.String("name", "server.tcpls", "server certificate name (with -connect: the name the client expects)")
 	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /debug/tcpls, and /debug/pprof on this address")
 
 	healthIv = flag.Duration("health-interval", 0, "self-diagnosis sampling tick (0 = 1s default; needs -metrics-addr)")
@@ -78,10 +87,18 @@ var (
 	perIPHs      = flag.Int("max-handshakes-per-ip", 0, "concurrent handshakes per remote IP (0 = unlimited)")
 	perIPJoins   = flag.Float64("join-rate-per-ip", 0, "join attempts per second per remote IP (0 = unlimited)")
 	drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline before force-closing sessions")
+
+	connectFlag = flag.String("connect", "", "run as a client of the echo server at this address instead of serving")
+	bytesFlag   = flag.Int64("bytes", 1<<20, "with -connect: bytes to push through the echo")
+	ticketFile  = flag.String("ticket-file", "", "with -connect: run the resumption probe, keeping its ticket in this file")
 )
 
 func main() {
 	flag.Parse()
+	if *connectFlag != "" {
+		runClient(*connectFlag, &tcpls.Config{ServerName: *nameFlag, EnableFailover: *failoverF}, *bytesFlag, *ticketFile)
+		return
+	}
 
 	var handler server.Handler
 	switch *modeFlag {

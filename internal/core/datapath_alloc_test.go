@@ -7,17 +7,16 @@ import (
 // These tests are the datapath pool's acceptance gate (DESIGN.md §16):
 // once the buffer arena, byte queues, and scratch fields are warm, a
 // steady-state 64 KiB send or receive op must not allocate at all — on
-// one path with failover off or on, and, on receive, over two coupled
-// paths whose records half park in the reorder heap. CI
-// runs them alongside the BenchmarkDatapath* smoke job; a regression
-// here means a buffer escaped the pool or a hot-path struct started
-// heap-escaping again.
+// one path with failover off or on, and over two coupled paths, whose
+// sends go through the path scheduler and whose received records half
+// park in the reorder heap. A regression here means a buffer escaped
+// the pool or a hot-path struct started heap-escaping again.
 
 func TestDatapathSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are nondeterministic")
 	}
-	for _, tc := range datapathVariants[:2] {
+	for _, tc := range datapathVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newDatapathPair(t, tc.cfg, tc.paths)
 			payload := make([]byte, datapathBenchBytes)

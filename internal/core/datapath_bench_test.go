@@ -118,7 +118,7 @@ func (p *datapathPair) shuttle(tb testing.TB) {
 // records and acking (failover variant) so retransmit buffers trim and
 // the loop reaches a true steady state.
 func BenchmarkDatapathSend(b *testing.B) {
-	for _, tc := range datapathVariants[:2] {
+	for _, tc := range datapathVariants {
 		b.Run(tc.name, func(b *testing.B) {
 			p := newDatapathPair(b, tc.cfg, tc.paths)
 			payload := make([]byte, datapathBenchBytes)

@@ -361,13 +361,15 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 	if len(cs) == 0 {
 		return 0, nil
 	}
-	views := make([]sched.PathView, len(cs))
-	for i, st := range cs {
-		views[i] = sched.PathView{Stream: st.id, Conn: st.conn}
+	views := s.viewCache[:0]
+	for _, st := range cs {
+		v := sched.PathView{Stream: st.id, Conn: st.conn}
 		if s.metrics != nil {
-			s.metrics.Fill(&views[i])
+			s.metrics.Fill(&v)
 		}
+		views = append(views, v)
 	}
+	s.viewCache = views
 	max := s.cfg.maxPayload()
 	ps := s.scheduler()
 	// The group's oldest record may sit on any stream: a parked one, or

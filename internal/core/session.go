@@ -312,9 +312,13 @@ type Session struct {
 
 	// frameScratch is the receive path's reused frame struct; idCache
 	// memoizes sortedStreamIDs (streams are only ever added, so a length
-	// match means the cache is current).
+	// match means the cache is current). coupledCache and viewCache are
+	// the coupled send path's scratch: coupledStreams' result and the
+	// scheduler's per-call PathViews.
 	frameScratch frame
 	idCache      []uint32
+	coupledCache []*stream
+	viewCache    []sched.PathView
 
 	// tracer and lastNow drive the QLOG-style event trace (trace.go).
 	tracer  func(TraceEvent)

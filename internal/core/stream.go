@@ -271,14 +271,16 @@ func (s *Session) SetCoupled(streamID uint32, coupled bool) error {
 	return nil
 }
 
-// coupledStreams lists coupled streams in deterministic (creation) order.
+// coupledStreams lists coupled streams in deterministic (creation)
+// order, in a scratch slice the next call overwrites.
 func (s *Session) coupledStreams() []*stream {
-	var out []*stream
+	out := s.coupledCache[:0]
 	for _, id := range s.sortedStreamIDs() {
 		if st := s.streams[id]; st.coupled && !st.finSent {
 			out = append(out, st)
 		}
 	}
+	s.coupledCache = out
 	return out
 }
 

@@ -2,7 +2,7 @@
 // evaluation (Sec. 5). Each Fig* function runs one experiment —
 // deterministic simulations for the Mininet figures, real CPU pipelines
 // for the raw-performance figure — and returns structured results that
-// cmd/tcpls-experiments prints and bench_test.go asserts on.
+// cmd/tcpls-experiments prints and this package's tests assert on.
 //
 // DESIGN.md's experiment index maps each function to the paper's table
 // or figure and records the expected shape.

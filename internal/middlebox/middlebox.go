@@ -1,22 +1,25 @@
 // Package middlebox implements the interference zoo of the paper's
-// Sec. 2 and Sec. 5.2 as TCP relays: each middlebox accepts client
-// connections and forwards bytes to the real server while applying its
-// class of mangling. TCPLS's design claim — everything past the
-// handshake is indistinguishable from TLS 1.3, so only extension-visible
-// middleboxes can interfere, and then only to the point of fallback —
-// is exercised against each class.
+// Sec. 2 and Sec. 5.2: the byte-mangling classes as manglers for an
+// internal/netem relay, which accepts client connections and forwards
+// bytes to the real server, and a TLS-terminating proxy. TCPLS's design
+// claim — everything past the handshake is indistinguishable from TLS
+// 1.3, so only extension-visible middleboxes can interfere, and then
+// only to the point of fallback — is exercised against each class.
 //
 // Classes (paper Sec. 2's taxonomy):
 //
 //   - NAT / address rewriting: invisible at the byte-stream layer;
-//     modeled by the plain relay (addresses change, payload untouched).
-//   - Resegmentation (TSO/GRO-style splitting and coalescing): the relay
-//     re-chunks the stream arbitrarily.
-//   - Extension-dropping firewall: kills connections whose ClientHello
-//     carries unknown (TCPLS) extensions — the explicit-fallback case.
-//   - Payload-corrupting ALG: flips bytes in the stream; TCPLS must
-//     detect (AEAD) and fail closed rather than deliver corrupt data.
-//   - Delaying/shaping proxy: adds latency.
+//     modeled by a plain relay (addresses change, payload untouched).
+//   - Resegmentation (TSO/GRO-style splitting and coalescing):
+//     Resegmenter re-chunks the stream arbitrarily.
+//   - Extension-dropping firewall: RejectTCPLSHello kills connections
+//     whose ClientHello carries unknown (TCPLS) extensions — the
+//     explicit-fallback case.
+//   - Payload-corrupting ALG: Corrupter flips bytes in the stream; TCPLS
+//     must detect (AEAD) and fail closed rather than deliver corrupt
+//     data.
+//   - Delaying, stalling and aborting proxies: the relay's Profile.Delay,
+//     Stall and KillAfter.
 //   - TLS-terminating proxy: a real man-in-the-middle that terminates
 //     the TLS session with its own certificate and re-originates it;
 //     TCPLS must fall back to plain TLS (the proxy strips the TCPLS
@@ -26,246 +29,66 @@ package middlebox
 
 import (
 	"io"
-	"net"
-	"sync"
-	"time"
 
+	"tcpls/internal/netem"
 	"tcpls/internal/wire"
 )
-
-// Relay is a generic TCP forwarder with pluggable byte mangling in each
-// direction. Zero mangling models a NAT: the TCP payload is untouched.
-type Relay struct {
-	ln     net.Listener
-	target string
-	// MangleC2S / MangleS2C transform each chunk before forwarding.
-	// They may return multiple chunks (resegmentation) or signal
-	// connection abort by returning an error.
-	MangleC2S func(chunk []byte) ([][]byte, error)
-	MangleS2C func(chunk []byte) ([][]byte, error)
-	// Inspect sees the first client chunk (the ClientHello) before any
-	// forwarding; returning an error aborts the connection (the
-	// extension-filtering firewall).
-	Inspect func(firstChunk []byte) error
-	// Delay adds fixed latency to every forwarded chunk.
-	Delay time.Duration
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewRelay starts a relay listening on a random local port, forwarding
-// to target.
-func NewRelay(target string) (*Relay, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	r := &Relay{ln: ln, target: target}
-	go r.acceptLoop()
-	return r, nil
-}
-
-// Addr returns the relay's listening address (what clients dial).
-func (r *Relay) Addr() string { return r.ln.Addr().String() }
-
-// Tune mutates the mangling hooks race-free with respect to the accept
-// loop, which snapshots them when a connection arrives. NewRelay starts
-// accepting immediately, so setting the exported fields directly after
-// it returns is a data race — go through Tune instead.
-func (r *Relay) Tune(fn func(*Relay)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn(r)
-}
-
-// Close stops the relay.
-func (r *Relay) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	return r.ln.Close()
-}
-
-func (r *Relay) acceptLoop() {
-	for {
-		c, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		go r.handle(c)
-	}
-}
-
-func (r *Relay) handle(client net.Conn) {
-	defer client.Close()
-	server, err := net.Dial("tcp", r.target)
-	if err != nil {
-		return
-	}
-	defer server.Close()
-
-	r.mu.Lock()
-	c2s, s2c, inspect, delay := r.MangleC2S, r.MangleS2C, r.Inspect, r.Delay
-	r.mu.Unlock()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		pump(client, server, c2s, inspect, delay)
-		// Half-close towards the server so EOF propagates.
-		if tc, ok := server.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		pump(server, client, s2c, nil, delay)
-		if tc, ok := client.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-	}()
-	wg.Wait()
-}
-
-// abort closes a connection abortively: SO_LINGER 0 turns the close
-// into a TCP RST, the way real firewalls and ALGs kill flows.
-func abort(nc net.Conn) {
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetLinger(0)
-	}
-	nc.Close()
-}
-
-func pump(src, dst net.Conn, mangle func([]byte) ([][]byte, error), inspect func([]byte) error, delay time.Duration) {
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			chunk := buf[:n]
-			if inspect != nil {
-				if inspect(chunk) != nil {
-					// Simulate a firewall RST: abort both directions.
-					abort(src)
-					abort(dst)
-					return
-				}
-			}
-			inspect = nil // only the first chunk is inspected
-			chunks := [][]byte{chunk}
-			var merr error
-			if mangle != nil {
-				chunks, merr = mangle(chunk)
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			// Any chunks returned alongside an abort still go out first:
-			// an Aborter cuts after exactly N forwarded bytes.
-			for _, c := range chunks {
-				if _, err := dst.Write(c); err != nil {
-					return
-				}
-			}
-			if merr != nil {
-				abort(src)
-				abort(dst)
-				return
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
 
 // Resegmenter returns a mangler that re-chunks the byte stream into
 // sizes cycling through the given list (the paper's "high-speed network
 // adapters that fragment large TCP packets" class). Record boundaries
 // are destroyed; a correct deframer must not care.
-func Resegmenter(sizes ...int) func([]byte) ([][]byte, error) {
+func Resegmenter(sizes ...int) func() netem.Mangler {
 	if len(sizes) == 0 {
 		sizes = []int{1, 7, 64, 512, 4096}
 	}
-	idx := 0
-	return func(chunk []byte) ([][]byte, error) {
-		var out [][]byte
-		for len(chunk) > 0 {
-			n := sizes[idx%len(sizes)]
-			idx++
-			if n > len(chunk) {
-				n = len(chunk)
+	return func() netem.Mangler {
+		idx := 0
+		return func(chunk []byte) ([][]byte, error) {
+			var out [][]byte
+			for len(chunk) > 0 {
+				n := min(sizes[idx%len(sizes)], len(chunk))
+				idx++
+				out = append(out, chunk[:n])
+				chunk = chunk[n:]
 			}
-			out = append(out, append([]byte(nil), chunk[:n]...))
-			chunk = chunk[n:]
+			return out, nil
 		}
-		return out, nil
 	}
 }
 
 // Corrupter returns a mangler that flips one bit every intervalBytes
 // (the payload-rewriting ALG class). AEAD-protected records must reject
 // the corruption.
-func Corrupter(intervalBytes int) func([]byte) ([][]byte, error) {
-	seen := 0
-	return func(chunk []byte) ([][]byte, error) {
-		out := append([]byte(nil), chunk...)
-		for i := range out {
-			seen++
-			if seen%intervalBytes == 0 {
-				out[i] ^= 0x01
+func Corrupter(intervalBytes int) func() netem.Mangler {
+	return func() netem.Mangler {
+		seen := 0
+		return func(chunk []byte) ([][]byte, error) {
+			for i := range chunk {
+				seen++
+				if seen%intervalBytes == 0 {
+					chunk[i] ^= 0x01
+				}
 			}
+			return [][]byte{chunk}, nil
 		}
-		return [][]byte{out}, nil
 	}
 }
 
-// Staller returns a mangler that forwards afterBytes normally and then
-// freezes the direction for d — the buffering/stalling proxy class. The
-// stall lands wherever the byte count says, typically mid-record, so a
-// deframer must tolerate an arbitrarily long gap inside a record.
-func Staller(afterBytes int, d time.Duration) func([]byte) ([][]byte, error) {
-	seen := 0
-	stalled := false
-	return func(chunk []byte) ([][]byte, error) {
-		seen += len(chunk)
-		if !stalled && seen >= afterBytes {
-			stalled = true
-			time.Sleep(d)
+// RejectTCPLSHello returns a mangler that inspects each connection's
+// first chunk and aborts the connection if its ClientHello advertises
+// the TCPLS Hello extension — the overly strict firewall of Sec. 5.2
+// that forces the client's explicit fallback.
+func RejectTCPLSHello() func() netem.Mangler {
+	return func() netem.Mangler {
+		first := true
+		return func(chunk []byte) ([][]byte, error) {
+			if first && containsTCPLSHello(chunk) {
+				return nil, errBlocked
+			}
+			first = false
+			return [][]byte{chunk}, nil
 		}
-		return [][]byte{chunk}, nil
-	}
-}
-
-// Aborter returns a mangler that kills the connection (both directions)
-// after forwarding exactly afterBytes — the crash-mid-transfer fault.
-// The cut can land inside a record: the receiver holds an undecryptable
-// prefix and must recover via failover replay, not by reparsing.
-func Aborter(afterBytes int) func([]byte) ([][]byte, error) {
-	seen := 0
-	return func(chunk []byte) ([][]byte, error) {
-		if seen >= afterBytes {
-			return nil, errBlocked
-		}
-		if rem := afterBytes - seen; len(chunk) > rem {
-			seen = afterBytes
-			return [][]byte{chunk[:rem]}, errBlocked
-		}
-		seen += len(chunk)
-		return [][]byte{chunk}, nil
-	}
-}
-
-// RejectTCPLSHello returns an Inspect hook that aborts connections whose
-// ClientHello advertises the TCPLS Hello extension — the overly strict
-// firewall of Sec. 5.2 that forces the client's explicit fallback.
-func RejectTCPLSHello() func([]byte) error {
-	return func(first []byte) error {
-		if containsTCPLSHello(first) {
-			return errBlocked
-		}
-		return nil
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/ed25519"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tcpls"
 	"tcpls/internal/middlebox"
+	"tcpls/internal/netem"
 )
 
 // startEchoServer runs a TCPLS echo server and returns its address and
@@ -48,6 +50,18 @@ func startEchoServer(t *testing.T) (string, *tcpls.Certificate) {
 	return ln.Addr().String(), cert
 }
 
+// startRelay runs a netem relay toward addr with the given direction
+// profiles, closed when the test ends.
+func startRelay(t *testing.T, addr string, c2s, s2c netem.Profile) *netem.Relay {
+	t.Helper()
+	relay, err := netem.NewRelay(addr, c2s, s2c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	return relay
+}
+
 // echoThrough dials via addr and verifies an echo round trip.
 func echoThrough(t *testing.T, addr string, cfg *tcpls.Config) *tcpls.Session {
 	t.Helper()
@@ -74,11 +88,7 @@ func echoThrough(t *testing.T, addr string, cfg *tcpls.Config) *tcpls.Session {
 
 func TestThroughNAT(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{})
 	// Plain relay = NAT: payload untouched, addresses rewritten below
 	// the byte-stream layer. TCPLS must work unchanged.
 	echoThrough(t, relay.Addr(), &tcpls.Config{ServerName: "real.server"})
@@ -86,26 +96,16 @@ func TestThroughNAT(t *testing.T) {
 
 func TestThroughResegmenter(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	relay.Tune(func(r *middlebox.Relay) {
-		r.MangleC2S = middlebox.Resegmenter(3, 17, 1000, 1)
-		r.MangleS2C = middlebox.Resegmenter(5000, 2, 80)
-	})
+	relay := startRelay(t, addr,
+		netem.Profile{Mangle: middlebox.Resegmenter(3, 17, 1000, 1)},
+		netem.Profile{Mangle: middlebox.Resegmenter(5000, 2, 80)})
 	echoThrough(t, relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 }
 
 func TestThroughDelayingProxy(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	relay.Tune(func(r *middlebox.Relay) { r.Delay = 2 * time.Millisecond })
+	delay := netem.Profile{Delay: 2 * time.Millisecond}
+	relay := startRelay(t, addr, delay, delay)
 	sess := echoThrough(t, relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 	rtt, err := sess.Ping(0, 5*time.Second)
 	if err != nil {
@@ -118,15 +118,10 @@ func TestThroughDelayingProxy(t *testing.T) {
 
 func TestCorruptingALGIsDetected(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
 	// Corrupt application-phase bytes. The AEAD must reject them: the
 	// client either fails the handshake or the session dies — it must
 	// never deliver corrupted data.
-	relay.Tune(func(r *middlebox.Relay) { r.MangleS2C = middlebox.Corrupter(50_000) })
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{Mangle: middlebox.Corrupter(50_000)})
 
 	sess, err := tcpls.Dial("tcp", relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 	if err != nil {
@@ -179,12 +174,7 @@ func TestCorruptingALGIsDetected(t *testing.T) {
 
 func TestExtensionFilteringFirewallForcesFallback(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	relay.Tune(func(r *middlebox.Relay) { r.Inspect = middlebox.RejectTCPLSHello() })
+	relay := startRelay(t, addr, netem.Profile{Mangle: middlebox.RejectTCPLSHello()}, netem.Profile{})
 
 	// Dial retries as plain TLS after the firewall kills the TCPLS
 	// attempt (paper §5.2's explicit fallback).
@@ -266,19 +256,25 @@ func TestTLSTerminatingProxyDetectedByPinning(t *testing.T) {
 
 func TestStallingProxyMidRecord(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
+	// Stall the relay for 300ms once ~10 KB have flowed server->client —
+	// the stall lands mid-record. The deframer must resume cleanly and
+	// the echo must still be byte-exact.
+	var relay atomic.Pointer[netem.Relay]
+	stallAt := func() netem.Mangler {
+		seen := 0
+		return func(chunk []byte) ([][]byte, error) {
+			if seen < 10_000 && seen+len(chunk) >= 10_000 {
+				r := relay.Load()
+				r.Stall()
+				time.AfterFunc(300*time.Millisecond, r.Unstall)
+			}
+			seen += len(chunk)
+			return [][]byte{chunk}, nil
+		}
 	}
-	defer relay.Close()
-	// Freeze the server->client direction for 300ms once ~10 KB have
-	// flowed — the stall lands mid-record. The deframer must resume
-	// cleanly and the echo must still be byte-exact.
-	relay.Tune(func(r *middlebox.Relay) {
-		r.MangleS2C = middlebox.Staller(10_000, 300*time.Millisecond)
-	})
+	relay.Store(startRelay(t, addr, netem.Profile{}, netem.Profile{Mangle: stallAt}))
 	start := time.Now()
-	echoThrough(t, relay.Addr(), &tcpls.Config{ServerName: "real.server"})
+	echoThrough(t, relay.Load().Addr(), &tcpls.Config{ServerName: "real.server"})
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
 		t.Errorf("echo finished in %v; the 300ms stall never applied", elapsed)
 	}
@@ -286,21 +282,15 @@ func TestStallingProxyMidRecord(t *testing.T) {
 
 func TestAbortingProxyKillsMidTransfer(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay, err := middlebox.NewRelay(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	// Cut the connection after ~4 KB of ciphertext toward the server —
-	// well past the handshake, mid-transfer, typically mid-record.
-	relay.Tune(func(r *middlebox.Relay) {
-		r.MangleC2S = middlebox.Aborter(4096)
-	})
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{})
 	sess, err := tcpls.Dial("tcp", relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	// Cut the connection after 4 KB more ciphertext — past the
+	// handshake, mid-transfer, typically mid-record.
+	relay.KillAfter(4096)
 	st, err := sess.OpenStream()
 	if err != nil {
 		t.Fatal(err)

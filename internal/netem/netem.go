@@ -9,7 +9,9 @@
 // Beyond shaping, the relay is a fault-injection harness for the
 // robustness tests: RST injection (abortive close with SO_LINGER 0),
 // mid-stream stalls, kill-after-N-bytes, half-close, and scripted fault
-// schedules combining all of them (RunSchedule).
+// schedules combining all of them (RunSchedule). A per-direction
+// Mangler rewrites the byte stream itself: internal/middlebox's
+// resegmenting, corrupting and firewalling boxes are manglers.
 package netem
 
 import (
@@ -31,7 +33,17 @@ type Profile struct {
 	// backpressure to the sender sooner, like a shallow-buffered
 	// bottleneck router.
 	QueueLen int
+	// Mangle, if set, is called once per relayed connection for the
+	// Mangler that rewrites this direction of it.
+	Mangle func() Mangler
 }
+
+// A Mangler rewrites one direction of one relayed connection, a read
+// chunk at a time, before shaping. The chunk is the Mangler's to keep
+// or modify. It returns the chunks to forward instead (several, to
+// resegment), and an error to abort the connection with a TCP RST
+// once the returned chunks are forwarded.
+type Mangler func(chunk []byte) ([][]byte, error)
 
 // relayConn tracks one forwarded socket and which side of the relay it
 // faces, so directional faults (half-close toward the client) can pick
@@ -307,8 +319,13 @@ func (r *Relay) handle(client net.Conn) {
 	wg.Wait()
 }
 
-// shapePump forwards src→dst applying rate, delay, and injected faults.
+// shapePump forwards src→dst applying mangling, rate, delay, and
+// injected faults.
 func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
+	var mangle Mangler
+	if p.Mangle != nil {
+		mangle = p.Mangle()
+	}
 	type chunk struct {
 		data  []byte
 		dueAt time.Time
@@ -350,14 +367,21 @@ func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
 				return
 			}
 			allowed, killed := r.consumeKillBudget(n)
-			if allowed > 0 {
-				data := append([]byte(nil), buf[:allowed]...)
+			chunks := [][]byte{append([]byte(nil), buf[:allowed]...)}
+			var merr error
+			if mangle != nil && allowed > 0 {
+				chunks, merr = mangle(chunks[0])
+			}
+			for _, data := range chunks {
+				if len(data) == 0 {
+					continue
+				}
 				now := time.Now()
 				if sendAt.Before(now) {
 					sendAt = now
 				}
 				if p.RateBps > 0 {
-					sendAt = sendAt.Add(time.Duration(int64(allowed) * 8 * int64(time.Second) / p.RateBps))
+					sendAt = sendAt.Add(time.Duration(int64(len(data)) * 8 * int64(time.Second) / p.RateBps))
 				}
 				select {
 				case ch <- chunk{data: data, dueAt: sendAt.Add(p.Delay)}:
@@ -366,12 +390,18 @@ func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
 					return
 				}
 			}
-			if killed {
+			if killed || merr != nil {
 				// Drain the shaper so the allowed prefix reaches dst,
-				// then abort everything.
+				// then abort: everything for the byte bomb, this
+				// connection for a mangler.
 				close(ch)
 				<-done
-				r.RST()
+				if killed {
+					r.RST()
+				} else {
+					abortConn(src)
+					abortConn(dst)
+				}
 				return
 			}
 		}

@@ -9,6 +9,12 @@ import (
 // a strike is remembered between one and two windows — longer than any
 // plausible 0-RTT flight reordering — with at most 2×DefaultReplayCap
 // entries alive.
+//
+// The capacity is also a rate ceiling: a register accepts at most
+// DefaultReplayCap 0-RTT flights per window, about 136/s sustained per
+// ticket key store (one per listener unless Config.TicketKeys is
+// shared). Flights past it are refused and resume at 1-RTT, with the
+// early bytes resent after the handshake: slower, never lost.
 const (
 	DefaultReplayWindow = 30 * time.Second
 	DefaultReplayCap    = 4096

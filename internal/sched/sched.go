@@ -52,7 +52,9 @@ type PathView struct {
 // instance must not be shared across sessions.
 //
 // Pick receives the running aggregation-sequence index and one view per
-// coupled stream (never empty). It returns an index into paths, or
+// coupled stream (never empty; the engine reuses the slice after Pick
+// returns, so keep a copy of what must outlive the call). It returns
+// an index into paths, or
 // PickAll to duplicate the record across every path. An out-of-range
 // result falls back to path 0 and is surfaced as a sched_invalid trace
 // event — see Session.SetScheduler for the contract.

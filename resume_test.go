@@ -3,10 +3,13 @@ package tcpls
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"tcpls/internal/resume"
 )
 
 // TestTicketsSurviveListenerRestart is the key-file contract at the API
@@ -143,6 +146,66 @@ func TestEarlyDataReplayRejected(t *testing.T) {
 	}
 	if !bytes.Equal(got, early) {
 		t.Fatal("fallback bytes corrupted")
+	}
+}
+
+// TestEarlyDataPastReplayCapacity dials 0-RTT past the strike
+// register's per-window capacity (resume.DefaultReplayCap in
+// production, a small register here): the first capacity flights are
+// accepted, every later one is refused and falls back to 1-RTT, and
+// every reply still arrives byte-exact.
+func TestEarlyDataPastReplayCapacity(t *testing.T) {
+	const capacity, dials = 3, 8
+	keys, err := NewTicketKeyStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys.replay = resume.NewReplay(time.Minute, capacity, time.Now())
+	ln := startServer(t, &Config{TicketKeys: keys}, echoHandler)
+
+	// One fresh ticket per dial: the register strikes each ticket nonce.
+	tickets := make([]*ClientTicket, dials)
+	for i := range tickets {
+		sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = waitTicket(t, sess)
+		sess.Close()
+	}
+
+	refused := 0
+	for i, tk := range tickets {
+		early := []byte(fmt.Sprintf("0-rtt request %d", i))
+		sess, err := Dial("tcp", ln.Addr().String(), &Config{
+			ServerName: "test.server",
+			Ticket:     tk,
+			EarlyData:  early,
+		})
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		if !sess.EarlyDataAccepted() {
+			refused++
+		}
+		st, ok := sess.EarlyStream()
+		if !ok {
+			t.Fatalf("dial %d: no early stream", i)
+		}
+		got := make([]byte, len(early))
+		if _, err := io.ReadFull(st, got); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		if !bytes.Equal(got, early) {
+			t.Fatalf("dial %d: reply %q, want %q", i, got, early)
+		}
+		sess.Close()
+	}
+	if refused != dials-capacity {
+		t.Fatalf("%d of %d 0-RTT flights refused, want %d", refused, dials, dials-capacity)
+	}
+	if _, rejected := keys.replay.Stats(); rejected != dials-capacity {
+		t.Fatalf("register rejected %d flights, want %d", rejected, dials-capacity)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Scheduler integration tests over emulated asymmetric paths: a coupled
 // download spread across two netem-shaped relays, with the server-side
-// record scheduler selected by Config.Scheduler. Shared with the
-// BenchmarkPathSchedulers ablation in bench_test.go.
+// record scheduler selected by Config.Scheduler: the path-scheduler
+// ablation, checked as a test.
 package tcpls_test
 
 import (

@@ -17,7 +17,6 @@ set -eux
 mkdir -p artifacts/qlog
 go build -o tcpls-server ./cmd/tcpls-server
 go build -o tcpls-netem ./cmd/tcpls-netem
-go build -o tcpls-perf ./cmd/tcpls-perf
 go build -o tcpls-top ./cmd/tcpls-top
 ./tcpls-server -listen 127.0.0.1:14443 -metrics-addr 127.0.0.1:19090 \
   -failover -health-interval 100ms -qlog-dir artifacts/qlog \
@@ -38,7 +37,7 @@ RELAY=$(head -1 netem.out)
 # finish CLEANLY — the qlog must close every conn). Echo mode
 # keeps bytes outstanding in BOTH directions, so a frozen relay
 # gives the server-side monitor zero ack AND zero rx progress.
-./tcpls-perf -connect "$RELAY" -name server.tcpls -failover \
+./tcpls-server -connect "$RELAY" -name server.tcpls -failover \
   -bytes 60000000 > artifacts/client.log 2>&1 &
 CLI=$!
 # Healthy baseline: a ticking monitor and no active verdicts.
