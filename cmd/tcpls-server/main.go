@@ -1,12 +1,11 @@
 // Command tcpls-server runs the production TCPLS server runtime
 // (internal/server): thousands of concurrent sessions behind
 // accept-edge admission control, a process memory budget, and graceful
-// drain on SIGINT/SIGTERM.
+// drain on SIGINT/SIGTERM. Every stream is echoed back to its client.
 //
-//	tcpls-server -listen :4443 -mode echo
-//	tcpls-server -listen :4443 -mode file -root /srv/files
+//	tcpls-server -listen :4443
 //
-// Client mode, against a server in echo mode (the CI smokes' traffic):
+// Client mode, against a tcpls-server (the CI smokes' traffic):
 //
 //	tcpls-server -connect host:4443 -bytes 60000000 [-failover]
 //	tcpls-server -connect host:4443 -ticket-file ticket.json
@@ -64,8 +63,6 @@ import (
 
 var (
 	listenFlag  = flag.String("listen", ":4443", "listen address")
-	modeFlag    = flag.String("mode", "echo", "handler: echo or file")
-	rootFlag    = flag.String("root", ".", "file-serving root (-mode file)")
 	nameFlag    = flag.String("name", "server.tcpls", "server certificate name (with -connect: the name the client expects)")
 	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /debug/tcpls, and /debug/pprof on this address")
 
@@ -100,16 +97,7 @@ func main() {
 		return
 	}
 
-	var handler server.Handler
-	switch *modeFlag {
-	case "echo":
-		handler = server.Echo()
-	case "file":
-		handler = server.Files(*rootFlag)
-	default:
-		log.Fatalf("unknown -mode %q (want echo or file)", *modeFlag)
-	}
-
+	handler := server.Echo()
 	cert, err := tcpls.NewCertificate(*nameFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -177,7 +165,7 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe("tcp", *listenFlag) }()
-	log.Printf("tcpls-server: %s mode on %s", *modeFlag, *listenFlag)
+	log.Printf("tcpls-server: echo on %s", *listenFlag)
 
 	select {
 	case err := <-errCh:

@@ -9,7 +9,6 @@ import (
 
 	"tcpls/internal/core"
 	"tcpls/internal/handshake"
-	"tcpls/internal/record"
 	"tcpls/internal/sched"
 )
 
@@ -26,12 +25,6 @@ type SessID = handshake.SessID
 
 // Cookie is a single-use token authorizing one connection join.
 type Cookie = handshake.Cookie
-
-// Cipher suite identifiers re-exported for configuration.
-const (
-	TLSAES128GCMSHA256        = record.TLSAES128GCMSHA256
-	TLSCHACHA20POLY1305SHA256 = record.TLSCHACHA20POLY1305SHA256
-)
 
 // Config configures both clients (Dial) and servers (Listen).
 type Config struct {
@@ -85,9 +78,6 @@ type Config struct {
 	// active connection beyond this declares it failed. Zero disables
 	// timer-based failure detection (RST/FIN detection still works).
 	UserTimeout time.Duration
-	// PadRecordsTo pads every record to a fixed inner-plaintext size so
-	// record lengths leak nothing (bandwidth trade-off). Zero disables.
-	PadRecordsTo int
 
 	// MaxRetransmitBytes is the send window with EnableFailover: the
 	// most a sender keeps between its oldest unacknowledged record and
@@ -110,18 +100,14 @@ type Config struct {
 	MaxRecvBufferBytes int
 
 	// Scheduler names the multipath record scheduler for coupled
-	// streams: "roundrobin" (the default), "lowrtt" (lowest fused
-	// SRTT), "rate" (delivery-rate-weighted — the bandwidth-aggregation
-	// workhorse), or "redundant" (every record on every path). An
-	// unknown name fails Dial/Client/Listen. Custom schedulers install
-	// at runtime via Session.SetPathScheduler. The rate and RTT signals
-	// sharpen considerably with EnableFailover, whose record-level
-	// acknowledgments feed the path-metrics engine.
+	// streams (§3.3.3): "roundrobin" (the default), "lowrtt" (lowest
+	// smoothed RTT), "rate" (delivery-rate-weighted — the
+	// bandwidth-aggregation workhorse), or "redundant" (every record on
+	// every path). An unknown name fails Dial/Client/Listen. The RTT and
+	// rate signals come from EnableFailover's record-level
+	// acknowledgments; without them "lowrtt" and "rate" pick as
+	// round-robin does.
 	Scheduler string
-	// PathMetricsInterval is the period of the kernel TCP_INFO refresh
-	// feeding the path-metrics engine on Linux (default 100ms). The
-	// refresher runs only while a path scheduler is active.
-	PathMetricsInterval time.Duration
 
 	// Reconnect tunes the recovery supervisor: when every TCP connection
 	// of a session has failed, the client side automatically re-dials the
@@ -153,9 +139,6 @@ type Config struct {
 	// also available by polling Session.Events or blocking in
 	// Session.WaitEvent regardless of OnEvent.
 	OnEvent func(SessionEvent)
-
-	// Suites restricts cipher suites (default AES-128-GCM-SHA256).
-	Suites []record.SuiteID
 
 	// Ticket resumes a previous session with an abbreviated handshake
 	// (paper §4.5): no certificate exchange, PSK-seeded key schedule.
@@ -251,7 +234,6 @@ func (c *Config) coreConfig() core.Config {
 		AckPeriod:          c.AckPeriod,
 		MaxRecordPayload:   c.MaxRecordPayload,
 		UserTimeout:        c.UserTimeout,
-		PadRecordsTo:       c.PadRecordsTo,
 		MaxReorderBytes:    c.MaxReorderBytes,
 		MaxReorderRecords:  c.MaxReorderRecords,
 		MaxRecvBufferBytes: c.MaxRecvBufferBytes,

@@ -68,7 +68,6 @@ func Client(nc net.Conn, cfg *Config) (*Session, error) {
 		return nil, err
 	}
 	hcfg := &handshake.Config{
-		Suites:      cfg.Suites,
 		ServerName:  cfg.ServerName,
 		RootKeys:    cfg.RootKeys,
 		EnableTCPLS: !cfg.DisableTCPLS,
@@ -160,7 +159,6 @@ func (s *Session) join(c *driver.Conn, nc net.Conn, network string) error {
 	}
 	tr := handshake.NewTransport(nc)
 	_, err := handshake.Client(tr, &handshake.Config{
-		Suites:     s.cfg.Suites,
 		ServerName: s.cfg.ServerName,
 		Join:       &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
 	})
@@ -260,8 +258,7 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 	}
 	tr := handshake.NewTransport(nc)
 	hcfg := &handshake.Config{
-		Suites: s.cfg.Suites,
-		Join:   &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
+		Join: &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
 	}
 	if err := handshake.StartFastJoin(tr, hcfg); err != nil {
 		nc.Close()

@@ -254,8 +254,9 @@ func TestMetricsAndDumpFlightConcurrentWithClose(t *testing.T) {
 }
 
 // TestTraceInstallSwapRace races TraceJSON installs/uninstalls against
-// Trace callback swaps while records flow: the two installers share one
-// fan-out, so neither may displace the other's sink or leak goroutines.
+// flight-recorder dumps while records flow: the sink and the flight
+// recorder share one fan-out, so a sink swap may neither displace the
+// recorder nor leak goroutines.
 func TestTraceInstallSwapRace(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	ln := startServer(t, &Config{}, echoHandler)
@@ -296,11 +297,13 @@ func TestTraceInstallSwapRace(t *testing.T) {
 			sess.TraceJSON(nil)
 		}
 	}()
-	go func() { // callback installer
+	go func() { // flight reader
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			sess.Trace(func(TraceEvent) {})
-			sess.Trace(nil)
+			if err := sess.DumpFlight(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	time.Sleep(200 * time.Millisecond)
@@ -321,6 +324,11 @@ func TestTraceInstallSwapRace(t *testing.T) {
 	sess.TraceJSON(nil)
 	if !strings.Contains(sink.String(), `"type":"record_sent"`) {
 		t.Fatalf("re-installed sink saw no records: %q", sink.String())
+	}
+	// The flight recorder kept recording through every swap.
+	var dump bytes.Buffer
+	if err := sess.DumpFlight(&dump); err != nil || !strings.Contains(dump.String(), `"type":"record_sent"`) {
+		t.Fatalf("flight recorder lost its records across sink swaps: %v", err)
 	}
 
 	sess.Close()

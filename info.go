@@ -7,7 +7,7 @@ import (
 
 // ConnInfo is per-TCP-connection state exposed to the application — the
 // paper's §3.3.3 use of tcp_info for application-level path decisions
-// (stream steering, migration policies, scheduler input).
+// (stream steering, migration policies).
 //
 // On Linux with real TCP connections the kernel's TCP_INFO fills the
 // congestion fields; elsewhere (or over non-TCP transports such as the

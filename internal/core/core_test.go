@@ -587,7 +587,7 @@ func TestCustomScheduler(t *testing.T) {
 	p.client.SetCoupled(s1, true)
 	p.client.SetCoupled(s2, true)
 	// Send everything on the second stream.
-	p.client.SetScheduler(func(recordIdx uint64, streams []uint32) int { return 1 })
+	p.client.SetPathScheduler(pinSched(1))
 	p.client.WriteCoupled(make([]byte, 5000))
 	p.client.Flush()
 	out0, _ := p.client.Outgoing(0)
@@ -711,41 +711,6 @@ func TestSnapshotAllocFree(t *testing.T) {
 	}
 	if snap.MemoryBytes != p.client.BufferedBytes() {
 		t.Fatalf("MemoryBytes %d, BufferedBytes %d", snap.MemoryBytes, p.client.BufferedBytes())
-	}
-}
-
-func TestRecordPaddingUniformWireSize(t *testing.T) {
-	// With PadRecordsTo set, every record on the wire has the same
-	// size: tiny control records are indistinguishable from data.
-	p := newPair(t, Config{PadRecordsTo: 1024, MaxRecordPayload: 1000})
-	sid, _ := p.client.CreateStream(0)
-	p.client.Write(sid, bytes.Repeat([]byte{1}, 3000))
-	p.client.SendTCPOption(0, OptUserTimeout, []byte{1})
-	if err := p.client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	outAll, _ := p.client.Outgoing(0)
-	// Walk the records: all identical wire length.
-	sizes := map[int]int{}
-	out := outAll
-	for len(out) > 0 {
-		ctLen := int(out[3])<<8 | int(out[4])
-		sizes[5+ctLen]++
-		out = out[5+ctLen:]
-	}
-	if len(sizes) != 1 {
-		t.Fatalf("mixed record sizes on the wire: %v", sizes)
-	}
-	// And the peer still parses everything (re-fetch the drained bytes).
-	out2, _ := p.client.Outgoing(0)
-	_ = out2
-	if err := p.server.Receive(0, outAll, p.now); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4000)
-	n, _ := p.server.Read(sid, buf)
-	if n != 3000 {
-		t.Fatalf("read %d bytes", n)
 	}
 }
 

@@ -269,12 +269,16 @@ func (s *Session) failoverInto(failed []*conn, target *conn) error {
 			if st.conn != fc.id {
 				continue
 			}
-			// Move our receive context to the target's demux so the peer's
-			// records for this stream (it fails over too) authenticate here.
-			fc.demux.Detach(st.id)
-			if target.demux.Context(st.id) == nil {
-				target.demux.Attach(st.recvCtx)
+			// Give the target a receive context so the peer's records for
+			// this stream (it fails over too) authenticate there. As in
+			// handleStreamAttach, the failed conn keeps its own unless it
+			// is gone: an application's Failover moves streams off a live
+			// conn, whose in-flight records would otherwise each fail to
+			// decrypt.
+			if fc.closed {
+				fc.demux.Detach(st.id)
 			}
+			s.attachRecv(st, target)
 			if err := s.failoverStreamPrep(st, target); err != nil {
 				return err
 			}
@@ -397,10 +401,6 @@ func (s *Session) replayRecord(st *stream, r *sentRecord, fromID uint32, target 
 	if s.metrics != nil {
 		s.metrics.OnLost(fromID, r.size)
 		s.metrics.OnSent(target.id, r.size)
-	}
-	if s.pathSched != nil {
-		s.pathSched.OnLost(fromID, r.size)
-		s.pathSched.OnSent(target.id, r.size)
 	}
 }
 

@@ -46,8 +46,7 @@ const (
 	// records of streamID on this connection; the receiver attaches the
 	// stream's context to this connection's demux.
 	typeStreamAttach recordType = 0x05
-	// typeStreamDetach: [streamID:4][type].
-	typeStreamDetach recordType = 0x06
+	// 0x06 is unassigned: the parser rejects it as an unknown type.
 	// typeStreamFin: [streamID:4][finalSeq:8][type]. Graceful stream end
 	// after finalSeq records.
 	typeStreamFin recordType = 0x07
@@ -130,11 +129,6 @@ func appendFailover(dst []byte, connID uint32) []byte {
 func appendStreamAttach(dst []byte, streamID uint32) []byte {
 	dst = wire.AppendUint32(dst, streamID)
 	return append(dst, byte(typeStreamAttach))
-}
-
-func appendStreamDetach(dst []byte, streamID uint32) []byte {
-	dst = wire.AppendUint32(dst, streamID)
-	return append(dst, byte(typeStreamDetach))
 }
 
 func appendStreamFin(dst []byte, streamID uint32, finalSeq uint64) []byte {
@@ -237,7 +231,7 @@ func parseFrame(f *frame, content []byte) error {
 		}
 		f.id = wire.Uint32(body[:4])
 		f.seq = wire.Uint64(body[4:])
-	case typeFailover, typeStreamAttach, typeStreamDetach, typeAckRequest:
+	case typeFailover, typeStreamAttach, typeAckRequest:
 		if len(body) != 4 {
 			return ErrBadFrame
 		}

@@ -21,7 +21,7 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(appendSync(nil, 9, 3))
 	f.Add(appendFailover(nil, 2))
 	f.Add(appendStreamAttach(nil, 4))
-	f.Add(appendStreamDetach(nil, 5))
+	f.Add([]byte{0, 0, 0, 5, 0x06}) // unassigned type: must be ErrBadFrame
 	f.Add(appendStreamFin(nil, 6, 10))
 	f.Add(appendAckRequest(nil, 8))
 	f.Add(appendTCPOption(nil, OptUserTimeout, []byte{0x01, 0x02}))
@@ -58,8 +58,6 @@ func FuzzParseFrame(f *testing.F) {
 			re = appendFailover(nil, fr.id)
 		case typeStreamAttach:
 			re = appendStreamAttach(nil, fr.id)
-		case typeStreamDetach:
-			re = appendStreamDetach(nil, fr.id)
 		case typeAckRequest:
 			re = appendAckRequest(nil, fr.id)
 		case typeTCPOption:

@@ -329,8 +329,6 @@ func (s *Session) handleControl(c *conn, streamID uint32, f *frame) error {
 		return s.handleFailoverNotice(c, f)
 	case typeStreamAttach:
 		return s.handleStreamAttach(c, f)
-	case typeStreamDetach:
-		return s.handleStreamDetach(c, f)
 	case typeStreamFin:
 		return s.handleStreamFin(c, f)
 	case typeTCPOption:
@@ -422,9 +420,6 @@ func (s *Session) handleAck(f *frame) error {
 		if s.metrics != nil {
 			s.metrics.OnAcked(st.conn, ackedBytes, rttSample, s.lastNow)
 		}
-		if s.pathSched != nil {
-			s.pathSched.OnAcked(st.conn, ackedBytes, rttSample)
-		}
 	}
 	return nil
 }
@@ -480,13 +475,6 @@ func (s *Session) attachRecv(st *stream, c *conn) {
 		c.demux.Attach(nc)
 		st.recvCtx = nc
 	}
-}
-
-func (s *Session) handleStreamDetach(c *conn, f *frame) error {
-	if _, ok := s.streams[f.id]; ok {
-		c.demux.Detach(f.id)
-	}
-	return nil
 }
 
 // handleStreamFin records the peer's final sequence for a stream.

@@ -8,6 +8,14 @@ import (
 	"tcpls/internal/sched"
 )
 
+// pinSched picks the same index for every record, in range or not: a
+// pinned scheduler, or a broken one that exercises the sched_invalid
+// fallback.
+type pinSched int
+
+func (pinSched) Name() string                        { return "pin" }
+func (p pinSched) Pick(uint64, []sched.PathView) int { return int(p) }
+
 // coupledPair builds a two-connection pair with one coupled stream per
 // connection on the client side.
 func coupledPair(t *testing.T, cfg Config) (*pair, []uint32) {
@@ -70,7 +78,7 @@ func TestSchedInvalidTraceAndFallback(t *testing.T) {
 	var events []TraceEvent
 	p.client.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
 	// Deliberately broken scheduler: out-of-range index every time.
-	p.client.SetScheduler(func(recordIdx uint64, ids []uint32) int { return 99 })
+	p.client.SetPathScheduler(pinSched(99))
 
 	data := make([]byte, 3000)
 	if _, err := p.client.WriteCoupled(data); err != nil {

@@ -9,34 +9,15 @@ import (
 	"tcpls/internal/wire"
 )
 
-// Scheduler is the legacy closure form of the coupled-record scheduler:
-// called once per record with the coupled streams' IDs and the running
-// record index, it returns an index into streams. This is the paper's
-// application-exposed sender-side record scheduler (§3.3.3). New code
-// should implement sched.Scheduler and install it with
-// SetPathScheduler; closures are adapted via sched.Func.
-type Scheduler func(recordIdx uint64, streams []uint32) int
-
-// SetScheduler replaces the coupled-stream scheduler with a legacy
-// closure (adapted onto the stateful scheduler interface).
+// SetPathScheduler installs a stateful path scheduler — the paper's
+// sender-side record scheduler (§3.3.3). The engine serializes all
+// scheduler calls; one scheduler instance must not be shared across
+// sessions. nil restores the default round-robin.
 //
-// Contract: the closure must return an index in [0, len(streams)). An
-// out-of-range index is NOT honoured — the engine emits a
-// sched_invalid trace event and falls back to the first coupled
-// stream, so a buggy scheduler degrades to pinned rather than
-// crashing. nil restores the default round-robin.
-func (s *Session) SetScheduler(fn Scheduler) {
-	s.telPicks = nil
-	if fn == nil {
-		s.pathSched = nil
-		return
-	}
-	s.pathSched = sched.Func(fn)
-}
-
-// SetPathScheduler installs a stateful path scheduler (§3.3.3). The
-// engine serializes all scheduler calls; one scheduler instance must
-// not be shared across sessions. nil restores the default round-robin.
+// Contract: Pick must return an index into its paths, or
+// sched.PickAll. An out-of-range index is NOT honoured — the engine
+// emits a sched_invalid trace event and falls back to the first coupled
+// stream, so a buggy scheduler degrades to pinned rather than crashing.
 func (s *Session) SetPathScheduler(ps sched.Scheduler) {
 	s.pathSched = ps
 	s.telPicks = nil // re-resolve the per-policy pick counter lazily
@@ -134,7 +115,7 @@ func (s *Session) sealOne(j sealJob) error {
 	seq := st.sendCtx.Seq()
 	ch := c.room()
 	start := len(ch.b)
-	out, err := st.sendCtx.SealV(ch.b, record.ContentTypeApplicationData, s.cfg.PadRecordsTo, j.payload, trailer[:tlen])
+	out, err := st.sendCtx.SealV(ch.b, record.ContentTypeApplicationData, 0, j.payload, trailer[:tlen])
 	if err != nil {
 		return err
 	}
@@ -147,9 +128,6 @@ func (s *Session) sealOne(j sealJob) error {
 		c.tel.BytesSent.Add(uint64(len(j.payload)))
 		st.tel.BytesSent.Add(uint64(len(j.payload)))
 		s.tel.RecordSize.Observe(float64(len(j.payload)))
-	}
-	if s.pathSched != nil {
-		s.pathSched.OnSent(c.id, len(j.payload))
 	}
 	if !s.cfg.EnableFailover {
 		return nil
@@ -391,7 +369,7 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 			if idx < 0 || idx >= len(cs) {
 				// Out-of-range pick: surface it (Bytes carries the bad
 				// index) instead of clamping silently, then fall back
-				// to the first coupled stream per the SetScheduler
+				// to the first coupled stream per the SetPathScheduler
 				// contract.
 				s.trace("sched_invalid", 0, 0, s.coupled.sendSeq, idx)
 				if s.tel != nil {

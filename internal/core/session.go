@@ -62,11 +62,6 @@ type Config struct {
 	// connection with no inbound traffic for this long while data is
 	// outstanding is declared failed (§4.2). Zero disables the timer.
 	UserTimeout time.Duration
-	// PadRecordsTo pads every record's inner plaintext to this many
-	// bytes (RFC 8446 record padding): all records — stream data and
-	// control alike — become indistinguishable by size on the wire,
-	// at a bandwidth cost. Zero disables padding.
-	PadRecordsTo int
 
 	// MaxReorderBytes and MaxReorderRecords are the receiver's limit on
 	// the coupled reorder heap (§4.3), which an honest sender's window
@@ -444,9 +439,7 @@ func (s *Session) telSyncGauges() {
 
 // SetMetrics installs the path-metrics store the engine feeds with
 // record-sent/acked/lost events and consults when building the
-// scheduler's PathView snapshots. The store itself is safe for
-// concurrent use, so an I/O wrapper may refresh it from kernel TCP_INFO
-// on another goroutine.
+// scheduler's PathView snapshots.
 func (s *Session) SetMetrics(m *sched.Metrics) { s.metrics = m }
 
 // SetClock overrides the timestamp source used to stamp sent records
@@ -581,7 +574,7 @@ func (c *conn) room() *chunk {
 func (s *Session) sendCtl(c *conn, content []byte) error {
 	seq := c.ctlSend.Seq()
 	ch := c.room()
-	out, err := c.ctlSend.Seal(ch.b, record.ContentTypeApplicationData, content, s.cfg.PadRecordsTo)
+	out, err := c.ctlSend.Seal(ch.b, record.ContentTypeApplicationData, content, 0)
 	if err != nil {
 		return err
 	}

@@ -320,14 +320,3 @@ func (s *Session) ReadCoupled(p []byte) int {
 
 // CoupledReadable returns buffered coupled bytes.
 func (s *Session) CoupledReadable() int { return s.coupled.recvQ.Len() }
-
-// CoupledActive reports whether any stream is currently coupled (so a
-// receiver knows to read the aggregate instead of individual streams).
-func (s *Session) CoupledActive() bool {
-	for _, st := range s.streams {
-		if st.coupled {
-			return true
-		}
-	}
-	return false
-}

@@ -36,21 +36,6 @@ const (
 // line). nil disables tracing.
 func (s *Session) SetTracer(fn func(TraceEvent)) { s.tracer = fn }
 
-// NotePathMetrics emits a path_metrics trace event carrying connID's
-// fused view from the metrics store: Seq is the smoothed RTT in
-// microseconds, Bytes the delivery-rate estimate in bytes per second.
-// The I/O wrapper calls this on each kernel TCP_INFO refresh tick.
-func (s *Session) NotePathMetrics(connID uint32) {
-	if s.tracer == nil || s.metrics == nil {
-		return
-	}
-	ps, ok := s.metrics.Snapshot(connID)
-	if !ok {
-		return
-	}
-	s.trace("path_metrics", connID, 0, uint64(ps.SRTT/time.Microsecond), int(ps.DeliveryRate))
-}
-
 // Note lets the I/O wrapper stamp its own lifecycle marks (e.g.
 // reconnect_attempt, reconnect_ok, cookie_issued, join_accepted) into
 // the same trace stream as the engine's protocol

@@ -28,7 +28,7 @@ func Client(rw MessageRW, cfg *Config) (*Result, error) {
 	}
 
 	ch := &clientHello{
-		suites:     cfg.suites(),
+		suites:     offeredSuites,
 		serverName: cfg.ServerName,
 		keyShare:   priv.PublicKey().Bytes(),
 		tcplsHello: cfg.EnableTCPLS || cfg.Join != nil,
@@ -56,7 +56,7 @@ func Client(rw MessageRW, cfg *Config) (*Result, error) {
 	if offerEarly {
 		// The early suite is pinned to the client's first offer: the
 		// server derives the same key before suite negotiation completes.
-		earlySuite, err := record.SuiteByID(cfg.suites()[0])
+		earlySuite, err := record.SuiteByID(offeredSuites[0])
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func Client(rw MessageRW, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite, err := pickSuite([]record.SuiteID{sh.suite}, cfg.suites())
+	suite, err := pickSuite([]record.SuiteID{sh.suite})
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func StartFastJoin(rw MessageRW, cfg *Config) error {
 		return ErrJoinRejected
 	}
 	ch := &clientHello{
-		suites:     cfg.suites(),
+		suites:     offeredSuites,
 		tcplsHello: true,
 		joinFast:   true,
 		join: &joinRequest{

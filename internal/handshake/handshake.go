@@ -41,9 +41,6 @@ func NewCertificate(name string) (*Certificate, error) {
 
 // Config controls one handshake.
 type Config struct {
-	// Suites to offer (client) or accept (server); default AES-128-GCM.
-	Suites []record.SuiteID
-
 	// --- client side ---
 	ServerName string
 	// RootKeys are the trusted server public keys. Empty means "accept
@@ -194,12 +191,9 @@ type earlyDataRW interface {
 	SkipUndecryptable(budget int)
 }
 
-func (c *Config) suites() []record.SuiteID {
-	if len(c.Suites) != 0 {
-		return c.Suites
-	}
-	return []record.SuiteID{record.TLSAES128GCMSHA256}
-}
+// offeredSuites is what a client offers: the one suite this
+// implementation runs, TLS 1.3's mandatory AES-128-GCM-SHA256.
+var offeredSuites = []record.SuiteID{record.TLSAES128GCMSHA256}
 
 func (c *Config) numCookies() int {
 	if c.NumCookies > 0 {
@@ -241,12 +235,12 @@ func sharedSecret(priv *ecdh.PrivateKey, peerPub []byte) ([]byte, error) {
 	return priv.ECDH(pub)
 }
 
-func pickSuite(offered []record.SuiteID, accepted []record.SuiteID) (*record.Suite, error) {
-	for _, a := range accepted {
-		for _, o := range offered {
-			if a == o {
-				return record.SuiteByID(a)
-			}
+// pickSuite finds AES-128-GCM-SHA256 among the peer's offered (server)
+// or chosen (client) suites; anything else is ErrNoCommonSuite.
+func pickSuite(offered []record.SuiteID) (*record.Suite, error) {
+	for _, o := range offered {
+		if o == record.TLSAES128GCMSHA256 {
+			return record.SuiteByID(o)
 		}
 	}
 	return nil, ErrNoCommonSuite

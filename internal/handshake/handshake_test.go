@@ -348,7 +348,7 @@ func readFull(c net.Conn, buf []byte) (int, error) {
 
 func TestMessageRoundTrips(t *testing.T) {
 	ch := &clientHello{
-		suites:     []record.SuiteID{record.TLSAES128GCMSHA256, record.TLSCHACHA20POLY1305SHA256},
+		suites:     []record.SuiteID{record.TLSAES128GCMSHA256, 0x1303},
 		serverName: "example.org",
 		keyShare:   bytes.Repeat([]byte{7}, 32),
 		tcplsHello: true,
@@ -373,11 +373,10 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	id := SessID{0xaa}
 	ee := &encryptedExtensions{
-		tcplsHello:  true,
-		sessID:      &id,
-		cookies:     []Cookie{{1}, {2}, {3}},
-		addrs:       []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("fe80::1")},
-		userTimeout: 250,
+		tcplsHello: true,
+		sessID:     &id,
+		cookies:    []Cookie{{1}, {2}, {3}},
+		addrs:      []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("fe80::1")},
 	}
 	typ, body, err = splitMessage(ee.marshal())
 	if err != nil || typ != typeEncryptedExtensions {
@@ -388,7 +387,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !gotEE.tcplsHello || gotEE.sessID == nil || *gotEE.sessID != id ||
-		len(gotEE.cookies) != 3 || len(gotEE.addrs) != 2 || gotEE.userTimeout != 250 {
+		len(gotEE.cookies) != 3 || len(gotEE.addrs) != 2 {
 		t.Fatalf("encrypted extensions round trip mismatch: %+v", gotEE)
 	}
 

@@ -28,7 +28,8 @@ const (
 
 // Extension codepoints. The TCPLS extensions use the private-use range;
 // their numbers match this repository only (the paper's prototype likewise
-// picked experimental codepoints).
+// picked experimental codepoints). 0xfa05 is unassigned: a received one
+// is ignored like any unknown extension.
 const (
 	extServerName        = 0
 	extSupportedVersions = 43
@@ -38,7 +39,6 @@ const (
 	extTCPLSAddr         = 0xfa02
 	extTCPLSSessID       = 0xfa03
 	extTCPLSCookie       = 0xfa04
-	extTCPLSUserTimeout  = 0xfa05
 	extTCPLSPSK          = 0xfa06
 	extTCPLSEarlyData    = 0xfa07
 	extTCPLSJoinFast     = 0xfa08
@@ -309,7 +309,6 @@ type encryptedExtensions struct {
 	sessID        *SessID
 	cookies       []Cookie
 	addrs         []netip.Addr
-	userTimeout   uint32 // milliseconds, 0 = absent
 }
 
 func (m *encryptedExtensions) marshal() []byte {
@@ -340,9 +339,6 @@ func (m *encryptedExtensions) marshal() []byte {
 			data = wire.AppendVector8(data, raw)
 		}
 		exts = append(exts, extension{extTCPLSAddr, data})
-	}
-	if m.userTimeout != 0 {
-		exts = append(exts, extension{extTCPLSUserTimeout, wire.AppendUint32(nil, m.userTimeout)})
 	}
 	b := appendExtensions(nil, exts)
 	return wrap(typeEncryptedExtensions, b)
@@ -391,12 +387,6 @@ func parseEncryptedExtensions(body []byte) (*encryptedExtensions, error) {
 			}
 			m.addrs = append(m.addrs, addr)
 		}
-	}
-	if data, ok := findExtension(exts, extTCPLSUserTimeout); ok {
-		if len(data) != 4 {
-			return nil, ErrDecode
-		}
-		m.userTimeout = wire.Uint32(data)
 	}
 	return m, nil
 }

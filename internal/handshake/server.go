@@ -49,7 +49,7 @@ func Server(rw MessageRW, cfg *Config) (*Result, error) {
 		}, nil
 	}
 
-	suite, err := pickSuite(ch.suites, cfg.suites())
+	suite, err := pickSuite(ch.suites)
 	if err != nil {
 		return nil, err
 	}

@@ -52,17 +52,29 @@ type Metrics struct {
 // with a session's block as owner they live in it and leave /metrics
 // when it detaches.
 func (f *Families) Entity(key string, owner *telemetry.SessionMetrics) *Metrics {
+	counter := func(v *telemetry.CounterVec, values ...string) *telemetry.Counter {
+		if owner == nil {
+			return v.With(values...)
+		}
+		return owner.Counter(v, values...)
+	}
+	gauge := func(v *telemetry.GaugeVec, values ...string) *telemetry.Gauge {
+		if owner == nil {
+			return v.With(values...)
+		}
+		return owner.Gauge(v, values...)
+	}
 	m := &Metrics{
-		Ticks:             owner.Counter(f.ticks, key),
-		GoodputTx:         owner.Gauge(f.goodput, key, "tx"),
-		GoodputRx:         owner.Gauge(f.goodput, key, "rx"),
-		RetxRatioPermille: owner.Gauge(f.retx, key),
-		AckRTTUS:          owner.Gauge(f.ackRTT, key),
-		MemoryBytes:       owner.Gauge(f.memory, key),
+		Ticks:             counter(f.ticks, key),
+		GoodputTx:         gauge(f.goodput, key, "tx"),
+		GoodputRx:         gauge(f.goodput, key, "rx"),
+		RetxRatioPermille: gauge(f.retx, key),
+		AckRTTUS:          gauge(f.ackRTT, key),
+		MemoryBytes:       gauge(f.memory, key),
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		m.Verdicts[k] = owner.Counter(f.verdicts, key, k.String())
-		m.Active[k] = owner.Gauge(f.active, key, k.String())
+		m.Verdicts[k] = counter(f.verdicts, key, k.String())
+		m.Active[k] = gauge(f.active, key, k.String())
 	}
 	return m
 }

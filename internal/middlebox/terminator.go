@@ -20,7 +20,6 @@ import (
 type TLSTerminator struct {
 	ln       *tcpls.Listener
 	target   string
-	cert     *tcpls.Certificate
 	wg       sync.WaitGroup
 	sessions int
 	mu       sync.Mutex
@@ -40,17 +39,13 @@ func NewTLSTerminator(target string) (*TLSTerminator, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TLSTerminator{ln: ln, target: target, cert: cert}
+	t := &TLSTerminator{ln: ln, target: target}
 	go t.acceptLoop()
 	return t, nil
 }
 
 // Addr returns the proxy's listening address.
 func (t *TLSTerminator) Addr() string { return t.ln.Addr().String() }
-
-// Certificate returns the proxy's own identity (what pinning clients
-// will see instead of the real server's).
-func (t *TLSTerminator) Certificate() *tcpls.Certificate { return t.cert }
 
 // Sessions returns how many client sessions the proxy terminated.
 func (t *TLSTerminator) Sessions() int {

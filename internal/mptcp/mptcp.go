@@ -123,9 +123,6 @@ func (c *Conn) AddSubflow(path *sim.Path, opts simtcp.Options, backup bool, extr
 	})
 }
 
-// Subflows returns the current subflow count (established or pending).
-func (c *Conn) Subflows() int { return len(c.subflows) }
-
 // Received returns total in-order bytes delivered to the application.
 func (c *Conn) Received() uint64 { return c.received }
 

@@ -83,9 +83,6 @@ func DeriveTrafficKeys(suite *Suite, trafficSecret []byte) (key, iv []byte) {
 	return e.ExpandLabel("key", nil, suite.KeyLen), e.ExpandLabel("iv", nil, suite.IVLen)
 }
 
-// StreamID returns the stream this context belongs to.
-func (c *StreamContext) StreamID() uint32 { return c.streamID }
-
 // Seq returns the next record sequence number (i.e. the number of records
 // processed so far in this direction).
 func (c *StreamContext) Seq() uint64 { return c.seq }

@@ -196,27 +196,14 @@ func TestSealSeqReplay(t *testing.T) {
 	}
 }
 
-func TestChaChaSuiteRoundTrip(t *testing.T) {
-	suite, err := SuiteByID(TLSCHACHA20POLY1305SHA256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, iv := DeriveTrafficKeys(suite, testSecret(9))
-	send, _ := NewStreamContext(suite, key, iv, 5)
-	recv, _ := NewStreamContext(suite, key, iv, 5)
-	rec, err := send.Seal(nil, ContentTypeApplicationData, []byte("chacha"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, content, err := recv.Open(rec)
-	if err != nil || string(content) != "chacha" {
-		t.Fatalf("content=%q err=%v", content, err)
-	}
-}
-
+// TestUnknownSuite: AES-128-GCM is the only suite; the other TLS 1.3
+// suites (0x1302 AES-256-GCM, 0x1303 ChaCha20-Poly1305) and unassigned
+// IDs are refused.
 func TestUnknownSuite(t *testing.T) {
-	if _, err := SuiteByID(0x1399); err == nil {
-		t.Fatal("unknown suite accepted")
+	for _, id := range []SuiteID{0x1302, 0x1303, 0x1399} {
+		if _, err := SuiteByID(id); err == nil {
+			t.Fatalf("suite 0x%04x accepted", uint16(id))
+		}
 	}
 }
 

@@ -22,19 +22,15 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
-
-	"tcpls/internal/chacha20poly1305"
 )
 
 // SuiteID identifies a TLS 1.3 cipher suite.
 type SuiteID uint16
 
-// Cipher suites supported by this implementation. The paper's measurements
-// use AES-128-GCM-SHA256 throughout.
-const (
-	TLSAES128GCMSHA256        SuiteID = 0x1301
-	TLSCHACHA20POLY1305SHA256 SuiteID = 0x1303
-)
+// TLSAES128GCMSHA256 is the one cipher suite this implementation
+// supports: the suite TLS 1.3 makes mandatory (RFC 8446 §9.1), and the
+// one the paper's measurements use throughout.
+const TLSAES128GCMSHA256 SuiteID = 0x1301
 
 // Suite describes a cipher suite's primitives.
 type Suite struct {
@@ -51,8 +47,6 @@ func (s *Suite) Name() string {
 	switch s.ID {
 	case TLSAES128GCMSHA256:
 		return "TLS_AES_128_GCM_SHA256"
-	case TLSCHACHA20POLY1305SHA256:
-		return "TLS_CHACHA20_POLY1305_SHA256"
 	}
 	return fmt.Sprintf("unknown(0x%04x)", uint16(s.ID))
 }
@@ -79,14 +73,6 @@ var suites = map[SuiteID]*Suite{
 			}
 			return cipher.NewGCM(block)
 		},
-	},
-	TLSCHACHA20POLY1305SHA256: {
-		ID:      TLSCHACHA20POLY1305SHA256,
-		KeyLen:  32,
-		IVLen:   12,
-		TagLen:  16,
-		NewHash: sha256.New,
-		newAEAD: chacha20poly1305.New,
 	},
 }
 

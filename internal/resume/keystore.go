@@ -126,16 +126,6 @@ func Open(path string, passphrase []byte) (*KeyStore, error) {
 	}
 }
 
-// SetAcceptWindow adjusts how many generations stay accepted (minimum 1).
-func (ks *KeyStore) SetAcceptWindow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ks.mu.Lock()
-	ks.window = n
-	ks.mu.Unlock()
-}
-
 // addKeyLocked mints a fresh key as generation gen and prepends it.
 func (ks *KeyStore) addKeyLocked(gen uint32) error {
 	var k ticketKey

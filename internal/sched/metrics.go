@@ -5,17 +5,13 @@ import (
 	"time"
 )
 
-// Metrics is the per-session path-metrics engine: one entry per TCP
-// connection, fused from two signal sources. Record-level
-// acknowledgments (available whenever failover's ACK machinery is on)
-// drive an RFC 6298 SRTT/RTTVar estimator, a bytes-in-flight gauge, a
-// loss counter, and a delivery-rate EWMA; periodic kernel TCP_INFO
-// snapshots seed the estimates before ACK samples exist and keep
-// standing in where acknowledgments are disabled.
+// Metrics is the per-session path-metrics store: one entry per TCP
+// connection. Record-level acknowledgments (available whenever
+// failover's ACK machinery is on) drive an RFC 6298 SRTT/RTTVar
+// estimator, a bytes-in-flight gauge, a loss counter, and a
+// delivery-rate EWMA.
 //
-// All methods are safe for concurrent use: the protocol engine updates
-// it under the session lock while the kernel refresher ticks on its own
-// goroutine.
+// All methods are safe for concurrent use.
 type Metrics struct {
 	mu    sync.Mutex
 	paths map[uint32]*pathState
@@ -28,19 +24,17 @@ type pathState struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	hasRTT bool
-	ackRTT bool // at least one ACK sample folded in; kernel stops seeding
 
 	inFlight uint64
 	losses   uint64
 
 	rate       float64 // ACK-driven EWMA, bytes per second
 	hasRate    bool
-	kernelRate float64 // cwnd*mss/srtt hint, used until hasRate
 	lastAck    time.Time
 	ackedSince uint64
 }
 
-// PathStats is an exported snapshot of one path's fused metrics.
+// PathStats is an exported snapshot of one path's metrics.
 type PathStats struct {
 	SRTT         time.Duration
 	RTTVar       time.Duration
@@ -88,7 +82,6 @@ func (m *Metrics) OnAcked(conn uint32, bytes int, rtt time.Duration, now time.Ti
 	}
 	if rtt > 0 {
 		p.observeRTT(rtt)
-		p.ackRTT = true
 	}
 	if now.IsZero() {
 		return
@@ -115,9 +108,7 @@ func (m *Metrics) OnAcked(conn uint32, bytes int, rtt time.Duration, now time.Ti
 
 // observeRTT folds one clean sample into the RFC 6298 estimator.
 func (p *pathState) observeRTT(s time.Duration) {
-	if !p.hasRTT || !p.ackRTT {
-		// First ACK sample owns the estimate, even over a kernel seed:
-		// it measures the full TCPLS path.
+	if !p.hasRTT {
 		p.srtt, p.rttvar, p.hasRTT = s, s/2, true
 		return
 	}
@@ -144,23 +135,6 @@ func (m *Metrics) OnLost(conn uint32, bytes int) {
 	p.losses++
 }
 
-// UpdateKernel folds a TCP_INFO snapshot into conn's estimates: the
-// kernel view owns SRTT/RTTVar until the first ACK sample lands, and
-// rateHint (cwnd*mss/srtt, bytes per second, 0 = none) stands in for
-// the delivery rate until ACK-driven samples exist. ACK samples win
-// permanently because they see the whole path, not just the first hop.
-func (m *Metrics) UpdateKernel(conn uint32, rtt, rttvar time.Duration, rateHint float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.path(conn)
-	if rtt > 0 && !p.ackRTT {
-		p.srtt, p.rttvar, p.hasRTT = rtt, rttvar, true
-	}
-	if rateHint > 0 {
-		p.kernelRate = rateHint
-	}
-}
-
 // Fill populates v's metric fields from the state keyed by v.Conn.
 func (m *Metrics) Fill(v *PathView) {
 	m.mu.Lock()
@@ -171,15 +145,10 @@ func (m *Metrics) Fill(v *PathView) {
 	}
 	v.SRTT, v.RTTVar, v.HasRTT = p.srtt, p.rttvar, p.hasRTT
 	v.InFlight, v.Losses = p.inFlight, p.losses
-	switch {
-	case p.hasRate:
-		v.DeliveryRate, v.HasRate = p.rate, true
-	case p.kernelRate > 0:
-		v.DeliveryRate, v.HasRate = p.kernelRate, true
-	}
+	v.DeliveryRate, v.HasRate = p.rate, p.hasRate
 }
 
-// Snapshot returns conn's current fused stats.
+// Snapshot returns conn's current stats.
 func (m *Metrics) Snapshot(conn uint32) (PathStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -187,20 +156,15 @@ func (m *Metrics) Snapshot(conn uint32) (PathStats, bool) {
 	if !ok {
 		return PathStats{}, false
 	}
-	st := PathStats{
-		SRTT:     p.srtt,
-		RTTVar:   p.rttvar,
-		HasRTT:   p.hasRTT,
-		InFlight: p.inFlight,
-		Losses:   p.losses,
-	}
-	switch {
-	case p.hasRate:
-		st.DeliveryRate, st.HasRate = p.rate, true
-	case p.kernelRate > 0:
-		st.DeliveryRate, st.HasRate = p.kernelRate, true
-	}
-	return st, true
+	return PathStats{
+		SRTT:         p.srtt,
+		RTTVar:       p.rttvar,
+		HasRTT:       p.hasRTT,
+		InFlight:     p.inFlight,
+		Losses:       p.losses,
+		DeliveryRate: p.rate,
+		HasRate:      p.hasRate,
+	}, true
 }
 
 // Forget drops conn's state (connection closed or failed for good).

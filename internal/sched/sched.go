@@ -1,13 +1,12 @@
 // Package sched is the sender-side multipath record-scheduling
-// subsystem (paper §3.3.3): a path-metrics engine that fuses
-// record-level acknowledgment samples with periodic kernel TCP_INFO
-// snapshots, and pluggable stateful schedulers the protocol engine
-// consults once per coupled record.
+// subsystem (paper §3.3.3): a path-metrics store fed by record-level
+// acknowledgments, and stateful schedulers the protocol engine consults
+// once per coupled record.
 //
-// The package is transport-agnostic. internal/core feeds it events
+// The package is transport-agnostic. internal/core feeds the store
 // (record sent / acked / lost), builds PathView snapshots before each
 // scheduling round, and applies the scheduler's picks; the public tcpls
-// wrapper adds the kernel refresh loop and re-exports the constructors.
+// wrapper selects a scheduler by name (Config.Scheduler, ByName).
 package sched
 
 import "time"
@@ -26,9 +25,8 @@ type PathView struct {
 	// TCP connection (path) it is attached to.
 	Stream uint32
 	Conn   uint32
-	// SRTT / RTTVar are the fused smoothed round-trip estimates:
-	// seeded from kernel TCP_INFO, taken over by record-level ACK
-	// samples once those exist (they measure the full TCPLS path, not
+	// SRTT / RTTVar are the smoothed round-trip estimates from
+	// record-level ACK samples (they measure the full TCPLS path, not
 	// just the first TCP hop). Valid only when HasRTT.
 	SRTT   time.Duration
 	RTTVar time.Duration
@@ -38,58 +36,36 @@ type PathView struct {
 	// Losses counts records declared lost on this path (failover
 	// replays).
 	Losses uint64
-	// DeliveryRate is an EWMA of acknowledged bytes per second, falling
-	// back to the kernel's cwnd*mss/srtt hint before any ACK sample.
-	// Valid only when HasRate.
+	// DeliveryRate is an EWMA of acknowledged bytes per second. Valid
+	// only when HasRate.
 	DeliveryRate float64
 	HasRTT       bool
 	HasRate      bool
 }
 
 // Scheduler picks the path that carries each coupled record.
-// Implementations may keep state: the engine serializes every call —
-// Pick and the On* hooks alike — under the session lock, and one
-// instance must not be shared across sessions.
+// Implementations may keep state: the engine serializes every call
+// under the session lock, and one instance must not be shared across
+// sessions.
 //
 // Pick receives the running aggregation-sequence index and one view per
 // coupled stream (never empty; the engine reuses the slice after Pick
 // returns, so keep a copy of what must outlive the call). It returns
-// an index into paths, or
-// PickAll to duplicate the record across every path. An out-of-range
-// result falls back to path 0 and is surfaced as a sched_invalid trace
-// event — see Session.SetScheduler for the contract.
+// an index into paths, or PickAll to duplicate the record across every
+// path. An out-of-range result falls back to path 0 and is surfaced as
+// a sched_invalid trace event — see core.Session.SetPathScheduler.
 type Scheduler interface {
 	// Name identifies the scheduler in traces and configuration.
 	Name() string
 	Pick(recordIdx uint64, paths []PathView) int
-	// OnSent / OnAcked / OnLost observe per-path record outcomes so a
-	// stateful scheduler can learn without consulting the Metrics
-	// store. rtt is the clean ACK sample for this acknowledgment, or 0
-	// when Karn's algorithm rejected it.
-	OnSent(conn uint32, bytes int)
-	OnAcked(conn uint32, bytes int, rtt time.Duration)
-	OnLost(conn uint32, bytes int)
 }
-
-// NopHooks provides no-op observer hooks for schedulers that rely
-// solely on PathView snapshots. Embed it to satisfy Scheduler.
-type NopHooks struct{}
-
-// OnSent implements Scheduler.
-func (NopHooks) OnSent(uint32, int) {}
-
-// OnAcked implements Scheduler.
-func (NopHooks) OnAcked(uint32, int, time.Duration) {}
-
-// OnLost implements Scheduler.
-func (NopHooks) OnLost(uint32, int) {}
 
 // RoundRobin cycles through the paths by record index — the paper's
 // default policy (§5.1) and the seed's legacy behaviour. It ignores
 // path metrics entirely.
 func RoundRobin() Scheduler { return roundRobin{} }
 
-type roundRobin struct{ NopHooks }
+type roundRobin struct{}
 
 func (roundRobin) Name() string { return "roundrobin" }
 
@@ -97,14 +73,13 @@ func (roundRobin) Pick(recordIdx uint64, paths []PathView) int {
 	return int(recordIdx % uint64(len(paths)))
 }
 
-// LowestRTT prefers the path with the smallest fused SRTT — the
+// LowestRTT prefers the path with the smallest smoothed RTT — the
 // latency-sensitive policy. Paths without an RTT estimate are probed
 // with a small fraction of records so their estimates converge; with no
 // estimates at all it degrades to round-robin.
 func LowestRTT() Scheduler { return &lowestRTT{} }
 
 type lowestRTT struct {
-	NopHooks
 	probe uint64
 }
 
@@ -150,7 +125,6 @@ func WeightedRate() Scheduler {
 }
 
 type weightedRate struct {
-	NopHooks
 	credit map[uint32]float64 // smooth-WRR deficit, keyed by conn ID
 }
 
@@ -196,34 +170,11 @@ func (w *weightedRate) Pick(recordIdx uint64, paths []PathView) int {
 // reordering deduplicates, delivering exactly one copy.
 func Redundant() Scheduler { return redundant{} }
 
-type redundant struct{ NopHooks }
+type redundant struct{}
 
 func (redundant) Name() string { return "redundant" }
 
 func (redundant) Pick(uint64, []PathView) int { return PickAll }
-
-// Func adapts a legacy closure scheduler — f(recordIdx, coupled stream
-// IDs) — to the Scheduler interface; it is how the original
-// Session.SetScheduler API keeps working unchanged.
-func Func(f func(recordIdx uint64, streams []uint32) int) Scheduler {
-	return &funcSched{f: f}
-}
-
-type funcSched struct {
-	NopHooks
-	f   func(uint64, []uint32) int
-	ids []uint32 // reused across Picks to avoid a per-record allocation
-}
-
-func (fs *funcSched) Name() string { return "func" }
-
-func (fs *funcSched) Pick(recordIdx uint64, paths []PathView) int {
-	fs.ids = fs.ids[:0]
-	for i := range paths {
-		fs.ids = append(fs.ids, paths[i].Stream)
-	}
-	return fs.f(recordIdx, fs.ids)
-}
 
 // ByName resolves a built-in scheduler from its configuration name.
 func ByName(name string) (Scheduler, bool) {

@@ -106,26 +106,6 @@ func TestRedundantPicksAll(t *testing.T) {
 	}
 }
 
-func TestFuncAdapterSeesStreamIDs(t *testing.T) {
-	var gotIdx uint64
-	var gotStreams []uint32
-	s := Func(func(recordIdx uint64, streams []uint32) int {
-		gotIdx = recordIdx
-		gotStreams = append([]uint32(nil), streams...)
-		return 1
-	})
-	v := views(3)
-	if got := s.Pick(7, v); got != 1 {
-		t.Fatalf("Pick = %d", got)
-	}
-	if gotIdx != 7 {
-		t.Fatalf("recordIdx = %d", gotIdx)
-	}
-	if len(gotStreams) != 3 || gotStreams[0] != 2 || gotStreams[2] != 6 {
-		t.Fatalf("streams = %v", gotStreams)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"roundrobin": "roundrobin", "rr": "roundrobin",
@@ -169,27 +149,6 @@ func TestMetricsRTTEstimator(t *testing.T) {
 	}
 }
 
-func TestMetricsKernelSeedThenAckWins(t *testing.T) {
-	m := NewMetrics()
-	m.UpdateKernel(1, 10*time.Millisecond, 5*time.Millisecond, 0)
-	st, _ := m.Snapshot(1)
-	if !st.HasRTT || st.SRTT != 10*time.Millisecond {
-		t.Fatalf("kernel seed not applied: %+v", st)
-	}
-	// ACK sample replaces the seed outright.
-	m.OnAcked(1, 0, 50*time.Millisecond, time.Time{})
-	st, _ = m.Snapshot(1)
-	if st.SRTT != 50*time.Millisecond {
-		t.Fatalf("ack sample did not take over: %v", st.SRTT)
-	}
-	// Further kernel refreshes no longer touch the estimate.
-	m.UpdateKernel(1, 1*time.Millisecond, 1*time.Millisecond, 0)
-	st, _ = m.Snapshot(1)
-	if st.SRTT != 50*time.Millisecond {
-		t.Fatalf("kernel overrode ack estimate: %v", st.SRTT)
-	}
-}
-
 func TestMetricsDeliveryRate(t *testing.T) {
 	m := NewMetrics()
 	now := time.Unix(2000, 0)
@@ -202,25 +161,10 @@ func TestMetricsDeliveryRate(t *testing.T) {
 	if st.DeliveryRate < 900_000 || st.DeliveryRate > 1_100_000 {
 		t.Fatalf("rate = %.0f B/s, want ~1MB/s", st.DeliveryRate)
 	}
-	// Kernel hint is only a fallback: it must not disturb the EWMA.
-	m.UpdateKernel(1, 0, 0, 9_999_999)
-	st, _ = m.Snapshot(1)
-	if st.DeliveryRate > 1_100_000 {
-		t.Fatalf("kernel hint overrode ack rate: %.0f", st.DeliveryRate)
-	}
-}
-
-func TestMetricsKernelRateFallback(t *testing.T) {
-	m := NewMetrics()
-	m.UpdateKernel(1, 0, 0, 3_000_000)
-	st, _ := m.Snapshot(1)
-	if !st.HasRate || st.DeliveryRate != 3_000_000 {
-		t.Fatalf("kernel rate hint not used: %+v", st)
-	}
 	v := PathView{Conn: 1}
 	m.Fill(&v)
-	if !v.HasRate || v.DeliveryRate != 3_000_000 {
-		t.Fatalf("Fill missed kernel rate: %+v", v)
+	if !v.HasRate || v.DeliveryRate != st.DeliveryRate {
+		t.Fatalf("Fill = %+v, Snapshot = %+v", v, st)
 	}
 }
 
@@ -239,14 +183,13 @@ func TestMetricsLossAndForget(t *testing.T) {
 }
 
 func TestMetricsConcurrentAccess(t *testing.T) {
-	// The kernel refresher races the engine by design; -race keeps us
-	// honest here.
+	// The store is documented safe for concurrent use; -race keeps it
+	// honest: a reader snapshots while the engine feeds acks.
 	m := NewMetrics()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			m.UpdateKernel(1, 10*time.Millisecond, 5*time.Millisecond, 1e6)
 			m.Snapshot(1)
 		}
 	}()

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"tcpls"
@@ -33,43 +29,4 @@ func Echo() Handler {
 			}()
 		}
 	}
-}
-
-// Files returns a handler serving files under root: each stream's
-// request is one newline-terminated relative path, answered with the
-// file's bytes and a FIN (errors just close the stream). Paths are
-// cleaned and confined to root.
-func Files(root string) Handler {
-	return func(sess *tcpls.Session) {
-		var inflight sync.WaitGroup
-		defer inflight.Wait()
-		for {
-			st, err := sess.AcceptStream(context.Background())
-			if err != nil {
-				return
-			}
-			inflight.Add(1)
-			go func() {
-				defer inflight.Done()
-				defer st.Close()
-				serveFile(root, st)
-			}()
-		}
-	}
-}
-
-// serveFile answers one file request on one stream.
-func serveFile(root string, st *tcpls.Stream) {
-	name, err := bufio.NewReaderSize(st, 4096).ReadString('\n')
-	if err != nil {
-		return
-	}
-	name = strings.TrimSpace(name)
-	clean := filepath.Clean("/" + name) // confine: ".." collapses against the virtual root
-	f, err := os.Open(filepath.Join(root, clean))
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	io.Copy(st, f)
 }

@@ -11,7 +11,6 @@ package sim
 
 import (
 	"container/heap"
-	"sort"
 	"time"
 )
 
@@ -242,12 +241,6 @@ func (p *Path) SetDownDir(aToB bool, down bool) {
 	}
 }
 
-// SetRateBps degrades or restores both directions' line rate.
-func (p *Path) SetRateBps(bps int64) {
-	p.AtoB.SetRateBps(bps)
-	p.BtoA.SetRateBps(bps)
-}
-
 // RTT returns the path's base round-trip time.
 func (p *Path) RTT() Time { return p.AtoB.Delay + p.BtoA.Delay }
 
@@ -269,19 +262,6 @@ func NewTopology(s *Sim) *Topology {
 // Attach places a path in a rack.
 func (t *Topology) Attach(rack int, p *Path) {
 	t.racks[rack] = append(t.racks[rack], p)
-}
-
-// Rack returns the paths attached to rack (shared slice; do not mutate).
-func (t *Topology) Rack(rack int) []*Path { return t.racks[rack] }
-
-// Racks returns the rack IDs in ascending order.
-func (t *Topology) Racks() []int {
-	out := make([]int, 0, len(t.racks))
-	for r := range t.racks {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // SetRackDown blackholes or restores every path in rack — the

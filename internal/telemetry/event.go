@@ -53,7 +53,7 @@ func category(name string) string {
 		"failover_cascade", "failover_error", "sync_sent", "sync_received",
 		"retransmit", "reconnect_attempt", "reconnect_ok", "recovery_failed":
 		return "recovery"
-	case "sched_pick", "sched_invalid", "path_metrics", "reorder_depth":
+	case "sched_pick", "sched_invalid", "reorder_depth":
 		return "scheduling"
 	case "conn_added", "stream_attached", "stream_fin", "cookie_issued",
 		"cookie_consumed", "cookie_received", "join_accepted",

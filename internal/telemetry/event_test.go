@@ -23,7 +23,7 @@ var tracedNames = []string{
 	"conn_failed", "failover_started", "failover_notified",
 	"failover_cascade", "failover_error", "sync_sent", "sync_received",
 	"retransmit", "reconnect_attempt", "reconnect_ok", "recovery_failed",
-	"sched_pick", "sched_invalid", "path_metrics", "reorder_depth",
+	"sched_pick", "sched_invalid", "reorder_depth",
 	"conn_added", "stream_attached", "stream_fin", "cookie_issued",
 	"cookie_consumed", "cookie_received", "join_accepted", "join_fastpath",
 	"join_rejected", "ticket_issued", "ticket_received", "ticket_reissued",

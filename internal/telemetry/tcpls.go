@@ -102,6 +102,10 @@ func TCPLSFamilies(r *Registry) *Families {
 // the session-level values inline, the session's only entry in the
 // registry. The engine updates the fields with single atomic operations;
 // a nil *SessionMetrics costs one nil-check per emission point.
+//
+// A nil block means telemetry is disabled, on every method: Conn,
+// Stream, SchedPicks, Counter and Gauge return nil (whose methods are
+// no-ops) and Detach does nothing.
 type SessionMetrics struct {
 	fams       *Families
 	sess, role string
@@ -211,7 +215,7 @@ func held[K comparable, V any](sm *SessionMetrics, m map[K]*V, key K) *V {
 }
 
 // Conn returns the counters of connID, adding them to the block on
-// first use. Like Stream, safe on a nil receiver (returns nil).
+// first use.
 func (sm *SessionMetrics) Conn(connID uint32) *ConnMetrics {
 	if sm == nil {
 		return nil
@@ -231,16 +235,18 @@ func (sm *SessionMetrics) Stream(streamID uint32) *StreamMetrics {
 // SchedPicks returns the pick counter of a scheduler policy, adding it
 // to the block on first use.
 func (sm *SessionMetrics) SchedPicks(policy string) *Counter {
+	if sm == nil {
+		return nil
+	}
 	return held(sm, sm.picks, policy)
 }
 
 // Counter returns a new series of another family (v's schema, these
 // label values) that lives in the block and leaves /metrics with it: the
-// health monitor's per-session tcpls_health_* series. A nil block stands
-// for the process: the series is then v's permanent child.
+// health monitor's per-session tcpls_health_* series.
 func (sm *SessionMetrics) Counter(v *CounterVec, values ...string) *Counter {
 	if sm == nil {
-		return v.With(values...)
+		return nil
 	}
 	c := new(Counter)
 	sm.addRider(v.f, values, c)
@@ -250,7 +256,7 @@ func (sm *SessionMetrics) Counter(v *CounterVec, values ...string) *Counter {
 // Gauge is Counter for a gauge family.
 func (sm *SessionMetrics) Gauge(v *GaugeVec, values ...string) *Gauge {
 	if sm == nil {
-		return v.With(values...)
+		return nil
 	}
 	g := new(Gauge)
 	sm.addRider(v.f, values, g)

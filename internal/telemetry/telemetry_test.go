@@ -46,6 +46,35 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 }
 
+// TestSessionMetricsNilIsDisabled: a nil block means telemetry is off,
+// on every method — no handle comes back and no series is registered
+// (a process-wide series is the caller's v.With, never a nil block's).
+func TestSessionMetricsNilIsDisabled(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("test_nil_total", "Nil block counter.", "key")
+	gv := r.GaugeVec("test_nil", "Nil block gauge.", "key")
+	var sm *SessionMetrics
+	if c := sm.Conn(0); c != nil {
+		t.Fatalf("Conn on nil = %p", c)
+	}
+	if st := sm.Stream(2); st != nil {
+		t.Fatalf("Stream on nil = %p", st)
+	}
+	if c := sm.SchedPicks("rate"); c != nil {
+		t.Fatalf("SchedPicks on nil = %p", c)
+	}
+	if c := sm.Counter(cv, "k"); c != nil {
+		t.Fatalf("Counter on nil = %p", c)
+	}
+	if g := sm.Gauge(gv, "k"); g != nil {
+		t.Fatalf("Gauge on nil = %p", g)
+	}
+	sm.Detach()
+	if got := r.Gather(); len(got) != 0 {
+		t.Fatalf("nil block registered series: %v", got)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {

@@ -3,9 +3,11 @@ package tcpls
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,5 +252,86 @@ func TestJoinConnEcho(t *testing.T) {
 	buf := make([]byte, 12)
 	if _, err := io.ReadFull(st, buf); err != nil || string(buf) != "via JoinConn" {
 		t.Fatalf("echo %q: %v", buf, err)
+	}
+}
+
+// TestApplicationFailoverMidEcho is the paper's application-triggered
+// migration (§3.3.2): halfway through a 16 MiB echo the client joins a
+// fresh connection and moves its stream there with Failover while the
+// first connection is still healthy. Both directions stay byte-exact (the
+// echo comes back identical), no record fails to decrypt at either end,
+// and the client's trace shows the failover onto the joined connection.
+func TestApplicationFailoverMidEcho(t *testing.T) {
+	const size, half = 16 << 20, 8 << 20
+	srvCh := make(chan *Session, 1)
+	ln := startServer(t, &Config{EnableFailover: true}, func(sess *Session) {
+		srvCh <- sess
+		echoHandler(sess)
+	})
+	sess, err := Dial("tcp", ln.Addr().String(), &Config{
+		ServerName: "test.server", EnableFailover: true,
+		Telemetry: TelemetryConfig{FlightCapacity: 1 << 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv := <-srvCh
+	st, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(size)
+	echoed := make(chan error, 1)
+	go func() {
+		got := make([]byte, size)
+		if _, err := io.ReadFull(st, got); err != nil {
+			echoed <- err
+			return
+		}
+		if !bytes.Equal(got, data) {
+			echoed <- errors.New("echo differs from what was written")
+			return
+		}
+		echoed <- nil
+	}()
+
+	if _, err := st.Write(data[:half]); err != nil {
+		t.Fatal(err)
+	}
+	joined, err := sess.JoinPath("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Failover(0, joined); err != nil {
+		t.Fatalf("Failover(0, %d): %v", joined, err)
+	}
+	if conn, err := st.Conn(); err != nil || conn != joined {
+		t.Fatalf("stream on conn %d (%v) after Failover, want %d", conn, err, joined)
+	}
+	var trace bytes.Buffer
+	if err := sess.DumpFlight(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write(data[half:]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-echoed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("echo did not complete after the failover")
+	}
+
+	// The failover of conn 0, and the stream's SYNC on the joined conn.
+	started := `"type":"failover_started","data":{"conn":0,`
+	synced := fmt.Sprintf(`"type":"sync_sent","data":{"conn":%d,"stream":%d,`, joined, st.ID())
+	if !strings.Contains(trace.String(), started) || !strings.Contains(trace.String(), synced) {
+		t.Fatalf("client trace lacks the failover of conn 0 onto conn %d", joined)
+	}
+	if cs, ss := sess.Stats(), srv.Stats(); cs.FailedDecrypts != 0 || ss.FailedDecrypts != 0 {
+		t.Fatalf("failed decrypts: client %d, server %d", cs.FailedDecrypts, ss.FailedDecrypts)
 	}
 }

@@ -157,11 +157,17 @@ func (l *Listener) trackHandshake(nc net.Conn) bool {
 
 // untrackHandshake removes a connection from the in-flight set and
 // reports whether the listener closed while the handshake ran (in which
-// case the conn must be dropped, not adopted).
-func (l *Listener) untrackHandshake(nc net.Conn) (listenerClosed bool) {
+// case the conn must be dropped, not adopted). A handshake that failed,
+// or is dropped, after its cookie state was minted (issued) loses that
+// entry in the same critical section: no session will ever own it, and
+// nobody may see the handshake gone while its entry lingers.
+func (l *Listener) untrackHandshake(nc net.Conn, failed bool, issued *SessID) (listenerClosed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.hsConns, nc)
+	if issued != nil && (failed || l.closed) {
+		delete(l.sessions, *issued)
+	}
 	return l.closed
 }
 
@@ -264,7 +270,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 	if adm := l.cfg.Admission; adm != nil {
 		rel, err := adm.AdmitConn(nc.RemoteAddr())
 		if err != nil {
-			l.untrackHandshake(nc)
+			l.untrackHandshake(nc, true, nil)
 			nc.Close()
 			return
 		}
@@ -285,7 +291,6 @@ func (l *Listener) handleConn(nc net.Conn) {
 	var ticketIssued time.Time
 	var issued *SessID // set once OnSessionIssued has put an entry in l.sessions
 	hcfg := &handshake.Config{
-		Suites:         l.cfg.Suites,
 		Certificate:    l.cfg.Certificate,
 		TCPLSServer:    !l.cfg.DisableTCPLS,
 		AdvertiseAddrs: advertise,
@@ -334,12 +339,7 @@ func (l *Listener) handleConn(nc net.Conn) {
 	if release != nil {
 		release()
 	}
-	if closed := l.untrackHandshake(nc); err != nil || closed {
-		// The handshake died after its cookie state was minted: no
-		// session will ever own the entry, so it goes here.
-		if issued != nil {
-			l.forgetSession(*issued)
-		}
+	if closed := l.untrackHandshake(nc, err != nil, issued); err != nil || closed {
 		nc.Close()
 		return
 	}

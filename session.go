@@ -75,10 +75,9 @@ type Session struct {
 	earlyStreamID  uint32
 	hasEarlyStream bool
 
-	// metrics is the path-metrics engine shared with the protocol
-	// engine; metricsLoopOn guards the kernel TCP_INFO refresher.
-	metrics       *sched.Metrics
-	metricsLoopOn bool
+	// metrics is the path-metrics store the protocol engine feeds from
+	// record acknowledgments.
+	metrics *sched.Metrics
 
 	// Telemetry state (telemetry.go): the session's metric handles on
 	// the shared registry, the address whose HTTP endpoint this session
@@ -88,11 +87,10 @@ type Session struct {
 	telAddr   string
 	traceSink *telemetry.Sink
 
-	// Diagnosis state (trace.go): the always-on flight recorder, the
-	// user's Trace callback, and this session's /debug/tcpls registry
-	// key. All tracer installs go through refreshTracerLocked.
+	// Diagnosis state (trace.go): the always-on flight recorder and
+	// this session's /debug/tcpls registry key. All tracer installs go
+	// through refreshTracerLocked.
 	flight   *telemetry.Flight
-	traceFn  func(core.TraceEvent)
 	debugKey string
 
 	// Continuous self-diagnosis (health.go): the session's monitor and
@@ -197,7 +195,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		// Validated by Dial/Client/Listen; ByName cannot fail here.
 		if ps, ok := sched.ByName(cfg.Scheduler); ok {
 			s.engine.SetPathScheduler(ps)
-			s.startPathMetricsLoopLocked()
 		}
 	}
 	s.mu.Unlock()
@@ -352,13 +349,6 @@ func (s *Session) Cookies() int {
 	return len(s.drv.Cookies)
 }
 
-// PeerAddrs returns the addresses the server advertised for joining.
-func (s *Session) PeerAddrs() []net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]net.Addr(nil), s.peerAddrs...)
-}
-
 // Connections returns the engine IDs of live connections.
 func (s *Session) Connections() []uint32 {
 	s.mu.Lock()
@@ -448,20 +438,6 @@ func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closeErr
-}
-
-// RemoteAddr returns the peer address of the session's lowest-numbered
-// connection, or nil when none remains — the address admission control
-// and the server registry key per-IP state on.
-func (s *Session) RemoteAddr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.drv.Conns() {
-		if pc, ok := c.T.(*pathConn); ok {
-			return pc.nc.RemoteAddr()
-		}
-	}
-	return nil
 }
 
 // MemoryFootprint reports the session's current buffered memory in

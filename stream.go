@@ -157,28 +157,3 @@ func (s *Session) ReadCoupled(p []byte) (int, error) {
 		s.cond.Wait()
 	}
 }
-
-// CoupledInUse reports whether the peer (or this side) has coupled
-// streams active on the session — receivers switch to ReadCoupled.
-func (s *Session) CoupledInUse() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.CoupledActive() || s.engine.CoupledReadable() > 0
-}
-
-// SetScheduler installs an application-defined coupled-stream record
-// scheduler (§3.3.3): called once per record with the coupled stream IDs,
-// it returns the index of the stream to carry that record.
-//
-// Contract: the returned index must be in [0, len(streams)). An
-// out-of-range index is not honoured — the engine emits a sched_invalid
-// trace event and falls back to the first coupled stream, so a buggy
-// scheduler degrades to pinned scheduling rather than dropping data.
-// For metrics-aware policies (lowest-RTT, rate-weighted, redundant) use
-// SetPathScheduler instead; passing nil here restores the default
-// round-robin.
-func (s *Session) SetScheduler(fn func(recordIdx uint64, streams []uint32) int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.engine.SetScheduler(fn)
-}

@@ -83,13 +83,6 @@ func (s *Session) snapshotLocked(dst *Snapshot) {
 	}
 }
 
-// MetricsHandler returns an http.Handler serving the process-wide
-// metrics registry in Prometheus text format, for applications that
-// already run an HTTP server and want /metrics on their own mux.
-func MetricsHandler() http.Handler {
-	return telemetry.Handler(telemetry.Default())
-}
-
 // DebugHandler returns the /debug/tcpls handler — every live session's
 // Snapshot as JSON — for applications embedding telemetry in their own
 // mux (the Config.Telemetry.Addr server serves it already).

@@ -8,9 +8,6 @@ import (
 	"tcpls/internal/telemetry"
 )
 
-// TraceEvent re-exports the engine's trace event (schema: DESIGN.md §10).
-type TraceEvent = core.TraceEvent
-
 // TraceJSON streams the session's protocol events to w as qlog lines
 // (a header line, then one event per line; DESIGN.md §10 has the
 // schema) — the paper artifact ships QLOG/QVIS support for exactly this
@@ -53,39 +50,24 @@ func (s *Session) TraceJSON(w io.Writer) {
 	}
 }
 
-// Trace installs a raw trace callback (for programmatic consumers). The
-// callback runs on the engine's protocol path under the session lock:
-// keep it cheap and never call back into the session. It composes with
-// (does not displace) an active TraceJSON sink and the flight recorder;
-// nil removes a previously installed callback.
-func (s *Session) Trace(fn func(TraceEvent)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traceFn = fn
-	s.refreshTracerLocked()
-}
-
 // refreshTracerLocked is the single point that installs the engine
-// tracer, fanning each event out to the flight recorder, the TraceJSON
-// sink, and the Trace callback — whichever are active. Every installer
-// (initTelemetry, TraceJSON, Trace) routes through here so none can
-// displace another's consumer and strand its bookkeeping (the sink's
-// writer goroutine in particular).
+// tracer, fanning each event out to the flight recorder and the
+// TraceJSON sink — whichever are active. Both installers (initTelemetry,
+// TraceJSON) route through here so neither can displace the other's
+// consumer and strand its bookkeeping (the sink's writer goroutine in
+// particular).
 func (s *Session) refreshTracerLocked() {
-	flight, sink, fn := s.flight, s.traceSink, s.traceFn
-	if flight == nil && sink == nil && fn == nil {
+	flight, sink := s.flight, s.traceSink
+	if flight == nil && sink == nil {
 		s.engine.SetTracer(nil)
 		return
 	}
-	s.engine.SetTracer(func(ev TraceEvent) {
+	s.engine.SetTracer(func(ev core.TraceEvent) {
 		if flight != nil {
 			flight.Append(ev)
 		}
 		if sink != nil {
 			sink.Emit(ev)
-		}
-		if fn != nil {
-			fn(ev)
 		}
 	})
 }

@@ -213,7 +213,7 @@ func TestEarlyReplyAheadOfReadLoop(t *testing.T) {
 	}
 	tr := handshake.NewTransport(nc)
 	res, err := handshake.Client(tr, &handshake.Config{
-		Suites: cfg.Suites, ServerName: cfg.ServerName, RootKeys: cfg.RootKeys, EnableTCPLS: true,
+		ServerName: cfg.ServerName, RootKeys: cfg.RootKeys, EnableTCPLS: true,
 		PSK: ticket.PSK, PSKTicket: ticket.Ticket, EarlyData: early,
 	})
 	if err != nil {
