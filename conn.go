@@ -18,11 +18,23 @@ type pathConn struct {
 	s  *Session
 	c  *driver.Conn
 	nc net.Conn
-	// writable wakes the writer: signalled under s.mu by the driver when
-	// the engine holds output for this connection, and by Shut and close.
+	// writable wakes the writer: signalled under s.mu by Wake when the
+	// writer is to take the engine's output, and by Shut and close.
 	writable *sync.Cond
+	// pulling: a goroutine — the writer, or a caller writing its own
+	// small output (flushOwnLocked) — holds the turn at this connection's
+	// chunks. One at a time, so bytes reach the socket in the order the
+	// engine sealed them, whoever flushed.
+	pulling bool
 	// down: the driver shut the socket; the writer has nothing left to do.
 	down bool
+	// The turn's scratch, so a write allocates nothing: chunks for the
+	// accounting, iov for the vectored write. net.Buffers.WriteTo
+	// consumes the slice it is called on (that is how it tracks writev
+	// progress), so each write gets a fresh view of iovArr.
+	chunks [][]byte
+	iovArr [writeBatchMax][]byte
+	iov    net.Buffers
 }
 
 // startConnLocked starts c over nc: the driver puts it to work, then the
@@ -37,7 +49,7 @@ func (s *Session) startConnLocked(c *driver.Conn, nc net.Conn, leftover []byte, 
 }
 
 func (s *Session) newPathConn(c *driver.Conn, nc net.Conn) *pathConn {
-	return &pathConn{s: s, c: c, nc: nc, writable: sync.NewCond(&s.mu)}
+	return &pathConn{s: s, c: c, nc: nc, writable: sync.NewCond(&s.mu), chunks: make([][]byte, 0, writeBatchMax)}
 }
 
 // run starts the reader and the writer.
@@ -56,8 +68,22 @@ func (s *Session) pathConnLocked(id uint32) *pathConn {
 	return nil
 }
 
-// Wake rouses the writer.
-func (pc *pathConn) Wake() { pc.writable.Signal() }
+// Wake hands the connection's output to one goroutine. A turn at the
+// pull that is under way takes it when it settles; a caller of
+// flushOwnLocked takes what it has just queued when that fits
+// sendQueueBytes; anything else — a larger batch, or a flush a readLoop,
+// a timer or the driver started — is the writer's.
+func (pc *pathConn) Wake() {
+	s := pc.s
+	switch {
+	case pc.pulling:
+	case s.owning && s.owned == nil && s.engine.QueuedBytes(pc.c.ID) <= sendQueueBytes:
+		pc.pulling = true
+		s.owned = pc
+	default:
+		pc.writable.Signal()
+	}
+}
 
 // Shut closes the socket, or after the goodbye ends its write side so
 // the peer reads the goodbye and then EOF; the reader closes it at the
@@ -79,40 +105,62 @@ func lingeringClose(nc net.Conn, deadline time.Time) bool {
 	return ok && hc.CloseWrite() == nil && nc.SetReadDeadline(deadline) == nil
 }
 
-// writeLoop is the only puller of its connection's chunks, so bytes
-// reach the socket in the order the engine sealed them whoever flushed.
-// Each round, under one hold of s.mu, it settles the batch it has just
-// written and pulls the next; the vectored write (writev via net.Buffers)
-// runs outside the lock.
+// writeLoop is the connection's writer: it takes every turn at the pull
+// no caller takes, until the connection is done.
 func (pc *pathConn) writeLoop() {
 	s := pc.s
-	chunks := make([][]byte, 0, writeBatchMax)
-	// net.Buffers.WriteTo consumes the slice it is called on (that is how
-	// it tracks writev progress), so each write gets a fresh view of one
-	// scratch array and chunks is kept for the accounting.
-	scratch := make(net.Buffers, 0, writeBatchMax)
-	var iov net.Buffers // one variable for the loop: WriteTo takes its address
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		chunks = s.drv.Pull(pc.c, chunks[:0], writeBatchMax)
-		if len(chunks) == 0 {
-			if pc.down || s.drv.Ended() || pc.c.State == driver.Failed {
+		if !pc.pulling {
+			pc.pulling = true
+			wrote := pc.writeBatchLocked()
+			pc.pulling = false
+			if wrote {
+				continue
+			}
+			if pc.doneLocked() {
 				return
 			}
-			pc.writable.Wait()
-			continue
 		}
-		s.mu.Unlock()
-		s.sendRoom.Broadcast() // the pull emptied this conn's queue, or nearly
-		iov = append(scratch[:0], chunks...)
-		written, err := iov.WriteTo(pc.nc)
-		s.mu.Lock()
-		s.drv.Settle(pc.c, chunks, written, err)
-		if s.closed {
-			s.cond.Broadcast() // Close waits for the drain's last byte
-		}
+		pc.writable.Wait()
 	}
+}
+
+// writeBatchLocked is one turn's round, for the writer and for a caller
+// alike: pull a batch of chunks, write it with one writev (net.Buffers)
+// outside the lock, and settle it under the lock again. The caller holds
+// s.mu and the turn. False when nothing was queued.
+func (pc *pathConn) writeBatchLocked() bool {
+	s := pc.s
+	pc.chunks = s.drv.Pull(pc.c, pc.chunks[:0], writeBatchMax)
+	if len(pc.chunks) == 0 {
+		return false
+	}
+	s.mu.Unlock()
+	s.sendRoom.Broadcast() // the pull emptied this conn's queue, or nearly
+	pc.iov = append(pc.iovArr[:0], pc.chunks...)
+	written, err := pc.iov.WriteTo(pc.nc)
+	s.mu.Lock()
+	s.drv.Settle(pc.c, pc.chunks, written, err)
+	if s.closed {
+		s.cond.Broadcast() // Close waits for the drain's last byte
+	}
+	return true
+}
+
+// releaseLocked ends a caller's turn. What the turn left — output queued
+// meanwhile, or the connection's end — is the writer's.
+func (pc *pathConn) releaseLocked() {
+	pc.pulling = false
+	if pc.doneLocked() || pc.s.engine.HasOutgoing(pc.c.ID) {
+		pc.writable.Signal()
+	}
+}
+
+// doneLocked: the connection takes no more output.
+func (pc *pathConn) doneLocked() bool {
+	return pc.down || pc.s.drv.Ended() || pc.c.State == driver.Failed
 }
 
 // readBufLen sizes each connection's read buffer. 256 KiB holds a full
@@ -139,19 +187,19 @@ func (pc *pathConn) readLoop() {
 			if rerr := s.drv.Receive(pc.c, buf[:n]); rerr != nil {
 				s.drv.Fail(rerr)
 			}
-			s.cond.Broadcast()
+			s.wakeInputLocked()
 			// Receive-buffer backpressure: while the engine reports a
 			// full buffer fed by this connection, park instead of
 			// reading more — the kernel buffer fills, TCP's receive
 			// window closes, and the peer stalls. Stream.Read drains the
-			// buffer and broadcasts to resume.
+			// buffer and signals recvRoom to resume.
 			for !s.drv.Ended() && pc.c.State != driver.Failed && s.engine.RecvPaused(pc.c.ID) {
-				s.cond.Wait()
+				s.recvRoom.Wait()
 			}
 		}
 		if err != nil {
 			s.drv.Down(pc.c, err == io.EOF)
-			s.cond.Broadcast()
+			s.wakeInputLocked()
 			done := pc.down || s.drv.Ended() // else the driver shuts it once its writer is done
 			s.mu.Unlock()
 			if done {

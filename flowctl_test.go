@@ -20,8 +20,25 @@ import (
 // configured buffer while the receiving application sits idle. The
 // readLoop must park (closing the TCP window) instead of buffering the
 // whole transfer or killing the session with ErrRecvBufferFull, and the
-// transfer must complete byte-exact once the reader drains.
+// transfer must complete byte-exact once the reader drains: the parked
+// readLoop resumes when Read, or ReadCoupled for the coupled group,
+// drains below the mark.
 func TestRecvBackpressureBoundsMemory(t *testing.T) {
+	for _, coupled := range []bool{false, true} {
+		name := "read"
+		if coupled {
+			name = "read_coupled"
+		}
+		t.Run(name, func(t *testing.T) { testRecvBackpressure(t, coupled) })
+	}
+}
+
+// readerFunc adapts ReadCoupled to io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+func testRecvBackpressure(t *testing.T, coupled bool) {
 	const (
 		recvCap = 256 << 10
 		total   = 4 << 20
@@ -36,8 +53,12 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 		}
 		started <- sess
 		<-release // sit on the data: backpressure, not reading
+		var src io.Reader = st
+		if coupled {
+			src = readerFunc(sess.ReadCoupled)
+		}
 		h := sha256.New()
-		if _, err := io.Copy(h, st); err != nil {
+		if _, err := io.CopyN(h, src, total); err != nil {
 			return
 		}
 		var sum [32]byte
@@ -54,6 +75,13 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	write := st.Write
+	if coupled {
+		if err := sess.Couple(st); err != nil {
+			t.Fatal(err)
+		}
+		write = sess.WriteCoupled
+	}
 
 	writeDone := make(chan error, 1)
 	h := sha256.New()
@@ -64,7 +92,7 @@ func TestRecvBackpressureBoundsMemory(t *testing.T) {
 				chunk[j] = byte(sent + j)
 			}
 			h.Write(chunk)
-			if _, err := st.Write(chunk); err != nil {
+			if _, err := write(chunk); err != nil {
 				writeDone <- err
 				return
 			}

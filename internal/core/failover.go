@@ -33,7 +33,7 @@ func (s *Session) Advance(now time.Time) []uint32 {
 		if c.failed || c.closed || !s.connActive(id) || now.Sub(c.lastRecv) <= s.cfg.UserTimeout {
 			continue
 		}
-		s.lastNow = now
+		s.setNow(now)
 		s.failConn(c)
 		failed = append(failed, id)
 	}
@@ -72,7 +72,7 @@ func (s *Session) ReportConnFailed(connID uint32) error {
 		return err
 	}
 	if !c.failed {
-		s.lastNow = s.now() // wrapper-reported failure happens in real time
+		s.setNow(s.now()) // wrapper-reported failure happens in real time
 		s.failConn(c)
 	}
 	return nil
@@ -254,7 +254,7 @@ func (s *Session) FailoverTo(failedID, targetID uint32) error {
 // streams moved; a conn with none of ours gets the notice alone.
 func (s *Session) failoverInto(failed []*conn, target *conn) error {
 	if s.tracer != nil {
-		s.lastNow = s.now() // sync/retransmit traces happen now
+		s.setNow(s.now()) // sync/retransmit traces happen now
 	}
 	var moves []streamReplay
 	moved := 0

@@ -24,7 +24,7 @@ func (s *Session) Receive(connID uint32, data []byte, now time.Time) error {
 		return err
 	}
 	c.lastRecv = now
-	s.lastNow = now
+	s.setNow(now)
 	c.deframer.Feed(data)
 	defer func() {
 		c.deframer.Compact() // data may be a reused read buffer

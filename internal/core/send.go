@@ -58,12 +58,9 @@ func (s *Session) Flush() error {
 }
 
 // stampSendTrace dates the send-path trace events that follow: they
-// happen now, not at the last receive.
-func (s *Session) stampSendTrace() {
-	if s.tracer != nil {
-		s.lastNow = s.now()
-	}
-}
+// happen now, not at the last receive. The clock is read at the first
+// of them (traceNow).
+func (s *Session) stampSendTrace() { s.nowStale = s.tracer != nil }
 
 func (s *Session) sortedStreamIDs() []uint32 {
 	if len(s.idCache) != len(s.streams) {

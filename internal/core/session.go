@@ -315,9 +315,11 @@ type Session struct {
 	coupledCache []*stream
 	viewCache    []sched.PathView
 
-	// tracer and lastNow drive the QLOG-style event trace (trace.go).
-	tracer  func(TraceEvent)
-	lastNow time.Time
+	// tracer and lastNow drive the QLOG-style event trace (trace.go);
+	// nowStale: the next event is dated by a fresh clock reading.
+	tracer   func(TraceEvent)
+	lastNow  time.Time
+	nowStale bool
 
 	// stampWrites arms record write-time tracking for lifecycle spans:
 	// Outgoing snapshots the records drained into each chunk, and the
@@ -497,7 +499,7 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 	}
 	c.demux.Attach(ctlRecv)
 	s.conns[id] = c
-	s.lastNow = now
+	s.setNow(now)
 	s.trace("conn_added", id, 0, 0, 0)
 	s.telSyncGauges()
 	return nil

@@ -31,8 +31,9 @@ type stream struct {
 	win             sendWindow
 	ackSolicited    bool
 	// pendingSince stamps when the oldest unflushed bytes entered
-	// pending — the enqueue leg of the record-lifecycle span. Re-stamped
-	// whenever Write finds the queue empty.
+	// pending — the enqueue leg of the record-lifecycle span, which only
+	// retained records (failover) keep. Re-stamped whenever Write finds
+	// the queue empty.
 	pendingSince time.Time
 
 	// Receive side. The receive context lives in the owning conn's
@@ -198,7 +199,9 @@ func (s *Session) Write(streamID uint32, data []byte) (int, error) {
 	}
 	n := len(data)
 	if st.pendingQ.Len() == 0 {
-		st.pendingSince = s.now()
+		if s.cfg.EnableFailover {
+			st.pendingSince = s.now()
+		}
 		if whole := n - n%s.cfg.maxPayload(); whole > 0 {
 			s.stampSendTrace()
 			sealed, err := s.sealStream(st, data[:whole])
@@ -295,7 +298,9 @@ func (s *Session) WriteCoupled(data []byte) (int, error) {
 	}
 	n := len(data)
 	if s.coupled.pendingQ.Len() == 0 {
-		s.coupled.pendingSince = s.now()
+		if s.cfg.EnableFailover {
+			s.coupled.pendingSince = s.now()
+		}
 		if whole := n - n%s.cfg.maxPayload(); whole > 0 {
 			s.stampSendTrace()
 			sealed, err := s.sealCoupled(data[:whole])

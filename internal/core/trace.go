@@ -46,8 +46,24 @@ func (s *Session) Note(name string, conn, stream uint32, seq uint64, bytes int) 
 	if s.tracer == nil {
 		return
 	}
-	s.lastNow = s.now()
+	s.setNow(s.now())
 	s.trace(name, conn, stream, seq, bytes)
+}
+
+// setNow dates the events that follow, until the next input or flush.
+func (s *Session) setNow(t time.Time) {
+	s.lastNow = t
+	s.nowStale = false
+}
+
+// traceNow is the current event's timestamp. After stampSendTrace the
+// clock is read here, at the first event, so a flush that emits none
+// reads none.
+func (s *Session) traceNow() int64 {
+	if s.nowStale {
+		s.setNow(s.now())
+	}
+	return traceUS(s.lastNow)
 }
 
 // trace emits one event when tracing is enabled.
@@ -56,7 +72,7 @@ func (s *Session) trace(name string, conn, stream uint32, seq uint64, bytes int)
 		return
 	}
 	s.tracer(TraceEvent{
-		TimeUS: traceUS(s.lastNow),
+		TimeUS: s.traceNow(),
 		Name:   name,
 		Conn:   conn,
 		Stream: stream,
@@ -72,7 +88,7 @@ func (s *Session) traceSpan(conn, stream uint32, r *sentRecord) {
 	if s.tracer == nil {
 		return
 	}
-	now := traceUS(s.lastNow)
+	now := s.traceNow()
 	s.tracer(TraceEvent{
 		TimeUS:    now,
 		Name:      "record_span",

@@ -45,7 +45,10 @@ const (
 // Transport is the adapter's side of one connection.
 type Transport interface {
 	// Wake: the engine holds output for the connection. The adapter
-	// pulls, writes and settles it, now or from its writer.
+	// pulls, writes and settles it, now or from its writer — after Flush
+	// returns, for a write the adapter makes itself: Wake runs under the
+	// adapter's lock, in the middle of the flush. One puller at a time
+	// per connection keeps the chunks in sealing order.
 	Wake()
 	// Shut ends the transport: graceful after its last byte (a goodbye)
 	// is written — half-close, the peer's end of stream closes it —

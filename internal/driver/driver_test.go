@@ -466,3 +466,66 @@ func TestReconnectConfigDefaults(t *testing.T) {
 		t.Fatalf("MaxDelay not raised to BaseDelay: %v", rc.MaxDelay)
 	}
 }
+
+// countingClock counts the readings of a side's clocks: the driver's and
+// the engine's (core.SetClock).
+type countingClock struct {
+	*manualClock
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.manualClock.Now()
+}
+
+// TestSmallEchoReadsClockOncePerInput pins the clock readings of a
+// small-record echo at the production defaults (tracer and write stamps
+// on, failover off): on each side one for the receive, one to date the
+// flush's record_sent, one for the settled write. The enqueue stamp is
+// only taken with failover, which keeps it, and a flush that emits no
+// event reads no clock.
+func TestSmallEchoReadsClockOncePerInput(t *testing.T) {
+	cl, sv, _, _ := pair(t, core.Config{}, 1)
+	clocks := make([]*countingClock, 2)
+	for i, d := range []*Driver{cl, sv} {
+		c := &countingClock{manualClock: d.clock.(*manualClock)}
+		clocks[i] = c
+		d.clock = c
+		d.Engine.SetClock(c.Now)
+		d.Engine.SetTracer(func(core.TraceEvent) {})
+		d.Engine.SetWriteStamping(true)
+	}
+	id, err := cl.Engine.CreateStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Flush()
+	buf := make([]byte, 1024)
+	echo := func(size int) {
+		if _, err := cl.Engine.Write(id, buf[:size]); err != nil {
+			t.Fatal(err)
+		}
+		cl.Flush()
+		n, err := sv.Engine.Read(id, buf)
+		if err != nil || n != size {
+			t.Fatalf("server read %d, %v; want %d", n, err, size)
+		}
+		sv.Engine.Write(id, buf[:n])
+		sv.Flush()
+		if n, err := cl.Engine.Read(id, buf); err != nil || n != size {
+			t.Fatalf("client read %d, %v; want %d", n, err, size)
+		}
+	}
+	echo(64) // the stream's first record opens it on the server
+	const echoes = 100
+	before := []int{clocks[0].reads, clocks[1].reads}
+	for i := 0; i < echoes; i++ {
+		echo(64 + i*9)
+	}
+	for i, side := range []string{"client", "server"} {
+		if got := clocks[i].reads - before[i]; got != 3*echoes {
+			t.Errorf("%s read its clocks %d times in %d echoes, want 3 an echo", side, got, echoes)
+		}
+	}
+}

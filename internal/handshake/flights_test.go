@@ -7,28 +7,17 @@ import (
 
 // The round trips each establishment flow spends before the server holds
 // the first request byte, counted exactly: every flow runs over an
-// in-memory duplex that counts wire direction switches (one switch is
-// half a round trip), plus one round trip for the TCP connect. The
-// count is the protocol's shape, independent of load and host speed;
-// bench/'s ttfb_*_p50_us fields are the wall-clock side of the same
-// flows.
+// in-memory duplex that dates each write by causality (one trip is half
+// a round trip), plus one round trip for the TCP connect. The count is
+// the protocol's shape, independent of load, host speed and how the two
+// sides' goroutines interleave; bench/'s ttfb_*_p50_us fields are the
+// wall-clock side of the same flows.
 
-// meter counts direction switches across the duplex. Writes within one
-// flight (same side) do not advance it.
-type meter struct {
-	mu    sync.Mutex
-	trips int
-	last  int
-}
-
-func (m *meter) note(side int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.last != side {
-		m.trips++
-		m.last = side
-	}
-	return m.trips
+// segment is one write's bytes in flight, with the trip that carried
+// them.
+type segment struct {
+	trip int
+	b    []byte
 }
 
 // byteQueue is one direction of the duplex: an unbounded buffered pipe,
@@ -37,7 +26,7 @@ func (m *meter) note(side int) int {
 type byteQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	buf  []byte
+	segs []segment
 }
 
 func newByteQueue() *byteQueue {
@@ -46,40 +35,54 @@ func newByteQueue() *byteQueue {
 	return q
 }
 
-func (q *byteQueue) Write(p []byte) (int, error) {
+func (q *byteQueue) write(p []byte, trip int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.buf = append(q.buf, p...)
+	q.segs = append(q.segs, segment{trip, append([]byte(nil), p...)})
 	q.cond.Broadcast()
-	return len(p), nil
 }
 
-func (q *byteQueue) Read(p []byte) (int, error) {
+// read fills p and returns the highest trip among the bytes it took.
+func (q *byteQueue) read(p []byte) (n, trip int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.buf) == 0 {
+	for len(q.segs) == 0 {
 		q.cond.Wait()
 	}
-	n := copy(p, q.buf)
-	q.buf = q.buf[n:]
-	return n, nil
+	for n < len(p) && len(q.segs) > 0 {
+		seg := &q.segs[0]
+		k := copy(p[n:], seg.b)
+		n += k
+		trip = max(trip, seg.trip)
+		if seg.b = seg.b[k:]; len(seg.b) == 0 {
+			q.segs = q.segs[1:]
+		}
+	}
+	return n, trip
 }
 
-// meteredConn is one side of the duplex. writeTrips holds the trip
-// count at each Write, so a flow can name the flight that carried its
-// request bytes.
+// meteredConn is one side of the duplex. A write's trip is one more than
+// the highest trip among the bytes this side has read: the flight it
+// answers. Writes the peer made meanwhile, unread, do not count, so a
+// ClientHello and its early data share trip 1 whenever the server's
+// reply lands between them. writeTrips holds the trip of each Write, so
+// a flow can name the flight that carried its request bytes.
 type meteredConn struct {
-	side       int
-	m          *meter
 	in, out    *byteQueue
+	seen       int // highest trip read so far
 	writeTrips []int
 }
 
-func (c *meteredConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c *meteredConn) Read(p []byte) (int, error) {
+	n, trip := c.in.read(p)
+	c.seen = max(c.seen, trip)
+	return n, nil
+}
 
 func (c *meteredConn) Write(p []byte) (int, error) {
-	c.writeTrips = append(c.writeTrips, c.m.note(c.side))
-	return c.out.Write(p)
+	c.writeTrips = append(c.writeTrips, c.seen+1)
+	c.out.write(p, c.seen+1)
+	return len(p), nil
 }
 
 // lastTrip is the trip count of the side's latest write.
@@ -96,10 +99,9 @@ const tcpConnectTrips = 2
 // including the TCP connect.
 func roundTrips(t *testing.T, server func(*meteredConn) error, client func(*meteredConn) (int, error)) float64 {
 	t.Helper()
-	m := &meter{}
 	c2s, s2c := newByteQueue(), newByteQueue()
-	cli := &meteredConn{side: 1, m: m, in: s2c, out: c2s}
-	srv := &meteredConn{side: 2, m: m, in: c2s, out: s2c}
+	cli := &meteredConn{in: s2c, out: c2s}
+	srv := &meteredConn{in: c2s, out: s2c}
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- server(srv) }()
 	trips, err := client(cli)

@@ -51,7 +51,7 @@ func (s *Session) ReceiveBPFCC(ctx context.Context) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.bpfProgs) == 0 && !s.closed {
-		if err := s.waitLocked(ctx); err != nil {
+		if err := s.waitLocked(ctx, s.cond); err != nil {
 			return nil, err
 		}
 	}

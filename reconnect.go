@@ -90,7 +90,7 @@ func (s *Session) WaitEvent(ctx context.Context) (SessionEvent, error) {
 		if s.closed {
 			return SessionEvent{}, s.closedErrLocked()
 		}
-		if err := s.waitLocked(ctx); err != nil {
+		if err := s.waitLocked(ctx, s.cond); err != nil {
 			return SessionEvent{}, err
 		}
 	}

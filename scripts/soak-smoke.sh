@@ -7,5 +7,5 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p artifacts
-TCPLS_SOAK_SESSIONS=500 TCPLS_SOAK_QLOG=artifacts/soak.qlog \
+TCPLS_SOAK_SESSIONS=500 TCPLS_SOAK_QLOG="$PWD/artifacts/soak.qlog" \
   go test -run TestServerSoak -count=1 -v -timeout 10m ./internal/server/

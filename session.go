@@ -22,15 +22,26 @@ import (
 // and connection change goes through s.drv, which calls back into the
 // session (host, below) and into each connection's pathConn (conn.go).
 type Session struct {
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on readable data / events / close
-	// sendRoom wakes Write / WriteCoupled callers held back by a full
-	// output queue (awaitSendRoomLocked). Its own cond, so that a writer
-	// pulling its chunks does not rouse every reader on cond.
-	sendRoom *sync.Cond
-	engine   *core.Session
-	drv      *driver.Driver
-	cfg      *Config
+	mu sync.Mutex
+	// Each kind of waiter sleeps on a condition of its own, so that a
+	// hand-off wakes the one goroutine it is for (DESIGN.md §16).
+	//   cond: readers, event, join and BPF waiters, Close — broadcast on
+	//     every input to the engine and on lifecycle events;
+	//   accept: AcceptStream, on a peer's new stream;
+	//   sendRoom: Write / WriteCoupled held back by a full output queue
+	//     (awaitSendRoomLocked), on every pull;
+	//   recvRoom: readLoops parked at RecvPaused, on every Read.
+	// wakeAllLocked broadcasts them all.
+	cond, accept, sendRoom, recvRoom *sync.Cond
+
+	// owning: the goroutine holding s.mu is in flushOwnLocked; owned is
+	// the connection whose turn at the pull Wake gave it.
+	owning bool
+	owned  *pathConn
+
+	engine *core.Session
+	drv    *driver.Driver
+	cfg    *Config
 
 	isClient  bool
 	sessID    SessID
@@ -132,7 +143,9 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		doneCh:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.accept = sync.NewCond(&s.mu)
 	s.sendRoom = sync.NewCond(&s.mu)
+	s.recvRoom = sync.NewCond(&s.mu)
 	s.suite = res.Secrets.Suite
 	s.resumption = res.Secrets.Resumption
 	s.resumed = res.Resumed
@@ -250,6 +263,7 @@ func (h *host) Event(ev core.Event) {
 		st := &Stream{sess: s, id: ev.Stream}
 		s.streams[ev.Stream] = st
 		s.acceptQ = append(s.acceptQ, st)
+		s.accept.Broadcast()
 	case core.EventTCPOption:
 		s.tcpOpts = append(s.tcpOpts, TCPOption{Conn: ev.Conn, Kind: ev.OptKind, Value: ev.OptVal})
 	case core.EventBPFCC:
@@ -365,29 +379,57 @@ func (s *Session) Failover(failedConn, targetConn uint32) error {
 	return err
 }
 
-// waitLocked blocks on the session condition variable, honouring ctx.
-// The caller holds s.mu. A context that can never end costs nothing;
-// another's end wakes the waiters under the lock, so after Wait parked.
-func (s *Session) waitLocked(ctx context.Context) error {
+// waitLocked blocks on cond, one of the session's conditions, honouring
+// ctx. The caller holds s.mu. A context that can never end costs nothing;
+// another's end wakes cond's waiters under the lock, so after Wait parked.
+func (s *Session) waitLocked(ctx context.Context, cond *sync.Cond) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
 			s.mu.Lock()
-			s.cond.Broadcast()
+			cond.Broadcast()
 			s.mu.Unlock()
 		})
 		defer stop()
 	}
-	s.cond.Wait()
+	cond.Wait()
 	return ctx.Err()
 }
 
-// wakeAllLocked rouses everything that waits on session state: readers
-// and event waiters, held-back senders, and every connection's writer.
-func (s *Session) wakeAllLocked() {
+// wakeInputLocked follows an input to the engine: readers and the other
+// waiters on cond, and readLoops parked at RecvPaused, whose connection
+// the input may have failed. Broadcasting a condition nobody waits on
+// costs an atomic load.
+func (s *Session) wakeInputLocked() {
 	s.cond.Broadcast()
+	s.recvRoom.Broadcast()
+}
+
+// flushOwnLocked flushes what the caller has just queued (Write,
+// WriteCoupled, Stream.Close). When Wake finds a connection's writer idle
+// and at most sendQueueBytes queued for it, the caller writes that batch
+// itself, as crypto/tls does: a small record leaves without waking
+// anyone. A larger batch stays with the writer, whose writev then
+// overlaps the caller sealing its next block.
+func (s *Session) flushOwnLocked() {
+	s.owning = true
+	s.drv.Flush()
+	s.owning = false
+	if pc := s.owned; pc != nil {
+		s.owned = nil
+		pc.writeBatchLocked()
+		pc.releaseLocked()
+	}
+}
+
+// wakeAllLocked rouses everything that waits on session state: readers
+// and event waiters, acceptors, held-back senders, parked readLoops, and
+// every connection's writer.
+func (s *Session) wakeAllLocked() {
+	s.wakeInputLocked()
+	s.accept.Broadcast()
 	s.sendRoom.Broadcast()
 	for _, c := range s.drv.Conns() {
 		if pc, ok := c.T.(*pathConn); ok {

@@ -25,7 +25,9 @@ func (st *Stream) Conn() (uint32, error) {
 
 // Write queues p on the stream and transmits it. It blocks only on TCP
 // backpressure and, with failover, the send window; never on the peer's
-// application.
+// application. A write that leaves at most 64 KiB queued for an idle
+// connection is written to the socket by the calling goroutine before
+// Write returns; a larger one is handed to the connection's writer.
 func (st *Stream) Write(p []byte) (int, error) {
 	s := st.sess
 	s.mu.Lock()
@@ -34,7 +36,7 @@ func (st *Stream) Write(p []byte) (int, error) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.Write(st.id, p)
-	s.drv.Flush() // on an error too: what was sealed before it must go out
+	s.flushOwnLocked() // on an error too: what was sealed before it must go out
 	return n, err
 }
 
@@ -49,7 +51,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 			rn, err := s.engine.Read(st.id, p)
 			// Draining may clear receive backpressure; wake any readLoop
 			// parked on RecvPaused.
-			s.cond.Broadcast()
+			s.recvRoom.Broadcast()
 			return rn, err
 		}
 		if s.engine.PeerFinished(st.id) {
@@ -69,7 +71,7 @@ func (st *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.engine.FinishStream(st.id)
-	s.drv.Flush()
+	s.flushOwnLocked()
 	return err
 }
 
@@ -102,7 +104,7 @@ func (s *Session) AcceptStream(ctx context.Context) (*Stream, error) {
 		if s.closed {
 			return nil, s.closedErrLocked()
 		}
-		if err := s.waitLocked(ctx); err != nil {
+		if err := s.waitLocked(ctx, s.accept); err != nil {
 			return nil, err
 		}
 	}
@@ -135,7 +137,7 @@ func (s *Session) WriteCoupled(p []byte) (int, error) {
 		return 0, s.closedErrLocked()
 	}
 	n, err := s.engine.WriteCoupled(p)
-	s.drv.Flush() // on an error too: what was sealed before it must go out
+	s.flushOwnLocked() // on an error too: what was sealed before it must go out
 	return n, err
 }
 
@@ -148,7 +150,7 @@ func (s *Session) ReadCoupled(p []byte) (int, error) {
 			n := s.engine.ReadCoupled(p)
 			// Draining may clear receive backpressure; wake any readLoop
 			// parked on RecvPaused.
-			s.cond.Broadcast()
+			s.recvRoom.Broadcast()
 			return n, nil
 		}
 		if s.closed {

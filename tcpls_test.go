@@ -162,6 +162,66 @@ func TestStreamEOFAfterClose(t *testing.T) {
 	}
 }
 
+// TestAcceptStreamWakes: AcceptStream sleeps on a condition of its own,
+// so each event that ends its wait must signal that condition: a stream
+// the peer opens, Close, the peer's goodbye, and the end of its context.
+func TestAcceptStreamWakes(t *testing.T) {
+	cases := []struct {
+		name    string
+		trigger func(cli, srv *Session, cancel context.CancelFunc)
+		wantErr bool
+	}{
+		{"peer stream", func(cli, _ *Session, _ context.CancelFunc) {
+			if st, err := cli.OpenStream(); err != nil {
+				t.Error(err)
+			} else if _, err := st.Write([]byte{1}); err != nil {
+				t.Error(err)
+			}
+		}, false},
+		{"close", func(_, srv *Session, _ context.CancelFunc) { srv.Close() }, true},
+		{"peer goodbye", func(cli, _ *Session, _ context.CancelFunc) { cli.Close() }, true},
+		{"ctx cancelled", func(_, _ *Session, cancel context.CancelFunc) { cancel() }, true},
+	}
+	srvCh := make(chan *Session, 1)
+	ln := startServer(t, &Config{}, func(sess *Session) { srvCh <- sess })
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			srv := <-srvCh
+			defer srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			type accepted struct {
+				st  *Stream
+				err error
+			}
+			res := make(chan accepted, 1)
+			go func() {
+				st, err := srv.AcceptStream(ctx)
+				res <- accepted{st, err}
+			}()
+			select {
+			case r := <-res:
+				t.Fatalf("AcceptStream returned before the trigger: %v, %v", r.st, r.err)
+			case <-time.After(50 * time.Millisecond): // parked
+			}
+			tc.trigger(cli, srv, cancel)
+			select {
+			case r := <-res:
+				if gotErr := r.err != nil; gotErr != tc.wantErr || !gotErr && r.st == nil {
+					t.Fatalf("AcceptStream returned %v, %v", r.st, r.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("AcceptStream still parked 5 s after the trigger")
+			}
+		})
+	}
+}
+
 func TestPlainTLSFallback(t *testing.T) {
 	// Server with TCPLS disabled: client falls back, streams unavailable
 	// beyond the implicit session, JoinPath refuses.

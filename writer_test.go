@@ -15,8 +15,9 @@ import (
 	"tcpls/internal/handshake"
 )
 
-// Tests for the pull-model send path: one writer per connection is the
-// only caller of NextChunk for it, whoever flushed (writeLoop).
+// Tests for the pull-model send path: one goroutine at a time pulls a
+// connection's chunks — its writer, or a caller writing its own small
+// output (flushOwnLocked) — whoever flushed.
 
 // TestOrderlyCloseEndsFailoverServerSession: Close on a two-path failover
 // session must reach the server as a goodbye on both paths, so the server
@@ -98,14 +99,17 @@ func TestOrderlyCloseEndsFailoverServerSession(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlushersKeepRecordOrder: whoever flushes, a connection's
-// bytes must reach the wire in the order the engine sealed them. Four
-// writers on one connection, a pinger, and the peer's acks and echoes
-// arriving through readLoop all flush at once; a chunk overtaking another
-// would put a stream's records out of sequence, which shows as failed
-// decrypts and a stalled or corrupted echo.
+// TestConcurrentFlushersKeepRecordOrder: whoever flushes and whoever
+// writes, a connection's bytes must reach the wire in the order the
+// engine sealed them. On one connection three streams write one small
+// record at a time, which their callers mostly write themselves; a fourth
+// writes 1 MiB blocks, which go to the connection's writer; a pinger and
+// the peer's acks and echoes, arriving through readLoop, flush too. The
+// server's echoes mix the same way in the other direction. A chunk
+// overtaking another would put a stream's records out of sequence, which
+// shows as failed decrypts and a stalled or corrupted echo.
 func TestConcurrentFlushersKeepRecordOrder(t *testing.T) {
-	const streams, perStream = 4, 512 << 10
+	const streams, perStream, block = 4, 512 << 10, 1 << 20
 	srvCh := make(chan *Session, 1)
 	ln := startServer(t, &Config{EnableFailover: true, AckPeriod: 4}, func(sess *Session) {
 		srvCh <- sess
@@ -140,7 +144,11 @@ func TestConcurrentFlushersKeepRecordOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bulk := i == streams-1
 		data := make([]byte, perStream)
+		if bulk {
+			data = make([]byte, 2*block)
+		}
 		rand.Read(data)
 		wg.Add(2)
 		go func(seed int64) {
@@ -149,6 +157,9 @@ func TestConcurrentFlushersKeepRecordOrder(t *testing.T) {
 			rng := mrand.New(mrand.NewSource(seed))
 			for off := 0; off < len(data); {
 				n := min(64+rng.Intn(961), len(data)-off) // one small record a write
+				if bulk {
+					n = block
+				}
 				if _, err := st.Write(data[off : off+n]); err != nil {
 					t.Errorf("stream %d write: %v", st.ID(), err)
 					return
