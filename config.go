@@ -119,10 +119,10 @@ type Config struct {
 	// the session dead with ErrSessionDead.
 	Reconnect ReconnectConfig
 
-	// Telemetry configures the observability layer: an aggregated
-	// lock-free metrics registry (on by default), an optional HTTP
+	// Telemetry configures the observability layer: the session's entry
+	// in the shared metrics registry (on by default), an optional HTTP
 	// endpoint serving Prometheus /metrics plus /debug/pprof, and the
-	// sampling rate of the buffered qlog trace sink. See TelemetryConfig.
+	// flight recorder. See TelemetryConfig.
 	Telemetry TelemetryConfig
 
 	// Health configures the continuous self-diagnosis sampler built on
@@ -132,13 +132,6 @@ type Config struct {
 	// recorder, qlog, Prometheus, and /debug/tcpls/health. On by
 	// default whenever telemetry is. See HealthConfig.
 	Health HealthConfig
-
-	// OnEvent, when set, receives session lifecycle events
-	// (EventConnDown, EventFailover, EventReconnecting, EventReconnected,
-	// EventRecoveryFailed) on a dedicated goroutine, in order. Events are
-	// also available by polling Session.Events or blocking in
-	// Session.WaitEvent regardless of OnEvent.
-	OnEvent func(SessionEvent)
 
 	// Ticket resumes a previous session with an abbreviated handshake
 	// (paper §4.5): no certificate exchange, PSK-seeded key schedule.

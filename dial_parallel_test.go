@@ -82,3 +82,39 @@ func TestDialParallelBothAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDialParallelClosesStalledHandshake: an address that connects but
+// never answers the ClientHello costs the race its timeout, and its
+// socket is closed then, not left open under a blocked handshake.
+func TestDialParallelClosesStalledHandshake(t *testing.T) {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := raw.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	start := time.Now()
+	if _, err := DialParallel("tcp", []string{raw.Addr().String()}, 300*time.Millisecond,
+		&Config{ServerName: "test.server"}); err == nil {
+		t.Fatal("a peer that never answers gave a session")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("DialParallel returned %v after a 300ms timeout", d)
+	}
+	var c net.Conn
+	select {
+	case c = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled address never saw a connection")
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		t.Fatalf("the stalled address's socket was not closed: %v", err)
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 // HealthConfig is the Config.Health knob: the continuous self-diagnosis
 // sampler layered over telemetry. The zero value enables it at the
-// production defaults — a shared 1s tick, one minute of ring history —
+// production defaults — a shared 1s tick, 60 ticks of ring history —
 // whenever telemetry itself is on. The sampler snapshots the session's
 // counters each tick into fixed time-series rings (zero steady-state
 // allocations), derives goodput, retransmit ratio, reorder slope, and
@@ -21,16 +21,14 @@ import (
 // /debug/tcpls/health JSON endpoint.
 type HealthConfig struct {
 	// Disabled turns continuous diagnosis off. It is also implicitly
-	// off when Telemetry.Disabled is set — the sampler reads the
-	// telemetry handles.
+	// off when Telemetry.Disabled is set — the monitor's series live in
+	// the session's registry entry.
 	Disabled bool
 	// Interval is the sampling tick (default 1s). Sessions sharing an
 	// interval share one polling goroutine; the rule hysteresis is
 	// counted in ticks, so shorter intervals diagnose proportionally
 	// faster.
 	Interval time.Duration
-	// Window is the ring capacity in ticks (default 60).
-	Window int
 }
 
 func (hc *HealthConfig) interval() time.Duration {
@@ -40,21 +38,12 @@ func (hc *HealthConfig) interval() time.Duration {
 	return hc.Interval
 }
 
-func (hc *HealthConfig) window() int {
-	if hc.Window <= 0 {
-		return 60
-	}
-	return hc.Window
-}
-
 // sessionHealthSource is a Session as a health.Source: the tick's one
 // hold of s.mu, filling the monitor's reused snapshot.
 type sessionHealthSource struct{ s *Session }
 
 func (src sessionHealthSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
-	src.s.mu.Lock()
-	defer src.s.mu.Unlock()
-	src.s.snapshotLocked(snap)
+	src.s.fillSnapshot(snap)
 }
 
 // onHealthVerdict is the session's verdict sink: every raise/clear is
@@ -75,28 +64,27 @@ func (s *Session) onHealthVerdict(v health.Verdict) {
 // initHealth registers the session's monitor on the shared wall-clock
 // engine for its interval and on /debug/tcpls/health, both under the
 // debug key. Rings and tcpls_health_* series (key = the debug key; they
-// live in the session's metrics block) come with the monitor's first
+// live in the session's registry entry) come with the monitor's first
 // tick; until then it is a struct and two map entries. Called from
 // initTelemetry before the engine sees traffic.
 func (s *Session) initHealth() {
 	hc := &s.cfg.Health
-	if hc.Disabled || s.tel == nil || s.debugKey == "" {
+	if hc.Disabled || s.entry == nil || s.debugKey == "" {
 		return
 	}
 	iv := hc.interval()
-	key, tel := s.debugKey, s.tel
+	key, entry := s.debugKey, s.entry
 	mon := health.NewMonitor(sessionHealthSource{s}, health.Options{
 		Key:       key,
 		Interval:  iv,
-		Window:    hc.window(),
 		OnVerdict: s.onHealthVerdict,
-		Metrics:   func() *health.Metrics { return healthFams.Entity(key, tel) },
+		Metrics:   func() *health.Metrics { return healthFams.Entity(key, entry) },
 	})
 	s.healthMon = mon
 	s.healthEng = healthEngine(iv)
 	telemetry.RegisterHealth(key, func() any { return mon.Status() })
 	s.healthEng.Register(key, mon)
-	acquireProcessHealth(iv, hc.window())
+	acquireProcessHealth(iv)
 }
 
 // closeHealthLocked tears the monitor down. Idempotent; called under
@@ -190,7 +178,7 @@ func (processHealthSource) HealthRollup() map[string]float64 {
 	return out
 }
 
-func acquireProcessHealth(iv time.Duration, window int) {
+func acquireProcessHealth(iv time.Duration) {
 	procHealthMu.Lock()
 	defer procHealthMu.Unlock()
 	procHealthRefs++
@@ -200,7 +188,6 @@ func acquireProcessHealth(iv time.Duration, window int) {
 	mon := health.NewMonitor(processHealthSource{}, health.Options{
 		Key:      "process",
 		Interval: iv,
-		Window:   window,
 		Process:  true,
 		Metrics:  func() *health.Metrics { return healthFams.Entity("process", nil) },
 	})

@@ -245,11 +245,11 @@ func TestHealthStallLiveDiagnosis(t *testing.T) {
 	checkGoroutines(t, base)
 }
 
-// TestHealthScrapeRaces hammers both debug endpoints from concurrent
-// scrapers while sessions with a 2ms diagnosis tick are created, used,
-// flight-dumped, and closed underneath them — the register/unregister
-// and monitor-teardown races a production scrape loop would hit. Gated
-// on zero goroutine leaks.
+// TestHealthScrapeRaces hammers /metrics and both debug endpoints from
+// concurrent scrapers while sessions with a 2ms diagnosis tick are
+// created, used, flight-dumped, and closed underneath them — the
+// register/unregister, registry-entry fill and monitor-teardown races a
+// production scrape loop would hit. Gated on zero goroutine leaks.
 func TestHealthScrapeRaces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs real sockets")
@@ -276,7 +276,7 @@ func TestHealthScrapeRaces(t *testing.T) {
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
-	for _, path := range []string{"/debug/tcpls", "/debug/tcpls/health"} {
+	for _, path := range []string{"/metrics", "/debug/tcpls", "/debug/tcpls/health"} {
 		path := path
 		scrapers.Add(1)
 		go func() {

@@ -657,12 +657,11 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // TestSnapshotAllocFree is the engine half of the sampler's zero-alloc
-// gate: a Snapshot into a kept dst — 2 conns, 4 streams, telemetry and
-// path metrics installed — allocates nothing, and its rows come in
-// ascending ID order with the session's totals adding up.
+// gate: a Snapshot into a kept dst — 2 conns, 4 streams, path metrics
+// installed — allocates nothing, and its rows come in ascending ID
+// order with the session's totals adding up.
 func TestSnapshotAllocFree(t *testing.T) {
 	p := newPair(t, Config{EnableFailover: true})
-	p.client.SetTelemetry(telemetry.TCPLSFamilies(telemetry.NewRegistry()).Session("snap", "client"))
 	p.client.SetMetrics(sched.NewMetrics())
 	p.client.SetPathScheduler(sched.LowestRTT())
 	p.addConn(1)

@@ -102,13 +102,10 @@ func (s *Session) failConn(c *conn) {
 	if cascade {
 		s.trace("failover_cascade", c.id, 0, 0, 0)
 	}
-	if s.tel != nil {
-		s.tel.ConnFailures.Inc()
-		if cascade {
-			s.tel.FailoverCascades.Inc()
-		}
+	s.counts.ConnFailures++
+	if cascade {
+		s.counts.FailoverCascades++
 	}
-	s.telSyncGauges()
 	s.emit(Event{Kind: EventConnFailed, Conn: c.id})
 }
 
@@ -292,11 +289,8 @@ func (s *Session) failoverInto(failed []*conn, target *conn) error {
 		}
 		moved++
 		s.trace("failover_started", fc.id, 0, 0, 0)
-		if s.tel != nil {
-			s.tel.Failovers.Inc()
-		}
+		s.counts.Failovers++
 	}
-	s.telSyncGauges()
 	if err := s.replayMerged(moves, target); err != nil {
 		return err
 	}
@@ -386,13 +380,9 @@ func (s *Session) replayRecord(st *stream, r *sentRecord, fromID uint32, target 
 	ch.b = append(ch.b, r.wire...)
 	s.drop(r)
 	ch.keep(r, st.id, ch.b[start:])
-	s.stats.Retransmits++
-	s.stats.RecordsSent++
+	target.stats.Retransmits++
+	target.stats.RecordsSent++
 	s.trace("retransmit", target.id, st.id, r.seq, r.size)
-	if s.tel != nil {
-		target.tel.Retransmits.Inc()
-		target.tel.RecordsSent.Inc()
-	}
 	// Path metrics: the bytes were lost on the failed path and are in
 	// flight again on the target; the replayed copy is barred from RTT
 	// sampling (Karn). Its write stamp, from the target's chunk,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tcpls/internal/record"
+	"tcpls/internal/telemetry"
 )
 
 // Receive feeds raw bytes read from connID's TCP connection into the
@@ -78,18 +79,12 @@ func (s *Session) handleRecord(c *conn, rec []byte) error {
 			// TCP connection this is unrecoverable (record boundaries
 			// stay intact, so it is not a resync issue) — but dropping
 			// keeps the engine alive for the sim's adversarial tests.
-			s.stats.FailedDecrypts++
-			if s.tel != nil {
-				c.tel.FailedDecrypts.Inc()
-			}
+			c.stats.FailedDecrypts++
 			return nil
 		}
 		return err
 	}
-	s.stats.RecordsReceived++
-	if s.tel != nil {
-		c.tel.RecordsReceived.Inc()
-	}
+	c.stats.RecordsReceived++
 	// One frame scratch per session: the record is fully handled before
 	// the next parse, so nothing retains the struct (slices inside it
 	// that outlive the call, like cookies, are freshly parsed anyway).
@@ -127,19 +122,13 @@ func (s *Session) handleStreamData(c *conn, streamID uint32, f *frame) error {
 		ctx = st.recvCtx
 	}
 	seq := ctx.Seq() - 1
-	s.stats.BytesReceived += uint64(len(f.payload))
-	if s.tel != nil {
-		c.tel.BytesReceived.Add(uint64(len(f.payload)))
-		st.tel.BytesReceived.Add(uint64(len(f.payload)))
-	}
+	c.stats.BytesReceived += uint64(len(f.payload))
+	st.bytesReceived += uint64(len(f.payload))
 
 	if seq < st.nextDeliverSeq {
 		// Failover replay of a record we already delivered (the peer's
 		// ack state lagged): count and drop.
-		s.stats.DupRecordsDropped++
-		if s.tel != nil {
-			c.tel.DupRecords.Inc()
-		}
+		c.stats.DupRecordsDropped++
 		s.trace("dup_dropped", c.id, streamID, seq, len(f.payload))
 		// A duplicate proves the peer's ack state is stale: it replayed a
 		// record we already delivered because the ack never reached it
@@ -230,9 +219,7 @@ func (s *Session) checkRecvCap(c *conn, streamID uint32, buffered int, blocked *
 	if buffered >= cap && !*blocked {
 		*blocked = true
 		s.trace("flowctl_limit", c.id, streamID, flowctlRecvBuffer, buffered)
-		if s.tel != nil {
-			s.tel.FlowctlLimits.Inc()
-		}
+		s.counts.FlowctlLimits++
 	}
 	if buffered >= 2*cap {
 		return fmt.Errorf("stream %d: %d bytes buffered: %w", streamID, buffered, ErrRecvBufferFull)
@@ -253,10 +240,6 @@ func (s *Session) checkRecvCap(c *conn, streamID uint32, buffered int, blocked *
 func (s *Session) noteReorder(c *conn, streamID uint32, delivered int) error {
 	bytes, depth := s.coupled.buf.PendingBytes(), s.coupled.buf.Pending()
 	s.coupled.peakBytes = max(s.coupled.peakBytes, bytes)
-	if s.tel != nil {
-		s.tel.ReorderBytes.Set(int64(bytes))
-		s.tel.ReorderDepth.Set(int64(depth))
-	}
 	if depth != s.lastReorderDepth {
 		s.trace("reorder_depth", c.id, streamID, uint64(depth), delivered)
 		s.lastReorderDepth = depth
@@ -266,9 +249,7 @@ func (s *Session) noteReorder(c *conn, streamID uint32, delivered int) error {
 		return nil
 	}
 	s.trace("flowctl_limit", c.id, streamID, flowctlReorder, bytes)
-	if s.tel != nil {
-		s.tel.FlowctlLimits.Inc()
-	}
+	s.counts.FlowctlLimits++
 	return fmt.Errorf("%d bytes in %d records: %w", bytes, depth, ErrReorderLimit)
 }
 
@@ -295,10 +276,7 @@ func (s *Session) sendAck(c *conn, st *stream) {
 		return
 	}
 	s.trace("ack_sent", c.id, st.id, st.nextDeliverSeq, 0)
-	s.stats.AcksSent++
-	if s.tel != nil {
-		c.tel.AcksSent.Inc()
-	}
+	c.stats.AcksSent++
 	st.recvSinceAck = 0
 	st.bytesSinceAck = 0
 }
@@ -355,7 +333,6 @@ func (s *Session) handleControl(c *conn, streamID uint32, f *frame) error {
 		return nil
 	case typeConnClose:
 		c.closed = true
-		s.telSyncGauges()
 		s.emit(Event{Kind: EventConnClosed, Conn: c.id})
 		return nil
 	case typeSessionTicket:
@@ -379,13 +356,10 @@ func (s *Session) handleAck(f *frame) error {
 		// Acks may race stream teardown; ignore unknown streams.
 		return nil
 	}
-	s.stats.AcksReceived++
+	// Counted on the stream's home connection: streams only ever home
+	// on connections the engine holds.
+	s.conns[st.conn].stats.AcksReceived++
 	s.trace("ack_received", st.conn, f.id, f.seq, 0)
-	if s.tel != nil {
-		if hc, ok := s.conns[st.conn]; ok {
-			hc.tel.AcksReceived.Inc()
-		}
-	}
 	if f.seq > st.peerAcked {
 		st.peerAcked = f.seq
 	}
@@ -414,8 +388,8 @@ func (s *Session) handleAck(f *frame) error {
 		s.boundPinned() // the chunks still pinned may have gone sparse
 		st.retransmitBytes -= ackedBytes
 		s.noteRetransmitBytes(-ackedBytes)
-		if s.tel != nil && rttSample > 0 {
-			s.tel.AckRTT.Observe(rttSample.Seconds())
+		if rttSample > 0 {
+			s.counts.AckRTT.Observe(telemetry.RTTBuckets, rttSample.Seconds())
 		}
 		if s.metrics != nil {
 			s.metrics.OnAcked(st.conn, ackedBytes, rttSample, s.lastNow)

@@ -6,6 +6,7 @@ import (
 
 	"tcpls/internal/record"
 	"tcpls/internal/sched"
+	"tcpls/internal/telemetry"
 	"tcpls/internal/wire"
 )
 
@@ -20,15 +21,22 @@ import (
 // stream, so a buggy scheduler degrades to pinned rather than crashing.
 func (s *Session) SetPathScheduler(ps sched.Scheduler) {
 	s.pathSched = ps
-	s.telPicks = nil // re-resolve the per-policy pick counter lazily
+	s.curPicks = nil // re-resolve the per-policy pick count lazily
 }
 
 func (s *Session) scheduler() sched.Scheduler {
 	if s.pathSched == nil {
 		s.pathSched = sched.RoundRobin()
 	}
-	if s.tel != nil && s.telPicks == nil {
-		s.telPicks = s.tel.SchedPicks(s.pathSched.Name())
+	if s.curPicks == nil {
+		name := s.pathSched.Name()
+		if s.picks[name] == nil {
+			if s.picks == nil {
+				s.picks = make(map[string]*uint64, 1)
+			}
+			s.picks[name] = new(uint64)
+		}
+		s.curPicks = s.picks[name]
 	}
 	return s.pathSched
 }
@@ -117,15 +125,11 @@ func (s *Session) sealOne(j sealJob) error {
 		return err
 	}
 	ch.b = out
-	s.stats.RecordsSent++
-	s.stats.BytesSent += uint64(len(j.payload))
+	c.stats.RecordsSent++
+	c.stats.BytesSent += uint64(len(j.payload))
+	st.bytesSent += uint64(len(j.payload))
+	s.counts.RecordSize.Observe(telemetry.SizeBuckets, float64(len(j.payload)))
 	s.trace("record_sent", c.id, st.id, seq, len(j.payload))
-	if s.tel != nil {
-		c.tel.RecordsSent.Inc()
-		c.tel.BytesSent.Add(uint64(len(j.payload)))
-		st.tel.BytesSent.Add(uint64(len(j.payload)))
-		s.tel.RecordSize.Observe(float64(len(j.payload)))
-	}
 	if !s.cfg.EnableFailover {
 		return nil
 	}
@@ -168,9 +172,7 @@ func (s *Session) solicitAck(st *stream) {
 	}
 	st.ackSolicited = true
 	s.trace("ack_solicited", c.id, st.id, st.peerAcked, st.retransmitBytes)
-	if s.tel != nil {
-		s.tel.AckSolicits.Inc()
-	}
+	s.counts.AckSolicits++
 }
 
 // sendWindow is a send window (Config.MaxRetransmitBytes): a plain
@@ -220,9 +222,7 @@ func (s *Session) full(sp *windowSpan, n int) bool {
 	if !sp.w.parked {
 		sp.w.parked = true
 		s.trace("flowctl_limit", sp.pin.conn, sp.pin.id, flowctlWindow, int(used))
-		if s.tel != nil {
-			s.tel.FlowctlLimits.Inc()
-		}
+		s.counts.FlowctlLimits++
 	}
 	s.solicitAck(sp.pin)
 	return true
@@ -369,9 +369,7 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 				// to the first coupled stream per the SetPathScheduler
 				// contract.
 				s.trace("sched_invalid", 0, 0, s.coupled.sendSeq, idx)
-				if s.tel != nil {
-					s.tel.SchedInvalid.Inc()
-				}
+				s.counts.SchedInvalid++
 				idx = 0
 			}
 			picked = cs[idx : idx+1]
@@ -383,7 +381,7 @@ func (s *Session) sealCoupled(q []byte) (int, error) {
 		s.coupled.sendSeq++
 		for _, st := range picked {
 			s.trace("sched_pick", st.conn, st.id, job.aggSeq, n)
-			s.telPicks.Inc()
+			*s.curPicks++
 			job.st = st
 			if err := s.sealOne(job); err != nil {
 				return off, err
@@ -489,6 +487,5 @@ func (s *Session) CloseConnection(connID uint32) error {
 		return err
 	}
 	c.closed = true
-	s.telSyncGauges()
 	return nil
 }

@@ -333,25 +333,23 @@ type Session struct {
 	// depth change, not one per coupled record.
 	lastReorderDepth int
 
-	// tel is the aggregated-metrics surface (nil = telemetry disabled;
-	// every emission point is a single nil-check away from free).
-	// telPicks caches the per-policy scheduler pick counter, resolved
-	// lazily when the active scheduler is first consulted.
-	tel      *telemetry.SessionMetrics
-	telPicks *telemetry.Counter
-
 	// retransmitTotal sums payload bytes across every stream's retransmit
 	// buffer (the per-stream values live on each stream); retransmitPeak
 	// high-watermarks it.
 	retransmitTotal int
 	retransmitPeak  int
 
-	// Stats counters.
-	stats Stats
+	// counts are the session-level counters; each conn keeps its own
+	// Stats. picks holds the coupled records routed per scheduler policy,
+	// curPicks the active policy's count, resolved when the scheduler is
+	// first consulted.
+	counts   telemetry.Counters
+	picks    map[string]*uint64
+	curPicks *uint64
 }
 
-// Stats is the engine's counter block, declared beside the Snapshot
-// that carries it.
+// Stats are the engine's record counters, declared beside the Snapshot
+// that carries them.
 type Stats = telemetry.Stats
 
 // coupledState is the session-wide coupled-stream group (§4.3; the
@@ -394,49 +392,14 @@ func NewSession(role Role, secrets handshake.Secrets, cfg Config) *Session {
 	return s
 }
 
-// Stats returns a copy of the engine counters.
-func (s *Session) Stats() Stats { return s.stats }
-
-// SetTelemetry installs the pre-resolved metric handle set the engine
-// updates on its send/recv/failover paths. Handles for connections and
-// streams that already exist are resolved immediately, so installation
-// order does not matter. nil disables telemetry (the emission points
-// reduce to one nil-check each).
-func (s *Session) SetTelemetry(sm *telemetry.SessionMetrics) {
-	s.tel = sm
-	s.telPicks = nil
-	if sm == nil {
-		for _, c := range s.conns {
-			c.tel = nil
-		}
-		for _, st := range s.streams {
-			st.tel = nil
-		}
-		return
-	}
-	for id, c := range s.conns {
-		c.tel = sm.Conn(id)
-	}
-	for id, st := range s.streams {
-		st.tel = sm.Stream(id)
-	}
-	s.telSyncGauges()
-}
-
-// telSyncGauges refreshes the live-connection and open-stream gauges.
-// Called on topology changes only (add/fail/close), never per record.
-func (s *Session) telSyncGauges() {
-	if s.tel == nil {
-		return
-	}
-	live := 0
+// Stats returns the engine's record counters: the sum of its
+// connections' (the engine never drops a connection).
+func (s *Session) Stats() Stats {
+	var sum Stats
 	for _, c := range s.conns {
-		if !c.failed && !c.closed {
-			live++
-		}
+		sum.Add(&c.stats)
 	}
-	s.tel.ConnsOpen.Set(int64(live))
-	s.tel.StreamsOpen.Set(int64(len(s.streams)))
+	return sum
 }
 
 // SetMetrics installs the path-metrics store the engine feeds with
@@ -487,7 +450,6 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 		return ErrDuplicateConn
 	}
 	c := &conn{id: id, lastRecv: now}
-	c.tel = s.tel.Conn(id) // nil-safe: nil SessionMetrics yields nil handles
 	ctlID := ctlStreamID(id)
 	var err error
 	if c.ctlSend, err = s.newContext(s.send, ctlID); err != nil {
@@ -501,7 +463,6 @@ func (s *Session) AddConnection(id uint32, now time.Time) error {
 	s.conns[id] = c
 	s.setNow(now)
 	s.trace("conn_added", id, 0, 0, 0)
-	s.telSyncGauges()
 	return nil
 }
 
@@ -554,9 +515,8 @@ type conn struct {
 	// NoteWritten / NoteWriteDropped pop batches in the same FIFO order
 	// the writer goroutine consumes chunks.
 	writeBatches [][]spanKey
-	// tel holds this connection's pre-resolved counters; non-nil exactly
-	// when the session's telemetry is installed.
-	tel *telemetry.ConnMetrics
+	// stats counts the records and bytes this connection carried.
+	stats Stats
 }
 
 // room returns the chunk to seal the next record into, queueing the
@@ -581,11 +541,8 @@ func (s *Session) sendCtl(c *conn, content []byte) error {
 		return err
 	}
 	ch.b = out
-	s.stats.RecordsSent++
+	c.stats.RecordsSent++
 	s.trace("ctl_sent", c.id, ctlStreamID(c.id), seq, len(content))
-	if s.tel != nil {
-		c.tel.RecordsSent.Inc()
-	}
 	return nil
 }
 
@@ -868,8 +825,13 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 	dst.RetransmitBytes = s.retransmitTotal
 	dst.RetransmitBytesPeak = s.retransmitPeak
 	dst.MemoryBytes = s.BufferedBytes()
-	dst.Stats = s.stats
-	s.tel.Snapshot(dst)
+	dst.Counters = s.counts
+	if len(s.picks) > 0 && dst.SchedPicks == nil {
+		dst.SchedPicks = make(map[string]uint64, len(s.picks))
+	}
+	for policy, n := range s.picks {
+		dst.SchedPicks[policy] = *n
+	}
 
 	for id, c := range s.conns {
 		live := !c.failed && !c.closed
@@ -883,6 +845,7 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 			RecvPaused:  live && s.coupled.recvBlocked,
 			QueuedBytes: s.QueuedBytes(id),
 			LastRecvUS:  traceUS(c.lastRecv),
+			Stats:       c.stats,
 		}
 		if s.metrics != nil {
 			if ps, ok := s.metrics.Snapshot(id); ok {
@@ -892,7 +855,7 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 				row.InFlight, row.Losses = ps.InFlight, ps.Losses
 			}
 		}
-		c.tel.Snapshot(&row.Stats)
+		dst.Stats.Add(&c.stats)
 		dst.Conns = append(dst.Conns, row)
 	}
 	byID := func(c telemetry.ConnSnapshot, id uint32) int { return cmp.Compare(c.ID, id) }
@@ -901,22 +864,23 @@ func (s *Session) Snapshot(dst *telemetry.Snapshot) {
 	for _, id := range s.sortedStreamIDs() {
 		st := s.streams[id]
 		row := telemetry.StreamSnapshot{
-			ID:           id,
-			Conn:         st.conn,
-			Coupled:      st.coupled,
-			FinQueued:    st.finQueued,
-			FinSent:      st.finSent,
-			PeerFin:      st.peerFin,
-			RecvBlocked:  st.recvBlocked,
-			AckSolicited: st.ackSolicited,
-			PendingBytes: st.pendingQ.Len(),
-			RetransmitQ:  len(st.retransmit),
-			UnackedBytes: st.retransmitBytes,
-			RecvBuffered: st.recvQ.Len(),
-			NextSendSeq:  st.sendCtx.Seq(),
-			PeerAckedSeq: st.peerAcked,
+			ID:            id,
+			Conn:          st.conn,
+			Coupled:       st.coupled,
+			FinQueued:     st.finQueued,
+			FinSent:       st.finSent,
+			PeerFin:       st.peerFin,
+			RecvBlocked:   st.recvBlocked,
+			AckSolicited:  st.ackSolicited,
+			PendingBytes:  st.pendingQ.Len(),
+			RetransmitQ:   len(st.retransmit),
+			UnackedBytes:  st.retransmitBytes,
+			RecvBuffered:  st.recvQ.Len(),
+			NextSendSeq:   st.sendCtx.Seq(),
+			PeerAckedSeq:  st.peerAcked,
+			BytesSent:     st.bytesSent,
+			BytesReceived: st.bytesReceived,
 		}
-		st.tel.Snapshot(&row)
 		if i, ok := slices.BinarySearchFunc(dst.Conns, st.conn, byID); ok {
 			c := &dst.Conns[i]
 			row.Parked = c.Failed
@@ -968,13 +932,10 @@ func (s *Session) RecvPaused(connID uint32) bool {
 }
 
 // noteRetransmitBytes adjusts the session-wide retransmit-buffer byte
-// total by delta and refreshes the peak and telemetry gauge.
+// total by delta and refreshes its peak.
 func (s *Session) noteRetransmitBytes(delta int) {
 	s.retransmitTotal += delta
 	if s.retransmitTotal > s.retransmitPeak {
 		s.retransmitPeak = s.retransmitTotal
-	}
-	if s.tel != nil {
-		s.tel.RetransmitBytes.Set(int64(s.retransmitTotal))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tcpls/internal/record"
-	"tcpls/internal/telemetry"
 )
 
 // stream is per-stream state. Streams are bidirectional and attached to
@@ -51,9 +50,8 @@ type stream struct {
 	peerFin        bool
 	peerFinalSeq   uint64
 
-	// tel holds the per-stream byte counters; non-nil exactly when the
-	// session's telemetry is installed.
-	tel *telemetry.StreamMetrics
+	// bytesSent and bytesReceived count the stream's payload bytes.
+	bytesSent, bytesReceived uint64
 }
 
 // sentRecord is one record retained for potential failover replay. It
@@ -161,7 +159,6 @@ func (s *Session) installStream(id, connID uint32) (*stream, error) {
 		return nil, err
 	}
 	st := &stream{id: id, conn: connID, recvQ: segQueue{pool: s.bufs}}
-	st.tel = s.tel.Stream(id) // nil-safe: nil SessionMetrics yields nil handles
 	if st.sendCtx, err = s.newContext(s.send, id); err != nil {
 		return nil, err
 	}
@@ -170,7 +167,6 @@ func (s *Session) installStream(id, connID uint32) (*stream, error) {
 	}
 	c.demux.Attach(st.recvCtx)
 	s.streams[id] = st
-	s.telSyncGauges()
 	return st, nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/telemetry"
 )
 
 // Clock is the driver's time and randomness: the wall clock in
@@ -118,6 +119,9 @@ type Driver struct {
 	draining, goodbye, ended bool // Drain ran; its goodbyes are queued; the session is over
 	stopTick, stopEnd        func()
 	sup                      supervisor
+	// The supervisor's count: redial rounds started, revivals, budgets
+	// exhausted.
+	attempts, reconnects, deaths uint64
 }
 
 // New returns a driver for engine; joins get IDs from nextID up.
@@ -147,8 +151,14 @@ func (d *Driver) Conn(id uint32) *Conn {
 // Ended reports whether the session is over.
 func (d *Driver) Ended() bool { return d.ended }
 
-// Recovering reports whether the supervisor is at work.
-func (d *Driver) Recovering() bool { return d.sup.on }
+// Snapshot fills dst with the engine's snapshot and the driver's part of
+// it: the supervisor's state and count, and the join cookies left.
+func (d *Driver) Snapshot(dst *telemetry.Snapshot) {
+	d.Engine.Snapshot(dst)
+	dst.Recovering = d.sup.on
+	dst.CookiesLeft = len(d.Cookies)
+	dst.ReconnectAttempts, dst.Reconnects, dst.RecoveryFailures = d.attempts, d.reconnects, d.deaths
+}
 
 // tick is the UserTimeout detector: a silent connection fails, once.
 func (d *Driver) tick() {
@@ -511,5 +521,13 @@ func (d *Driver) end(err error) {
 
 func (d *Driver) emit(ev Event) {
 	ev.Time = d.clock.Now()
+	switch ev.Kind {
+	case Reconnecting:
+		d.attempts++
+	case Reconnected:
+		d.reconnects++
+	case RecoveryFailed:
+		d.deaths++
+	}
 	d.host.Lifecycle(ev)
 }

@@ -367,7 +367,7 @@ func TestSupervisorStandsDown(t *testing.T) {
 	if err := d.Start(c, &sink{d, c}, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Conn(9).entered || d.Recovering() || h.count(Reconnected) != 1 || h.events[len(h.events)-1].Conn != 9 {
+	if !d.Conn(9).entered || d.sup.on || h.count(Reconnected) != 1 || h.events[len(h.events)-1].Conn != 9 {
 		t.Fatalf("events %v: want the supervisor stood down on conn 9", h.events)
 	}
 	d.Abort(hanging, false, errors.New("late"))

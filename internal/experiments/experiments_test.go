@@ -35,10 +35,9 @@ func TestFig7Shape(t *testing.T) {
 	msquic := byStack["msquic"].Gbps
 	mvfst := byStack["mvfst"].Gbps
 
-	// These are wall-clock CPU measurements and the test binary may
-	// share the machine with other packages' tests, so the margins are
-	// generous; `go test -bench` and cmd/tcpls-experiments report the
-	// precise ratios on an idle machine.
+	// These are process CPU-time measurements, so other packages' tests
+	// sharing the machine do not count; the margins are still generous,
+	// and cmd/tcpls-experiments reports the precise ratios.
 	//
 	// Paper §5.1: TCPLS ≈ TLS/TCP (same record pipeline).
 	if tcpls < tls*0.40 {
@@ -48,8 +47,9 @@ func TestFig7Shape(t *testing.T) {
 	// (Fig. 7: 10.44 -> 9.66 -> 8.8 Gbps). Failover replays the sealed
 	// records it keeps, so its extra work is the acks, a few percent:
 	// less than one run's noise here. Each variant is therefore timed
-	// next to the base engine, round after round, and the median of its
-	// ratios to the base is what must stay below it.
+	// next to the base engine, round after round, in process CPU time
+	// (a wall clock also counts whatever else the host runs), and the
+	// median of its ratios to the base is what must stay below it.
 	failover, multipath := ratiosToBase(t, 9, 64<<20)
 	if failover >= 1.05 {
 		t.Errorf("failover at %.2fx the base engine, want below it", failover)
@@ -68,8 +68,9 @@ func TestFig7Shape(t *testing.T) {
 }
 
 // ratiosToBase times the base engine, failover and multipath back to
-// back for rounds rounds of n bytes each and returns the median, over
-// the rounds, of the failover and multipath throughputs over the base's.
+// back for rounds rounds of n bytes each, in process CPU time, and
+// returns the median, over the rounds, of the failover and multipath
+// throughputs over the base's.
 func ratiosToBase(t *testing.T, rounds, n int) (failover, multipath float64) {
 	fo := core.Config{EnableFailover: true, AckPeriod: 16}
 	var fr, mr []float64

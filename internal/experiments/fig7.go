@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"syscall"
 	"time"
 
 	"tcpls/internal/core"
@@ -11,7 +12,7 @@ import (
 )
 
 // Fig7Row is one bar of the paper's Fig. 7: a protocol stack's raw
-// in-memory throughput at a given MTU.
+// in-memory throughput at a given MTU, per second of process CPU time.
 type Fig7Row struct {
 	Stack string
 	MTU   int
@@ -25,7 +26,9 @@ type Fig7Row struct {
 // this machine's, not the paper's 40 GbE testbed; DESIGN.md's claim
 // under test is the ordering and rough ratios: TCPLS ≈ TLS/TCP,
 // failover a few percent below, multipath coupling below that, and
-// every QUIC configuration well under half of TCPLS.
+// every QUIC configuration well under half of TCPLS. Each run is timed
+// in process CPU time (cpuSeconds), so whatever else the host runs does
+// not count against a stack.
 func Fig7(mtu int, totalBytes int) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	add := func(stack string, bytes int, seconds float64, packets uint64) {
@@ -71,7 +74,7 @@ func Fig7(mtu int, totalBytes int) ([]Fig7Row, error) {
 			return nil, err
 		}
 		data := make([]byte, 1<<20)
-		start := time.Now()
+		start := cpuSeconds()
 		moved := 0
 		for moved < totalBytes {
 			n, err := p.Transfer(data)
@@ -80,8 +83,7 @@ func Fig7(mtu int, totalBytes int) ([]Fig7Row, error) {
 			}
 			moved += n
 		}
-		secs := time.Since(start).Seconds()
-		add(cfg.Name, moved, secs, p.Packets)
+		add(cfg.Name, moved, cpuSeconds()-start, p.Packets)
 	}
 	return rows, nil
 }
@@ -108,7 +110,7 @@ func tlsTCPPipeline(totalBytes, mtu int) (float64, error) {
 	var deframer record.Deframer
 	buf := make([]byte, 0, record.MaxRecordLen)
 
-	start := time.Now()
+	start := cpuSeconds()
 	moved := 0
 	for moved < totalBytes {
 		buf, err = send.Seal(buf[:0], record.ContentTypeApplicationData, payload, 0)
@@ -126,7 +128,7 @@ func tlsTCPPipeline(totalBytes, mtu int) (float64, error) {
 		}
 		moved += len(content)
 	}
-	return time.Since(start).Seconds(), nil
+	return cpuSeconds() - start, nil
 }
 
 // tcplsPipeline pushes bytes through a real engine pair in memory, each
@@ -201,7 +203,7 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 	}
 
 	chunk := make([]byte, 1<<20)
-	start := time.Now()
+	start := cpuSeconds()
 	for moved < totalBytes {
 		if multipath {
 			if _, err := sender.WriteCoupled(chunk); err != nil {
@@ -216,7 +218,14 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 			return 0, err
 		}
 	}
-	return time.Since(start).Seconds(), nil
+	return cpuSeconds() - start, nil
+}
+
+// cpuSeconds is the CPU time the process has used, user and system.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // fails only on a bad who or pointer
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 // memLink is an in-memory transport: the pipeline's pump moves the bytes

@@ -384,12 +384,12 @@ func TestStatusSnapshot(t *testing.T) {
 // TestMonitorPaysAtFirstPoll: a monitor that is never polled (a session
 // gone within one interval) holds no rings and has resolved no metric
 // handles, and still answers Status; the first Poll builds both, once,
-// and a session's handles then live in its block and leave /metrics
-// with it while the process monitor's stay.
+// and a session's handles then live in its registry entry and leave
+// /metrics with it while the process monitor's stay.
 func TestMonitorPaysAtFirstPoll(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fams := NewFamilies(reg)
-	block := telemetry.TCPLSFamilies(reg).Session("ab", "client")
+	block := telemetry.TCPLSFamilies(reg).Session("ab", "client", func(*telemetry.Snapshot) {})
 	resolved := 0
 	m := NewMonitor(&fakeSource{}, Options{Key: "ab-client-1", Metrics: func() *Metrics {
 		resolved++

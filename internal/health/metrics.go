@@ -49,8 +49,8 @@ type Metrics struct {
 
 // Entity resolves the handle block for key. With a nil owner the
 // series are permanent children of the families (the process monitor);
-// with a session's block as owner they live in it and leave /metrics
-// when it detaches.
+// with a session's registry entry as owner they live in it and leave
+// /metrics when it detaches.
 func (f *Families) Entity(key string, owner *telemetry.SessionMetrics) *Metrics {
 	counter := func(v *telemetry.CounterVec, values ...string) *telemetry.Counter {
 		if owner == nil {

@@ -189,8 +189,8 @@ func (m *Monitor) ingestLocked() {
 		ratio = float64(dRetx) / float64(max(dSent, 1))
 	}
 	m.retxRatio.Push(at, ratio)
-	if dc := m.cur.AckRTTCount - m.prev.AckRTTCount; dc > 0 {
-		meanUS := float64(m.cur.AckRTTSumUS-m.prev.AckRTTSumUS) / float64(dc)
+	if dc := m.cur.AckRTT.Count() - m.prev.AckRTT.Count(); dc > 0 {
+		meanUS := (m.cur.AckRTT.Sum - m.prev.AckRTT.Sum) * 1e6 / float64(dc)
 		m.ackRTT.Push(at, meanUS)
 	} else if last, ok := m.ackRTT.Last(); ok {
 		// Carry the last mean so the ring stays time-aligned across

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/health"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
+	"tcpls/internal/telemetry"
 )
 
 func mbps(n int64) int64 { return n * 1_000_000 }
@@ -219,4 +221,66 @@ func TestBPFProgramOverSimulatedSession(t *testing.T) {
 	if !bytes.Equal(got, prog) {
 		t.Fatalf("program corrupted: got %d bytes", len(got))
 	}
+}
+
+// TestDegradedPathRaisesAsymmetry: a health monitor over a bare engine
+// sees each connection's counters, so a two-path transfer whose second
+// path drops to a hundredth of its rate raises path_asymmetry on that
+// path — the rule the fleet's diagnosis-fidelity invariant relies on.
+func TestDegradedPathRaisesAsymmetry(t *testing.T) {
+	s := sim.New()
+	cfg := core.Config{EnableFailover: true, MaxRetransmitBytes: 256 << 10}
+	client, server := Pair(s, cfg)
+	p0 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+	p1 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+	client.OnEvent = func(ev core.Event) {
+		if ev.Kind == core.EventStreamData {
+			buf := make([]byte, 64<<10)
+			for client.Sess.Readable(ev.Stream) > 0 {
+				client.Sess.Read(ev.Stream, buf)
+			}
+		}
+	}
+	client.AddPath(p0, 0, simtcp.Options{}, func() {
+		client.AddPath(p1, 1, simtcp.Options{}, func() {
+			p1.BtoA.SetRateBps(mbps(25) / 100)
+			for conn := uint32(0); conn < 2; conn++ {
+				sid, _ := server.Sess.CreateStream(conn)
+				server.Write(sid, make([]byte, 32<<20))
+			}
+		})
+	})
+
+	var raised []health.Verdict
+	mon := health.NewMonitor(engineSource{server.Sess}, health.Options{
+		Key:      "server",
+		Interval: 100 * time.Millisecond,
+		Window:   16,
+		OnVerdict: func(v health.Verdict) {
+			if v.Raised {
+				raised = append(raised, v)
+			}
+		},
+	})
+	var poll func()
+	poll = func() {
+		mon.Poll(epoch.Add(s.Now()))
+		s.After(100*time.Millisecond, poll)
+	}
+	s.After(100*time.Millisecond, poll)
+	s.RunUntil(5 * time.Second)
+
+	for _, v := range raised {
+		if v.Kind == health.PathAsymmetry && v.Conn == 1 {
+			return
+		}
+	}
+	t.Fatalf("no path_asymmetry on conn 1; verdicts raised: %+v", raised)
+}
+
+// engineSource hands a bare engine's snapshot to a health monitor.
+type engineSource struct{ sess *core.Session }
+
+func (e engineSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
+	e.sess.Snapshot(snap)
 }

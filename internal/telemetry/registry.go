@@ -27,8 +27,8 @@ func (k metricKind) String() string {
 
 // family is one named metric with a fixed label schema. Its series are
 // its permanent labelled children (With: the bounded process-level label
-// sets) plus what the attached session blocks hold. Child resolution
-// takes the family lock; the handles are updated lock-free afterwards.
+// sets) plus what the attached sessions show. Child resolution takes the
+// family lock; the handles are updated lock-free afterwards.
 type family struct {
 	name   string
 	help   string
@@ -36,7 +36,7 @@ type family struct {
 	labels []string
 	bounds []float64 // histograms only
 
-	// perSession: session blocks may hold series of this family, so
+	// perSession: attached sessions may show series of this family, so
 	// SumValues must walk them.
 	perSession atomic.Bool
 
@@ -46,7 +46,9 @@ type family struct {
 }
 
 // sample is one series at exposition time: its label values (in schema
-// order) and the *Counter, *Gauge or *Histogram behind it.
+// order) and the *Counter, *Gauge or *Histogram behind it, or the value
+// a session's Snapshot gave it (a uint64 counter, an int64 gauge or a
+// *Hist).
 type sample struct {
 	f      *family
 	values []string
@@ -79,16 +81,22 @@ func (f *family) child(values []string, mk func() any) any {
 // already-registered name with the same kind and label schema returns
 // the existing family, so several listeners can share one registry.
 //
-// Lifetime rule: a session is ONE entry here, its SessionMetrics block,
+// Lifetime rule: a session is ONE entry here, its SessionMetrics,
 // attached at set-up and detached at close. Its series are on /metrics
 // exactly while it is live and the registry keeps nothing of a closed
-// one; the block stays with the session, so Session.Metrics still reads.
+// one; the counts stay with the session's engine, so Session.Snapshot
+// still reads.
+//
+// Lock order: a session takes r.mu under its own lock (Detach at
+// close), and an entry's fill takes the session's lock. A read
+// therefore collects the entries under r.mu, releases it, and only
+// then fills them.
 type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
 	byName map[string]*family
 
-	sessions  map[*SessionMetrics]struct{} // the attached blocks
+	sessions  map[*SessionMetrics]struct{} // the attached sessions
 	attachSeq uint64
 
 	tcplsOnce sync.Once
@@ -211,14 +219,15 @@ func formatFloat(v float64) string {
 
 // series lists every family in registration order with its series:
 // the permanent children in first-seen order, then what the attached
-// sessions hold, in the order they attached — stable output that
-// diffing and tests can rely on.
+// sessions show, in the order they attached — stable output that
+// diffing and tests can rely on. Each session is filled once, after
+// r.mu is released.
 func (r *Registry) series() (fams []*family, of map[*family][]sample) {
 	r.mu.Lock()
 	fams = append(fams, r.fams...)
-	blocks := make([]*SessionMetrics, 0, len(r.sessions))
+	entries := make([]*SessionMetrics, 0, len(r.sessions))
 	for sm := range r.sessions {
-		blocks = append(blocks, sm)
+		entries = append(entries, sm)
 	}
 	r.mu.Unlock()
 	of = make(map[*family][]sample, len(fams))
@@ -233,11 +242,11 @@ func (r *Registry) series() (fams []*family, of map[*family][]sample) {
 		}
 		f.mu.Unlock()
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].seq < blocks[j].seq })
-	var held []sample
-	for _, sm := range blocks {
-		held = sm.appendSamples(held[:0])
-		for _, s := range held {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	var shown []sample
+	for _, sm := range entries {
+		shown = sm.appendSamples(shown[:0])
+		for _, s := range shown {
 			of[s.f] = append(of[s.f], s)
 		}
 	}
@@ -256,22 +265,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bucketLabels := append(slices.Clip(f.labels), "le")
 		for _, s := range of[f] {
 			labels := formatLabels(f.labels, s.values)
+			buckets := func(count func(i int) uint64, sum float64) {
+				var cum uint64
+				for bi := 0; bi <= len(f.bounds); bi++ {
+					cum += count(bi)
+					le := "+Inf"
+					if bi < len(f.bounds) {
+						le = formatFloat(f.bounds[bi])
+					}
+					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, formatLabels(bucketLabels, append(slices.Clip(s.values), le)), cum)
+				}
+				fmt.Fprintf(bw, "%s_sum%s %s\n%s_count%s %d\n", f.name, labels, formatFloat(sum), f.name, labels, cum)
+			}
 			switch c := s.metric.(type) {
 			case *Counter:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c.Load())
 			case *Gauge:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c.Load())
+			case uint64, int64:
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c)
 			case *Histogram:
-				var cum uint64
-				for bi := range c.counts {
-					cum += c.counts[bi].Load()
-					le := "+Inf"
-					if bi < len(c.bounds) {
-						le = formatFloat(c.bounds[bi])
-					}
-					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, formatLabels(bucketLabels, append(slices.Clip(s.values), le)), cum)
-				}
-				fmt.Fprintf(bw, "%s_sum%s %s\n%s_count%s %d\n", f.name, labels, formatFloat(c.Sum()), f.name, labels, c.Count())
+				buckets(func(i int) uint64 { return c.counts[i].Load() }, c.Sum())
+			case *Hist:
+				buckets(func(i int) uint64 { return c.Counts[i] }, c.Sum)
 			}
 		}
 	}
@@ -287,7 +303,11 @@ func (r *Registry) Gather() map[string]float64 {
 	for _, f := range fams {
 		for _, s := range of[f] {
 			id := f.name + formatLabels(f.labels, s.values)
-			if h, ok := s.metric.(*Histogram); ok {
+			switch h := s.metric.(type) {
+			case *Histogram:
+				out[id+"_count"] = float64(h.Count())
+				id += "_sum"
+			case *Hist:
 				out[id+"_count"] = float64(h.Count())
 				id += "_sum"
 			}
@@ -307,13 +327,19 @@ func (s sample) value() float64 {
 		return float64(c.Load())
 	case *Histogram:
 		return c.Sum()
+	case uint64:
+		return float64(c)
+	case int64:
+		return float64(c)
+	case *Hist:
+		return c.Sum
 	}
 	return 0
 }
 
 // SumValues sums value() over every series of the named family. ok is
 // false for an unregistered name. Allocation-free for a family no
-// session block holds — the health sampler calls this each tick for
+// session shows — the health sampler calls this each tick for
 // the process-level families (resumption acceptance, admission rejects,
 // rotate failures).
 func (r *Registry) SumValues(name string) (sum float64, ok bool) {

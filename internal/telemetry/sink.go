@@ -13,14 +13,6 @@ type SinkOptions struct {
 	// Capacity bounds the ring buffer (default 4096 events). When the
 	// writer cannot keep up, Emit drops instead of blocking.
 	Capacity int
-	// Sample keeps one event in Sample (0 and 1 mean every event). The
-	// skipped events are neither written nor counted as drops.
-	Sample int
-	// Events / Dropped, when set, mirror the sink's internal counters
-	// into registry metrics (tcpls_trace_events_total /
-	// tcpls_trace_dropped_total). Nil is fine.
-	Events  *Counter
-	Dropped *Counter
 }
 
 // Sink is a bounded, non-blocking trace writer: producers enqueue with
@@ -32,12 +24,8 @@ type SinkOptions struct {
 // backpressured by tracing.
 type Sink struct {
 	ch      chan Event
-	sample  int
-	seq     atomic.Uint64
 	dropped atomic.Uint64
 	emitted atomic.Uint64
-	events  *Counter
-	dropCtr *Counter
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -51,11 +39,8 @@ func NewSink(w io.Writer, opts SinkOptions) *Sink {
 		cap = 4096
 	}
 	s := &Sink{
-		ch:      make(chan Event, cap),
-		sample:  opts.Sample,
-		events:  opts.Events,
-		dropCtr: opts.Dropped,
-		done:    make(chan struct{}),
+		ch:   make(chan Event, cap),
+		done: make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go s.writeLoop(w)
@@ -63,18 +48,13 @@ func NewSink(w io.Writer, opts SinkOptions) *Sink {
 }
 
 // Emit enqueues one event. It never blocks: with the ring full the
-// event is dropped and the drop counters increment.
+// event is dropped and counted.
 func (s *Sink) Emit(ev Event) {
-	if s.sample > 1 && s.seq.Add(1)%uint64(s.sample) != 0 {
-		return
-	}
 	select {
 	case s.ch <- ev:
 		s.emitted.Add(1)
-		s.events.Inc()
 	default:
 		s.dropped.Add(1)
-		s.dropCtr.Inc()
 	}
 }
 

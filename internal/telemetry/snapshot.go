@@ -1,8 +1,8 @@
 package telemetry
 
-// Stats is the engine's raw counter block: cumulative since the session
-// started, kept by the engine itself and so populated with telemetry
-// off. A ConnSnapshot carries the same nine per connection.
+// Stats are the engine's nine record counters of one connection,
+// cumulative since it was added; a session's Stats are their sum over
+// its connections.
 type Stats struct {
 	RecordsSent       uint64 `json:"records_sent,omitempty"`
 	RecordsReceived   uint64 `json:"records_received,omitempty"`
@@ -15,19 +15,84 @@ type Stats struct {
 	FailedDecrypts    uint64 `json:"failed_decrypts,omitempty"`
 }
 
+// Add adds o's counts to s.
+func (s *Stats) Add(o *Stats) {
+	s.RecordsSent += o.RecordsSent
+	s.RecordsReceived += o.RecordsReceived
+	s.BytesSent += o.BytesSent
+	s.BytesReceived += o.BytesReceived
+	s.AcksSent += o.AcksSent
+	s.AcksReceived += o.AcksReceived
+	s.Retransmits += o.Retransmits
+	s.DupRecordsDropped += o.DupRecordsDropped
+	s.FailedDecrypts += o.FailedDecrypts
+}
+
+// Counters are the session-level counters the engine keeps beside its
+// connections' Stats: cumulative since the session started, under the
+// engine's owner's lock.
+type Counters struct {
+	ConnFailures     uint64 `json:"conn_failures,omitempty"`
+	Failovers        uint64 `json:"failovers,omitempty"`
+	FailoverCascades uint64 `json:"failover_cascades,omitempty"`
+	SchedInvalid     uint64 `json:"sched_invalid,omitempty"`
+	FlowctlLimits    uint64 `json:"flowctl_limits,omitempty"`
+	AckSolicits      uint64 `json:"ack_solicits,omitempty"`
+	// AckRTT holds the Karn-filtered ack RTT samples in seconds over
+	// RTTBuckets; RecordSize the payload bytes of each sealed data
+	// record over SizeBuckets.
+	AckRTT     Hist `json:"ack_rtt"`
+	RecordSize Hist `json:"record_size"`
+}
+
+// Hist is a fixed-bucket histogram with a single owner: Counts[i]
+// observations fell at or below bound i of its bucket set (RTTBuckets
+// or SizeBuckets), Counts[len(bounds)] above every bound, and Sum adds
+// them up.
+type Hist struct {
+	Counts [12]uint64 `json:"counts"`
+	Sum    float64    `json:"sum"`
+}
+
+// Observe records v against bounds.
+func (h *Hist) Observe(bounds []float64, v float64) {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	h.Counts[i]++
+	h.Sum += v
+}
+
+// Count returns the number of observations.
+func (h *Hist) Count() (n uint64) {
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
+}
+
 // Snapshot is the observable state of one end of a session at one
 // instant: the value Session.Snapshot returns, /debug/tcpls marshals,
-// tcpls-top decodes and the health monitor samples. Every field — its
-// unit, where it comes from, whether it needs telemetry on — is listed
-// in DESIGN.md §10.1 and nowhere else. Times are microseconds.
+// /metrics renders, tcpls-top decodes and the health monitor samples.
+// Every field — its unit and where it comes from — is listed in
+// DESIGN.md §10.1 and nowhere else. Times are microseconds.
 type Snapshot struct {
-	// The wrapper's envelope; zero from a bare engine.
+	// The envelope, from the wrapper (the driver fills Recovering and
+	// CookiesLeft); zero from a bare engine.
 	Role         string `json:"role"`
 	Closed       bool   `json:"closed,omitempty"`
 	Recovering   bool   `json:"recovering,omitempty"`
 	CookiesLeft  int    `json:"cookies_left"`
 	FlightEvents int    `json:"flight_events"`
 	FlightTotal  uint64 `json:"flight_total"`
+	TraceEvents  uint64 `json:"trace_events,omitempty"`
+	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+
+	// The driver's recovery counters; zero from a bare engine.
+	ReconnectAttempts uint64 `json:"reconnect_attempts,omitempty"`
+	Reconnects        uint64 `json:"reconnects,omitempty"`
+	RecoveryFailures  uint64 `json:"recovery_failures,omitempty"`
 
 	// Engine gauges.
 	Scheduler           string `json:"scheduler"`
@@ -40,31 +105,19 @@ type Snapshot struct {
 	RetransmitBytesPeak int    `json:"retransmit_bytes_peak"`
 	MemoryBytes         int    `json:"memory_bytes"`
 
+	// Engine counters: the connections' Stats summed, the session-level
+	// ones, and the coupled records each scheduler policy routed.
 	Stats
-
-	// Counters of the session's metrics block: 0 with telemetry off.
-	ConnFailures      uint64            `json:"conn_failures,omitempty"`
-	Failovers         uint64            `json:"failovers,omitempty"`
-	FailoverCascades  uint64            `json:"failover_cascades,omitempty"`
-	ReconnectAttempts uint64            `json:"reconnect_attempts,omitempty"`
-	Reconnects        uint64            `json:"reconnects,omitempty"`
-	RecoveryFailures  uint64            `json:"recovery_failures,omitempty"`
-	SchedInvalid      uint64            `json:"sched_invalid,omitempty"`
-	TraceEvents       uint64            `json:"trace_events,omitempty"`
-	TraceDropped      uint64            `json:"trace_dropped,omitempty"`
-	FlowctlLimits     uint64            `json:"flowctl_limits,omitempty"`
-	AckSolicits       uint64            `json:"ack_solicits,omitempty"`
-	AckRTTCount       uint64            `json:"ack_rtt_count,omitempty"`
-	AckRTTSumUS       int64             `json:"ack_rtt_sum_us,omitempty"`
-	SchedPicks        map[string]uint64 `json:"sched_picks,omitempty"`
+	Counters
+	SchedPicks map[string]uint64 `json:"sched_picks,omitempty"`
 
 	// One row per connection and per stream, in ascending ID order.
 	Conns   []ConnSnapshot   `json:"conns"`
 	Streams []StreamSnapshot `json:"streams"`
 }
 
-// ConnSnapshot is one connection's row of a Snapshot. Its Stats come
-// from the connection's metrics block: 0 with telemetry off.
+// ConnSnapshot is one connection's row of a Snapshot. The rows' Stats
+// sum to the Snapshot's.
 type ConnSnapshot struct {
 	ID           uint32  `json:"id"`
 	Failed       bool    `json:"failed,omitempty"`
@@ -106,60 +159,4 @@ type StreamSnapshot struct {
 func (s *Snapshot) Reset() {
 	clear(s.SchedPicks)
 	*s = Snapshot{Conns: s.Conns[:0], Streams: s.Streams[:0], SchedPicks: s.SchedPicks}
-}
-
-// Snapshot copies the block's session-level counters into dst. Like the
-// two below it, safe on a nil receiver: dst keeps its zeroes.
-func (sm *SessionMetrics) Snapshot(dst *Snapshot) {
-	if sm == nil {
-		return
-	}
-	dst.ConnFailures = sm.ConnFailures.Load()
-	dst.Failovers = sm.Failovers.Load()
-	dst.FailoverCascades = sm.FailoverCascades.Load()
-	dst.ReconnectAttempts = sm.ReconnectAttempts.Load()
-	dst.Reconnects = sm.Reconnects.Load()
-	dst.RecoveryFailures = sm.RecoveryFailures.Load()
-	dst.SchedInvalid = sm.SchedInvalid.Load()
-	dst.TraceEvents = sm.TraceEvents.Load()
-	dst.TraceDropped = sm.TraceDropped.Load()
-	dst.FlowctlLimits = sm.FlowctlLimits.Load()
-	dst.AckSolicits = sm.AckSolicits.Load()
-	dst.AckRTTCount = sm.AckRTT.Count()
-	dst.AckRTTSumUS = int64(sm.AckRTT.Sum() * 1e6)
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if dst.SchedPicks == nil && len(sm.picks) > 0 {
-		dst.SchedPicks = make(map[string]uint64, len(sm.picks))
-	}
-	for policy, c := range sm.picks {
-		dst.SchedPicks[policy] = c.Load()
-	}
-}
-
-// Snapshot copies the connection's counters into dst.
-func (cm *ConnMetrics) Snapshot(dst *Stats) {
-	if cm == nil {
-		return
-	}
-	*dst = Stats{
-		RecordsSent:       cm.RecordsSent.Load(),
-		RecordsReceived:   cm.RecordsReceived.Load(),
-		BytesSent:         cm.BytesSent.Load(),
-		BytesReceived:     cm.BytesReceived.Load(),
-		AcksSent:          cm.AcksSent.Load(),
-		AcksReceived:      cm.AcksReceived.Load(),
-		Retransmits:       cm.Retransmits.Load(),
-		DupRecordsDropped: cm.DupRecords.Load(),
-		FailedDecrypts:    cm.FailedDecrypts.Load(),
-	}
-}
-
-// Snapshot copies the stream's counters into dst.
-func (stm *StreamMetrics) Snapshot(dst *StreamSnapshot) {
-	if stm == nil {
-		return
-	}
-	dst.BytesSent = stm.BytesSent.Load()
-	dst.BytesReceived = stm.BytesReceived.Load()
 }

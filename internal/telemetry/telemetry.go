@@ -6,10 +6,11 @@
 // server wiring /metrics together with net/http/pprof.
 //
 // The package is deliberately dependency-free (internal/core imports it,
-// not the other way around). Hot-path updates are single atomic
-// operations on handles held by the caller: a session's live in one
-// block it owns (SessionMetrics), attached to the registry while the
-// session is, and label strings are only built when somebody scrapes.
+// not the other way around). Process-level updates are single atomic
+// operations on handles held by the caller. A session keeps no handles:
+// its engine counts under its own lock, and its one registry entry
+// (SessionMetrics) reads that count as a Snapshot when somebody scrapes,
+// which is also when label strings are built.
 package telemetry
 
 import (

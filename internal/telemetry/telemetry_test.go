@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -46,23 +45,14 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 }
 
-// TestSessionMetricsNilIsDisabled: a nil block means telemetry is off,
+// TestSessionMetricsNilIsDisabled: a nil entry means telemetry is off,
 // on every method — no handle comes back and no series is registered
-// (a process-wide series is the caller's v.With, never a nil block's).
+// (a process-wide series is the caller's v.With, never a nil entry's).
 func TestSessionMetricsNilIsDisabled(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("test_nil_total", "Nil block counter.", "key")
-	gv := r.GaugeVec("test_nil", "Nil block gauge.", "key")
+	cv := r.CounterVec("test_nil_total", "Nil entry counter.", "key")
+	gv := r.GaugeVec("test_nil", "Nil entry gauge.", "key")
 	var sm *SessionMetrics
-	if c := sm.Conn(0); c != nil {
-		t.Fatalf("Conn on nil = %p", c)
-	}
-	if st := sm.Stream(2); st != nil {
-		t.Fatalf("Stream on nil = %p", st)
-	}
-	if c := sm.SchedPicks("rate"); c != nil {
-		t.Fatalf("SchedPicks on nil = %p", c)
-	}
 	if c := sm.Counter(cv, "k"); c != nil {
 		t.Fatalf("Counter on nil = %p", c)
 	}
@@ -71,7 +61,7 @@ func TestSessionMetricsNilIsDisabled(t *testing.T) {
 	}
 	sm.Detach()
 	if got := r.Gather(); len(got) != 0 {
-		t.Fatalf("nil block registered series: %v", got)
+		t.Fatalf("nil entry registered series: %v", got)
 	}
 }
 
@@ -92,6 +82,14 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Sum() != 556.5 {
 		t.Fatalf("sum = %g, want 556.5", h.Sum())
+	}
+	// A Snapshot's Hist buckets the same way.
+	var plain Hist
+	for _, v := range []float64{0.5, 1, 5, 50, 500} {
+		plain.Observe([]float64{1, 10, 100}, v)
+	}
+	if plain.Counts != [12]uint64{2, 1, 1, 1} || plain.Count() != 5 || plain.Sum != 556.5 {
+		t.Fatalf("Hist = %+v, count %d", plain, plain.Count())
 	}
 }
 
@@ -156,6 +154,12 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 	r.GaugeVec("test_dup_total", "Wrong kind.", "sess")
 }
 
+// filled returns a fill that hands out a copy of *snap: what the test
+// changes in *snap shows at the next read.
+func filled(snap *Snapshot) func(*Snapshot) {
+	return func(dst *Snapshot) { *dst = *snap }
+}
+
 func TestFamiliesSharedAcrossSessions(t *testing.T) {
 	r := NewRegistry()
 	f1 := TCPLSFamilies(r)
@@ -163,8 +167,10 @@ func TestFamiliesSharedAcrossSessions(t *testing.T) {
 	if f1 != f2 {
 		t.Fatal("family set resolved twice for one registry")
 	}
-	f1.Session("s1", "client").Conn(0).RecordsSent.Add(3)
-	f2.Session("s2", "client").Conn(0).RecordsSent.Add(4)
+	s1 := &Snapshot{Conns: []ConnSnapshot{{ID: 0, Stats: Stats{RecordsSent: 3}}}}
+	s2 := &Snapshot{Conns: []ConnSnapshot{{ID: 0, Stats: Stats{RecordsSent: 4}}}}
+	f1.Session("s1", "client", filled(s1))
+	f2.Session("s2", "client", filled(s2))
 	got := r.Gather()
 	if got[`tcpls_records_sent_total{sess="s1",role="client",conn="0"}`] != 3 {
 		t.Fatalf("s1 counter missing: %v", got)
@@ -172,39 +178,34 @@ func TestFamiliesSharedAcrossSessions(t *testing.T) {
 	if got[`tcpls_records_sent_total{sess="s2",role="client",conn="0"}`] != 4 {
 		t.Fatalf("s2 counter missing: %v", got)
 	}
-	// Handle resolution is cached per session.
-	sm := f1.Session("s3", "server")
-	if sm.Conn(7) != sm.Conn(7) {
-		t.Fatal("Conn handles not cached")
-	}
-	if sm.Stream(2) != sm.Stream(2) {
-		t.Fatal("Stream handles not cached")
-	}
-	if sm.SchedPicks("lowrtt") != sm.SchedPicks("lowrtt") {
-		t.Fatal("SchedPicks handles not cached")
+	// Series are read at scrape time, not copied at attach time.
+	s1.Conns[0].RecordsSent = 9
+	if got := r.Gather()[`tcpls_records_sent_total{sess="s1",role="client",conn="0"}`]; got != 9 {
+		t.Fatalf("s1 counter after the session counted on: %v, want 9", got)
 	}
 }
 
 // TestSessionBlockLifetime pins the lifetime rule: a session is one
 // entry of the registry, its two ends count apart, its series (riders
 // of other families included) are on every read path while it is
-// attached and on none after Detach, and the block still reads then.
+// attached and on none after Detach.
 func TestSessionBlockLifetime(t *testing.T) {
 	r := NewRegistry()
 	fams := TCPLSFamilies(r)
-	perm := r.GaugeVec("test_rider", "Rides in a block or stays.", "key")
+	perm := r.GaugeVec("test_rider", "Rides in an entry or stays.", "key")
 	perm.With("process").Set(5)
 	before := len(r.Gather())
 
-	cl := fams.Session("ab", "client")
-	sv := fams.Session("ab", "server")
-	cl.Failovers.Inc()
-	cl.Conn(1).BytesSent.Add(10)
-	cl.Stream(4).BytesReceived.Add(7)
-	cl.SchedPicks("rr").Add(2)
-	cl.AckRTT.Observe(0.002)
+	clSnap := &Snapshot{
+		Counters:   Counters{Failovers: 1},
+		Conns:      []ConnSnapshot{{ID: 1, Stats: Stats{BytesSent: 10}}},
+		Streams:    []StreamSnapshot{{ID: 4, BytesReceived: 7}},
+		SchedPicks: map[string]uint64{"rr": 2},
+	}
+	clSnap.AckRTT.Observe(RTTBuckets, 0.002)
+	cl := fams.Session("ab", "client", filled(clSnap))
+	sv := fams.Session("ab", "server", filled(&Snapshot{Counters: Counters{Failovers: 4}}))
 	cl.Gauge(perm, "ab-client-1").Set(3)
-	sv.Failovers.Add(4)
 
 	got := r.Gather()
 	for series, want := range map[string]float64{
@@ -214,6 +215,7 @@ func TestSessionBlockLifetime(t *testing.T) {
 		`tcpls_stream_bytes_received_total{sess="ab",role="client",stream="4"}`: 7,
 		`tcpls_sched_picks_total{sess="ab",role="client",policy="rr"}`:          2,
 		`tcpls_ack_rtt_seconds{sess="ab",role="client"}_count`:                  1,
+		`tcpls_ack_rtt_seconds{sess="ab",role="client"}_sum`:                    0.002,
 		`test_rider{key="ab-client-1"}`:                                         3,
 		`test_rider{key="process"}`:                                             5,
 	} {
@@ -233,7 +235,13 @@ func TestSessionBlockLifetime(t *testing.T) {
 	}
 	for _, line := range []string{
 		`tcpls_failovers_total{sess="ab",role="client"} 1`,
+		`tcpls_ack_rtt_seconds_bucket{sess="ab",role="client",le="0.001"} 0`,
 		`tcpls_ack_rtt_seconds_bucket{sess="ab",role="client",le="0.003"} 1`,
+		`tcpls_ack_rtt_seconds_bucket{sess="ab",role="client",le="+Inf"} 1`,
+		`tcpls_ack_rtt_seconds_sum{sess="ab",role="client"} 0.002`,
+		`tcpls_ack_rtt_seconds_count{sess="ab",role="client"} 1`,
+		`tcpls_record_payload_bytes_bucket{sess="ab",role="server",le="16384"} 0`,
+		`tcpls_conns_open{sess="ab",role="client"} 0`,
 		`test_rider{key="ab-client-1"} 3`,
 	} {
 		if !strings.Contains(buf.String(), line+"\n") {
@@ -249,9 +257,6 @@ func TestSessionBlockLifetime(t *testing.T) {
 	}
 	if sum, _ := r.SumValues("tcpls_failovers_total"); sum != 0 {
 		t.Errorf("SumValues still sees a detached session: %v", sum)
-	}
-	if cl.Failovers.Load() != 1 || cl.Conn(1).BytesSent.Load() != 10 {
-		t.Error("a detached block lost its values")
 	}
 }
 
@@ -371,47 +376,17 @@ func TestSinkQlogFraming(t *testing.T) {
 	}
 }
 
-func TestSinkSampling(t *testing.T) {
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	s := NewSink(w, SinkOptions{Sample: 10})
-	for i := 0; i < 100; i++ {
-		s.Emit(Event{Name: "e"})
-	}
-	s.Close()
-	mu.Lock()
-	n := strings.Count(buf.String(), "\n") - 1 // the header line
-	mu.Unlock()
-	if n != 10 {
-		t.Fatalf("sample=10 wrote %d of 100 events, want 10", n)
-	}
-}
-
 // TestSinkStalledWriterDrops is the backpressure acceptance test: with
 // the writer goroutine wedged on a blocking io.Writer, Emit must return
-// immediately, drop events once the ring fills, and count the drops in
-// the mirrored tcpls_trace_dropped_total counter — the engine path is
-// never stalled by tracing.
+// immediately, drop events once the ring fills, and count the drops —
+// the engine path is never stalled by tracing.
 func TestSinkStalledWriterDrops(t *testing.T) {
-	r := NewRegistry()
-	fams := TCPLSFamilies(r)
-	sm := fams.Session("de", "client")
-
 	release := make(chan struct{})
 	stalled := writerFunc(func(p []byte) (int, error) {
 		<-release // wedge until the test ends
 		return len(p), nil
 	})
-	s := NewSink(stalled, SinkOptions{
-		Capacity: 8,
-		Events:   &sm.TraceEvents,
-		Dropped:  &sm.TraceDropped,
-	})
+	s := NewSink(stalled, SinkOptions{Capacity: 8})
 	defer close(release)
 
 	const emits = 1000
@@ -434,18 +409,6 @@ func TestSinkStalledWriterDrops(t *testing.T) {
 	if s.Emitted()+s.Dropped() != emits {
 		t.Fatalf("emitted %d + dropped %d != %d", s.Emitted(), s.Dropped(), emits)
 	}
-	if got := sm.TraceDropped.Load(); got != s.Dropped() {
-		t.Fatalf("tcpls_trace_dropped_total = %d, sink dropped %d", got, s.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `tcpls_trace_dropped_total{sess="de",role="client"} `+
-		fmt.Sprint(s.Dropped())) {
-		t.Fatalf("exposition missing drop counter:\n%s", buf.String())
-	}
-
 	// Close must come back promptly even though the writer is wedged.
 	start := time.Now()
 	s.Close()

@@ -38,37 +38,21 @@ const (
 )
 
 // SessionEvent is one lifecycle occurrence (Kind, Conn, Attempt, Err,
-// Time), observable by polling Events, blocking in WaitEvent, or via the
-// Config.OnEvent callback.
+// Time), observable by polling Events or blocking in WaitEvent.
 type SessionEvent = driver.Event
 
 // sessionEventCap bounds the polling queue; old events drop first — the
 // recent tail is what a late reader needs.
 const sessionEventCap = 128
 
-// Lifecycle queues a lifecycle event and counts the recovery ones.
+// Lifecycle queues a lifecycle event; the driver counts the recovery
+// ones.
 func (h *host) Lifecycle(ev SessionEvent) {
 	s := (*Session)(h)
-	if s.tel != nil {
-		switch ev.Kind {
-		case EventReconnecting:
-			s.tel.ReconnectAttempts.Inc()
-		case EventReconnected:
-			s.tel.Reconnects.Inc()
-		case EventRecoveryFailed:
-			s.tel.RecoveryFailures.Inc()
-		}
-	}
 	if len(s.sessEvents) >= sessionEventCap {
 		s.sessEvents = s.sessEvents[1:]
 	}
 	s.sessEvents = append(s.sessEvents, ev)
-	if s.eventCh != nil {
-		select {
-		case s.eventCh <- ev:
-		default: // callback consumer hopelessly behind; keep the session alive
-		}
-	}
 	s.cond.Broadcast()
 }
 
@@ -97,26 +81,6 @@ func (s *Session) WaitEvent(ctx context.Context) (SessionEvent, error) {
 	ev := s.sessEvents[0]
 	s.sessEvents = s.sessEvents[1:]
 	return ev, nil
-}
-
-// eventLoop feeds Config.OnEvent on its own goroutine so a slow callback
-// never blocks the protocol path.
-func (s *Session) eventLoop() {
-	for {
-		select {
-		case ev := <-s.eventCh:
-			s.cfg.OnEvent(ev)
-		case <-s.stop:
-			for {
-				select {
-				case ev := <-s.eventCh:
-					s.cfg.OnEvent(ev)
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // closedErrLocked is the error a blocked call reports on a closed

@@ -232,51 +232,3 @@ func TestReconnectDisabledDiesWithErrSessionDead(t *testing.T) {
 		t.Fatal("no EventRecoveryFailed emitted before death")
 	}
 }
-
-// TestOnEventCallback: Config.OnEvent observes the lifecycle without
-// polling.
-func TestOnEventCallback(t *testing.T) {
-	scfg := &Config{EnableFailover: true, AckPeriod: 4, NumCookies: 8}
-	ln := startServer(t, scfg, echoHandler)
-	evCh := make(chan SessionEvent, 64)
-	sess, err := Dial("tcp", ln.Addr().String(), &Config{
-		ServerName: "test.server", EnableFailover: true, AckPeriod: 4,
-		Reconnect: ReconnectConfig{
-			MaxAttempts: 20, BaseDelay: 10 * time.Millisecond,
-			MaxDelay: 50 * time.Millisecond, Deadline: 10 * time.Second,
-		},
-		OnEvent: func(ev SessionEvent) { evCh <- ev },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	st, err := sess.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Write([]byte("z")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(st, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	sess.mu.Lock()
-	pc0 := sess.pathConnLocked(0)
-	sess.mu.Unlock()
-	pc0.nc.Close()
-
-	deadline := time.After(8 * time.Second)
-	for {
-		select {
-		case ev := <-evCh:
-			if ev.Kind == EventReconnected {
-				return
-			}
-		case <-deadline:
-			t.Fatal("OnEvent never delivered EventReconnected")
-		}
-	}
-}

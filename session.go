@@ -60,14 +60,12 @@ type Session struct {
 	doneCh             chan struct{} // closed when the session ends
 	doneHook           func()        // run once, under s.mu, as doneCh closes; must not call back in
 	onNewServerCookies func([]Cookie)
-	stop               chan struct{} // closed as the session ends: stops the helper goroutines
 
 	// Recovery state (reconnect.go): remembered redial targets and the
 	// lifecycle event queue.
 	dialNetwork string
 	remoteAddrs []string
 	sessEvents  []SessionEvent
-	eventCh     chan SessionEvent
 
 	// Resumption state (§4.5).
 	suite      *record.Suite
@@ -90,13 +88,14 @@ type Session struct {
 	// record acknowledgments.
 	metrics *sched.Metrics
 
-	// Telemetry state (telemetry.go): the session's metric handles on
-	// the shared registry, the address whose HTTP endpoint this session
-	// holds a reference on, and the buffered qlog trace sink installed
-	// by TraceJSON.
-	tel       *telemetry.SessionMetrics
-	telAddr   string
-	traceSink *telemetry.Sink
+	// Telemetry state (telemetry.go): the session's entry in the shared
+	// registry, the address whose HTTP endpoint this session holds a
+	// reference on, the buffered qlog trace sink installed by TraceJSON,
+	// and the events and drops of the sinks it displaced.
+	entry                     *telemetry.SessionMetrics
+	telAddr                   string
+	traceSink                 *telemetry.Sink
+	traceEvents, traceDropped uint64
 
 	// Diagnosis state (trace.go): the always-on flight recorder and
 	// this session's /debug/tcpls registry key. All tracer installs go
@@ -139,7 +138,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		sessID:   res.SessID,
 		streams:  make(map[uint32]*Stream),
 		echoCh:   make(map[uint64]chan struct{}),
-		stop:     make(chan struct{}),
 		doneCh:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -211,10 +209,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		}
 	}
 	s.mu.Unlock()
-	if cfg.OnEvent != nil {
-		s.eventCh = make(chan SessionEvent, sessionEventCap)
-		go s.eventLoop()
-	}
 	return s
 }
 
@@ -292,9 +286,9 @@ func (h *host) Event(ev core.Event) {
 func (h *host) FlushError(err error) { h.closeErr = err }
 
 // End tears the session down once the driver is done with it: the
-// listener forgets it, the helpers stop, and every waiter wakes. The
-// driver has shut the connections; a drained one closes at the peer's
-// end of stream.
+// listener forgets it, its telemetry is given back, and every waiter
+// wakes. The driver has shut the connections; a drained one closes at
+// the peer's end of stream.
 func (h *host) End(err error) {
 	s := (*Session)(h)
 	s.closed = true
@@ -313,7 +307,6 @@ func (h *host) End(err error) {
 		s.doneHook()
 	}
 	s.closeTelemetryLocked()
-	close(s.stop)
 	// No failover replay can happen after this: return the pooled
 	// retransmit payloads.
 	s.engine.ReleaseBuffers()

@@ -3,14 +3,17 @@ package tcpls
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"tcpls/internal/health"
+	"tcpls/internal/telemetry"
 )
 
 // TestSnapshotCountsWithTelemetryDisabled: live connections and open
@@ -47,7 +50,8 @@ func TestSnapshotCountsWithTelemetryDisabled(t *testing.T) {
 // its tail still unacknowledged and an unread reply parked in a receive
 // buffer, the snapshot agrees
 // with Stats and MemoryFootprint, comes back unchanged from the
-// /debug/tcpls page, and is what the health monitor saw on its tick.
+// /debug/tcpls page, is what the health monitor saw on its tick, and
+// gives every one of the session's /metrics series its value.
 func TestSnapshotOneTruth(t *testing.T) {
 	const half, replyLen = 512 << 10, 4096
 	// The shared health engine is parked an hour away: the test ticks
@@ -117,6 +121,7 @@ func TestSnapshotOneTruth(t *testing.T) {
 	var stats Stats
 	var footprint int
 	var st health.Status
+	var scraped map[string]float64
 	for settled := false; !settled; {
 		if time.Now().After(deadline) {
 			t.Fatal("snapshot never held still across the read-outs")
@@ -126,6 +131,7 @@ func TestSnapshotOneTruth(t *testing.T) {
 		page = debugPageEntry(t, ts.URL, key)
 		mon.Poll(time.Now())
 		st = mon.Status()
+		scraped = telemetry.Default().Gather()
 		settled = reflect.DeepEqual(snap, sess.Snapshot())
 	}
 
@@ -147,6 +153,21 @@ func TestSnapshotOneTruth(t *testing.T) {
 		if p.Conn != c.ID || p.Failed != c.Failed || p.BytesSent != c.BytesSent ||
 			p.SRTTUS != float64(c.SRTTUS) || p.DeliveryRate != c.DeliveryRate {
 			t.Errorf("health path %+v, snapshot conn %+v", p, c)
+		}
+	}
+
+	// /metrics: the session's series are exactly the snapshot's fields.
+	want := metricsOf(&snap, sessLabel(sess.ID()), "client")
+	for series, v := range scraped {
+		if strings.Contains(series, want.prefix) {
+			if w, ok := want.values[series]; !ok || w != v {
+				t.Errorf("/metrics %s = %v; the snapshot gives %v (present %v)", series, v, w, ok)
+			}
+		}
+	}
+	for series := range want.values {
+		if _, ok := scraped[series]; !ok {
+			t.Errorf("/metrics lacks %s", series)
 		}
 	}
 
@@ -194,4 +215,67 @@ func debugPageEntry(t *testing.T, url, key string) Snapshot {
 		t.Fatalf("/debug/tcpls entry %q: %v", key, err)
 	}
 	return snap
+}
+
+// sessionSeries is what /metrics should show of one end of a session:
+// its series, as Registry.Gather names them, and their values.
+type sessionSeries struct {
+	prefix string // the label set every one of them starts with
+	values map[string]float64
+}
+
+// metricsOf spells out, field by field, the tcpls_* series the
+// Snapshot snap of one end of a session gives.
+func metricsOf(snap *Snapshot, sess, role string) sessionSeries {
+	base := fmt.Sprintf("{sess=%q,role=%q", sess, role)
+	m := sessionSeries{prefix: base, values: map[string]float64{}}
+	put := func(name, labels string, v uint64) { m.values[name+base+labels+"}"] = float64(v) }
+	for name, v := range map[string]uint64{
+		"tcpls_conn_failures_total":      snap.ConnFailures,
+		"tcpls_failovers_total":          snap.Failovers,
+		"tcpls_failover_cascades_total":  snap.FailoverCascades,
+		"tcpls_reconnect_attempts_total": snap.ReconnectAttempts,
+		"tcpls_reconnects_total":         snap.Reconnects,
+		"tcpls_recovery_failures_total":  snap.RecoveryFailures,
+		"tcpls_sched_invalid_total":      snap.SchedInvalid,
+		"tcpls_trace_events_total":       snap.TraceEvents,
+		"tcpls_trace_dropped_total":      snap.TraceDropped,
+		"tcpls_flowctl_limit_total":      snap.FlowctlLimits,
+		"tcpls_ack_solicited_total":      snap.AckSolicits,
+		"tcpls_reorder_heap_depth":       uint64(snap.ReorderDepth),
+		"tcpls_reorder_bytes":            uint64(snap.ReorderBytes),
+		"tcpls_retransmit_bytes":         uint64(snap.RetransmitBytes),
+		"tcpls_conns_open":               uint64(snap.ConnsLive),
+		"tcpls_streams_open":             uint64(snap.StreamsOpen),
+	} {
+		put(name, "", v)
+	}
+	for name, h := range map[string]*telemetry.Hist{
+		"tcpls_ack_rtt_seconds":      &snap.AckRTT,
+		"tcpls_record_payload_bytes": &snap.RecordSize,
+	} {
+		m.values[name+base+"}_count"] = float64(h.Count())
+		m.values[name+base+"}_sum"] = h.Sum
+	}
+	for _, c := range snap.Conns {
+		conn := fmt.Sprintf(",conn=\"%d\"", c.ID)
+		put("tcpls_records_sent_total", conn, c.RecordsSent)
+		put("tcpls_records_received_total", conn, c.RecordsReceived)
+		put("tcpls_bytes_sent_total", conn, c.BytesSent)
+		put("tcpls_bytes_received_total", conn, c.BytesReceived)
+		put("tcpls_retransmits_total", conn, c.Retransmits)
+		put("tcpls_acks_sent_total", conn, c.AcksSent)
+		put("tcpls_acks_received_total", conn, c.AcksReceived)
+		put("tcpls_dup_records_dropped_total", conn, c.DupRecordsDropped)
+		put("tcpls_failed_decrypts_total", conn, c.FailedDecrypts)
+	}
+	for _, st := range snap.Streams {
+		stream := fmt.Sprintf(",stream=\"%d\"", st.ID)
+		put("tcpls_stream_bytes_sent_total", stream, st.BytesSent)
+		put("tcpls_stream_bytes_received_total", stream, st.BytesReceived)
+	}
+	for policy, n := range snap.SchedPicks {
+		put("tcpls_sched_picks_total", fmt.Sprintf(",policy=%q", policy), n)
+	}
+	return m
 }

@@ -14,14 +14,13 @@ import (
 )
 
 // TelemetryConfig is the Config.Telemetry knob: production observability
-// for a session. The zero value keeps the lock-free metrics registry on
-// (a handful of atomic increments per record) without serving anything;
-// Addr additionally exposes /metrics and /debug/pprof; Disabled turns
-// the whole layer into a nil-check on the hot path.
+// for a session. The zero value gives the session an entry in the shared
+// metrics registry, a flight recorder and a health monitor without
+// serving anything; Addr additionally exposes /metrics and /debug/pprof.
+// The engine counts regardless: Session.Snapshot is complete either way.
 type TelemetryConfig struct {
-	// Disabled switches metric collection off entirely. The engine's
-	// emission points reduce to one nil-check each and Session.Snapshot
-	// carries engine state only.
+	// Disabled leaves the session out of the registry, /debug/tcpls and
+	// health monitoring, and turns its flight recorder off.
 	Disabled bool
 	// Addr, when non-empty, serves the shared metrics registry over
 	// HTTP at this address: Prometheus text format on /metrics and the
@@ -29,9 +28,6 @@ type TelemetryConfig struct {
 	// /debug/pprof/. Sessions and listeners sharing an Addr share one
 	// server; it stops when the last holder closes.
 	Addr string
-	// Sample thins the qlog trace sink: only one in Sample events is
-	// written (0 and 1 keep every event). Metrics are never sampled.
-	Sample int
 	// FlightCapacity sizes the always-on flight recorder ring (events
 	// held, 88 bytes each). 0 means the default 8192 (~0.7 MiB);
 	// negative disables the recorder.
@@ -58,28 +54,36 @@ type (
 )
 
 // Snapshot returns the session's state now. It stays readable after
-// Close. With Telemetry.Disabled the engine's own state (gauges, Stats,
-// the rows' topology) is still there; what the metrics block counts —
-// failovers, per-connection and per-stream counters — reads zero.
+// Close, and Telemetry.Disabled leaves it complete.
 func (s *Session) Snapshot() Snapshot {
 	var snap Snapshot
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snapshotLocked(&snap)
+	s.fillSnapshot(&snap)
 	return snap
 }
 
-// snapshotLocked fills dst — the engine's one pass, then the wrapper's
-// envelope — reusing dst's rows. The caller holds s.mu.
+// fillSnapshot is snapshotLocked under s.mu: the fill of the session's
+// registry entry and of its health monitor's ticks.
+func (s *Session) fillSnapshot(dst *Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapshotLocked(dst)
+}
+
+// snapshotLocked fills dst — the engine's one pass and the driver's
+// part, then the wrapper's envelope — reusing dst's rows. The caller
+// holds s.mu.
 func (s *Session) snapshotLocked(dst *Snapshot) {
-	s.engine.Snapshot(dst)
+	s.drv.Snapshot(dst)
 	dst.Role = s.role()
 	dst.Closed = s.closed
-	dst.Recovering = s.drv.Recovering()
-	dst.CookiesLeft = len(s.drv.Cookies)
 	if f := s.flight; f != nil {
 		dst.FlightEvents = f.Len()
 		dst.FlightTotal = f.Total()
+	}
+	dst.TraceEvents, dst.TraceDropped = s.traceEvents, s.traceDropped
+	if sink := s.traceSink; sink != nil {
+		dst.TraceEvents += sink.Emitted()
+		dst.TraceDropped += sink.Dropped()
 	}
 }
 
@@ -176,20 +180,19 @@ var debugSeq atomic.Uint64
 // registry, resolved once like TCPLSFamilies.
 var healthFams = health.NewFamilies(telemetry.Default())
 
-// initTelemetry attaches the session's metrics block to the process-wide
-// registry (its one entry there, labelled sess and role: the two ends of
-// a session share a sessLabel and count apart), starts the always-on
-// flight recorder, registers the /debug/tcpls state provider, and
-// acquires the HTTP endpoint if one is configured; closeTelemetryLocked
-// gives all of it back. Called from newSession before the engine sees
-// traffic (no lock needed yet).
+// initTelemetry attaches the session to the process-wide registry (its
+// one entry there, labelled sess and role: the two ends of a session
+// share a sessLabel and count apart), starts the always-on flight
+// recorder, registers the /debug/tcpls state provider, and acquires the
+// HTTP endpoint if one is configured; closeTelemetryLocked gives all of
+// it back. Called from newSession before the engine sees traffic (no
+// lock needed yet).
 func (s *Session) initTelemetry() {
 	if s.cfg.Telemetry.Disabled {
 		return
 	}
 	label, role := sessLabel(s.sessID), s.role()
-	s.tel = telemetry.TCPLSFamilies(telemetry.Default()).Session(label, role)
-	s.engine.SetTelemetry(s.tel)
+	s.entry = telemetry.TCPLSFamilies(telemetry.Default()).Session(label, role, s.fillSnapshot)
 	if s.cfg.Telemetry.FlightCapacity >= 0 {
 		s.flight = telemetry.NewFlight(s.cfg.Telemetry.FlightCapacity)
 		// Record-lifecycle spans need the socket-write leg; the wrapper's
@@ -207,16 +210,17 @@ func (s *Session) initTelemetry() {
 	s.initHealth()
 }
 
-// closeTelemetryLocked detaches the session's metrics block and releases
-// its trace sink, debug registration, and HTTP endpoint reference: the
-// process-wide registries then hold nothing of the session. Idempotent;
-// called from every teardown path. The block and the flight recorder
-// stay readable — Snapshot and DumpFlight on a dead session are the point.
+// closeTelemetryLocked detaches the session's registry entry and
+// releases its trace sink, debug registration, and HTTP endpoint
+// reference: the process-wide registries then hold nothing of the
+// session. Idempotent; called from every teardown path. The engine's
+// count and the flight recorder stay readable — Snapshot and DumpFlight
+// on a dead session are the point.
 func (s *Session) closeTelemetryLocked() {
 	s.closeHealthLocked()
-	s.tel.Detach()
-	if sink := s.traceSink; sink != nil {
-		s.traceSink = nil
+	s.entry.Detach()
+	if sink := s.retireSinkLocked(nil); sink != nil {
+		s.refreshTracerLocked()
 		// Close flushes; do it off the lock path budget — the sink's
 		// Close is bounded regardless.
 		go sink.Close()

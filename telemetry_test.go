@@ -241,9 +241,10 @@ func TestTelemetryReconnectCountersMatchEvents(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabled: with the layer off, Snapshot still reports the
-// engine's own state but nothing the metrics block counts, and no
-// registry handles exist.
+// TestTelemetryDisabled: with the layer off the session has no registry
+// entry, but its Snapshot is whole: the engine counts either way, so
+// the connection rows sum to Session.Stats() and the stream rows carry
+// their bytes.
 func TestTelemetryDisabled(t *testing.T) {
 	ln := startServer(t, &Config{}, echoHandler)
 	sess, err := Dial("tcp", ln.Addr().String(), &Config{
@@ -265,15 +266,25 @@ func TestTelemetryDisabled(t *testing.T) {
 	if _, err := io.ReadFull(st, buf); err != nil {
 		t.Fatal(err)
 	}
-	if sess.tel != nil {
-		t.Fatal("Disabled session still resolved telemetry handles")
+	if sess.entry != nil || sess.debugKey != "" {
+		t.Fatal("Disabled session still attached to the registry")
 	}
-	snap := sess.Snapshot()
-	if snap.Stats.RecordsSent == 0 {
-		t.Fatal("Stats block missing with telemetry disabled")
+	snap, stats := sess.Snapshot(), sess.Stats()
+	var perConn Stats
+	for i := range snap.Conns {
+		perConn.Add(&snap.Conns[i].Stats)
 	}
-	if snap.Failovers != 0 || snap.SchedPicks != nil || snap.TraceEvents != 0 || snap.Conns[0].Stats != (Stats{}) {
-		t.Fatalf("disabled snapshot carries registry data: %+v", snap)
+	if stats.RecordsSent == 0 || snap.Stats != stats || perConn != stats {
+		t.Fatalf("Stats() %+v, snapshot %+v, conn rows sum to %+v", stats, snap.Stats, perConn)
+	}
+	var row *StreamSnapshot
+	for i := range snap.Streams {
+		if snap.Streams[i].ID == st.id {
+			row = &snap.Streams[i]
+		}
+	}
+	if row == nil || row.BytesSent != 5 || row.BytesReceived != 5 {
+		t.Fatalf("stream %d row %+v, want 5 bytes each way", st.id, row)
 	}
 }
 

@@ -17,29 +17,16 @@ import (
 // Events are routed through a bounded ring buffer drained by a
 // dedicated writer goroutine, so a slow or stalled w never backpressures
 // the engine's send/recv path: when the ring fills, events are dropped
-// and counted (tcpls_trace_dropped_total on /metrics, TraceDropped in
-// Session.Metrics). Config.Telemetry.Sample thins the stream for
-// high-rate transfers.
+// and counted (TraceDropped in Session.Snapshot,
+// tcpls_trace_dropped_total on /metrics).
 func (s *Session) TraceJSON(w io.Writer) {
 	var sink *telemetry.Sink
 	if w != nil {
-		var events, dropped *telemetry.Counter
-		s.mu.Lock()
-		if s.tel != nil {
-			events = &s.tel.TraceEvents
-			dropped = &s.tel.TraceDropped
-		}
-		s.mu.Unlock()
 		// The sink spawns its writer goroutine; build it off the lock.
-		sink = telemetry.NewSink(w, telemetry.SinkOptions{
-			Sample:  s.cfg.Telemetry.Sample,
-			Events:  events,
-			Dropped: dropped,
-		})
+		sink = telemetry.NewSink(w, telemetry.SinkOptions{})
 	}
 	s.mu.Lock()
-	prev := s.traceSink
-	s.traceSink = sink
+	prev := s.retireSinkLocked(sink)
 	s.refreshTracerLocked()
 	s.mu.Unlock()
 	// Flush the displaced sink outside the session lock: Close drains a
@@ -48,6 +35,19 @@ func (s *Session) TraceJSON(w io.Writer) {
 	if prev != nil {
 		prev.Close()
 	}
+}
+
+// retireSinkLocked installs sink as the trace sink and returns the one it
+// displaced, whose events and drops the session keeps counting: the
+// engine emits under s.mu, so the displaced sink's counts are final.
+func (s *Session) retireSinkLocked(sink *telemetry.Sink) *telemetry.Sink {
+	prev := s.traceSink
+	s.traceSink = sink
+	if prev != nil {
+		s.traceEvents += prev.Emitted()
+		s.traceDropped += prev.Dropped()
+	}
+	return prev
 }
 
 // refreshTracerLocked is the single point that installs the engine
