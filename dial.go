@@ -202,21 +202,31 @@ func (s *Session) join(c *driver.Conn, nc net.Conn, network string) error {
 // connection's engine ID, usable with OpenStreamOn, Failover, and the
 // scheduler.
 func (s *Session) JoinPath(network, addr string) (uint32, error) {
-	c, err := s.beginJoin(addr)
+	c, nc, err := s.dialJoin(network, addr)
+	if err == nil {
+		err = s.join(c, nc, network)
+	}
 	if err != nil {
 		return 0, err
+	}
+	return c.ID, nil
+}
+
+// dialJoin reserves a join toward addr and dials it; a failed dial hands
+// the cookie back.
+func (s *Session) dialJoin(network, addr string) (*driver.Conn, net.Conn, error) {
+	c, err := s.beginJoin(addr)
+	if err != nil {
+		return nil, nil, err
 	}
 	nc, err := net.Dial(network, addr)
 	if err != nil {
 		s.mu.Lock()
 		s.drv.Abort(c, false, err)
 		s.mu.Unlock()
-		return 0, fmt.Errorf("tcpls: join dial: %w", err)
+		return nil, nil, fmt.Errorf("tcpls: join dial: %w", err)
 	}
-	if err := s.join(c, nc, network); err != nil {
-		return 0, err
-	}
-	return c.ID, nil
+	return c, nc, nil
 }
 
 // JoinPathFast opens an additional TCP connection and joins it to the
@@ -245,16 +255,9 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		_, err = st.Write(early)
 		return connID, st, err
 	}
-	c, err := s.beginJoin(addr)
+	c, nc, err := s.dialJoin(network, addr)
 	if err != nil {
 		return 0, nil, err
-	}
-	nc, err := net.Dial(network, addr)
-	if err != nil {
-		s.mu.Lock()
-		s.drv.Abort(c, false, err)
-		s.mu.Unlock()
-		return 0, nil, fmt.Errorf("tcpls: join dial: %w", err)
 	}
 	tr := handshake.NewTransport(nc)
 	hcfg := &handshake.Config{

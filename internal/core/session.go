@@ -369,27 +369,38 @@ type coupledState struct {
 	peakBytes int
 }
 
-// NewSession builds an engine from completed handshake secrets.
+// NewSession builds an engine, keyed with a completed handshake's
+// secrets; zero Secrets leave it for Key.
 func NewSession(role Role, secrets handshake.Secrets, cfg Config) *Session {
 	s := &Session{
 		role:    role,
 		cfg:     cfg,
-		suite:   secrets.Suite,
 		conns:   make(map[uint32]*conn),
 		streams: make(map[uint32]*stream),
 	}
-	sendSecret, recvSecret := secrets.ClientApp, secrets.ServerApp
 	s.nextStreamID = firstClientStream
 	if role != RoleClient {
-		sendSecret, recvSecret = recvSecret, sendSecret
 		s.nextStreamID = firstServerStream
 	}
-	s.send.key, s.send.iv = record.DeriveTrafficKeys(s.suite, sendSecret)
-	s.recv.key, s.recv.iv = record.DeriveTrafficKeys(s.suite, recvSecret)
+	if secrets.Suite != nil {
+		s.Key(secrets)
+	}
 	s.coupled.buf = reorder.New(0)
 	s.bufs = record.NewBufferPool()
 	s.coupled.recvQ.pool = s.bufs
 	return s
+}
+
+// Key installs the application secrets every stream context derives
+// from: a simulated endpoint keys its engine when its handshake ends.
+func (s *Session) Key(secrets handshake.Secrets) {
+	sendSecret, recvSecret := secrets.ClientApp, secrets.ServerApp
+	if s.role != RoleClient {
+		sendSecret, recvSecret = recvSecret, sendSecret
+	}
+	s.suite = secrets.Suite
+	s.send.key, s.send.iv = record.DeriveTrafficKeys(s.suite, sendSecret)
+	s.recv.key, s.recv.iv = record.DeriveTrafficKeys(s.suite, recvSecret)
 }
 
 // Stats returns the engine's record counters: the sum of its

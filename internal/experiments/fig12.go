@@ -66,7 +66,9 @@ func Fig12() (*Fig12Result, error) {
 					}
 				}
 			}
-			client.AddPathOn(up, down, 0, simtcp.Options{CC: ccName}, func() {
+			// The upload starts as the client's end of the handshake
+			// ends, where its Dial would return.
+			client.OnStart = func(uint32) {
 				sid, err := client.Sess.CreateStream(0)
 				if err != nil {
 					panic(err)
@@ -83,7 +85,8 @@ func Fig12() (*Fig12Result, error) {
 					s.After(10*time.Millisecond, pace)
 				}
 				pace()
-			})
+			}
+			client.AddPath(&sim.Path{AtoB: up, BtoA: down}, 0, simtcp.Options{CC: ccName}, nil)
 		})
 	}
 

@@ -14,6 +14,7 @@ import (
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
 	"tcpls/internal/sim"
+	"tcpls/internal/simtcp"
 	"tcpls/internal/simtcpls"
 	"tcpls/internal/telemetry"
 )
@@ -93,12 +94,13 @@ type SessionResult struct {
 	Verdicts map[string]int
 }
 
-// ResumeStats are the campaign-wide resumption outcomes of FaultRestart
-// events. Every field is deterministic: accept/reissue/age-out depends
-// only on generation arithmetic against the rotation schedule, and the
-// strike register runs on the virtual clock.
+// ResumeStats are the campaign-wide resumption outcomes of the initial
+// handshakes and FaultRestart events. Every field is deterministic:
+// accept/reissue/age-out depends only on generation arithmetic against
+// the rotation schedule, and the strike register runs on the virtual
+// clock.
 type ResumeStats struct {
-	Accepted   int // tickets opened successfully on restart
+	Accepted   int // tickets opened successfully
 	Reissued   int // of those, resealed because an old generation opened them
 	AgedOut    int // tickets past the accept window: clean full-handshake fallback
 	ZeroRTT    int // first-use tickets the strike register admitted for 0-RTT
@@ -199,7 +201,8 @@ type fleetSession struct {
 	finished   bool // writer sent its FINs
 	quiesced   bool
 	doneAt     sim.Time
-	startAt    sim.Time // the paths' first join
+	startAt    sim.Time // the initial handshake's first attempt
+	opens      int      // initial handshake attempts
 	touched    bool     // a fault perturbed the session, last until faultEnd
 	faultEnd   sim.Time
 	endedAt    sim.Time // a side's session ended with endErr
@@ -210,9 +213,9 @@ type fleetSession struct {
 	recoveries   int // supervisor recoveries (client side)
 	writeErr     string
 
-	// Resumption state for FaultRestart: the session's PSK, its current
-	// sealed ticket, and the key generation the ticket was sealed under
-	// (the oracle for expected open/age-out outcomes).
+	// Resumption state: the session's PSK, its current sealed ticket, and
+	// the key generation the ticket was sealed under (the oracle for
+	// expected open/age-out outcomes).
 	psk       []byte
 	ticket    []byte
 	ticketGen uint32
@@ -249,10 +252,9 @@ type campaign struct {
 	sessions []*fleetSession
 	schedule []FaultEvent
 
-	// Resumption exercise (FaultRestart): the shared ticket-key store a
-	// restarted process would recover from its key file, the 0-RTT
-	// strike register, and the deterministic outcome counters. keys is
-	// nil when the schedule has no restarts and no rotations are asked.
+	// Resumption: the ticket-key store every server shares (a restarted
+	// process recovers it from its key file), the 0-RTT strike register,
+	// and the outcome counters. keys is nil only if it could not be made.
 	keys       *resume.KeyStore
 	replay     *resume.Replay
 	resume     ResumeStats
@@ -298,17 +300,9 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 	c.schedule = GenSchedule(sc)
 	sc.Schedule = c.schedule
 
-	// Resumption exercise: stand up the shared key store and strike
-	// register when the campaign restarts anything (or rotates keys),
-	// and schedule the mid-campaign rotations before any fault fires.
-	wantResume := sc.KeyRotations > 0
-	for _, ev := range c.schedule {
-		if ev.Kind == FaultRestart {
-			wantResume = true
-			break
-		}
-	}
-	if wantResume {
+	// Resumption: stand up the shared key store and strike register, and
+	// schedule the mid-campaign rotations before any fault fires.
+	{
 		ks, err := resume.NewMemory()
 		if err != nil {
 			c.resumeVios = append(c.resumeVios, Violation{
@@ -456,11 +450,9 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	fs.sv.Sess.SetClock(clock)
 	// Failover is the engine's production policy on both ends, and so is
 	// recovery: the client's driver redials the session's paths once all
-	// are lost, with a join cookie each (the budget a server would mint).
-	for k := 0; k < joinCookies; k++ {
-		fs.cl.D.Cookies = append(fs.cl.D.Cookies, [16]byte{byte(k + 1)})
-	}
-	fs.cl.OnJoined = fs.onConnReady
+	// are lost, with a join cookie each from the initial handshake.
+	fs.sv.Handshake.NumCookies = joinCookies
+	fs.writerEP().OnStart = fs.onConnReady
 	fs.cl.OnLifecycle = func(ev driver.Event) {
 		switch ev.Kind {
 		case driver.Reconnecting:
@@ -505,11 +497,12 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	fs.cl.Paths = fs.paths
 
 	if c.keys != nil {
-		// Session i's resumption identity. Derived outside the session
-		// rng so enabling the resume exercise never perturbs workload
-		// shapes or timings.
+		// Session i's resumption identity and initial handshake kind,
+		// derived outside the session rng so they never perturb workload
+		// shapes.
 		fs.psk = sessionPSK(c.sc.Seed, i)
 		fs.sealTicket()
+		c.armResumption(fs)
 	}
 
 	for _, ep := range []*simtcpls.Endpoint{fs.cl, fs.sv} {
@@ -521,12 +514,62 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	}
 
 	fs.startAt = sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
-	c.s.At(fs.startAt, func() {
-		for p := range fs.paths {
-			fs.cl.Join(p)
-		}
-	})
+	c.s.At(fs.startAt, fs.open)
 	return fs
+}
+
+// reopenAfter is the pause before the client retries an initial
+// handshake a fault killed, over the next path.
+const reopenAfter = 50 * time.Millisecond
+
+// open runs the session's initial handshake; once both ends are up the
+// client joins the other paths.
+func (fs *fleetSession) open() {
+	first := fs.opens % len(fs.paths)
+	fs.opens++
+	fs.cl.TryPath(fs.paths[first], 0, simtcp.Options{}, func() {
+		for k := 1; k < len(fs.paths); k++ {
+			fs.cl.Join((first + k) % len(fs.paths))
+		}
+	}, func() { fs.c.s.After(reopenAfter, fs.open) })
+}
+
+// armResumption points the session's handshakes at the shared key store.
+// The seed draws the initial handshake: full, resumed, or resumed with a
+// 0-RTT flight; the server counts each ticket it opens and each 0-RTT
+// verdict.
+func (c *campaign) armResumption(fs *fleetSession) {
+	switch fs.psk[0] % 3 {
+	case 2:
+		fs.cl.Handshake.EarlyData = bytes.Repeat([]byte{byte(fs.salt)}, 64)
+		fallthrough
+	case 1:
+		fs.cl.Handshake.PSK, fs.cl.Handshake.PSKTicket = fs.psk, fs.ticket
+	}
+	fs.sv.Handshake.DecryptTicket = func(ticket []byte) ([]byte, bool) {
+		psk, _, _, err := c.keys.OpenTicket(ticket)
+		if err != nil {
+			c.resume.AgedOut++
+			return nil, false
+		}
+		c.resume.Accepted++
+		return psk, true
+	}
+	fs.sv.Handshake.AcceptEarlyData = c.admitZeroRTT
+}
+
+// admitZeroRTT consults the strike register for a ticket's 0-RTT flight
+// and counts the verdict: a first use is admitted, a repeat refused.
+func (c *campaign) admitZeroRTT(ticket []byte) bool {
+	nonce, ok := resume.TicketNonce(ticket)
+	admit := ok && c.replay.Observe(nonce, epoch.Add(c.s.Now()))
+	if admit {
+		c.resume.ZeroRTT++
+	} else {
+		c.resume.Replayed++
+	}
+	c.resume.ReplayPeak = max(c.resume.ReplayPeak, c.replay.Entries())
+	return admit
 }
 
 // installCounters taps both engines' trace streams for the closure
@@ -698,6 +741,23 @@ func (fs *fleetSession) progressViolation() string {
 	return ""
 }
 
+// handshakeViolation checks the initial handshake's outcome on both ends.
+// A session that never opened is invariant 1's and 6's to report.
+func (fs *fleetSession) handshakeViolation() string {
+	cr, sr, early := fs.cl.Result, fs.sv.Result, fs.cl.Handshake.EarlyData
+	switch {
+	case cr == nil || sr == nil:
+		return ""
+	case cr.Resumed != sr.Resumed || cr.Resumed && fs.cl.Handshake.PSK == nil:
+		return fmt.Sprintf("client resumed=%v, server resumed=%v", cr.Resumed, sr.Resumed)
+	case cr.EarlyDataAccepted != sr.EarlyDataAccepted:
+		return fmt.Sprintf("client 0-RTT accepted=%v, server %v", cr.EarlyDataAccepted, sr.EarlyDataAccepted)
+	case sr.EarlyDataAccepted && !bytes.Equal(sr.EarlyData, early), !sr.EarlyDataAccepted && sr.EarlyData != nil:
+		return fmt.Sprintf("0-RTT accepted=%v delivered %d of %d bytes", sr.EarlyDataAccepted, len(sr.EarlyData), len(early))
+	}
+	return ""
+}
+
 // onDeliver verifies delivered bytes against the pattern in O(1) memory.
 func (fs *fleetSession) onDeliver(p []byte) {
 	for _, b := range p {
@@ -809,7 +869,7 @@ func (c *campaign) applyFault(ev FaultEvent) {
 	}
 	switch ev.Kind {
 	case FaultRST:
-		c.resetLowestLive(fs)
+		c.resetLive(fs, false)
 	case FaultBlackhole:
 		p := fs.paths[ev.Path%len(fs.paths)]
 		p.SetDown(true)
@@ -834,7 +894,7 @@ func (c *campaign) applyFault(ev FaultEvent) {
 			stride = 1
 		}
 		for i := ev.Session % n; i < n; i += stride {
-			c.resetLowestLive(c.sessions[i])
+			c.resetLive(c.sessions[i], false)
 		}
 	case FaultRackOutage:
 		rack := ev.Rack % c.sc.Racks
@@ -881,12 +941,10 @@ func (c *campaign) restartSession(fs *fleetSession) {
 	if c.keys != nil && fs.ticket != nil {
 		c.resumeTicket(fs)
 	}
-	for _, dc := range fs.cl.D.Conns() {
-		if dc.State == driver.Live {
-			if tc := fs.cl.Conn(dc.ID); tc != nil && !tc.Failed() {
-				tc.Reset()
-			}
-		}
+	c.resetLive(fs, true)
+	// Connections still in their handshake die with the process too.
+	for _, tc := range append([]*simtcp.Conn(nil), fs.cl.Handshakes()...) {
+		tc.Reset()
 	}
 }
 
@@ -925,35 +983,29 @@ func (c *campaign) resumeTicket(fs *fleetSession) {
 	if reissue != (gen != fs.ticketGen) {
 		vio("reissue=%v for gen %d ticket at gen %d", reissue, fs.ticketGen, gen)
 	}
-	if nonce, ok := resume.TicketNonce(fs.ticket); ok {
-		if c.replay.Observe(nonce, epoch.Add(c.s.Now())) {
-			c.resume.ZeroRTT++
-		} else {
-			// Same ticket seen before (restarted twice between reissues):
-			// the register refuses 0-RTT and the flight falls back to
-			// 1-RTT — correct, counted, not a violation.
-			c.resume.Replayed++
-		}
-		if e := c.replay.Entries(); e > c.resume.ReplayPeak {
-			c.resume.ReplayPeak = e
-		}
-	} else {
+	// A ticket seen before (restarted twice between reissues) is refused
+	// 0-RTT and falls back to 1-RTT: correct, counted, not a violation.
+	if _, ok := resume.TicketNonce(fs.ticket); !ok {
 		vio("sealed ticket too short for a nonce (%d bytes)", len(fs.ticket))
 	}
+	c.admitZeroRTT(fs.ticket)
 	if reissue {
 		c.resume.Reissued++
 		fs.sealTicket()
 	}
 }
 
-// resetLowestLive injects a RST on the session's lowest-numbered live
-// connection (deterministic victim selection).
-func (c *campaign) resetLowestLive(fs *fleetSession) {
+// resetLive injects a RST on the session's lowest-numbered live
+// connection (deterministic victim selection), or on every one.
+func (c *campaign) resetLive(fs *fleetSession, all bool) {
 	for _, dc := range fs.cl.D.Conns() {
-		if dc.State == driver.Live {
-			if tc := fs.cl.Conn(dc.ID); tc != nil && !tc.Failed() {
-				tc.Reset()
-			}
+		if dc.State != driver.Live {
+			continue
+		}
+		if tc := fs.cl.Conn(dc.ID); tc != nil && !tc.Failed() {
+			tc.Reset()
+		}
+		if !all {
 			return
 		}
 	}
@@ -1025,6 +1077,12 @@ func (c *campaign) snapshot(res *Result) {
 			if p := ends[side].RetransmitBytesPeak; p > retxB {
 				add(VMemRetx, "side %d retransmit buffers peaked at %d bytes (budget %d)", side, p, retxB)
 			}
+		}
+
+		// The initial handshake's verdicts: both ends agree on resumption
+		// and on 0-RTT, and an accepted flight arrived intact.
+		if d := fs.handshakeViolation(); d != "" {
+			add(VResume, "%s", d)
 		}
 
 		// Invariant 6: bounded progress.

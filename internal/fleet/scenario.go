@@ -158,8 +158,7 @@ type Scenario struct {
 	// KeyRotations schedules this many evenly spaced ticket-key
 	// rotations inside Duration, so FaultRestart resumptions land
 	// against current, previous, and aged-out key generations. Zero
-	// rotates never; the key store is still created (and tickets
-	// sealed) whenever the schedule contains a restart fault.
+	// rotates never.
 	KeyRotations int
 	// Schedule, when non-nil, overrides generation entirely (the
 	// shrinker replays subsets through this). The workload side still
@@ -180,8 +179,9 @@ const (
 	// timeout before failover fills the gap — ~200 KB, far over
 	// reorderBudget.
 	userTimeout = time.Second
-	// joinCookies is each client's join budget: its initial paths plus
-	// every redial the supervisor makes.
+	// joinCookies is the cookies each server issues in its initial
+	// handshake: the client's budget for its other paths and every
+	// redial the supervisor makes.
 	joinCookies = 60
 	pumpEvery   = 10 * time.Millisecond // writer cadence: 4 KiB / 10 ms = 400 KB/s
 	chunkBytes  = 4096

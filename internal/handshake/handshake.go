@@ -1,6 +1,7 @@
 package handshake
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -10,18 +11,6 @@ import (
 
 	"tcpls/internal/record"
 )
-
-// MessageRW transports whole handshake messages. The record-layer
-// transport (transport.go) implements it over a byte stream; tests and
-// the simulator implement it in memory. SetHandshakeKeys is called once
-// the ECDHE secrets exist so implementations can start protecting
-// messages with the handshake traffic keys (a no-op for in-memory
-// transports).
-type MessageRW interface {
-	WriteMessage(msg []byte) error
-	ReadMessage() ([]byte, error)
-	SetHandshakeKeys(suite *record.Suite, sendSecret, recvSecret []byte) error
-}
 
 // Certificate is the server identity: an Ed25519 key pair plus a name.
 type Certificate struct {
@@ -62,8 +51,7 @@ type Config struct {
 	// in the first flight (§4.5): the server receives it before its own
 	// first byte crosses the wire. One-shot and replayable by design —
 	// callers gate what goes here; the server side gates acceptance
-	// through its anti-replay register. Requires a transport that
-	// supports early records (Transport does; in-memory tests may not).
+	// through its anti-replay register.
 	EarlyData []byte
 
 	// --- server side ---
@@ -141,8 +129,6 @@ type Result struct {
 	Cookies []Cookie
 	// PeerAddrs is the address list the server advertised.
 	PeerAddrs []netip.Addr
-	// PeerName is the authenticated server name (client side).
-	PeerName string
 }
 
 // Handshake errors.
@@ -164,8 +150,6 @@ var (
 // buffers on both sides to avoid a handshake deadlock.
 const defaultMaxEarlyData = 16384
 
-func (c *Config) maxEarlyData() int { return EarlyDataBudget(c.MaxEarlyData) }
-
 // EarlyDataBudget resolves a Config.MaxEarlyData value to the effective
 // 0-RTT budget in bytes: zero selects the default, negative disables
 // early data entirely. Exported so the ticket issuer can advertise the
@@ -180,46 +164,18 @@ func EarlyDataBudget(v int) int {
 	return v
 }
 
-// earlyDataRW is the optional transport extension behind 0-RTT: sealing
-// and consuming records under the early traffic key, and skipping
-// records the server cannot decrypt at all (early data whose PSK it did
-// not recover). Transport implements it; in-memory message pipes used in
-// tests need not.
-type earlyDataRW interface {
-	WriteEarlyData(suite *record.Suite, secret, data []byte) error
-	ReadEarlyData(suite *record.Suite, secret []byte, max int, discard bool) (data []byte, overflow bool, err error)
-	SkipUndecryptable(budget int)
-}
-
 // offeredSuites is what a client offers: the one suite this
 // implementation runs, TLS 1.3's mandatory AES-128-GCM-SHA256.
 var offeredSuites = []record.SuiteID{record.TLSAES128GCMSHA256}
-
-func (c *Config) numCookies() int {
-	if c.NumCookies > 0 {
-		return c.NumCookies
-	}
-	return 2
-}
 
 // signatureContext is mixed into the CertificateVerify signature input so
 // the signature cannot be confused with other uses of the key
 // (RFC 8446 §4.4.3 uses a similar context string).
 const signatureContext = "TCPLS, server CertificateVerify"
 
-func ed25519Sign(cert *Certificate, msg []byte) []byte {
-	return ed25519.Sign(cert.Private, msg)
-}
-
 func signatureInput(transcriptHash []byte) []byte {
-	b := make([]byte, 0, 64+len(signatureContext)+1+len(transcriptHash))
-	for i := 0; i < 64; i++ {
-		b = append(b, 0x20)
-	}
-	b = append(b, signatureContext...)
-	b = append(b, 0)
-	b = append(b, transcriptHash...)
-	return b
+	b := append(bytes.Repeat([]byte{0x20}, 64), signatureContext...)
+	return append(append(b, 0), transcriptHash...)
 }
 
 // generateKeyShare creates an X25519 key pair.
@@ -230,7 +186,7 @@ func generateKeyShare() (*ecdh.PrivateKey, error) {
 func sharedSecret(priv *ecdh.PrivateKey, peerPub []byte) ([]byte, error) {
 	pub, err := ecdh.X25519().NewPublicKey(peerPub)
 	if err != nil {
-		return nil, fmt.Errorf("handshake: bad peer key share: %w", err)
+		return nil, fmt.Errorf("%w: peer key share: %v", ErrDecode, err)
 	}
 	return priv.ECDH(pub)
 }
@@ -247,13 +203,12 @@ func pickSuite(offered []record.SuiteID) (*record.Suite, error) {
 }
 
 // deriveAppSecrets finishes the key schedule after the server Finished:
-// master secret, application traffic secrets, exporter.
+// master secret and application traffic secrets.
 func deriveAppSecrets(ks *keySchedule) Secrets {
 	ks.advance(nil) // master secret
 	return Secrets{
 		Suite:     ks.suite,
 		ClientApp: ks.trafficSecret("c ap traffic"),
 		ServerApp: ks.trafficSecret("s ap traffic"),
-		Exporter:  ks.trafficSecret("exp master"),
 	}
 }

@@ -6,50 +6,109 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"sync"
 	"testing"
 
 	"tcpls/internal/record"
 )
 
-// memRW is an in-memory MessageRW connecting two handshake peers over
-// channels, bypassing the record layer. CloseWrite signals the peer that
-// this side is done (successfully or not) so a blocked ReadMessage fails
-// instead of deadlocking the test.
-type memRW struct {
-	in   <-chan []byte
-	out  chan<- []byte
-	once sync.Once
-}
-
-func (m *memRW) WriteMessage(msg []byte) error {
-	m.out <- append([]byte(nil), msg...)
-	return nil
-}
-
-func (m *memRW) ReadMessage() ([]byte, error) {
-	msg, ok := <-m.in
-	if !ok {
-		return nil, io.EOF
+// pump runs a client and a server machine against each other in memory:
+// each flight goes straight into the peer's Feed until neither has
+// anything left to say. toClient, when set, may rewrite each server
+// flight on its way. A side that neither finished nor failed reports
+// io.ErrUnexpectedEOF, as over a connection the peer hung up.
+func pump(cm, sm *Machine, toClient func([]byte) []byte) (cres, sres *Result, cerr, serr error) {
+	for moved := true; moved; {
+		moved = false
+		if out := drain(cm); len(out) > 0 && sm.Err() == nil {
+			sm.Feed(out)
+			moved = true
+		}
+		if out := drain(sm); len(out) > 0 && cm.Err() == nil {
+			if toClient != nil {
+				out = toClient(out)
+			}
+			cm.Feed(out)
+			moved = true
+		}
 	}
-	return msg, nil
+	return cm.Result(), sm.Result(), outcome(cm), outcome(sm)
 }
 
-func (m *memRW) SetHandshakeKeys(*record.Suite, []byte, []byte) error {
+// drain takes every flight m holds, as one write.
+func drain(m *Machine) (out []byte) {
+	for f := m.Flight(); len(f) > 0; f = m.Flight() {
+		out = append(out, f...)
+	}
+	return out
+}
+
+func outcome(m *Machine) error {
+	switch {
+	case m.Err() != nil:
+		return m.Err()
+	case !m.Done():
+		return io.ErrUnexpectedEOF
+	}
 	return nil
 }
 
-func (m *memRW) CloseWrite() { m.once.Do(func() { close(m.out) }) }
-
-type closableRW interface {
-	MessageRW
-	CloseWrite()
+// splitFlight opens a server's first flight with its handshake key: the
+// ServerHello from its plaintext record and the messages of the sealed
+// records behind it.
+func splitFlight(t testing.TB, sm *Machine, flight []byte) (sh []byte, msgs [][]byte) {
+	t.Helper()
+	ctx := serverContext(t, sm)
+	var plain []byte
+	for len(flight) > 0 {
+		n := record.HeaderLen + (int(flight[3])<<8 | int(flight[4]))
+		rec := append([]byte(nil), flight[:n]...)
+		flight = flight[n:]
+		if sh == nil {
+			sh = rec[record.HeaderLen:]
+			continue
+		}
+		ct, content, err := ctx.Open(rec)
+		if err != nil || ct != record.ContentTypeHandshake {
+			t.Fatalf("server flight record: type %d, err %v", ct, err)
+		}
+		plain = append(plain, content...)
+	}
+	for len(plain) > 0 {
+		n := 4 + (int(plain[1])<<16 | int(plain[2])<<8 | int(plain[3]))
+		msgs = append(msgs, plain[:n])
+		plain = plain[n:]
+	}
+	return sh, msgs
 }
 
-func memPair() (client, server closableRW) {
-	a := make(chan []byte, 16)
-	b := make(chan []byte, 16)
-	return &memRW{in: b, out: a}, &memRW{in: a, out: b}
+// sealFlight is splitFlight's inverse: the ServerHello in plaintext, each
+// message in a record of its own under the server's handshake key.
+func sealFlight(t testing.TB, sm *Machine, sh []byte, msgs [][]byte) []byte {
+	t.Helper()
+	ctx := serverContext(t, sm)
+	out := plainRecord(sh)
+	for _, msg := range msgs {
+		var err error
+		if out, err = ctx.Seal(out, record.ContentTypeHandshake, msg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func serverContext(t testing.TB, sm *Machine) *record.StreamContext {
+	t.Helper()
+	key, iv := record.DeriveTrafficKeys(sm.ks.suite, sm.serverHS)
+	ctx, err := record.NewStreamContext(sm.ks.suite, key, iv, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
+}
+
+// plainRecord frames msg as a plaintext handshake record.
+func plainRecord(msg []byte) []byte {
+	return append([]byte{record.ContentTypeHandshake, 3, 3, byte(len(msg) >> 8), byte(len(msg))}, msg...)
 }
 
 func testCert(t testing.TB) *Certificate {
@@ -61,23 +120,14 @@ func testCert(t testing.TB) *Certificate {
 	return cert
 }
 
-// run executes a client/server handshake pair concurrently.
-func run(t testing.TB, crw, srw closableRW, ccfg, scfg *Config) (*Result, *Result, error, error) {
+// run executes a client/server handshake pair in memory.
+func run(t testing.TB, ccfg, scfg *Config) (*Result, *Result, error, error) {
 	t.Helper()
-	type out struct {
-		res *Result
-		err error
+	cm, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc := make(chan out, 1)
-	go func() {
-		res, err := Server(srw, scfg)
-		srw.CloseWrite()
-		sc <- out{res, err}
-	}()
-	cres, cerr := Client(crw, ccfg)
-	crw.CloseWrite()
-	s := <-sc
-	return cres, s.res, cerr, s.err
+	return pump(cm, NewServer(scfg), nil)
 }
 
 type sessionTable struct {
@@ -98,8 +148,7 @@ func (st *sessionTable) ValidateJoin(id SessID, cookie Cookie) bool {
 
 func TestFullHandshakeTCPLS(t *testing.T) {
 	cert := testCert(t)
-	crw, srw := memPair()
-	cres, sres, cerr, serr := run(t, crw, srw,
+	cres, sres, cerr, serr := run(t,
 		&Config{ServerName: "server.example", EnableTCPLS: true, RootKeys: []ed25519.PublicKey{cert.Public}},
 		&Config{Certificate: cert, TCPLSServer: true,
 			AdvertiseAddrs: []netip.Addr{netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("2001:db8::1")}},
@@ -131,18 +180,14 @@ func TestFullHandshakeTCPLS(t *testing.T) {
 	if len(cres.PeerAddrs) != 2 {
 		t.Errorf("client saw %d advertised addrs, want 2", len(cres.PeerAddrs))
 	}
-	if cres.PeerName != "server.example" {
-		t.Errorf("peer name %q", cres.PeerName)
-	}
 }
 
 func TestFallbackToPlainTLS(t *testing.T) {
 	cert := testCert(t)
-	crw, srw := memPair()
 	// Server does not enable TCPLS: the client must complete the
 	// handshake anyway and observe TCPLSEnabled=false (paper §5.2:
 	// implicit fallback when the server omits the TCPLS Hello echo).
-	cres, sres, cerr, serr := run(t, crw, srw,
+	cres, sres, cerr, serr := run(t,
 		&Config{EnableTCPLS: true},
 		&Config{Certificate: cert},
 	)
@@ -159,8 +204,7 @@ func TestFallbackToPlainTLS(t *testing.T) {
 
 func TestPlainClientAgainstTCPLSServer(t *testing.T) {
 	cert := testCert(t)
-	crw, srw := memPair()
-	cres, sres, cerr, serr := run(t, crw, srw,
+	cres, sres, cerr, serr := run(t,
 		&Config{},
 		&Config{Certificate: cert, TCPLSServer: true},
 	)
@@ -176,8 +220,7 @@ func TestJoinHandshake(t *testing.T) {
 	cert := testCert(t)
 
 	// First, a regular TCPLS handshake to mint session state.
-	crw, srw := memPair()
-	cres, sres, cerr, serr := run(t, crw, srw,
+	cres, sres, cerr, serr := run(t,
 		&Config{EnableTCPLS: true},
 		&Config{Certificate: cert, TCPLSServer: true},
 	)
@@ -191,8 +234,7 @@ func TestJoinHandshake(t *testing.T) {
 	}
 
 	// Join with a valid cookie.
-	crw2, srw2 := memPair()
-	jres, sjres, cerr, serr := run(t, crw2, srw2,
+	jres, sjres, cerr, serr := run(t,
 		&Config{Join: &JoinTicket{SessID: cres.SessID, Cookie: cres.Cookies[0]}},
 		&Config{Certificate: cert, TCPLSServer: true, Sessions: table},
 	)
@@ -210,8 +252,7 @@ func TestJoinHandshake(t *testing.T) {
 	}
 
 	// Reusing the same cookie must fail (single use).
-	crw3, srw3 := memPair()
-	_, _, cerr, serr = run(t, crw3, srw3,
+	_, _, cerr, serr = run(t,
 		&Config{Join: &JoinTicket{SessID: cres.SessID, Cookie: cres.Cookies[0]}},
 		&Config{Certificate: cert, TCPLSServer: true, Sessions: table},
 	)
@@ -223,8 +264,7 @@ func TestJoinHandshake(t *testing.T) {
 	}
 
 	// A wrong session ID must fail.
-	crw4, srw4 := memPair()
-	_, _, _, serr = run(t, crw4, srw4,
+	_, _, _, serr = run(t,
 		&Config{Join: &JoinTicket{SessID: SessID{9, 9}, Cookie: cres.Cookies[1]}},
 		&Config{Certificate: cert, TCPLSServer: true, Sessions: table},
 	)
@@ -236,8 +276,7 @@ func TestJoinHandshake(t *testing.T) {
 func TestUntrustedServerKeyRejected(t *testing.T) {
 	cert := testCert(t)
 	other := testCert(t)
-	crw, srw := memPair()
-	_, _, cerr, _ := run(t, crw, srw,
+	_, _, cerr, _ := run(t,
 		&Config{RootKeys: []ed25519.PublicKey{other.Public}, EnableTCPLS: true},
 		&Config{Certificate: cert, TCPLSServer: true},
 	)
@@ -248,8 +287,7 @@ func TestUntrustedServerKeyRejected(t *testing.T) {
 
 func TestServerNameMismatchRejected(t *testing.T) {
 	cert := testCert(t)
-	crw, srw := memPair()
-	_, _, cerr, _ := run(t, crw, srw,
+	_, _, cerr, _ := run(t,
 		&Config{ServerName: "other.example"},
 		&Config{Certificate: cert},
 	)
@@ -260,25 +298,21 @@ func TestServerNameMismatchRejected(t *testing.T) {
 
 func TestTamperedFinishedRejected(t *testing.T) {
 	cert := testCert(t)
-	a := make(chan []byte, 16)
-	b := make(chan []byte, 16)
-	crw := &memRW{in: b, out: a}
-	// A tampering server-side wrapper flips a byte in its Finished.
-	srw := &tamperRW{memRW: memRW{in: a, out: b}}
-	_, _, cerr, _ := run(t, crw, srw, &Config{}, &Config{Certificate: cert})
+	cm, err := NewClient(&Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := NewServer(&Config{Certificate: cert})
+	// The server's Finished reaches the client with one bit flipped.
+	_, _, cerr, _ := pump(cm, sm, func(flight []byte) []byte {
+		sh, msgs := splitFlight(t, sm, flight)
+		fin := msgs[len(msgs)-1]
+		fin[len(fin)-1] ^= 1
+		return sealFlight(t, sm, sh, msgs)
+	})
 	if cerr != ErrBadFinished {
 		t.Fatalf("client err=%v, want ErrBadFinished", cerr)
 	}
-}
-
-type tamperRW struct{ memRW }
-
-func (tr *tamperRW) WriteMessage(msg []byte) error {
-	if msg[0] == typeFinished {
-		msg = append([]byte(nil), msg...)
-		msg[len(msg)-1] ^= 1
-	}
-	return tr.memRW.WriteMessage(msg)
 }
 
 func TestHandshakeOverPipe(t *testing.T) {
@@ -390,16 +424,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		len(gotEE.cookies) != 3 || len(gotEE.addrs) != 2 {
 		t.Fatalf("encrypted extensions round trip mismatch: %+v", gotEE)
 	}
-
-	tk := &newSessionTicket{lifetime: 3600, ticket: []byte("opaque ticket")}
-	typ, body, err = splitMessage(tk.marshal())
-	if err != nil || typ != typeNewSessionTicket {
-		t.Fatal(err)
-	}
-	gotTK, err := parseNewSessionTicket(body)
-	if err != nil || gotTK.lifetime != 3600 || string(gotTK.ticket) != "opaque ticket" {
-		t.Fatalf("ticket round trip: %+v err=%v", gotTK, err)
-	}
 }
 
 func TestMalformedMessagesRejected(t *testing.T) {
@@ -431,16 +455,17 @@ func TestPSKResumptionSkipsCertificate(t *testing.T) {
 		return nil, false
 	}
 
-	// countingRW counts messages the client receives to prove the
-	// certificate flight is absent.
-	crw, srw := memPair()
-	var serverMsgs int
-	crwCounted := &countingRW{closableRW: crw, n: &serverMsgs}
-
-	cres, sres, cerr, serr := run(t, crwCounted, srw,
-		&Config{PSK: psk, PSKTicket: ticket},
-		&Config{Certificate: cert, TCPLSServer: true, DecryptTicket: decrypt},
-	)
+	cm, err := NewClient(&Config{PSK: psk, PSKTicket: ticket})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := NewServer(&Config{Certificate: cert, TCPLSServer: true, DecryptTicket: decrypt})
+	serverMsgs := 0
+	cres, sres, cerr, serr := pump(cm, sm, func(flight []byte) []byte {
+		_, msgs := splitFlight(t, sm, flight)
+		serverMsgs += 1 + len(msgs)
+		return flight
+	})
 	if cerr != nil || serr != nil {
 		t.Fatalf("client=%v server=%v", cerr, serr)
 	}
@@ -457,8 +482,7 @@ func TestPSKResumptionSkipsCertificate(t *testing.T) {
 	}
 
 	// PSK and full-handshake secrets must differ (PSK is mixed in).
-	crw2, srw2 := memPair()
-	fullC, _, cerr, serr := run(t, crw2, srw2,
+	fullC, _, cerr, serr := run(t,
 		&Config{}, &Config{Certificate: cert, TCPLSServer: true})
 	if cerr != nil || serr != nil {
 		t.Fatal(cerr, serr)
@@ -470,8 +494,7 @@ func TestPSKResumptionSkipsCertificate(t *testing.T) {
 
 func TestPSKRejectedFallsBackToFullHandshake(t *testing.T) {
 	cert := testCert(t)
-	crw, srw := memPair()
-	cres, sres, cerr, serr := run(t, crw, srw,
+	cres, sres, cerr, serr := run(t,
 		&Config{PSK: bytes.Repeat([]byte{1}, 32), PSKTicket: []byte("garbage")},
 		&Config{Certificate: cert, TCPLSServer: true,
 			DecryptTicket: func([]byte) ([]byte, bool) { return nil, false }},
@@ -485,18 +508,4 @@ func TestPSKRejectedFallsBackToFullHandshake(t *testing.T) {
 	if !bytes.Equal(cres.Secrets.ClientApp, sres.Secrets.ClientApp) {
 		t.Fatal("fallback secrets differ")
 	}
-}
-
-// countingRW counts delivered messages.
-type countingRW struct {
-	closableRW
-	n *int
-}
-
-func (c *countingRW) ReadMessage() ([]byte, error) {
-	m, err := c.closableRW.ReadMessage()
-	if err == nil {
-		*c.n++
-	}
-	return m, err
 }

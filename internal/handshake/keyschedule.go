@@ -5,9 +5,10 @@
 // and the server's encrypted ADDR / SESSID / COOKIE extensions that
 // enable joining additional TCP connections to a session.
 //
-// The handshake is sans-IO at the message level: the client and server
-// state machines exchange handshake messages through a MessageRW, which
-// tests drive in memory and the transport layer drives over TLS records.
+// The handshake is sans-IO: a Machine takes the bytes read from the
+// connection and hands back the flights to write (machine.go), and one
+// blocking loop (Transport) drives it over a socket. The simulator and
+// tests drive the same machine without one.
 //
 // This is a from-scratch implementation (see DESIGN.md): crypto/tls
 // cannot be extended with new record types or handshake extensions, and
@@ -30,10 +31,6 @@ type keySchedule struct {
 	// secret is the current secret in the cascade, as the one HMAC keyed
 	// with it: every label of a level derives from that.
 	secret *hkdf.Expander
-}
-
-func newKeySchedule(suite *record.Suite) *keySchedule {
-	return newKeySchedulePSK(suite, nil)
 }
 
 // newKeySchedulePSK seeds the early secret with a resumption PSK
@@ -108,6 +105,4 @@ type Secrets struct {
 	ServerApp []byte
 	// Resumption seeds session tickets (TFO + 0-RTT resumption, §4.5).
 	Resumption []byte
-	// Exporter is available for application bindings.
-	Exporter []byte
 }

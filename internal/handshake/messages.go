@@ -13,7 +13,6 @@ import (
 const (
 	typeClientHello         = 1
 	typeServerHello         = 2
-	typeNewSessionTicket    = 4
 	typeEndOfEarlyData      = 5
 	typeEncryptedExtensions = 8
 	typeCertificate         = 11
@@ -209,7 +208,7 @@ func parseClientHello(body []byte) (*clientHello, error) {
 	m := &clientHello{}
 	r := wire.NewReader(body)
 	if v := r.Uint16(); v != 0x0303 {
-		return nil, fmt.Errorf("handshake: bad legacy version %#x", v)
+		return nil, fmt.Errorf("%w: legacy version %#x", ErrDecode, v)
 	}
 	copy(m.random[:], r.Bytes(32))
 	m.sessionID = r.Vector8()
@@ -417,39 +416,14 @@ func parseCertificate(body []byte) (*certificateMsg, error) {
 	return m, nil
 }
 
-// certificateVerify carries the transcript signature.
-type certificateVerify struct {
-	signature []byte
-}
-
-func (m *certificateVerify) marshal() []byte {
-	return wrap(typeCertificateVerify, wire.AppendVector16(nil, m.signature))
-}
-
-func parseCertificateVerify(body []byte) (*certificateVerify, error) {
+// parseCertificateVerify returns the transcript signature.
+func parseCertificateVerify(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
-	m := &certificateVerify{signature: r.Vector16()}
+	sig := r.Vector16()
 	if r.Err() != nil || !r.Empty() {
 		return nil, ErrDecode
 	}
-	return m, nil
-}
-
-// finishedMsg carries the HMAC binding the transcript to the traffic
-// secrets.
-type finishedMsg struct {
-	verifyData []byte
-}
-
-func (m *finishedMsg) marshal() []byte {
-	return wrap(typeFinished, m.verifyData)
-}
-
-func parseFinished(body []byte) (*finishedMsg, error) {
-	if len(body) == 0 {
-		return nil, ErrDecode
-	}
-	return &finishedMsg{verifyData: body}, nil
+	return sig, nil
 }
 
 // endOfEarlyData terminates the client's 0-RTT flight (RFC 8446 §4.5's
@@ -458,48 +432,12 @@ func parseFinished(body []byte) (*finishedMsg, error) {
 // protected under the early traffic key and excluded from the handshake
 // transcript: a server that never recovered the PSK cannot read it, so
 // it cannot be part of the hash both sides must agree on.
-type endOfEarlyData struct{}
+func endOfEarlyData() []byte { return wrap(typeEndOfEarlyData, nil) }
 
-func (endOfEarlyData) marshal() []byte { return wrap(typeEndOfEarlyData, nil) }
-
-// joinAckMsg answers a single-flight join request. One byte: accepted.
-type joinAckMsg struct {
-	accepted bool
-}
-
-func (m *joinAckMsg) marshal() []byte {
-	b := []byte{0}
-	if m.accepted {
-		b[0] = 1
+// joinAck answers a single-flight join request: one byte, accepted.
+func joinAck(accepted bool) []byte {
+	if accepted {
+		return wrap(typeTCPLSJoinAck, []byte{1})
 	}
-	return wrap(typeTCPLSJoinAck, b)
-}
-
-func parseJoinAck(body []byte) (*joinAckMsg, error) {
-	if len(body) != 1 || body[0] > 1 {
-		return nil, ErrDecode
-	}
-	return &joinAckMsg{accepted: body[0] == 1}, nil
-}
-
-// newSessionTicket lets the server hand the client a resumption ticket
-// after the handshake (used with TFO for low-latency reconnects, §4.5).
-type newSessionTicket struct {
-	lifetime uint32 // seconds
-	ticket   []byte
-}
-
-func (m *newSessionTicket) marshal() []byte {
-	b := wire.AppendUint32(nil, m.lifetime)
-	b = wire.AppendVector16(b, m.ticket)
-	return wrap(typeNewSessionTicket, b)
-}
-
-func parseNewSessionTicket(body []byte) (*newSessionTicket, error) {
-	r := wire.NewReader(body)
-	m := &newSessionTicket{lifetime: r.Uint32(), ticket: r.Vector16()}
-	if r.Err() != nil || !r.Empty() {
-		return nil, ErrDecode
-	}
-	return m, nil
+	return wrap(typeTCPLSJoinAck, []byte{0})
 }

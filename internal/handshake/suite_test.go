@@ -24,17 +24,11 @@ func TestServerRefusesOfferWithoutAES128GCM(t *testing.T) {
 			keyShare:   priv.PublicKey().Bytes(),
 			tcplsHello: true,
 		}
-		crw, srw := memPair()
-		if err := crw.WriteMessage(ch.marshal()); err != nil {
-			t.Fatal(err)
+		sm := NewServer(&Config{Certificate: cert, TCPLSServer: true})
+		if err := sm.Feed(plainRecord(ch.marshal())); !errors.Is(err, ErrNoCommonSuite) || sm.Result() != nil {
+			t.Fatalf("offer %v: result %v, err %v; want ErrNoCommonSuite", offer, sm.Result(), err)
 		}
-		crw.CloseWrite()
-		res, err := Server(srw, &Config{Certificate: cert, TCPLSServer: true})
-		if !errors.Is(err, ErrNoCommonSuite) || res != nil {
-			t.Fatalf("offer %v: result %v, err %v; want ErrNoCommonSuite", offer, res, err)
-		}
-		srw.CloseWrite()
-		if reply, err := crw.ReadMessage(); err == nil {
+		if reply := sm.Flight(); len(reply) > 0 {
 			t.Fatalf("offer %v: server answered %x", offer, reply)
 		}
 	}
@@ -44,22 +38,12 @@ func TestServerRefusesOfferWithoutAES128GCM(t *testing.T) {
 // the client did not offer (0x1303, ChaCha20-Poly1305) fails the client
 // with ErrNoCommonSuite.
 func TestClientRefusesServerChosenChaCha(t *testing.T) {
-	crw, srw := memPair()
-	type out struct {
-		res *Result
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := Client(crw, &Config{ServerName: "server.example", EnableTCPLS: true})
-		crw.CloseWrite()
-		done <- out{res, err}
-	}()
-	msg, err := srw.ReadMessage()
+	cm, err := NewClient(&Config{ServerName: "server.example", EnableTCPLS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := splitMessage(msg)
+	flight := cm.Flight()
+	typ, body, err := splitMessage(flight[record.HeaderLen:])
 	if err != nil || typ != typeClientHello {
 		t.Fatalf("first client message: type %d, err %v", typ, err)
 	}
@@ -76,12 +60,7 @@ func TestClientRefusesServerChosenChaCha(t *testing.T) {
 	}
 	sh := &serverHello{suite: 0x1303, sessionID: ch.sessionID, keyShare: priv.PublicKey().Bytes()}
 	copy(sh.random[:], bytes.Repeat([]byte{3}, 32))
-	if err := srw.WriteMessage(sh.marshal()); err != nil {
-		t.Fatal(err)
-	}
-	srw.CloseWrite()
-	got := <-done
-	if !errors.Is(got.err, ErrNoCommonSuite) || got.res != nil {
-		t.Fatalf("result %v, err %v; want ErrNoCommonSuite", got.res, got.err)
+	if err := cm.Feed(plainRecord(sh.marshal())); !errors.Is(err, ErrNoCommonSuite) || cm.Result() != nil {
+		t.Fatalf("result %v, err %v; want ErrNoCommonSuite", cm.Result(), err)
 	}
 }

@@ -1,107 +1,80 @@
 package handshake
 
-import (
-	"errors"
-	"fmt"
-	"io"
+import "io"
 
-	"tcpls/internal/record"
-	"tcpls/internal/wire"
-)
-
-// Transport carries handshake messages over a byte stream using TLS
-// records: ClientHello and ServerHello travel in plaintext handshake
-// records (content type 22, as on a real TLS wire — this is what
-// middleboxes inspect, Sec. 5.2), and everything after the key exchange
-// travels in encrypted records indistinguishable from application data.
+// Transport runs a Machine over a byte stream (usually a TCP connection):
+// the one blocking loop behind Client, Server and the fast join. It
+// writes each flight the machine hands out and feeds it what it reads,
+// until the machine is done or fails.
 type Transport struct {
-	rw io.ReadWriter
-
-	deframer record.Deframer
-	readBuf  []byte // raw bytes staging area
-	pending  []byte // accumulated handshake payload awaiting full messages
-
-	send *record.StreamContext // nil until handshake keys installed
-	recv *record.StreamContext
-
-	// skipBudget, when positive, tolerates records that fail decryption
-	// during the encrypted phase: a server that could not recover a
-	// 0-RTT client's PSK drops the undecryptable early flight (bounded)
-	// instead of failing the handshake. Decrements by wire bytes.
-	skipBudget int
+	rw  io.ReadWriter
+	m   *Machine
+	buf []byte
 }
 
-// NewTransport wraps a byte stream (usually a TCP connection).
+// NewTransport wraps a byte stream.
 func NewTransport(rw io.ReadWriter) *Transport {
-	return &Transport{rw: rw, readBuf: make([]byte, 16*1024)}
+	return &Transport{rw: rw, buf: make([]byte, 16<<10)}
 }
 
-// ErrPlaintextTooLarge guards the plaintext handshake phase.
-var ErrPlaintextTooLarge = errors.New("handshake: message exceeds record size")
-
-// WriteMessage sends one handshake message.
-func (t *Transport) WriteMessage(msg []byte) error {
-	if t.send == nil {
-		if len(msg) > record.MaxPlaintextLen {
-			return ErrPlaintextTooLarge
-		}
-		hdr := []byte{
-			record.ContentTypeHandshake, 0x03, 0x03,
-			byte(len(msg) >> 8), byte(len(msg)),
-		}
-		if _, err := t.rw.Write(append(hdr, msg...)); err != nil {
-			return err
-		}
-		return nil
+// Client runs the client side of a full, resumed, 0-RTT or join
+// handshake over t (paper Fig. 3).
+func Client(t *Transport, cfg *Config) (*Result, error) {
+	m, err := NewClient(cfg)
+	if err != nil {
+		return nil, err
 	}
-	// Encrypted phase: chunk long messages across records.
-	for len(msg) > 0 {
-		n := len(msg)
-		if n > record.MaxPlaintextLen {
-			n = record.MaxPlaintextLen
-		}
-		rec, err := t.send.Seal(nil, record.ContentTypeHandshake, msg[:n], 0)
-		if err != nil {
-			return err
-		}
-		if _, err := t.rw.Write(rec); err != nil {
-			return err
-		}
-		msg = msg[n:]
-	}
-	return nil
+	return t.run(m)
 }
 
-// ReadMessage returns the next complete handshake message.
-func (t *Transport) ReadMessage() ([]byte, error) {
+// Server runs the server side of any handshake over t; the ClientHello
+// decides which.
+func Server(t *Transport, cfg *Config) (*Result, error) { return t.run(NewServer(cfg)) }
+
+// StartFastJoin writes a single-flight join ClientHello (cfg.Join): it
+// carries the cookie and no key exchange follows, so the caller may
+// follow it at once with engine records under the session's established
+// keys, then waits for the server's plaintext ack with FinishFastJoin.
+func StartFastJoin(t *Transport, cfg *Config) error {
+	if cfg.Join == nil {
+		return ErrJoinRejected
+	}
+	m, err := newClient(cfg, true)
+	if err != nil {
+		return err
+	}
+	t.m = m
+	return t.write()
+}
+
+// FinishFastJoin reads the server's join ack. A rejection means the
+// cookie was spent for nothing and the records behind the hello were
+// dropped.
+func FinishFastJoin(t *Transport) error {
+	_, err := t.run(t.m)
+	return err
+}
+
+// Leftover returns the bytes read behind the handshake's last record.
+func (t *Transport) Leftover() []byte { return t.m.Leftover() }
+
+// run is the loop: flights out, bytes in, until m is done or fails. A
+// failed machine's last flight (a fast join's rejection) still goes out.
+func (t *Transport) run(m *Machine) (*Result, error) {
+	t.m = m
 	for {
-		if msg, ok, err := t.nextFromPending(); err != nil || ok {
-			return msg, err
-		}
-		rec, err := t.nextRecord()
-		if err != nil {
+		if err := t.write(); err != nil {
 			return nil, err
 		}
-		if err := t.consumeRecord(rec); err != nil {
+		if err := m.Err(); err != nil {
 			return nil, err
 		}
-	}
-}
-
-// nextRecord blocks for the next full wire record.
-func (t *Transport) nextRecord() ([]byte, error) {
-	for {
-		rec, ok, err := t.deframer.Next()
-		if err != nil {
-			return nil, err
+		if m.Done() {
+			return m.Result(), nil
 		}
-		if ok {
-			return rec, nil
-		}
-		t.deframer.Compact() // about to reuse readBuf
-		n, err := t.rw.Read(t.readBuf)
+		n, err := t.rw.Read(t.buf)
 		if n > 0 {
-			t.deframer.Feed(t.readBuf[:n])
+			m.Feed(t.buf[:n]) // its error surfaces above, after the flight it leaves
 			continue
 		}
 		if err != nil {
@@ -110,166 +83,11 @@ func (t *Transport) nextRecord() ([]byte, error) {
 	}
 }
 
-func (t *Transport) consumeRecord(rec []byte) error {
-	if t.recv == nil {
-		if rec[0] != record.ContentTypeHandshake {
-			return fmt.Errorf("handshake: unexpected record type %d during plaintext phase", rec[0])
+func (t *Transport) write() error {
+	for out := t.m.Flight(); len(out) > 0; out = t.m.Flight() {
+		if _, err := t.rw.Write(out); err != nil {
+			return err
 		}
-		t.pending = append(t.pending, rec[record.HeaderLen:]...)
-		return nil
 	}
-	ct, content, err := t.recv.Open(rec)
-	if err != nil {
-		// Trial skip (0-RTT reject without the PSK): drop records the
-		// handshake keys do not authenticate, within the armed budget. A
-		// failed Open does not advance the receive sequence, so the
-		// client Finished that eventually follows still decrypts.
-		if errors.Is(err, record.ErrDecrypt) && t.skipBudget >= len(rec) {
-			t.skipBudget -= len(rec)
-			return nil
-		}
-		return err
-	}
-	if ct != record.ContentTypeHandshake {
-		return fmt.Errorf("handshake: unexpected inner type %d", ct)
-	}
-	t.pending = append(t.pending, content...)
 	return nil
 }
-
-// SkipUndecryptable arms the trial-skip budget (wire bytes) for rejected
-// 0-RTT flights the transport cannot decrypt.
-func (t *Transport) SkipUndecryptable(budget int) { t.skipBudget = budget }
-
-// earlyContext builds the stream-0 record context for the 0-RTT key.
-func earlyContext(suite *record.Suite, secret []byte) (*record.StreamContext, error) {
-	key, iv := record.DeriveTrafficKeys(suite, secret)
-	return record.NewStreamContext(suite, key, iv, 0)
-}
-
-// WriteEarlyData seals the client's 0-RTT flight: application records
-// under the early traffic key, terminated by EndOfEarlyData under the
-// same key. Sent immediately after the ClientHello, before any server
-// byte arrives.
-func (t *Transport) WriteEarlyData(suite *record.Suite, secret, data []byte) error {
-	ctx, err := earlyContext(suite, secret)
-	if err != nil {
-		return err
-	}
-	for len(data) > 0 {
-		n := len(data)
-		if n > record.MaxPlaintextLen {
-			n = record.MaxPlaintextLen
-		}
-		rec, err := ctx.Seal(nil, record.ContentTypeApplicationData, data[:n], 0)
-		if err != nil {
-			return err
-		}
-		if _, err := t.rw.Write(rec); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	rec, err := ctx.Seal(nil, record.ContentTypeHandshake, endOfEarlyData{}.marshal(), 0)
-	if err != nil {
-		return err
-	}
-	_, err = t.rw.Write(rec)
-	return err
-}
-
-// earlyOverflowSlack bounds how much a flight may exceed the budget
-// before the handshake hard-fails anyway: past the budget the payload is
-// only authenticated and dropped, so the slack costs no memory, but an
-// unbounded discard loop would let a hostile client pin the connection
-// forever.
-const earlyOverflowSlack = 1 << 20
-
-// ReadEarlyData consumes the client's 0-RTT flight under the early key,
-// up to max plaintext bytes, returning at EndOfEarlyData. With discard
-// the payload is authenticated, counted against the same budget, and
-// dropped — the decrypt-and-discard path of a rejected-but-readable
-// offer. A flight that exceeds the budget does not fail the handshake:
-// delivery stops, the rest of the flight (within a hard slack) is
-// drained and dropped, and overflow=true tells the server to retract its
-// acceptance so the client resends at 1-RTT. Must run after the
-// ClientHello and before the next ReadMessage.
-func (t *Transport) ReadEarlyData(suite *record.Suite, secret []byte, max int, discard bool) (data []byte, overflow bool, err error) {
-	ctx, err := earlyContext(suite, secret)
-	if err != nil {
-		return nil, false, err
-	}
-	var out []byte
-	budget := max
-	for {
-		rec, err := t.nextRecord()
-		if err != nil {
-			return nil, false, err
-		}
-		ct, content, err := ctx.Open(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		switch ct {
-		case record.ContentTypeApplicationData:
-			budget -= len(content)
-			if budget < -earlyOverflowSlack {
-				return nil, true, ErrEarlyDataOverflow
-			}
-			if budget < 0 {
-				// Over budget: retract delivery entirely (the client will
-				// resend the whole payload at 1-RTT) and keep draining to
-				// EndOfEarlyData so the handshake stays in sync.
-				overflow = true
-				out = nil
-			}
-			if !discard && !overflow {
-				out = append(out, content...)
-			}
-		case record.ContentTypeHandshake:
-			typ, _, err := splitMessage(content)
-			if err != nil {
-				return nil, false, err
-			}
-			if typ != typeEndOfEarlyData {
-				return nil, overflow, ErrUnexpectedMessage
-			}
-			return out, overflow, nil
-		default:
-			return nil, overflow, fmt.Errorf("handshake: unexpected inner type %d in early data", ct)
-		}
-	}
-}
-
-// nextFromPending extracts one complete handshake message if buffered.
-func (t *Transport) nextFromPending() ([]byte, bool, error) {
-	if len(t.pending) < 4 {
-		return nil, false, nil
-	}
-	bodyLen := int(wire.Uint24(t.pending[1:4]))
-	total := 4 + bodyLen
-	if len(t.pending) < total {
-		return nil, false, nil
-	}
-	msg := append([]byte(nil), t.pending[:total]...)
-	t.pending = t.pending[total:]
-	return msg, true, nil
-}
-
-// SetHandshakeKeys switches the transport to encrypted handshake records.
-// Stream ID 0 matches the context TLS 1.3 itself would use.
-func (t *Transport) SetHandshakeKeys(suite *record.Suite, sendSecret, recvSecret []byte) error {
-	sendKey, sendIV := record.DeriveTrafficKeys(suite, sendSecret)
-	recvKey, recvIV := record.DeriveTrafficKeys(suite, recvSecret)
-	var err error
-	if t.send, err = record.NewStreamContext(suite, sendKey, sendIV, 0); err != nil {
-		return err
-	}
-	t.recv, err = record.NewStreamContext(suite, recvKey, recvIV, 0)
-	return err
-}
-
-// Leftover returns raw application-phase bytes that arrived coalesced
-// behind the final handshake record (including partial records), so the
-// session layer does not lose them.
-func (t *Transport) Leftover() []byte { return t.deframer.Drain() }

@@ -25,8 +25,17 @@ func Echo() Handler {
 			go func() {
 				defer inflight.Done()
 				defer st.Close()
-				io.Copy(st, st)
+				buf := echoBufs.Get().(*[]byte)
+				io.CopyBuffer(st, st, *buf)
+				echoBufs.Put(buf)
 			}()
 		}
 	}
 }
+
+// echoBufs holds Echo's copy buffers, io.Copy's 32 KiB each: a session
+// per connection would otherwise allocate one per stream.
+var echoBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}

@@ -7,10 +7,15 @@
 //
 // Each endpoint runs its engine through internal/driver, the same driver
 // as the production wrapper, on the virtual clock: simtcp.Conn is the
-// transport, and the simulator's single goroutine is the lock.
+// transport, and the simulator's single goroutine is the lock. Every
+// connection opens with the real handshake (internal/handshake's
+// machine) over the simulated TCP: the session's first connection runs
+// the full, resumed or 0-RTT exchange that keys both engines, and each
+// later one a join that spends one of the server's cookies.
 package simtcpls
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"math"
 	"math/rand"
@@ -20,32 +25,12 @@ import (
 	"tcpls/internal/core"
 	"tcpls/internal/driver"
 	"tcpls/internal/handshake"
-	"tcpls/internal/record"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
 )
 
 // epoch anchors simulated time onto the wall-clock type the engine uses.
 var epoch = time.Unix(0, 0)
-
-// testSecrets builds the session secrets both endpoints share. The
-// handshake itself is modeled as a time cost (see AddPath); its key
-// schedule output is substituted with deterministic secrets so the
-// record layer — the part TCPLS extends — runs for real.
-func testSecrets() handshake.Secrets {
-	suite, err := record.SuiteByID(record.TLSAES128GCMSHA256)
-	if err != nil {
-		panic(err)
-	}
-	mk := func(tag byte) []byte {
-		b := make([]byte, 32)
-		for i := range b {
-			b[i] = tag
-		}
-		return b
-	}
-	return handshake.Secrets{Suite: suite, ClientApp: mk(0xc1), ServerApp: mk(0x51)}
-}
 
 // clock is the driver's clock on the simulator: virtual time, events
 // that cancel by flag, and a seeded jitter source.
@@ -75,14 +60,23 @@ type Endpoint struct {
 	D    *driver.Driver
 	peer *Endpoint
 
+	// Handshake is this end's side of every handshake (Pair fills in a
+	// TCPLS default), and Result its initial handshake's outcome.
+	Handshake  *handshake.Config
+	Result     *handshake.Result
+	joins      joinTable      // server: the cookies Result issued
+	handshakes []*simtcp.Conn // client: connections mid-handshake
+
 	// OnEvent observes engine events after the endpoint's own handling.
 	OnEvent func(ev core.Event)
 	// OnLifecycle observes the driver's connection and recovery events.
 	OnLifecycle func(ev driver.Event)
-	// Paths are the redial targets of a supervised client, and
-	// OnJoined hears of every connection the supervisor brings up.
-	Paths    []*sim.Path
-	OnJoined func(connID uint32)
+	// Paths are the redial targets of a supervised client.
+	Paths []*sim.Path
+	// OnStart hears of every connection this end starts, once its side
+	// of the connection's handshake ended: where a client's Dial or a
+	// server's Accept would return. The peer's end may start later.
+	OnStart func(connID uint32)
 	// OnEnd hears of the session's end: nil after an orderly close, else
 	// the typed error that ended it.
 	OnEnd func(err error)
@@ -95,14 +89,21 @@ func Pair(s *sim.Sim, cfg core.Config) (client, server *Endpoint) {
 	return PairSupervised(s, cfg, nil, 1)
 }
 
+// serverName is the simulated server's identity.
+const serverName = "sim.server"
+
 // PairSupervised is Pair with the driver's reconnect supervisor armed on
 // both ends (rc), its jitter drawn from seed: on total path loss the
-// client redials its Paths, the server waits for the rejoin.
+// client redials its Paths, the server waits for the rejoin. The engines
+// are keyed when the initial handshake over the first connection ends.
 func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, seed int64) (client, server *Endpoint) {
-	sec := testSecrets()
+	cert, err := handshake.NewCertificate(serverName)
+	if err != nil {
+		panic(err) // the system's randomness failed
+	}
 	clk := clock{s, rand.New(rand.NewSource(seed))}
-	mk := func(role core.Role) *Endpoint {
-		e := &Endpoint{S: s, Sess: core.NewSession(role, sec, cfg)}
+	mk := func(role core.Role, hs *handshake.Config) *Endpoint {
+		e := &Endpoint{S: s, Sess: core.NewSession(role, handshake.Secrets{}, cfg), Handshake: hs}
 		e.D = driver.New(e.Sess, driver.Config{
 			Client:      role == core.RoleClient,
 			Failover:    cfg.EnableFailover,
@@ -111,32 +112,43 @@ func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, see
 		}, clk, (*host)(e), 0)
 		return e
 	}
-	client, server = mk(core.RoleClient), mk(core.RoleServer)
+	client = mk(core.RoleClient, &handshake.Config{ServerName: serverName, EnableTCPLS: true, RootKeys: []ed25519.PublicKey{cert.Public}})
+	server = mk(core.RoleServer, &handshake.Config{Certificate: cert, TCPLSServer: true})
+	server.Handshake.Sessions = &server.joins
 	client.peer = server
 	server.peer = client
 	return client, server
 }
 
+// joinTable validates join cookies against the ones the initial
+// handshake issued, each once.
+type joinTable struct {
+	id      handshake.SessID
+	cookies map[handshake.Cookie]bool
+}
+
+func (t *joinTable) ValidateJoin(id handshake.SessID, cookie handshake.Cookie) bool {
+	if id != t.id || !t.cookies[cookie] {
+		return false
+	}
+	delete(t.cookies, cookie)
+	return true
+}
+
 // AddPath establishes a TCP connection over path and registers it with
-// both engines under connID. The initial connection (connID 0) pays the
-// TCP handshake plus one RTT of TLS handshake; joined connections pay
-// the TCP handshake plus one RTT for the TCPLS JOIN exchange (Fig. 3).
-// onReady, if non-nil, fires when the connection is usable.
+// both engines under connID: the session's first connection carries the
+// initial handshake, a later one a join with the client's next cookie.
+// onReady, if non-nil, fires when both ends have started the connection.
 func (e *Endpoint) AddPath(path *sim.Path, connID uint32, opts simtcp.Options, onReady func()) {
-	e.connect(path.AtoB, path.BtoA, connID, nil, opts, onReady, nil)
+	e.connect(path, connID, nil, opts, onReady, nil)
 }
 
 // TryPath is AddPath with a failure callback: connecting over a dead
 // path retries its SYN with backoff and eventually reports failure —
-// the cost structure of Fig. 9's path hunting.
+// the cost structure of Fig. 9's path hunting — and so does a
+// connection reset before its handshake ended.
 func (e *Endpoint) TryPath(path *sim.Path, connID uint32, opts simtcp.Options, onReady, onFail func()) {
-	e.connect(path.AtoB, path.BtoA, connID, nil, opts, onReady, onFail)
-}
-
-// AddPathOn is AddPath over explicit (possibly shared) links — the
-// shared-bottleneck topology of Fig. 12.
-func (e *Endpoint) AddPathOn(toServer, toClient *sim.Link, connID uint32, opts simtcp.Options, onReady func()) {
-	e.connect(toServer, toClient, connID, nil, opts, onReady, nil)
+	e.connect(path, connID, nil, opts, onReady, onFail)
 }
 
 // Join joins path i of Paths through the driver's join routine (a
@@ -150,39 +162,136 @@ func (e *Endpoint) Join(i int) error {
 	return nil
 }
 
-// connect brings up a connection over the given links: the TCP handshake,
-// one more round trip for the TLS or JOIN exchange, and then the driver
-// starts it on both ends. c is the client's joining connection, or nil
-// for a connection the caller numbered itself. onFail runs on a reset
-// before that. The returned client conn lets a caller abort the attempt.
-func (e *Endpoint) connect(toServer, toClient *sim.Link, connID uint32, c *driver.Conn, opts simtcp.Options, onReady, onFail func()) *simtcp.Conn {
-	cl, sv := simtcp.ConnectOn(e.S, toServer, toClient, opts, opts)
-	handshakeRTT := toServer.Delay + toClient.Delay
-	ready := false
-	if onFail != nil {
-		cl.OnReset = onFail
+// Handshakes lists the client's connections mid-handshake.
+func (e *Endpoint) Handshakes() []*simtcp.Conn { return e.handshakes }
+
+// connect brings up a connection over path: the TCP
+// handshake, then the TLS or join exchange, each end starting the
+// connection as its machine finishes. c is the client's joining
+// connection, or nil for one the caller numbered. onFail runs on a reset
+// before the client's end started.
+func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, onReady, onFail func()) *simtcp.Conn {
+	cl, sv := simtcp.ConnectOn(e.S, path.AtoB, path.BtoA, opts, opts)
+	e.handshakes = append(e.handshakes, cl)
+	var cm *handshake.Machine
+	started := 0 // ends that started the connection
+	up := func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, m *handshake.Machine) {
+		ep.start(c, tc, m.Leftover())
+		if ep.OnStart != nil {
+			ep.OnStart(c.ID)
+		}
+		if started++; started == 2 && onReady != nil {
+			onReady()
+		}
+	}
+	// A reset before the client's end started ends the attempt; a reserved
+	// cookie is spent once the hello is on the wire.
+	cl.OnReset = func() {
+		if !e.dropHandshake(cl) {
+			return
+		}
+		if c != nil {
+			e.D.Abort(c, cm != nil, errors.New("simtcpls: join failed"))
+		}
+		if onFail != nil {
+			onFail()
+		}
 	}
 	cl.OnEstablished = func() {
-		e.S.After(handshakeRTT, func() {
-			if ready || cl.Failed() || sv.Failed() {
-				return
-			}
-			ready = true
-			if c == nil {
-				c = e.D.Add(connID, "")
-			}
-			e.start(c, cl)
-			e.peer.start(e.peer.D.Add(c.ID, ""), sv)
-			if onReady != nil {
-				onReady()
-			}
-		})
+		var err error
+		switch {
+		case e.Result == nil:
+			cm, err = handshake.NewClient(e.Handshake)
+		case c == nil && len(e.D.Cookies) > 0:
+			// A join the caller numbered itself takes the next cookie.
+			c = e.D.Add(connID, "")
+			c.Cookie, e.D.Cookies = e.D.Cookies[0], e.D.Cookies[1:]
+			fallthrough
+		case c != nil:
+			cfg := *e.Handshake
+			cfg.Join = &handshake.JoinTicket{SessID: e.Result.SessID, Cookie: c.Cookie, ConnID: c.ID}
+			cfg.PSK, cfg.PSKTicket, cfg.EarlyData = nil, nil, nil
+			cm, err = handshake.NewClient(&cfg)
+		default:
+			err = driver.ErrNoCookies
+		}
+		if err != nil {
+			cl.Reset()
+			return
+		}
+		cl.Write(cm.Flight())
+	}
+	cl.OnRecv = func(p []byte) {
+		if cm.Feed(p) != nil {
+			cl.Reset()
+			return
+		}
+		if cl.Write(cm.Flight()); !cm.Done() {
+			return
+		}
+		e.dropHandshake(cl)
+		if c == nil {
+			e.keyed(cm.Result())
+			c = e.D.Add(connID, "")
+		}
+		up(e, c, cl, cm)
+	}
+	sm := handshake.NewServer(e.peer.Handshake)
+	sv.OnRecv = func(p []byte) {
+		if sm.Feed(p) != nil {
+			sv.Reset()
+			return
+		}
+		// A server hands out its ServerHello, then the rest of its flight.
+		for f := sm.Flight(); len(f) > 0; f = sm.Flight() {
+			sv.Write(f)
+		}
+		if !sm.Done() {
+			return
+		}
+		res, id := sm.Result(), uint32(0)
+		if res.JoinAccepted {
+			id = res.JoinConnID
+		} else {
+			e.peer.keyed(res)
+		}
+		up(e.peer, e.peer.D.Add(id, ""), sv, sm)
 	}
 	return cl
 }
 
-// start wires tc as c's transport and puts the connection to work.
-func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn) {
+// keyed takes the initial handshake's outcome: the engine's keys, and the
+// join cookies: the client's to spend, or the server's to check (its
+// Handshake is the one with a join table).
+func (e *Endpoint) keyed(res *handshake.Result) {
+	e.Result = res
+	e.Sess.Key(res.Secrets)
+	if e.Handshake.Sessions == nil {
+		for _, ck := range res.Cookies {
+			e.D.Cookies = append(e.D.Cookies, ck)
+		}
+		return
+	}
+	e.joins = joinTable{id: res.SessID, cookies: make(map[handshake.Cookie]bool, len(res.Cookies))}
+	for _, ck := range res.Cookies {
+		e.joins.cookies[ck] = true
+	}
+}
+
+// dropHandshake forgets cl's handshake; false if it was not pending.
+func (e *Endpoint) dropHandshake(cl *simtcp.Conn) bool {
+	for i, h := range e.handshakes {
+		if h == cl {
+			e.handshakes = append(e.handshakes[:i], e.handshakes[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// start wires tc as c's transport and puts the connection to work,
+// beginning with what its handshake read past its own records.
+func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
 	t := &conn{e: e, c: c, tc: tc}
 	tc.OnRecv = func(p []byte) {
 		// Input on a connection the engine declared failed dies here, as
@@ -195,7 +304,9 @@ func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn) {
 	}
 	tc.OnReset = func() { e.D.Down(c, false) }
 	tc.OnAcked = e.D.Flush
-	e.D.Start(c, t, nil, false)
+	if err := e.D.Start(c, t, leftover, false); err != nil {
+		tc.Reset()
+	}
 }
 
 // conn is the driver's transport over one simulated TCP connection.
@@ -251,23 +362,13 @@ func (h *host) Candidates() []string {
 }
 
 // Dial joins the path c.Addr names; an attempt still short of ready at
-// c.Deadline is reset.
+// c.Deadline is reset, and connect aborts it.
 func (h *host) Dial(c *driver.Conn) {
 	e := (*Endpoint)(h)
 	i, _ := strconv.Atoi(c.Addr)
 	p := e.Paths[i]
 	done := false
-	cl := e.connect(p.AtoB, p.BtoA, c.ID, c, simtcp.Options{}, func() {
-		done = true
-		if e.OnJoined != nil {
-			e.OnJoined(c.ID)
-		}
-	}, func() {
-		if !done {
-			done = true
-			e.D.Abort(c, false, errors.New("simtcpls: join failed"))
-		}
-	})
+	cl := e.connect(p, c.ID, c, simtcp.Options{}, func() { done = true }, func() { done = true })
 	if !c.Deadline.IsZero() {
 		e.S.After(c.Deadline.Sub(epoch.Add(e.S.Now())), func() {
 			if !done {

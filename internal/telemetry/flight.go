@@ -23,8 +23,10 @@ type Flight struct {
 	total uint64 // events ever appended (so Dump can report loss)
 }
 
-// flightFirstStep is the ring's initial capacity in events.
-const flightFirstStep = 256
+// flightFirstStep is the ring's initial capacity in events: small, since
+// most sessions are short (a connect-churn session records a dozen), and
+// the ring doubles up to its limit for the ones that are not.
+const flightFirstStep = 16
 
 // NewFlight builds a recorder holding the last capacity events
 // (DefaultFlightCapacity when capacity <= 0).

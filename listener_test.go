@@ -54,20 +54,29 @@ func TestListenerForgetsClosedSessions(t *testing.T) {
 	}
 }
 
-// abortAfterServerHello is a client transport that reads the
-// ServerHello and then hangs up.
+// abortAfterServerHello is a client connection that reads the
+// ServerHello record and then hangs up.
 type abortAfterServerHello struct {
-	*handshake.Transport
-	nc    net.Conn
-	reads int
+	net.Conn
+	read bool
 }
 
-func (a *abortAfterServerHello) ReadMessage() ([]byte, error) {
-	if a.reads++; a.reads > 1 {
-		a.nc.Close()
-		return nil, io.ErrUnexpectedEOF
+func (a *abortAfterServerHello) Read(p []byte) (int, error) {
+	if a.read {
+		a.Conn.Close()
+		return 0, io.ErrUnexpectedEOF
 	}
-	return a.Transport.ReadMessage()
+	a.read = true
+	hdr := make([]byte, 5)
+	if _, err := io.ReadFull(a.Conn, hdr); err != nil {
+		return 0, err
+	}
+	rec := make([]byte, 5+(int(hdr[3])<<8|int(hdr[4])))
+	copy(rec, hdr)
+	if _, err := io.ReadFull(a.Conn, rec[5:]); err != nil {
+		return 0, err
+	}
+	return copy(p, rec), nil
 }
 
 // TestListenerForgetsAbortedHandshake: the server mints a session's
@@ -81,7 +90,7 @@ func TestListenerForgetsAbortedHandshake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := &abortAfterServerHello{Transport: handshake.NewTransport(nc), nc: nc}
+		tr := handshake.NewTransport(&abortAfterServerHello{Conn: nc})
 		if _, err := handshake.Client(tr, &handshake.Config{ServerName: "test.server", EnableTCPLS: true}); err == nil {
 			t.Fatal("aborted handshake completed")
 		}

@@ -3,6 +3,7 @@ package tcpls
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -418,5 +419,72 @@ func TestEarlyStreamAcceptOrder(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("server never saw the early stream")
+	}
+}
+
+// TestZeroRTTDialsLoseNoReply dials 20,000 sessions in a row, each
+// sending its request as 0-RTT early data under the ticket of the
+// session before: every request is answered within 100 ms, the give-up
+// after which bench/'s connect_churn resends over a full handshake, so
+// none needs that retry. Skipped under -short and the race detector;
+// scripts/resume-smoke.sh runs it.
+func TestZeroRTTDialsLoseNoReply(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("20k dials: run without -short and -race")
+	}
+	const dials = 20000
+	ks, err := NewTicketKeyStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A strike register that holds every nonce of the run, so each flight
+	// is a first use the server accepts.
+	ks.replay = resume.NewReplay(0, dials, time.Now())
+	ln := startServer(t, &Config{TicketKeys: ks}, echoHandler)
+	sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket := waitTicket(t, sess)
+	sess.Close()
+
+	req := make([]byte, 1024)
+	got := make([]byte, len(req))
+	retries, refused := 0, 0
+	for i := 0; i < dials; i++ {
+		binary.BigEndian.PutUint64(req, uint64(i))
+		sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server", Ticket: ticket, EarlyData: req})
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		if !sess.EarlyDataAccepted() {
+			refused++
+		}
+		st, ok := sess.EarlyStream()
+		if !ok {
+			t.Fatalf("dial %d: no early stream", i)
+		}
+		read := make(chan error, 1)
+		go func() { _, err := io.ReadFull(st, got); read <- err }()
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Fatalf("dial %d: %v", i, err)
+			}
+			if !bytes.Equal(got, req) {
+				t.Fatalf("dial %d: reply differs from the request", i)
+			}
+		case <-time.After(100 * time.Millisecond):
+			retries++
+			sess.Close()
+			<-read
+		}
+		if ticket = sess.ResumptionTicket(); ticket == nil {
+			ticket = waitTicket(t, sess)
+		}
+		sess.Close()
+	}
+	if retries != 0 || refused != 0 {
+		t.Fatalf("%d of %d early requests unanswered after 100 ms, %d flights refused", retries, dials, refused)
 	}
 }

@@ -15,6 +15,11 @@ cd "$(dirname "$0")/.."
 # are made live over HTTP, not by post-hoc trace parsing.
 set -eux
 mkdir -p artifacts/qlog
+# A failed step must not leave the server, the relay or the client
+# running; a rerun must find no fifo from the last one.
+SRV= NETEM= CLI=
+trap 'kill $SRV $NETEM $CLI 2>/dev/null || true' EXIT
+rm -f netem.ctl netem.out
 go build -o tcpls-server ./cmd/tcpls-server
 go build -o tcpls-netem ./cmd/tcpls-netem
 go build -o tcpls-top ./cmd/tcpls-top

@@ -2,7 +2,9 @@
 # The resumption smoke: a ticket issued by one tcpls-server process
 # resumes at 1-RTT against a second process sharing only the encrypted
 # -ticket-key-file, its 0-RTT offer is declined across the restart, and
-# the acceptance shows on the restarted server's /metrics. Needs curl and
+# the acceptance shows on the restarted server's /metrics. Then 20,000
+# 0-RTT dials in a row must each get their reply without a retry
+# (TestZeroRTTDialsLoseNoReply, ~30 s). Needs curl and
 # ports 14443/19090; writes the binaries, ticket.keys, ticket.json and
 # the logs in the repository root. Usage: scripts/resume-smoke.sh
 cd "$(dirname "$0")/.."
@@ -27,3 +29,5 @@ sleep 1
 curl -s http://127.0.0.1:19090/metrics | tee resume-metrics.txt \
   | grep -E '^tcpls_resume_accepted_total\{[^}]*\} [1-9]'
 kill "$SRV2"
+wait "$SRV2" || true
+go test -run TestZeroRTTDialsLoseNoReply -count=1 -v .
