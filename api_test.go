@@ -20,7 +20,7 @@ var exportedAPI = []string{
 	"ErrSessionClosed", "ErrSessionDead", "EventConnDown", "EventFailover",
 	"EventReconnected", "EventReconnecting", "EventRecoveryFailed",
 	"HealthConfig", "Listen", "Listener", "Listener.Accept", "Listener.Addr",
-	"Listener.Close", "Listener.ValidateJoin", "NewCertificate",
+	"Listener.Close", "NewCertificate",
 	"NewListener", "NewTicketKeyStore", "OpenTicketKeyStore",
 	"OptUserTimeout", "ReconnectConfig", "ServeTelemetry", "SessID",
 	"Session", "Session.AcceptStream", "Session.Close", "Session.ConnInfo",

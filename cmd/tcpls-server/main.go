@@ -163,9 +163,13 @@ func main() {
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	ln, err := srv.Listen("tcp", *listenFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe("tcp", *listenFlag) }()
-	log.Printf("tcpls-server: echo on %s", *listenFlag)
+	go func() { errCh <- srv.Serve(ln) }()
+	log.Printf("tcpls-server: echo on %s", ln.Addr())
 
 	select {
 	case err := <-errCh:

@@ -259,21 +259,35 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 	if err != nil {
 		return 0, nil, err
 	}
-	tr := handshake.NewTransport(nc)
-	hcfg := &handshake.Config{
-		Join: &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
+	st, err := s.joinFast(c, nc, early)
+	if err != nil {
+		return 0, st, fmt.Errorf("tcpls: fast join: %w", err)
 	}
-	if err := handshake.StartFastJoin(tr, hcfg); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rememberAddrLocked(addr)
+	if s.dialNetwork == "" {
+		s.dialNetwork = network
+	}
+	return c.ID, st, nil
+}
+
+// joinFast runs the single-flight join for c over nc: the hello and the
+// optimistic flight leave in one write, then the server's ack is read.
+// The connection is started in the driver before the write, but its
+// reader and writer only once the ack is in, so its output waits for the
+// write and nothing consumes the ack early.
+func (s *Session) joinFast(c *driver.Conn, nc net.Conn, early []byte) (*Stream, error) {
+	m, err := handshake.NewFastJoin(&handshake.Config{
+		Join: &handshake.JoinTicket{SessID: s.sessID, Cookie: c.Cookie, ConnID: c.ID},
+	})
+	if err != nil {
 		nc.Close()
 		s.mu.Lock()
-		s.drv.Abort(c, true, err)
+		s.drv.Abort(c, false, err)
 		s.mu.Unlock()
-		return 0, nil, fmt.Errorf("tcpls: fast join: %w", err)
+		return nil, err
 	}
-
-	// Build the optimistic flight. The connection is started in the driver
-	// but its reader and writer are not, so its output waits for the
-	// flight below and nothing consumes the server's plaintext ack early.
 	var st *Stream
 	var flight [][]byte
 	s.mu.Lock()
@@ -293,20 +307,27 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		flight = s.drv.Pull(c, nil, math.MaxInt)
 	}
 	s.mu.Unlock()
-	var written int64
-	if err == nil && len(flight) > 0 {
-		iov := append(net.Buffers(nil), flight...) // WriteTo consumes its view
-		written, err = iov.WriteTo(nc)
+	var written int
+	if err == nil {
+		// One buffer, so that any net.Conn sees one write.
+		out := m.Flight()
+		hello := len(out)
+		for _, b := range flight {
+			out = append(out, b...)
+		}
+		written, err = nc.Write(out)
+		written = max(written-hello, 0)
 	}
 	s.mu.Lock()
-	s.drv.Settle(c, flight, written, err)
+	s.drv.Settle(c, flight, int64(written), err)
 	s.mu.Unlock()
 	if err != nil {
 		nc.Close()
-		return 0, st, fmt.Errorf("tcpls: fast join: %w", err)
+		return st, err
 	}
 
-	if err := handshake.FinishFastJoin(tr); err != nil {
+	tr := handshake.NewTransport(nc)
+	if _, err := tr.Run(m); err != nil {
 		// Cookie spent for nothing. The embryonic connection fails, so
 		// failover replays the optimistic records onto a surviving path —
 		// the stream's bytes are not lost.
@@ -314,7 +335,7 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		s.mu.Lock()
 		s.drv.Abort(c, true, err)
 		s.mu.Unlock()
-		return 0, st, fmt.Errorf("tcpls: fast join: %w", err)
+		return st, err
 	}
 
 	s.mu.Lock()
@@ -324,11 +345,7 @@ func (s *Session) JoinPathFast(network, addr string, early []byte) (uint32, *Str
 		s.drv.Fail(err)
 	}
 	pc.run()
-	s.rememberAddrLocked(addr)
-	if s.dialNetwork == "" {
-		s.dialNetwork = network
-	}
-	return c.ID, st, nil
+	return st, nil
 }
 
 // JoinConn joins an already-established TCP connection (dialed by the

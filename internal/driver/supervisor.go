@@ -222,7 +222,13 @@ func (d *Driver) round() {
 	if !s.on {
 		return
 	}
-	if s.redial && len(d.Cookies) > 0 && s.attempt < s.rc.MaxAttempts && d.clock.Now().Before(s.deadline) {
+	if s.redial && len(d.Cookies) == 0 {
+		// No connection left and no cookie to join one with: nothing can
+		// revive the session, so it is dead now rather than at the deadline.
+		d.die(s.attempt, ErrNoCookies)
+		return
+	}
+	if s.redial && s.attempt < s.rc.MaxAttempts && d.clock.Now().Before(s.deadline) {
 		s.attempt++
 		s.queue = d.host.Candidates()
 		d.Engine.Note("reconnect_attempt", 0, 0, uint64(s.attempt), len(s.queue))

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/handshake"
 	"tcpls/internal/mptcp"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
@@ -60,10 +61,10 @@ func Fig9() (*Fig9Result, error) {
 		}
 
 		cfg := core.Config{EnableFailover: true, AckPeriod: 16, UserTimeout: fig9UTO}
-		client, server := simtcpls.Pair(s, cfg)
 		// Every probe that connects spends a join cookie: the run's
 		// hunts take five.
-		server.Handshake.NumCookies = 8
+		acc := simtcpls.NewAcceptor(handshake.AcceptorConfig{Handshake: handshake.Config{NumCookies: 8}})
+		client, server := simtcpls.PairSupervised(s, cfg, nil, 1, acc)
 
 		var received uint64
 		var done time.Duration

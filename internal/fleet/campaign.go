@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sort"
 	"time"
 
 	"tcpls/internal/core"
 	"tcpls/internal/driver"
+	"tcpls/internal/handshake"
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
 	"tcpls/internal/sim"
@@ -45,6 +48,7 @@ const (
 	VWriteError = "write-error"
 	VResume     = "resume"
 	VMemReplay  = "memory-replay"
+	VMemTable   = "memory-table"
 	VHealth     = "health"
 	VProgress   = "progress"
 )
@@ -85,6 +89,7 @@ type SessionResult struct {
 	ConnFailures int   // client-observed EventConnFailed count
 	Redials      int   // client supervisor redial rounds
 	Recoveries   int   // client supervisor recoveries
+	Reopens      int   // sessions dialled again: the server never had them
 	ReorderPeak  [2]int
 	RetxPeak     [2]int
 	Flows        [2]map[uint32]flowCount // per-conn counters: [client, server]
@@ -105,7 +110,21 @@ type ResumeStats struct {
 	AgedOut    int // tickets past the accept window: clean full-handshake fallback
 	ZeroRTT    int // first-use tickets the strike register admitted for 0-RTT
 	Replayed   int // repeat-use tickets the register refused (1-RTT fallback)
+	Stale      int // held tickets the freshness gate refused 0-RTT (1-RTT fallback)
 	ReplayPeak int // max strike-register entries observed (bounded-memory invariant)
+}
+
+// AcceptStats count the verdicts of the fleet's one acceptor, the
+// production server policy: the refusals and the expiries come from the
+// accept-edge cases the seed draws (acceptEdge).
+type AcceptStats struct {
+	Sessions    int // new sessions
+	Joins       int // joins adopted, parked ones included
+	RefusedConn int // connects AdmitConn refused
+	RefusedJoin int // joins AdmitJoin refused, their cookies unspent
+	Expired     int // handshakes past the deadline
+	Failed      int // handshakes ended by a reset or a bad cookie
+	Replenished int // cookies issued after a join
 }
 
 // Result is a completed campaign.
@@ -114,6 +133,7 @@ type Result struct {
 	Sessions   []SessionResult
 	Violations []Violation
 	Resume     ResumeStats
+	Accept     AcceptStats
 	Quiesced   bool     // the whole fleet drained before the hard cap
 	EndVirtual sim.Time // virtual time at snapshot
 	Goroutines [2]int   // before / after
@@ -139,14 +159,12 @@ func (r *Result) Fingerprint() string {
 	for _, ev := range r.Scenario.Schedule {
 		w("fault %d %d %d %d %d %d %d\n", ev.At, ev.Kind, ev.Session, ev.Path, ev.Rack, ev.Stride, ev.Dur)
 	}
-	w("resume acc=%d re=%d aged=%d 0rtt=%d replay=%d peak=%d\n",
-		r.Resume.Accepted, r.Resume.Reissued, r.Resume.AgedOut,
-		r.Resume.ZeroRTT, r.Resume.Replayed, r.Resume.ReplayPeak)
+	w("resume %+v\naccept %+v\n", r.Resume, r.Accept)
 	for i := range r.Sessions {
 		sr := &r.Sessions[i]
-		w("s%d c=%v u=%v tot=%d wr=%d got=%d mm=%d q=%v done=%d cf=%d rd=%d,%d rp=%d,%d xp=%d,%d we=%q\n",
+		w("s%d c=%v u=%v tot=%d wr=%d got=%d mm=%d q=%v done=%d cf=%d rd=%d,%d,%d rp=%d,%d xp=%d,%d we=%q\n",
 			sr.Index, sr.Coupled, sr.Up, sr.Total, sr.Written, sr.Got, sr.MismatchAt,
-			sr.Quiesced, sr.DoneAtUS, sr.ConnFailures, sr.Redials, sr.Recoveries,
+			sr.Quiesced, sr.DoneAtUS, sr.ConnFailures, sr.Redials, sr.Recoveries, sr.Reopens,
 			sr.ReorderPeak[0], sr.ReorderPeak[1], sr.RetxPeak[0], sr.RetxPeak[1], sr.WriteErr)
 		for side := 0; side < 2; side++ {
 			ids := make([]uint32, 0, len(sr.Flows[side]))
@@ -215,10 +233,21 @@ type fleetSession struct {
 
 	// Resumption state: the session's PSK, its current sealed ticket, and
 	// the key generation the ticket was sealed under (the oracle for
-	// expected open/age-out outcomes).
+	// expected open/age-out outcomes). A held ticket was issued past the
+	// strike register's window before the session began.
 	psk       []byte
 	ticket    []byte
 	ticketGen uint32
+	held      bool
+
+	// The accept-edge case the seed drew, and how many connects and
+	// joins the session's server has admitted.
+	edge         acceptEdge
+	conns, joins int
+
+	cfg     core.Config
+	seed    int64 // the supervisors' jitter
+	reopens int   // times the client dialled the session again from scratch
 
 	counts [2]map[uint32]*flowCount
 }
@@ -252,12 +281,15 @@ type campaign struct {
 	sessions []*fleetSession
 	schedule []FaultEvent
 
-	// Resumption: the ticket-key store every server shares (a restarted
-	// process recovers it from its key file), the 0-RTT strike register,
-	// and the outcome counters. keys is nil only if it could not be made.
+	// The one server process every session connects to: its acceptor
+	// with the ticket-key store (a restarted process recovers it from its
+	// key file) and the 0-RTT strike register, and the outcome counters.
+	// keys is nil only if it could not be made.
+	acc        *handshake.Acceptor
 	keys       *resume.KeyStore
 	replay     *resume.Replay
 	resume     ResumeStats
+	accept     AcceptStats
 	resumeVios []Violation
 
 	// Health oracle (invariant 5): two self-diagnosis monitors per
@@ -310,7 +342,9 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 			})
 		} else {
 			c.keys = ks
-			c.replay = resume.NewReplay(0, 0, epoch)
+			// The server process has been up for an hour: held tickets
+			// postdate its register's birth, and only their age is stale.
+			c.replay = resume.NewReplay(0, 0, epoch.Add(-time.Hour))
 			for k := 1; k <= sc.KeyRotations; k++ {
 				at := sc.Duration * sim.Time(k) / sim.Time(sc.KeyRotations+1)
 				c.s.At(at, func() {
@@ -323,6 +357,14 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 			}
 		}
 	}
+
+	c.acc = simtcpls.NewAcceptor(handshake.AcceptorConfig{
+		Handshake: handshake.Config{NumCookies: joinCookies},
+		Admission: (*edge)(c),
+		Timeout:   handshakeTimeout,
+		Keys:      c.keys,
+		Replay:    c.replay,
+	})
 
 	c.healthRaised = make([]map[string]int, sc.Sessions)
 	for i := 0; i < sc.Sessions; i++ {
@@ -442,16 +484,45 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	case c.sc.DefaultCaps:
 		cfg.MaxReorderBytes, cfg.MaxReorderRecords, cfg.MaxRetransmitBytes = 0, 0, 0
 	}
+	fs.cfg = cfg
 	// The production supervisor at its defaults, jitter seeded per
 	// session apart from the workload's draws.
-	fs.cl, fs.sv = simtcpls.PairSupervised(c.s, cfg, &driver.ReconnectConfig{}, c.sc.Seed^int64(i+1)*0x5851F42D4C957F2D)
+	fs.seed = c.sc.Seed ^ int64(i+1)*0x5851F42D4C957F2D
+	fs.edge = drawEdge(c.sc.Seed, i)
+	c.healthRaised[i] = map[string]int{}
+	for p := 0; p < c.sc.PathsPerSession; p++ {
+		path := sim.NewPath(c.s, linkRateBps, linkDelay)
+		path.AtoB.QueueBytes = linkQueue
+		path.BtoA.QueueBytes = linkQueue
+		c.topo.Attach(i%c.sc.Racks, path)
+		fs.paths = append(fs.paths, path)
+	}
+	if c.keys != nil {
+		// Session i's resumption identity and initial handshake kind,
+		// derived outside the session rng so they never perturb workload
+		// shapes.
+		fs.psk = sessionPSK(c.sc.Seed, i)
+	}
+	fs.pair()
+
+	fs.startAt = sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
+	c.s.At(fs.startAt, fs.open)
+	return fs
+}
+
+// pair builds the session's two ends on the shared acceptor, with every
+// hook the campaign observes them through.
+func (fs *fleetSession) pair() {
+	c := fs.c
+	fs.cl, fs.sv = simtcpls.PairSupervised(c.s, fs.cfg, &driver.ReconnectConfig{}, fs.seed, c.acc)
 	clock := func() time.Time { return epoch.Add(c.s.Now()) }
 	fs.cl.Sess.SetClock(clock)
 	fs.sv.Sess.SetClock(clock)
 	// Failover is the engine's production policy on both ends, and so is
 	// recovery: the client's driver redials the session's paths once all
-	// are lost, with a join cookie each from the initial handshake.
-	fs.sv.Handshake.NumCookies = joinCookies
+	// are lost, with a join cookie each, replenished after every join.
+	fs.cl.Remote, fs.cl.DialTimeout, fs.cl.Paths = addr(fs.idx), dialTimeout, fs.paths
+	fs.sv.OnVerdict = func(v handshake.Verdict) { c.judge(fs, v) }
 	fs.writerEP().OnStart = fs.onConnReady
 	fs.cl.OnLifecycle = func(ev driver.Event) {
 		switch ev.Kind {
@@ -487,35 +558,34 @@ func (c *campaign) buildSession(i int) *fleetSession {
 	rsess.DeliverData = func(streamID uint32, p []byte) { deliver(p) }
 	rsess.DeliverCoupled = deliver
 
-	for p := 0; p < c.sc.PathsPerSession; p++ {
-		path := sim.NewPath(c.s, linkRateBps, linkDelay)
-		path.AtoB.QueueBytes = linkQueue
-		path.BtoA.QueueBytes = linkQueue
-		c.topo.Attach(i%c.sc.Racks, path)
-		fs.paths = append(fs.paths, path)
-	}
-	fs.cl.Paths = fs.paths
-
 	if c.keys != nil {
-		// Session i's resumption identity and initial handshake kind,
-		// derived outside the session rng so they never perturb workload
-		// shapes.
-		fs.psk = sessionPSK(c.sc.Seed, i)
-		fs.sealTicket()
 		c.armResumption(fs)
 	}
-
 	for _, ep := range []*simtcpls.Endpoint{fs.cl, fs.sv} {
 		ep.OnEnd = func(err error) {
-			if err != nil && fs.endErr == "" {
+			switch {
+			case err != nil && ep == fs.cl && fs.sv.Result == nil && fs.got == 0:
+				c.s.After(reopenAfter, fs.reopen)
+			case err != nil && fs.endErr == "":
 				fs.endedAt, fs.endErr = c.s.Now(), err.Error()
 			}
 		}
 	}
+}
 
-	fs.startAt = sim.Time(rng.Int63n(int64(100 * time.Millisecond)))
-	c.s.At(fs.startAt, fs.open)
-	return fs
+// reopen dials a session again from scratch when the client's end died
+// with an error while the server never had the session: the client's
+// Finished was lost with the connection that carried it, so the server's
+// handshake failed and its entry went, while the client took the session
+// as open; every join is then refused until no cookie is left. An
+// application sees ErrSessionDead and dials again, and so does the
+// campaign, in this case only: any other death stays a violation.
+func (fs *fleetSession) reopen() {
+	fs.reopens++
+	fs.written, fs.streams, fs.finished = 0, nil, false
+	fs.counts = [2]map[uint32]*flowCount{{}, {}}
+	fs.pair()
+	fs.open()
 }
 
 // reopenAfter is the pause before the client retries an initial
@@ -534,11 +604,13 @@ func (fs *fleetSession) open() {
 	}, func() { fs.c.s.After(reopenAfter, fs.open) })
 }
 
-// armResumption points the session's handshakes at the shared key store.
-// The seed draws the initial handshake: full, resumed, or resumed with a
-// 0-RTT flight; the server counts each ticket it opens and each 0-RTT
-// verdict.
+// armResumption gives the session's client a ticket from the shared key
+// store. The seed draws the initial handshake: full, resumed, or resumed
+// with a 0-RTT flight, and one in four 0-RTT offers rides a ticket held
+// past the strike register's window, which the freshness gate refuses.
 func (c *campaign) armResumption(fs *fleetSession) {
+	fs.held = fs.psk[0]%3 == 2 && fs.psk[1]%4 == 0
+	fs.sealTicket()
 	switch fs.psk[0] % 3 {
 	case 2:
 		fs.cl.Handshake.EarlyData = bytes.Repeat([]byte{byte(fs.salt)}, 64)
@@ -546,31 +618,117 @@ func (c *campaign) armResumption(fs *fleetSession) {
 	case 1:
 		fs.cl.Handshake.PSK, fs.cl.Handshake.PSKTicket = fs.psk, fs.ticket
 	}
-	fs.sv.Handshake.DecryptTicket = func(ticket []byte) ([]byte, bool) {
-		psk, _, _, err := c.keys.OpenTicket(ticket)
-		if err != nil {
-			c.resume.AgedOut++
-			return nil, false
-		}
-		c.resume.Accepted++
-		return psk, true
-	}
-	fs.sv.Handshake.AcceptEarlyData = c.admitZeroRTT
 }
 
-// admitZeroRTT consults the strike register for a ticket's 0-RTT flight
-// and counts the verdict: a first use is admitted, a repeat refused.
-func (c *campaign) admitZeroRTT(ticket []byte) bool {
-	nonce, ok := resume.TicketNonce(ticket)
-	admit := ok && c.replay.Observe(nonce, epoch.Add(c.s.Now()))
-	if admit {
+// judge counts one of the acceptor's verdicts on the session's
+// connections, and replenishes the client's cookies after each join.
+func (c *campaign) judge(fs *fleetSession, v handshake.Verdict) {
+	a := &c.accept
+	switch v.Outcome {
+	case handshake.NewSession:
+		a.Sessions++
+	case handshake.Join, handshake.Parked:
+		a.Joins++
+		if v.Outcome == handshake.Join && fs.sv.IssueCookies(v.Result.JoinConnID, 1) == nil {
+			a.Replenished++
+		}
+	case handshake.Refused:
+		switch v.Reason {
+		case handshake.RefusedConn:
+			a.RefusedConn++
+		case handshake.RefusedJoin:
+			a.RefusedJoin++
+		case handshake.Expired:
+			a.Expired++
+		default:
+			a.Failed++
+		}
+	}
+	switch v.Ticket {
+	case handshake.TicketOpened, handshake.TicketReissued:
+		c.resume.Accepted++
+	case handshake.TicketRejected:
+		c.resume.AgedOut++
+	}
+	c.countEarly(fs, v.Early)
+}
+
+// countEarly counts a 0-RTT verdict: admitted, refused as stale (a held
+// ticket), or refused by the strike register.
+func (c *campaign) countEarly(fs *fleetSession, e handshake.Early) {
+	switch {
+	case e == handshake.EarlyAccepted:
 		c.resume.ZeroRTT++
-	} else {
+	case e == handshake.EarlyRejected && fs.held:
+		c.resume.Stale++
+	case e == handshake.EarlyRejected:
 		c.resume.Replayed++
 	}
-	c.resume.ReplayPeak = max(c.resume.ReplayPeak, c.replay.Entries())
-	return admit
+	if c.replay != nil {
+		c.resume.ReplayPeak = max(c.resume.ReplayPeak, c.replay.Entries())
+	}
 }
+
+// addr names session i's client at the accept edge.
+type addr int
+
+func (a addr) Network() string { return "sim" }
+func (a addr) String() string  { return fmt.Sprintf("session-%d", int(a)) }
+
+// acceptEdge is what the fleet's accept edge does to one session.
+type acceptEdge uint8
+
+const (
+	edgeNone        acceptEdge = iota
+	edgeRefuseConn             // AdmitConn refuses its first connect
+	edgeRefuseJoin             // AdmitJoin refuses its first join
+	edgeStallAccept            // its first accepted connect's path stalls
+)
+
+// drawEdge draws session i's accept-edge case from the seed, apart from
+// the workload's streams: one session in sixteen each.
+func drawEdge(seed int64, i int) acceptEdge {
+	z := uint64(seed)*0xD1B54A32D192ED03 + uint64(i+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 31)) * 0xBF58476D1CE4E5B9
+	if k := acceptEdge((z ^ (z >> 29)) % 16); k <= edgeStallAccept {
+		return k
+	}
+	return edgeNone
+}
+
+// edge is the fleet's admission control, the acceptor's Admission: it
+// admits everything but the seed-drawn cases, and stalls the path under
+// a drawn session's first accepted connect from the moment of the accept,
+// so that only the handshake deadline ends it.
+type edge campaign
+
+func (g *edge) AdmitConn(remote net.Addr) (func(), error) {
+	c := (*campaign)(g)
+	fs := c.sessions[remote.(addr)]
+	if fs.conns++; fs.conns > 1 {
+		return nil, nil
+	}
+	switch fs.edge {
+	case edgeRefuseConn:
+		return nil, errRefused
+	case edgeStallAccept:
+		p := fs.paths[(fs.opens-1)%len(fs.paths)]
+		p.SetDownDir(true, true)
+		fs.touched, fs.faultEnd = true, max(fs.faultEnd, c.s.Now()+stallAccept)
+		c.s.After(stallAccept, func() { p.SetDownDir(true, false) })
+	}
+	return nil, nil
+}
+
+func (g *edge) AdmitJoin(remote net.Addr) bool {
+	fs := (*campaign)(g).sessions[remote.(addr)]
+	fs.joins++
+	return fs.joins > 1 || fs.edge != edgeRefuseJoin
+}
+
+func (g *edge) AdmitSession(net.Addr) error { return nil }
+
+var errRefused = errors.New("fleet: refused at the accept edge")
 
 // installCounters taps both engines' trace streams for the closure
 // counters (and the artifact capture when armed).
@@ -613,7 +771,6 @@ func (f fleetHealthSource) HealthSample(snap *telemetry.Snapshot, _ *health.Proc
 // is recorded as a violation the moment it happens (the fault may land
 // later — by then the diagnosis was already wrong).
 func (c *campaign) installHealth(fs *fleetSession) {
-	c.healthRaised[fs.idx] = map[string]int{}
 	mk := func(side string, sess *core.Session) *health.Monitor {
 		return health.NewMonitor(fleetHealthSource{sess}, health.Options{
 			Key:      fmt.Sprintf("s%d/%s", fs.idx, side),
@@ -634,7 +791,12 @@ func (c *campaign) installHealth(fs *fleetSession) {
 			},
 		})
 	}
-	c.healthMons = append(c.healthMons, mk("client", fs.cl.Sess), mk("server", fs.sv.Sess))
+	mons := []*health.Monitor{mk("client", fs.cl.Sess), mk("server", fs.sv.Sess)}
+	if len(c.healthMons) > 2*fs.idx {
+		copy(c.healthMons[2*fs.idx:], mons) // a reopened session's new ends
+		return
+	}
+	c.healthMons = append(c.healthMons, mons...)
 }
 
 // onConnReady starts the writer on the first usable connection and
@@ -672,6 +834,10 @@ func (fs *fleetSession) onConnReady(connID uint32) {
 // pump writes one paced chunk; a failed write is retried next tick
 // rather than skipped, so the byte stream never gaps.
 func (fs *fleetSession) pump() {
+	if len(fs.streams) == 0 {
+		fs.pumping = false // the session was dialled again; its new stream restarts the pump
+		return
+	}
 	if fs.quiesced || fs.written >= fs.total {
 		return
 	}
@@ -919,10 +1085,15 @@ func sessionPSK(seed int64, i int) []byte {
 }
 
 // sealTicket (re)seals the session's PSK under the key store's current
-// generation — ticket issuance at session start, reissue-on-rotation and
-// full-handshake fallback thereafter.
+// generation, on the virtual clock — ticket issuance at session start,
+// reissue-on-rotation and full-handshake fallback thereafter. A held
+// ticket is stamped past the strike register's window.
 func (fs *fleetSession) sealTicket() {
-	t, err := fs.c.keys.Seal(fs.psk)
+	issued := epoch.Add(fs.c.s.Now())
+	if fs.held {
+		issued = issued.Add(-resume.DefaultReplayWindow - time.Second)
+	}
+	t, err := fs.c.keys.SealAt(fs.psk, issued)
 	if err != nil {
 		fs.c.resumeVios = append(fs.c.resumeVios, Violation{
 			Session: fs.idx, Kind: VResume, Detail: fmt.Sprintf("seal: %v", err),
@@ -962,10 +1133,11 @@ func (c *campaign) resumeTicket(fs *fleetSession) {
 	}
 	gen := c.keys.Generation()
 	expectOK := gen-fs.ticketGen < uint32(resume.DefaultAcceptWindow)
-	psk, _, reissue, err := c.keys.OpenTicket(fs.ticket)
-	if err != nil {
+	psk, issued, t := c.acc.OpenTicket(fs.ticket)
+	reissue := t == handshake.TicketReissued
+	if t == handshake.TicketRejected {
 		if expectOK {
-			vio("ticket sealed at gen %d failed to open at gen %d: %v", fs.ticketGen, gen, err)
+			vio("ticket sealed at gen %d failed to open at gen %d", fs.ticketGen, gen)
 		}
 		// Aged out: the clean fallback is a full handshake that mints a
 		// fresh ticket under the current key.
@@ -985,10 +1157,15 @@ func (c *campaign) resumeTicket(fs *fleetSession) {
 	}
 	// A ticket seen before (restarted twice between reissues) is refused
 	// 0-RTT and falls back to 1-RTT: correct, counted, not a violation.
+	// So is a held one, by the freshness gate.
 	if _, ok := resume.TicketNonce(fs.ticket); !ok {
 		vio("sealed ticket too short for a nonce (%d bytes)", len(fs.ticket))
 	}
-	c.admitZeroRTT(fs.ticket)
+	early := handshake.EarlyRejected
+	if c.acc.AdmitEarly(fs.ticket, issued, epoch.Add(c.s.Now())) {
+		early = handshake.EarlyAccepted
+	}
+	c.countEarly(fs, early)
 	if reissue {
 		c.resume.Reissued++
 		fs.sealTicket()
@@ -1034,6 +1211,7 @@ func (c *campaign) snapshot(res *Result) {
 			ConnFailures: fs.connFailures,
 			Redials:      fs.redials,
 			Recoveries:   fs.recoveries,
+			Reopens:      fs.reopens,
 			WriteErr:     fs.writeErr,
 			ReorderPeak:  [2]int{ends[0].ReorderBytesPeak, ends[1].ReorderBytesPeak},
 			RetxPeak:     [2]int{ends[0].RetransmitBytesPeak, ends[1].RetransmitBytesPeak},
@@ -1128,7 +1306,25 @@ func (c *campaign) snapshot(res *Result) {
 			})
 		}
 	}
-	res.Resume = c.resume
+	// The acceptor's leg of invariant 2: once the fleet drained, the
+	// table holds an entry per session whose server end is up, and at
+	// most one more per handshake still pending (each ends by its
+	// deadline): none for a handshake that failed or expired.
+	if res.Quiesced {
+		live := 0
+		for _, fs := range c.sessions {
+			if fs.sv.Result != nil && !fs.sv.D.Ended() {
+				live++
+			}
+		}
+		if n, pending := c.acc.Len(); n < live || n > live+pending {
+			c.resumeVios = append(c.resumeVios, Violation{
+				Session: -1, Kind: VMemTable,
+				Detail: fmt.Sprintf("acceptor holds %d entries beside %d pending handshakes for %d live sessions", n, pending, live),
+			})
+		}
+	}
+	res.Resume, res.Accept = c.resume, c.accept
 	res.Violations = append(res.Violations, c.resumeVios...)
 	res.Violations = append(res.Violations, c.healthVios...)
 }

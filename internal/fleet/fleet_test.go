@@ -80,6 +80,7 @@ func TestFleetCampaign(t *testing.T) {
 			redials, recoveries := supervisorTotals(res)
 			t.Logf("seed %d: %d sessions, %d faults, virtual end %v, quiesced=%v, supervisor %d redial rounds / %d recoveries, fingerprint %s",
 				seed, sessions, len(res.Scenario.Schedule), res.EndVirtual, res.Quiesced, redials, recoveries, res.Fingerprint())
+			t.Logf("seed %d: acceptor %+v, resume %+v", seed, res.Accept, res.Resume)
 			if !res.Failed() {
 				return
 			}

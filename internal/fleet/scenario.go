@@ -179,13 +179,20 @@ const (
 	// timeout before failover fills the gap — ~200 KB, far over
 	// reorderBudget.
 	userTimeout = time.Second
-	// joinCookies is the cookies each server issues in its initial
-	// handshake: the client's budget for its other paths and every
-	// redial the supervisor makes.
-	joinCookies = 60
-	pumpEvery   = 10 * time.Millisecond // writer cadence: 4 KiB / 10 ms = 400 KB/s
-	chunkBytes  = 4096
-	maxPayload  = 4096 // one record per chunk
+	// joinCookies is the cookies the server issues in each initial
+	// handshake: the client's budget for its other paths and its
+	// redials. The server replaces each one a join spends (§3.3.2).
+	joinCookies = 8
+	// handshakeTimeout is the acceptor's deadline, past the longest
+	// handshake a generated fault can delay (a stall, then TCP's
+	// backoff); stallAccept outlasts it, and so does the client's
+	// dialTimeout, so the server's deadline ends a stalled handshake.
+	handshakeTimeout = 5 * time.Second
+	stallAccept      = 6 * time.Second
+	dialTimeout      = 6 * time.Second
+	pumpEvery        = 10 * time.Millisecond // writer cadence: 4 KiB / 10 ms = 400 KB/s
+	chunkBytes       = 4096
+	maxPayload       = 4096 // one record per chunk
 	// retransmitCap is the send window, which makes the memory invariant
 	// provable: the reader's reorder heap only holds records within it.
 	// The reader's limit, reorderCap and reorderRecs, is at least one

@@ -1,11 +1,14 @@
 package handshake
 
-import "io"
+import (
+	"io"
+	"time"
+)
 
 // Transport runs a Machine over a byte stream (usually a TCP connection):
-// the one blocking loop behind Client, Server and the fast join. It
-// writes each flight the machine hands out and feeds it what it reads,
-// until the machine is done or fails.
+// the one blocking loop behind Client, Server, the fast join and an
+// Acceptor's connections. It writes each flight the machine hands out and
+// feeds it what it reads, until the machine is done or fails.
 type Transport struct {
 	rw  io.ReadWriter
 	m   *Machine
@@ -24,22 +27,19 @@ func Client(t *Transport, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.run(m)
+	return t.Run(m)
 }
 
 // Server runs the server side of any handshake over t; the ClientHello
 // decides which.
-func Server(t *Transport, cfg *Config) (*Result, error) { return t.run(NewServer(cfg)) }
+func Server(t *Transport, cfg *Config) (*Result, error) { return t.Run(NewServer(cfg)) }
 
 // StartFastJoin writes a single-flight join ClientHello (cfg.Join): it
 // carries the cookie and no key exchange follows, so the caller may
 // follow it at once with engine records under the session's established
 // keys, then waits for the server's plaintext ack with FinishFastJoin.
 func StartFastJoin(t *Transport, cfg *Config) error {
-	if cfg.Join == nil {
-		return ErrJoinRejected
-	}
-	m, err := newClient(cfg, true)
+	m, err := NewFastJoin(cfg)
 	if err != nil {
 		return err
 	}
@@ -47,20 +47,31 @@ func StartFastJoin(t *Transport, cfg *Config) error {
 	return t.write()
 }
 
+// NewFastJoin starts the client side of a single-flight join (cfg.Join):
+// its Flight is the hello alone, which the caller may send in one write
+// with engine records under the session's established keys. Run then
+// reads the server's plaintext ack.
+func NewFastJoin(cfg *Config) (*Machine, error) {
+	if cfg.Join == nil {
+		return nil, ErrJoinRejected
+	}
+	return newClient(cfg, true)
+}
+
 // FinishFastJoin reads the server's join ack. A rejection means the
 // cookie was spent for nothing and the records behind the hello were
 // dropped.
 func FinishFastJoin(t *Transport) error {
-	_, err := t.run(t.m)
+	_, err := t.Run(t.m)
 	return err
 }
 
 // Leftover returns the bytes read behind the handshake's last record.
 func (t *Transport) Leftover() []byte { return t.m.Leftover() }
 
-// run is the loop: flights out, bytes in, until m is done or fails. A
+// Run is the loop: flights out, bytes in, until m is done or fails. A
 // failed machine's last flight (a fast join's rejection) still goes out.
-func (t *Transport) run(m *Machine) (*Result, error) {
+func (t *Transport) Run(m *Machine) (*Result, error) {
 	t.m = m
 	for {
 		if err := t.write(); err != nil {
@@ -79,6 +90,30 @@ func (t *Transport) run(m *Machine) (*Result, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+	}
+}
+
+// Accept runs an accepted connection's handshake until its verdict, on
+// the wall clock; a read or write error ends it, the connection's
+// deadline among them.
+func (t *Transport) Accept(h *Incoming) Verdict {
+	for {
+		for out := h.Flight(); len(out) > 0; out = h.Flight() {
+			if _, err := t.rw.Write(out); err != nil {
+				return h.Close(err, time.Now())
+			}
+		}
+		if v := h.Verdict(); v.Outcome != Handshaking {
+			return v
+		}
+		n, err := t.rw.Read(t.buf)
+		if n > 0 {
+			h.Feed(t.buf[:n], time.Now())
+			continue
+		}
+		if err != nil {
+			return h.Close(err, time.Now())
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 //
 // Ownership rule: only the owner may read Bytes; once released the
 // storage may be handed to an unrelated record, so a released Buf must
-// never be read again (DESIGN.md §16).
+// never be read again (DESIGN.md §16). Under the race detector Release
+// fills the bytes with PoisonByte instead, and the storage never returns
+// to the store, so a read after release shows as corrupt bytes.
 type Buf struct {
 	data []byte
 	pool *BufferPool // nil while the Buf is in the store
@@ -36,7 +38,7 @@ func (b *Buf) Release() {
 	}
 	b.pool = nil
 	p.puts.Add(1)
-	bufStore.Put(b)
+	recycle(b)
 }
 
 // bufStore is the storage behind every BufferPool, shared process-wide

@@ -81,14 +81,13 @@ type KeyStore struct {
 	passphrase []byte
 	window     int
 	keys       []ticketKey // newest first
-	now        func() time.Time
 }
 
 // NewMemory creates an ephemeral store with one fresh key and no backing
 // file — the behaviour of the pre-keystore sealer, used when no key file
 // is configured.
 func NewMemory() (*KeyStore, error) {
-	ks := &KeyStore{window: DefaultAcceptWindow, now: time.Now}
+	ks := &KeyStore{window: DefaultAcceptWindow}
 	if err := ks.addKeyLocked(1); err != nil {
 		return nil, err
 	}
@@ -104,7 +103,6 @@ func Open(path string, passphrase []byte) (*KeyStore, error) {
 		path:       path,
 		passphrase: append([]byte(nil), passphrase...),
 		window:     DefaultAcceptWindow,
-		now:        time.Now,
 	}
 	raw, err := os.ReadFile(path)
 	switch {
@@ -130,11 +128,7 @@ func Open(path string, passphrase []byte) (*KeyStore, error) {
 func (ks *KeyStore) addKeyLocked(gen uint32) error {
 	var k ticketKey
 	k.gen = gen
-	if ks.now != nil {
-		k.created = ks.now()
-	} else {
-		k.created = time.Now()
-	}
+	k.created = time.Now()
 	if _, err := io.ReadFull(rand.Reader, k.raw[:]); err != nil {
 		return err
 	}
@@ -203,19 +197,19 @@ func (ks *KeyStore) Len() int {
 // ticket may be for 0-RTT: the strike register only remembers nonces
 // for a window, so flights under older tickets must not be accepted
 // (RFC 8446 §8 pairs the register with exactly this freshness check).
-func (ks *KeyStore) Seal(psk []byte) ([]byte, error) {
+func (ks *KeyStore) Seal(psk []byte) ([]byte, error) { return ks.SealAt(psk, time.Now()) }
+
+// SealAt is Seal with the issuance stamp given: a simulated server's
+// clock, or a ticket that has been held for a while.
+func (ks *KeyStore) SealAt(psk []byte, issued time.Time) ([]byte, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	if len(ks.keys) == 0 {
 		return nil, ErrNoKeys
 	}
 	k := &ks.keys[0]
-	now := time.Now()
-	if ks.now != nil {
-		now = ks.now()
-	}
 	inner := make([]byte, 0, issuedLen+len(psk))
-	inner = wire.AppendUint64(inner, uint64(now.UnixMilli()))
+	inner = wire.AppendUint64(inner, uint64(issued.UnixMilli()))
 	inner = append(inner, psk...)
 	out := make([]byte, 0, genLen+ticketNonceLen+len(inner)+k.aead.Overhead())
 	out = wire.AppendUint32(out, k.gen)

@@ -77,19 +77,6 @@ func NewReplay(window time.Duration, capacity int, now time.Time) *Replay {
 	}
 }
 
-// Observe records the first sighting of nonce and returns true; a nonce
-// already seen within the last one-to-two windows returns false, as does
-// a first sighting when the current window is full (fail-safe: the
-// caller falls back to 1-RTT, which is always correct). Observe applies
-// no freshness policy — 0-RTT gating must go through ObserveFresh;
-// Observe exists for callers that manage ticket lifetime themselves
-// (the fleet harness's bounded-memory oracle).
-func (r *Replay) Observe(nonce [ticketNonceLen]byte, now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.observeLocked(nonce, now)
-}
-
 // ObserveFresh is the full 0-RTT acceptance check: the ticket's sealed
 // issuance stamp must be fresh, and its nonce unseen. Rejections (all
 // safe — the flight falls back to 1-RTT):
@@ -100,7 +87,9 @@ func (r *Replay) Observe(nonce [ticketNonceLen]byte, now time.Time) bool {
 //     earlier acceptance of the same nonce;
 //   - issued in the future: another fleet member's clock is ahead, and
 //     a skewed stamp could otherwise outlive the register's memory;
-//   - nonce seen, or window full (Observe's rules).
+//   - nonce seen within the last one to two windows;
+//   - the current window full: fail safe, the caller falls back to
+//     1-RTT, which is always correct.
 //
 // A strike is remembered for at least one full window, so every flight
 // ObserveFresh accepts is still remembered at any moment a replay of it

@@ -179,21 +179,21 @@ func TestReplayStrikes(t *testing.T) {
 	var n1, n2 [ticketNonceLen]byte
 	n1[0], n2[0] = 1, 2
 
-	if !r.Observe(n1, now) {
+	if !r.ObserveFresh(n1, now, now) {
 		t.Fatal("first sighting rejected")
 	}
-	if r.Observe(n1, now) {
+	if r.ObserveFresh(n1, now, now) {
 		t.Fatal("replay accepted")
 	}
-	if !r.Observe(n2, now.Add(500*time.Millisecond)) {
+	if !r.ObserveFresh(n2, now.Add(500*time.Millisecond), now.Add(500*time.Millisecond)) {
 		t.Fatal("distinct nonce rejected")
 	}
 	// One window later: n1 moved to prev, still remembered.
-	if r.Observe(n1, now.Add(1200*time.Millisecond)) {
+	if r.ObserveFresh(n1, now.Add(1200*time.Millisecond), now.Add(1200*time.Millisecond)) {
 		t.Fatal("replay accepted after one window rotation")
 	}
 	// More than two windows later: forgotten, accepted as new.
-	if !r.Observe(n1, now.Add(5*time.Second)) {
+	if !r.ObserveFresh(n1, now.Add(5*time.Second), now.Add(5*time.Second)) {
 		t.Fatal("nonce not forgotten after both windows aged out")
 	}
 }
@@ -204,13 +204,13 @@ func TestReplayBoundedAndFailSafe(t *testing.T) {
 	var n [ticketNonceLen]byte
 	for i := 0; i < 4; i++ {
 		n[0] = byte(i)
-		if !r.Observe(n, now) {
+		if !r.ObserveFresh(n, now, now) {
 			t.Fatalf("sighting %d rejected below capacity", i)
 		}
 	}
 	// At capacity: fresh nonces are rejected (fail safe), not admitted.
 	n[0] = 0xff
-	if r.Observe(n, now) {
+	if r.ObserveFresh(n, now, now) {
 		t.Fatal("over-capacity sighting accepted")
 	}
 	if e := r.Entries(); e > 2*4 {

@@ -88,7 +88,7 @@ type Server struct {
 	rotateDone chan struct{}
 }
 
-// New builds a Server. Serve or ListenAndServe starts it.
+// New builds a Server. Listen, then Serve, starts it.
 func New(cfg Config) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "server"
@@ -163,22 +163,12 @@ func (s *Server) TicketKeys() (*tcpls.TicketKeyStore, error) {
 	return ks, nil
 }
 
-// ListenAndServe listens on the given TCP address with the Server's
-// admission controller installed and serves until Shutdown.
-func (s *Server) ListenAndServe(network, addr string) error {
-	ln, err := s.Listen(network, addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts sessions from ln until the listener closes (Shutdown,
 // or an external Close). Each session runs Config.Handler on its own
 // goroutine. Serve returns nil after a Shutdown-initiated close, the
 // listener error otherwise. The listener should have been built with
-// this Server's Admission controller — ListenAndServe does that —
-// otherwise sessions are served but never gated.
+// this Server's Admission controller — Listen does that — otherwise
+// sessions are served but never gated.
 func (s *Server) Serve(ln *tcpls.Listener) error {
 	s.mu.Lock()
 	if s.serving {

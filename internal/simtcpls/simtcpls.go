@@ -11,7 +11,10 @@
 // connection opens with the real handshake (internal/handshake's
 // machine) over the simulated TCP: the session's first connection runs
 // the full, resumed or 0-RTT exchange that keys both engines, and each
-// later one a join that spends one of the server's cookies.
+// later one a join that spends one of the server's cookies. The server
+// accepts through handshake.Acceptor, the production listener's policy:
+// admission, the handshake deadline, the ticket and 0-RTT gates, and the
+// session table with its cookies.
 package simtcpls
 
 import (
@@ -19,7 +22,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"tcpls/internal/core"
@@ -60,12 +66,23 @@ type Endpoint struct {
 	D    *driver.Driver
 	peer *Endpoint
 
-	// Handshake is this end's side of every handshake (Pair fills in a
-	// TCPLS default), and Result its initial handshake's outcome.
+	// Handshake is the client's side of every handshake (Pair fills in a
+	// TCPLS default), and Acceptor the server's: the same acceptor as a
+	// production listener, on the virtual clock. Result is the initial
+	// handshake's outcome.
 	Handshake  *handshake.Config
+	Acceptor   *handshake.Acceptor
 	Result     *handshake.Result
-	joins      joinTable      // server: the cookies Result issued
 	handshakes []*simtcp.Conn // client: connections mid-handshake
+
+	// Remote is the address the server's acceptor sees for this client's
+	// connections, and DialTimeout bounds a client connection's connect
+	// and handshake when its join set no deadline (zero: none).
+	Remote      net.Addr
+	DialTimeout time.Duration
+	// OnVerdict hears of every verdict the server's acceptor reached on
+	// this pair's connections.
+	OnVerdict func(v handshake.Verdict)
 
 	// OnEvent observes engine events after the endpoint's own handling.
 	OnEvent func(ev core.Event)
@@ -86,24 +103,39 @@ type Endpoint struct {
 // attach paths with AddPath. The endpoints only park on total path
 // loss: the caller adds paths back itself.
 func Pair(s *sim.Sim, cfg core.Config) (client, server *Endpoint) {
-	return PairSupervised(s, cfg, nil, 1)
+	return PairSupervised(s, cfg, nil, 1, nil)
 }
 
-// serverName is the simulated server's identity.
-const serverName = "sim.server"
-
-// PairSupervised is Pair with the driver's reconnect supervisor armed on
-// both ends (rc), its jitter drawn from seed: on total path loss the
-// client redials its Paths, the server waits for the rejoin. The engines
-// are keyed when the initial handshake over the first connection ends.
-func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, seed int64) (client, server *Endpoint) {
-	cert, err := handshake.NewCertificate(serverName)
+// identity is the simulated server's certificate, one per process.
+var identity = sync.OnceValue(func() *handshake.Certificate {
+	cert, err := handshake.NewCertificate("sim.server")
 	if err != nil {
 		panic(err) // the system's randomness failed
 	}
+	return cert
+})
+
+// NewAcceptor builds an acceptor for simulated servers: cfg, with the
+// simulated server's identity and TCPLS on.
+func NewAcceptor(cfg handshake.AcceptorConfig) *handshake.Acceptor {
+	cfg.Handshake.Certificate, cfg.Handshake.TCPLSServer = identity(), true
+	return handshake.NewAcceptor(cfg)
+}
+
+// PairSupervised is Pair with the driver's reconnect supervisor armed on
+// both ends (rc), its jitter drawn from seed: on total path loss the
+// client redials its Paths, the server waits for the rejoin. The server
+// accepts through acc, which several pairs may share as one server
+// process does; nil gives the pair a default acceptor of its own. The
+// engines are keyed when the initial handshake over the first
+// connection ends.
+func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, seed int64, acc *handshake.Acceptor) (client, server *Endpoint) {
+	if acc == nil {
+		acc = NewAcceptor(handshake.AcceptorConfig{})
+	}
 	clk := clock{s, rand.New(rand.NewSource(seed))}
-	mk := func(role core.Role, hs *handshake.Config) *Endpoint {
-		e := &Endpoint{S: s, Sess: core.NewSession(role, handshake.Secrets{}, cfg), Handshake: hs}
+	mk := func(role core.Role) *Endpoint {
+		e := &Endpoint{S: s, Sess: core.NewSession(role, handshake.Secrets{}, cfg)}
 		e.D = driver.New(e.Sess, driver.Config{
 			Client:      role == core.RoleClient,
 			Failover:    cfg.EnableFailover,
@@ -112,27 +144,12 @@ func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, see
 		}, clk, (*host)(e), 0)
 		return e
 	}
-	client = mk(core.RoleClient, &handshake.Config{ServerName: serverName, EnableTCPLS: true, RootKeys: []ed25519.PublicKey{cert.Public}})
-	server = mk(core.RoleServer, &handshake.Config{Certificate: cert, TCPLSServer: true})
-	server.Handshake.Sessions = &server.joins
+	client, server = mk(core.RoleClient), mk(core.RoleServer)
+	client.Handshake = &handshake.Config{ServerName: identity().Name, EnableTCPLS: true, RootKeys: []ed25519.PublicKey{identity().Public}}
+	server.Acceptor = acc
 	client.peer = server
 	server.peer = client
 	return client, server
-}
-
-// joinTable validates join cookies against the ones the initial
-// handshake issued, each once.
-type joinTable struct {
-	id      handshake.SessID
-	cookies map[handshake.Cookie]bool
-}
-
-func (t *joinTable) ValidateJoin(id handshake.SessID, cookie handshake.Cookie) bool {
-	if id != t.id || !t.cookies[cookie] {
-		return false
-	}
-	delete(t.cookies, cookie)
-	return true
 }
 
 // AddPath establishes a TCP connection over path and registers it with
@@ -158,6 +175,9 @@ func (e *Endpoint) Join(i int) error {
 	if err != nil {
 		return err
 	}
+	if e.DialTimeout > 0 {
+		c.Deadline = epoch.Add(e.S.Now() + e.DialTimeout)
+	}
 	(*host)(e).Dial(c)
 	return nil
 }
@@ -167,16 +187,16 @@ func (e *Endpoint) Handshakes() []*simtcp.Conn { return e.handshakes }
 
 // connect brings up a connection over path: the TCP
 // handshake, then the TLS or join exchange, each end starting the
-// connection as its machine finishes. c is the client's joining
-// connection, or nil for one the caller numbered. onFail runs on a reset
-// before the client's end started.
+// connection as its machine finishes, the server's through its acceptor.
+// c is the client's joining connection, or nil for one the caller
+// numbered. onFail runs on a reset before the client's end started.
 func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, onReady, onFail func()) *simtcp.Conn {
 	cl, sv := simtcp.ConnectOn(e.S, path.AtoB, path.BtoA, opts, opts)
 	e.handshakes = append(e.handshakes, cl)
 	var cm *handshake.Machine
 	started := 0 // ends that started the connection
-	up := func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, m *handshake.Machine) {
-		ep.start(c, tc, m.Leftover())
+	up := func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
+		ep.start(c, tc, leftover)
 		if ep.OnStart != nil {
 			ep.OnStart(c.ID)
 		}
@@ -196,6 +216,13 @@ func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts s
 		if onFail != nil {
 			onFail()
 		}
+	}
+	if c == nil && e.DialTimeout > 0 {
+		e.S.After(e.DialTimeout, func() {
+			if e.pending(cl) {
+				cl.Reset()
+			}
+		})
 	}
 	cl.OnEstablished = func() {
 		var err error
@@ -234,60 +261,125 @@ func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts s
 			e.keyed(cm.Result())
 			c = e.D.Add(connID, "")
 		}
-		up(e, c, cl, cm)
+		up(e, c, cl, cm.Leftover())
 	}
-	sm := handshake.NewServer(e.peer.Handshake)
-	sv.OnRecv = func(p []byte) {
-		if sm.Feed(p) != nil {
-			sv.Reset()
-			return
-		}
-		// A server hands out its ServerHello, then the rest of its flight.
-		for f := sm.Flight(); len(f) > 0; f = sm.Flight() {
-			sv.Write(f)
-		}
-		if !sm.Done() {
-			return
-		}
-		res, id := sm.Result(), uint32(0)
-		if res.JoinAccepted {
-			id = res.JoinConnID
-		} else {
-			e.peer.keyed(res)
-		}
-		up(e.peer, e.peer.D.Add(id, ""), sv, sm)
-	}
+	e.peer.accept(sv, up)
 	return cl
 }
 
+// accepted is a server connection as its acceptor holds it: the simulated
+// TCP connection, how to start it once a session takes it, and what
+// arrived while it was parked.
+type accepted struct {
+	tc     *simtcp.Conn
+	up     func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, leftover []byte)
+	judged bool // its verdict was acted on
+	held   []byte
+}
+
+// accept runs the server's end of tc through the acceptor, from the SYN
+// on: admission, the deadline on the virtual clock, the handshake, and
+// the verdict.
+func (e *Endpoint) accept(tc *simtcp.Conn, up func(*Endpoint, *driver.Conn, *simtcp.Conn, []byte)) {
+	now := func() time.Time { return epoch.Add(e.S.Now()) }
+	var h *handshake.Incoming
+	tc.OnEstablished = func() {
+		h = e.Acceptor.Accept(&accepted{tc: tc, up: up}, e.peer.Remote, now())
+		if !h.Deadline.IsZero() {
+			e.S.After(h.Deadline.Sub(now()), func() { e.served(h.Close(handshake.ErrExpired, now()), h) })
+		}
+		e.served(h.Verdict(), h)
+	}
+	tc.OnRecv = func(p []byte) {
+		if h.Verdict().Outcome == handshake.Parked {
+			a := h.Conn.(*accepted)
+			a.held = append(a.held, p...)
+			return
+		}
+		h.Feed(p, now())
+		// A server hands out its ServerHello, then the rest of its flight.
+		for f := h.Flight(); len(f) > 0; f = h.Flight() {
+			tc.Write(f)
+		}
+		e.served(h.Verdict(), h)
+	}
+	tc.OnReset = func() {
+		if h != nil {
+			e.served(h.Close(errors.New("simtcpls: reset"), now()), h)
+		}
+	}
+}
+
+// served acts on a verdict the first time it is reached: a new session
+// keys this end, a join starts on its session's end, a refusal resets.
+// OnVerdict hears of it after.
+func (e *Endpoint) served(v handshake.Verdict, h *handshake.Incoming) {
+	a := h.Conn.(*accepted)
+	if v.Outcome == handshake.Handshaking || a.judged {
+		return
+	}
+	a.judged = true
+	switch v.Outcome {
+	case handshake.Refused:
+		a.tc.Reset()
+		for _, j := range v.Drop {
+			j.Conn.(*accepted).tc.Reset()
+		}
+	case handshake.NewSession:
+		e.keyed(v.Result)
+		e.adopt(h, 0)
+		for _, j := range e.Acceptor.Established(v.Result.SessID, e) {
+			e.adopt(j, j.Verdict().Result.JoinConnID)
+		}
+	case handshake.Join:
+		v.Owner.(*Endpoint).adopt(h, v.Result.JoinConnID)
+	}
+	if e.OnVerdict != nil {
+		e.OnVerdict(v)
+	}
+}
+
+// adopt starts an accepted connection as id on this end.
+func (e *Endpoint) adopt(h *handshake.Incoming, id uint32) {
+	a := h.Conn.(*accepted)
+	a.up(e, e.D.Add(id, ""), a.tc, append(h.Leftover(), a.held...))
+}
+
 // keyed takes the initial handshake's outcome: the engine's keys, and the
-// join cookies: the client's to spend, or the server's to check (its
-// Handshake is the one with a join table).
+// client's join cookies to spend.
 func (e *Endpoint) keyed(res *handshake.Result) {
 	e.Result = res
 	e.Sess.Key(res.Secrets)
-	if e.Handshake.Sessions == nil {
+	if e.Acceptor == nil {
 		for _, ck := range res.Cookies {
 			e.D.Cookies = append(e.D.Cookies, ck)
 		}
-		return
 	}
-	e.joins = joinTable{id: res.SessID, cookies: make(map[handshake.Cookie]bool, len(res.Cookies))}
-	for _, ck := range res.Cookies {
-		e.joins.cookies[ck] = true
+}
+
+// IssueCookies replenishes the client's join cookies (§3.3.2): n fresh
+// ones go into the acceptor's table, then over conn to the client.
+func (e *Endpoint) IssueCookies(conn uint32, n int) error {
+	cookies, err := e.Acceptor.IssueCookies(e.Result.SessID, n)
+	if err == nil {
+		e.Sess.Note("cookie_issued", conn, 0, 0, n)
+		err = e.Sess.SendNewCookies(conn, cookies)
+		e.D.Flush()
 	}
+	return err
 }
 
 // dropHandshake forgets cl's handshake; false if it was not pending.
 func (e *Endpoint) dropHandshake(cl *simtcp.Conn) bool {
-	for i, h := range e.handshakes {
-		if h == cl {
-			e.handshakes = append(e.handshakes[:i], e.handshakes[i+1:]...)
-			return true
-		}
+	if i := slices.Index(e.handshakes, cl); i >= 0 {
+		e.handshakes = slices.Delete(e.handshakes, i, i+1)
+		return true
 	}
 	return false
 }
+
+// pending reports that cl's handshake has not ended.
+func (e *Endpoint) pending(cl *simtcp.Conn) bool { return slices.Contains(e.handshakes, cl) }
 
 // start wires tc as c's transport and puts the connection to work,
 // beginning with what its handshake read past its own records.
@@ -381,6 +473,9 @@ func (h *host) Dial(c *driver.Conn) {
 func (h *host) FlushError(err error) { panic("simtcpls: flush: " + err.Error()) }
 
 func (h *host) End(err error) {
+	if h.Acceptor != nil && h.Result != nil {
+		h.Acceptor.Forget(h.Result.SessID)
+	}
 	if h.OnEnd != nil {
 		h.OnEnd(err)
 	}

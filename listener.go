@@ -1,55 +1,40 @@
 package tcpls
 
 import (
-	"crypto/rand"
 	"net"
-	"net/netip"
 	"sync"
 	"time"
 
 	"tcpls/internal/handshake"
-	"tcpls/internal/resume"
 	"tcpls/internal/telemetry"
 )
 
 // Listener accepts TCPLS sessions. Additional TCP connections that join
 // existing sessions (Fig. 3) are absorbed into their Session rather than
-// surfacing from Accept.
+// surfacing from Accept. The server's policy (admission, the handshake
+// deadline, tickets and 0-RTT, the session table with its cookies) is
+// internal/handshake's Acceptor; the Listener runs one goroutine per
+// connection over it and acts on each verdict.
 type Listener struct {
 	ln  net.Listener
 	cfg *Config
+	acc *handshake.Acceptor
 	// keys seals resumption tickets; Config.TicketKeys (persistent,
-	// restart-surviving) or a fresh in-memory store. replay aliases the
-	// key store's anti-replay strike register: listeners sharing ticket
-	// keys accept each other's tickets, so they share strikes too —
-	// otherwise a captured 0-RTT flight would replay once per listener.
-	keys   *TicketKeyStore
-	replay *resume.Replay
-	rtel   *telemetry.ResumeMetrics
+	// restart-surviving) or a fresh in-memory store. Its anti-replay
+	// strike register gates 0-RTT: listeners sharing ticket keys accept
+	// each other's tickets, so they share strikes too — otherwise a
+	// captured 0-RTT flight would replay once per listener.
+	keys *TicketKeyStore
+	rtel *telemetry.ResumeMetrics
 
-	mu       sync.Mutex
-	sessions map[SessID]*serverSession
-	// hsConns tracks connections whose handshake is still in flight, so
-	// Close can unblock their goroutines instead of leaking them until
-	// the peer gives up.
-	hsConns  map[net.Conn]struct{}
-	acceptCh chan acceptResult
-	done     chan struct{}
-	closed   bool
+	acceptCh  chan acceptResult
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 type acceptResult struct {
 	sess *Session
 	err  error
-}
-
-// serverSession is the listener's per-session bookkeeping: the live
-// Session plus the outstanding cookie set. ready is closed once sess is
-// populated, so joins racing the initial handshake's tail can wait.
-type serverSession struct {
-	sess    *Session
-	cookies map[Cookie]bool
-	ready   chan struct{}
 }
 
 // Listen starts a TCPLS server on the given TCP address.
@@ -71,8 +56,7 @@ func NewListener(ln net.Listener, cfg *Config) *Listener {
 	l := &Listener{
 		ln:       ln,
 		cfg:      cfg.clone(),
-		sessions: make(map[SessID]*serverSession),
-		hsConns:  make(map[net.Conn]struct{}),
+		rtel:     &telemetry.ResumeMetrics{},
 		acceptCh: make(chan acceptResult, 16),
 		done:     make(chan struct{}),
 	}
@@ -82,9 +66,21 @@ func NewListener(ln net.Listener, cfg *Config) *Listener {
 			l.keys = ks
 		}
 	}
-	if l.keys != nil {
-		l.replay = l.keys.replay
+	acfg := handshake.AcceptorConfig{
+		Handshake: handshake.Config{
+			Certificate:    l.cfg.Certificate,
+			TCPLSServer:    !l.cfg.DisableTCPLS,
+			AdvertiseAddrs: l.cfg.AdvertiseAddrs,
+			NumCookies:     l.cfg.NumCookies,
+			MaxEarlyData:   l.cfg.MaxEarlyData,
+		},
+		Admission: l.cfg.Admission,
+		Timeout:   l.cfg.handshakeTimeout(),
 	}
+	if l.keys != nil {
+		acfg.Keys, acfg.Replay = l.keys.ks, l.keys.replay
+	}
+	l.acc = handshake.NewAcceptor(acfg)
 	if !l.cfg.Telemetry.Disabled {
 		fams := telemetry.ResumeFamiliesOn(telemetry.Default())
 		l.rtel = fams.Listener(ln.Addr().String())
@@ -125,50 +121,15 @@ func (l *Listener) Accept() (*Session, error) {
 // connections still mid-handshake are closed so their goroutines exit
 // rather than leak until the peer gives up.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	closed := l.closed
-	l.closed = true
-	hs := make([]net.Conn, 0, len(l.hsConns))
-	for nc := range l.hsConns {
-		hs = append(hs, nc)
-	}
-	l.mu.Unlock()
-	if closed {
-		return nil
-	}
-	close(l.done)
-	for _, nc := range hs {
-		nc.Close()
-	}
-	return l.ln.Close()
-}
-
-// trackHandshake registers an in-flight handshake connection; false
-// means the listener already closed and the conn should be dropped.
-func (l *Listener) trackHandshake(nc net.Conn) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false
-	}
-	l.hsConns[nc] = struct{}{}
-	return true
-}
-
-// untrackHandshake removes a connection from the in-flight set and
-// reports whether the listener closed while the handshake ran (in which
-// case the conn must be dropped, not adopted). A handshake that failed,
-// or is dropped, after its cookie state was minted (issued) loses that
-// entry in the same critical section: no session will ever own it, and
-// nobody may see the handshake gone while its entry lingers.
-func (l *Listener) untrackHandshake(nc net.Conn, failed bool, issued *SessID) (listenerClosed bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.hsConns, nc)
-	if issued != nil && (failed || l.closed) {
-		delete(l.sessions, *issued)
-	}
-	return l.closed
+	var err error
+	l.closeOnce.Do(func() {
+		close(l.done)
+		for _, h := range l.acc.Close() {
+			h.Conn.(net.Conn).Close()
+		}
+		err = l.ln.Close()
+	})
+	return err
 }
 
 func (l *Listener) acceptLoop() {
@@ -185,70 +146,6 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
-// ValidateJoin implements handshake.JoinValidator: check and consume a
-// single-use cookie.
-func (l *Listener) ValidateJoin(id SessID, cookie Cookie) bool {
-	l.mu.Lock()
-	ss, ok := l.sessions[id]
-	valid := ok && ss.cookies[cookie]
-	if valid {
-		ss.cookies[cookie] = false
-	}
-	l.mu.Unlock()
-	// Trace the join decision onto the session's timeline when the
-	// session object already exists (the initial handshake may still be
-	// completing on its own connection).
-	if valid {
-		l.noteSessionTrace(id, "cookie_consumed")
-	} else {
-		l.noteSessionTrace(id, "join_rejected")
-	}
-	return valid
-}
-
-// forgetSession drops a session's entry, cookies and all.
-func (l *Listener) forgetSession(id SessID) {
-	l.mu.Lock()
-	delete(l.sessions, id)
-	l.mu.Unlock()
-}
-
-// noteSessionTrace stamps a listener-level mark (cookie_consumed,
-// join_rejected) onto a session's trace timeline, when the session
-// object already exists.
-func (l *Listener) noteSessionTrace(id SessID, name string) {
-	l.mu.Lock()
-	var sess *Session
-	if ss, ok := l.sessions[id]; ok {
-		select {
-		case <-ss.ready:
-			sess = ss.sess
-		default:
-		}
-	}
-	l.mu.Unlock()
-	if sess != nil {
-		sess.noteTrace(name, 0, 0, 0)
-	}
-}
-
-// joinGate is the per-connection join validator: it applies admission
-// control for the connection's remote address before consulting the
-// listener's cookie table, so a join flood from one IP burns admission
-// budget, not cookies.
-type joinGate struct {
-	l      *Listener
-	remote net.Addr
-}
-
-func (g *joinGate) ValidateJoin(id SessID, cookie Cookie) bool {
-	if adm := g.l.cfg.Admission; adm != nil && !adm.AdmitJoin(g.remote) {
-		g.l.noteSessionTrace(id, "join_rejected")
-		return false
-	}
-	return g.l.ValidateJoin(id, cookie)
-}
-
 // noteTrace stamps a wrapper-level mark onto the session's trace
 // timeline from outside the usual locked paths.
 func (s *Session) noteTrace(name string, conn uint32, seq uint64, bytes int) {
@@ -257,175 +154,79 @@ func (s *Session) noteTrace(name string, conn uint32, seq uint64, bytes int) {
 	s.mu.Unlock()
 }
 
-// handleConn runs the server handshake on one TCP connection and either
-// creates a session or joins an existing one. The whole handshake runs
-// under Config.HandshakeTimeout and admission control: a stalled or
-// unwelcome client is cut off here, before it can pin resources.
+// handleConn runs one accepted connection through the acceptor, its
+// handshake under the acceptor's deadline, and acts on the verdict.
 func (l *Listener) handleConn(nc net.Conn) {
-	if !l.trackHandshake(nc) {
-		nc.Close()
-		return
-	}
-	var release func()
-	if adm := l.cfg.Admission; adm != nil {
-		rel, err := adm.AdmitConn(nc.RemoteAddr())
-		if err != nil {
-			l.untrackHandshake(nc, true, nil)
-			nc.Close()
-			return
+	h := l.acc.Accept(nc, nc.RemoteAddr(), time.Now())
+	v := h.Verdict()
+	if v.Outcome == handshake.Handshaking {
+		if !h.Deadline.IsZero() {
+			nc.SetDeadline(h.Deadline)
 		}
-		release = rel
+		v = handshake.NewTransport(nc).Accept(h)
 	}
-	hsTimeout := l.cfg.handshakeTimeout()
-	if hsTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(hsTimeout))
-	}
-	var advertise []netip.Addr
-	advertise = append(advertise, l.cfg.AdvertiseAddrs...)
-	// Per-connection resumption disposition, captured by the handshake
-	// hooks: whether a ticket was offered, whether it opened under an
-	// old key generation, when it was issued (sealed inside the ticket;
-	// gates 0-RTT freshness), and whether the anti-replay gate was
-	// consulted.
-	var ticketOffered, ticketReissue, earlyGated bool
-	var ticketIssued time.Time
-	var issued *SessID // set once OnSessionIssued has put an entry in l.sessions
-	hcfg := &handshake.Config{
-		Certificate:    l.cfg.Certificate,
-		TCPLSServer:    !l.cfg.DisableTCPLS,
-		AdvertiseAddrs: advertise,
-		NumCookies:     l.cfg.NumCookies,
-		MaxEarlyData:   l.cfg.MaxEarlyData,
-		Sessions:       &joinGate{l: l, remote: nc.RemoteAddr()},
-		DecryptTicket: func(ticket []byte) ([]byte, bool) {
-			ticketOffered = true
-			if l.keys == nil {
-				return nil, false
-			}
-			psk, issued, reissue, err := l.keys.ks.OpenTicket(ticket)
-			if err != nil {
-				return nil, false
-			}
-			ticketReissue = reissue
-			ticketIssued = issued
-			return psk, true
-		},
-		AcceptEarlyData: func(ticket []byte) bool {
-			// One strike per ticket nonce, bounded by the ticket's sealed
-			// issuance stamp: a replayed 0-RTT flight (same ticket, same
-			// nonce) is decrypted and discarded, never delivered twice —
-			// the freshness gate keeps that true across register turnover
-			// and server restarts.
-			earlyGated = true
-			nonce, ok := resume.TicketNonce(ticket)
-			if !ok || l.replay == nil {
-				return false
-			}
-			return l.replay.ObserveFresh(nonce, ticketIssued, time.Now())
-		},
-		OnSessionIssued: func(id SessID, cookies []Cookie) {
-			ss := &serverSession{cookies: make(map[Cookie]bool), ready: make(chan struct{})}
-			for _, c := range cookies {
-				ss.cookies[c] = true
-			}
-			l.mu.Lock()
-			l.sessions[id] = ss
-			l.mu.Unlock()
-			issued = &id
-		},
-	}
-	tr := handshake.NewTransport(nc)
-	res, err := handshake.Server(tr, hcfg)
-	if release != nil {
-		release()
-	}
-	if closed := l.untrackHandshake(nc, err != nil, issued); err != nil || closed {
+	switch v.Outcome {
+	case handshake.Refused:
 		nc.Close()
-		return
+		for _, j := range v.Drop {
+			j.Conn.(net.Conn).Close()
+		}
+		if sess, ok := v.Owner.(*Session); ok && (v.Reason == handshake.RefusedJoin || v.Reason == handshake.BadCookie) {
+			sess.noteTrace("join_rejected", 0, 0, 0)
+		}
+	case handshake.Join:
+		l.adopt(h, v.Owner.(*Session))
+	case handshake.NewSession:
+		l.serve(h, v)
 	}
+	// Parked: the acceptor holds the connection until its session is
+	// established, and serve adopts it then.
+}
+
+// adopt attaches a joined connection to its session.
+func (l *Listener) adopt(h *handshake.Incoming, sess *Session) {
+	nc := h.Conn.(net.Conn)
 	nc.SetDeadline(time.Time{})
-
-	if res.JoinAccepted {
-		if res.FastJoin {
-			if l.rtel != nil {
-				l.rtel.JoinFastpath.Inc()
-			}
-			l.noteSessionTrace(res.SessID, "join_fastpath")
-		}
-		l.mu.Lock()
-		ss, ok := l.sessions[res.SessID]
-		l.mu.Unlock()
-		if !ok {
-			nc.Close()
-			return
-		}
-		// The initial handshake may still be finishing on its own
-		// connection; wait for the session object — bounded by the
-		// handshake deadline, and unblocked by listener close.
-		wait := hsTimeout
-		if wait <= 0 {
-			wait = defaultHandshakeTimeout
-		}
-		select {
-		case <-ss.ready:
-		case <-time.After(wait):
-			nc.Close()
-			return
-		case <-l.done:
-			nc.Close()
-			return
-		}
-		ss.sess.adoptJoinedConn(res.JoinConnID, nc, tr.Leftover())
-		return
+	res := h.Verdict().Result
+	if res.FastJoin {
+		l.rtel.JoinFastpath.Inc()
+		sess.noteTrace("join_fastpath", 0, 0, 0)
 	}
+	sess.adoptJoinedConn(res.JoinConnID, nc, h.Leftover())
+}
 
-	if adm := l.cfg.Admission; adm != nil {
-		if err := adm.AdmitSession(nc.RemoteAddr()); err != nil {
-			// Shed: drop the cookie state minted during the handshake so
-			// the rejected client cannot join its way back in.
-			if res.TCPLSEnabled {
-				l.forgetSession(res.SessID)
-			}
-			nc.Close()
-			return
-		}
-	}
-
-	sess := newSession(false, l.cfg, res, nc, tr.Leftover(), false)
+// serve builds the session a handshake opened, registers it with the
+// acceptor for its joins, and hands it to Accept.
+func (l *Listener) serve(h *handshake.Incoming, v handshake.Verdict) {
+	nc, res := h.Conn.(net.Conn), v.Result
+	nc.SetDeadline(time.Time{})
+	sess := newSession(false, l.cfg, res, nc, h.Leftover(), false)
 
 	// Resumption disposition: metrics plus trace marks on the session's
 	// own timeline.
-	switch {
-	case res.Resumed:
-		if l.rtel != nil {
-			l.rtel.Accepted.Inc()
-		}
+	switch v.Ticket {
+	case handshake.TicketOpened, handshake.TicketReissued:
+		l.rtel.Accepted.Inc()
 		sess.noteTrace("resume_accepted", 0, 0, 0)
-		if ticketReissue {
+		if v.Ticket == handshake.TicketReissued {
 			// The ticket opened under an old key generation; the fresh
 			// ticket issued below re-seals under the current one.
 			sess.noteTrace("ticket_reissued", 0, 0, 0)
 		}
-	case ticketOffered:
-		if l.rtel != nil {
-			l.rtel.Rejected.Inc()
-		}
+	case handshake.TicketRejected:
+		l.rtel.Rejected.Inc()
 		sess.noteTrace("resume_rejected", 0, 0, 0)
 	}
-	switch {
-	case res.EarlyDataAccepted:
-		if l.rtel != nil {
-			l.rtel.EarlyAccepted.Inc()
-			l.rtel.EarlyBytes.Add(uint64(len(res.EarlyData)))
-		}
-	case earlyGated:
-		if l.rtel != nil {
-			l.rtel.EarlyRejected.Inc()
-		}
+	switch v.Early {
+	case handshake.EarlyAccepted:
+		l.rtel.EarlyAccepted.Inc()
+		l.rtel.EarlyBytes.Add(uint64(len(res.EarlyData)))
+	case handshake.EarlyRejected:
+		l.rtel.EarlyRejected.Inc()
 		sess.noteTrace("early_data_rejected", 0, 0, 0)
 	}
-	if l.rtel != nil && l.replay != nil {
-		l.rtel.ReplayEntries.Set(int64(l.replay.Entries()))
+	if l.keys != nil {
+		l.rtel.ReplayEntries.Set(int64(l.keys.replay.Entries()))
 	}
 
 	if l.keys != nil && !l.cfg.DisableTickets && !l.cfg.DisableTCPLS {
@@ -440,31 +241,16 @@ func (l *Listener) handleConn(nc net.Conn) {
 		go sess.issueTicket(0)
 	}
 	if res.TCPLSEnabled {
-		l.mu.Lock()
-		ss := l.sessions[res.SessID]
-		if ss == nil {
-			ss = &serverSession{cookies: make(map[Cookie]bool), ready: make(chan struct{})}
-			l.sessions[res.SessID] = ss
-		}
-		ss.sess = sess
-		close(ss.ready)
-		l.mu.Unlock()
+		parked := l.acc.Established(res.SessID, sess)
 		// The entry only serves joins to a live session: when the session
 		// ends (it may already have) it goes, cookies and all.
-		forget := func() { l.forgetSession(res.SessID) }
 		sess.mu.Lock()
-		if sess.doneHook = forget; sess.drv.Ended() {
-			forget()
+		if sess.acceptor = l.acc; sess.drv.Ended() {
+			l.acc.Forget(res.SessID)
 		}
 		sess.mu.Unlock()
-		// Replenish trigger: when the session mints more cookies later
-		// (IssueCookies), the listener learns the new cookie set.
-		sess.onNewServerCookies = func(cookies []Cookie) {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			for _, c := range cookies {
-				ss.cookies[c] = true
-			}
+		for _, j := range parked {
+			l.adopt(j, sess)
 		}
 	}
 	// Prefer delivery: a session whose handshake beat the listener's
@@ -483,30 +269,19 @@ func (l *Listener) handleConn(nc net.Conn) {
 }
 
 // IssueCookies mints n fresh join cookies for a session, registers them
-// with the listener, and sends them to the client over the encrypted
-// channel (§3.3.2's replenishment).
+// with the listener's acceptor, and sends them to the client over the
+// encrypted channel (§3.3.2's replenishment).
 func (s *Session) IssueCookies(conn uint32, n int) error {
-	cookies := make([][16]byte, n)
-	plain := make([]Cookie, n)
-	for i := range cookies {
-		if _, err := rand.Read(cookies[i][:]); err != nil {
-			return err
-		}
-		plain[i] = Cookie(cookies[i])
-	}
 	s.mu.Lock()
-	cb := s.onNewServerCookies
-	s.engine.Note("cookie_issued", conn, 0, 0, n)
-	err := s.engine.SendNewCookies(conn, cookies)
-	s.drv.Flush()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	cookies, err := s.acceptor.IssueCookies(s.sessID, n)
 	if err != nil {
 		return err
 	}
-	if cb != nil {
-		cb(plain)
-	}
-	return nil
+	s.engine.Note("cookie_issued", conn, 0, 0, n)
+	err = s.engine.SendNewCookies(conn, cookies)
+	s.drv.Flush()
+	return err
 }
 
 // adoptJoinedConn attaches a joined TCP connection to the session. A

@@ -40,16 +40,21 @@ func TestListenerForgetsClosedSessions(t *testing.T) {
 	}
 	// Server sessions end when the client's goodbye reaches them.
 	live := func() int {
-		ln.mu.Lock()
-		defer ln.mu.Unlock()
-		return len(ln.sessions)
+		n, _ := ln.acc.Len()
+		return n
 	}
 	for deadline := time.Now().Add(5 * time.Second); live() > 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of 200 closed sessions still in the listener's table", live())
 		}
 	}
-	if ln.ValidateJoin(id, cookie) {
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	join := &handshake.Config{Join: &handshake.JoinTicket{SessID: id, Cookie: cookie, ConnID: 1}}
+	if _, err := handshake.Client(handshake.NewTransport(nc), join); err == nil {
 		t.Fatal("join with a closed session's unused cookie was accepted")
 	}
 }
@@ -97,9 +102,7 @@ func TestListenerForgetsAbortedHandshake(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ln.mu.Lock()
-		inFlight, entries := len(ln.hsConns), len(ln.sessions)
-		ln.mu.Unlock()
+		entries, inFlight := ln.acc.Len()
 		if inFlight == 0 {
 			if entries != 0 {
 				t.Fatalf("%d entries left by 20 handshakes that never finished", entries)

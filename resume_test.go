@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,6 +283,57 @@ func TestJoinPathFastCarriesData(t *testing.T) {
 	// The stream rides the joined connection.
 	if c, err := st.Conn(); err != nil || c != connID {
 		t.Fatalf("stream on conn %d (err=%v), want %d", c, err, connID)
+	}
+}
+
+// writeCounter counts the writes a connection carries before its first
+// read returns bytes.
+type writeCounter struct {
+	net.Conn
+	read   atomic.Bool
+	before atomic.Int32
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	if !w.read.Load() {
+		w.before.Add(1)
+	}
+	return w.Conn.Write(p)
+}
+
+func (w *writeCounter) Read(p []byte) (int, error) {
+	n, err := w.Conn.Read(p)
+	if n > 0 {
+		w.read.Store(true)
+	}
+	return n, err
+}
+
+// TestJoinPathFastSendsOneWrite: the fast join's hello and its optimistic
+// flight leave in one write, before anything of the server's ack is read.
+func TestJoinPathFastSendsOneWrite(t *testing.T) {
+	ln := startServer(t, &Config{EnableFailover: true}, echoHandler)
+	sess, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server", EnableFailover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	c, nc, err := sess.dialJoin("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{Conn: nc}
+	payload := []byte("one write")
+	st, err := sess.joinFast(c, wc, payload)
+	if err != nil {
+		t.Fatalf("fast join: %v", err)
+	}
+	if n := wc.before.Load(); n != 1 {
+		t.Fatalf("%d writes before the server's ack, want 1", n)
+	}
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(st, got); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("echo %q, %v", got, err)
 	}
 }
 

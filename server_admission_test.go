@@ -215,10 +215,7 @@ func TestAdmissionShedsSession(t *testing.T) {
 	if n := accepted.Load(); n != 0 {
 		t.Fatalf("%d sessions surfaced from Accept despite AdmitSession rejection", n)
 	}
-	ln.mu.Lock()
-	n := len(ln.sessions)
-	ln.mu.Unlock()
-	if n != 0 {
+	if n, _ := ln.acc.Len(); n != 0 {
 		t.Fatalf("%d session entries (cookie state) retained after shed", n)
 	}
 }
@@ -242,18 +239,7 @@ func TestAdmissionRejectsJoin(t *testing.T) {
 	if adm.joins.Load() != 1 {
 		t.Fatalf("AdmitJoin called %d times, want 1", adm.joins.Load())
 	}
-	ln.mu.Lock()
-	ss := ln.sessions[sess.ID()]
-	var unspent int
-	if ss != nil {
-		for _, ok := range ss.cookies {
-			if ok {
-				unspent++
-			}
-		}
-	}
-	ln.mu.Unlock()
-	if unspent == 0 {
+	if ln.acc.Cookies(sess.ID()) == 0 {
 		t.Fatal("server cookie consumed by an admission-rejected join")
 	}
 }

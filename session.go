@@ -55,11 +55,10 @@ type Session struct {
 
 	// closed: Close ran or the session ended; the API refuses new work.
 	// The driver may still be draining (drv.Ended tells).
-	closed             bool
-	closeErr           error
-	doneCh             chan struct{} // closed when the session ends
-	doneHook           func()        // run once, under s.mu, as doneCh closes; must not call back in
-	onNewServerCookies func([]Cookie)
+	closed   bool
+	closeErr error
+	doneCh   chan struct{}       // closed when the session ends
+	acceptor *handshake.Acceptor // server: the table whose entry goes when the session ends
 
 	// Recovery state (reconnect.go): remembered redial targets and the
 	// lifecycle event queue.
@@ -303,8 +302,8 @@ func (h *host) End(err error) {
 		}
 	}
 	close(s.doneCh)
-	if s.doneHook != nil {
-		s.doneHook()
+	if s.acceptor != nil {
+		s.acceptor.Forget(s.sessID)
 	}
 	s.closeTelemetryLocked()
 	// No failover replay can happen after this: return the pooled
