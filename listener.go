@@ -167,12 +167,13 @@ func (l *Listener) handleConn(nc net.Conn) {
 	}
 	switch v.Outcome {
 	case handshake.Refused:
+		// The mark lands before the close the client sees.
+		if sess, ok := v.Owner.(*Session); ok && (v.Reason == handshake.RefusedJoin || v.Reason == handshake.BadCookie) {
+			sess.noteTrace("join_rejected", 0, 0, 0)
+		}
 		nc.Close()
 		for _, j := range v.Drop {
 			j.Conn.(net.Conn).Close()
-		}
-		if sess, ok := v.Owner.(*Session); ok && (v.Reason == handshake.RefusedJoin || v.Reason == handshake.BadCookie) {
-			sess.noteTrace("join_rejected", 0, 0, 0)
 		}
 	case handshake.Join:
 		l.adopt(h, v.Owner.(*Session))
