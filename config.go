@@ -46,14 +46,16 @@ type Config struct {
 	// Used by the TLS/TCP baseline in the paper's Fig. 7.
 	DisableTCPLS bool
 
-	// HandshakeTimeout bounds the server-side handshake on each accepted
-	// TCP connection: a client that connects and then stalls (or
-	// trickles bytes) is cut off at the deadline instead of pinning a
-	// handshake goroutine and its admission slot forever. The deadline
-	// covers the whole handshake, including a join's wait for its
-	// session's initial handshake to finish. Zero means the default
-	// (10s); negative disables the deadline. Client handshakes bound
-	// themselves with dial timeouts instead.
+	// HandshakeTimeout bounds every handshake, on both sides. On a
+	// server it covers each accepted TCP connection's handshake,
+	// including a join's wait for its session's initial handshake to
+	// finish: a client that connects and then stalls (or trickles bytes)
+	// is cut off at the deadline instead of pinning a handshake goroutine
+	// and its admission slot forever. On a client it covers each
+	// connection's TCP connect and handshake — Dial and Client (Dial's
+	// plain-TLS retry gets a deadline of its own), and every join until
+	// the server has adopted it. Zero means the default (10s); negative
+	// disables the deadline.
 	HandshakeTimeout time.Duration
 
 	// Admission, when set, gates the server accept path — the hook the
@@ -185,12 +187,12 @@ type AdmissionControl interface {
 	AdmitSession(remote net.Addr) error
 }
 
-// defaultHandshakeTimeout bounds the server-side handshake when
+// defaultHandshakeTimeout bounds a handshake when
 // Config.HandshakeTimeout is zero.
 const defaultHandshakeTimeout = 10 * time.Second
 
-// handshakeTimeout resolves the configured server handshake deadline:
-// zero means the default, negative disables.
+// handshakeTimeout resolves the configured handshake deadline: zero
+// means the default, negative disables.
 func (c *Config) handshakeTimeout() time.Duration {
 	switch {
 	case c.HandshakeTimeout < 0:

@@ -1,7 +1,11 @@
 package tcpls
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -37,15 +41,84 @@ type pathConn struct {
 	iov    net.Buffers
 }
 
-// startConnLocked starts c over nc: the driver puts it to work, then the
-// reader and the writer run.
-func (s *Session) startConnLocked(c *driver.Conn, nc net.Conn, leftover []byte, confirm bool) error {
+// connect runs client connection c over nc, which is c's from here: the
+// driver takes the socket as c's transport and runs the handshake on it
+// (Open), while this goroutine pumps the socket until c leaves
+// Connecting — the client's last flight and the engine's first records
+// leave from here, with no writer to wake. Then c's reader and writer
+// take over, and connect waits until the peer has adopted c. A join's
+// address is remembered for redials (network is how it was dialed).
+// fast, when set, makes c a single-flight join and queues its first
+// records, under s.mu, behind the hello.
+func (s *Session) connect(c *driver.Conn, nc net.Conn, network string, fast func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pc := s.newPathConn(c, nc)
-	if err := s.drv.Start(c, pc, leftover, confirm); err != nil {
-		return err
+	pc.pulling = true // the pump's turn at the pull, until c leaves Connecting
+	err := s.drv.Open(c, pc, fast != nil)
+	if err == nil && fast != nil {
+		if err = fast(); err != nil {
+			s.drv.Abort(c, err)
+		}
+	}
+	if err == nil {
+		pc.pumpLocked()
+	}
+	pc.pulling = false
+	if err != nil || c.State == driver.Failed {
+		nc.Close()
+		return cmp.Or(err, c.Err, errNotAdopted)
 	}
 	pc.run()
+	for c.State == driver.Joining && !s.drv.Ended() {
+		s.cond.Wait()
+	}
+	switch {
+	case c.State == driver.Live:
+	case c.Err != nil:
+		return c.Err
+	case s.drv.Ended():
+		return s.closedErrLocked()
+	default:
+		return errNotAdopted
+	}
+	if c.Addr != "" {
+		s.rememberAddrLocked(c.Addr)
+		if s.dialNetwork == "" {
+			s.dialNetwork = network
+		}
+	}
 	return nil
+}
+
+// errNotAdopted: a client connection ended before the peer took it.
+var errNotAdopted = errors.New("tcpls: connection not adopted")
+
+// pumpLocked is the handshake's loop on the calling goroutine: write what
+// the driver holds for the connection, read, feed, until it leaves
+// Connecting. The caller holds s.mu and the connection's turn.
+func (pc *pathConn) pumpLocked() {
+	s := pc.s
+	arr := readBufs.Get().(*[readBufLen]byte)
+	defer readBufs.Put(arr)
+	for {
+		pc.writeBatchLocked(true)
+		if pc.c.State != driver.Connecting {
+			return
+		}
+		s.mu.Unlock()
+		n, err := pc.nc.Read(arr[:])
+		s.mu.Lock()
+		if n > 0 {
+			if rerr := s.drv.Receive(pc.c, arr[:n]); rerr != nil {
+				s.drv.Fail(rerr)
+			}
+			s.wakeInputLocked() // a join's leftover may carry stream data
+		}
+		if err != nil {
+			s.drv.Abort(pc.c, err) // nothing to do past Connecting
+		}
+	}
 }
 
 func (s *Session) newPathConn(c *driver.Conn, nc net.Conn) *pathConn {
@@ -114,7 +187,7 @@ func (pc *pathConn) writeLoop() {
 	for {
 		if !pc.pulling {
 			pc.pulling = true
-			wrote := pc.writeBatchLocked()
+			wrote := pc.writeBatchLocked(false)
 			pc.pulling = false
 			if wrote {
 				continue
@@ -127,20 +200,38 @@ func (pc *pathConn) writeLoop() {
 	}
 }
 
-// writeBatchLocked is one turn's round, for the writer and for a caller
-// alike: pull a batch of chunks, write it with one writev (net.Buffers)
-// outside the lock, and settle it under the lock again. The caller holds
-// s.mu and the turn. False when nothing was queued.
-func (pc *pathConn) writeBatchLocked() bool {
+// writeBatchLocked is one turn's round, for the writer, a caller and the
+// handshake's pump alike: pull a batch of chunks, write it outside the
+// lock, and settle it under the lock again. A batch goes out with one
+// writev (net.Buffers); the pump's (all) takes everything queued, its
+// flight first, and writes it as one buffer: the handshake's flights are
+// small, and any net.Conn then sees one write, with writev or without.
+// The caller holds s.mu and the turn. False when nothing was queued.
+func (pc *pathConn) writeBatchLocked(all bool) bool {
 	s := pc.s
-	pc.chunks = s.drv.Pull(pc.c, pc.chunks[:0], writeBatchMax)
-	if len(pc.chunks) == 0 {
+	max := writeBatchMax
+	if all {
+		max = math.MaxInt
+	}
+	if pc.chunks = s.drv.Pull(pc.c, pc.chunks[:0], max); len(pc.chunks) == 0 {
 		return false
 	}
 	s.mu.Unlock()
 	s.sendRoom.Broadcast() // the pull emptied this conn's queue, or nearly
-	pc.iov = append(pc.iovArr[:0], pc.chunks...)
-	written, err := pc.iov.WriteTo(pc.nc)
+	var written int64
+	var err error
+	if all {
+		out := pc.chunks[0]
+		if len(pc.chunks) > 1 {
+			out = bytes.Join(pc.chunks, nil)
+		}
+		var n int
+		n, err = pc.nc.Write(out)
+		written = int64(n)
+	} else {
+		pc.iov = append(pc.iovArr[:0], pc.chunks...)
+		written, err = pc.iov.WriteTo(pc.nc)
+	}
 	s.mu.Lock()
 	s.drv.Settle(pc.c, pc.chunks, written, err)
 	if s.closed {

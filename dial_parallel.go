@@ -6,6 +6,8 @@ import (
 	"net"
 	"strings"
 	"time"
+
+	"tcpls/internal/driver"
 )
 
 // DialParallel implements the Happy-Eyeballs-style connection racing of
@@ -15,11 +17,17 @@ import (
 // and IPv6 addresses to always get the lower-latency family.
 //
 // timeout bounds the whole race, handshake included (zero means 30
-// seconds). The losing sockets are closed as they connect, also after
+// seconds); every connect is bounded by it, so the race needs no timer
+// of its own. The losing sockets are closed as they connect, also after
 // DialParallel has returned; no handshake runs on them.
 func DialParallel(network string, addrs []string, timeout time.Duration, cfg *Config) (*Session, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("tcpls: DialParallel needs at least one address")
+	}
+	if cfg != nil {
+		if err := cfg.validateScheduler(); err != nil {
+			return nil, err
+		}
 	}
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -28,28 +36,26 @@ func DialParallel(network string, addrs []string, timeout time.Duration, cfg *Co
 	results := make(chan dialResult, len(addrs))
 	for _, addr := range addrs {
 		go func(addr string) {
-			nc, err := net.DialTimeout(network, addr, timeout)
+			nc, err := dialTCP(network, addr, deadline)
 			results <- dialResult{nc, addr, err}
 		}(addr)
 	}
 
-	expired := time.NewTimer(timeout)
-	defer expired.Stop()
 	var errs []string
 	for racing := len(addrs); racing > 0; racing-- {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				errs = append(errs, fmt.Sprintf("%s: %v", r.addr, r.err))
-				continue
-			}
-			go closeLosers(results, racing-1)
-			return handshakeBy(r, deadline, timeout, cfg)
-		case <-expired.C:
-			go closeLosers(results, racing)
-			return nil, fmt.Errorf("tcpls: DialParallel timed out after %v (failures: %s)",
-				timeout, strings.Join(errs, "; "))
+		r := <-results
+		if r.err != nil {
+			errs = append(errs, fmt.Sprintf("%s: %v", r.addr, r.err))
+			continue
 		}
+		go closeLosers(results, racing-1)
+		// The winner's handshake runs under what is left of the race's
+		// deadline: the driver's, which closes its socket then.
+		sess, err := newClient(cfg, deadline, func(*Session, *driver.Conn) (net.Conn, error) { return r.nc, nil })
+		if err != nil {
+			return nil, fmt.Errorf("tcpls: handshake with %s: %w", r.addr, err)
+		}
+		return sess, nil
 	}
 	return nil, fmt.Errorf("tcpls: all addresses failed: %s", strings.Join(errs, "; "))
 }
@@ -59,23 +65,6 @@ type dialResult struct {
 	nc   net.Conn
 	addr string
 	err  error
-}
-
-// handshakeBy runs the client handshake on the race's winner, closing
-// its socket at deadline if the handshake has not finished by then.
-func handshakeBy(r dialResult, deadline time.Time, timeout time.Duration, cfg *Config) (*Session, error) {
-	cut := time.AfterFunc(time.Until(deadline), func() { r.nc.Close() })
-	sess, err := Client(r.nc, cfg)
-	if !cut.Stop() {
-		if err == nil {
-			sess.Close()
-		}
-		return nil, fmt.Errorf("tcpls: DialParallel timed out after %v in the handshake with %s", timeout, r.addr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tcpls: handshake with %s: %w", r.addr, err)
-	}
-	return sess, nil
 }
 
 // closeLosers closes the sockets of the n dials still racing as they

@@ -2,9 +2,11 @@
 // transports. It owns what sits between core.Session and a transport:
 // the step after every input (failover policy, event drain, flush), the
 // pull → write → settle bookkeeping of each connection's output, the
-// UserTimeout tick, the connection state machine, the join routine, the
-// orderly drain and the reconnect supervisor. The root package adapts it
-// to net.Conn and goroutines, internal/simtcpls to simulated TCP.
+// UserTimeout tick, the connection state machine with the client's
+// handshake on every connection (the session's first one, joins, fast
+// joins and redials alike), the orderly drain and the reconnect
+// supervisor. The root package adapts it to net.Conn and goroutines,
+// internal/simtcpls to simulated TCP.
 //
 // A Driver has no lock and starts no goroutine: its methods, the Host
 // and Transport callbacks it makes and the functions it schedules on the
@@ -12,10 +14,14 @@
 package driver
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"os"
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/handshake"
 	"tcpls/internal/telemetry"
 )
 
@@ -35,7 +41,7 @@ type Clock interface {
 type State uint8
 
 const (
-	Connecting State = iota // dialing or in the join handshake, not in the engine
+	Connecting State = iota // client: dialing or in its handshake; in the engine only as a fast join
 	Joining                 // in the engine; the peer has not yet shown it adopted it
 	Live                    // in the engine on both ends
 	Closing                 // the peer said goodbye (CONN_CLOSE) on it; the transport is open
@@ -63,13 +69,22 @@ type Conn struct {
 	State  State
 	Addr   string   // where it was dialed: a redial target, or ""
 	Cookie [16]byte // the join cookie a client join spends
-	// Deadline bounds a join's dial and handshake; zero for none.
+	// Deadline bounds a client connection's dial, handshake and, on a
+	// join, the peer's adoption; zero for none.
 	Deadline time.Time
 	T        Transport
+	// Err is why a client connection failed in Connecting or Joining.
+	Err error
 
-	entered bool // in the engine
-	lent    int  // chunks pulled and not yet settled
-	bye     bool // our goodbye is queued on it
+	hs      *handshake.Machine // client: the handshake while Connecting
+	out     []byte             // the machine's flight, not yet pulled
+	flight  bool               // the pull lent out holds the flight, first
+	sent    bool               // a hello byte reached the transport: the cookie is spent
+	fast    bool               // a single-flight join
+	stop    func()             // cancels the deadline
+	entered bool               // in the engine
+	lent    int                // chunks pulled and not yet settled
+	bye     bool               // our goodbye is queued on it
 	shut    bool
 }
 
@@ -85,6 +100,9 @@ type Config struct {
 	// Reconnect arms the supervisor on total path loss. Nil: the adapter
 	// brings paths back itself and the session only parks.
 	Reconnect *ReconnectConfig
+	// Handshake is the client's initial handshake; its joins take the
+	// server name from it. Nil on a server.
+	Handshake *handshake.Config
 }
 
 // Host is the adapter's side of the session.
@@ -92,9 +110,15 @@ type Host interface {
 	Event(ev core.Event) // every engine event, after the driver's own handling
 	Lifecycle(ev Event)  // connection and recovery events
 	Candidates() []string
-	// Dial starts a join toward c.Addr with c's cookie and ID, bounded by
-	// c.Deadline, and reports back with Start or Abort.
+	// Dial connects a transport toward c.Addr by c.Deadline and hands it
+	// to Open; a connect that fails reports back with Abort.
 	Dial(c *Conn)
+	// Connected: client connection c finished its handshake and is in the
+	// engine, the bytes read past the handshake not fed yet. On the
+	// session's first connection res is the handshake's outcome (the
+	// engine already holds its keys and the driver its cookies), from
+	// which the adapter takes its own fields; nil on a join.
+	Connected(c *Conn, res *handshake.Result)
 	// FlushError: the engine refused to frame queued data. The session
 	// keeps running.
 	FlushError(err error)
@@ -108,6 +132,8 @@ type Driver struct {
 	Engine  *core.Session
 	Cookies [][16]byte // the client's unspent join cookies
 
+	keyed  bool             // client: the first connection's handshake keyed the engine
+	sessID handshake.SessID // client: what joins name
 	cfg    Config
 	clock  Clock
 	host   Host
@@ -184,7 +210,8 @@ func (d *Driver) Step() {
 			if c := d.Conn(ev.Conn); c != nil && c.State == Closing {
 				c.State = Closed
 			} else if c != nil {
-				c.State = Failed
+				c.State, c.hs, c.out = Failed, nil, nil // a fast join's handshake ends with it
+				d.settled(c)
 			}
 			if !d.goodbye { // past the goodbyes an ending transport is no outage
 				d.emit(Event{Kind: ConnDown, Conn: ev.Conn})
@@ -208,6 +235,7 @@ func (d *Driver) Step() {
 		case core.EventEchoReply:
 			if c := d.Conn(ev.Conn); c != nil && c.State == Joining && ev.Token == adoptProbe|uint64(c.ID) {
 				c.State = Live // answered on it: the peer adopted the connection
+				d.settled(c)
 			}
 		}
 		d.host.Event(ev)
@@ -218,8 +246,9 @@ func (d *Driver) Step() {
 	d.Flush()
 }
 
-// Flush frames what the engine has queued and wakes each started
-// connection with output. A failed connection's output is dropped.
+// Flush frames what the engine has queued and wakes each connection with
+// output: a handshake flight, or engine chunks on a started connection.
+// A failed connection's output is dropped.
 func (d *Driver) Flush() {
 	if d.ended {
 		return
@@ -229,6 +258,8 @@ func (d *Driver) Flush() {
 	}
 	for _, c := range d.conns {
 		switch {
+		case len(c.out) > 0:
+			c.T.Wake()
 		case !c.entered || !d.Engine.HasOutgoing(c.ID):
 		case d.failed(c):
 			d.Pull(c, nil, 0)
@@ -239,12 +270,21 @@ func (d *Driver) Flush() {
 	d.checkDrain()
 }
 
-// Pull appends up to max-len(dst) of c's queued chunks to dst, in the
-// order the engine sealed them; every one goes back through Settle. A
+// Pull appends up to max-len(dst) of c's queued chunks to an empty dst:
+// the handshake's flight first, when one waits, then the engine's chunks
+// in the order it sealed them; every one goes back through Settle. A
 // failed connection yields nothing: its output is dropped — once its
 // writer holds no chunk, so the written/dropped stamps stay in order.
 func (d *Driver) Pull(c *Conn, dst [][]byte, max int) [][]byte {
-	if d.ended || !c.entered {
+	if d.ended {
+		return dst
+	}
+	if len(c.out) > 0 && len(dst) < max {
+		dst = append(dst, c.out)
+		c.out, c.flight = nil, true
+		c.lent++
+	}
+	if !c.entered {
 		return dst
 	}
 	if d.failed(c) {
@@ -271,9 +311,17 @@ func (d *Driver) Pull(c *Conn, dst [][]byte, max int) [][]byte {
 
 // Settle closes the books on chunks pulled for c: the first written
 // bytes reached the transport, the rest are dropped, and failover
-// replays them byte-identically. A non-nil err fails the connection.
+// replays them byte-identically. A handshake flight stays off the
+// engine's books; one of its bytes written spends the connection's
+// cookie. A non-nil err fails the connection.
 func (d *Driver) Settle(c *Conn, chunks [][]byte, written int64, err error) {
 	now := d.clock.Now()
+	if c.flight && len(chunks) > 0 {
+		c.flight, c.sent = false, c.sent || written > 0
+		written -= min(written, int64(len(chunks[0])))
+		chunks = chunks[1:]
+		c.lent--
+	}
 	for _, b := range chunks {
 		if written >= int64(len(b)) {
 			written -= int64(len(b))
@@ -285,9 +333,12 @@ func (d *Driver) Settle(c *Conn, chunks [][]byte, written int64, err error) {
 		d.Engine.RecycleOutgoing(b) // counted against the engine's pool
 	}
 	c.lent -= len(chunks)
-	if err != nil {
+	switch {
+	case err != nil && c.State == Connecting:
+		d.Abort(c, err)
+	case err != nil:
 		d.Down(c, false)
-	} else {
+	default:
 		d.checkDrain()
 	}
 }
@@ -298,9 +349,13 @@ func (d *Driver) failed(c *Conn) bool {
 	return c.State == Failed || c.State == Closed && d.Engine.ConnFailed(c.ID)
 }
 
-// Receive feeds bytes read from c into the engine and steps. Input on a
-// failed connection, or after the end, is dropped.
+// Receive feeds bytes read from c into its handshake while one runs, else
+// into the engine, and steps. Input on a failed connection, or after the
+// end, is dropped.
 func (d *Driver) Receive(c *Conn, p []byte) error {
+	if c.hs != nil && !d.ended {
+		return d.handshake(c, p)
+	}
 	if d.ended || !c.entered || d.failed(c) {
 		return nil
 	}
@@ -310,12 +365,15 @@ func (d *Driver) Receive(c *Conn, p []byte) error {
 }
 
 // Down reports that c's transport broke, or reached the peer's end of
-// stream (eof). After a goodbye — the peer's, or ours with everything
-// sent on c acknowledged — an end of stream is c's orderly end: it
-// closes, and can still write what it owes. Anything else fails c in the
-// engine, and the failover policy acts.
+// stream (eof). A client connection still Connecting is aborted. After a
+// goodbye — the peer's, or ours with everything sent on c acknowledged —
+// an end of stream is c's orderly end: it closes, and can still write
+// what it owes. Anything else fails c in the engine, and the failover
+// policy acts.
 func (d *Driver) Down(c *Conn, eof bool) {
 	switch {
+	case c.State == Connecting:
+		d.Abort(c, errLost)
 	case d.ended || !c.entered:
 	case eof && (c.State == Closing || c.bye && c.State <= Live && !d.Engine.Stranded(c.ID)):
 		c.State = Closed
@@ -327,22 +385,42 @@ func (d *Driver) Down(c *Conn, eof bool) {
 	}
 }
 
-// Errors of the join routine.
+// Errors of the connect routine.
 var (
 	ErrNoCookies = errors.New("tcpls: no join cookies left")
 	ErrClosed    = errors.New("tcpls: session closed")
+	// ErrDeadline: a client connection was not Live by its Deadline.
+	ErrDeadline = fmt.Errorf("tcpls: handshake: %w", os.ErrDeadlineExceeded)
+	errLost     = errors.New("tcpls: connection lost in its handshake")
 )
 
-// Join reserves a join toward addr: a cookie and the next connection ID.
-// The adapter runs the handshake, then Start or Abort.
-func (d *Driver) Join(addr string) (*Conn, error) {
-	if len(d.Cookies) == 0 {
+// Connect registers client connection id toward addr as Connecting: the
+// session's first connection while the engine has no keys, else a join
+// that reserves the next cookie. The adapter connects a transport and
+// hands it to Open. At deadline (zero: none) the driver fails the
+// connection unless it is Live by then: the connect, the handshake and,
+// on a join, the peer's adoption all count.
+func (d *Driver) Connect(id uint32, addr string, deadline time.Time) (*Conn, error) {
+	switch {
+	case d.ended:
+		return nil, ErrClosed
+	case d.keyed && len(d.Cookies) == 0:
 		return nil, ErrNoCookies
 	}
-	c := d.Add(d.nextID, addr)
-	c.Cookie, d.Cookies = d.Cookies[0], d.Cookies[1:]
-	d.Engine.Note("cookie_consumed", c.ID, 0, 0, len(d.Cookies))
+	c := d.Add(id, addr)
+	if d.keyed {
+		c.Cookie, d.Cookies = d.Cookies[0], d.Cookies[1:]
+		d.Engine.Note("cookie_consumed", c.ID, 0, 0, len(d.Cookies))
+	}
+	if c.Deadline = deadline; !deadline.IsZero() {
+		c.stop = d.clock.After(max(deadline.Sub(d.clock.Now()), 0), func() { d.expire(c) })
+	}
 	return c, nil
+}
+
+// Join is Connect with the next connection ID.
+func (d *Driver) Join(addr string, deadline time.Time) (*Conn, error) {
+	return d.Connect(d.nextID, addr, deadline)
 }
 
 // Add registers connection id — the initial one, or one the peer
@@ -358,14 +436,116 @@ func (d *Driver) Add(id uint32, addr string) *Conn {
 	return c
 }
 
+// Open starts the handshake of client connection c over t, its connected
+// transport: the initial handshake, or a join's with c's cookie, whose
+// hello goes out through t ahead of anything else. fast makes the join
+// single-flight: c enters the engine at once, so records queued on it
+// before the next pull leave in the same write as the hello, and the
+// server's ack ends the handshake. From here Receive feeds the machine.
+func (d *Driver) Open(c *Conn, t Transport, fast bool) error {
+	if c.State != Connecting || d.ended {
+		d.Abort(c, ErrClosed)
+		return cmp.Or(c.Err, ErrClosed)
+	}
+	cfg := d.cfg.Handshake
+	if d.keyed {
+		join := *cfg
+		join.PSK, join.PSKTicket, join.EarlyData = nil, nil, nil
+		join.Join = &handshake.JoinTicket{SessID: d.sessID, Cookie: c.Cookie, ConnID: c.ID}
+		cfg = &join
+	}
+	start := handshake.NewClient
+	if fast {
+		start = handshake.NewFastJoin
+	}
+	m, err := start(cfg)
+	if err == nil && fast {
+		err = d.Engine.AddConnection(c.ID, d.clock.Now())
+	}
+	if err != nil {
+		d.Abort(c, err)
+		return err
+	}
+	c.T, c.hs, c.fast, c.entered = t, m, fast, fast
+	d.take(c)
+	t.Wake()
+	return nil
+}
+
+// take moves the machine's flight onto c's output; the machine gives up
+// each flight it hands out, so the first needs no copy.
+func (d *Driver) take(c *Conn) {
+	for f := c.hs.Flight(); len(f) > 0; f = c.hs.Flight() {
+		if len(c.out) == 0 {
+			c.out = f
+		} else {
+			c.out = append(c.out, f...)
+		}
+	}
+}
+
+// handshake feeds bytes read on c to its machine: its answer goes out
+// ahead of any engine chunk, a failure aborts c, and a finished machine
+// puts c to work (connected).
+func (d *Driver) handshake(c *Conn, p []byte) error {
+	if err := c.hs.Feed(p); err != nil {
+		d.Abort(c, err)
+		return nil
+	}
+	d.take(c)
+	if !c.hs.Done() {
+		if len(c.out) > 0 {
+			c.T.Wake()
+		}
+		return nil
+	}
+	return d.connected(c)
+}
+
 // adoptProbe marks adoption echo tokens apart from Ping's wall-clock ones.
 const adoptProbe = 1 << 63
 
-// Start puts c to work over t: into the engine, Live — or Joining, when
-// confirm asks the peer to show it adopted the connection — and feeds
-// leftover (what the handshake read past its own messages). The failover
-// policy resumes whatever is parked; a supervisor at work stands down.
-func (d *Driver) Start(c *Conn, t Transport, leftover []byte, confirm bool) error {
+// connected is the keying step of a finished client handshake. The
+// session's first connection keys the engine and brings the cookies; a
+// join enters the engine Joining, behind a probe the peer answers once it
+// adopted the connection (a fast join's ack already says so). The host
+// takes the outcome, then the bytes read past the handshake reach the
+// engine in the same step as the client's last flight leaves.
+func (d *Driver) connected(c *Conn) error {
+	res, leftover, first := c.hs.Result(), c.hs.Leftover(), !d.keyed
+	c.hs = nil
+	if first {
+		d.keyed, d.sessID = true, res.SessID
+		d.Engine.Key(res.Secrets)
+		d.cfg.Failover = d.cfg.Failover && res.TCPLSEnabled
+		for _, ck := range res.Cookies {
+			d.Cookies = append(d.Cookies, ck)
+		}
+	} else {
+		d.Engine.Note("join_accepted", c.ID, 0, 0, 0)
+		res = nil
+	}
+	if !c.entered {
+		if err := d.Engine.AddConnection(c.ID, d.clock.Now()); err != nil {
+			d.Abort(c, err)
+			return nil
+		}
+		c.entered = true
+	}
+	c.State = Live
+	if !first && !c.fast && d.Engine.SendEcho(c.ID, adoptProbe|uint64(c.ID)) == nil {
+		c.State = Joining
+	} else {
+		d.settled(c)
+	}
+	d.host.Connected(c, res)
+	return d.begin(c, leftover)
+}
+
+// Start puts connection c — the server's end of an accepted one — to work
+// over t: into the engine, Live, and feeds leftover (what the handshake
+// read past its own messages).
+func (d *Driver) Start(c *Conn, t Transport, leftover []byte) error {
 	err := ErrClosed
 	if !d.ended {
 		err = d.Engine.AddConnection(c.ID, d.clock.Now())
@@ -375,9 +555,13 @@ func (d *Driver) Start(c *Conn, t Transport, leftover []byte, confirm bool) erro
 		return err
 	}
 	c.entered, c.T, c.State = true, t, Live
-	if confirm && d.Engine.SendEcho(c.ID, adoptProbe|uint64(c.ID)) == nil {
-		c.State = Joining
-	}
+	return d.begin(c, leftover)
+}
+
+// begin feeds a started connection's leftover, or steps. The failover
+// policy resumes whatever is parked; a supervisor at work stands down.
+func (d *Driver) begin(c *Conn, leftover []byte) error {
+	var err error
 	if len(leftover) > 0 {
 		err = d.Receive(c, leftover)
 	} else {
@@ -393,20 +577,53 @@ func (d *Driver) Start(c *Conn, t Transport, leftover []byte, confirm bool) erro
 	return nil
 }
 
-// Abort gives up on a join. A cookie that never reached the peer
-// (spent false) goes back to the pool; a started connection fails.
-func (d *Driver) Abort(c *Conn, spent bool, err error) {
-	if c.entered {
-		d.Down(c, false)
-	} else {
+// Abort gives up on client connection c while it is Connecting, with
+// err: its transport is shut, and a cookie that no hello byte carried to
+// the peer goes back to the pool. A connection already in the engine (a
+// fast join) fails there, so failover replays what it carried. A
+// connection past Connecting is left alone.
+func (d *Driver) Abort(c *Conn, err error) {
+	if c.State != Connecting {
+		return
+	}
+	c.State, c.Err, c.hs, c.out = Failed, err, nil, nil
+	d.settled(c)
+	d.shut(c, false)
+	switch {
+	case c.entered && !d.ended:
+		d.Engine.ReportConnFailed(c.ID)
+		d.Step()
+	case !c.entered:
 		d.remove(c)
-		if !spent && c.Cookie != ([16]byte{}) {
+		if !c.sent && c.Cookie != ([16]byte{}) {
 			d.Cookies = append([][16]byte{c.Cookie}, d.Cookies...)
 		}
 	}
 	if d.sup.dialing == c {
 		d.sup.dialing, d.sup.lastErr = nil, err
 		d.nextDial()
+	}
+}
+
+// expire is c's deadline: a connection still Connecting is aborted, a
+// join the peer has not adopted fails.
+func (d *Driver) expire(c *Conn) {
+	c.stop = nil
+	switch c.State {
+	case Connecting:
+		d.Abort(c, ErrDeadline)
+	case Joining:
+		c.Err = ErrDeadline
+		d.shut(c, false)
+		d.Down(c, false)
+	}
+}
+
+// settled cancels c's deadline: it is Live, or failed.
+func (d *Driver) settled(c *Conn) {
+	if c.stop != nil {
+		c.stop()
+		c.stop = nil
 	}
 }
 
@@ -485,7 +702,7 @@ func (d *Driver) checkDrain() {
 		}
 	default:
 		for _, c := range d.conns {
-			if c.lent > 0 || d.Engine.HasOutgoing(c.ID) {
+			if c.lent > 0 || c.hs != nil || d.Engine.HasOutgoing(c.ID) {
 				continue
 			}
 			switch {
@@ -514,6 +731,7 @@ func (d *Driver) end(err error) {
 	}
 	d.sup = supervisor{}
 	for _, c := range d.conns {
+		d.settled(c)
 		d.shut(c, false)
 	}
 	d.host.End(err)

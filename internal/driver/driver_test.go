@@ -71,6 +71,7 @@ func (m *manualClock) advance(d time.Duration) {
 
 // host records what the driver reports.
 type host struct {
+	Nop
 	clk        *manualClock
 	events     []Event
 	candidates []string
@@ -80,10 +81,8 @@ type host struct {
 	endErr     error
 }
 
-func (h *host) Event(core.Event)     {}
 func (h *host) Lifecycle(ev Event)   { h.events = append(h.events, ev) }
 func (h *host) Candidates() []string { return h.candidates }
-func (h *host) FlushError(error)     {}
 func (h *host) End(err error)        { h.ended, h.endErr = true, err }
 func (h *host) Dial(c *Conn) {
 	h.dials = append(h.dials, h.clk.Now())
@@ -103,6 +102,7 @@ func (h *host) count(k EventKind) (n int) {
 
 // sink is a transport that swallows its connection's output.
 type sink struct {
+	Nop
 	d *Driver
 	c *Conn
 }
@@ -115,7 +115,6 @@ func (s *sink) Wake() {
 	}
 	s.d.Settle(s.c, batch, n, nil)
 }
-func (s *sink) Shut(bool) {}
 
 // wire is a transport that hands its connection's output to the peer
 // driver; short makes its next write come up short and fail, held keeps
@@ -165,10 +164,10 @@ func pair(t *testing.T, cfg core.Config, n int) (cl, sv *Driver, ch *host, cw []
 		c, s := cl.Add(id, ""), sv.Add(id, "")
 		w := &wire{from: cl, to: sv, c: c, peer: s}
 		cw = append(cw, w)
-		if err := cl.Start(c, w, nil, false); err != nil {
+		if err := cl.Start(c, w, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.Start(s, &wire{from: sv, to: cl, c: s, peer: c}, nil, false); err != nil {
+		if err := sv.Start(s, &wire{from: sv, to: cl, c: s, peer: c}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +270,7 @@ func supervised(t *testing.T, client bool, rc ReconnectConfig, cookies int) (*Dr
 		d.Cookies = append(d.Cookies, [16]byte{byte(i + 1)})
 	}
 	c := d.Add(0, "a")
-	if err := d.Start(c, &sink{d, c}, nil, false); err != nil {
+	if err := d.Start(c, &sink{d: d, c: c}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return d, h, clk
@@ -287,7 +286,7 @@ func TestSupervisorRoundsAndMaxAttempts(t *testing.T) {
 	var addrs []string
 	h.onDial = func(c *Conn) {
 		addrs = append(addrs, c.Addr)
-		d.Abort(c, false, errors.New("refused"))
+		d.Abort(c, errors.New("refused"))
 	}
 	d.Down(d.Conn(0), false)
 	clk.advance(time.Second)
@@ -322,7 +321,7 @@ func TestSupervisorRoundsAndMaxAttempts(t *testing.T) {
 func TestSupervisorDeadline(t *testing.T) {
 	rc := ReconnectConfig{MaxAttempts: 100, BaseDelay: time.Second, MaxDelay: time.Second, Deadline: 3 * time.Second}
 	d, h, clk := supervised(t, true, rc, 5)
-	h.onDial = func(c *Conn) { d.Abort(c, false, errors.New("refused")) }
+	h.onDial = func(c *Conn) { d.Abort(c, errors.New("refused")) }
 	d.Down(d.Conn(0), false)
 	clk.advance(2900 * time.Millisecond)
 	if h.ended {
@@ -364,13 +363,13 @@ func TestSupervisorStandsDown(t *testing.T) {
 		t.Fatal("no redial")
 	}
 	c := d.Add(9, "")
-	if err := d.Start(c, &sink{d, c}, nil, false); err != nil {
+	if err := d.Start(c, &sink{d: d, c: c}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Conn(9).entered || d.sup.on || h.count(Reconnected) != 1 || h.events[len(h.events)-1].Conn != 9 {
 		t.Fatalf("events %v: want the supervisor stood down on conn 9", h.events)
 	}
-	d.Abort(hanging, false, errors.New("late"))
+	d.Abort(hanging, errors.New("late"))
 	clk.advance(time.Minute)
 	if len(h.dials) != 1 || h.ended {
 		t.Fatalf("%d dials, ended %v after standing down", len(h.dials), h.ended)
@@ -385,7 +384,7 @@ func TestUserTimeoutFailsSilentConnOnce(t *testing.T) {
 	cfg := core.Config{EnableFailover: true, UserTimeout: 200 * time.Millisecond}
 	d := New(core.NewSession(core.RoleClient, secrets(t), cfg), Config{Client: true, Failover: true, UserTimeout: cfg.UserTimeout}, clk, h, 1)
 	c := d.Add(0, "")
-	d.Start(c, &sink{d, c}, nil, false)
+	d.Start(c, &sink{d: d, c: c}, nil)
 	id, _ := d.Engine.CreateStream(0) // an open stream makes silence meaningful
 	d.Engine.Write(id, []byte("x"))
 	d.Flush()

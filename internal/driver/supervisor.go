@@ -161,7 +161,6 @@ func (e *DeadError) Unwrap() []error {
 var (
 	errNoFailover = errors.New("tcpls: all connections failed and failover is disabled")
 	errNoAddrs    = errors.New("tcpls: no remembered peer addresses")
-	errDeadline   = errors.New("tcpls: reconnect deadline exceeded")
 )
 
 // supervisor is the recovery state: redial rounds with backoff on the
@@ -192,7 +191,7 @@ func (d *Driver) lost() {
 	}
 	up, orderly, seen := false, true, false
 	for _, c := range d.conns {
-		up = up || c.State == Joining || c.State == Live
+		up = up || c.entered && c.State <= Live // a fast join counts from its hello on
 		orderly = orderly && c.State != Failed
 		seen = seen || c.entered
 	}
@@ -247,19 +246,19 @@ func (d *Driver) round() {
 func (d *Driver) nextDial() {
 	s := &d.sup
 	for s.on && s.dialing == nil && len(s.queue) > 0 {
-		c, err := d.Join(s.queue[0])
+		addr := s.queue[0]
 		s.queue = s.queue[1:]
-		if err != nil {
-			s.lastErr = err
+		now := d.clock.Now()
+		deadline := now.Add(redialTimeout)
+		if s.deadline.Before(deadline) {
+			deadline = s.deadline
+		}
+		if !deadline.After(now) {
 			continue
 		}
-		now := d.clock.Now()
-		c.Deadline = now.Add(redialTimeout)
-		if s.deadline.Before(c.Deadline) {
-			c.Deadline = s.deadline
-		}
-		if !c.Deadline.After(now) {
-			d.Abort(c, false, errDeadline)
+		c, err := d.Join(addr, deadline)
+		if err != nil {
+			s.lastErr = err
 			continue
 		}
 		s.dialing = c

@@ -147,18 +147,20 @@ func tcplsPipeline(totalBytes int, cfg core.Config, multipath bool) (float64, er
 	sec := handshake.Secrets{Suite: suite, ClientApp: mk(1), ServerApp: mk(2)}
 	sender := core.NewSession(core.RoleServer, sec, cfg)
 	receiver := core.NewSession(core.RoleClient, sec, cfg)
-	sd := driver.New(sender, driver.Config{}, memClock{}, memHost{}, 0)
-	rd := driver.New(receiver, driver.Config{Client: true}, memClock{}, memHost{}, 0)
+	// The pump below moves the bytes and the pipeline measures CPU, not
+	// time: nothing is woken, timed or dialed.
+	sd := driver.New(sender, driver.Config{}, driver.Nop{}, driver.Nop{}, 0)
+	rd := driver.New(receiver, driver.Config{Client: true}, driver.Nop{}, driver.Nop{}, 0)
 
 	conns := []uint32{0}
 	if multipath {
 		conns = []uint32{0, 1}
 	}
 	for _, id := range conns {
-		if err := sd.Start(sd.Add(id, ""), memLink{}, nil, false); err != nil {
+		if err := sd.Start(sd.Add(id, ""), driver.Nop{}, nil); err != nil {
 			return 0, err
 		}
-		if err := rd.Start(rd.Add(id, ""), memLink{}, nil, false); err != nil {
+		if err := rd.Start(rd.Add(id, ""), driver.Nop{}, nil); err != nil {
 			return 0, err
 		}
 	}
@@ -227,28 +229,3 @@ func cpuSeconds() float64 {
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // fails only on a bad who or pointer
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
-
-// memLink is an in-memory transport: the pipeline's pump moves the bytes
-// itself, so a wake has nothing to do.
-type memLink struct{}
-
-func (memLink) Wake()     {}
-func (memLink) Shut(bool) {}
-
-// memClock stands still: the pipeline measures CPU, not time.
-type memClock struct{}
-
-func (memClock) Now() time.Time                            { return time.Unix(0, 0) }
-func (memClock) After(time.Duration, func()) (stop func()) { return func() {} }
-func (memClock) Int63n(int64) int64                        { return 0 }
-
-// memHost ignores everything: the pipeline counts delivered bytes through
-// the engine's delivery callbacks.
-type memHost struct{}
-
-func (memHost) Event(core.Event)       {}
-func (memHost) Lifecycle(driver.Event) {}
-func (memHost) Candidates() []string   { return nil }
-func (memHost) Dial(*driver.Conn)      {}
-func (memHost) FlushError(error)       {}
-func (memHost) End(error)              {}

@@ -599,7 +599,7 @@ func (fs *fleetSession) open() {
 	fs.opens++
 	fs.cl.TryPath(fs.paths[first], 0, simtcp.Options{}, func() {
 		for k := 1; k < len(fs.paths); k++ {
-			fs.cl.Join((first + k) % len(fs.paths))
+			fs.cl.Join((first+k)%len(fs.paths), false)
 		}
 	}, func() { fs.c.s.After(reopenAfter, fs.open) })
 }
@@ -1114,8 +1114,10 @@ func (c *campaign) restartSession(fs *fleetSession) {
 	}
 	c.resetLive(fs, true)
 	// Connections still in their handshake die with the process too.
-	for _, tc := range append([]*simtcp.Conn(nil), fs.cl.Handshakes()...) {
-		tc.Reset()
+	for _, dc := range append([]*driver.Conn(nil), fs.cl.D.Conns()...) {
+		if tc := fs.cl.Conn(dc.ID); tc != nil && dc.State == driver.Connecting {
+			tc.Reset()
+		}
 	}
 }
 

@@ -95,6 +95,17 @@ const maxPending = 64 << 10
 // ticket key.
 func NewClient(cfg *Config) (*Machine, error) { return newClient(cfg, false) }
 
+// NewFastJoin starts the client side of a single-flight join (cfg.Join):
+// its Flight is the hello alone, which the caller may send in one write
+// with engine records under the session's established keys; the server's
+// plaintext ack ends it.
+func NewFastJoin(cfg *Config) (*Machine, error) {
+	if cfg.Join == nil {
+		return nil, ErrJoinRejected
+	}
+	return newClient(cfg, true)
+}
+
 // newClient with fast starts a single-flight join (StartFastJoin).
 func newClient(cfg *Config, fast bool) (*Machine, error) {
 	m := &Machine{cfg: cfg, state: waitServerHello}

@@ -5,10 +5,13 @@ import (
 	"time"
 )
 
-// Transport runs a Machine over a byte stream (usually a TCP connection):
-// the one blocking loop behind Client, Server, the fast join and an
-// Acceptor's connections. It writes each flight the machine hands out and
-// feeds it what it reads, until the machine is done or fails.
+// Transport runs a Machine over a byte stream (usually a TCP connection)
+// in one blocking loop: it writes each flight the machine hands out and
+// feeds it what it reads, until the machine is done or fails. The
+// listener runs each accepted connection's handshake through Accept.
+// Client, Server and the fast join's two halves are blocking wrappers
+// for benchmarks and tests: a session's client connections run their
+// handshakes in internal/driver instead, fed by the connection's reader.
 type Transport struct {
 	rw  io.ReadWriter
 	m   *Machine
@@ -47,17 +50,6 @@ func StartFastJoin(t *Transport, cfg *Config) error {
 	return t.write()
 }
 
-// NewFastJoin starts the client side of a single-flight join (cfg.Join):
-// its Flight is the hello alone, which the caller may send in one write
-// with engine records under the session's established keys. Run then
-// reads the server's plaintext ack.
-func NewFastJoin(cfg *Config) (*Machine, error) {
-	if cfg.Join == nil {
-		return nil, ErrJoinRejected
-	}
-	return newClient(cfg, true)
-}
-
 // FinishFastJoin reads the server's join ack. A rejection means the
 // cookie was spent for nothing and the records behind the hello were
 // dropped.
@@ -65,9 +57,6 @@ func FinishFastJoin(t *Transport) error {
 	_, err := t.Run(t.m)
 	return err
 }
-
-// Leftover returns the bytes read behind the handshake's last record.
-func (t *Transport) Leftover() []byte { return t.m.Leftover() }
 
 // Run is the loop: flights out, bytes in, until m is done or fails. A
 // failed machine's last flight (a fast join's rejection) still goes out.

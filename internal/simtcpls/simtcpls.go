@@ -11,10 +11,12 @@
 // connection opens with the real handshake (internal/handshake's
 // machine) over the simulated TCP: the session's first connection runs
 // the full, resumed or 0-RTT exchange that keys both engines, and each
-// later one a join that spends one of the server's cookies. The server
-// accepts through handshake.Acceptor, the production listener's policy:
-// admission, the handshake deadline, the ticket and 0-RTT gates, and the
-// session table with its cookies.
+// later one a join that spends one of the server's cookies. The client's
+// driver runs its handshakes, as it does in production, with their
+// deadlines and cookie spends. The server accepts through
+// handshake.Acceptor, the production listener's policy: admission, the
+// handshake deadline, the ticket and 0-RTT gates, and the session table
+// with its cookies.
 package simtcpls
 
 import (
@@ -23,7 +25,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -66,18 +67,19 @@ type Endpoint struct {
 	D    *driver.Driver
 	peer *Endpoint
 
-	// Handshake is the client's side of every handshake (Pair fills in a
-	// TCPLS default), and Acceptor the server's: the same acceptor as a
-	// production listener, on the virtual clock. Result is the initial
-	// handshake's outcome.
-	Handshake  *handshake.Config
-	Acceptor   *handshake.Acceptor
-	Result     *handshake.Result
-	handshakes []*simtcp.Conn // client: connections mid-handshake
+	// Handshake is the client's initial handshake, which its driver runs
+	// (Pair fills in a TCPLS default; joins take the server name from
+	// it), and Acceptor the server's side of every handshake: the same
+	// acceptor as a production listener, on the virtual clock. Result is
+	// the initial handshake's outcome.
+	Handshake *handshake.Config
+	Acceptor  *handshake.Acceptor
+	Result    *handshake.Result
 
 	// Remote is the address the server's acceptor sees for this client's
-	// connections, and DialTimeout bounds a client connection's connect
-	// and handshake when its join set no deadline (zero: none).
+	// connections, and DialTimeout the driver's deadline for a connection
+	// the caller starts, from its SYN until it is Live (zero: none); the
+	// supervisor's redials carry their own.
 	Remote      net.Addr
 	DialTimeout time.Duration
 	// OnVerdict hears of every verdict the server's acceptor reached on
@@ -92,7 +94,9 @@ type Endpoint struct {
 	Paths []*sim.Path
 	// OnStart hears of every connection this end starts, once its side
 	// of the connection's handshake ended: where a client's Dial or a
-	// server's Accept would return. The peer's end may start later.
+	// server's Accept would return. A fast join starts with its hello, as
+	// JoinPathFast queues its first bytes then. The peer's end may start
+	// later.
 	OnStart func(connID uint32)
 	// OnEnd hears of the session's end: nil after an orderly close, else
 	// the typed error that ended it.
@@ -134,18 +138,19 @@ func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, see
 		acc = NewAcceptor(handshake.AcceptorConfig{})
 	}
 	clk := clock{s, rand.New(rand.NewSource(seed))}
-	mk := func(role core.Role) *Endpoint {
-		e := &Endpoint{S: s, Sess: core.NewSession(role, handshake.Secrets{}, cfg)}
+	mk := func(role core.Role, hs *handshake.Config) *Endpoint {
+		e := &Endpoint{S: s, Sess: core.NewSession(role, handshake.Secrets{}, cfg), Handshake: hs}
 		e.D = driver.New(e.Sess, driver.Config{
 			Client:      role == core.RoleClient,
 			Failover:    cfg.EnableFailover,
 			UserTimeout: cfg.UserTimeout,
 			Reconnect:   rc,
+			Handshake:   hs,
 		}, clk, (*host)(e), 0)
 		return e
 	}
-	client, server = mk(core.RoleClient), mk(core.RoleServer)
-	client.Handshake = &handshake.Config{ServerName: identity().Name, EnableTCPLS: true, RootKeys: []ed25519.PublicKey{identity().Public}}
+	client = mk(core.RoleClient, &handshake.Config{ServerName: identity().Name, EnableTCPLS: true, RootKeys: []ed25519.PublicKey{identity().Public}})
+	server = mk(core.RoleServer, nil)
 	server.Acceptor = acc
 	client.peer = server
 	server.peer = client
@@ -157,114 +162,101 @@ func PairSupervised(s *sim.Sim, cfg core.Config, rc *driver.ReconnectConfig, see
 // initial handshake, a later one a join with the client's next cookie.
 // onReady, if non-nil, fires when both ends have started the connection.
 func (e *Endpoint) AddPath(path *sim.Path, connID uint32, opts simtcp.Options, onReady func()) {
-	e.connect(path, connID, nil, opts, onReady, nil)
+	e.connect(path, connID, nil, opts, false, onReady, nil)
 }
 
 // TryPath is AddPath with a failure callback: connecting over a dead
 // path retries its SYN with backoff and eventually reports failure —
 // the cost structure of Fig. 9's path hunting — and so does a
-// connection reset before its handshake ended.
+// connection reset before the client's end started it.
 func (e *Endpoint) TryPath(path *sim.Path, connID uint32, opts simtcp.Options, onReady, onFail func()) {
-	e.connect(path, connID, nil, opts, onReady, onFail)
+	e.connect(path, connID, nil, opts, false, onReady, onFail)
 }
 
 // Join joins path i of Paths through the driver's join routine (a
-// cookie, the next connection ID), as the supervisor's redials do.
-func (e *Endpoint) Join(i int) error {
-	c, err := e.D.Join(strconv.Itoa(i))
-	if err != nil {
-		return err
-	}
+// cookie, the next connection ID), as the supervisor's redials do; fast
+// makes it a single-flight join.
+func (e *Endpoint) Join(i int, fast bool) error {
+	var deadline time.Time
 	if e.DialTimeout > 0 {
-		c.Deadline = epoch.Add(e.S.Now() + e.DialTimeout)
+		deadline = epoch.Add(e.S.Now() + e.DialTimeout)
 	}
-	(*host)(e).Dial(c)
-	return nil
+	c, err := e.D.Join(strconv.Itoa(i), deadline)
+	if err == nil {
+		e.dial(c, fast)
+	}
+	return err
 }
 
-// Handshakes lists the client's connections mid-handshake.
-func (e *Endpoint) Handshakes() []*simtcp.Conn { return e.handshakes }
+// dial connects the path c.Addr names.
+func (e *Endpoint) dial(c *driver.Conn, fast bool) {
+	i, _ := strconv.Atoi(c.Addr)
+	e.connect(e.Paths[i], c.ID, c, simtcp.Options{}, fast, nil, nil)
+}
 
-// connect brings up a connection over path: the TCP
-// handshake, then the TLS or join exchange, each end starting the
-// connection as its machine finishes, the server's through its acceptor.
-// c is the client's joining connection, or nil for one the caller
-// numbered. onFail runs on a reset before the client's end started.
-func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, onReady, onFail func()) *simtcp.Conn {
+// connect brings up a client connection over path: the simulated TCP
+// handshake, then one driver call (Open) that runs the client's TLS or
+// join handshake on it, while the server's end runs through its
+// acceptor. c is a connection the driver reserved (a join toward one of
+// Paths), or nil for one the caller numbered: the session's first
+// connection, registered from its SYN on so that its deadline covers the
+// connect, or a join that takes the next cookie once the TCP handshake is
+// done. onFail runs on a reset before the client's end started.
+func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, fast bool, onReady, onFail func()) {
 	cl, sv := simtcp.ConnectOn(e.S, path.AtoB, path.BtoA, opts, opts)
-	e.handshakes = append(e.handshakes, cl)
-	var cm *handshake.Machine
-	started := 0 // ends that started the connection
-	up := func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
+	var deadline time.Time
+	if c == nil && e.DialTimeout > 0 {
+		deadline = epoch.Add(e.S.Now() + e.DialTimeout)
+	}
+	ready := 0 // ends that started the connection
+	t := &conn{e: e, tc: cl, hs: true, fast: fast, ready: func() {
+		if ready++; ready == 2 && onReady != nil {
+			onReady()
+		}
+	}}
+	if c == nil && e.Result == nil {
+		c, _ = e.D.Connect(connID, "", deadline)
+	}
+	if c != nil {
+		t.c, c.T = c, t // its deadline resets the SYN's connection too
+	}
+	cl.OnEstablished = func() {
+		if t.c == nil {
+			var err error
+			if t.c, err = e.D.Connect(connID, "", deadline); err != nil {
+				cl.Reset()
+				return
+			}
+			t.c.T = t
+		}
+		if e.D.Open(t.c, t, fast) == nil && fast {
+			t.started()
+		}
+	}
+	cl.OnRecv = func(p []byte) {
+		// Input the engine refuses ends the session, as at a real socket.
+		if err := e.D.Receive(t.c, p); err != nil {
+			e.D.Fail(err)
+		}
+	}
+	cl.OnReset = func() {
+		if t.c != nil {
+			e.D.Down(t.c, false)
+		}
+		if t.hs {
+			t.hs = false
+			if onFail != nil {
+				onFail()
+			}
+		}
+	}
+	e.peer.accept(sv, func(ep *Endpoint, c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
 		ep.start(c, tc, leftover)
 		if ep.OnStart != nil {
 			ep.OnStart(c.ID)
 		}
-		if started++; started == 2 && onReady != nil {
-			onReady()
-		}
-	}
-	// A reset before the client's end started ends the attempt; a reserved
-	// cookie is spent once the hello is on the wire.
-	cl.OnReset = func() {
-		if !e.dropHandshake(cl) {
-			return
-		}
-		if c != nil {
-			e.D.Abort(c, cm != nil, errors.New("simtcpls: join failed"))
-		}
-		if onFail != nil {
-			onFail()
-		}
-	}
-	if c == nil && e.DialTimeout > 0 {
-		e.S.After(e.DialTimeout, func() {
-			if e.pending(cl) {
-				cl.Reset()
-			}
-		})
-	}
-	cl.OnEstablished = func() {
-		var err error
-		switch {
-		case e.Result == nil:
-			cm, err = handshake.NewClient(e.Handshake)
-		case c == nil && len(e.D.Cookies) > 0:
-			// A join the caller numbered itself takes the next cookie.
-			c = e.D.Add(connID, "")
-			c.Cookie, e.D.Cookies = e.D.Cookies[0], e.D.Cookies[1:]
-			fallthrough
-		case c != nil:
-			cfg := *e.Handshake
-			cfg.Join = &handshake.JoinTicket{SessID: e.Result.SessID, Cookie: c.Cookie, ConnID: c.ID}
-			cfg.PSK, cfg.PSKTicket, cfg.EarlyData = nil, nil, nil
-			cm, err = handshake.NewClient(&cfg)
-		default:
-			err = driver.ErrNoCookies
-		}
-		if err != nil {
-			cl.Reset()
-			return
-		}
-		cl.Write(cm.Flight())
-	}
-	cl.OnRecv = func(p []byte) {
-		if cm.Feed(p) != nil {
-			cl.Reset()
-			return
-		}
-		if cl.Write(cm.Flight()); !cm.Done() {
-			return
-		}
-		e.dropHandshake(cl)
-		if c == nil {
-			e.keyed(cm.Result())
-			c = e.D.Add(connID, "")
-		}
-		up(e, c, cl, cm.Leftover())
-	}
-	e.peer.accept(sv, up)
-	return cl
+		t.ready()
+	})
 }
 
 // accepted is a server connection as its acceptor holds it: the simulated
@@ -326,7 +318,8 @@ func (e *Endpoint) served(v handshake.Verdict, h *handshake.Incoming) {
 			j.Conn.(*accepted).tc.Reset()
 		}
 	case handshake.NewSession:
-		e.keyed(v.Result)
+		e.Result = v.Result
+		e.Sess.Key(v.Result.Secrets)
 		e.adopt(h, 0)
 		for _, j := range e.Acceptor.Established(v.Result.SessID, e) {
 			e.adopt(j, j.Verdict().Result.JoinConnID)
@@ -345,18 +338,6 @@ func (e *Endpoint) adopt(h *handshake.Incoming, id uint32) {
 	a.up(e, e.D.Add(id, ""), a.tc, append(h.Leftover(), a.held...))
 }
 
-// keyed takes the initial handshake's outcome: the engine's keys, and the
-// client's join cookies to spend.
-func (e *Endpoint) keyed(res *handshake.Result) {
-	e.Result = res
-	e.Sess.Key(res.Secrets)
-	if e.Acceptor == nil {
-		for _, ck := range res.Cookies {
-			e.D.Cookies = append(e.D.Cookies, ck)
-		}
-	}
-}
-
 // IssueCookies replenishes the client's join cookies (§3.3.2): n fresh
 // ones go into the acceptor's table, then over conn to the client.
 func (e *Endpoint) IssueCookies(conn uint32, n int) error {
@@ -369,20 +350,9 @@ func (e *Endpoint) IssueCookies(conn uint32, n int) error {
 	return err
 }
 
-// dropHandshake forgets cl's handshake; false if it was not pending.
-func (e *Endpoint) dropHandshake(cl *simtcp.Conn) bool {
-	if i := slices.Index(e.handshakes, cl); i >= 0 {
-		e.handshakes = slices.Delete(e.handshakes, i, i+1)
-		return true
-	}
-	return false
-}
-
-// pending reports that cl's handshake has not ended.
-func (e *Endpoint) pending(cl *simtcp.Conn) bool { return slices.Contains(e.handshakes, cl) }
-
-// start wires tc as c's transport and puts the connection to work,
-// beginning with what its handshake read past its own records.
+// start wires tc as the transport of c, the server's end of an accepted
+// connection, and puts it to work, beginning with what its handshake read
+// past its own records.
 func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
 	t := &conn{e: e, c: c, tc: tc}
 	tc.OnRecv = func(p []byte) {
@@ -396,7 +366,7 @@ func (e *Endpoint) start(c *driver.Conn, tc *simtcp.Conn, leftover []byte) {
 	}
 	tc.OnReset = func() { e.D.Down(c, false) }
 	tc.OnAcked = e.D.Flush
-	if err := e.D.Start(c, t, leftover, false); err != nil {
+	if err := e.D.Start(c, t, leftover); err != nil {
 		tc.Reset()
 	}
 }
@@ -406,8 +376,20 @@ type conn struct {
 	e     *Endpoint
 	c     *driver.Conn
 	tc    *simtcp.Conn
+	hs    bool   // client: the driver runs its handshake still
+	fast  bool   // client: a single-flight join, started at its hello
+	ready func() // client: this end's start, toward the caller's onReady
 	batch [][]byte
 	buf   []byte
+}
+
+// started is the client end's start of the connection.
+func (t *conn) started() {
+	t.tc.OnAcked = t.e.D.Flush
+	if t.e.OnStart != nil {
+		t.e.OnStart(t.c.ID)
+	}
+	t.ready()
 }
 
 // Wake writes everything queued as one write: one send attempt per flush
@@ -428,7 +410,13 @@ func (t *conn) Wake() {
 	t.e.D.Settle(t.c, t.batch, written, nil)
 }
 
-func (t *conn) Shut(bool) {}
+// Shut resets a connection whose handshake the driver gave up on, as a
+// closed socket would; a started one stays up until a fault ends it.
+func (t *conn) Shut(bool) {
+	if t.hs {
+		t.tc.Reset()
+	}
+}
 
 // host is the endpoint as its driver sees it.
 type host Endpoint
@@ -453,20 +441,19 @@ func (h *host) Candidates() []string {
 	return out
 }
 
-// Dial joins the path c.Addr names; an attempt still short of ready at
-// c.Deadline is reset, and connect aborts it.
-func (h *host) Dial(c *driver.Conn) {
-	e := (*Endpoint)(h)
-	i, _ := strconv.Atoi(c.Addr)
-	p := e.Paths[i]
-	done := false
-	cl := e.connect(p, c.ID, c, simtcp.Options{}, func() { done = true }, func() { done = true })
-	if !c.Deadline.IsZero() {
-		e.S.After(c.Deadline.Sub(epoch.Add(e.S.Now())), func() {
-			if !done {
-				cl.Reset()
-			}
-		})
+// Dial is the supervisor's redial of the path c.Addr names.
+func (h *host) Dial(c *driver.Conn) { (*Endpoint)(h).dial(c, false) }
+
+// Connected is the client end's start of a connection whose handshake
+// ended; on the first one, it keeps the handshake's outcome. A fast
+// join started at its hello.
+func (h *host) Connected(c *driver.Conn, res *handshake.Result) {
+	if res != nil {
+		h.Result = res
+	}
+	t := c.T.(*conn)
+	if t.hs = false; !t.fast {
+		t.started()
 	}
 }
 

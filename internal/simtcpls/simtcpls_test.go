@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/handshake"
 	"tcpls/internal/health"
+	"tcpls/internal/resume"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
 	"tcpls/internal/telemetry"
@@ -283,4 +285,102 @@ type engineSource struct{ sess *core.Session }
 
 func (e engineSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
 	e.sess.Snapshot(snap)
+}
+
+// TestFirstRequestByteOnTheVirtualClock runs the production connect path
+// — the client's driver running each handshake, the server's acceptor —
+// over one path of round-trip time R on the virtual clock. The client
+// queues a request as its end starts the connection; the time from the
+// connection's SYN until the server's application holds the request's
+// first byte is 2.5R for a full handshake, a resumption and a join, and
+// 1.5R for a fast join, whose records ride its hello. The line rate keeps
+// serialization under a millisecond. 0-RTT is logged, not asserted: its
+// bytes reach the server at 1.5R, and the server's application gets them
+// with the acceptor's verdict, at the client's Finished.
+func TestFirstRequestByteOnTheVirtualClock(t *testing.T) {
+	const delay = 10 * time.Millisecond
+	const rtt = 2 * delay
+	req := []byte("GET /first HTTP/1.0\r\n\r\n")
+	ks, err := resume.NewMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	psk := bytes.Repeat([]byte{7}, 32)
+	ticket, err := ks.SealAt(psk, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run opens a session and, for a join, a second connection (join:
+	// 1 two-flight, 2 fast), and returns the time from the measured
+	// connection's SYN to the server holding the request's first byte, and
+	// to the server's 0-RTT verdict.
+	run := func(resumed, early bool, join int) (first, verdict time.Duration) {
+		s := sim.New()
+		acc := NewAcceptor(handshake.AcceptorConfig{Keys: ks, Replay: resume.NewReplay(0, 0, epoch)})
+		client, server := PairSupervised(s, core.Config{}, nil, 1, acc)
+		if resumed {
+			client.Handshake.PSK, client.Handshake.PSKTicket = psk, ticket
+		}
+		if early {
+			client.Handshake.EarlyData = req
+		}
+		paths := []*sim.Path{sim.NewPath(s, mbps(1000), delay), sim.NewPath(s, mbps(1000), delay)}
+		client.Paths = paths[1:]
+		target := uint32(0)
+		var start time.Duration
+		if join > 0 {
+			target = 1
+		}
+		client.OnStart = func(id uint32) {
+			if id == target && !early {
+				sid, err := client.Sess.CreateStream(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				client.Write(sid, req)
+			}
+		}
+		server.OnVerdict = func(v handshake.Verdict) {
+			if v.Early == handshake.EarlyAccepted {
+				verdict = s.Now() - start
+			}
+		}
+		server.OnEvent = func(ev core.Event) {
+			if ev.Kind == core.EventStreamData && first == 0 {
+				first = s.Now() - start
+			}
+		}
+		client.AddPath(paths[0], 0, simtcp.Options{}, func() {
+			if join > 0 {
+				start = s.Now()
+				if err := client.Join(0, join == 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		s.RunUntil(time.Second)
+		return first, verdict
+	}
+	for _, f := range []struct {
+		name    string
+		want    time.Duration
+		resumed bool
+		join    int
+	}{
+		{"full", 5 * rtt / 2, false, 0},
+		{"resumed", 5 * rtt / 2, true, 0},
+		{"join", 5 * rtt / 2, false, 1},
+		{"fast join", 3 * rtt / 2, false, 2},
+	} {
+		got, _ := run(f.resumed, false, f.join)
+		t.Logf("%s: first request byte at %v", f.name, got)
+		if got < f.want || got >= f.want+time.Millisecond {
+			t.Errorf("%s: first request byte at %v (%.2fR), want %v (%.1fR)", f.name, got, float64(got)/float64(rtt), f.want, float64(f.want)/float64(rtt))
+		}
+	}
+	_, verdict := run(true, true, 0)
+	if verdict == 0 {
+		t.Fatal("0-RTT: the flight was not accepted")
+	}
+	t.Logf("0-RTT: the server's application gets the early bytes at %v (%.2fR)", verdict, float64(verdict)/float64(rtt))
 }

@@ -201,7 +201,7 @@ func (l *Listener) adopt(h *handshake.Incoming, sess *Session) {
 func (l *Listener) serve(h *handshake.Incoming, v handshake.Verdict) {
 	nc, res := h.Conn.(net.Conn), v.Result
 	nc.SetDeadline(time.Time{})
-	sess := newSession(false, l.cfg, res, nc, h.Leftover(), false)
+	sess := acceptSession(l.cfg, res, nc, h.Leftover())
 
 	// Resumption disposition: metrics plus trace marks on the session's
 	// own timeline.
@@ -297,7 +297,11 @@ func (s *Session) adoptJoinedConn(connID uint32, nc net.Conn, leftover []byte) {
 		return
 	}
 	s.engine.Note("join_accepted", connID, 0, 0, 0)
-	if s.startConnLocked(s.drv.Add(connID, ""), nc, leftover, false) != nil {
+	c := s.drv.Add(connID, "")
+	pc := s.newPathConn(c, nc)
+	if s.drv.Start(c, pc, leftover) != nil {
 		nc.Close()
+		return
 	}
+	pc.run()
 }

@@ -3,9 +3,7 @@ package tcpls
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"net"
-	"time"
 
 	"tcpls/internal/driver"
 )
@@ -145,20 +143,14 @@ func (s *Session) candidateAddrsLocked() []string {
 	return out
 }
 
-// Dial is the supervisor's redial: a TCP dial and the join routine, both
-// bounded by c.Deadline, on a goroutine of their own. A dial that never
-// reached the server hands its cookie back.
+// Dial is the supervisor's redial: a connect to c.Addr and the join
+// routine (connect), on a goroutine of their own, bounded by c.Deadline.
 func (h *host) Dial(c *driver.Conn) {
 	s := (*Session)(h)
 	network := cmp.Or(s.dialNetwork, "tcp")
 	go func() {
-		nc, err := net.DialTimeout(network, c.Addr, time.Until(c.Deadline))
-		if err != nil {
-			s.mu.Lock()
-			s.drv.Abort(c, false, fmt.Errorf("tcpls: reconnect dial %s: %w", c.Addr, err))
-			s.mu.Unlock()
-			return
+		if nc, err := s.dialConn(c, network, c.Addr); err == nil {
+			s.connect(c, nc, network, nil)
 		}
-		s.join(c, nc, network)
 	}()
 }

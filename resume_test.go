@@ -324,7 +324,7 @@ func TestJoinPathFastSendsOneWrite(t *testing.T) {
 	}
 	wc := &writeCounter{Conn: nc}
 	payload := []byte("one write")
-	st, err := sess.joinFast(c, wc, payload)
+	st, err := sess.joinFast(c, wc, "tcp", payload)
 	if err != nil {
 		t.Fatalf("fast join: %v", err)
 	}

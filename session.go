@@ -120,21 +120,19 @@ var (
 	ErrRecvBufferFull = core.ErrRecvBufferFull
 )
 
-// newSession builds the session around its first connection. earlyStream
-// (client side) opens the stream that carries Config.EarlyData before any
-// byte of the server reaches the engine: the reply to an accepted 0-RTT
-// flight may already sit in leftover, and without the stream's context it
-// would be dropped as a failed decrypt.
-func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, leftover []byte, earlyStream bool) *Session {
+// newSession builds a session around an engine without keys, and its
+// driver: a client's first connection keys both through the driver's
+// handshake (host.Connected), a server's through acceptSession. hcfg is
+// the client's initial handshake, nil on a server.
+func newSession(isClient bool, cfg *Config, hcfg *handshake.Config) *Session {
 	role := core.RoleServer
 	if isClient {
 		role = core.RoleClient
 	}
 	s := &Session{
-		engine:   core.NewSession(role, res.Secrets, cfg.coreConfig()),
+		engine:   core.NewSession(role, handshake.Secrets{}, cfg.coreConfig()),
 		cfg:      cfg,
 		isClient: isClient,
-		sessID:   res.SessID,
 		streams:  make(map[uint32]*Stream),
 		echoCh:   make(map[uint64]chan struct{}),
 		doneCh:   make(chan struct{}),
@@ -143,52 +141,53 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 	s.accept = sync.NewCond(&s.mu)
 	s.sendRoom = sync.NewCond(&s.mu)
 	s.recvRoom = sync.NewCond(&s.mu)
-	s.suite = res.Secrets.Suite
-	s.resumption = res.Secrets.Resumption
-	s.resumed = res.Resumed
 	s.metrics = sched.NewMetrics()
 	s.engine.SetMetrics(s.metrics)
+	if cfg.Scheduler != "" {
+		// Validated by Dial/Client/Listen; ByName cannot fail here.
+		if ps, ok := sched.ByName(cfg.Scheduler); ok {
+			s.engine.SetPathScheduler(ps)
+		}
+	}
 	s.drv = driver.New(s.engine, driver.Config{
 		Client:      isClient,
 		Failover:    cfg.EnableFailover && !cfg.DisableTCPLS,
 		UserTimeout: cfg.UserTimeout,
 		Reconnect:   &cfg.Reconnect,
+		Handshake:   hcfg,
 	}, wallClock{s}, (*host)(s), 1)
-	for _, c := range res.Cookies {
-		s.drv.Cookies = append(s.drv.Cookies, c)
-	}
-	s.initTelemetry()
+	return s
+}
+
+// keyedLocked takes the session's own fields from its first handshake —
+// identity, peer addresses, resumption material — and starts its
+// telemetry, before the engine sees traffic. The caller holds s.mu.
+func (s *Session) keyedLocked(res *handshake.Result) {
+	s.sessID = res.SessID
+	s.suite = res.Secrets.Suite
+	s.resumption = res.Secrets.Resumption
+	s.resumed = res.Resumed
 	for _, a := range res.PeerAddrs {
 		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: a.AsSlice()})
 	}
-	s.mu.Lock() // initTelemetry published the session: scrapes may already read the engine
-	// The connection's loops start once the early stream exists and the
-	// leftover is in: the leftover precedes whatever they would read.
+	s.initTelemetry()
+}
+
+// acceptSession builds a server session from its initial handshake and
+// starts its first connection over nc. An accepted 0-RTT flight is
+// delivered before any leftover engine records: the early bytes are, by
+// definition, the first thing the client sent, and the leftover may
+// already carry the STREAM_ATTACH re-homing the same stream.
+func acceptSession(cfg *Config, res *handshake.Result, nc net.Conn, leftover []byte) *Session {
+	s := newSession(false, cfg, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.engine.Key(res.Secrets)
+	s.keyedLocked(res)
 	c := s.drv.Add(0, "")
 	pc := s.newPathConn(c, nc)
-	s.drv.Start(c, pc, nil, false)
-	if isClient {
-		if ra := nc.RemoteAddr(); ra != nil {
-			s.dialNetwork = ra.Network()
-			s.rememberAddrLocked(ra.String())
-		}
-		s.earlyAccepted = res.EarlyDataAccepted
-	}
-	if earlyStream {
-		// The first client stream gets the same ID (2) the server's
-		// injection used, so on acceptance the bytes are already home and
-		// only the STREAM_ATTACH goes out.
-		if id, err := s.engine.CreateStream(0); err == nil {
-			s.streams[id] = &Stream{sess: s, id: id}
-			s.earlyStreamID = id
-			s.hasEarlyStream = true
-		}
-	}
-	if !isClient && res.EarlyDataAccepted {
-		// Deliver the accepted 0-RTT flight before any leftover engine
-		// records: the early bytes are, by definition, the first thing
-		// the client sent, and the leftover may already carry the
-		// STREAM_ATTACH re-homing the same stream.
+	s.drv.Start(c, pc, nil)
+	if res.EarlyDataAccepted {
 		if id, err := s.engine.InjectEarlyData(res.EarlyData); err == nil {
 			s.earlyAccepted = true
 			s.earlyStreamID = id
@@ -201,13 +200,6 @@ func newSession(isClient bool, cfg *Config, res *handshake.Result, nc net.Conn, 
 		s.drv.Fail(err)
 	}
 	pc.run()
-	if cfg.Scheduler != "" {
-		// Validated by Dial/Client/Listen; ByName cannot fail here.
-		if ps, ok := sched.ByName(cfg.Scheduler); ok {
-			s.engine.SetPathScheduler(ps)
-		}
-	}
-	s.mu.Unlock()
 	return s
 }
 
@@ -278,6 +270,40 @@ func (h *host) Event(ev core.Event) {
 		}
 	case core.EventAddAddr:
 		s.peerAddrs = append(s.peerAddrs, &net.TCPAddr{IP: ev.Addr})
+	}
+}
+
+// Connected takes the outcome of the client's first handshake, with the
+// engine just keyed: a server without TCPLS makes the session plain TLS
+// (the implicit fallback, paper §5.2), the session's fields and telemetry
+// follow, and the stream carrying Config.EarlyData opens before any of
+// the server's records reach the engine — the reply to an accepted 0-RTT
+// flight may be among them, and without the stream's context it would be
+// dropped as a failed decrypt. A join needs nothing of it.
+func (h *host) Connected(c *driver.Conn, res *handshake.Result) {
+	s := (*Session)(h)
+	if res == nil {
+		return
+	}
+	early := s.cfg.Ticket != nil && len(s.cfg.EarlyData) > 0 && !s.cfg.DisableTCPLS
+	if !res.TCPLSEnabled {
+		s.cfg.DisableTCPLS = true
+	}
+	s.keyedLocked(res)
+	s.earlyAccepted = res.EarlyDataAccepted
+	if ra := c.T.(*pathConn).nc.RemoteAddr(); ra != nil {
+		s.dialNetwork = ra.Network()
+		s.rememberAddrLocked(ra.String())
+	}
+	if early {
+		// The first client stream gets the same ID (2) the server's
+		// injection used, so on acceptance the bytes are already home and
+		// only the STREAM_ATTACH goes out.
+		if id, err := s.engine.CreateStream(c.ID); err == nil {
+			s.streams[id] = &Stream{sess: s, id: id}
+			s.earlyStreamID = id
+			s.hasEarlyStream = true
+		}
 	}
 }
 
@@ -411,7 +437,7 @@ func (s *Session) flushOwnLocked() {
 	s.owning = false
 	if pc := s.owned; pc != nil {
 		s.owned = nil
-		pc.writeBatchLocked()
+		pc.writeBatchLocked(false)
 		pc.releaseLocked()
 	}
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"io"
+	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +77,53 @@ func TestDialEchoRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, msg) {
 		t.Fatalf("echo mismatch: %q", buf)
 	}
+}
+
+// TestDialHonoursHandshakeDeadline: a server that accepts and never
+// answers costs Dial its HandshakeTimeout, once for the TCPLS attempt and
+// once for the plain-TLS retry, and no more. Dial returns a timeout
+// error, each socket it opened is closed, and no goroutine is left.
+func TestDialHonoursHandshakeDeadline(t *testing.T) {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := raw.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	base := runtime.NumGoroutine()
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	_, err = Dial("tcp", raw.Addr().String(), &Config{ServerName: "test.server", HandshakeTimeout: timeout})
+	took := time.Since(start)
+	var ne net.Error
+	if !errors.Is(err, os.ErrDeadlineExceeded) || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("Dial to a silent server: %v, want a timeout", err)
+	}
+	if took > 2*timeout+time.Second {
+		t.Fatalf("Dial returned after %v with a %v handshake timeout", took, timeout)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case c := <-accepted:
+			c.SetReadDeadline(time.Now().Add(3 * time.Second))
+			if _, err := io.Copy(io.Discard, c); err != nil {
+				t.Fatalf("attempt %d: the client's socket was not closed: %v", i+1, err)
+			}
+			c.Close()
+		case <-time.After(3 * time.Second):
+			t.Fatalf("the server saw %d connections, want 2", i)
+		}
+	}
+	checkGoroutines(t, base)
 }
 
 func TestBulkTransfer(t *testing.T) {

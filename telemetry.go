@@ -185,8 +185,8 @@ var healthFams = health.NewFamilies(telemetry.Default())
 // share a sessLabel and count apart), starts the always-on flight
 // recorder, registers the /debug/tcpls state provider, and acquires the
 // HTTP endpoint if one is configured; closeTelemetryLocked gives all of
-// it back. Called from newSession before the engine sees traffic (no
-// lock needed yet).
+// it back. Called from keyedLocked, under s.mu, before the engine sees
+// traffic: the registries' callbacks take s.mu only when they run.
 func (s *Session) initTelemetry() {
 	if s.cfg.Telemetry.Disabled {
 		return

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"tcpls/internal/handshake"
 )
 
 // Tests for the pull-model send path: one goroutine at a time pulls a
@@ -199,13 +197,14 @@ func TestConcurrentFlushersKeepRecordOrder(t *testing.T) {
 }
 
 // TestEarlyReplyAheadOfReadLoop: the server's reply to an accepted 0-RTT
-// flight can reach the client's engine before anything else the client
-// does after its handshake — here it is handed to newSession as leftover,
-// which is fed at the same point, under the same lock hold, as readLoop's
-// first read would be (through Client the order is a race the wire decides:
-// the reply follows the client's Finished). The early stream must already
-// exist by then, or the reply is dropped as a failed decrypt and the
-// stream's reader waits for ever.
+// flight can be the first thing the client's engine reads after its
+// handshake. Here it is already on the socket, in full, when the
+// connection's reader starts: replyFirst holds the write that carries
+// the client's Finished until the reply has arrived, and hands what it
+// read to the first Read after. The early stream must exist by then, or
+// the reply is dropped as a failed decrypt and the stream's reader waits
+// for ever. It opens in the handshake's keying step, so its
+// STREAM_ATTACH already rides the Finished's write.
 func TestEarlyReplyAheadOfReadLoop(t *testing.T) {
 	ln := startServer(t, &Config{}, echoHandler)
 	sess1, err := Dial("tcp", ln.Addr().String(), &Config{ServerName: "test.server"})
@@ -217,47 +216,24 @@ func TestEarlyReplyAheadOfReadLoop(t *testing.T) {
 
 	early := make([]byte, 1000) // larger than any control record the server sends
 	rand.Read(early)
-	cfg := (&Config{ServerName: "test.server", Ticket: ticket, EarlyData: early}).clone()
 	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := handshake.NewTransport(nc)
-	res, err := handshake.Client(tr, &handshake.Config{
-		ServerName: cfg.ServerName, RootKeys: cfg.RootKeys, EnableTCPLS: true,
-		PSK: ticket.PSK, PSKTicket: ticket.Ticket, EarlyData: early,
-	})
+	rc := &replyFirst{Conn: nc, size: len(early)}
+	sess, err := Client(rc, &Config{ServerName: "test.server", Ticket: ticket, EarlyData: early})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.EarlyDataAccepted {
+	if rc.err != nil {
+		t.Fatalf("waiting for the server's reply: %v", rc.err)
+	}
+	if !sess.EarlyDataAccepted() {
 		t.Fatal("0-RTT flight not accepted")
 	}
-	// Take the server's bytes off the socket until the echo is among
-	// them: the first record big enough to carry it.
-	leftover := tr.Leftover()
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for hasReply := false; !hasReply; {
-		for rec := leftover; len(rec) >= 5; {
-			n := 5 + int(binary.BigEndian.Uint16(rec[3:5]))
-			if n > len(rec) {
-				break
-			}
-			hasReply = hasReply || n >= len(early)
-			rec = rec[n:]
-		}
-		if !hasReply {
-			buf := make([]byte, 4096)
-			n, err := nc.Read(buf)
-			if err != nil {
-				t.Fatalf("waiting for the server's reply: %v", err)
-			}
-			leftover = append(leftover, buf[:n]...)
-		}
+	if rc.records < 2 {
+		t.Fatalf("the Finished's write carried %d records: the early stream opened after it", rc.records)
 	}
-	nc.SetReadDeadline(time.Time{})
-
-	sess := newSession(true, cfg, res, nc, leftover, true)
 	defer sess.Close()
 	st, ok := sess.EarlyStream()
 	if !ok {
@@ -280,4 +256,56 @@ func TestEarlyReplyAheadOfReadLoop(t *testing.T) {
 	if st := sess.Stats(); st.FailedDecrypts != 0 {
 		t.Fatalf("%d records dropped as failed decrypts", st.FailedDecrypts)
 	}
+}
+
+// replyFirst is a client socket whose second write — the one carrying
+// the client's Finished, whose records it counts — returns only once the
+// server's reply to the 0-RTT flight is read: the first record of at
+// least size bytes. The next Read returns what it read.
+type replyFirst struct {
+	net.Conn
+	size    int
+	writes  int
+	records int
+	held    []byte
+	err     error
+}
+
+func (r *replyFirst) Write(p []byte) (int, error) {
+	n, err := r.Conn.Write(p)
+	if r.writes++; r.writes != 2 || err != nil {
+		return n, err
+	}
+	for rec := p; len(rec) >= 5; rec = rec[min(len(rec), 5+int(binary.BigEndian.Uint16(rec[3:5]))):] {
+		r.records++
+	}
+	r.Conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	defer r.Conn.SetReadDeadline(time.Time{})
+	buf := make([]byte, 4096)
+	for hasReply := false; !hasReply; {
+		k, rerr := r.Conn.Read(buf)
+		if rerr != nil {
+			r.err = rerr
+			return n, nil
+		}
+		r.held = append(r.held, buf[:k]...)
+		for rec := r.held; len(rec) >= 5; {
+			m := 5 + int(binary.BigEndian.Uint16(rec[3:5]))
+			if m > len(rec) {
+				break
+			}
+			hasReply = hasReply || m >= r.size
+			rec = rec[m:]
+		}
+	}
+	return n, nil
+}
+
+func (r *replyFirst) Read(p []byte) (int, error) {
+	if len(r.held) > 0 {
+		n := copy(p, r.held)
+		r.held = r.held[n:]
+		return n, nil
+	}
+	return r.Conn.Read(p)
 }
