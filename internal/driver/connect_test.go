@@ -100,30 +100,40 @@ func TestConnectKeysTheEngine(t *testing.T) {
 
 // TestJoinSpendsCookieOnceHelloWritten: a join that fails before a hello
 // byte reached its transport hands its cookie back; one whose hello went
-// out has spent it.
+// out, or may have — its deadline fell while the writer held the hello —
+// has spent it.
 func TestJoinSpendsCookieOnceHelloWritten(t *testing.T) {
-	d, _, _, scfg := clientDriver(t)
+	d, _, clk, scfg := clientDriver(t)
 	d.keyed = true
 	d.Engine.Key(secrets(t))
-	d.Cookies = [][16]byte{{1}, {2}}
+	d.Cookies = [][16]byte{{1}, {2}, {3}}
 
 	c, _ := d.Join("a", time.Time{})
 	d.Abort(c, errors.New("connect refused"))
-	if len(d.Cookies) != 2 || d.Conn(c.ID) != nil {
-		t.Fatalf("%d cookies after a refused connect, want 2", len(d.Cookies))
+	if len(d.Cookies) != 3 || d.Conn(c.ID) != nil {
+		t.Fatalf("%d cookies after a refused connect, want 3", len(d.Cookies))
 	}
 	c, _ = d.Join("a", time.Time{})
 	if err := d.Open(c, &serverEnd{d: d, c: c, m: handshake.NewServer(scfg), cut: true}, false); err != nil {
 		t.Fatal(err)
 	}
-	if c.State != Failed || len(d.Cookies) != 2 {
-		t.Fatalf("conn %v, %d cookies after a hello that never left, want failed and 2", c.State, len(d.Cookies))
+	if c.State != Failed || len(d.Cookies) != 3 {
+		t.Fatalf("conn %v, %d cookies after a hello that never left, want failed and 3", c.State, len(d.Cookies))
 	}
 	c, _ = d.Join("a", time.Time{})
 	d.Open(c, &serverEnd{d: d, c: c, m: handshake.NewServer(scfg), mute: true}, false)
 	d.Down(c, true)
-	if c.State != Failed || len(d.Cookies) != 1 {
-		t.Fatalf("conn %v, %d cookies after a hello that left, want failed and 1", c.State, len(d.Cookies))
+	if c.State != Failed || len(d.Cookies) != 2 {
+		t.Fatalf("conn %v, %d cookies after a hello that left, want failed and 2", c.State, len(d.Cookies))
+	}
+
+	c, _ = d.Join("a", clk.Now().Add(time.Second))
+	d.Open(c, Nop{}, false)
+	hello := d.Pull(c, nil, 64)
+	clk.advance(time.Second) // the deadline, between the write and its Settle
+	d.Settle(c, hello, int64(len(hello[0])), nil)
+	if c.State != Failed || len(d.Cookies) != 1 || d.Cookies[0] != [16]byte{3} {
+		t.Fatalf("conn %v, cookies %v after a deadline during the hello's write, want failed and only cookie 3", c.State, d.Cookies)
 	}
 }
 

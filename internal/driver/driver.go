@@ -579,9 +579,10 @@ func (d *Driver) begin(c *Conn, leftover []byte) error {
 
 // Abort gives up on client connection c while it is Connecting, with
 // err: its transport is shut, and a cookie that no hello byte carried to
-// the peer goes back to the pool. A connection already in the engine (a
-// fast join) fails there, so failover replays what it carried. A
-// connection past Connecting is left alone.
+// the peer goes back to the pool. A flight still lent to the transport's
+// writer may be on the wire already: its cookie counts as spent. A
+// connection already in the engine (a fast join) fails there, so failover
+// replays what it carried. A connection past Connecting is left alone.
 func (d *Driver) Abort(c *Conn, err error) {
 	if c.State != Connecting {
 		return
@@ -595,7 +596,7 @@ func (d *Driver) Abort(c *Conn, err error) {
 		d.Step()
 	case !c.entered:
 		d.remove(c)
-		if !c.sent && c.Cookie != ([16]byte{}) {
+		if !c.sent && !c.flight && c.Cookie != ([16]byte{}) {
 			d.Cookies = append([][16]byte{c.Cookie}, d.Cookies...)
 		}
 	}

@@ -266,6 +266,7 @@ func supervised(t *testing.T, client bool, rc ReconnectConfig, cookies int) (*Dr
 	h := &host{clk: clk, candidates: []string{"a", "b"}}
 	d := New(core.NewSession(core.RoleClient, secrets(t), core.Config{EnableFailover: true}),
 		Config{Client: client, Failover: true, Reconnect: &rc}, clk, h, 1)
+	d.keyed = client // its first connection is up: redials join with a cookie
 	for i := 0; i < cookies; i++ {
 		d.Cookies = append(d.Cookies, [16]byte{byte(i + 1)})
 	}
@@ -311,7 +312,7 @@ func TestSupervisorRoundsAndMaxAttempts(t *testing.T) {
 	if !h.ended || !errors.As(h.endErr, &dead) || dead.Attempts != 4 || !errors.Is(h.endErr, ErrSessionDead) {
 		t.Fatalf("end %v (%v), want a session dead after 4 rounds", h.ended, h.endErr)
 	}
-	if h.count(Reconnecting) != 4 || h.count(RecoveryFailed) != 1 || len(d.Cookies) != 5 {
+	if h.count(Reconnecting) != 4 || h.count(RecoveryFailed) != 1 || len(d.Cookies) != 5 || d.Cookies[0] != [16]byte{1} {
 		t.Fatalf("events %v, %d cookies left", h.events, len(d.Cookies))
 	}
 }

@@ -78,8 +78,10 @@ type Endpoint struct {
 
 	// Remote is the address the server's acceptor sees for this client's
 	// connections, and DialTimeout the driver's deadline for a connection
-	// the caller starts, from its SYN until it is Live (zero: none); the
-	// supervisor's redials carry their own.
+	// the caller starts, counted from its SYN until it is Live (zero:
+	// none); the supervisor's redials carry their own. A join the caller
+	// numbered is under it from the end of its TCP handshake: a SYN that
+	// never completes fails by simtcp's retries.
 	Remote      net.Addr
 	DialTimeout time.Duration
 	// OnVerdict hears of every verdict the server's acceptor reached on
@@ -200,8 +202,11 @@ func (e *Endpoint) dial(c *driver.Conn, fast bool) {
 // acceptor. c is a connection the driver reserved (a join toward one of
 // Paths), or nil for one the caller numbered: the session's first
 // connection, registered from its SYN on so that its deadline covers the
-// connect, or a join that takes the next cookie once the TCP handshake is
-// done. onFail runs on a reset before the client's end started.
+// connect, or a join, registered with the next cookie once its TCP
+// handshake is done — a probe over a dead path holds no cookie through
+// its SYN retries, so parallel probes (Fig. 9's hunts) cannot exhaust
+// them. Its deadline still counts from the SYN. onFail runs on a reset
+// before the client's end started.
 func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, fast bool, onReady, onFail func()) {
 	cl, sv := simtcp.ConnectOn(e.S, path.AtoB, path.BtoA, opts, opts)
 	var deadline time.Time
@@ -410,10 +415,12 @@ func (t *conn) Wake() {
 	t.e.D.Settle(t.c, t.batch, written, nil)
 }
 
-// Shut resets a connection whose handshake the driver gave up on, as a
-// closed socket would; a started one stays up until a fault ends it.
-func (t *conn) Shut(bool) {
-	if t.hs {
+// Shut resets, as a closed socket would, a client connection the driver
+// gave up on before it was Live: in its handshake, or a join the peer had
+// not adopted by its deadline. A started one stays up until a fault ends
+// it.
+func (t *conn) Shut(graceful bool) {
+	if t.hs || !graceful && t.c.State == driver.Joining {
 		t.tc.Reset()
 	}
 }

@@ -2,10 +2,12 @@ package simtcpls
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/driver"
 	"tcpls/internal/handshake"
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
@@ -285,6 +287,44 @@ type engineSource struct{ sess *core.Session }
 
 func (e engineSource) HealthSample(snap *telemetry.Snapshot, _ *health.ProcessCounters) {
 	e.sess.Snapshot(snap)
+}
+
+// TestUnadoptedJoinResetAtItsDeadline: a join whose handshake ended but
+// whose adoption probe is never answered — the path's return direction
+// goes dark as the client sends its Finished — fails at the client's
+// deadline, and the client resets its TCP connection, so the server's end
+// fails too rather than keeping a connection the client gave up on.
+func TestUnadoptedJoinResetAtItsDeadline(t *testing.T) {
+	s := sim.New()
+	client, server := Pair(s, core.Config{})
+	p0 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+	p1 := sim.NewPath(s, mbps(25), 5*time.Millisecond)
+	client.Paths = []*sim.Path{p1}
+	const timeout = 100 * time.Millisecond
+	var joined time.Duration
+	client.OnStart = func(id uint32) {
+		if id == 1 {
+			joined = s.Now()
+			p1.SetDownDir(false, true)
+		}
+	}
+	client.AddPath(p0, 0, simtcp.Options{}, func() {
+		client.DialTimeout = timeout
+		if err := client.Join(0, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s.RunUntil(time.Second)
+	c := client.D.Conn(1)
+	if joined == 0 || c == nil || c.State != driver.Failed || !errors.Is(c.Err, driver.ErrDeadline) {
+		t.Fatalf("join started at %v, conn %+v: want it failed at its deadline", joined, c)
+	}
+	if tc := client.Conn(1); tc == nil || !tc.Failed() {
+		t.Fatal("the client kept the join's TCP connection open past its deadline")
+	}
+	if sc := server.D.Conn(1); sc == nil || sc.State != driver.Failed {
+		t.Fatalf("server's end %+v: want failed by the client's reset", sc)
+	}
 }
 
 // TestFirstRequestByteOnTheVirtualClock runs the production connect path
