@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/netem"
 	"tcpls/internal/testutil"
 )
@@ -220,8 +222,7 @@ func TestChaosTransferSurvivesCascadeAndTotalLoss(t *testing.T) {
 		t.Fatal("writer never produced its first chunk")
 	}
 	connA := streamConn()
-	relays[connRelay[connA]].Blackhole() // refuse re-dials too
-	relays[connRelay[connA]].RST()
+	relays[connRelay[connA]].Run(fault.Fault{Kind: fault.Blackhole}, fault.Fault{Kind: fault.RST}) // refuse re-dials too
 	connB := waitConnChange(connA)
 	if connB == connA || connRelay[connB] == connRelay[connA] {
 		t.Fatalf("failover went nowhere: conn %d -> %d", connA, connB)
@@ -230,10 +231,10 @@ func TestChaosTransferSurvivesCascadeAndTotalLoss(t *testing.T) {
 
 	// Phase B — stall the new path mid-record: sockets stay open, bytes
 	// stop. Only the user timeout can detect this; the failover cascades.
-	relays[connRelay[connB]].Stall()
+	relays[connRelay[connB]].Run(fault.Fault{Kind: fault.Stall})
 	connC := waitConnChange(connB)
-	relays[connRelay[connB]].Unstall()
-	relays[connRelay[connB]].Blackhole()
+	relays[connRelay[connB]].Run(fault.Fault{Kind: fault.Unstall})
+	relays[connRelay[connB]].Run(fault.Fault{Kind: fault.Blackhole})
 	if connRelay[connC] == connRelay[connB] || connRelay[connC] == connRelay[connA] {
 		t.Fatalf("cascade landed on a dead relay: conn %d (relay %d)", connC, connRelay[connC])
 	}
@@ -243,13 +244,8 @@ func TestChaosTransferSurvivesCascadeAndTotalLoss(t *testing.T) {
 	// the session with nothing, then restores relay 0 so the recovery
 	// supervisor's re-dial can land.
 	lastRelay := relays[connRelay[connC]]
-	<-lastRelay.RunSchedule([]netem.Fault{
-		{At: 0, Kind: netem.FaultBlackhole},
-		{At: 0, Kind: netem.FaultRST},
-	})
-	relay0Restore := relays[0].RunSchedule([]netem.Fault{
-		{At: 600 * time.Millisecond, Kind: netem.FaultRestore},
-	})
+	lastRelay.Run(fault.Fault{Kind: fault.Blackhole}, fault.Fault{Kind: fault.RST})
+	relay0Restore, _ := relays[0].Run(fault.Fault{At: 600 * time.Millisecond, Kind: fault.Restore})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	sawReconnecting := false
@@ -370,8 +366,7 @@ func TestChaosTotalLossWithoutReconnectDies(t *testing.T) {
 
 	start := time.Now()
 	for _, r := range relays {
-		r.Blackhole()
-		r.RST()
+		r.Run(fault.Fault{Kind: fault.Blackhole}, fault.Fault{Kind: fault.RST})
 	}
 	_, rerr := st.Read(buf)
 	if !errors.Is(rerr, ErrSessionDead) {
@@ -445,7 +440,7 @@ func TestChaosServerPushOnStalledPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	relays[0].Stall()
+	relays[0].Run(fault.Fault{Kind: fault.Stall})
 	close(push)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -574,7 +569,7 @@ func TestChaosJoinResumesTwoDeadPathsMerged(t *testing.T) {
 	// Freeze both paths before the first coupled byte, so every coupled
 	// record sealed from here on is in flight on one of them.
 	for _, r := range relays {
-		r.Stall()
+		r.Run(fault.Fault{Kind: fault.Stall})
 	}
 	want := make(chan [32]byte, 1)
 	writeErr := make(chan error, 1)
@@ -646,4 +641,75 @@ func TestChaosJoinResumesTwoDeadPathsMerged(t *testing.T) {
 		r.Close()
 	}
 	checkGoroutines(t, baseGoroutines)
+}
+
+// TestScheduleFileOverRelays runs testdata/rst-path0.jsonl, the schedule
+// internal/simtcpls's TestScheduleFileOnTheVirtualClock runs on the
+// virtual clock, over two relays, fault Path naming the relay: an RST
+// on path 0 mid-transfer on a two-path session, which ends byte-exact
+// after one failover onto path 1.
+func TestScheduleFileOverRelays(t *testing.T) {
+	f, err := os.Open("testdata/rst-path0.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sched, err := fault.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []byte, 1)
+	ln := startServer(t, &Config{EnableFailover: true, AckPeriod: 4}, func(sess *Session) {
+		st, err := sess.AcceptStream(context.Background())
+		if err != nil {
+			return
+		}
+		data, _ := io.ReadAll(st)
+		got <- data
+	})
+	prof := netem.Profile{RateBps: 25_000_000, Delay: 10 * time.Millisecond}
+	var relays []*netem.Relay
+	for range 2 {
+		r, err := netem.NewRelay(ln.Addr().String(), prof, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		relays = append(relays, r)
+	}
+	sess, err := Dial("tcp", relays[0].Addr(), &Config{ServerName: "test.server", EnableFailover: true, AckPeriod: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.JoinPath("tcp", relays[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	for _, f := range sched {
+		if _, err := relays[f.Path%len(relays)].Run(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	select {
+	case d := <-got:
+		snap := sess.Snapshot()
+		if !bytes.Equal(d, data) || snap.ConnFailures != 1 || snap.Failovers != 1 {
+			t.Fatalf("received %d of %d bytes (byte-exact %v), %d conn failures, %d failovers; want all, 1, 1",
+				len(d), len(data), bytes.Equal(d, data), snap.ConnFailures, snap.Failovers)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("server never read the transfer to its end")
+	}
 }

@@ -9,7 +9,9 @@
 //
 // On a green campaign it prints the fingerprint and exits 0. On a
 // failing campaign it prints every violation, the one-line `go test`
-// repro, a ddmin-shrunk minimal fault schedule, optionally writes the
+// repro, a ddmin-shrunk minimal fault schedule as JSON lines (the file
+// format internal/fault parses, which tcpls-netem replays against real
+// sockets), optionally writes the
 // implicated session's qlog trace (analyzable with `tcpls-trace
 // -check`), and exits 1.
 package main
@@ -86,10 +88,11 @@ func main() {
 	if *shrinkFlag {
 		min, _, trials := fleet.Shrink(sc)
 		fmt.Printf("shrunk to %d fault events in %d trials:\n", len(min.Schedule), trials)
-		for _, ev := range min.Schedule {
-			fmt.Printf("  t=%v %s session=%d path=%d rack=%d stride=%d dur=%v\n",
-				ev.At, ev.Kind, ev.Session, ev.Path, ev.Rack, ev.Stride, ev.Dur)
+		text, err := min.Schedule.Marshal()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shrunk schedule: %v\n", err)
 		}
+		os.Stdout.Write(text)
 	}
 	os.Exit(1)
 }

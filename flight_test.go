@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/netem"
 	"tcpls/internal/qlog"
 	"tcpls/internal/testutil"
@@ -472,7 +473,7 @@ func TestChaosTraceArtifact(t *testing.T) {
 		}
 	}
 	echo(20)
-	relays[0].RST()
+	relays[0].Run(fault.Fault{Kind: fault.RST})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/netem"
 )
 
@@ -286,7 +287,7 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 
 	// Freeze the middle path mid-transfer: sockets stay open, bytes stop.
 	time.Sleep(150 * time.Millisecond)
-	relays[1].Stall()
+	relays[1].Run(fault.Fault{Kind: fault.Stall})
 
 	select {
 	case err := <-writeDone:
@@ -356,7 +357,7 @@ func TestChaosStalledPathBoundedMemory(t *testing.T) {
 	t.Logf("bounded: reorder peak %d, retransmit peak %d (window %d), flowctl parks %d, solicits %d",
 		sm.ReorderBytesPeak, cm.RetransmitBytesPeak, window, cm.FlowctlLimits, cm.AckSolicits)
 
-	relays[1].Unstall()
+	relays[1].Run(fault.Fault{Kind: fault.Unstall})
 	sess.Close()
 	srv.Close()
 	for _, r := range relays {

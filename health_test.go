@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/health"
 	"tcpls/internal/netem"
 	"tcpls/internal/qlog"
@@ -150,7 +151,7 @@ func TestHealthStallLiveDiagnosis(t *testing.T) {
 			return false
 		})
 
-	relay.Stall()
+	relay.Run(fault.Fault{Kind: fault.Stall})
 	snap := waitHealth(t, ts.Addr(), 10*time.Second, "an active stall_suspected verdict",
 		func(h map[string]health.Status) bool {
 			st, ok := h[key]
@@ -190,7 +191,7 @@ func TestHealthStallLiveDiagnosis(t *testing.T) {
 		t.Fatalf("raise carries no outstanding-bytes scalar: %v", raise.Value)
 	}
 
-	relay.Unstall()
+	relay.Run(fault.Fault{Kind: fault.Unstall})
 	waitHealth(t, ts.Addr(), 10*time.Second, "recovery to healthy",
 		func(h map[string]health.Status) bool {
 			st, ok := h[key]
@@ -418,7 +419,7 @@ func TestHealthMidFailoverSampling(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		if i == 8 {
-			relays[0].RST()
+			relays[0].Run(fault.Fault{Kind: fault.RST})
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -395,11 +395,11 @@ var (
 )
 
 // Connect registers client connection id toward addr as Connecting: the
-// session's first connection while the engine has no keys, else a join
-// that reserves the next cookie. The adapter connects a transport and
-// hands it to Open. At deadline (zero: none) the driver fails the
-// connection unless it is Live by then: the connect, the handshake and,
-// on a join, the peer's adoption all count.
+// session's first connection while the engine has no keys, else a join,
+// which needs a cookie left and takes it at Open. The adapter connects a
+// transport and hands it to Open. At deadline (zero: none) the driver
+// fails the connection unless it is Live by then: the connect, the
+// handshake and, on a join, the peer's adoption all count.
 func (d *Driver) Connect(id uint32, addr string, deadline time.Time) (*Conn, error) {
 	switch {
 	case d.ended:
@@ -408,10 +408,6 @@ func (d *Driver) Connect(id uint32, addr string, deadline time.Time) (*Conn, err
 		return nil, ErrNoCookies
 	}
 	c := d.Add(id, addr)
-	if d.keyed {
-		c.Cookie, d.Cookies = d.Cookies[0], d.Cookies[1:]
-		d.Engine.Note("cookie_consumed", c.ID, 0, 0, len(d.Cookies))
-	}
 	if c.Deadline = deadline; !deadline.IsZero() {
 		c.stop = d.clock.After(max(deadline.Sub(d.clock.Now()), 0), func() { d.expire(c) })
 	}
@@ -437,11 +433,13 @@ func (d *Driver) Add(id uint32, addr string) *Conn {
 }
 
 // Open starts the handshake of client connection c over t, its connected
-// transport: the initial handshake, or a join's with c's cookie, whose
-// hello goes out through t ahead of anything else. fast makes the join
-// single-flight: c enters the engine at once, so records queued on it
-// before the next pull leave in the same write as the hello, and the
-// server's ack ends the handshake. From here Receive feeds the machine.
+// transport: the initial handshake, or a join's, which takes the next
+// cookie now that its transport is up — a join still dialing holds none
+// — and whose hello goes out through t ahead of anything else. fast
+// makes the join single-flight: c enters the engine at once, so records
+// queued on it before the next pull leave in the same write as the
+// hello, and the server's ack ends the handshake. From here Receive
+// feeds the machine.
 func (d *Driver) Open(c *Conn, t Transport, fast bool) error {
 	if c.State != Connecting || d.ended {
 		d.Abort(c, ErrClosed)
@@ -449,6 +447,12 @@ func (d *Driver) Open(c *Conn, t Transport, fast bool) error {
 	}
 	cfg := d.cfg.Handshake
 	if d.keyed {
+		if len(d.Cookies) == 0 {
+			d.Abort(c, ErrNoCookies)
+			return ErrNoCookies
+		}
+		c.Cookie, d.Cookies = d.Cookies[0], d.Cookies[1:]
+		d.Engine.Note("cookie_consumed", c.ID, 0, 0, len(d.Cookies))
 		join := *cfg
 		join.PSK, join.PSKTicket, join.EarlyData = nil, nil, nil
 		join.Join = &handshake.JoinTicket{SessID: d.sessID, Cookie: c.Cookie, ConnID: c.ID}

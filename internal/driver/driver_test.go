@@ -529,3 +529,27 @@ func TestSmallEchoReadsClockOncePerInput(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinTakesItsCookieAtOpen: a join takes its cookie once its
+// transport is connected, so a join still dialing does not hold one and
+// a second join opens with it; the first then fails for want of one.
+func TestJoinTakesItsCookieAtOpen(t *testing.T) {
+	clk := newClock()
+	hs := &handshake.Config{ServerName: "test.server", EnableTCPLS: true}
+	d := New(core.NewSession(core.RoleClient, secrets(t), core.Config{}), Config{Client: true, Handshake: hs}, clk, &host{clk: clk}, 1)
+	d.keyed, d.Cookies = true, [][16]byte{{1}}
+	dialing, err := d.Join("a", time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.Join("b", time.Time{})
+	if err != nil {
+		t.Fatalf("second join while the first is dialing: %v", err)
+	}
+	if err := d.Open(second, &sink{d: d, c: second}, false); err != nil || second.Cookie != [16]byte{1} {
+		t.Fatalf("second join opened with %v, cookie %x", err, second.Cookie)
+	}
+	if err := d.Open(dialing, &sink{d: d, c: dialing}, false); !errors.Is(err, ErrNoCookies) || dialing.State != Failed {
+		t.Fatalf("first join opened with %v in %v, want ErrNoCookies and failed", err, dialing.State)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/fault"
 	"tcpls/internal/mptcp"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
@@ -40,9 +41,12 @@ const (
 // 250 ms UserTimeout plus a fresh join, ≈1 s total for TCPLS) or "rst"
 // (a spurious reset: an explicit signal both stacks react to quickly).
 func Fig8(outage string) (*Fig8Result, error) {
-	if outage != "blackhole" && outage != "rst" {
+	var kind fault.Kind
+	if err := kind.UnmarshalText([]byte(outage)); err != nil || kind != fault.Blackhole && kind != fault.RST {
 		return nil, fmt.Errorf("fig8: unknown outage type %q", outage)
 	}
+	// The outage hits path 0 and lasts.
+	sched := fault.Schedule{{At: fig8Outage, Kind: kind}}
 	res := &Fig8Result{Outage: outage}
 
 	// ---------- TCPLS ----------
@@ -84,13 +88,10 @@ func Fig8(outage string) (*Fig8Result, error) {
 		res.TCPLS = Series{Label: "tcpls-" + outage}
 		sample(s, &res.TCPLS, sampleEvery, func() uint64 { return received })
 
-		s.After(fig8Outage, func() {
-			if outage == "blackhole" {
-				p0.SetDown(true)
-			} else {
-				client.Conn(0).Reset()
-			}
-		})
+		client.Paths = []*sim.Path{p0, p1}
+		if err := fault.Play(s, client, sched); err != nil {
+			return nil, err
+		}
 		s.RunUntil(fig8RunFor)
 		if at := recoveryAfter(res.TCPLS, fig8Outage, fig8Thresh); at > 0 {
 			res.TCPLSRecovery = at - fig8Outage
@@ -114,13 +115,10 @@ func Fig8(outage string) (*Fig8Result, error) {
 		res.MPTCP = Series{Label: "mptcp-" + outage}
 		sample(s, &res.MPTCP, sampleEvery, client.Received)
 
-		s.After(fig8Outage, func() {
-			if outage == "blackhole" {
-				p0.SetDown(true)
-			} else {
-				server.FailSubflow(0)
-			}
-		})
+		server.Paths = []*sim.Path{p0, p1}
+		if err := fault.Play(s, server, sched); err != nil {
+			return nil, err
+		}
 		s.RunUntil(fig8RunFor)
 		if at := recoveryAfter(res.MPTCP, fig8Outage, fig8Thresh); at > 0 {
 			res.MPTCPRecovery = at - fig8Outage

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tcpls/internal/core"
+	"tcpls/internal/fault"
 	"tcpls/internal/handshake"
 	"tcpls/internal/mptcp"
 	"tcpls/internal/sim"
@@ -37,6 +38,21 @@ const (
 	fig9UTO    = 250 * time.Millisecond
 )
 
+// rotation is Fig. 9's outages: path k mod fig9Paths is the only one up
+// during epoch k.
+func rotation() fault.Schedule {
+	var out fault.Schedule
+	for i := 1; i < fig9Paths; i++ {
+		out = append(out, fault.Fault{Kind: fault.Blackhole, Path: i})
+	}
+	for k := 1; fig9Rotate*time.Duration(k) < fig9RunFor; k++ {
+		at := fig9Rotate * time.Duration(k)
+		out = append(out, fault.Fault{At: at, Kind: fault.Blackhole, Path: (k - 1) % fig9Paths},
+			fault.Fault{At: at, Kind: fault.Restore, Path: k % fig9Paths})
+	}
+	return out
+}
+
 // Fig9 runs the rotating-outage experiment for both stacks.
 func Fig9() (*Fig9Result, error) {
 	res := &Fig9Result{FileBytes: fig9File}
@@ -48,23 +64,15 @@ func Fig9() (*Fig9Result, error) {
 		for i := range paths {
 			paths[i] = newPath(s, fig9Rate, fig9Delay)
 		}
-		// Rotation: path (k mod 4) is the only one up during epoch k.
-		rotate := func(epoch int) {
-			for i, p := range paths {
-				p.SetDown(i != epoch%fig9Paths)
-			}
-		}
-		rotate(0)
-		for k := 1; int(fig9Rotate)*k < int(fig9RunFor); k++ {
-			epoch := k
-			s.At(time.Duration(k)*fig9Rotate, func() { rotate(epoch) })
-		}
-
 		cfg := core.Config{EnableFailover: true, AckPeriod: 16, UserTimeout: fig9UTO}
 		// Every probe that connects spends a join cookie: the run's
 		// hunts take five.
 		acc := simtcpls.NewAcceptor(handshake.AcceptorConfig{Handshake: handshake.Config{NumCookies: 8}})
 		client, server := simtcpls.PairSupervised(s, cfg, nil, 1, acc)
+		client.Paths = paths
+		if err := fault.Play(s, client, rotation()); err != nil {
+			return nil, err
+		}
 
 		var received uint64
 		var done time.Duration
@@ -129,18 +137,11 @@ func Fig9() (*Fig9Result, error) {
 		for i := range paths {
 			paths[i] = newPath(s, fig9Rate, fig9Delay)
 		}
-		rotate := func(epoch int) {
-			for i, p := range paths {
-				p.SetDown(i != epoch%fig9Paths)
-			}
-		}
-		rotate(0)
-		for k := 1; int(fig9Rotate)*k < int(fig9RunFor); k++ {
-			epoch := k
-			s.At(time.Duration(k)*fig9Rotate, func() { rotate(epoch) })
-		}
-
 		client, server := mptcp.Pair(s)
+		client.Paths = paths
+		if err := fault.Play(s, client, rotation()); err != nil {
+			return nil, err
+		}
 		// Full-mesh path manager: all four subflows up front, plus the
 		// kernel's periodic re-establishment of dead subflows.
 		for i := range paths {

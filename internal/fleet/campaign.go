@@ -13,6 +13,7 @@ import (
 
 	"tcpls/internal/core"
 	"tcpls/internal/driver"
+	"tcpls/internal/fault"
 	"tcpls/internal/handshake"
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
@@ -51,6 +52,7 @@ const (
 	VMemTable   = "memory-table"
 	VHealth     = "health"
 	VProgress   = "progress"
+	VSchedule   = "schedule" // a fault kind the simulator cannot inject: nothing ran
 )
 
 // Health-oracle constants: the self-diagnosis monitors (internal/health)
@@ -100,7 +102,7 @@ type SessionResult struct {
 }
 
 // ResumeStats are the campaign-wide resumption outcomes of the initial
-// handshakes and FaultRestart events. Every field is deterministic:
+// handshakes and restart faults. Every field is deterministic:
 // accept/reissue/age-out depends only on generation arithmetic against
 // the rotation schedule, and the strike register runs on the virtual
 // clock.
@@ -277,9 +279,7 @@ func (fs *fleetSession) patternByte(off int) byte {
 type campaign struct {
 	sc       Scenario
 	s        *sim.Sim
-	topo     *sim.Topology
 	sessions []*fleetSession
-	schedule []FaultEvent
 
 	// The one server process every session connects to: its acceptor
 	// with the ticket-key store (a restarted process recovers it from its
@@ -328,9 +328,7 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 		s:            sim.New(),
 		traceSession: traceSession,
 	}
-	c.topo = sim.NewTopology(c.s)
-	c.schedule = GenSchedule(sc)
-	sc.Schedule = c.schedule
+	sc.Schedule = sc.schedule()
 
 	// Resumption: stand up the shared key store and strike register, and
 	// schedule the mid-campaign rotations before any fault fires.
@@ -370,9 +368,8 @@ func run(sc Scenario, traceSession int) (*Result, []core.TraceEvent) {
 	for i := 0; i < sc.Sessions; i++ {
 		c.sessions = append(c.sessions, c.buildSession(i))
 	}
-	for _, ev := range c.schedule {
-		ev := ev
-		c.s.At(ev.At, func() { c.applyFault(ev) })
+	if err := fault.Play(c.s, c, sc.Schedule); err != nil {
+		return &Result{Scenario: sc, Violations: []Violation{{Session: -1, Kind: VSchedule, Detail: err.Error()}}}, nil
 	}
 
 	// Invariant 5: the health oracle. Every monitor polls on the same
@@ -494,7 +491,6 @@ func (c *campaign) buildSession(i int) *fleetSession {
 		path := sim.NewPath(c.s, linkRateBps, linkDelay)
 		path.AtoB.QueueBytes = linkQueue
 		path.BtoA.QueueBytes = linkQueue
-		c.topo.Attach(i%c.sc.Racks, path)
 		fs.paths = append(fs.paths, path)
 	}
 	if c.keys != nil {
@@ -713,9 +709,9 @@ func (g *edge) AdmitConn(remote net.Addr) (func(), error) {
 		return nil, errRefused
 	case edgeStallAccept:
 		p := fs.paths[(fs.opens-1)%len(fs.paths)]
-		p.SetDownDir(true, true)
-		fs.touched, fs.faultEnd = true, max(fs.faultEnd, c.s.Now()+stallAccept)
-		c.s.After(stallAccept, func() { p.SetDownDir(true, false) })
+		p.AtoB.Down = true
+		c.Touch(fs.idx, c.s.Now()+stallAccept)
+		c.s.After(stallAccept, func() { p.AtoB.Down = false })
 	}
 	return nil, nil
 }
@@ -1003,72 +999,41 @@ func (c *campaign) netIdle() bool {
 	return true
 }
 
-// applyFault executes one scheduled fault against the live fleet.
-func (c *campaign) applyFault(ev FaultEvent) {
-	n := len(c.sessions)
-	if n == 0 {
-		return
+// The campaign is the fleet as fault.Play reaches it: sessions striped
+// across racks behind one server process.
+
+// Sessions is the fleet's size.
+func (c *campaign) Sessions() int { return len(c.sessions) }
+
+// PathsOf returns session i's paths oriented from its writer, so that a
+// data stall and a degrade hit the direction its data flows.
+func (c *campaign) PathsOf(i int) []*sim.Path {
+	fs := c.sessions[i]
+	if fs.up {
+		return fs.paths
 	}
-	fs := c.sessions[ev.Session%n]
-	touch := func(i int) {
-		ts := c.sessions[i]
-		ts.touched, ts.faultEnd = true, max(ts.faultEnd, ev.At+ev.Dur)
+	out := make([]*sim.Path, len(fs.paths))
+	for k, p := range fs.paths {
+		out[k] = &sim.Path{AtoB: p.BtoA, BtoA: p.AtoB}
 	}
-	switch ev.Kind {
-	case FaultRST, FaultBlackhole, FaultStall, FaultDegrade, FaultRestart:
-		touch(fs.idx)
-	case FaultRSTStorm:
-		stride := ev.Stride
-		if stride < 1 {
-			stride = 1
-		}
-		for i := ev.Session % n; i < n; i += stride {
-			touch(i)
-		}
-	case FaultRackOutage:
-		rack := ev.Rack % c.sc.Racks
-		for i := range c.sessions {
-			if i%c.sc.Racks == rack {
-				touch(i)
-			}
-		}
-	}
-	switch ev.Kind {
-	case FaultRST:
-		c.resetLive(fs, false)
-	case FaultBlackhole:
-		p := fs.paths[ev.Path%len(fs.paths)]
-		p.SetDown(true)
-		c.s.At(ev.At+ev.Dur, func() { p.SetDown(false) })
-	case FaultStall:
-		p := fs.paths[ev.Path%len(fs.paths)]
-		// Kill only the data-carrying direction: ACKs keep flowing, so
-		// nothing below the user timeout can notice.
-		p.SetDownDir(fs.up, true)
-		c.s.At(ev.At+ev.Dur, func() { p.SetDownDir(fs.up, false) })
-	case FaultDegrade:
-		p := fs.paths[ev.Path%len(fs.paths)]
-		l := p.BtoA
-		if fs.up {
-			l = p.AtoB
-		}
-		l.SetRateBps(linkRateBps / 8)
-		c.s.At(ev.At+ev.Dur, func() { l.SetRateBps(linkRateBps) })
-	case FaultRSTStorm:
-		stride := ev.Stride
-		if stride < 1 {
-			stride = 1
-		}
-		for i := ev.Session % n; i < n; i += stride {
-			c.resetLive(c.sessions[i], false)
-		}
-	case FaultRackOutage:
-		rack := ev.Rack % c.sc.Racks
-		c.topo.SetRackDown(rack, true)
-		c.s.At(ev.At+ev.Dur, func() { c.topo.SetRackDown(rack, false) })
-	case FaultRestart:
-		c.restartSession(fs)
-	}
+	return out
+}
+
+// Reset resets session i's lowest-numbered live connection, whatever its
+// path: a deterministic victim.
+func (c *campaign) Reset(i, _ int) { c.resetLive(c.sessions[i], false) }
+
+// Racks is how many racks the sessions are striped across.
+func (c *campaign) Racks() int { return c.sc.Racks }
+
+// Restart restarts the server process under session i.
+func (c *campaign) Restart(i int) { c.restartSession(c.sessions[i]) }
+
+// Touch marks session i perturbed by a fault lasting until until: the
+// health oracle forgives it, and the progress bound counts from there.
+func (c *campaign) Touch(i int, until sim.Time) {
+	fs := c.sessions[i]
+	fs.touched, fs.faultEnd = true, max(fs.faultEnd, until)
 }
 
 // sessionPSK derives session i's deterministic resumption PSK (splitmix
@@ -1103,7 +1068,7 @@ func (fs *fleetSession) sealTicket() {
 	fs.ticket, fs.ticketGen = t, fs.c.keys.Generation()
 }
 
-// restartSession is FaultRestart: the server process under the session
+// restartSession is a fault.Restart: the server process under the session
 // dies and comes back holding only its persisted key file. The ticket
 // resumption runs first (the reconnect's first flight), then every live
 // connection dies at once; the reconnect supervisor rejoins and
@@ -1293,7 +1258,7 @@ func (c *campaign) snapshot(res *Result) {
 		}
 	}
 
-	// Resumption outcomes and oracle violations (FaultRestart), plus the
+	// Resumption outcomes and oracle violations (restart faults), plus the
 	// bounded-anti-replay leg of invariant 2: the strike register may
 	// never hold more than its two windows' capacity, no matter how many
 	// restarts the campaign threw at it.

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/qlog"
 )
 
@@ -126,7 +128,7 @@ func supervisorTotals(res *Result) (redials, recoveries int) {
 // outages, server restarts) are recovered by the production reconnect
 // supervisor of internal/driver, and every invariant holds across it.
 func TestFleetRunsReconnectSupervisor(t *testing.T) {
-	res := Run(Scenario{Seed: 1, Sessions: 100, FaultMix: FaultMix{RackOutage: 1, Restart: 1}})
+	res := Run(Scenario{Seed: 1, Sessions: 100, FaultMix: fault.Mix{RackOutage: 1, Restart: 1}})
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)
 	}
@@ -208,7 +210,7 @@ func TestFleetCatchesInjectedReorderBug(t *testing.T) {
 		Seed:             21,
 		Sessions:         120,
 		Faults:           60,
-		FaultMix:         FaultMix{Stall: 6, Blackhole: 3, RST: 1},
+		FaultMix:         fault.Mix{DataStall: 6, Blackhole: 3, RST: 1},
 		InjectReorderBug: true,
 	}
 	res := Run(sc)
@@ -238,10 +240,18 @@ func TestFleetCatchesInjectedReorderBug(t *testing.T) {
 	if !minRes.Failed() {
 		t.Fatal("shrunk scenario no longer fails")
 	}
-	// The minimal schedule must replay deterministically too.
+	// The minimal schedule must replay deterministically too, and from
+	// its JSON lines.
 	again := Run(min)
 	if again.Fingerprint() != minRes.Fingerprint() {
 		t.Fatal("shrunk scenario is not reproducible")
+	}
+	text, err := min.Schedule.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := fault.Parse(bytes.NewReader(text)); err != nil || !slices.Equal(back, min.Schedule) {
+		t.Fatalf("shrunk schedule does not parse back from\n%s: %v", text, err)
 	}
 
 	// Control: the identical scenario with the cap enabled must pass —
@@ -254,7 +264,7 @@ func TestFleetCatchesInjectedReorderBug(t *testing.T) {
 }
 
 // TestFleetRestartResume drives a restart-heavy campaign with two
-// mid-campaign ticket-key rotations: every FaultRestart resumes the
+// mid-campaign ticket-key rotations: every restart fault resumes the
 // session's ticket against the shared key store before killing all its
 // connections at once. The campaign's built-in oracle demands byte-exact
 // PSK recovery inside the accept window, reissue under old generations,
@@ -266,7 +276,7 @@ func TestFleetRestartResume(t *testing.T) {
 		Seed:         77,
 		Sessions:     96,
 		Faults:       96,
-		FaultMix:     FaultMix{RST: 1, Restart: 6},
+		FaultMix:     fault.Mix{RST: 1, Restart: 6},
 		KeyRotations: 2,
 	}
 	res := Run(sc)
@@ -316,7 +326,7 @@ func TestFleetHealthOracle(t *testing.T) {
 		Seed:     11,
 		Sessions: 120,
 		Faults:   40,
-		FaultMix: FaultMix{Stall: 3, Blackhole: 1},
+		FaultMix: fault.Mix{DataStall: 3, Blackhole: 1},
 	}
 	res := Run(sc)
 	if res.Failed() {
@@ -398,5 +408,15 @@ func TestFleetArtifactAnalyzable(t *testing.T) {
 		if strings.Contains(v, "negative") {
 			t.Fatalf("artifact fails -check: %s", v)
 		}
+	}
+}
+
+// TestFleetRefusesRelayOnlyKinds: a schedule holding a kind the
+// simulator cannot inject runs nothing and fails with one violation that
+// names the kind.
+func TestFleetRefusesRelayOnlyKinds(t *testing.T) {
+	res := Run(Scenario{Seed: 1, Sessions: 4, Schedule: fault.Schedule{{Kind: fault.RST}, {At: time.Second, Kind: fault.Stall}}})
+	if len(res.Violations) != 1 || res.Violations[0].Kind != VSchedule || !strings.Contains(res.Violations[0].Detail, "stall") {
+		t.Fatalf("violations %v, want one %s naming stall", res.Violations, VSchedule)
 	}
 }

@@ -31,95 +31,12 @@ package fleet
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/sim"
 )
-
-// FaultKind enumerates the fault vocabulary, ported from the
-// netem/middlebox relay primitives onto the DES virtual clock.
-type FaultKind int
-
-const (
-	// FaultRST resets the target session's lowest live connection — the
-	// middlebox-injected RST of Sec. 5.5.
-	FaultRST FaultKind = iota + 1
-	// FaultBlackhole takes the target path down in both directions for
-	// Dur (the Sec. 5.3 outage: packets vanish, no error signal).
-	FaultBlackhole
-	// FaultStall kills only the data-carrying direction of the target
-	// path for Dur: ACKs keep flowing, bytes stop — detectable only by
-	// the user timeout, and the fault that grows reorder heaps.
-	FaultStall
-	// FaultDegrade drops the data direction's line rate to 1/8 for Dur —
-	// asymmetric-path degradation.
-	FaultDegrade
-	// FaultRSTStorm resets one connection on every Stride-th session
-	// starting at Session — the correlated burst a middlebox reboot or
-	// conntrack flush produces.
-	FaultRSTStorm
-	// FaultRackOutage blackholes every path attached to Rack for Dur —
-	// the top-of-rack switch dying under a whole group of sessions.
-	FaultRackOutage
-	// FaultRestart is a server-process restart under the target session:
-	// every live connection dies at once, and the session's resumption
-	// ticket is opened against the campaign's shared key store first —
-	// the store the "restarted process" recovered from its key file. The
-	// campaign verifies the recovered PSK byte-exact, honors
-	// reissue-on-rotation, runs the 0-RTT strike register, and treats an
-	// aged-out ticket as a clean full-handshake fallback.
-	FaultRestart
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case FaultRST:
-		return "rst"
-	case FaultBlackhole:
-		return "blackhole"
-	case FaultStall:
-		return "stall"
-	case FaultDegrade:
-		return "degrade"
-	case FaultRSTStorm:
-		return "rst_storm"
-	case FaultRackOutage:
-		return "rack_outage"
-	case FaultRestart:
-		return "restart"
-	default:
-		return "fault(?)"
-	}
-}
-
-// FaultEvent is one scheduled fault. Which fields matter depends on
-// Kind: Session/Path target single-session faults, Rack targets
-// correlated outages, Stride spaces storm victims, Dur bounds restoring
-// faults.
-type FaultEvent struct {
-	At      sim.Time
-	Kind    FaultKind
-	Session int
-	Path    int
-	Rack    int
-	Stride  int
-	Dur     sim.Time
-}
-
-// FaultMix weights the fault kinds in a generated schedule. Zero-value
-// mixes get DefaultFaultMix.
-type FaultMix struct {
-	RST, Blackhole, Stall, Degrade, RSTStorm, RackOutage, Restart int
-}
-
-// DefaultFaultMix skews toward the single-session faults the paper's
-// experiments use, with a steady minority of correlated ones.
-var DefaultFaultMix = FaultMix{RST: 4, Blackhole: 3, Stall: 3, Degrade: 2, RSTStorm: 1, RackOutage: 1}
-
-func (m FaultMix) total() int {
-	return m.RST + m.Blackhole + m.Stall + m.Degrade + m.RSTStorm + m.RackOutage + m.Restart
-}
 
 // Scenario specifies one campaign. The zero value of every field except
 // Seed/Sessions gets a sensible default (see WithDefaults).
@@ -133,7 +50,7 @@ type Scenario struct {
 	// and the campaign runs past it until the fleet quiesces.
 	Duration sim.Time
 	// FaultMix weights the generated schedule's fault kinds.
-	FaultMix FaultMix
+	FaultMix fault.Mix
 	// Faults is the number of fault events to generate
 	// (default max(8, Sessions/8)).
 	Faults int
@@ -156,14 +73,14 @@ type Scenario struct {
 	// 2's budgets become those defaults.
 	DefaultCaps bool
 	// KeyRotations schedules this many evenly spaced ticket-key
-	// rotations inside Duration, so FaultRestart resumptions land
+	// rotations inside Duration, so restart resumptions land
 	// against current, previous, and aged-out key generations. Zero
 	// rotates never.
 	KeyRotations int
 	// Schedule, when non-nil, overrides generation entirely (the
 	// shrinker replays subsets through this). The workload side still
 	// derives from Seed.
-	Schedule []FaultEvent
+	Schedule fault.Schedule
 }
 
 // Campaign-wide protocol constants. Deliberately fixed rather than
@@ -228,8 +145,8 @@ func (sc Scenario) WithDefaults() Scenario {
 	if sc.Duration <= 0 {
 		sc.Duration = 900 * time.Millisecond
 	}
-	if sc.FaultMix.total() == 0 {
-		sc.FaultMix = DefaultFaultMix
+	if sc.FaultMix.Total() == 0 {
+		sc.FaultMix = fault.DefaultMix
 	}
 	if sc.Faults <= 0 {
 		sc.Faults = sc.Sessions / 8
@@ -252,65 +169,17 @@ func (sc Scenario) WithDefaults() Scenario {
 	return sc
 }
 
-// GenSchedule materializes the fault schedule for sc: an explicit
-// Schedule is returned as-is (sorted), otherwise one is generated from
-// Seed. The generator draws from its own rand stream — workload shaping
-// uses per-session streams derived separately — so replaying a shrunk
-// explicit schedule leaves the workload byte-identical.
-func GenSchedule(sc Scenario) []FaultEvent {
+// schedule materializes the fault schedule for sc: an explicit Schedule
+// sorted, otherwise one generated from Seed (fault.Gen).
+func (sc Scenario) schedule() fault.Schedule {
 	sc = sc.WithDefaults()
 	if sc.Schedule != nil {
-		out := append([]FaultEvent(nil), sc.Schedule...)
-		sortSchedule(out)
+		out := slices.Clone(sc.Schedule)
+		out.Sort()
 		return out
 	}
-	rng := rand.New(rand.NewSource(sc.Seed ^ 0x5DEECE66D))
-	mix := sc.FaultMix
-	total := mix.total()
-	window := int64(sc.Duration - 50*time.Millisecond)
-	if window <= 0 {
-		window = int64(sc.Duration)
-	}
-	out := make([]FaultEvent, 0, sc.Faults)
-	for i := 0; i < sc.Faults; i++ {
-		ev := FaultEvent{
-			At:      50*time.Millisecond + sim.Time(rng.Int63n(window)),
-			Session: rng.Intn(sc.Sessions),
-			Path:    rng.Intn(sc.PathsPerSession),
-			Rack:    rng.Intn(sc.Racks),
-		}
-		switch pick := rng.Intn(total); {
-		case pick < mix.RST:
-			ev.Kind = FaultRST
-		case pick < mix.RST+mix.Blackhole:
-			ev.Kind = FaultBlackhole
-			ev.Dur = 150*time.Millisecond + sim.Time(rng.Int63n(int64(350*time.Millisecond)))
-		case pick < mix.RST+mix.Blackhole+mix.Stall:
-			ev.Kind = FaultStall
-			// Long enough that only the user timeout resolves it.
-			ev.Dur = userTimeout + 100*time.Millisecond + sim.Time(rng.Int63n(int64(400*time.Millisecond)))
-		case pick < mix.RST+mix.Blackhole+mix.Stall+mix.Degrade:
-			ev.Kind = FaultDegrade
-			ev.Dur = 200*time.Millisecond + sim.Time(rng.Int63n(int64(400*time.Millisecond)))
-		case pick < mix.RST+mix.Blackhole+mix.Stall+mix.Degrade+mix.RSTStorm:
-			ev.Kind = FaultRSTStorm
-			ev.Stride = 2 + rng.Intn(6)
-		case pick < mix.RST+mix.Blackhole+mix.Stall+mix.Degrade+mix.RSTStorm+mix.Restart:
-			ev.Kind = FaultRestart
-		default:
-			ev.Kind = FaultRackOutage
-			ev.Dur = 150*time.Millisecond + sim.Time(rng.Int63n(int64(250*time.Millisecond)))
-		}
-		out = append(out, ev)
-	}
-	sortSchedule(out)
-	return out
-}
-
-// sortSchedule orders events by time, stably, so generation order
-// breaks ties deterministically.
-func sortSchedule(evs []FaultEvent) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return fault.Gen(fault.Spec{Seed: sc.Seed, Faults: sc.Faults, Mix: sc.FaultMix, Window: sc.Duration,
+		Sessions: sc.Sessions, Paths: sc.PathsPerSession, Racks: sc.Racks, UserTimeout: userTimeout})
 }
 
 // sessionRand derives session i's private rand stream from the scenario

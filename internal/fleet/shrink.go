@@ -1,11 +1,12 @@
 package fleet
 
-// Shrink minimizes a failing scenario's fault schedule: delta debugging
-// (ddmin) over the materialized schedule, replaying candidate subsets
-// through Run with an explicit Schedule. Soundness rests on two campaign
-// properties: runs are deterministic, and the workload derives from Seed
-// independently of the schedule — so removing fault events changes
-// nothing except the faults themselves.
+import "tcpls/internal/fault"
+
+// Shrink minimizes a failing scenario's fault schedule with fault.Shrink,
+// replaying candidate subsets through Run with an explicit Schedule.
+// Soundness rests on two campaign properties: runs are deterministic, and
+// the workload derives from Seed independently of the schedule — so
+// removing fault events changes nothing except the faults themselves.
 //
 // Shrink returns the minimized scenario (still failing, Schedule
 // explicit), its result, and the number of trial campaigns spent. If sc
@@ -13,62 +14,17 @@ package fleet
 // result, and 1.
 func Shrink(sc Scenario) (Scenario, *Result, int) {
 	sc = sc.WithDefaults()
-	sc.Schedule = GenSchedule(sc)
-	trials := 0
-	fails := func(schedule []FaultEvent) (*Result, bool) {
+	sc.Schedule = sc.schedule()
+	var best *Result
+	min, trials := fault.Shrink(sc.Schedule, 64, func(s fault.Schedule) bool {
 		trial := sc
-		trial.Schedule = schedule
-		if trial.Schedule == nil {
-			trial.Schedule = []FaultEvent{} // non-nil: empty means "no faults", not "generate"
-		}
-		trials++
+		trial.Schedule = append(fault.Schedule{}, s...) // non-nil: empty means "no faults", not "generate"
 		res := Run(trial)
-		return res, res.Failed()
-	}
-
-	res, bad := fails(sc.Schedule)
-	if !bad {
-		return sc, res, trials
-	}
-	best := sc.Schedule
-	bestRes := res
-
-	const maxTrials = 64
-	chunks := 2
-	for len(best) > 1 && trials < maxTrials {
-		size := (len(best) + chunks - 1) / chunks
-		reduced := false
-		for lo := 0; lo < len(best) && trials < maxTrials; lo += size {
-			hi := lo + size
-			if hi > len(best) {
-				hi = len(best)
-			}
-			// Try the complement: schedule without best[lo:hi].
-			cand := make([]FaultEvent, 0, len(best)-(hi-lo))
-			cand = append(cand, best[:lo]...)
-			cand = append(cand, best[hi:]...)
-			if r, stillBad := fails(cand); stillBad {
-				best, bestRes = cand, r
-				chunks = 2
-				if chunks > len(best) {
-					chunks = len(best)
-				}
-				reduced = true
-				break
-			}
+		if best == nil || res.Failed() {
+			best = res
 		}
-		if !reduced {
-			if chunks >= len(best) {
-				break
-			}
-			chunks *= 2
-			if chunks > len(best) {
-				chunks = len(best)
-			}
-		}
-	}
-
-	out := sc
-	out.Schedule = best
-	return out, bestRes, trials
+		return res.Failed()
+	})
+	sc.Schedule = min
+	return sc, best, trials
 }

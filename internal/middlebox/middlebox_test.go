@@ -5,11 +5,11 @@ import (
 	"context"
 	"crypto/ed25519"
 	"io"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"tcpls"
+	"tcpls/internal/fault"
 	"tcpls/internal/middlebox"
 	"tcpls/internal/netem"
 )
@@ -51,14 +51,17 @@ func startEchoServer(t *testing.T) (string, *tcpls.Certificate) {
 }
 
 // startRelay runs a netem relay toward addr with the given direction
-// profiles, closed when the test ends.
-func startRelay(t *testing.T, addr string, c2s, s2c netem.Profile) *netem.Relay {
+// profiles and faults in force, closed when the test ends.
+func startRelay(t *testing.T, addr string, c2s, s2c netem.Profile, faults ...fault.Fault) *netem.Relay {
 	t.Helper()
 	relay, err := netem.NewRelay(addr, c2s, s2c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { relay.Close() })
+	if _, err := relay.Run(faults...); err != nil {
+		t.Fatal(err)
+	}
 	return relay
 }
 
@@ -96,9 +99,9 @@ func TestThroughNAT(t *testing.T) {
 
 func TestThroughResegmenter(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay := startRelay(t, addr,
-		netem.Profile{Mangle: middlebox.Resegmenter(3, 17, 1000, 1)},
-		netem.Profile{Mangle: middlebox.Resegmenter(5000, 2, 80)})
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{},
+		fault.Fault{Kind: fault.Resegment, Dir: fault.Up, Bytes: 3},
+		fault.Fault{Kind: fault.Resegment, Dir: fault.Down})
 	echoThrough(t, relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 }
 
@@ -121,7 +124,8 @@ func TestCorruptingALGIsDetected(t *testing.T) {
 	// Corrupt application-phase bytes. The AEAD must reject them: the
 	// client either fails the handshake or the session dies — it must
 	// never deliver corrupted data.
-	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{Mangle: middlebox.Corrupter(50_000)})
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{},
+		fault.Fault{Kind: fault.Corrupt, Dir: fault.Down, Bytes: 50_000})
 
 	sess, err := tcpls.Dial("tcp", relay.Addr(), &tcpls.Config{ServerName: "real.server"})
 	if err != nil {
@@ -174,7 +178,7 @@ func TestCorruptingALGIsDetected(t *testing.T) {
 
 func TestExtensionFilteringFirewallForcesFallback(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	relay := startRelay(t, addr, netem.Profile{Mangle: middlebox.RejectTCPLSHello()}, netem.Profile{})
+	relay := startRelay(t, addr, netem.Profile{}, netem.Profile{}, fault.Fault{Kind: fault.RejectHello})
 
 	// Dial retries as plain TLS after the firewall kills the TCPLS
 	// attempt (paper §5.2's explicit fallback).
@@ -256,25 +260,30 @@ func TestTLSTerminatingProxyDetectedByPinning(t *testing.T) {
 
 func TestStallingProxyMidRecord(t *testing.T) {
 	addr, _ := startEchoServer(t)
-	// Stall the relay for 300ms once ~10 KB have flowed server->client —
-	// the stall lands mid-record. The deframer must resume cleanly and
-	// the echo must still be byte-exact.
-	var relay atomic.Pointer[netem.Relay]
-	stallAt := func() netem.Mangler {
-		seen := 0
-		return func(chunk []byte) ([][]byte, error) {
-			if seen < 10_000 && seen+len(chunk) >= 10_000 {
-				r := relay.Load()
-				r.Stall()
-				time.AfterFunc(300*time.Millisecond, r.Unstall)
-			}
-			seen += len(chunk)
-			return [][]byte{chunk}, nil
-		}
+	// Stall the relay for 300ms while the echo is in flight at 4 Mbps: the
+	// stall lands mid-record. The deframer must resume cleanly and the
+	// echo must still be byte-exact.
+	shaped := netem.Profile{RateBps: 4_000_000}
+	relay := startRelay(t, addr, shaped, shaped)
+	sess, err := tcpls.Dial("tcp", relay.Addr(), &tcpls.Config{ServerName: "real.server"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	relay.Store(startRelay(t, addr, netem.Profile{}, netem.Profile{Mangle: stallAt}))
+	defer sess.Close()
+	st, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte("tcpls through a middlebox "), 2000)
 	start := time.Now()
-	echoThrough(t, relay.Load().Addr(), &tcpls.Config{ServerName: "real.server"})
+	go st.Write(msg)
+	if _, err := relay.Run(fault.Fault{At: 20 * time.Millisecond, Kind: fault.Stall, Dur: 300 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(msg))
+	if _, err := io.ReadFull(st, got); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("echo across the stall: %v, byte-exact %v", err, bytes.Equal(got, msg))
+	}
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
 		t.Errorf("echo finished in %v; the 300ms stall never applied", elapsed)
 	}
@@ -290,7 +299,7 @@ func TestAbortingProxyKillsMidTransfer(t *testing.T) {
 	defer sess.Close()
 	// Cut the connection after 4 KB more ciphertext — past the
 	// handshake, mid-transfer, typically mid-record.
-	relay.KillAfter(4096)
+	relay.Run(fault.Fault{Kind: fault.KillAfter, Bytes: 4096})
 	st, err := sess.OpenStream()
 	if err != nil {
 		t.Fatal(err)

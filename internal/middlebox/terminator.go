@@ -1,3 +1,5 @@
+// Package middlebox holds Sec. 5.2's TLS-terminating proxy. The other
+// middlebox classes are fault kinds a netem relay injects (internal/fault).
 package middlebox
 
 import (

@@ -56,12 +56,16 @@ type Conn struct {
 	// BackupMode keeps subflows beyond the first idle until the active
 	// one fails (the paper's Fig. 8 configuration).
 	BackupMode bool
+	// Paths are the paths a fault schedule names by number (fault.Play,
+	// with this end as its Net).
+	Paths []*sim.Path
 }
 
 // subflow wraps one simtcp connection with DSS parsing state and its
 // unacked chunk list for reinjection.
 type subflow struct {
 	conn   *simtcp.Conn
+	path   *sim.Path
 	parent *Conn
 	// Receiver-side DSS parsing.
 	rbuf []byte
@@ -93,34 +97,40 @@ func Pair(s *sim.Sim) (client, server *Conn) {
 // new address (Fig. 11's slow ramp, [74]).
 func (c *Conn) AddSubflow(path *sim.Path, opts simtcp.Options, backup bool, extraDelay time.Duration) {
 	c.s.After(extraDelay, func() {
-		cl, sv := simtcp.Connect(c.s, path, opts, opts)
-		cSub := &subflow{conn: cl, parent: c, backup: backup}
-		sSub := &subflow{conn: sv, parent: c.peer, backup: backup}
-		cl.OnRecv = cSub.onBytes // bytes the client endpoint receives
-		sv.OnRecv = sSub.onBytes // bytes the server endpoint receives
-		cl.OnReset = func() { c.onSubflowFail(cSub) }
-		sv.OnReset = func() { c.peer.onSubflowFail(sSub) }
-		// The kernel declares a subflow dead after repeated backed-off
-		// RTOs; chunks mapped to it stay stuck until then (Fig. 9).
-		cl.OnRTO = func(n int) {
-			if n >= 3 {
-				c.onSubflowFail(cSub)
-			}
-		}
-		sv.OnRTO = func(n int) {
-			if n >= 3 {
-				c.peer.onSubflowFail(sSub)
-			}
-		}
-		cl.OnAcked = c.pump
-		sv.OnAcked = c.peer.pump
-		cl.OnEstablished = func() { c.pump() }
-		sv.OnEstablished = func() { c.peer.pump() }
+		cSub, sSub := c.connect(path, opts, backup)
 		c.subflows = append(c.subflows, cSub)
 		c.peer.subflows = append(c.peer.subflows, sSub)
 		c.pump()
 		c.peer.pump()
 	})
+}
+
+// connect opens a subflow over path: c's end and its peer's.
+func (c *Conn) connect(path *sim.Path, opts simtcp.Options, backup bool) (cSub, sSub *subflow) {
+	cl, sv := simtcp.Connect(c.s, path, opts, opts)
+	cSub = &subflow{conn: cl, path: path, parent: c, backup: backup}
+	sSub = &subflow{conn: sv, path: path, parent: c.peer, backup: backup}
+	cl.OnRecv = cSub.onBytes // bytes the client endpoint receives
+	sv.OnRecv = sSub.onBytes // bytes the server endpoint receives
+	cl.OnReset = func() { c.onSubflowFail(cSub) }
+	sv.OnReset = func() { c.peer.onSubflowFail(sSub) }
+	// The kernel declares a subflow dead after repeated backed-off RTOs;
+	// chunks mapped to it stay stuck until then (Fig. 9).
+	cl.OnRTO = func(n int) {
+		if n >= 3 {
+			c.onSubflowFail(cSub)
+		}
+	}
+	sv.OnRTO = func(n int) {
+		if n >= 3 {
+			c.peer.onSubflowFail(sSub)
+		}
+	}
+	cl.OnAcked = c.pump
+	sv.OnAcked = c.peer.pump
+	cl.OnEstablished = func() { c.pump() }
+	sv.OnEstablished = func() { c.peer.pump() }
+	return cSub, sSub
 }
 
 // Received returns total in-order bytes delivered to the application.
@@ -284,11 +294,20 @@ func (c *Conn) reinject(dss uint64, data []byte) {
 	subs[0].writeChunk(dssChunk{dss: dss, data: data})
 }
 
-// FailSubflow administratively fails a subflow (test hook mirroring a
-// kernel route withdrawal).
-func (c *Conn) FailSubflow(i int) {
-	if i < len(c.subflows) {
-		c.subflows[i].conn.Reset()
+// Sessions, PathsOf and Reset make an endpoint the fault.Net of one
+// multipath connection over its Paths.
+func (c *Conn) Sessions() int { return 1 }
+
+// PathsOf returns the endpoint's Paths.
+func (c *Conn) PathsOf(int) []*sim.Path { return c.Paths }
+
+// Reset resets this end of each subflow over Paths[p]: a kernel route
+// withdrawal.
+func (c *Conn) Reset(_, p int) {
+	for _, sf := range c.subflows {
+		if sf.path == c.Paths[p] {
+			sf.conn.Reset()
+		}
 	}
 }
 
@@ -317,27 +336,7 @@ func (c *Conn) ReviveSubflow(i int, path *sim.Path, opts simtcp.Options) {
 	if i >= len(c.subflows) || !c.SubflowFailed(i) {
 		return
 	}
-	cl, sv := simtcp.Connect(c.s, path, opts, opts)
-	cSub := &subflow{conn: cl, parent: c, backup: c.subflows[i].backup}
-	sSub := &subflow{conn: sv, parent: c.peer, backup: c.peer.subflows[i].backup}
-	cl.OnRecv = cSub.onBytes
-	sv.OnRecv = sSub.onBytes
-	cl.OnReset = func() { c.onSubflowFail(cSub) }
-	sv.OnReset = func() { c.peer.onSubflowFail(sSub) }
-	cl.OnRTO = func(n int) {
-		if n >= 3 {
-			c.onSubflowFail(cSub)
-		}
-	}
-	sv.OnRTO = func(n int) {
-		if n >= 3 {
-			c.peer.onSubflowFail(sSub)
-		}
-	}
-	cl.OnAcked = c.pump
-	sv.OnAcked = c.peer.pump
-	cl.OnEstablished = func() { c.pump() }
-	sv.OnEstablished = func() { c.peer.pump() }
+	cSub, sSub := c.connect(path, opts, c.subflows[i].backup)
 	c.subflows[i] = cSub
 	c.peer.subflows[i] = sSub
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/sim"
 	"tcpls/internal/simtcp"
 )
@@ -98,7 +99,10 @@ func TestFailoverToBackupOnRST(t *testing.T) {
 	// RST the primary at 1s: both ends see it, chunks reinject onto the
 	// backup quickly (the paper: "upon reception of a TCP RST, both
 	// TCPLS and MPTCP react fast").
-	s.After(time.Second, func() { client.FailSubflow(0) })
+	client.Paths = []*sim.Path{p1, p2}
+	if err := fault.Play(s, client, fault.Schedule{{At: time.Second, Kind: fault.RST}}); err != nil {
+		t.Fatal(err)
+	}
 	s.RunUntil(30 * time.Second)
 	if got := server.Received(); got != uint64(size) {
 		t.Fatalf("received %d of %d after RST failover", got, size)

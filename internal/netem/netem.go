@@ -6,20 +6,22 @@
 // The shaping wraps a TCP relay: dial the relay instead of the server
 // and every byte pays the configured rate and delay in each direction.
 //
-// Beyond shaping, the relay is a fault-injection harness for the
-// robustness tests: RST injection (abortive close with SO_LINGER 0),
-// mid-stream stalls, kill-after-N-bytes, half-close, and scripted fault
-// schedules combining all of them (RunSchedule). A per-direction
-// Mangler rewrites the byte stream itself: internal/middlebox's
-// resegmenting, corrupting and firewalling boxes are manglers.
+// Beyond shaping, the relay is the wall-clock executor of the fault
+// vocabulary (internal/fault) over real sockets: resets (abortive close
+// with SO_LINGER 0), blackholes, mid-stream stalls, kill-after-N-bytes,
+// half-close, and the middlebox classes that rewrite the byte stream —
+// resegmenting, corrupting, and a firewall that rejects the TCPLS hello.
 package netem
 
 import (
+	"cmp"
 	"net"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"tcpls/internal/fault"
+	"tcpls/internal/wire"
 )
 
 // Profile describes one direction's link behaviour.
@@ -33,42 +35,28 @@ type Profile struct {
 	// backpressure to the sender sooner, like a shallow-buffered
 	// bottleneck router.
 	QueueLen int
-	// Mangle, if set, is called once per relayed connection for the
-	// Mangler that rewrites this direction of it.
-	Mangle func() Mangler
-}
-
-// A Mangler rewrites one direction of one relayed connection, a read
-// chunk at a time, before shaping. The chunk is the Mangler's to keep
-// or modify. It returns the chunks to forward instead (several, to
-// resegment), and an error to abort the connection with a TCP RST
-// once the returned chunks are forwarded.
-type Mangler func(chunk []byte) ([][]byte, error)
-
-// relayConn tracks one forwarded socket and which side of the relay it
-// faces, so directional faults (half-close toward the client) can pick
-// their victims.
-type relayConn struct {
-	nc           net.Conn
-	clientFacing bool
 }
 
 // Relay is a shaping TCP forwarder with fault injection.
 type Relay struct {
-	ln      net.Listener
-	target  string
-	c2s     Profile
-	s2c     Profile
-	dropped atomic.Bool // when set, new and existing conns are killed
-	done    chan struct{}
-	conns   sync.Map // net.Conn -> *relayConn
+	ln     net.Listener
+	target string
+	c2s    Profile
+	s2c    Profile
+	done   chan struct{}
 
-	mu      sync.Mutex
-	stallCh chan struct{} // non-nil while stalled; closed by Unstall
+	mu sync.Mutex
+	// conns maps each forwarded socket to whether it faces the client,
+	// so directional faults (half-close toward the client) can pick
+	// their victims.
+	conns   map[net.Conn]bool
+	dropped bool          // blackholed: new connections are refused
+	stallCh chan struct{} // non-nil while stalled; closed at its end
 	// killBudget counts forwarded payload bytes still allowed before the
-	// relay RSTs everything; negative means disarmed.
+	// relay RSTs everything, while killArmed.
 	killBudget int64
 	killArmed  bool
+	mangles    []fault.Fault // the stream rewrites in force; replaced, never modified
 }
 
 // NewRelay starts a shaping relay toward target.
@@ -77,7 +65,7 @@ func NewRelay(target string, c2s, s2c Profile) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Relay{ln: ln, target: target, c2s: c2s, s2c: s2c, done: make(chan struct{})}
+	r := &Relay{ln: ln, target: target, c2s: c2s, s2c: s2c, done: make(chan struct{}), conns: map[net.Conn]bool{}}
 	go r.accept()
 	return r, nil
 }
@@ -93,36 +81,108 @@ func (r *Relay) Close() error {
 	default:
 		close(r.done)
 	}
-	r.Unstall() // release pumps blocked on a stall gate
-	r.conns.Range(func(k, _ interface{}) bool {
-		k.(net.Conn).Close()
-		return true
-	})
+	r.mu.Lock()
+	r.unstallLocked() // release pumps blocked on a stall gate
+	r.closeAll(false)
+	r.mu.Unlock()
 	return err
 }
 
-// Blackhole kills all current connections and refuses new ones — the
-// silent mid-path outage (no FIN reaches anyone on a real blackhole, but
-// over loopback the close is visible; pair with Stall for true silence).
-func (r *Relay) Blackhole() {
-	r.dropped.Store(true)
-	r.conns.Range(func(k, _ interface{}) bool {
-		k.(net.Conn).Close()
-		return true
-	})
+// Run injects faults into the relay, At counted from now: faults due at
+// once are applied before Run returns, the rest on a goroutine, and a
+// Blackhole, Stall or stream rewrite with a Dur ends on its own. The returned channel closes
+// once all of it has run, or the relay closed. Run refuses, with an
+// *fault.Unsupported error and before anything is applied, faults
+// holding a kind a relay cannot express: DataStall, Degrade, RSTStorm,
+// RackOutage and Restart, which need a session's view.
+func (r *Relay) Run(faults ...fault.Fault) (<-chan struct{}, error) {
+	sched := fault.Schedule(faults)
+	err := sched.Check("relay", fault.RST, fault.Blackhole, fault.Restore, fault.Stall, fault.Unstall,
+		fault.HalfClose, fault.KillAfter, fault.Resegment, fault.Corrupt, fault.RejectHello)
+	if err != nil {
+		return nil, err
+	}
+	// Each fault with a Dur is two steps: it, and its end.
+	type step struct {
+		at  time.Duration
+		f   fault.Fault
+		end bool
+	}
+	var steps []step
+	for _, f := range sched {
+		steps = append(steps, step{f.At, f, false})
+		if lasting := []fault.Kind{fault.Blackhole, fault.Stall, fault.Resegment, fault.Corrupt, fault.RejectHello}; f.Dur > 0 && slices.Contains(lasting, f.Kind) {
+			steps = append(steps, step{f.At + f.Dur, f, true})
+		}
+	}
+	slices.SortStableFunc(steps, func(a, b step) int { return cmp.Compare(a.at, b.at) })
+	for len(steps) > 0 && steps[0].at <= 0 {
+		r.apply(steps[0].f, steps[0].end)
+		steps = steps[1:]
+	}
+	done := make(chan struct{})
+	if len(steps) == 0 {
+		close(done)
+		return done, nil
+	}
+	go func() {
+		defer close(done)
+		start := time.Now()
+		for _, st := range steps {
+			select {
+			case <-time.After(st.at - time.Since(start)):
+			case <-r.done:
+				return
+			}
+			r.apply(st.f, st.end)
+		}
+	}()
+	return done, nil
 }
 
-// Restore re-enables forwarding for new connections.
-func (r *Relay) Restore() { r.dropped.Store(false) }
+// apply applies f, or its end.
+func (r *Relay) apply(f fault.Fault, end bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case f.Kind == fault.Blackhole && !end:
+		r.dropped = true
+		r.closeAll(false)
+	case f.Kind == fault.Blackhole, f.Kind == fault.Restore:
+		r.dropped = false
+	case f.Kind == fault.RST:
+		r.closeAll(true)
+	case f.Kind == fault.Stall && !end:
+		if r.stallCh == nil {
+			r.stallCh = make(chan struct{})
+		}
+	case f.Kind == fault.Stall, f.Kind == fault.Unstall:
+		r.unstallLocked()
+	case f.Kind == fault.HalfClose:
+		for nc, clientFacing := range r.conns {
+			if tc, ok := nc.(*net.TCPConn); ok && clientFacing {
+				tc.CloseWrite()
+			}
+		}
+	case f.Kind == fault.KillAfter:
+		r.killBudget, r.killArmed = f.Bytes, true
+	case end:
+		r.mangles = slices.DeleteFunc(slices.Clone(r.mangles), func(m fault.Fault) bool { return m == f })
+	default:
+		r.mangles = append(slices.Clip(r.mangles), f)
+	}
+}
 
-// RST aborts every forwarded connection with SO_LINGER 0, so the kernel
-// sends a TCP RST instead of a FIN — the middlebox-injected-reset and
-// crashed-peer failure mode. New connections are still accepted.
-func (r *Relay) RST() {
-	r.conns.Range(func(k, _ interface{}) bool {
-		abortConn(k.(net.Conn))
-		return true
-	})
+// closeAll closes every forwarded connection, abort with a TCP RST
+// (SO_LINGER 0) instead of a FIN.
+func (r *Relay) closeAll(abort bool) {
+	for nc := range r.conns {
+		if abort {
+			abortConn(nc)
+		} else {
+			nc.Close()
+		}
+	}
 }
 
 func abortConn(nc net.Conn) {
@@ -132,25 +192,11 @@ func abortConn(nc net.Conn) {
 	nc.Close()
 }
 
-// Stall freezes forwarding in both directions, mid-record if bytes are
-// in flight: sockets stay open, nothing moves — the classic stalled-path
-// failure only a timeout can detect. Unstall resumes.
-func (r *Relay) Stall() {
-	r.mu.Lock()
-	if r.stallCh == nil {
-		r.stallCh = make(chan struct{})
-	}
-	r.mu.Unlock()
-}
-
-// Unstall resumes forwarding after Stall.
-func (r *Relay) Unstall() {
-	r.mu.Lock()
+func (r *Relay) unstallLocked() {
 	if r.stallCh != nil {
 		close(r.stallCh)
 		r.stallCh = nil
 	}
-	r.mu.Unlock()
 }
 
 // waitStall blocks while the relay is stalled. It returns false if the
@@ -171,117 +217,25 @@ func (r *Relay) waitStall() bool {
 	}
 }
 
-// KillAfter arms a byte bomb: after n more forwarded payload bytes
-// (both directions combined), every connection is RST — the
-// kill-after-N-bytes fault that lands mid-transfer, typically
-// mid-record.
-func (r *Relay) KillAfter(n int64) {
-	r.mu.Lock()
-	r.killBudget = n
-	r.killArmed = true
-	r.mu.Unlock()
-}
-
 // consumeKillBudget accounts n forwarded bytes against an armed byte
 // bomb. It returns how many of those bytes may still be forwarded and
-// whether the bomb just went off. The caller must forward the allowed
-// prefix and then pull the trigger (RST) itself — firing here would race
-// the RST ahead of the very bytes the budget permits.
-func (r *Relay) consumeKillBudget(n int) (allowed int, killed bool) {
+// whether the bomb just went off, and the stream rewrites in force. The
+// caller must forward the allowed prefix and then pull the trigger (RST)
+// itself — firing here would race the RST ahead of the very bytes the
+// budget permits.
+func (r *Relay) consumeKillBudget(n int) (allowed int, killed bool, mangles []fault.Fault) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.killArmed {
-		return n, false
+		return n, false, r.mangles
 	}
-	allowed = n
-	if int64(allowed) > r.killBudget {
-		allowed = int(r.killBudget)
-	}
+	allowed = min(n, int(r.killBudget))
 	r.killBudget -= int64(allowed)
 	killed = r.killBudget <= 0
 	if killed {
 		r.killArmed = false
 	}
-	return allowed, killed
-}
-
-// HalfClose sends a FIN toward every client (the server appears to stop
-// sending) while the client→server direction keeps flowing — the
-// asymmetric-path failure that breaks naive "EOF means done" readers.
-func (r *Relay) HalfClose() {
-	r.conns.Range(func(k, v interface{}) bool {
-		rc := v.(*relayConn)
-		if rc.clientFacing {
-			if tc, ok := rc.nc.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-		}
-		return true
-	})
-}
-
-// FaultKind enumerates scripted fault actions.
-type FaultKind int
-
-const (
-	FaultRST FaultKind = iota + 1
-	FaultBlackhole
-	FaultRestore
-	FaultStall
-	FaultUnstall
-	FaultHalfClose
-	FaultKillAfter // Bytes carries the budget
-)
-
-// Fault is one step of a scripted schedule: at offset At from the start
-// of RunSchedule, apply Kind.
-type Fault struct {
-	At    time.Duration
-	Kind  FaultKind
-	Bytes int64 // for FaultKillAfter
-}
-
-// RunSchedule plays a fault script against the relay on its own
-// goroutine and closes the returned channel when the script (sorted by
-// offset) has run. Closing the relay aborts the script.
-func (r *Relay) RunSchedule(faults []Fault) <-chan struct{} {
-	script := append([]Fault(nil), faults...)
-	sort.SliceStable(script, func(i, j int) bool { return script[i].At < script[j].At })
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		start := time.Now()
-		for _, f := range script {
-			if d := f.At - time.Since(start); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-r.done:
-					return
-				}
-			}
-			r.apply(f)
-		}
-	}()
-	return doneCh
-}
-
-func (r *Relay) apply(f Fault) {
-	switch f.Kind {
-	case FaultRST:
-		r.RST()
-	case FaultBlackhole:
-		r.Blackhole()
-	case FaultRestore:
-		r.Restore()
-	case FaultStall:
-		r.Stall()
-	case FaultUnstall:
-		r.Unstall()
-	case FaultHalfClose:
-		r.HalfClose()
-	case FaultKillAfter:
-		r.KillAfter(f.Bytes)
-	}
+	return allowed, killed, r.mangles
 }
 
 func (r *Relay) accept() {
@@ -290,7 +244,10 @@ func (r *Relay) accept() {
 		if err != nil {
 			return
 		}
-		if r.dropped.Load() {
+		r.mu.Lock()
+		dropped := r.dropped
+		r.mu.Unlock()
+		if dropped {
 			c.Close()
 			continue
 		}
@@ -304,28 +261,92 @@ func (r *Relay) handle(client net.Conn) {
 		client.Close()
 		return
 	}
-	r.conns.Store(client, &relayConn{nc: client, clientFacing: true})
-	r.conns.Store(server, &relayConn{nc: server})
+	r.mu.Lock()
+	r.conns[client], r.conns[server] = true, false
+	r.mu.Unlock()
 	defer func() {
-		r.conns.Delete(client)
-		r.conns.Delete(server)
+		r.mu.Lock()
+		delete(r.conns, client)
+		delete(r.conns, server)
+		r.mu.Unlock()
 		client.Close()
 		server.Close()
 	}()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); r.shapePump(client, server, r.c2s) }()
-	go func() { defer wg.Done(); r.shapePump(server, client, r.s2c) }()
+	go func() { defer wg.Done(); r.shapePump(client, server, r.c2s, fault.Up) }()
+	go func() { defer wg.Done(); r.shapePump(server, client, r.s2c, fault.Down) }()
 	wg.Wait()
 }
 
-// shapePump forwards src→dst applying mangling, rate, delay, and
-// injected faults.
-func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
-	var mangle Mangler
-	if p.Mangle != nil {
-		mangle = p.Mangle()
+// rewriter is one direction of one connection under the stream
+// rewrites: what each has seen of it so far.
+type rewriter struct {
+	dir      fault.Dir
+	chunks   int   // read chunks
+	corrupt  int64 // bytes under Corrupt
+	segments int   // segments cut under Resegment, the cycle's position
+}
+
+// segmentCycle is Resegment's sizes when it gives none.
+var segmentCycle = []int{1, 7, 64, 512, 4096}
+
+// rewrite applies the rewrites in force to the next read chunk, which it
+// may modify: the chunks to forward instead, and whether to abort the
+// connection once they are.
+func (w *rewriter) rewrite(chunk []byte, mangles []fault.Fault) (out [][]byte, abort bool) {
+	w.chunks++
+	out = [][]byte{chunk}
+	for _, m := range mangles {
+		if m.Dir != "" && m.Dir != w.dir {
+			continue
+		}
+		switch m.Kind {
+		case fault.RejectHello:
+			if w.dir == fault.Up && w.chunks == 1 && tcplsHello(chunk) {
+				return nil, true
+			}
+		case fault.Corrupt:
+			for i := range chunk {
+				if w.corrupt++; w.corrupt%max(m.Bytes, 1) == 0 {
+					chunk[i] ^= 0x01
+				}
+			}
+		case fault.Resegment:
+			out = out[:0]
+			for rest := chunk; len(rest) > 0; w.segments++ {
+				n := int(m.Bytes)
+				if n <= 0 {
+					n = segmentCycle[w.segments%len(segmentCycle)]
+				}
+				n = min(n, len(rest))
+				out, rest = append(out, rest[:n]), rest[n:]
+			}
+		}
 	}
+	return out, false
+}
+
+// tcplsHello reports whether a first flight is a TLS handshake record
+// carrying a ClientHello that advertises the TCPLS Hello extension
+// (codepoint 0xfa00 followed by a plausible length): the shallow pattern
+// match real DPI boxes perform.
+func tcplsHello(b []byte) bool {
+	if len(b) < 6 || b[0] != 22 || b[5] != 1 {
+		return false
+	}
+	for i := 5; i+4 <= len(b); i++ {
+		if b[i] == 0xfa && b[i+1] == 0x00 && i+4+int(wire.Uint16(b[i+2:])) <= len(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// shapePump forwards src→dst, in direction dir, applying the stream
+// rewrites, rate, delay, and injected faults.
+func (r *Relay) shapePump(src, dst net.Conn, p Profile, dir fault.Dir) {
+	w := rewriter{dir: dir}
 	type chunk struct {
 		data  []byte
 		dueAt time.Time
@@ -366,11 +387,11 @@ func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
 				close(ch)
 				return
 			}
-			allowed, killed := r.consumeKillBudget(n)
+			allowed, killed, mangles := r.consumeKillBudget(n)
 			chunks := [][]byte{append([]byte(nil), buf[:allowed]...)}
-			var merr error
-			if mangle != nil && allowed > 0 {
-				chunks, merr = mangle(chunks[0])
+			abort := false
+			if allowed > 0 {
+				chunks, abort = w.rewrite(chunks[0], mangles)
 			}
 			for _, data := range chunks {
 				if len(data) == 0 {
@@ -390,14 +411,14 @@ func (r *Relay) shapePump(src, dst net.Conn, p Profile) {
 					return
 				}
 			}
-			if killed || merr != nil {
+			if killed || abort {
 				// Drain the shaper so the allowed prefix reaches dst,
 				// then abort: everything for the byte bomb, this
-				// connection for a mangler.
+				// connection for a rewrite.
 				close(ch)
 				<-done
 				if killed {
-					r.RST()
+					r.apply(fault.Fault{Kind: fault.RST}, false)
 				} else {
 					abortConn(src)
 					abortConn(dst)

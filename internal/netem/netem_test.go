@@ -2,10 +2,13 @@ package netem
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"tcpls/internal/fault"
 )
 
 // startSink runs a TCP server that echoes everything.
@@ -118,7 +121,7 @@ func TestBlackholeKillsConnections(t *testing.T) {
 	defer c.Close()
 	c.Write([]byte("x"))
 	io.ReadFull(c, make([]byte, 1))
-	r.Blackhole()
+	r.Run(fault.Fault{Kind: fault.Blackhole})
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection survived blackhole")
@@ -132,7 +135,7 @@ func TestBlackholeKillsConnections(t *testing.T) {
 		}
 		c2.Close()
 	}
-	r.Restore()
+	r.Run(fault.Fault{Kind: fault.Restore})
 	c3, err := net.Dial("tcp", r.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +163,7 @@ func TestRSTAbortsConnections(t *testing.T) {
 	defer c.Close()
 	c.Write([]byte("x"))
 	io.ReadFull(c, make([]byte, 1))
-	r.RST()
+	r.Run(fault.Fault{Kind: fault.RST})
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("read succeeded after RST")
@@ -205,14 +208,14 @@ func TestStallFreezesAndUnstallResumes(t *testing.T) {
 	c.Write([]byte("a"))
 	io.ReadFull(c, make([]byte, 1))
 
-	r.Stall()
+	r.Run(fault.Fault{Kind: fault.Stall})
 	c.Write([]byte("b"))
 	c.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("bytes flowed through a stalled relay")
 	}
 	// The socket is still open — a stall is not a close.
-	r.Unstall()
+	r.Run(fault.Fault{Kind: fault.Unstall})
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
 		t.Fatalf("unstall did not resume: %v", err)
@@ -253,7 +256,7 @@ func TestKillAfterCutsAtExactByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	r.KillAfter(2000)
+	r.Run(fault.Fault{Kind: fault.KillAfter, Bytes: 2000})
 	// Push well past the budget; the relay must forward exactly 2000 more
 	// bytes and then RST everything.
 	go func() {
@@ -308,7 +311,7 @@ func TestHalfCloseIsDirectional(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-srvGot
-	r.HalfClose()
+	r.Run(fault.Fault{Kind: fault.HalfClose})
 	// Client sees EOF: the server "stopped sending".
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
@@ -326,7 +329,7 @@ func TestHalfCloseIsDirectional(t *testing.T) {
 	}
 }
 
-func TestRunScheduleOrdersAndAborts(t *testing.T) {
+func TestRunOrdersEndsAndAborts(t *testing.T) {
 	addr := startEcho(t)
 	r, err := NewRelay(addr, Profile{}, Profile{})
 	if err != nil {
@@ -340,11 +343,15 @@ func TestRunScheduleOrdersAndAborts(t *testing.T) {
 	c.Write([]byte("x"))
 	io.ReadFull(c, make([]byte, 1))
 
-	// Faults given out of order: blackhole at 30ms, restore at 80ms.
-	done := r.RunSchedule([]Fault{
-		{At: 80 * time.Millisecond, Kind: FaultRestore},
-		{At: 30 * time.Millisecond, Kind: FaultBlackhole},
-	})
+	// A blackhole at 30ms that ends at 80ms, and a stall given out of
+	// order that ends before the blackhole does.
+	done, err := r.Run(
+		fault.Fault{At: 40 * time.Millisecond, Kind: fault.Stall, Dur: 10 * time.Millisecond},
+		fault.Fault{At: 30 * time.Millisecond, Kind: fault.Blackhole, Dur: 50 * time.Millisecond},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -368,11 +375,38 @@ func TestRunScheduleOrdersAndAborts(t *testing.T) {
 	}
 
 	// A pending schedule aborts when the relay closes.
-	done2 := r.RunSchedule([]Fault{{At: time.Hour, Kind: FaultRST}})
+	done2, _ := r.Run(fault.Fault{At: time.Hour, Kind: fault.RST})
 	r.Close()
 	select {
 	case <-done2:
 	case <-time.After(5 * time.Second):
 		t.Fatal("schedule did not abort on relay close")
+	}
+}
+
+// TestRunRefusesWhatARelayCannotExpress: a schedule holding a kind that
+// needs a session's view is refused whole, naming the kind, before any
+// of its faults is applied.
+func TestRunRefusesWhatARelayCannotExpress(t *testing.T) {
+	addr := startEcho(t)
+	r, err := NewRelay(addr, Profile{}, Profile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	c, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = r.Run(fault.Fault{Kind: fault.RST}, fault.Fault{At: time.Second, Kind: fault.DataStall, Dur: time.Second})
+	var un *fault.Unsupported
+	if !errors.As(err, &un) || un.Kind != fault.DataStall {
+		t.Fatalf("err %v, want *fault.Unsupported naming data_stall", err)
+	}
+	go c.Write([]byte("ok"))
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(c, make([]byte, 2)); err != nil {
+		t.Fatalf("the refused schedule's RST was applied: %v", err)
 	}
 }

@@ -116,9 +116,6 @@ func New(cfg Config) *Server {
 // Registry exposes the session registry (tests, debug).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Budget exposes the memory budget (tests, debug).
-func (s *Server) Budget() *Budget { return s.budget }
-
 // Admission exposes the controller, for callers that build their own
 // tcpls.Listener: set it as Config.Admission before NewListener.
 func (s *Server) Admission() *Controller { return s.ctrl }

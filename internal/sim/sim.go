@@ -229,46 +229,5 @@ func (p *Path) SetDown(down bool) {
 	p.BtoA.Down = down
 }
 
-// SetDownDir blackholes or restores one direction only — the stall
-// model: the forward direction keeps flowing while returning data and
-// ACKs vanish (or vice versa), which only an application-layer timeout
-// can detect.
-func (p *Path) SetDownDir(aToB bool, down bool) {
-	if aToB {
-		p.AtoB.Down = down
-	} else {
-		p.BtoA.Down = down
-	}
-}
-
 // RTT returns the path's base round-trip time.
 func (p *Path) RTT() Time { return p.AtoB.Delay + p.BtoA.Delay }
-
-// Topology groups paths into failure domains ("racks") for correlated
-// fault injection: a campaign that kills every path through one rack
-// models the top-of-rack switch dying, the fleet-scale failure mode a
-// single-session test can never exercise. Paths may belong to at most
-// one rack; rack IDs are small dense integers chosen by the caller.
-type Topology struct {
-	s     *Sim
-	racks map[int][]*Path
-}
-
-// NewTopology returns an empty topology on s.
-func NewTopology(s *Sim) *Topology {
-	return &Topology{s: s, racks: map[int][]*Path{}}
-}
-
-// Attach places a path in a rack.
-func (t *Topology) Attach(rack int, p *Path) {
-	t.racks[rack] = append(t.racks[rack], p)
-}
-
-// SetRackDown blackholes or restores every path in rack — the
-// correlated multi-session outage. Paths are walked in attach order, so
-// the fault is deterministic.
-func (t *Topology) SetRackDown(rack int, down bool) {
-	for _, p := range t.racks[rack] {
-		p.SetDown(down)
-	}
-}

@@ -92,7 +92,9 @@ type Endpoint struct {
 	OnEvent func(ev core.Event)
 	// OnLifecycle observes the driver's connection and recovery events.
 	OnLifecycle func(ev driver.Event)
-	// Paths are the redial targets of a supervised client.
+	// Paths are the redial targets of a supervised client, and the paths
+	// a fault schedule names by number (fault.Play, with the client as
+	// its Net).
 	Paths []*sim.Path
 	// OnStart hears of every connection this end starts, once its side
 	// of the connection's handshake ended: where a client's Dial or a
@@ -200,26 +202,24 @@ func (e *Endpoint) dial(c *driver.Conn, fast bool) {
 // handshake, then one driver call (Open) that runs the client's TLS or
 // join handshake on it, while the server's end runs through its
 // acceptor. c is a connection the driver reserved (a join toward one of
-// Paths), or nil for one the caller numbered: the session's first
-// connection, registered from its SYN on so that its deadline covers the
-// connect, or a join, registered with the next cookie once its TCP
-// handshake is done — a probe over a dead path holds no cookie through
-// its SYN retries, so parallel probes (Fig. 9's hunts) cannot exhaust
-// them. Its deadline still counts from the SYN. onFail runs on a reset
-// before the client's end started.
+// Paths), or nil for one the caller numbered, which registers at its SYN
+// so that its deadline covers the connect; a join takes its cookie at
+// Open, so a probe over a dead path holds none through its SYN retries
+// (Fig. 9's parallel hunts). onFail runs on a reset before the client's
+// end started, and on a connection the driver refused at its SYN.
 func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts simtcp.Options, fast bool, onReady, onFail func()) {
 	cl, sv := simtcp.ConnectOn(e.S, path.AtoB, path.BtoA, opts, opts)
-	var deadline time.Time
-	if c == nil && e.DialTimeout > 0 {
-		deadline = epoch.Add(e.S.Now() + e.DialTimeout)
-	}
 	ready := 0 // ends that started the connection
-	t := &conn{e: e, tc: cl, hs: true, fast: fast, ready: func() {
+	t := &conn{e: e, tc: cl, path: path, hs: true, fast: fast, ready: func() {
 		if ready++; ready == 2 && onReady != nil {
 			onReady()
 		}
 	}}
-	if c == nil && e.Result == nil {
+	if c == nil {
+		var deadline time.Time
+		if e.DialTimeout > 0 {
+			deadline = epoch.Add(e.S.Now() + e.DialTimeout)
+		}
 		c, _ = e.D.Connect(connID, "", deadline)
 	}
 	if c != nil {
@@ -227,12 +227,8 @@ func (e *Endpoint) connect(path *sim.Path, connID uint32, c *driver.Conn, opts s
 	}
 	cl.OnEstablished = func() {
 		if t.c == nil {
-			var err error
-			if t.c, err = e.D.Connect(connID, "", deadline); err != nil {
-				cl.Reset()
-				return
-			}
-			t.c.T = t
+			cl.Reset()
+			return
 		}
 		if e.D.Open(t.c, t, fast) == nil && fast {
 			t.started()
@@ -381,9 +377,10 @@ type conn struct {
 	e     *Endpoint
 	c     *driver.Conn
 	tc    *simtcp.Conn
-	hs    bool   // client: the driver runs its handshake still
-	fast  bool   // client: a single-flight join, started at its hello
-	ready func() // client: this end's start, toward the caller's onReady
+	path  *sim.Path // client: the path it runs over
+	hs    bool      // client: the driver runs its handshake still
+	fast  bool      // client: a single-flight join, started at its hello
+	ready func()    // client: this end's start, toward the caller's onReady
 	batch [][]byte
 	buf   []byte
 }
@@ -484,6 +481,22 @@ func (e *Endpoint) Conn(connID uint32) *simtcp.Conn {
 		}
 	}
 	return nil
+}
+
+// Sessions, PathsOf and Reset make a client end the fault.Net of one
+// session over its Paths.
+func (e *Endpoint) Sessions() int { return 1 }
+
+// PathsOf returns the client's Paths.
+func (e *Endpoint) PathsOf(int) []*sim.Path { return e.Paths }
+
+// Reset resets each of this end's live connections over Paths[p].
+func (e *Endpoint) Reset(_, p int) {
+	for _, c := range e.D.Conns() {
+		if t, ok := c.T.(*conn); ok && t.path == e.Paths[p] && !t.tc.Failed() {
+			t.tc.Reset()
+		}
+	}
 }
 
 // Flush transmits any queued engine output (exported for experiment

@@ -3,11 +3,13 @@ package simtcpls
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
 	"tcpls/internal/core"
 	"tcpls/internal/driver"
+	"tcpls/internal/fault"
 	"tcpls/internal/handshake"
 	"tcpls/internal/health"
 	"tcpls/internal/resume"
@@ -305,7 +307,7 @@ func TestUnadoptedJoinResetAtItsDeadline(t *testing.T) {
 	client.OnStart = func(id uint32) {
 		if id == 1 {
 			joined = s.Now()
-			p1.SetDownDir(false, true)
+			p1.BtoA.Down = true
 		}
 	}
 	client.AddPath(p0, 0, simtcp.Options{}, func() {
@@ -423,4 +425,56 @@ func TestFirstRequestByteOnTheVirtualClock(t *testing.T) {
 		t.Fatal("0-RTT: the flight was not accepted")
 	}
 	t.Logf("0-RTT: the server's application gets the early bytes at %v (%.2fR)", verdict, float64(verdict)/float64(rtt))
+}
+
+// TestScheduleFileOnTheVirtualClock runs the schedule file the root's
+// TestScheduleFileOverRelays runs over real sockets, with the client as
+// the fault.Net: an RST on path 0 mid-transfer on a two-path session,
+// which ends byte-exact after one failover onto path 1.
+func TestScheduleFileOnTheVirtualClock(t *testing.T) {
+	f, err := os.Open("../../testdata/rst-path0.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sched, err := fault.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New()
+	client, server := Pair(s, core.Config{EnableFailover: true, AckPeriod: 4})
+	client.Paths = []*sim.Path{sim.NewPath(s, mbps(25), 10*time.Millisecond), sim.NewPath(s, mbps(25), 10*time.Millisecond)}
+	var got []byte
+	server.OnEvent = func(ev core.Event) {
+		if ev.Kind == core.EventStreamData {
+			buf := make([]byte, 64<<10)
+			for server.Sess.Readable(ev.Stream) > 0 {
+				n, _ := server.Sess.Read(ev.Stream, buf)
+				got = append(got, buf[:n]...)
+			}
+		}
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	client.AddPath(client.Paths[0], 0, simtcp.Options{}, func() {
+		client.AddPath(client.Paths[1], 1, simtcp.Options{}, func() {
+			sid, err := client.Sess.CreateStream(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.Write(sid, data)
+		})
+	})
+	if err := fault.Play(s, client, sched); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(20 * time.Second)
+	var snap telemetry.Snapshot
+	client.Sess.Snapshot(&snap)
+	if !bytes.Equal(got, data) || snap.ConnFailures != 1 || snap.Failovers != 1 {
+		t.Fatalf("received %d of %d bytes (byte-exact %v), %d conn failures, %d failovers; want all, 1, 1",
+			len(got), len(data), bytes.Equal(got, data), snap.ConnFailures, snap.Failovers)
+	}
 }

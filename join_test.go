@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpls/internal/fault"
 	"tcpls/internal/netem"
 )
 
@@ -146,7 +147,7 @@ func TestBrokenPathRecoveredDuringDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server Close did not return")
 	}
-	relay.Stall()
+	relay.Run(fault.Fault{Kind: fault.Stall})
 	type result struct {
 		got []byte
 		err error
